@@ -1,7 +1,8 @@
 // Micro benchmarks (google-benchmark): the kernels whose costs drive the
-// paper's complexity discussion — Hungarian matching (O(n³)), the greedy
-// matcher (O(E log E)), the early-terminated Hungarian, the token stream,
-// and the bucket index maintenance.
+// paper's complexity discussion — Hungarian matching (O(n³)), the sparse
+// shortest-augmenting-path matcher on exact-matching-shaped graphs, the
+// greedy matcher (O(E log E)), the early-terminated Hungarian, the token
+// stream, and the bucket index maintenance.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -10,6 +11,7 @@
 #include "koios/core/bucket_index.h"
 #include "koios/matching/greedy.h"
 #include "koios/matching/hungarian.h"
+#include "koios/matching/sparse_matcher.h"
 #include "koios/data/corpus.h"
 #include "koios/embedding/synthetic_model.h"
 #include "koios/sim/cosine_similarity.h"
@@ -79,6 +81,59 @@ void BM_HungarianEarlyTerminated(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HungarianEarlyTerminated)->RangeMultiplier(2)->Range(16, 256);
+
+// A graph shaped like the ones post-processing verifies: rows x cols after
+// dropping nodes without an α-edge, about 3% of the entries α-edges with
+// weights in [0.7, 1), every row and column incident to at least one.
+matching::WeightMatrix EmGraph(size_t rows, size_t cols, uint64_t seed) {
+  util::Rng rng(seed);
+  matching::WeightMatrix m(rows, cols);
+  auto edge = [&] { return 0.7 + 0.3 * rng.NextDouble(); };
+  std::vector<char> col_used(cols, 0);
+  for (size_t i = 0; i < rows; ++i) {
+    bool any = false;
+    for (size_t j = 0; j < cols; ++j) {
+      if (!rng.NextBool(0.03)) continue;
+      m.At(i, j) = edge();
+      col_used[j] = 1;
+      any = true;
+    }
+    if (!any) {
+      const size_t j = rng.NextBounded(cols);
+      m.At(i, j) = edge();
+      col_used[j] = 1;
+    }
+  }
+  for (size_t j = 0; j < cols; ++j) {
+    if (!col_used[j]) m.At(rng.NextBounded(rows), j) = edge();
+  }
+  return m;
+}
+
+// The measured exact-matching shapes: the opendata-em median (61x153) and
+// a larger query (128x300).
+void EmGraphShapes(benchmark::internal::Benchmark* b) {
+  b->Args({61, 153})->Args({128, 300});
+}
+
+void BM_EmGraphHungarian(benchmark::State& state) {
+  const auto m = EmGraph(static_cast<size_t>(state.range(0)),
+                         static_cast<size_t>(state.range(1)), 45);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(matching::HungarianMatcher::Solve(m));
+  }
+}
+BENCHMARK(BM_EmGraphHungarian)->Apply(EmGraphShapes);
+
+void BM_EmGraphSparse(benchmark::State& state) {
+  const auto m = EmGraph(static_cast<size_t>(state.range(0)),
+                         static_cast<size_t>(state.range(1)), 45);
+  matching::SparseMatcher matcher;  // warm across iterations, as per thread
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(matcher.Solve(m));
+  }
+}
+BENCHMARK(BM_EmGraphSparse)->Apply(EmGraphShapes);
 
 void BM_GreedyMatch(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

@@ -113,10 +113,9 @@ size_t BucketIndex::num_buckets() const {
 }
 
 size_t BucketIndex::MemoryUsageBytes() const {
-  size_t bytes = heaps_.capacity() * sizeof(Heap) +
-                 slots_.capacity() * sizeof(SlotState);
-  for (const Heap& heap : heaps_) {
-    bytes += heap.entries.capacity() * sizeof(Entry);
+  size_t bytes = used_ * sizeof(Heap) + slots_.size() * sizeof(SlotState);
+  for (size_t m = 0; m < used_; ++m) {
+    bytes += heaps_[m].high_water * sizeof(Entry);
   }
   return bytes;
 }

@@ -62,6 +62,9 @@ class BucketIndex {
   /// Buckets holding at least one live slot.
   size_t num_buckets() const;
 
+  /// Bytes the current query uses: its buckets, slot states and each
+  /// heap's high water since Clear() (not the reused capacity; see
+  /// CandidateTable::MemoryUsageBytes).
   size_t MemoryUsageBytes() const;
 
  private:

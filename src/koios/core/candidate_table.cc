@@ -24,6 +24,7 @@ void CandidateTable::Reset(size_t num_sets, size_t query_size) {
     epoch_ = 1;
   }
   if (stamps_.size() < num_sets) stamps_.resize(num_sets);
+  num_sets_ = num_sets;
   query_size_ = query_size;
   words_ = Words(query_size);
   records_.clear();
@@ -92,12 +93,10 @@ void CandidateTable::GrowTokenTable() {
 }
 
 size_t CandidateTable::MemoryUsageBytes() const {
-  return stamps_.capacity() * sizeof(Stamp) +
-         records_.capacity() * sizeof(CandidateState) +
-         bits_.capacity() * sizeof(uint64_t) +
-         free_.capacity() * sizeof(uint32_t) +
-         token_table_.capacity() * sizeof(TokenEntry) +
-         token_bits_.capacity() * sizeof(uint64_t);
+  return num_sets_ * sizeof(Stamp) +
+         records_.size() * sizeof(CandidateState) +
+         bits_.size() * sizeof(uint64_t) +
+         token_bits_.size() * sizeof(uint64_t);
 }
 
 }  // namespace koios::core

@@ -153,7 +153,11 @@ class CandidateTable {
     }
   }
 
-  /// Bytes held (capacity, not size: the storage is reused).
+  /// Bytes the current query uses: its |S| stamps, the records, bitsets
+  /// and token bits it created. The storage itself is reused, so its
+  /// capacity is a high-water mark over every query the thread served;
+  /// counting the query's own use makes the figure repeat for the same
+  /// query whatever ran before it.
   size_t MemoryUsageBytes() const;
 
  private:
@@ -182,6 +186,7 @@ class CandidateTable {
   void GrowTokenTable();
 
   uint32_t epoch_ = 0;
+  size_t num_sets_ = 0;
   size_t query_size_ = 0;
   std::vector<Stamp> stamps_;           // SetId -> slot, when epoch matches
   std::vector<CandidateState> records_;  // by slot

@@ -248,8 +248,8 @@ class EdgeCache {
                                      std::vector<uint32_t>* query_rows,
                                      std::vector<uint32_t>* set_cols) const;
 
-  /// BuildMatrix into a caller-owned matrix (capacity reuse across the
-  /// post-processing EM batches; see matching::HungarianWorkspace).
+  /// BuildMatrix into a caller-owned matrix (capacity reuse across every
+  /// exact matching a thread runs; see core::ExactMatch).
   void BuildMatrixInto(std::span<const TokenId> candidate_tokens,
                        std::vector<uint32_t>* query_rows,
                        std::vector<uint32_t>* set_cols,

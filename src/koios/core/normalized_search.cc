@@ -4,8 +4,8 @@
 #include <vector>
 
 #include "koios/core/edge_cache.h"
+#include "koios/core/postprocess.h"
 #include "koios/core/refinement.h"
-#include "koios/matching/hungarian.h"
 #include "koios/matching/semantic_overlap.h"
 #include "koios/sim/token_stream.h"
 #include "koios/util/timer.h"
@@ -110,15 +110,13 @@ SearchResult NormalizedSearcher::Search(std::span<const TokenId> query,
   util::TopKList<SetId> topk(params.k);
   for (const Item& item : order) {
     if (topk.Full() && item.nub < topk.Bottom() - kScoreEps) break;  // dominated
-    std::vector<uint32_t> rows, cols;
-    const matching::WeightMatrix m =
-        cache.BuildMatrix(sets_->Tokens(item.id), &rows, &cols);
     const Score prune_threshold =
         params.use_em_early_termination && topk.Full()
             ? topk.Bottom() * item.cap
             : -1.0;
     const matching::MatchResult match =
-        matching::HungarianMatcher::Solve(m, prune_threshold);
+        ExactMatch(cache, sets_->Tokens(item.id), prune_threshold,
+                   &result.stats.em_workspace_reuses);
     if (match.early_terminated) {
       ++result.stats.em_early_terminated;
       continue;

@@ -6,7 +6,7 @@
 #include <set>
 #include <unordered_map>
 
-#include "koios/matching/hungarian.h"
+#include "koios/matching/sparse_matcher.h"
 #include "koios/util/top_k_list.h"
 #include "koios/util/trace_recorder.h"
 
@@ -26,6 +26,7 @@ struct EmOutcome {
   SetId set = kInvalidSet;
   bool early_terminated = false;
   Score so = 0.0;
+  size_t reuses = 0;  // 1 if the solve ran on a warm matcher
 };
 
 // Descending (ub, set) ordering for the alive window.
@@ -38,20 +39,25 @@ struct ByUbDesc {
 };
 
 // Per-thread exact-matching scratch: the matrix allocation and the
-// Hungarian solve arena survive across every candidate a worker verifies
-// (EM batch, early-termination attempts, and result verification alike).
+// matcher's solve arrays survive across every candidate a thread verifies
+// (EM batches, result verification and the extension searchers alike).
 struct EmScratch {
   matching::WeightMatrix matrix{0, 0};
-  matching::HungarianWorkspace workspace;
   std::vector<uint32_t> rows, cols;
+  matching::SparseMatcher matcher;
 };
 
-EmScratch& ThreadEmScratch() {
-  thread_local EmScratch scratch;
-  return scratch;
-}
-
 }  // namespace
+
+matching::MatchResult ExactMatch(const EdgeCache& cache,
+                                 std::span<const TokenId> candidate,
+                                 double prune_threshold, size_t* reuses) {
+  thread_local EmScratch scratch;
+  if (scratch.matcher.solve_count() > 0) ++*reuses;
+  cache.BuildMatrixInto(candidate, &scratch.rows, &scratch.cols,
+                        &scratch.matrix);
+  return scratch.matcher.Solve(scratch.matrix, prune_threshold);
+}
 
 PostProcessor::PostProcessor(const index::SetCollection* sets,
                              const EdgeCache* cache,
@@ -67,18 +73,6 @@ PostProcessor::PostProcessor(const index::SetCollection* sets,
 Score PostProcessor::ThetaLb(Score local) const {
   if (global_theta_ == nullptr) return local;
   return std::max(local, global_theta_->Get());
-}
-
-matching::MatchResult PostProcessor::SolveWithScratch(SetId id,
-                                                      Score prune_threshold) {
-  EmScratch& scratch = ThreadEmScratch();
-  if (scratch.workspace.solve_count() > 0) {
-    workspace_reuses_.fetch_add(1, std::memory_order_relaxed);
-  }
-  cache_->BuildMatrixInto(sets_->Tokens(id), &scratch.rows, &scratch.cols,
-                          &scratch.matrix);
-  return matching::HungarianMatcher::Solve(scratch.matrix, prune_threshold,
-                                           &scratch.workspace);
 }
 
 // Invariant-based formulation of Algorithm 2. All alive candidates live in
@@ -169,15 +163,18 @@ std::vector<ResultEntry> PostProcessor::Run(RefinementOutput refinement,
     }
 
     // Exact matching (parallel batch; θlb snapshot shared by the batch).
-    // Matrix and solve arrays live in thread-local arenas: each pool
-    // worker (or the caller, serially) reuses its matrix allocation and
-    // HungarianWorkspace across every candidate it verifies instead of
-    // reallocating the dense arena per Solve.
+    // Each pool worker (or the caller, serially) matches in its own
+    // thread-local scratch.
     const Score prune_threshold =
         params_.use_em_early_termination ? ThetaLb(llb.Bottom()) : -1.0;
     auto run_em = [&](SetId id) -> EmOutcome {
-      const matching::MatchResult r = SolveWithScratch(id, prune_threshold);
-      return {id, r.early_terminated, r.score};
+      EmOutcome outcome;
+      outcome.set = id;
+      const matching::MatchResult r = ExactMatch(
+          *cache_, sets_->Tokens(id), prune_threshold, &outcome.reuses);
+      outcome.early_terminated = r.early_terminated;
+      outcome.so = r.score;
+      return outcome;
     };
 
     std::vector<EmOutcome> outcomes;
@@ -196,6 +193,7 @@ std::vector<ResultEntry> PostProcessor::Run(RefinementOutput refinement,
     }
 
     for (const EmOutcome& outcome : outcomes) {
+      stats->em_workspace_reuses += outcome.reuses;
       Item& item = items[outcome.set];
       if (outcome.early_terminated) {
         // SO < θlb certified mid-matching: cannot be in the top-k.
@@ -224,7 +222,10 @@ std::vector<ResultEntry> PostProcessor::Run(RefinementOutput refinement,
     entry.exact = item.exact;
     entry.score = item.exact ? item.ub : item.lb;
     if (!item.exact && params_.verify_result_scores) {
-      entry.score = SolveWithScratch(item.set, /*prune_threshold=*/-1.0).score;
+      entry.score = ExactMatch(*cache_, sets_->Tokens(item.set),
+                               /*prune_threshold=*/-1.0,
+                               &stats->em_workspace_reuses)
+                        .score;
       entry.exact = true;
       ++stats->result_verification_ems;
     }
@@ -257,7 +258,8 @@ std::vector<ResultEntry> PostProcessor::Run(RefinementOutput refinement,
         continue;
       }
       const matching::MatchResult r =
-          SolveWithScratch(item.set, theta_k - kScoreEps);
+          ExactMatch(*cache_, sets_->Tokens(item.set), theta_k - kScoreEps,
+                     &stats->em_workspace_reuses);
       ++stats->result_verification_ems;
       if (r.early_terminated) continue;  // certified below every tie
       ResultEntry entry;
@@ -268,8 +270,6 @@ std::vector<ResultEntry> PostProcessor::Run(RefinementOutput refinement,
     }
   }
 
-  stats->em_workspace_reuses +=
-      workspace_reuses_.exchange(0, std::memory_order_relaxed);
   std::sort(result.begin(), result.end(),
             [](const ResultEntry& a, const ResultEntry& b) {
               if (a.score != b.score) return a.score > b.score;

@@ -1,20 +1,31 @@
 // The post-processing phase of Koios (paper §VI, Algorithm 2): verify the
 // surviving candidates with exact bipartite matching, skipping it whenever
 // the No-EM filter (Lemma 7) certifies membership and aborting it whenever
-// the Hungarian dual bound drops below θlb (EM early termination, Lemma 8).
+// the matcher's bound drops below θlb (EM early termination, Lemma 8).
 #ifndef KOIOS_CORE_POSTPROCESS_H_
 #define KOIOS_CORE_POSTPROCESS_H_
 
-#include <atomic>
+#include <span>
 #include <vector>
 
 #include "koios/core/edge_cache.h"
 #include "koios/core/refinement.h"
 #include "koios/core/search_types.h"
 #include "koios/index/set_collection.h"
+#include "koios/matching/hungarian.h"
 #include "koios/util/thread_pool.h"
 
 namespace koios::core {
+
+/// One exact matching (Def. 1) of the query against `candidate`, run in
+/// the calling thread's scratch: the weight matrix EdgeCache builds and a
+/// matching::SparseMatcher, both reused by every matching the thread runs.
+/// Lemma 8 early termination is armed when `prune_threshold` >= 0. Adds 1
+/// to `*reuses` when the thread's matcher had solved before (the
+/// em_workspace_reuses stat).
+matching::MatchResult ExactMatch(const EdgeCache& cache,
+                                 std::span<const TokenId> candidate,
+                                 double prune_threshold, size_t* reuses);
 
 class PostProcessor {
  public:
@@ -35,20 +46,12 @@ class PostProcessor {
  private:
   Score ThetaLb(Score local) const;
 
-  /// One exact matching of candidate `id` through the calling thread's
-  /// scratch arena (matrix + HungarianWorkspace reused across solves;
-  /// counts warm hits into workspace_reuses_).
-  matching::MatchResult SolveWithScratch(SetId id, Score prune_threshold);
-
   const index::SetCollection* sets_;
   const EdgeCache* cache_;
   SearchParams params_;
   SearchContext* ctx_;
   GlobalThreshold* global_theta_;  // &ctx_->global_theta(), null without ctx
   util::ThreadPool* pool_;
-  // Solves that hit a warm thread-local HungarianWorkspace (stats:
-  // em_workspace_reuses); atomic because the EM batches run on the pool.
-  std::atomic<size_t> workspace_reuses_{0};
 };
 
 }  // namespace koios::core

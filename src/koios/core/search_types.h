@@ -198,7 +198,7 @@ struct SearchParams {
   bool use_bucket_index = true;
   /// No-EM filter (post-processing, Lemma 7).
   bool use_no_em_filter = true;
-  /// Hungarian early termination (post-processing, Lemma 8).
+  /// Exact-matching early termination (post-processing, Lemma 8).
   bool use_em_early_termination = true;
   /// θlb→producer stream feedback (§IV–VI): refinement publishes its
   /// running θlb back to the token-stream producer, which stops

@@ -43,7 +43,7 @@ struct SearchStats {
   size_t postprocess_sets = 0;
   /// Sets admitted to the result by the No-EM filter without matching.
   size_t no_em_skipped = 0;
-  /// Sets whose Hungarian run was aborted by early termination.
+  /// Sets whose exact matching was aborted by early termination.
   size_t em_early_terminated = 0;
   /// Full exact matchings computed ("EM" column in Tables IV/V).
   size_t em_computed = 0;
@@ -52,8 +52,8 @@ struct SearchStats {
   /// Extra exact matchings run only to report exact scores for No-EM sets
   /// (not part of the algorithm; see SearchParams::verify_result_scores).
   size_t result_verification_ems = 0;
-  /// Hungarian solves that reused a warm thread-local workspace arena
-  /// (everything beyond each worker thread's first solve).
+  /// Exact matchings that ran on their thread's warm matcher and matrix
+  /// (everything beyond each thread's first matching).
   size_t em_workspace_reuses = 0;
 
   // --- meta ---------------------------------------------------------------

@@ -3,8 +3,8 @@
 #include <algorithm>
 
 #include "koios/core/edge_cache.h"
+#include "koios/core/postprocess.h"
 #include "koios/core/refinement.h"
-#include "koios/matching/hungarian.h"
 #include "koios/sim/token_stream.h"
 #include "koios/util/timer.h"
 
@@ -90,13 +90,11 @@ std::vector<ResultEntry> ThresholdSearcher::Search(
       result.push_back(entry);
       return;
     }
-    std::vector<uint32_t> rows, cols;
-    const matching::WeightMatrix m =
-        cache.BuildMatrix(sets_->Tokens(c.id), &rows, &cols);
     const double prune_threshold =
         params.use_em_early_termination ? theta : -1.0;
     const matching::MatchResult match =
-        matching::HungarianMatcher::Solve(m, prune_threshold);
+        ExactMatch(cache, sets_->Tokens(c.id), prune_threshold,
+                   &stats->em_workspace_reuses);
     if (match.early_terminated) {
       ++stats->em_early_terminated;
       return;  // certified SO < theta

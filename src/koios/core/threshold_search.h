@@ -9,7 +9,7 @@
 //   * refinement prunes candidates whose retained-row-maxima bound falls
 //     below θ (bucketized, as in §V);
 //   * post-processing skips verification when the greedy lower bound
-//     already clears θ, and early-terminates the Hungarian run at θ.
+//     already clears θ, and early-terminates exact matching at θ.
 // This module exists both as a user-facing feature (joinability predicates
 // want thresholds, not ranks) and as the bridge used to hand SilkMoth its
 // θ*k in the comparison bench.
@@ -34,7 +34,7 @@ struct ThresholdParams {
   /// Skip exact matching when the greedy lower bound clears θ. The
   /// reported score is then the lower bound unless `verify_scores`.
   bool use_lb_admission = true;
-  /// Hungarian early termination at θ.
+  /// Exact-matching early termination at θ.
   bool use_em_early_termination = true;
   /// Replace lower-bound scores of admitted sets with their exact SO.
   bool verify_scores = true;

@@ -9,12 +9,6 @@ namespace koios::matching {
 namespace {
 constexpr double kSlackEps = 1e-12;
 constexpr double kInf = std::numeric_limits<double>::infinity();
-// Early termination must never fire on an exact tie: when SO(C) == θlb the
-// dual sum converges to θlb and rounding could dip below it. Requiring the
-// sum to fall a margin *below* the threshold keeps ties alive (Lemma 2/8
-// both use strict inequality) at the cost of not pruning sets within the
-// margin of θlb.
-constexpr double kTerminationMargin = 1e-7;
 }  // namespace
 
 double WeightMatrix::MaxWeight() const {
@@ -24,18 +18,12 @@ double WeightMatrix::MaxWeight() const {
 }
 
 MatchResult HungarianMatcher::Solve(const WeightMatrix& weights,
-                                    double prune_threshold,
-                                    HungarianWorkspace* workspace) {
+                                    double prune_threshold) {
   const size_t rows = weights.rows();
   const size_t cols = weights.cols();
   MatchResult result;
   result.match_of_row.assign(rows, -1);
   if (rows == 0 || cols == 0) return result;
-
-  // Arena: caller-provided (reused across the EM loop) or call-local.
-  HungarianWorkspace local;
-  HungarianWorkspace& ws = workspace != nullptr ? *workspace : local;
-  ++ws.solve_count_;
 
   // Square-ify: n x n with zero padding.
   const size_t n = std::max(rows, cols);
@@ -43,12 +31,9 @@ MatchResult HungarianMatcher::Solve(const WeightMatrix& weights,
     return (x < rows && y < cols) ? weights.At(x, y) : 0.0;
   };
 
-  // Feasible labels: lx = row max, ly = 0. assign() reuses the arena's
-  // capacity when it is already >= n.
-  std::vector<double>& lx = ws.lx_;
-  std::vector<double>& ly = ws.ly_;
-  lx.assign(n, 0.0);
-  ly.assign(n, 0.0);
+  // Feasible labels: lx = row max, ly = 0.
+  std::vector<double> lx(n, 0.0);
+  std::vector<double> ly(n, 0.0);
   double label_sum = 0.0;
   for (size_t x = 0; x < n; ++x) {
     double mx = 0.0;
@@ -57,20 +42,13 @@ MatchResult HungarianMatcher::Solve(const WeightMatrix& weights,
     label_sum += mx;
   }
 
-  std::vector<int32_t>& match_x = ws.match_x_;
-  std::vector<int32_t>& match_y = ws.match_y_;
-  match_x.assign(n, -1);
-  match_y.assign(n, -1);
-  std::vector<double>& slack = ws.slack_;
-  std::vector<int32_t>& slack_x = ws.slack_x_;    // argmin row for slack[y]
-  std::vector<int32_t>& parent_y = ws.parent_y_;  // alternating-tree parent
-  std::vector<char>& in_s = ws.in_s_;
-  std::vector<char>& in_t = ws.in_t_;
-  slack.resize(n);
-  slack_x.resize(n);
-  parent_y.resize(n);
-  in_s.resize(n);
-  in_t.resize(n);
+  std::vector<int32_t> match_x(n, -1);
+  std::vector<int32_t> match_y(n, -1);
+  std::vector<double> slack(n);
+  std::vector<int32_t> slack_x(n);    // argmin row for slack[y]
+  std::vector<int32_t> parent_y(n);   // alternating-tree parent
+  std::vector<char> in_s(n);
+  std::vector<char> in_t(n);
 
   for (size_t root = 0; root < n; ++root) {
     // Early termination (Lemma 8): Σ l(v) only decreases; if it is already
@@ -160,7 +138,6 @@ MatchResult HungarianMatcher::Solve(const WeightMatrix& weights,
       match_y[y] = x;
       y = prev_y;
     }
-    ++result.rounds;
   }
 
   // Harvest: optional matching drops pad assignments and zero-weight edges.

@@ -8,6 +8,11 @@
 // The paper's semantic overlap is an *optional* one-to-one matching with
 // non-negative weights; padding the weight matrix to a square with zeros
 // makes the optimal perfect matching equal the optimal optional matching.
+//
+// This dense solver is the reference: it backs matching::SemanticOverlap
+// (the oracle of the tests and the benchmark) and the brute-force
+// baseline. The search pipeline verifies candidates with the sparse
+// SparseMatcher (sparse_matcher.h), which reaches the same decisions.
 #ifndef KOIOS_MATCHING_HUNGARIAN_H_
 #define KOIOS_MATCHING_HUNGARIAN_H_
 
@@ -49,24 +54,12 @@ class WeightMatrix {
   std::vector<double> w_;
 };
 
-/// Reusable solve arena: every array the Hungarian algorithm needs, sized
-/// lazily by Solve and reused across calls so the post-processing loop
-/// (one Solve per surviving candidate) stops paying an allocation storm
-/// per matching. One workspace per thread — Solve never shares one across
-/// concurrent calls; the pooled EM batches keep a thread_local instance.
-class HungarianWorkspace {
- public:
-  /// Number of Solve calls that used this workspace (0 = fresh). The
-  /// em_workspace_reuses stat counts calls beyond each workspace's first.
-  size_t solve_count() const { return solve_count_; }
-
- private:
-  friend class HungarianMatcher;
-  std::vector<double> lx_, ly_, slack_;
-  std::vector<int32_t> match_x_, match_y_, slack_x_, parent_y_;
-  std::vector<char> in_s_, in_t_;
-  size_t solve_count_ = 0;
-};
+/// Early termination must never fire on an exact tie: when SO(C) == θlb
+/// the bound converges to θlb and rounding could dip below it. Both solvers
+/// therefore abort only once their bound falls this margin *below* the
+/// threshold, which keeps ties alive (Lemma 2/8 both use strict
+/// inequality) at the cost of not pruning sets within the margin of θlb.
+inline constexpr double kTerminationMargin = 1e-7;
 
 struct MatchResult {
   /// Sum of matched edge weights (the semantic overlap when the matrix is
@@ -78,9 +71,9 @@ struct MatchResult {
   /// match_of_row[r] = matched column, or -1 if row r is unmatched or its
   /// matched edge has zero weight (optional matching semantics).
   std::vector<int32_t> match_of_row;
-  /// Number of augmenting rounds executed (for the micro benchmarks).
-  size_t rounds = 0;
-  /// Final Σ l(v), the Kuhn–Munkres dual bound on the matching weight.
+  /// The solver's dual bound on the matching weight: the final Σ l(v)
+  /// (dense) or dual objective (sparse), or the bound that fired when
+  /// early_terminated.
   double label_sum = 0.0;
 };
 
@@ -91,12 +84,8 @@ class HungarianMatcher {
   /// If `prune_threshold` >= 0, the run aborts once the dual label sum
   /// certifies that the optimum is below the threshold (Lemma 8); the
   /// result then has early_terminated = true.
-  ///
-  /// `workspace` (nullable) supplies the solve arrays; passing one across
-  /// calls eliminates the per-candidate allocations of the dense arena.
   static MatchResult Solve(const WeightMatrix& weights,
-                           double prune_threshold = -1.0,
-                           HungarianWorkspace* workspace = nullptr);
+                           double prune_threshold = -1.0);
 };
 
 }  // namespace koios::matching

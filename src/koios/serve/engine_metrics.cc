@@ -123,7 +123,7 @@ void RegisterEngineMetrics(
                                             "Full exact matchings computed");
   m.em_early_terminated =
       registry->RegisterCounter("koios_em_early_terminated_total",
-                                "Hungarian runs cut by early termination");
+                                "Exact matchings cut by early termination");
   m.cache_hits = registry->RegisterCounter("koios_cursor_cache_hits_total",
                                            "Shared cursor cache hits");
   m.cache_misses = registry->RegisterCounter(

@@ -5,10 +5,13 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include "koios/matching/greedy.h"
 #include "koios/matching/hungarian.h"
+#include "koios/matching/sparse_matcher.h"
 #include "koios/sim/exact_knn_index.h"
 #include "koios/sim/token_stream.h"
 #include "koios/util/rng.h"
@@ -142,6 +145,138 @@ TEST_P(MatchingDensityTest, MatchingIsAValidAssignment) {
 
 INSTANTIATE_TEST_SUITE_P(Densities, MatchingDensityTest,
                          ::testing::Values(0.1, 0.3, 0.6, 0.9, 1.0));
+
+// ---------------------------- sparse matcher vs the dense Hungarian solver --
+
+// A family of random exact-matching graphs: shape range and α-edge density.
+struct GraphFamily {
+  const char* name;
+  size_t min_rows, max_rows, min_cols, max_cols;
+  double density;
+  int trials;
+};
+
+void PrintTo(const GraphFamily& f, std::ostream* os) { *os << f.name; }
+
+// Weights as post-processing sees them: α-clamped similarities in
+// [0.7, 1), a few exact 1.0 self-matches (at most one per row and column,
+// since a set holds each token once), some empty rows and columns, and
+// some isolated rows whose only edge goes to a column no other row has.
+matching::WeightMatrix RandomEmGraph(util::Rng& rng, size_t rows, size_t cols,
+                                     double density) {
+  matching::WeightMatrix m(rows, cols);
+  for (size_t i = 0; i < rows; ++i) {
+    for (size_t j = 0; j < cols; ++j) {
+      if (rng.NextBool(density)) m.At(i, j) = 0.7 + 0.3 * rng.NextDouble();
+    }
+  }
+  if (cols == 0) return m;
+  std::vector<char> col_has_one(cols, 0);
+  for (size_t i = 0; i < rows; ++i) {
+    const size_t j = rng.NextBounded(cols);
+    if (rng.NextBool(0.3) && !col_has_one[j]) {
+      m.At(i, j) = 1.0;
+      col_has_one[j] = 1;
+    }
+  }
+  for (size_t i = 0; i < rows; ++i) {
+    if (!rng.NextBool(0.1)) continue;
+    for (size_t j = 0; j < cols; ++j) m.At(i, j) = 0.0;
+  }
+  for (size_t j = 0; j < cols; ++j) {
+    if (!rng.NextBool(0.1)) continue;
+    for (size_t i = 0; i < rows; ++i) m.At(i, j) = 0.0;
+  }
+  for (size_t i = 0; i < rows; ++i) {
+    if (!rng.NextBool(0.1)) continue;
+    const size_t col = rng.NextBounded(cols);
+    for (size_t j = 0; j < cols; ++j) m.At(i, j) = 0.0;
+    for (size_t r = 0; r < rows; ++r) m.At(r, col) = 0.0;
+    m.At(i, col) = 0.7 + 0.3 * rng.NextDouble();
+  }
+  return m;
+}
+
+// match_of_row is one-to-one over nonzero entries, and its weights summed
+// in ascending row order are the score, bit for bit.
+void ExpectValidMatching(const matching::WeightMatrix& m,
+                         const matching::MatchResult& r) {
+  ASSERT_EQ(r.match_of_row.size(), m.rows());
+  std::vector<char> col_used(m.cols(), 0);
+  double sum = 0.0;
+  for (size_t i = 0; i < m.rows(); ++i) {
+    const int32_t j = r.match_of_row[i];
+    if (j < 0) continue;
+    ASSERT_LT(static_cast<size_t>(j), m.cols());
+    EXPECT_FALSE(col_used[j]) << "column " << j << " matched twice";
+    col_used[j] = 1;
+    EXPECT_GT(m.At(i, static_cast<size_t>(j)), 0.0);
+    sum += m.At(i, static_cast<size_t>(j));
+  }
+  EXPECT_EQ(sum, r.score);
+}
+
+class SparseMatcherDifferentialTest
+    : public ::testing::TestWithParam<GraphFamily> {};
+
+TEST_P(SparseMatcherDifferentialTest, AgreesWithDenseHungarian) {
+  const GraphFamily& family = GetParam();
+  util::Rng rng(4242 + family.min_rows * 31 + family.max_cols);
+  matching::SparseMatcher sparse;  // one workspace across every solve
+  for (int trial = 0; trial < family.trials; ++trial) {
+    auto between = [&rng](size_t lo, size_t hi) {
+      return lo + rng.NextBounded(hi - lo + 1);
+    };
+    const size_t rows = between(family.min_rows, family.max_rows);
+    const size_t cols = between(family.min_cols, family.max_cols);
+    const matching::WeightMatrix m =
+        RandomEmGraph(rng, rows, cols, family.density);
+    SCOPED_TRACE(::testing::Message() << family.name << " trial " << trial
+                                      << " (" << rows << "x" << cols << ")");
+
+    const matching::MatchResult dense = matching::HungarianMatcher::Solve(m);
+    const matching::MatchResult got = sparse.Solve(m);
+    ASSERT_FALSE(got.early_terminated);
+    EXPECT_EQ(got.score, dense.score);  // bit-equal
+    ExpectValidMatching(m, got);
+    EXPECT_GE(got.label_sum + 1e-9, got.score);
+
+    // Early termination: the matchers abort iff SO < θ − margin. Draw θ
+    // on both sides of that boundary, 1e-6 to 0.5 away from it.
+    const double boundary = dense.score + matching::kTerminationMargin;
+    for (int draw = 0; draw < 6; ++draw) {
+      const double offset = std::pow(10.0, -6.0 + 5.7 * rng.NextDouble());
+      const bool above = rng.NextBool(0.5);
+      const double theta = above ? boundary + offset : boundary - offset;
+      if (theta < 0.0) continue;
+      const matching::MatchResult d =
+          matching::HungarianMatcher::Solve(m, theta);
+      const matching::MatchResult s = sparse.Solve(m, theta);
+      EXPECT_EQ(d.early_terminated, above) << "theta " << theta;
+      EXPECT_EQ(s.early_terminated, d.early_terminated) << "theta " << theta;
+      if (!s.early_terminated) {
+        EXPECT_EQ(s.score, dense.score) << "theta " << theta;
+      } else {
+        EXPECT_LT(s.label_sum, theta - matching::kTerminationMargin);
+        EXPECT_GE(s.label_sum + 1e-9, dense.score);  // a sound bound
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, SparseMatcherDifferentialTest,
+    ::testing::Values(
+        GraphFamily{"wide", 1, 12, 13, 24, 0.25, 150},
+        GraphFamily{"tall", 13, 24, 1, 12, 0.25, 150},
+        GraphFamily{"square", 1, 16, 1, 16, 0.3, 150},
+        GraphFamily{"dense_square", 2, 10, 2, 10, 0.8, 150},
+        // The measured exact-matching shape: ~60x150 at 3% density.
+        GraphFamily{"em_shape", 55, 65, 140, 160, 0.03, 25},
+        GraphFamily{"em_shape_transposed", 140, 160, 55, 65, 0.03, 25}),
+    [](const ::testing::TestParamInfo<GraphFamily>& info) {
+      return std::string(info.param.name);
+    });
 
 // ------------------------------------- token stream equivalence by alpha --
 

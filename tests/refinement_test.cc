@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "koios/core/edge_cache.h"
@@ -184,6 +187,51 @@ TEST(RefinementTest, StatsCountsAreConsistent) {
   EXPECT_EQ(stats.candidates, stats.iub_filtered + out.survivors.size());
   EXPECT_EQ(stats.stream_tuples, harness.cache.tuples().size());
   EXPECT_GT(stats.postprocess_sets, 0u);
+}
+
+TEST(RefinementTest, ScratchBytesDoNotDependOnEarlierQueries) {
+  // The scratch is reused per thread, so its capacity is whatever the
+  // thread's largest query needed. The reported bytes must count only the
+  // query itself, and so repeat whatever the thread ran before.
+  auto w = testing::MakeRandomWorkload(300, 1200, 4, 40, 733);
+  // A thread may also have served a larger collection with longer queries
+  // (more slots, records, bitsets and heap entries than the probe needs).
+  auto big = testing::MakeRandomWorkload(3000, 2000, 20, 60, 734);
+  auto scratch_of = [](testing::RandomWorkload* workload, SetId id,
+                       Score alpha) {
+    RefinementHarness harness(workload, QueryOf(*workload, id), alpha);
+    SearchParams params;
+    params.k = 5;
+    params.alpha = alpha;
+    SearchStats stats;
+    harness.Run(params, &stats);
+    return stats.memory.Get("refinement.scratch");
+  };
+  // Runs `warmup` then the probe on a fresh thread (fresh scratch) and
+  // returns what the probe reported.
+  auto probe_after = [&](const std::function<void()>& warmup) {
+    size_t bytes = 0;
+    std::thread fresh_thread([&] {
+      warmup();
+      bytes = scratch_of(&w, 7, 0.7);
+    });
+    fresh_thread.join();
+    return bytes;
+  };
+  size_t big_peak = 0;
+  const size_t cold = probe_after([] {});
+  const size_t after_big = probe_after([&] {
+    for (SetId id = 0; id < 50; id += 10) {
+      big_peak = std::max(big_peak, scratch_of(&big, id, 0.5));
+    }
+  });
+  const size_t after_small = probe_after([&] {
+    for (SetId id = 100; id < 150; id += 10) scratch_of(&w, id, 0.9);
+  });
+  EXPECT_GT(cold, 0u);
+  EXPECT_GT(big_peak, 4 * cold);  // the history needed far more
+  EXPECT_EQ(after_big, cold);
+  EXPECT_EQ(after_small, cold);
 }
 
 }  // namespace

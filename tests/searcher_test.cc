@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <span>
 #include <vector>
 
 #include "koios/core/many_to_one.h"
@@ -170,6 +173,47 @@ void ExpectCounters(const RefinementCounters& got,
   EXPECT_EQ(got.postprocess_sets, want.postprocess_sets) << label;
 }
 
+// Exact matching's decisions on the same queries: which survivors the
+// No-EM filter admits, which matchings run to the end or terminate early,
+// and the returned (set, score) pairs hashed bit for bit. A change to the
+// matcher must not move them: it has to reach the same early-termination
+// decisions and the same score bits as the dense Hungarian reference.
+struct VerificationCounters {
+  size_t no_em_skipped = 0;
+  size_t em_computed = 0;
+  size_t em_early_terminated = 0;
+  size_t result_verification_ems = 0;
+  uint64_t result_checksum = 14695981039346656037ull;  // FNV-1a basis
+};
+
+void Accumulate(const SearchStats& stats,
+                std::span<const ResultEntry> results,
+                VerificationCounters* v) {
+  v->no_em_skipped += stats.no_em_skipped;
+  v->em_computed += stats.em_computed;
+  v->em_early_terminated += stats.em_early_terminated;
+  v->result_verification_ems += stats.result_verification_ems;
+  auto mix = [v](uint64_t x) {
+    v->result_checksum = (v->result_checksum ^ x) * 1099511628211ull;
+  };
+  for (const ResultEntry& e : results) {
+    uint64_t bits = 0;
+    std::memcpy(&bits, &e.score, sizeof bits);
+    mix(e.set);
+    mix(bits);
+  }
+}
+
+void ExpectVerification(const VerificationCounters& got,
+                        const VerificationCounters& want, const char* label) {
+  EXPECT_EQ(got.no_em_skipped, want.no_em_skipped) << label;
+  EXPECT_EQ(got.em_computed, want.em_computed) << label;
+  EXPECT_EQ(got.em_early_terminated, want.em_early_terminated) << label;
+  EXPECT_EQ(got.result_verification_ems, want.result_verification_ems)
+      << label;
+  EXPECT_EQ(got.result_checksum, want.result_checksum) << label;
+}
+
 std::vector<std::vector<TokenId>> PinnedQueries(
     const testing::RandomWorkload& w) {
   std::vector<std::vector<TokenId>> queries;
@@ -185,6 +229,7 @@ TEST(SearcherTest, RefinementCountersArePinned) {
   KoiosSearcher searcher(&w.corpus.sets, w.index.get());
   for (const bool bucketed : {true, false}) {
     RefinementCounters got;
+    VerificationCounters verified_k1, verified_k10;
     // k = 1 stops the stream early through the feedback loop's survivor
     // count; k = 10 drains it to α.
     for (const size_t k : {1, 10}) {
@@ -193,16 +238,24 @@ TEST(SearcherTest, RefinementCountersArePinned) {
       params.alpha = 0.75;
       params.use_bucket_index = bucketed;
       for (const auto& query : queries) {
-        Accumulate(searcher.Search(query, params).stats, &got);
+        const SearchResult r = searcher.Search(query, params);
+        Accumulate(r.stats, &got);
+        Accumulate(r.stats, r.topk, k == 1 ? &verified_k1 : &verified_k10);
       }
     }
     // The naive per-candidate iUB scan prunes the same sets in the same
     // tuples, and moves no buckets.
+    const char* label = bucketed ? "bucket index" : "naive iUB";
     const RefinementCounters want = {
         /*candidates=*/11405, /*iub_filtered=*/10734,
         /*bucket_moves=*/bucketed ? 54630u : 0u, /*stream_tuples=*/3186,
         /*postprocess_sets=*/671};
-    ExpectCounters(got, want, bucketed ? "bucket index" : "naive iUB");
+    ExpectCounters(got, want, label);
+    // Post-processing sees the same survivors either way.
+    ExpectVerification(verified_k1, {16, 0, 0, 16, 4914962997095115013ull},
+                       label);
+    ExpectVerification(verified_k10,
+                       {94, 67, 494, 94, 2718616746841741523ull}, label);
   }
 }
 
@@ -220,16 +273,25 @@ TEST(SearcherTest, ExtensionSearcherCountersArePinned) {
   NormalizedSearcher normalized(&w.corpus.sets, w.index.get());
   ManyToOneSearcher many_to_one(&w.corpus.sets, w.index.get());
   RefinementCounters got_threshold, got_normalized, got_many_to_one;
+  VerificationCounters verified_threshold, verified_normalized;
   for (const auto& query : queries) {
     SearchStats stats;
-    threshold.Search(query, threshold_params, &stats);
+    const std::vector<ResultEntry> above =
+        threshold.Search(query, threshold_params, &stats);
     Accumulate(stats, &got_threshold);
-    Accumulate(normalized.Search(query, params).stats, &got_normalized);
+    Accumulate(stats, above, &verified_threshold);
+    const SearchResult top = normalized.Search(query, params);
+    Accumulate(top.stats, &got_normalized);
+    Accumulate(top.stats, top.topk, &verified_normalized);
     Accumulate(many_to_one.Search(query, params).stats, &got_many_to_one);
   }
   ExpectCounters(got_threshold, {6217, 1715, 42214, 2800, 4502}, "threshold");
   ExpectCounters(got_normalized, {6217, 5622, 0, 2800, 595}, "normalized");
   ExpectCounters(got_many_to_one, {6217, 313, 42232, 2800, 0}, "many-to-one");
+  ExpectVerification(verified_threshold,
+                     {0, 4055, 447, 0, 14656711681328097458ull}, "threshold");
+  ExpectVerification(verified_normalized,
+                     {0, 258, 336, 0, 3613653194376187162ull}, "normalized");
 }
 
 }  // namespace

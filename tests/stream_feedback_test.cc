@@ -373,7 +373,7 @@ TEST(StreamFeedbackTest, AdaptiveBudgetDefaultsOff) {
 
 // ------------------------------------------------------ workspace reuse --
 
-TEST(StreamFeedbackTest, HungarianWorkspaceIsReused) {
+TEST(StreamFeedbackTest, EmWorkspaceIsReused) {
   auto w = MakeRandomWorkload(150, 500, 5, 25, 8104);
   KoiosSearcher searcher(&w.corpus.sets, w.index.get());
   const auto q = w.corpus.sets.Tokens(7);
