@@ -1,7 +1,7 @@
 // Ablation bench (DESIGN.md): contribution of each Koios filter and of the
-// bucketized iUB updates, on the OpenData replica. Not a paper table —
+// lazy iUB checks, on the OpenData replica. Not a paper table —
 // this isolates the design choices §V and §VI motivate:
-//   * full Koios vs no-iUB vs naive (bucket-less) iUB updates,
+//   * full Koios vs no-iUB vs naive (per-tuple sweep) iUB updates,
 //   * with/without No-EM, with/without EM early termination,
 //   * the verification count and response time each configuration pays.
 #include <cstdio>

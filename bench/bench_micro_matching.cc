@@ -1,14 +1,13 @@
 // Micro benchmarks (google-benchmark): the kernels whose costs drive the
 // paper's complexity discussion — Hungarian matching (O(n³)), the sparse
 // shortest-augmenting-path matcher on exact-matching-shaped graphs, the
-// greedy matcher (O(E log E)), the early-terminated Hungarian, the token
-// stream, and the bucket index maintenance.
+// greedy matcher (O(E log E)), the early-terminated Hungarian, and the
+// token stream.
 #include <benchmark/benchmark.h>
 
 #include <memory>
 #include <vector>
 
-#include "koios/core/bucket_index.h"
 #include "koios/matching/greedy.h"
 #include "koios/matching/hungarian.h"
 #include "koios/matching/sparse_matcher.h"
@@ -157,28 +156,6 @@ void BM_TokenStream(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TokenStream)->Arg(1000)->Arg(4000);
-
-void BM_BucketIndexChurn(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  util::Rng rng(7);
-  for (auto _ : state) {
-    core::BucketIndex buckets;
-    for (SetId id = 0; id < n; ++id) {
-      buckets.Insert(id, 10 + static_cast<uint32_t>(id % 5), 0.0);
-    }
-    // Simulate stream-driven moves + periodic prunes.
-    double theta = 0.0;
-    for (size_t step = 0; step < n; ++step) {
-      const SetId id = static_cast<SetId>(rng.NextBounded(n));
-      (void)id;
-      theta += 0.001;
-      buckets.Prune(0.8, theta, [](SetId) {});
-      if (buckets.size() == 0) break;
-    }
-    benchmark::DoNotOptimize(buckets.size());
-  }
-}
-BENCHMARK(BM_BucketIndexChurn)->Arg(1000)->Arg(10000);
 
 }  // namespace
 }  // namespace koios

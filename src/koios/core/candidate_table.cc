@@ -65,6 +65,23 @@ void CandidateTable::Prune(uint32_t slot) {
   --live_;
 }
 
+size_t CandidateTable::Sweep(Score s, Score theta, size_t* pruned,
+                             size_t limit) {
+  size_t survivors = 0;
+  for (uint32_t slot = 0; slot < records_.size() && survivors <= limit;
+       ++slot) {
+    const CandidateState& c = records_[slot];
+    if (c.id == kInvalidSet) continue;
+    if (c.Prunable(s, theta)) {
+      Prune(slot);
+      ++*pruned;
+    } else {
+      ++survivors;
+    }
+  }
+  return survivors;
+}
+
 size_t CandidateTable::TokenBits(TokenId token, size_t postings) {
   if (2 * (tokens_ + 1) > token_table_.size()) GrowTokenTable();
   const size_t mask = token_table_.size() - 1;

@@ -38,8 +38,8 @@ namespace koios::core {
 /// because an optimal matching matches at most min(|Q|,|C|) query
 /// elements, each contributing at most its row maximum, and every row
 /// outside R has maximum <= s (unseen) and <= every retained row maximum.
-/// The bucket filter of §V carries over unchanged with key m = capacity −
-/// |R| and value row_sum. Once the stream is exhausted the slack term
+/// The iUB filter of §V carries over unchanged with key m = capacity − |R|
+/// and value row_sum. Once the stream is exhausted the slack term
 /// vanishes (a row without a retained maximum has no α-edge left, or is
 /// dominated by the retained ones), so UpperBound(0) is the final bound.
 struct CandidateState {
@@ -47,15 +47,26 @@ struct CandidateState {
   uint32_t capacity = 0;   // min(|Q|, |C|)
   uint32_t rows = 0;       // |R|: retained row maxima (iUB)
   uint32_t matched = 0;    // l: greedily matched element pairs (iLB)
-  Score row_sum = 0.0;     // Σ retained row maxima (the bucket value)
+  Score row_sum = 0.0;     // Σ retained row maxima (the iUB value)
   Score partial = 0.0;     // S_i: the partial greedy matching score (iLB)
 
-  /// m = min(|Q|, |C|) − |R| — the bucket key of §V.
+  /// m = min(|Q|, |C|) − |R| — the iUB key of §V.
   uint32_t remaining() const { return capacity - rows; }
 
   /// Sound iUB given the current stream similarity `s` (see above).
   Score UpperBound(Score s) const {
     return row_sum + static_cast<Score>(remaining()) * s;
+  }
+
+  /// The iUB filter (§V): UpperBound(s) is strictly below `theta` (ε-guarded,
+  /// so ties are never pruned — Lemma 2 requires strict inequality). It is
+  /// evaluated as row_sum < θ − m·s − ε, the paper's per-bucket cutoff, in
+  /// one fixed floating-point form. That cutoff never falls during a query
+  /// (θlb only rises and s only falls), so once a record is prunable it
+  /// stays prunable until it changes: a check at any later (s, θ) of the
+  /// same query decides exactly as an eager per-tuple sweep would have.
+  bool Prunable(Score s, Score theta) const {
+    return row_sum < theta - static_cast<Score>(remaining()) * s - kScoreEps;
   }
 };
 
@@ -107,7 +118,7 @@ class CandidateTable {
 
   /// Registers a stream edge (query_pos → the candidate, similarity s) for
   /// the upper bound. Returns true if a new row maximum was retained, i.e.
-  /// the candidate must move buckets.
+  /// the candidate's iUB key and value changed.
   bool AddRow(uint32_t slot, uint32_t query_pos, Score s) {
     CandidateState& c = records_[slot];
     uint64_t& word = RowBits(slot)[query_pos >> 6];
@@ -152,6 +163,13 @@ class CandidateTable {
       if (records_[slot].id != kInvalidSet) fn(slot, records_[slot]);
     }
   }
+
+  /// The iUB sweep at stream similarity `s`: prunes every live candidate
+  /// for which CandidateState::Prunable(s, theta) holds, counting each in
+  /// *pruned, and returns how many survive. The scan returns early once
+  /// more than `limit` have survived, leaving the remaining slots
+  /// unchecked, so a result above `limit` only means "more than limit".
+  size_t Sweep(Score s, Score theta, size_t* pruned, size_t limit = SIZE_MAX);
 
   /// Bytes the current query uses: its |S| stamps, the records, bitsets
   /// and token bits it created. The storage itself is reused, so its

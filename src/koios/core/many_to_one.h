@@ -39,8 +39,8 @@ Score ManyToOneOverlap(std::span<const TokenId> query,
                        const sim::SimilarityFunction& sim, Score alpha);
 
 /// Top-k search under the many-to-one measure. Streams pairs once and
-/// accumulates per-candidate row maxima; prunes with the same bucketized
-/// upper bound as the 1:1 engine (which is *tight* here).
+/// accumulates per-candidate row maxima; prunes with the same lazy iUB
+/// filter as the 1:1 engine (whose bound is *tight* here).
 class ManyToOneSearcher {
  public:
   /// Both referents must outlive the searcher.

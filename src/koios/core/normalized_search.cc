@@ -37,8 +37,7 @@ SearchResult NormalizedSearcher::Search(std::span<const TokenId> query,
   EdgeCache cache(&stream);
 
   // ---- refinement with per-candidate normalized bounds --------------------
-  RefinementScratch& scratch = ThreadRefinementScratch();
-  CandidateTable& table = scratch.table;
+  CandidateTable& table = ThreadCandidateTable();
   table.Reset(sets_->size(), query.size());
   util::TopKList<SetId> llb(params.k);  // normalized lower bounds
 

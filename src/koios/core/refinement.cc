@@ -22,12 +22,17 @@ RefinementOutput RefinementPhase::Run(EdgeCache* cache, SearchStats* stats,
   RefinementOutput out;
   out.llb = util::TopKList<SetId>(params_.k);
 
-  RefinementScratch& scratch = ThreadRefinementScratch();
-  CandidateTable& table = scratch.table;
-  BucketIndex& buckets = scratch.buckets;
+  CandidateTable& table = ThreadCandidateTable();
   table.Reset(sets_->size(), query_size_);
-  buckets.Clear();
-  const bool bucketed = params_.use_iub_filter && params_.use_bucket_index;
+  // The iUB filter (§V): the arrival of stream similarity s tightens every
+  // candidate's upper bound to S_i + m_i·s. Its cutoff never falls (see
+  // CandidateState::Prunable), so instead of sweeping every candidate per
+  // tuple, the lazy filter checks one when the posting walk touches it,
+  // when the feedback stop check scans it, and in the final sweep: it
+  // prunes the same sets before anything reads them. use_bucket_index =
+  // false selects the per-tuple sweep (the naive update §V argues against).
+  const bool lazy_iub = params_.use_iub_filter && params_.use_bucket_index;
+  const bool naive_iub = params_.use_iub_filter && !params_.use_bucket_index;
 
   auto current_theta = [&]() -> Score {
     const Score local = out.llb.Bottom();
@@ -37,33 +42,16 @@ RefinementOutput RefinementPhase::Run(EdgeCache* cache, SearchStats* stats,
   Score theta_lb = current_theta();
   Score last_sim = 1.0;
 
-  auto prune_slot = [&](uint32_t slot) {
-    table.Prune(slot);
-    ++stats->iub_filtered;
-  };
-  // iUB sweep at stream similarity s: the arrival of s tightens every
-  // candidate's upper bound to S_i + m_i * s; the bucket index scans each
-  // bucket's ascending-S_i prefix (§V). Without the bucket index
-  // (ablation), each candidate is checked individually.
-  auto sweep = [&](Score s) {
-    if (bucketed) {
-      buckets.Prune(s, theta_lb, prune_slot);
-    } else if (params_.use_iub_filter) {
-      table.ForEachLive([&](uint32_t slot, const CandidateState& c) {
-        if (c.UpperBound(s) < theta_lb - kScoreEps) prune_slot(slot);
-      });
-    }
-  };
-
   // Consumer-side stop (feedback only, so the drain-to-α ablation replays
   // the stream bit for bit). Condition 1 — exactness: |Q|·s < θlb − ε
   // rules every unseen set out (Lemma 2) and pruning is monotone in θlb.
   // Condition 2 — work balance: stopping freezes every survivor's upper
   // bound at UpperBound(s), so it must not strand more candidates above
-  // θlb than post-processing can cheaply dismiss; the bucket index counts
-  // the would-be survivors from the partial scores (§V's structure reused
-  // verbatim). The count runs at a coarse cadence — it costs O(candidates)
-  // worst case, versus an inverted-index probe per tuple.
+  // θlb than post-processing can cheaply dismiss. The count is an iUB
+  // sweep at (s, θlb), the one the next tuple would start with, that
+  // returns once the budget is exceeded. It runs at a coarse cadence — it
+  // costs O(candidates) worst case, versus an inverted-index probe per
+  // tuple.
   const bool may_stop_early = cache->FeedbackEnabled();
   const Score query_size_score = static_cast<Score>(query_size_);
   constexpr size_t kMinSurvivorBudget = 32;
@@ -105,11 +93,11 @@ RefinementOutput RefinementPhase::Run(EdgeCache* cache, SearchStats* stats,
     next_stop_check = stats->stream_tuples + kStopCheckCadence;
     const size_t budget = survivor_budget();
     size_t survivors = 0;
-    if (bucketed) {
-      survivors = buckets.CountSurvivors(s, theta_lb, budget);
+    if (params_.use_iub_filter) {
+      survivors = table.Sweep(s, theta_lb, &stats->iub_filtered, budget);
     } else {
       table.ForEachLive([&](uint32_t, const CandidateState& c) {
-        if (c.UpperBound(s) >= theta_lb - kScoreEps) ++survivors;
+        if (!c.Prunable(s, theta_lb)) ++survivors;
       });
     }
     if (survivors <= budget) {
@@ -123,7 +111,10 @@ RefinementOutput RefinementPhase::Run(EdgeCache* cache, SearchStats* stats,
   auto process_tuple = [&](const sim::StreamTuple& tuple) {
     const Score s = tuple.sim;
     last_sim = s;
-    sweep(s);
+    // Touched candidates are checked against the θlb the tuple starts
+    // with, as a sweep here would be; θlb may rise during the walk.
+    const Score tuple_theta = theta_lb;
+    if (naive_iub) table.Sweep(s, tuple_theta, &stats->iub_filtered);
 
     // Probe the inverted index and update the sets containing this token.
     const std::span<const SetId> postings = inverted_->Postings(tuple.token);
@@ -132,7 +123,13 @@ RefinementOutput RefinementPhase::Run(EdgeCache* cache, SearchStats* stats,
       const SetId id = postings[i];
       uint32_t slot = table.Lookup(id);
       if (slot == CandidateTable::kPruned) continue;
-      if (slot == CandidateTable::kUnseen) {
+      if (slot != CandidateTable::kUnseen) {
+        if (lazy_iub && table[slot].Prunable(s, tuple_theta)) {
+          table.Prune(slot);
+          ++stats->iub_filtered;
+          continue;
+        }
+      } else {
         // First sighting: s is this set's maximum element similarity to
         // any query element, so UB(C) = min(|Q|, |C|) * s (Lemma 2).
         ++stats->candidates;
@@ -144,15 +141,13 @@ RefinementOutput RefinementPhase::Run(EdgeCache* cache, SearchStats* stats,
           continue;
         }
         slot = table.Add(id, capacity);
-        if (bucketed) buckets.Insert(slot, capacity, 0.0);
       }
 
       // iUB row update: retain this row's maximum if the row is new and
       // capacity remains (see CandidateState for the sound bound replacing
-      // the paper's Lemma 6).
-      if (table.AddRow(slot, tuple.query_pos, s) && bucketed) {
-        const CandidateState& c = table[slot];
-        buckets.Move(slot, c.remaining(), c.row_sum);
+      // the paper's Lemma 6). A change of the iUB key m is what §V counts
+      // as a bucket move.
+      if (table.AddRow(slot, tuple.query_pos, s) && lazy_iub) {
         ++stats->bucket_moves;
       }
 
@@ -162,9 +157,14 @@ RefinementOutput RefinementPhase::Run(EdgeCache* cache, SearchStats* stats,
       if (table.EdgeValid(slot, tuple.query_pos, token_bits + i)) {
         table.AddMatch(slot, tuple.query_pos, token_bits + i, s);
         // LB grew; the running top-k list and θlb may improve (Lemma 4).
-        out.llb.Offer(id, table[slot].partial);
-        if (global_theta != nullptr && out.llb.Full()) {
-          global_theta->Publish(out.llb.Bottom());
+        // Partial scores only grow, so a set below a full list's bottom
+        // is not in the list and cannot enter it.
+        const Score partial = table[slot].partial;
+        if (!out.llb.Full() || partial >= out.llb.Bottom()) {
+          out.llb.Offer(id, partial);
+          if (global_theta != nullptr && out.llb.Full()) {
+            global_theta->Publish(out.llb.Bottom());
+          }
         }
         theta_lb = current_theta();
       }
@@ -225,9 +225,12 @@ RefinementOutput RefinementPhase::Run(EdgeCache* cache, SearchStats* stats,
 
   // Final sweep after the stream ends: the slack term drops to ub_slack —
   // 0 at exhaustion (a row without a retained maximum has no α-edge left),
-  // the stop similarity when the feedback loop ended the stream early. For
-  // the bucket filter this is exactly a prune pass with sim = ub_slack.
-  sweep(out.ub_slack);
+  // the stop similarity when the feedback loop ended the stream early. It
+  // also prunes what the lazy filter has not checked since it became
+  // prunable.
+  if (params_.use_iub_filter) {
+    table.Sweep(out.ub_slack, theta_lb, &stats->iub_filtered);
+  }
 
   out.survivors.reserve(table.live());
   table.ForEachLive([&](uint32_t, const CandidateState& c) {
@@ -235,14 +238,14 @@ RefinementOutput RefinementPhase::Run(EdgeCache* cache, SearchStats* stats,
   });
   out.last_sim = last_sim;
   stats->postprocess_sets += out.survivors.size();
-  stats->memory.AddPeak("refinement.scratch", scratch.MemoryUsageBytes());
+  stats->memory.AddPeak("refinement.scratch", table.MemoryUsageBytes());
   stats->memory.AddPeak("refinement.llb", out.llb.MemoryUsageBytes());
   return out;
 }
 
-RefinementScratch& ThreadRefinementScratch() {
-  thread_local RefinementScratch scratch;
-  return scratch;
+CandidateTable& ThreadCandidateTable() {
+  thread_local CandidateTable table;
+  return table;
 }
 
 }  // namespace koios::core

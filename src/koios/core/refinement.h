@@ -7,7 +7,6 @@
 
 #include <vector>
 
-#include "koios/core/bucket_index.h"
 #include "koios/core/candidate_table.h"
 #include "koios/core/edge_cache.h"
 #include "koios/core/search_types.h"
@@ -31,23 +30,12 @@ struct Survivor {
   }
 };
 
-/// Refinement's working state, owned per thread and reused by every
-/// refinement run on it: the candidate table and the bucket index keep
-/// their storage between runs, so a warm thread allocates nothing per
-/// query. Refinement never nests on a thread, and each run resets the
-/// state it uses first, so a run that unwound mid-query leaves nothing
-/// behind.
-struct RefinementScratch {
-  CandidateTable table;
-  BucketIndex buckets;
-
-  size_t MemoryUsageBytes() const {
-    return table.MemoryUsageBytes() + buckets.MemoryUsageBytes();
-  }
-};
-
-/// The calling thread's scratch.
-RefinementScratch& ThreadRefinementScratch();
+/// The calling thread's candidate table, refinement's working state. It is
+/// owned per thread and reused by every refinement run on it, keeping its
+/// storage between runs, so a warm thread allocates nothing per query.
+/// Refinement never nests on a thread, and each run resets the table
+/// first, so a run that unwound mid-query leaves nothing behind.
+CandidateTable& ThreadCandidateTable();
 
 struct RefinementOutput {
   /// Candidates that survived all refinement filters (order unspecified).
@@ -74,8 +62,8 @@ class RefinementPhase {
 
   /// Consumes the stream incrementally through `cache` (pulling production
   /// along in inline mode, replaying it when already materialized) and
-  /// applies Algorithm 1 + the bucketized iUB filter in this thread's
-  /// RefinementScratch. Counters are accumulated into `stats`.
+  /// applies Algorithm 1 + the iUB filter of §V in this thread's
+  /// candidate table. Counters are accumulated into `stats`.
   ///
   /// `ctx` (nullable) is the per-query SearchContext. Its GlobalThreshold
   /// is the cross-partition θlb of §VI: any partition's k-th best lower

@@ -190,11 +190,14 @@ struct SearchParams {
   size_t num_threads = 1;
 
   // --- ablation toggles -------------------------------------------------
-  /// iUB-Filter with bucketized updates (refinement, §V).
+  /// iUB-Filter (refinement, §V).
   bool use_iub_filter = true;
-  /// Use the bucket partitioning for iUB updates; when false, every
-  /// candidate's upper bound is re-checked on every stream tuple (the
-  /// "naive" update strategy §V argues against).
+  /// True: the lazy §V filter, which checks a candidate's upper bound when
+  /// a posting walk touches it, at the feedback stop check and in the
+  /// final sweep. False: every candidate's upper bound is re-checked on
+  /// every stream tuple (the "naive" update strategy §V argues against),
+  /// the scan bench_ablation_filters compares against. Both prune the
+  /// same sets.
   bool use_bucket_index = true;
   /// No-EM filter (post-processing, Lemma 7).
   bool use_no_em_filter = true;

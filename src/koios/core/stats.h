@@ -32,10 +32,11 @@ struct SearchStats {
   /// Distinct sets that ever became candidates (appeared in a probed
   /// posting list).
   size_t candidates = 0;
-  /// Sets pruned during refinement by the (i)UB filter — on arrival or by a
-  /// bucket scan ("iUB-Filtered" in Tables IV/V).
+  /// Sets pruned during refinement by the (i)UB filter — on arrival or by
+  /// the iUB filter's checks ("iUB-Filtered" in Tables IV/V).
   size_t iub_filtered = 0;
-  /// Individual bucket relocations (for the bucket-overhead ablation).
+  /// Changes of a candidate's iUB key m, each a bucket move in §V's
+  /// bucketized filter (0 for the naive per-tuple scan).
   size_t bucket_moves = 0;
 
   // --- post-processing ---------------------------------------------------

@@ -29,28 +29,27 @@ std::vector<ResultEntry> ThresholdSearcher::Search(
   EdgeCache cache(&stream);
 
   // ---- refinement with the fixed threshold θ -----------------------------
+  // The iUB filter is lazy, as in RefinementPhase: a candidate is checked
+  // when a posting walk touches it and in the final sweep.
   const Score theta = params.theta;
-  RefinementScratch& scratch = ThreadRefinementScratch();
-  CandidateTable& table = scratch.table;
-  BucketIndex& buckets = scratch.buckets;
+  CandidateTable& table = ThreadCandidateTable();
   table.Reset(sets_->size(), query.size());
-  buckets.Clear();
-
-  auto prune = [&](uint32_t slot) {
-    table.Prune(slot);
-    ++stats->iub_filtered;
-  };
 
   for (const sim::StreamTuple& tuple : cache.tuples()) {
     const Score s = tuple.sim;
-    buckets.Prune(s, theta, prune);
     const std::span<const SetId> postings = inverted_.Postings(tuple.token);
     const size_t token_bits = table.TokenBits(tuple.token, postings.size());
     for (size_t i = 0; i < postings.size(); ++i) {
       const SetId id = postings[i];
       uint32_t slot = table.Lookup(id);
       if (slot == CandidateTable::kPruned) continue;
-      if (slot == CandidateTable::kUnseen) {
+      if (slot != CandidateTable::kUnseen) {
+        if (table[slot].Prunable(s, theta)) {
+          table.Prune(slot);
+          ++stats->iub_filtered;
+          continue;
+        }
+      } else {
         ++stats->candidates;
         const uint32_t capacity = table.Capacity(sets_->SetSize(id));
         if (static_cast<Score>(capacity) * s < theta - kScoreEps) {
@@ -59,20 +58,16 @@ std::vector<ResultEntry> ThresholdSearcher::Search(
           continue;
         }
         slot = table.Add(id, capacity);
-        buckets.Insert(slot, capacity, 0.0);
       }
-      if (table.AddRow(slot, tuple.query_pos, s)) {
-        const CandidateState& c = table[slot];
-        buckets.Move(slot, c.remaining(), c.row_sum);
-        ++stats->bucket_moves;
-      }
+      if (table.AddRow(slot, tuple.query_pos, s)) ++stats->bucket_moves;
       if (table.EdgeValid(slot, tuple.query_pos, token_bits + i)) {
         table.AddMatch(slot, tuple.query_pos, token_bits + i, s);
       }
     }
     ++stats->stream_tuples;
   }
-  buckets.Prune(0.0, theta, prune);  // final sweep: the slack term vanishes
+  // Final sweep: the slack term vanishes.
+  table.Sweep(0.0, theta, &stats->iub_filtered);
   stats->timers.Accumulate("refinement", timer.ElapsedSeconds());
 
   // ---- verification -------------------------------------------------------

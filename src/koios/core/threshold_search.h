@@ -7,7 +7,7 @@
 // Koios framework — with a *fixed* threshold every filter applies
 // unchanged, just without a running top-k list:
 //   * refinement prunes candidates whose retained-row-maxima bound falls
-//     below θ (bucketized, as in §V);
+//     below θ (the lazy iUB filter of §V, as in RefinementPhase);
 //   * post-processing skips verification when the greedy lower bound
 //     already clears θ, and early-terminates exact matching at θ.
 // This module exists both as a user-facing feature (joinability predicates

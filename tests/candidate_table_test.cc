@@ -1,238 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
-#include <set>
 #include <utility>
 #include <vector>
 
-#include "koios/core/bucket_index.h"
 #include "koios/core/candidate_table.h"
 #include "koios/matching/semantic_overlap.h"
 #include "test_util.h"
 
 namespace koios::core {
 namespace {
-
-// ------------------------------------------------------------- BucketIndex --
-
-TEST(BucketIndexTest, InsertAndPruneWholeBucketPrefix) {
-  BucketIndex buckets;
-  buckets.Insert(1, /*m=*/2, /*s_i=*/0.5);
-  buckets.Insert(2, /*m=*/2, /*s_i=*/1.5);
-  buckets.Insert(3, /*m=*/2, /*s_i=*/3.0);
-  // theta = 3.0, sim = 0.5: prune if s_i + 2*0.5 < 3.0, i.e. s_i < 2.0.
-  std::set<uint32_t> pruned;
-  const size_t n =
-      buckets.Prune(0.5, 3.0, [&](uint32_t slot) { pruned.insert(slot); });
-  EXPECT_EQ(n, 2u);
-  EXPECT_TRUE(pruned.count(1));
-  EXPECT_TRUE(pruned.count(2));
-  EXPECT_EQ(buckets.size(), 1u);
-}
-
-TEST(BucketIndexTest, ScanStopsAtFirstSurvivor) {
-  BucketIndex buckets;
-  buckets.Insert(1, 1, 0.1);
-  buckets.Insert(2, 1, 5.0);
-  buckets.Insert(3, 1, 0.2);  // ordered: 0.1, 0.2, 5.0
-  size_t pruned = buckets.Prune(0.5, 1.0, [](uint32_t) {});
-  EXPECT_EQ(pruned, 2u);  // 0.1 and 0.2 pruned, 5.0 survives
-}
-
-TEST(BucketIndexTest, DifferentBucketsDifferentCutoffs) {
-  BucketIndex buckets;
-  buckets.Insert(1, /*m=*/0, /*s_i=*/1.0);   // ub = 1.0
-  buckets.Insert(2, /*m=*/10, /*s_i=*/1.0);  // ub = 1.0 + 10 s
-  std::set<uint32_t> pruned;
-  buckets.Prune(/*sim=*/0.5, /*theta=*/2.0,
-                [&](uint32_t slot) { pruned.insert(slot); });
-  EXPECT_TRUE(pruned.count(1));   // 1.0 < 2.0
-  EXPECT_FALSE(pruned.count(2));  // 6.0 >= 2.0
-}
-
-TEST(BucketIndexTest, NeverPrunesTies) {
-  BucketIndex buckets;
-  buckets.Insert(1, 1, 1.5);  // ub at sim 0.5 == 2.0 == theta: tie, keep
-  EXPECT_EQ(buckets.Prune(0.5, 2.0, [](uint32_t) {}), 0u);
-  EXPECT_EQ(buckets.size(), 1u);
-}
-
-TEST(BucketIndexTest, MoveRelocates) {
-  BucketIndex buckets;
-  buckets.Insert(7, 3, 0.0);
-  buckets.Move(7, 2, 0.9);
-  EXPECT_EQ(buckets.size(), 1u);
-  // Now prunable under its new bucket's rule only, and exactly once: the
-  // entry left behind in bucket 3 is stale.
-  std::vector<uint32_t> pruned;
-  buckets.Prune(/*sim=*/0.1, /*theta=*/5.0,
-                [&](uint32_t slot) { pruned.push_back(slot); });
-  EXPECT_EQ(pruned, std::vector<uint32_t>{7});  // 0.9 + 2*0.1 = 1.1 < 5
-  EXPECT_EQ(buckets.size(), 0u);
-}
-
-TEST(BucketIndexTest, RemoveDiscards) {
-  BucketIndex buckets;
-  buckets.Insert(5, 2, 0.4);
-  buckets.Remove(5);
-  EXPECT_EQ(buckets.size(), 0u);
-  EXPECT_EQ(buckets.num_buckets(), 0u);
-  EXPECT_EQ(buckets.Prune(1.0, 100.0, [](uint32_t) {}), 0u);
-}
-
-TEST(BucketIndexTest, EmptyBucketsAreErased) {
-  BucketIndex buckets;
-  buckets.Insert(1, 4, 0.0);
-  buckets.Prune(0.1, 100.0, [](uint32_t) {});
-  EXPECT_EQ(buckets.num_buckets(), 0u);
-}
-
-TEST(BucketIndexTest, ClearForgetsEverySlot) {
-  BucketIndex buckets;
-  buckets.Insert(0, 1, 0.1);
-  buckets.Insert(1, 2, 0.2);
-  buckets.Clear();
-  EXPECT_EQ(buckets.size(), 0u);
-  EXPECT_EQ(buckets.Prune(1.0, 100.0, [](uint32_t) {}), 0u);
-  buckets.Insert(0, 3, 0.3);  // slots are free again
-  EXPECT_EQ(buckets.size(), 1u);
-}
-
-// The node-based index this heap index replaced, as a reference model:
-// one std::set of (S_i, slot) per m, ascending.
-class ReferenceBuckets {
- public:
-  void Insert(uint32_t slot, uint32_t m, Score s) {
-    buckets_[m].insert({s, slot});
-    where_[slot] = {m, s};
-  }
-  void Remove(uint32_t slot) {
-    const auto [m, s] = where_.at(slot);
-    buckets_[m].erase({s, slot});
-    where_.erase(slot);
-  }
-  std::set<uint32_t> Prune(Score sim, Score theta) {
-    std::set<uint32_t> pruned;
-    for (auto& [m, bucket] : buckets_) {
-      const Score cutoff = theta - static_cast<Score>(m) * sim - kScoreEps;
-      while (!bucket.empty() && bucket.begin()->first < cutoff) {
-        pruned.insert(bucket.begin()->second);
-        where_.erase(bucket.begin()->second);
-        bucket.erase(bucket.begin());
-      }
-    }
-    return pruned;
-  }
-  size_t CountSurvivors(Score sim, Score theta) const {
-    size_t survivors = 0;
-    for (const auto& [m, bucket] : buckets_) {
-      const Score cutoff = theta - static_cast<Score>(m) * sim - kScoreEps;
-      for (const auto& [s, slot] : bucket) survivors += s < cutoff ? 0 : 1;
-    }
-    return survivors;
-  }
-  bool Contains(uint32_t slot) const { return where_.count(slot) > 0; }
-  std::pair<uint32_t, Score> At(uint32_t slot) const { return where_.at(slot); }
-  size_t size() const { return where_.size(); }
-
- private:
-  std::map<uint32_t, std::set<std::pair<Score, uint32_t>>> buckets_;
-  std::map<uint32_t, std::pair<uint32_t, Score>> where_;
-};
-
-struct OpMix {
-  double insert, move, remove, prune;  // the rest: CountSurvivors
-};
-
-// Replays `steps` seeded random operations on both indexes. Slots come
-// from a small pool, so pruned and removed slots are reinserted the way
-// the candidate table recycles them.
-void RunAgainstModel(uint64_t seed, size_t steps, uint32_t pool, OpMix mix) {
-  util::Rng rng(seed);
-  BucketIndex index;
-  ReferenceBuckets model;
-  constexpr uint32_t kMaxM = 12;
-  // Scores on a coarse grid, so equal S_i values and exact ties with the
-  // cutoff occur.
-  auto score = [&] { return 0.25 * static_cast<Score>(rng.NextBounded(24)); };
-  auto sim = [&] { return 0.125 * static_cast<Score>(rng.NextBounded(9)); };
-  auto theta = [&] { return 0.5 * static_cast<Score>(rng.NextBounded(16)); };
-  for (size_t step = 0; step < steps; ++step) {
-    const uint32_t slot = static_cast<uint32_t>(rng.NextBounded(pool));
-    const double op = rng.NextDouble();
-    if (op < mix.insert) {
-      if (model.Contains(slot)) continue;
-      const uint32_t m = static_cast<uint32_t>(rng.NextBounded(kMaxM + 1));
-      const Score s = score();
-      index.Insert(slot, m, s);
-      model.Insert(slot, m, s);
-    } else if (op < mix.insert + mix.move) {
-      if (!model.Contains(slot)) continue;
-      // Refinement's moves: one fewer remaining row, a larger row sum.
-      const auto [m, s] = model.At(slot);
-      const uint32_t m_new = m > 0 ? m - 1 : 0;
-      const Score s_new = s + score();
-      index.Move(slot, m_new, s_new);
-      model.Remove(slot);
-      model.Insert(slot, m_new, s_new);
-    } else if (op < mix.insert + mix.move + mix.remove) {
-      if (!model.Contains(slot)) continue;
-      index.Remove(slot);
-      model.Remove(slot);
-    } else if (op < mix.insert + mix.move + mix.remove + mix.prune) {
-      const Score sm = sim(), th = theta();
-      std::set<uint32_t> pruned;
-      const size_t n = index.Prune(sm, th, [&](uint32_t p) {
-        EXPECT_TRUE(pruned.insert(p).second) << "slot pruned twice: " << p;
-      });
-      EXPECT_EQ(n, pruned.size());
-      ASSERT_EQ(pruned, model.Prune(sm, th)) << "seed " << seed << " step "
-                                              << step;
-    } else {
-      const Score sm = sim(), th = theta();
-      const size_t limit = rng.NextBounded(2 * pool);
-      const size_t want = std::min(model.CountSurvivors(sm, th), limit + 1);
-      ASSERT_EQ(std::min(index.CountSurvivors(sm, th, limit), limit + 1), want)
-          << "seed " << seed << " step " << step;
-    }
-    ASSERT_EQ(index.size(), model.size()) << "seed " << seed << " step " << step;
-  }
-}
-
-TEST(BucketIndexModelTest, RandomSequencesMatchReference) {
-  for (uint64_t seed = 1; seed <= 40; ++seed) {
-    RunAgainstModel(seed, 3000, /*pool=*/64,
-                    {/*insert=*/0.35, /*move=*/0.3, /*remove=*/0.05,
-                     /*prune=*/0.15});
-  }
-}
-
-TEST(BucketIndexModelTest, MoveHeavySequencesMatchReference) {
-  // Few slots, mostly moves: stale entries pile up in every heap and force
-  // compactions between the prunes and counts.
-  for (uint64_t seed = 100; seed < 120; ++seed) {
-    RunAgainstModel(seed, 5000, /*pool=*/8,
-                    {/*insert=*/0.1, /*move=*/0.8, /*remove=*/0.02,
-                     /*prune=*/0.04});
-  }
-}
-
-TEST(BucketIndexModelTest, CompactionBoundsStaleEntries) {
-  // 4 live slots moved 20,000 times within two buckets: without
-  // compaction the heaps would hold every stale entry (over 300 KB).
-  BucketIndex buckets;
-  for (uint32_t slot = 0; slot < 4; ++slot) buckets.Insert(slot, 1, 0.0);
-  for (uint32_t i = 0; i < 20000; ++i) {
-    buckets.Move(i % 4, (i / 4) % 2, static_cast<Score>(i));
-  }
-  EXPECT_EQ(buckets.size(), 4u);
-  EXPECT_LT(buckets.MemoryUsageBytes(), 4096u);
-  EXPECT_EQ(buckets.CountSurvivors(0.0, 1e9, 100), 0u);
-  EXPECT_EQ(buckets.Prune(0.0, 1e9, [](uint32_t) {}), 4u);
-}
-
-// --------------------------------------------------------- CandidateTable --
 
 // A table holding one candidate (set 0, |C| = set_size) for a query of
 // `query_size` elements; tokens sit at posting index 0.
@@ -370,6 +147,51 @@ TEST(CandidateStateTest, UpperBoundSoundOnRandomInstances) {
     EXPECT_LE(table[slot].partial, so + 1e-9) << "trial " << trial;
     EXPECT_GE(table[slot].partial + 1e-9, so / 2.0) << "trial " << trial;
   }
+}
+
+TEST(CandidateStateTest, PrunableIsStrictAndUsesTheRemainingRows) {
+  CandidateState tie;  // UpperBound(0.5) == 1.5 + 1 * 0.5 == theta: keep
+  tie.capacity = 2;
+  tie.rows = 1;
+  tie.row_sum = 1.5;
+  EXPECT_FALSE(tie.Prunable(/*s=*/0.5, /*theta=*/2.0));
+  EXPECT_TRUE(tie.Prunable(0.5, 2.0 + 1e-6));
+  EXPECT_TRUE(tie.Prunable(0.4, 2.0));  // s fell: the cutoff rose
+
+  CandidateState full = tie, open = tie;  // same row sum, m = 0 and m = 10
+  full.rows = full.capacity;
+  open.capacity = 11;
+  EXPECT_TRUE(full.Prunable(0.5, 2.0));    // 1.5 < 2.0
+  EXPECT_FALSE(open.Prunable(0.5, 2.0));   // 1.5 + 10 * 0.5 >= 2.0
+}
+
+TEST(CandidateTableTest, SweepPrunesBelowCutoffAndStopsPastLimit) {
+  CandidateTable table;
+  table.Reset(/*num_sets=*/6, /*query_size=*/2);
+  // Capacity 2 and one retained row each: m = 1, row_sum = that row's s.
+  const Score row_sums[] = {0.5, 1.5, 0.9, 1.6, 0.2, 1.55};
+  for (SetId id = 0; id < 6; ++id) {
+    table.AddRow(table.Add(id, table.Capacity(2)), 0, row_sums[id]);
+  }
+  // At s = 0.5 and theta = 2.0 the cutoff is row_sum < 1.5 - eps; set 1
+  // ties with it and survives. With limit 1 the scan returns at its second
+  // survivor (set 3), before reaching set 4.
+  size_t pruned = 0;
+  EXPECT_EQ(table.Sweep(0.5, 2.0, &pruned, /*limit=*/1), 2u);
+  EXPECT_EQ(pruned, 2u);
+  EXPECT_EQ(table.Lookup(0), CandidateTable::kPruned);
+  EXPECT_EQ(table.Lookup(2), CandidateTable::kPruned);
+  EXPECT_NE(table.Lookup(4), CandidateTable::kPruned);
+  EXPECT_EQ(table.live(), 4u);
+
+  EXPECT_EQ(table.Sweep(0.5, 2.0, &pruned), 3u);
+  EXPECT_EQ(pruned, 3u);
+  EXPECT_EQ(table.Lookup(4), CandidateTable::kPruned);
+  std::vector<SetId> live;
+  table.ForEachLive(
+      [&](uint32_t, const CandidateState& c) { live.push_back(c.id); });
+  std::sort(live.begin(), live.end());
+  EXPECT_EQ(live, (std::vector<SetId>{1, 3, 5}));
 }
 
 TEST(CandidateTableTest, ResetForgetsEveryCandidate) {

@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <functional>
+#include <memory>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "koios/core/edge_cache.h"
+#include "koios/core/many_to_one.h"
 #include "koios/core/refinement.h"
 #include "koios/index/inverted_index.h"
 #include "koios/sim/exact_knn_index.h"
@@ -127,24 +131,176 @@ TEST(RefinementTest, FiltersOnlyReduceSurvivors) {
   EXPECT_EQ(s1.candidates, s2.candidates);
 }
 
-TEST(RefinementTest, BucketAndNaiveIubAgreeOnSurvivorSets) {
-  // The bucketized filter is an *implementation* of the naive per-tuple
-  // scan; both must prune exactly the same sets.
-  auto w = testing::MakeRandomWorkload(120, 500, 5, 20, 505);
-  const auto query = QueryOf(w, 9);
-  RefinementHarness harness(&w, query, 0.78);
-  SearchParams bucketed, naive;
-  bucketed.k = naive.k = 8;
-  bucketed.alpha = naive.alpha = 0.78;
-  naive.use_bucket_index = false;
-  SearchStats s1, s2;
-  const auto a = harness.Run(bucketed, &s1);
-  const auto b = harness.Run(naive, &s2);
-  std::set<SetId> sa, sb;
-  for (const auto& s : a.survivors) sa.insert(s.set);
-  for (const auto& s : b.survivors) sb.insert(s.set);
-  EXPECT_EQ(sa, sb);
-  EXPECT_EQ(s1.iub_filtered, s2.iub_filtered);
+// One refinement run over a fresh stream of `query`. With stream feedback
+// the stream is produced inline and the consumer may stop early, as in
+// KoiosSearcher's serial mode; without it the stream drains to α.
+RefinementOutput RefineOnce(const index::SetCollection& sets,
+                            sim::SimilarityIndex* index,
+                            const std::vector<TokenId>& query,
+                            const SearchParams& params, SearchStats* stats) {
+  const index::InvertedIndex inverted(sets);
+  sim::TokenStream stream(query, index, params.alpha, [&](TokenId t) {
+    return inverted.InVocabulary(t);
+  });
+  RefinementPhase phase(&sets, &inverted, query.size(), params);
+  if (!params.use_stream_feedback) {
+    EdgeCache cache(&stream);
+    return phase.Run(&cache, stats);
+  }
+  SearchContext ctx;
+  ctx.BeginSearch(/*num_consumers=*/1);
+  EdgeCache cache(
+      &stream, EdgeCache::InlineProducer{}, index->similarity(),
+      [&ctx] { return ctx.stop_controller().ProducerStop(); }, &ctx);
+  RefinementOutput out = phase.Run(&cache, stats, &ctx);
+  cache.FinishProduction();
+  return out;
+}
+
+uint64_t Bits(Score s) { return std::bit_cast<uint64_t>(s); }
+
+// Everything refinement hands on, compared bit for bit: its work counters,
+// the stream position it stopped at, θlb's list and every survivor record.
+void ExpectSameRefinement(const RefinementOutput& a, const SearchStats& sa,
+                          const RefinementOutput& b, const SearchStats& sb,
+                          const std::string& label) {
+  EXPECT_EQ(sa.candidates, sb.candidates) << label;
+  EXPECT_EQ(sa.iub_filtered, sb.iub_filtered) << label;
+  EXPECT_EQ(sa.stream_tuples, sb.stream_tuples) << label;
+  EXPECT_EQ(sa.postprocess_sets, sb.postprocess_sets) << label;
+  EXPECT_EQ(Bits(a.ub_slack), Bits(b.ub_slack)) << label;
+  EXPECT_EQ(Bits(a.last_sim), Bits(b.last_sim)) << label;
+  const auto llb_a = a.llb.Descending(), llb_b = b.llb.Descending();
+  ASSERT_EQ(llb_a.size(), llb_b.size()) << label;
+  for (size_t i = 0; i < llb_a.size(); ++i) {
+    EXPECT_EQ(llb_a[i].first, llb_b[i].first) << label << " llb " << i;
+    EXPECT_EQ(Bits(llb_a[i].second), Bits(llb_b[i].second))
+        << label << " llb " << i;
+  }
+  auto by_set = [](std::vector<Survivor> v) {
+    std::sort(v.begin(), v.end(), [](const Survivor& x, const Survivor& y) {
+      return x.set < y.set;
+    });
+    return v;
+  };
+  const std::vector<Survivor> va = by_set(a.survivors), vb = by_set(b.survivors);
+  ASSERT_EQ(va.size(), vb.size()) << label;
+  for (size_t i = 0; i < va.size(); ++i) {
+    EXPECT_EQ(va[i].set, vb[i].set) << label;
+    EXPECT_EQ(Bits(va[i].partial_score), Bits(vb[i].partial_score)) << label;
+    EXPECT_EQ(Bits(va[i].row_sum), Bits(vb[i].row_sum)) << label;
+    EXPECT_EQ(va[i].remaining, vb[i].remaining) << label;
+  }
+}
+
+TEST(RefinementTest, LazyAndNaiveIubAgreeBitForBit) {
+  // The lazy filter checks a candidate only when touched, at the feedback
+  // stop check and in the final sweep; the naive one sweeps every
+  // candidate per tuple. Both must hand post-processing the same state.
+  struct Shape {
+    size_t sets, vocab, min_size, max_size;
+    uint64_t seed;
+  };
+  size_t early_stops = 0;
+  for (const Shape& shape : {Shape{120, 500, 5, 20, 505},
+                             Shape{300, 1200, 4, 40, 733},
+                             Shape{200, 400, 8, 30, 512}}) {
+    auto w = testing::MakeRandomWorkload(shape.sets, shape.vocab,
+                                         shape.min_size, shape.max_size,
+                                         shape.seed);
+    for (const SetId qid : {SetId{3}, SetId{9}}) {
+      const auto query = QueryOf(w, qid);
+      for (const size_t k : {1, 5, 10}) {
+        for (const Score alpha : {0.7, 0.8, 0.9}) {
+          for (const bool feedback : {false, true}) {
+            SearchParams lazy;
+            lazy.k = k;
+            lazy.alpha = alpha;
+            lazy.use_stream_feedback = feedback;
+            SearchParams naive = lazy;
+            naive.use_bucket_index = false;
+            SearchStats sa, sb;
+            const auto a = RefineOnce(w.corpus.sets, w.index.get(), query,
+                                      lazy, &sa);
+            const auto b = RefineOnce(w.corpus.sets, w.index.get(), query,
+                                      naive, &sb);
+            ExpectSameRefinement(
+                a, sa, b, sb,
+                "seed " + std::to_string(shape.seed) + " query " +
+                    std::to_string(qid) + " k " + std::to_string(k) +
+                    " alpha " + std::to_string(alpha) +
+                    (feedback ? " feedback" : " drain"));
+            if (sa.stream_survivor_budget > 0) ++early_stops;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(early_stops, 0u) << "no case reached the feedback stop";
+}
+
+// Set 0 = {10} is last touched at s = 0.95. Set 1 = {11, 12, 13} then
+// lifts θlb to 2.7, which makes set 0 prunable with no later tuple
+// touching it, and set 2 = {14} arrives at 0.75, below θlb. The query
+// tokens are in no set, so there are no self matches.
+struct PrunableAfterLastTouch {
+  PrunableAfterLastTouch() {
+    sim.Set(0, 10, 0.95);
+    sim.Set(0, 11, 0.9);
+    sim.Set(1, 12, 0.9);
+    sim.Set(2, 13, 0.9);
+    sim.Set(1, 14, 0.75);
+    sets.AddSet(std::vector<TokenId>{10});
+    sets.AddSet(std::vector<TokenId>{11, 12, 13});
+    sets.AddSet(std::vector<TokenId>{14});
+    index = std::make_unique<sim::ExactKnnIndex>(
+        std::vector<TokenId>{10, 11, 12, 13, 14}, &sim);
+  }
+
+  testing::TableSimilarity sim;
+  index::SetCollection sets;
+  std::unique_ptr<sim::ExactKnnIndex> index;
+  const std::vector<TokenId> query = {0, 1, 2};
+};
+
+TEST(RefinementTest, SetPrunableAfterItsLastTouchIsPruned) {
+  PrunableAfterLastTouch c;
+  for (const bool feedback : {false, true}) {
+    SearchParams lazy;
+    lazy.k = 1;
+    lazy.alpha = 0.7;
+    lazy.use_stream_feedback = feedback;
+    SearchParams naive = lazy;
+    naive.use_bucket_index = false;
+    SearchStats sa, sb;
+    const auto a = RefineOnce(c.sets, c.index.get(), c.query, lazy, &sa);
+    const auto b = RefineOnce(c.sets, c.index.get(), c.query, naive, &sb);
+    const std::string label = feedback ? "feedback" : "drain";
+    ExpectSameRefinement(a, sa, b, sb, label);
+    // The final sweep (drain) or the stop check's scan (feedback) prunes
+    // set 0; with feedback the stream stops before set 2 arrives.
+    ASSERT_EQ(a.survivors.size(), 1u) << label;
+    EXPECT_EQ(a.survivors[0].set, 1u) << label;
+    EXPECT_EQ(sa.candidates, feedback ? 2u : 3u) << label;
+    EXPECT_EQ(sa.iub_filtered, feedback ? 1u : 2u) << label;
+  }
+}
+
+TEST(RefinementTest, ManyToOneCountsSetPrunableAfterItsLastTouch) {
+  // Many-to-one search has no final sweep: its closing pass at the last
+  // tuple's (s, θ) = (0.75, 2.7) must prune set 0 (0.95 + 2 * 0.75 < 2.7),
+  // as a per-tuple sweep at that tuple would have.
+  PrunableAfterLastTouch c;
+  ManyToOneSearcher searcher(&c.sets, c.index.get());
+  SearchParams params;
+  params.k = 1;
+  params.alpha = 0.7;
+  const SearchResult r = searcher.Search(c.query, params);
+  ASSERT_EQ(r.topk.size(), 1u);
+  EXPECT_EQ(r.topk[0].set, 1u);
+  EXPECT_NEAR(r.topk[0].score, 2.7, 1e-12);
+  EXPECT_EQ(r.stats.candidates, 3u);
+  EXPECT_EQ(r.stats.iub_filtered, 2u);  // set 0 here, set 2 on arrival
 }
 
 TEST(RefinementTest, ThetaLbNeverExceedsThetaStar) {

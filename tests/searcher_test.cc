@@ -146,8 +146,8 @@ TEST(SearcherTest, PartitionSeedChangesAssignmentNotResult) {
 
 // Refinement's work counters on a fixed corpus and query set. They are
 // deterministic, and a change to the refinement data structures must not
-// move them: the candidate table and the bucket heaps prune exactly the
-// sets the paper's algorithm prunes, in the same tuples.
+// move them: the candidate table and the lazy iUB filter prune exactly the
+// sets the paper's per-tuple bucket sweep prunes.
 struct RefinementCounters {
   size_t candidates = 0;
   size_t iub_filtered = 0;
