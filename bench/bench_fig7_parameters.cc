@@ -99,9 +99,10 @@ void Run() {
                 refine_share.Mean(), post_share.Mean());
   }
   std::printf(
-      "\nNote: this machine has 1 core, so the partition sweep shows the"
-      " shared-theta_lb\npruning effect but not wall-clock parallel speedup;"
-      " per-partition work totals\nare the comparable quantity.\n");
+      "\nNote: a search runs its partitions one after another on one thread,"
+      " so the\npartition sweep shows the shared-theta_lb pruning effect but"
+      " not wall-clock\nparallel speedup; per-partition work totals are the"
+      " comparable quantity.\n");
 }
 
 }  // namespace

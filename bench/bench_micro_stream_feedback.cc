@@ -1,7 +1,7 @@
-// Micro-benchmark for the θlb→producer stream-feedback loop (ISSUE 3):
-// how many token-stream tuples does the feedback-terminated search
-// materialize versus the drain-to-α path, where does the stream stop, and
-// what does that buy end to end?
+// Micro-benchmark for the θlb stream-feedback loop: how many token-stream
+// tuples does the feedback-terminated search materialize versus the
+// drain-to-α path, where does the stream stop, and what does that buy end
+// to end?
 //
 // The workload is a skewed 10k-vocab corpus seeded with near-duplicate
 // clusters — the paper's data-lake scenario (§I: repositories full of
@@ -14,8 +14,8 @@
 // set against the direct semantic-overlap oracle (tied sets at θ*k may
 // swap identities between runs, as in the exactness test suite).
 //
-// Sections: unpartitioned serial (inline pipelining) and 4 partitions
-// (serial replay + overlapped production with 4 threads).
+// Sections: unpartitioned, and 4 partitions searched one after another
+// through one on-demand edge cache.
 //
 // Emits a table and, with `--json <path>`, a JSON blob for CI. Exit 2 =
 // top-k mismatch between the modes OR tuple reduction below the 30%
@@ -26,6 +26,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -56,7 +57,6 @@ struct ModeOutcome {
 struct Section {
   const char* name;
   size_t partitions;
-  size_t threads;
   ModeOutcome feedback;
   ModeOutcome drain;
 };
@@ -199,9 +199,8 @@ int Run(size_t vocab, const std::string& json_path) {
   params_base.alpha = 0.45;  // deep α-tail: the drain pays for it, feedback doesn't
 
   Section sections[] = {
-      {"p=1 serial", 1, 1, {}, {}},
-      {"p=4 serial", 4, 1, {}, {}},
-      {"p=4 threads=4", 4, 4, {}, {}},
+      {"p=1 serial", 1, {}, {}},
+      {"p=4 serial", 4, {}, {}},
   };
 
   std::printf("\n=== stream feedback: tuples produced & latency vs drain-to-α ===\n");
@@ -218,7 +217,6 @@ int Run(size_t vocab, const std::string& json_path) {
     options.num_partitions = s.partitions;
     core::KoiosSearcher searcher(&corpus.sets, &index, options);
     core::SearchParams params = params_base;
-    params.num_threads = s.threads;
     params.use_stream_feedback = true;
     s.feedback = RunMode(&searcher, queries, params);
     params.use_stream_feedback = false;
@@ -236,10 +234,8 @@ int Run(size_t vocab, const std::string& json_path) {
                         static_cast<double>(s.drain.tuples_produced);
     const double speedup =
         s.feedback.best_sec > 0 ? s.drain.best_sec / s.feedback.best_sec : 0.0;
-    // The acceptance bar applies to the deterministic serial sections (the
-    // overlapped producer races its consumers, so its stop point varies).
-    if (s.threads == 1 && reduction < kRequiredReduction) below_bar = true;
-    if (s.threads == 1 && speedup <= 1.0) no_speedup = true;
+    if (reduction < kRequiredReduction) below_bar = true;
+    if (speedup <= 1.0) no_speedup = true;
     std::printf("%-14s | %12zu %12zu %7.1f%% | %9.4f %9.4f %7.2fx | %8.3f\n",
                 s.name, s.feedback.tuples_produced, s.drain.tuples_produced,
                 reduction * 100.0, s.feedback.best_sec, s.drain.best_sec,
@@ -248,7 +244,7 @@ int Run(size_t vocab, const std::string& json_path) {
   std::printf(
       "\nk=%zu alpha=%.2f, %zu queries (stored sets), best of %zu reps.\n"
       "reduct = tuples the feedback loop never materialized; stop_sim =\n"
-      "mean similarity at which the producer stopped (0 = drained to α).\n",
+      "mean similarity at which the stream stopped (0 = drained to α).\n",
       params_base.k, params_base.alpha, queries.size(), kReps);
 
   if (!json_path.empty()) {
@@ -262,8 +258,7 @@ int Run(size_t vocab, const std::string& json_path) {
                    spec.element_skew);
       std::fprintf(f, "  \"k\": %zu, \"alpha\": %.2f,\n", params_base.k, params_base.alpha);
       std::fprintf(f, "  \"sections\": [\n");
-      for (size_t i = 0; i < 3; ++i) {
-        const Section& s = sections[i];
+      for (const Section& s : sections) {
         const double reduction =
             s.drain.tuples_produced == 0
                 ? 0.0
@@ -271,17 +266,17 @@ int Run(size_t vocab, const std::string& json_path) {
                             static_cast<double>(s.drain.tuples_produced);
         std::fprintf(
             f,
-            "    {\"name\": \"%s\", \"partitions\": %zu, \"threads\": %zu,\n"
+            "    {\"name\": \"%s\", \"partitions\": %zu,\n"
             "     \"feedback\": {\"tuples_produced\": %zu, \"tuples_consumed\": %zu,"
             " \"sec\": %.6f, \"mean_stop_sim\": %.4f},\n"
             "     \"drain\": {\"tuples_produced\": %zu, \"tuples_consumed\": %zu,"
             " \"sec\": %.6f},\n"
             "     \"tuple_reduction\": %.4f}%s\n",
-            s.name, s.partitions, s.threads, s.feedback.tuples_produced,
+            s.name, s.partitions, s.feedback.tuples_produced,
             s.feedback.tuples_consumed, s.feedback.best_sec,
             s.feedback.mean_stop_sim, s.drain.tuples_produced,
             s.drain.tuples_consumed, s.drain.best_sec, reduction,
-            i + 1 < 3 ? "," : "");
+            &s == &sections[std::size(sections) - 1] ? "" : ",");
       }
       std::fprintf(f, "  ]\n}\n");
       std::fclose(f);

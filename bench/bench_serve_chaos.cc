@@ -185,7 +185,6 @@ int Run(size_t total_queries, const std::string& json_path) {
     s.tokens = sampled[i].tokens;
     s.params.k = ks[i % 3];
     s.params.alpha = alphas[i % 2];
-    s.params.num_threads = 1;
     scenarios.push_back(std::move(s));
   }
   std::vector<size_t> stream(total_queries);

@@ -119,7 +119,6 @@ int Run(size_t total_queries, const std::string& json_path) {
     s.tokens = sampled[i].tokens;
     s.params.k = ks[i % 4];
     s.params.alpha = alphas[i % 3];
-    s.params.num_threads = 1;  // engine policy; serial uses the same
     scenarios.push_back(std::move(s));
   }
   // The measured stream cycles the scenarios (cache-warm steady state, the

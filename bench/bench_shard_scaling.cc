@@ -122,7 +122,6 @@ int Run(size_t num_sets, size_t num_queries, const std::string& json_path) {
     s.tokens = sampled[i].tokens;
     s.params.k = ks[i % 3];
     s.params.alpha = alphas[i % 2];
-    s.params.num_threads = 1;
     scenarios.push_back(std::move(s));
   }
 

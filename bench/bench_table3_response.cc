@@ -49,7 +49,7 @@ void Run() {
 
     const BenchQueries bq = MakeBenchQueries(w, /*per_interval=*/2,
                                              /*uniform_count=*/6);
-    // Both stream modes: the θlb→producer feedback loop (default) and the
+    // Both stream modes: the θlb stream-feedback loop (default) and the
     // drain-to-α ablation, so the table shows what the feedback cuts.
     for (const bool feedback : {true, false}) {
       params.use_stream_feedback = feedback;

@@ -2,306 +2,66 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
+#include <limits>
 
 #include "koios/core/search_types.h"
 
 namespace koios::core {
 
-namespace {
-
-// Tuples appended between publications. Big enough that lock/notify costs
-// vanish against per-tuple production cost (a heap pop + an index probe),
-// small enough that consumers start refining almost immediately.
-constexpr size_t kPublishBatch = 32;
-
-}  // namespace
-
-EdgeCache::EdgeCache(sim::TokenStream* stream) : stream_(stream) {
-  query_ = stream->query();
-  alpha_ = stream->alpha();
-  Materialize();
+EdgeCache::EdgeCache(sim::TokenStream* stream) : EdgeCache(stream, nullptr) {
+  Produce(std::numeric_limits<size_t>::max());
 }
 
-EdgeCache::EdgeCache(sim::TokenStream* stream, Deferred,
+EdgeCache::EdgeCache(sim::TokenStream* stream,
                      const sim::SimilarityFunction* completer,
-                     StopSimFn stop_sim, const SearchContext* ctx,
-                     size_t expected_consumers, size_t producer_lead)
+                     const SearchContext* ctx)
     : stream_(stream),
       completer_(completer),
       ctx_(ctx),
-      stop_sim_fn_(std::move(stop_sim)),
       query_(stream->query()),
-      alpha_(stream->alpha()) {
-  // Bounded materialization truncates the edge lists; exactness then needs
-  // the completer to reconstruct the missing simα entries in BuildMatrix.
-  assert(stop_sim_fn_ == nullptr || completer_ != nullptr);
-  // Pacing exists to protect the feedback loop's savings; without a stop
-  // source the consumers want the full α-drain anyway, so the producer
-  // free-runs.
-  if (stop_sim_fn_ != nullptr && expected_consumers > 0 && producer_lead > 0) {
-    producer_lead_ = producer_lead;
-    expected_consumers_ = expected_consumers;
-    consumer_pos_ =
-        std::make_unique<std::atomic<size_t>[]>(expected_consumers);
-    for (size_t i = 0; i < expected_consumers; ++i) {
-      consumer_pos_[i].store(0, std::memory_order_relaxed);
-    }
-  }
-}
-
-EdgeCache::EdgeCache(sim::TokenStream* stream, InlineProducer,
-                     const sim::SimilarityFunction* completer,
-                     StopSimFn stop_sim, const SearchContext* ctx)
-    : stream_(stream),
-      completer_(completer),
-      ctx_(ctx),
-      stop_sim_fn_(std::move(stop_sim)),
-      inline_mode_(true),
-      query_(stream->query()),
-      alpha_(stream->alpha()) {
-  assert(stop_sim_fn_ == nullptr || completer_ != nullptr);
-}
-
-// ---- producer pacing --------------------------------------------------------
-
-size_t EdgeCache::RegisterConsumer() {
-  const size_t slot =
-      consumers_registered_.fetch_add(1, std::memory_order_acq_rel);
-  // Over-subscription (more guards than expected consumers) leaves the
-  // extras unpaced; the searcher sizes the slots to its partition count,
-  // so this is belt-and-braces only.
-  if (slot >= expected_consumers_) return kConsumerDone;
-  // Registration itself may unblock the producer (the "nobody registered
-  // yet" hold) — wake it like an advance would.
-  { std::lock_guard<std::mutex> lock(mutex_); }
-  pace_cv_.notify_one();
-  return slot;
-}
-
-void EdgeCache::AdvanceConsumer(size_t slot, size_t consumed) {
-  // The store happens under mutex_, which the producer holds across its
-  // predicate check and wait — so an advance either lands before the
-  // check (the producer sees it) or after the wait began (the notify
-  // wakes it). A lock-free fast path here (flag + relaxed stores) is the
-  // store-buffer litmus and CAN miss wakeups; one uncontended lock per
-  // pull chunk is the same cadence NextTuples already pays.
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    consumer_pos_[slot].store(consumed, std::memory_order_relaxed);
-  }
-  pace_cv_.notify_one();
-}
-
-void EdgeCache::FinishConsumer(size_t slot) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    consumer_pos_[slot].store(kConsumerDone, std::memory_order_relaxed);
-  }
-  pace_cv_.notify_one();
-}
-
-bool EdgeCache::ProducerMayRun() const {
-  const size_t registered = std::min(
-      consumers_registered_.load(std::memory_order_acquire),
-      expected_consumers_);
-  // Nobody consuming yet: produce one lead window so the first consumer
-  // starts against a warm prefix, then hold until someone registers. The
-  // consumer tasks were submitted before Materialize() runs, so a worker
-  // will pick one up — this hold cannot deadlock.
-  if (registered == 0) return tuples_.size() < producer_lead_;
-  size_t min_pos = kConsumerDone;
-  for (size_t i = 0; i < registered; ++i) {
-    min_pos =
-        std::min(min_pos, consumer_pos_[i].load(std::memory_order_relaxed));
-  }
-  // Every registered consumer finished (declared its stop or unwound).
-  // Late-registering consumers replay the cached prefix and pace from the
-  // frontier once they arrive; holding for them here would deadlock when
-  // partitions outnumber pool workers (a queued partition can only start
-  // after a running one finishes, which may require production to go on).
-  if (min_pos == kConsumerDone) return true;
-  return tuples_.size() < min_pos + producer_lead_;
-}
-
-void EdgeCache::PaceProducer() {
-  if (!PacingEnabled()) return;
-  std::unique_lock<std::mutex> lock(mutex_);
-  while (!ProducerMayRun()) {
-    // Consumers advance their positions under mutex_ (held here across
-    // check and wait), so wakeups cannot be missed; the bounded wait is a
-    // backstop, and the deadline poll keeps a consumer that died without
-    // unwinding its guard from holding production hostage past the query
-    // budget.
-    pace_cv_.wait_for(lock, std::chrono::milliseconds(50));
-    if (ctx_ != nullptr) {
-      lock.unlock();
-      ctx_->CheckCancelled();
-      lock.lock();
-    }
-  }
-}
+      alpha_(stream->alpha()) {}
 
 void EdgeCache::Seal(bool exhausted, Score stop_sim) {
-  if (done_.load(std::memory_order_relaxed)) return;
-  {
-    // Pair the done_ store with the mutex so a consumer can't check done_
-    // between the last publish and the wait — then sleep forever. The stop
-    // state (and the final tuple count — inline production may end mid
-    // batch) is published before done_ so any consumer that observes done_
-    // (acquire) also sees it.
-    std::lock_guard<std::mutex> lock(mutex_);
-    exhausted_ = exhausted;
-    stop_sim_ = stop_sim;
-    stream_ = nullptr;
-    published_.store(tuples_.size(), std::memory_order_release);
-    done_.store(true, std::memory_order_release);
-  }
-  grown_.notify_all();
+  exhausted_ = exhausted;
+  stop_sim_ = stop_sim;
+  stream_ = nullptr;
+  sealed_ = true;
 }
 
-void EdgeCache::Materialize() {
-  assert(!inline_mode_ && !done_.load(std::memory_order_relaxed) &&
-         stream_ != nullptr);
-  // Whatever happens, done_ must be published — a producer that throws
-  // (bad_alloc, a faulty similarity) without it would leave blocked
-  // consumers waiting on grown_ forever, turning the error into a hang.
-  // The poison defaults (stopped, slack 1.0) keep any consumer that
-  // finishes normally sound; Seal overwrites them on the happy path.
-  struct Finisher {
-    EdgeCache* cache;
-    bool exhausted = false;
-    Score stop_sim = 1.0;
-    ~Finisher() { cache->Seal(exhausted, stop_sim); }
-  } finisher{this};
-  sim::TokenStream* stream = stream_;
-  std::vector<sim::StreamTuple> batch;
-  batch.reserve(kPublishBatch);
-  auto publish = [this, &batch] {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      tuples_.insert(tuples_.end(), batch.begin(), batch.end());
-      published_.store(tuples_.size(), std::memory_order_release);
-    }
-    grown_.notify_all();
-    batch.clear();
-  };
-  // The feedback poll is per tuple: a relaxed atomic read + one division,
-  // noise against the heap pop + cursor probe behind each tuple, and it
-  // stops production at the earliest possible point.
-  while (auto tuple = stream->Next(stop_sim_fn_ ? stop_sim_fn_() : 0.0)) {
-    batch.push_back(*tuple);
-    // edges_ is producer-private until done_ — post-processing only reads
-    // it after refinement consumed the whole stream.
-    edges_[tuple->token].push_back({tuple->query_pos, tuple->sim});
-    if (batch.size() >= kPublishBatch) {
-      publish();
-      // Deadline poll per publish batch: an expired query stops producing
-      // here; the Finisher's poison seal releases blocked consumers, and
-      // the abort unwinds through the searcher's joining guard.
-      if (ctx_ != nullptr) ctx_->CheckCancelled();
-      // Pacing (per publish batch, so the producer overshoots the lead by
-      // at most kPublishBatch): wait for the slowest registered consumer
-      // instead of racing everyone to α — see the class comment.
-      PaceProducer();
-    }
-  }
-  publish();
-  finisher.exhausted = !stream->stopped();
-  finisher.stop_sim = stream->stop_sim();
-}
-
-void EdgeCache::ProduceInline(size_t until) {
-  // One poll per pull chunk; the chunk is small (PreferredConsumeChunk) so
-  // an inline single-thread query still honors its deadline promptly.
+void EdgeCache::Produce(size_t until) {
+  // One poll per pull; the pull is small (kPullChunk), so a query still
+  // honors its deadline promptly.
   if (ctx_ != nullptr) ctx_->CheckCancelled();
   sim::TokenStream* stream = stream_;
   while (tuples_.size() < until) {
-    auto tuple = stream->Next(stop_sim_fn_ ? stop_sim_fn_() : 0.0);
+    auto tuple = stream->Next();
     if (!tuple.has_value()) {
-      Seal(!stream->stopped(), stream->stop_sim());
+      Seal(/*exhausted=*/true, /*stop_sim=*/0.0);
       return;
     }
     tuples_.push_back(*tuple);
     edges_[tuple->token].push_back({tuple->query_pos, tuple->sim});
   }
-  // No other thread ever blocks on an inline cache, so a plain release
-  // publish (no mutex / notify) is enough for the replay consumers that
-  // run after this one on the same thread.
-  published_.store(tuples_.size(), std::memory_order_release);
 }
 
 void EdgeCache::FinishProduction() {
-  if (!inline_mode_ || done_.load(std::memory_order_relaxed)) return;
-  published_.store(tuples_.size(), std::memory_order_release);
-  // The consumer stopped pulling: unproduced pairs are bounded by whatever
-  // the stream would emit next (heap top), by any tuple it withheld, or —
-  // when the heap is empty with nothing withheld — the stream drained.
-  sim::TokenStream* stream = stream_;
-  const auto peek = stream->PeekSim();
-  const bool exhausted = !stream->stopped() && !peek.has_value();
-  const Score slack = std::max(stream->stop_sim(), peek.value_or(0.0));
-  Seal(exhausted, exhausted ? 0.0 : slack);
-}
-
-void EdgeCache::Abort() {
-  // Poison: unseen pairs may be arbitrarily similar, so slack 1.0 is the
-  // only sound bound a surviving consumer can use.
-  Seal(/*exhausted=*/false, /*stop_sim=*/1.0);
+  if (sealed_) return;
+  // The consumers stopped pulling: unproduced pairs are bounded by whatever
+  // the stream would emit next (heap top) or, when the heap is empty, the
+  // stream drained.
+  const auto peek = stream_->PeekSim();
+  Seal(!peek.has_value(), peek.value_or(0.0));
 }
 
 size_t EdgeCache::NextTuples(size_t from, std::span<sim::StreamTuple> buf) {
-  if (!done_.load(std::memory_order_acquire)) {
-    if (inline_mode_) {
-      // Pipelined single-thread search: the consumer produces on demand,
-      // so refinement and cursor ordering interleave without a second
-      // thread; tuples_ is then stable for the copy below.
-      ProduceInline(from + buf.size());
-    } else {
-      // A producer thread may still be appending: wait and copy under the
-      // mutex (tuples_ can reallocate on growth).
-      std::unique_lock<std::mutex> lock(mutex_);
-      grown_.wait(lock, [this, from] {
-        return published_.load(std::memory_order_relaxed) > from ||
-               done_.load(std::memory_order_relaxed);
-      });
-      const size_t available = published_.load(std::memory_order_relaxed);
-      if (from >= available) return 0;  // done and exhausted
-      const size_t n = std::min(buf.size(), available - from);
-      std::copy_n(tuples_.begin() + static_cast<ptrdiff_t>(from), n,
-                  buf.begin());
-      return n;
-    }
-  }
-  // Production finished (tuples_ immutable), or inline on this thread.
+  if (!sealed_) Produce(from + buf.size());
   if (from >= tuples_.size()) return 0;
   const size_t n = std::min(buf.size(), tuples_.size() - from);
   std::copy_n(tuples_.begin() + static_cast<ptrdiff_t>(from), n, buf.begin());
   return n;
 }
 
-void EdgeCache::WaitDone() const {
-  if (done_.load(std::memory_order_acquire)) return;
-  // An inline cache has no producer thread to wait for — and nothing to
-  // wait on: everything lives on the consumer's own thread, and a later
-  // partition may still pull more production, so the accessors simply see
-  // the current prefix (BuildMatrix completes anything missing).
-  if (inline_mode_) return;
-  std::unique_lock<std::mutex> lock(mutex_);
-  grown_.wait(lock,
-              [this] { return done_.load(std::memory_order_relaxed); });
-}
-
-const std::vector<sim::StreamTuple>& EdgeCache::tuples() const {
-  WaitDone();
-  // An unsealed inline cache may still grow tuples_ (a later partition
-  // pulling production would invalidate the reference handed out here).
-  assert(done_.load(std::memory_order_relaxed));
-  return tuples_;
-}
-
 std::span<const CachedEdge> EdgeCache::EdgesOf(TokenId t) const {
-  WaitDone();
   auto it = edges_.find(t);
   if (it == edges_.end()) return {};
   return it->second;
@@ -319,17 +79,14 @@ void EdgeCache::BuildMatrixInto(std::span<const TokenId> candidate_tokens,
                                 std::vector<uint32_t>* query_rows,
                                 std::vector<uint32_t>* set_cols,
                                 matching::WeightMatrix* m) const {
-  WaitDone();
   query_rows->clear();
   set_cols->clear();
 
-  // Sealed caches answer from their recorded stop state; an unsealed
-  // inline cache (a serial partition's post-processing while later
-  // partitions may still extend production) asks the stream directly.
+  // Sealed caches answer from their recorded stop state; an unsealed cache
+  // (a partition's post-processing while later partitions may still extend
+  // production) asks the stream directly.
   const bool exhausted =
-      done_.load(std::memory_order_acquire)
-          ? exhausted_
-          : !stream_->stopped() && !stream_->PeekSim().has_value();
+      sealed_ ? exhausted_ : !stream_->PeekSim().has_value();
   if (!exhausted) {
     // The stream stopped above α: edges in [α, stop) may be missing from
     // the cache, and the exact matchings must see the full simα matrix.
@@ -434,7 +191,6 @@ void EdgeCache::BuildMatrixInto(std::span<const TokenId> candidate_tokens,
 }
 
 size_t EdgeCache::MemoryUsageBytes() const {
-  WaitDone();
   size_t bytes = tuples_.capacity() * sizeof(sim::StreamTuple);
   for (const auto& [_, list] : edges_) {
     bytes += sizeof(TokenId) + list.capacity() * sizeof(CachedEdge) +

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <future>
 #include <set>
 #include <unordered_map>
 
@@ -22,13 +21,6 @@ struct Item {
   bool exact = false;    // lb == ub == SO
 };
 
-struct EmOutcome {
-  SetId set = kInvalidSet;
-  bool early_terminated = false;
-  Score so = 0.0;
-  size_t reuses = 0;  // 1 if the solve ran on a warm matcher
-};
-
 // Descending (ub, set) ordering for the alive window.
 struct ByUbDesc {
   bool operator()(const std::pair<Score, SetId>& a,
@@ -40,7 +32,8 @@ struct ByUbDesc {
 
 // Per-thread exact-matching scratch: the matrix allocation and the
 // matcher's solve arrays survive across every candidate a thread verifies
-// (EM batches, result verification and the extension searchers alike).
+// (post-processing, result verification and the extension searchers
+// alike).
 struct EmScratch {
   matching::WeightMatrix matrix{0, 0};
   std::vector<uint32_t> rows, cols;
@@ -61,14 +54,12 @@ matching::MatchResult ExactMatch(const EdgeCache& cache,
 
 PostProcessor::PostProcessor(const index::SetCollection* sets,
                              const EdgeCache* cache,
-                             const SearchParams& params, SearchContext* ctx,
-                             util::ThreadPool* pool)
+                             const SearchParams& params, SearchContext* ctx)
     : sets_(sets),
       cache_(cache),
       params_(params),
       ctx_(ctx),
-      global_theta_(ctx != nullptr ? &ctx->global_theta() : nullptr),
-      pool_(pool) {}
+      global_theta_(ctx != nullptr ? &ctx->global_theta() : nullptr) {}
 
 Score PostProcessor::ThetaLb(Score local) const {
   if (global_theta_ == nullptr) return local;
@@ -108,9 +99,6 @@ std::vector<ResultEntry> PostProcessor::Run(RefinementOutput refinement,
       alive.size() * (sizeof(std::pair<Score, SetId>) + 4 * sizeof(void*)));
   stats->memory.AddPeak("postprocess.items", items.size() * sizeof(Item));
 
-  const size_t batch_size =
-      (pool_ != nullptr && params_.num_threads > 1) ? params_.num_threads : 1;
-
   auto prune_below_theta = [&] {
     const Score theta_lb = ThetaLb(llb.Bottom());
     while (!alive.empty()) {
@@ -123,8 +111,8 @@ std::vector<ResultEntry> PostProcessor::Run(RefinementOutput refinement,
   };
 
   while (!alive.empty()) {
-    // Deadline/cancellation poll once per window round (i.e. at least once
-    // per exact-matching batch — the expensive unit of this phase).
+    // Deadline/cancellation poll once per window round, i.e. at least once
+    // per exact matching (the expensive unit of this phase).
     if (ctx_ != nullptr) ctx_->CheckCancelled();
     prune_below_theta();
 
@@ -139,8 +127,9 @@ std::vector<ResultEntry> PostProcessor::Run(RefinementOutput refinement,
       if (it != alive.end() && alive.size() >= params_.k) theta_ub = it->first;
     }
 
-    // Collect unchecked window entries (descending ub), applying No-EM.
-    std::vector<SetId> to_process;
+    // Find the first unchecked window entry (descending ub), applying
+    // No-EM to the ones before it.
+    SetId next = kInvalidSet;
     bool admitted_any = false;
     {
       auto it = alive.begin();
@@ -153,64 +142,37 @@ std::vector<ResultEntry> PostProcessor::Run(RefinementOutput refinement,
           admitted_any = true;
           continue;
         }
-        to_process.push_back(item.set);
-        if (to_process.size() >= batch_size) break;
+        next = item.set;
+        break;
       }
     }
-    if (to_process.empty()) {
+    if (next == kInvalidSet) {
       if (admitted_any) continue;  // window changed; re-evaluate
       break;                       // window fully checked — done
     }
 
-    // Exact matching (parallel batch; θlb snapshot shared by the batch).
-    // Each pool worker (or the caller, serially) matches in its own
-    // thread-local scratch.
+    // Exact matching, early-terminated against the current θlb.
     const Score prune_threshold =
         params_.use_em_early_termination ? ThetaLb(llb.Bottom()) : -1.0;
-    auto run_em = [&](SetId id) -> EmOutcome {
-      EmOutcome outcome;
-      outcome.set = id;
-      const matching::MatchResult r = ExactMatch(
-          *cache_, sets_->Tokens(id), prune_threshold, &outcome.reuses);
-      outcome.early_terminated = r.early_terminated;
-      outcome.so = r.score;
-      return outcome;
-    };
-
-    std::vector<EmOutcome> outcomes;
-    // One span per exact-matching batch (the expensive unit of this
-    // phase); `candidates` is the batch width.
-    KOIOS_TRACE_SPAN_ARG("search.em_batch", "candidates", to_process.size());
-    if (batch_size > 1 && to_process.size() > 1) {
-      std::vector<std::future<EmOutcome>> futures;
-      futures.reserve(to_process.size());
-      for (SetId id : to_process) {
-        futures.push_back(pool_->Submit([&run_em, id] { return run_em(id); }));
-      }
-      for (auto& f : futures) outcomes.push_back(f.get());
-    } else {
-      for (SetId id : to_process) outcomes.push_back(run_em(id));
+    KOIOS_TRACE_SPAN("search.em_batch");
+    const matching::MatchResult r =
+        ExactMatch(*cache_, sets_->Tokens(next), prune_threshold,
+                   &stats->em_workspace_reuses);
+    Item& item = items[next];
+    alive.erase({item.ub, item.set});
+    if (r.early_terminated) {
+      // SO < θlb certified mid-matching: cannot be in the top-k.
+      ++stats->em_early_terminated;
+      items.erase(next);
+      continue;
     }
-
-    for (const EmOutcome& outcome : outcomes) {
-      stats->em_workspace_reuses += outcome.reuses;
-      Item& item = items[outcome.set];
-      if (outcome.early_terminated) {
-        // SO < θlb certified mid-matching: cannot be in the top-k.
-        ++stats->em_early_terminated;
-        alive.erase({item.ub, item.set});
-        items.erase(outcome.set);
-        continue;
-      }
-      ++stats->em_computed;
-      alive.erase({item.ub, item.set});
-      item.lb = item.ub = outcome.so;
-      item.exact = true;
-      item.checked = true;
-      alive.insert({item.ub, item.set});  // repositions by the exact score
-      llb.Offer(outcome.set, outcome.so);
-      if (global_theta_ != nullptr) global_theta_->Publish(llb.Bottom());
-    }
+    ++stats->em_computed;
+    item.lb = item.ub = r.score;
+    item.exact = true;
+    item.checked = true;
+    alive.insert({item.ub, item.set});  // repositions by the exact score
+    llb.Offer(next, r.score);
+    if (global_theta_ != nullptr) global_theta_->Publish(llb.Bottom());
   }
 
   // Harvest the window; optionally verify No-EM admissions so every

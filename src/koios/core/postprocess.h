@@ -13,7 +13,6 @@
 #include "koios/core/search_types.h"
 #include "koios/index/set_collection.h"
 #include "koios/matching/hungarian.h"
-#include "koios/util/thread_pool.h"
 
 namespace koios::core {
 
@@ -30,14 +29,10 @@ matching::MatchResult ExactMatch(const EdgeCache& cache,
 class PostProcessor {
  public:
   /// `ctx` may be null (phase-level tests): its GlobalThreshold is the
-  /// cross-partition θlb, its deadline/cancellation is polled between
-  /// exact-matching batches (throwing SearchAborted). `pool` may be null;
-  /// with a pool, exact matchings run in parallel batches of
-  /// params.num_threads as in the paper ("all sets in Lub are queued and
-  /// evaluated in parallel in the background").
+  /// cross-partition θlb, its deadline/cancellation is polled before every
+  /// exact matching (throwing SearchAborted).
   PostProcessor(const index::SetCollection* sets, const EdgeCache* cache,
-                const SearchParams& params, SearchContext* ctx,
-                util::ThreadPool* pool);
+                const SearchParams& params, SearchContext* ctx);
 
   /// Consumes the refinement output and returns the top-k result entries in
   /// non-increasing score order.
@@ -51,7 +46,6 @@ class PostProcessor {
   SearchParams params_;
   SearchContext* ctx_;
   GlobalThreshold* global_theta_;  // &ctx_->global_theta(), null without ctx
-  util::ThreadPool* pool_;
 };
 
 }  // namespace koios::core

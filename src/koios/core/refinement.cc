@@ -1,6 +1,7 @@
 #include "koios/core/refinement.h"
 
 #include <algorithm>
+#include <array>
 
 #include "koios/core/postprocess.h"
 #include "koios/util/fault_injector.h"
@@ -16,8 +17,7 @@ RefinementPhase::RefinementPhase(const index::SetCollection* sets,
       params_(params) {}
 
 RefinementOutput RefinementPhase::Run(EdgeCache* cache, SearchStats* stats,
-                                      SearchContext* ctx,
-                                      EdgeCache::ConsumerGuard* consumer) {
+                                      SearchContext* ctx) {
   GlobalThreshold* global_theta = ctx != nullptr ? &ctx->global_theta() : nullptr;
   RefinementOutput out;
   out.llb = util::TopKList<SetId>(params_.k);
@@ -54,25 +54,7 @@ RefinementOutput RefinementPhase::Run(EdgeCache* cache, SearchStats* stats,
   // tuple.
   const bool may_stop_early = cache->FeedbackEnabled();
   const Score query_size_score = static_cast<Score>(query_size_);
-  constexpr size_t kMinSurvivorBudget = 32;
-  const size_t fixed_budget =
-      std::max<size_t>(kMinSurvivorBudget, 4 * params_.k);
-  // Adaptive budget (rent-to-buy, SearchParams::use_adaptive_survivor_budget):
-  // strand at most as much estimated EM work as the streaming work already
-  // spent, with one EM costed at adaptive_em_cost_tuples stream tuples.
-  // Both sides of that balance scale with the per-tuple cost, so it
-  // cancels and the rule reduces to tuples_consumed / ratio — which is
-  // precisely what makes it robust (no clock, no machine constant): on
-  // hardware where tuples are slow, the same tuple count represents
-  // proportionally more sunk cost AND proportionally costlier EMs. The
-  // budget only ever DELAYS the stop, so exactness is untouched; stats
-  // record the value in force at the stop.
-  auto survivor_budget = [&]() -> size_t {
-    if (!params_.use_adaptive_survivor_budget) return fixed_budget;
-    const double affordable = static_cast<double>(stats->stream_tuples) /
-                              std::max(params_.adaptive_em_cost_tuples, 1.0);
-    return std::max(kMinSurvivorBudget, static_cast<size_t>(affordable));
-  };
+  const size_t budget = std::max<size_t>(32, 4 * params_.k);
   constexpr size_t kStopCheckCadence = 64;
   size_t next_stop_check = 0;
   size_t next_cancel_check = 0;
@@ -91,7 +73,6 @@ RefinementOutput RefinementPhase::Run(EdgeCache* cache, SearchStats* stats,
     }
     if (stats->stream_tuples < next_stop_check) return false;
     next_stop_check = stats->stream_tuples + kStopCheckCadence;
-    const size_t budget = survivor_budget();
     size_t survivors = 0;
     if (params_.use_iub_filter) {
       survivors = table.Sweep(s, theta_lb, &stats->iub_filtered, budget);
@@ -172,54 +153,27 @@ RefinementOutput RefinementPhase::Run(EdgeCache* cache, SearchStats* stats,
     ++stats->stream_tuples;
   };
 
-  if (cache->Materialized()) {
-    // Fully materialized (synchronous caches and later partitions of a
-    // serial partitioned search): replay in place.
-    for (const sim::StreamTuple& tuple : cache->tuples()) {
-      if (should_stop(tuple.sim)) {
-        out.ub_slack = tuple.sim;
+  // Pull the stream in chunks; a pull past the produced prefix produces
+  // it on the spot, and a later partition replays what an earlier one
+  // produced.
+  std::array<sim::StreamTuple, EdgeCache::kPullChunk> chunk;
+  size_t consumed = 0;
+  while (!stopped_early) {
+    const size_t n = cache->NextTuples(consumed, chunk);
+    if (n == 0) break;
+    for (size_t i = 0; i < n; ++i) {
+      if (should_stop(chunk[i].sim)) {
+        out.ub_slack = chunk[i].sim;
         stopped_early = true;
         break;
       }
-      process_tuple(tuple);
+      process_tuple(chunk[i]);
     }
-  } else {
-    // Pipelined search: the producer is still materializing (or, inline,
-    // production happens inside NextTuples on this very thread); pull
-    // copies in chunks through the cache's incremental interface, blocking
-    // only when refinement outruns cursor construction.
-    std::vector<sim::StreamTuple> chunk(cache->PreferredConsumeChunk());
-    size_t consumed = 0;
-    while (!stopped_early) {
-      const size_t n =
-          cache->NextTuples(consumed, std::span<sim::StreamTuple>(chunk));
-      if (n == 0) break;
-      // Report the hand-off before processing: a paced producer measures
-      // its lead from tuples DELIVERED here, so the lead budget absorbs
-      // the chunk being worked on.
-      if (consumer != nullptr) consumer->Advance(consumed + n);
-      for (size_t i = 0; i < n; ++i) {
-        if (should_stop(chunk[i].sim)) {
-          out.ub_slack = chunk[i].sim;
-          stopped_early = true;
-          break;
-        }
-        process_tuple(chunk[i]);
-      }
-      consumed += n;
-    }
+    consumed += n;
   }
-  if (stopped_early) {
-    // Declare the stop so the producer may cease materializing below it
-    // once every partition's consumer has declared one. stopped_early
-    // implies feedback was enabled, which implies a context exists (the
-    // searcher only wires a stop source when it has one).
-    if (ctx != nullptr) {
-      ctx->stop_controller().PublishConsumerStop(out.ub_slack);
-    }
-  } else {
-    // Consumed everything produced; unprocessed pairs are exactly the ones
-    // the producer's feedback stop withheld (0 when drained to α).
+  if (!stopped_early) {
+    // Consumed everything produced, so the cache is sealed: 0 when the
+    // stream drained to α, the sealed slack when it was stopped earlier.
     out.ub_slack = cache->stop_sim();
   }
 

@@ -61,18 +61,18 @@ class RefinementPhase {
                   const SearchParams& params);
 
   /// Consumes the stream incrementally through `cache` (pulling production
-  /// along in inline mode, replaying it when already materialized) and
-  /// applies Algorithm 1 + the iUB filter of §V in this thread's
-  /// candidate table. Counters are accumulated into `stats`.
+  /// along past the produced prefix, replaying the prefix before it) and
+  /// applies Algorithm 1 + the iUB filter of §V in this thread's candidate
+  /// table. Counters are accumulated into `stats`.
   ///
   /// `ctx` (nullable) is the per-query SearchContext. Its GlobalThreshold
   /// is the cross-partition θlb of §VI: any partition's k-th best lower
   /// bound is a valid lower bound on the *merged* θ*k, so partitions can
   /// prune with the maximum across all of them without affecting the
-  /// merged result's exactness. It also powers the feedback loop: every
-  /// θlb improvement is published immediately (greedy lower bounds,
-  /// Lemma 4/5). The context's deadline/cancellation is polled every
-  /// stop-check cadence; an elapsed deadline throws SearchAborted.
+  /// merged result's exactness. Every θlb improvement is published
+  /// immediately (greedy lower bounds, Lemma 4/5). The context's
+  /// deadline/cancellation is polled every stop-check cadence; an elapsed
+  /// deadline throws SearchAborted.
   ///
   /// When the cache has feedback enabled, this consumer stops consuming at
   /// the stop similarity τ(θlb, |Q|, partial scores) — the largest stream
@@ -80,7 +80,7 @@ class RefinementPhase {
   ///  1. |Q|·s < θlb − ε  (exactness): an unseen set's upper bound is
   ///     min(|Q|, |C|)·s ≤ |Q|·s < θlb ≤ θ*k (Lemma 2), and pruning is
   ///     monotone in θlb, so nothing absent can re-enter the top-k;
-  ///  2. few enough candidates survive the slack-s final sweep — the
+  ///  2. at most max(32, 4k) candidates survive the slack-s sweep — the
   ///     candidates' partial scores must already separate the contenders,
   ///     since stopping freezes every survivor's upper bound at
   ///     S_i + m_i·s (condition 1 alone would freeze EVERY seen set above
@@ -88,18 +88,10 @@ class RefinementPhase {
   ///     post-processing; this work-balance condition only delays the
   ///     stop, so exactness is untouched).
   /// The declined similarity becomes the survivors' upper-bound slack
-  /// (ub_slack) and is declared to the context's StreamStopController so
-  /// the producer can stop materializing once every partition has
-  /// declared (no declarations happen without a context).
-  ///
-  /// `consumer` (nullable) is this partition's producer-pacing handle
-  /// (EdgeCache::ConsumerGuard): the pull loop reports its hand-off
-  /// position through it so a deferred producer can pace itself against
-  /// the slowest partition. The caller owns the guard (it must outlive
-  /// this call); legacy callers pass nothing and are never paced against.
+  /// (ub_slack). Production ends with it: the cache produces nothing a
+  /// consumer does not pull.
   RefinementOutput Run(EdgeCache* cache, SearchStats* stats,
-                       SearchContext* ctx = nullptr,
-                       EdgeCache::ConsumerGuard* consumer = nullptr);
+                       SearchContext* ctx = nullptr);
 
  private:
   const index::SetCollection* sets_;

@@ -2,15 +2,12 @@
 
 #include <algorithm>
 #include <cassert>
-#include <future>
-#include <memory>
 #include <optional>
 
 #include "koios/core/edge_cache.h"
 #include "koios/core/refinement.h"
 #include "koios/sim/token_stream.h"
 #include "koios/util/rng.h"
-#include "koios/util/thread_pool.h"
 #include "koios/util/timer.h"
 #include "koios/util/trace_recorder.h"
 
@@ -63,47 +60,19 @@ SearchResult KoiosSearcher::Search(std::span<const TokenId> query,
   SearchResult result;
   if (query.empty() || sets_->size() == 0) return result;
 
-  // One pool serves the whole query: cursor-construction fan-out during
-  // the token stream's Prewarm, concurrent partition refinement, and the
-  // exact-matching batches. It is attached to the index up front so the
-  // stream constructor's Prewarm parallelizes even in partitioned runs
-  // (the seed created the pool only after the stream was materialized).
-  const size_t p = partition_inverted_.size();
-  std::unique_ptr<util::ThreadPool> pool;
-  // Restores the index's previous pool on every exit path: the per-query
-  // pool dies with this frame (a stale pointer would be dereferenced by
-  // the next Search), and an owner-attached long-lived pool must survive
-  // the query.
-  struct PoolAttachment {
-    sim::SimilarityIndex* index = nullptr;
-    util::ThreadPool* previous = nullptr;
-    ~PoolAttachment() {
-      if (index != nullptr) index->set_thread_pool(previous);
-    }
-  } attachment;
-  if (params.num_threads > 1) {
-    pool = std::make_unique<util::ThreadPool>(params.num_threads);
-    attachment.previous = index->thread_pool();
-    index->set_thread_pool(pool.get());
-    attachment.index = index;
-  }
-
   // Per-query machinery: callers that care (the serve engine) pass their
-  // own context (deadline, cancel flag, observable θlb); the legacy path
-  // gets a stack-local one.
+  // own context (deadline, cancel flag, shared θlb); the legacy path gets
+  // a stack-local one.
   SearchContext local_ctx;
   if (ctx == nullptr) ctx = &local_ctx;
-  ctx->BeginSearch(p);
+  ctx->BeginSearch();
   ctx->CheckCancelled();  // an already-expired deadline never starts work
 
   // Root span of the search core (children: cursor build, per-partition
-  // refinement/postprocess, the stream producer). The context carries the
-  // trace so phase work fanned onto pool threads parents correctly.
+  // refinement/postprocess).
   util::TraceSpan search_span("search", "query_tokens", query.size());
-  ctx->set_trace(search_span.trace_id(), search_span.span_id());
 
-  // ---- shared refinement input: the token stream, produced once --------
-  util::WallTimer stream_timer;
+  // ---- shared refinement input: the token stream ------------------------
   std::optional<sim::TokenStream> stream_storage;
   {
     // Cursor construction: TokenStream's constructor prewarms every query
@@ -118,177 +87,59 @@ SearchResult KoiosSearcher::Search(std::span<const TokenId> query,
     result.stats.timers.Accumulate("cursor_build",
                                    cursor_timer.ElapsedSeconds());
   }
-  sim::TokenStream& stream = *stream_storage;
 
-  // ---- θlb→producer feedback (§IV–VI) ----------------------------------
-  // Refinement consumers publish their running θlb into the shared
-  // GlobalThreshold (one partition's k-th lower bound is a valid bound on
-  // the merged θ*k, so the maximum serves every partition) and derive from
-  // it the stop similarity τ(θlb, |Q|, partial scores) at which they stop
-  // consuming; each declares its τ to the controller, and the producer
-  // stops materializing below the minimum once every partition has
-  // declared — tuples under τ are never ordered, scored or cached.
-  // Exactness requires the index's SimilarityFunction so exact matching
-  // can complete below-τ edges on demand, AND an exact-neighbor index:
-  // completing from the raw similarity would score pairs an approximate
-  // probe (LSH/MinHash) never surfaced, silently changing results between
-  // the modes. Without either (or with the ablation toggle off) the
-  // stream drains to α as the seed did.
+  // ---- θlb feedback (§IV–VI) --------------------------------------------
+  // Refinement publishes its running θlb into the shared GlobalThreshold
+  // (one partition's k-th lower bound is a valid bound on the merged θ*k,
+  // so the maximum serves every partition) and stops pulling the stream at
+  // the stop similarity τ(θlb, |Q|, partial scores); the cache produces
+  // only what refinement pulls, so tuples under τ are never ordered,
+  // scored or cached. Exactness requires the index's SimilarityFunction so
+  // exact matching can complete below-τ edges on demand, AND an
+  // exact-neighbor index: completing from the raw similarity would score
+  // pairs an approximate probe (LSH/MinHash) never surfaced, silently
+  // changing results between the modes. Without either (or with the
+  // ablation toggle off) the stream drains to α as the seed did.
   const sim::SimilarityFunction* completer = index->similarity();
   const bool feedback = params.use_stream_feedback && completer != nullptr &&
                         index->exact_neighbors();
-  EdgeCache::StopSimFn stop_fn;
-  if (feedback) {
-    stop_fn = [ctx]() -> Score {
-      return ctx->stop_controller().ProducerStop();
-    };
-  }
-
-  // Overlapped (a pool exists): partitions refine on workers while this
-  // thread produces. Serial: the consumer itself pulls production along
-  // inside NextTuples (inline mode), pipelining on one thread.
-  const bool overlapped = pool != nullptr;
-  std::optional<EdgeCache> cache_storage;
-  if (overlapped) {
-    // Paced deferred production (feedback only): the producer thread stays
-    // within stream_producer_lead tuples of the slowest partition consumer
-    // so slow consumers still declare their stop before the drain — the
-    // overlapped-mode production race. Inline mode needs no pacing: the
-    // consumer drives production itself.
-    cache_storage.emplace(&stream, EdgeCache::Deferred{}, completer, stop_fn,
-                          ctx, /*expected_consumers=*/feedback ? p : 0,
-                          /*producer_lead=*/params.stream_producer_lead);
-  } else {
-    cache_storage.emplace(&stream, EdgeCache::InlineProducer{}, completer,
-                          stop_fn, ctx);
-  }
-  EdgeCache& cache = *cache_storage;
+  EdgeCache cache(&*stream_storage, feedback ? completer : nullptr, ctx);
 
   // ---- per-partition search under the shared global θlb ------------------
-  std::vector<std::vector<ResultEntry>> partial(p);
-  std::vector<SearchStats> partial_stats(p);
-
-  auto refine_partition = [&](size_t part) -> RefinementOutput {
-    SearchStats& stats = partial_stats[part];
-    // Partition tasks may run on pool threads: adopt the query's trace so
-    // their spans parent under the "search" root.
-    util::TraceAdopt trace_adopt(ctx->trace_id(), ctx->trace_parent());
-    util::TraceSpan refine_span("search.refinement");
-    // Pacing registration first thing in the task (before refinement's own
-    // allocations), released on every exit — a partition that unwinds must
-    // not pace the producer forever. No-op when pacing is off.
-    EdgeCache::ConsumerGuard consumer(&cache);
-    RefinementPhase refinement(sets_, &partition_inverted_[part], query.size(),
-                               params);
-    util::WallTimer timer;
-    RefinementOutput refined = refinement.Run(&cache, &stats, ctx, &consumer);
-    stats.timers.Accumulate("refinement", timer.ElapsedSeconds());
-    refine_span.set_arg("tuples", stats.stream_tuples);
-    return refined;
-  };
-  auto postprocess_partition = [&](size_t part, RefinementOutput refined,
-                                   util::ThreadPool* em_pool) {
-    SearchStats& stats = partial_stats[part];
-    util::TraceAdopt trace_adopt(ctx->trace_id(), ctx->trace_parent());
-    util::TraceSpan post_span("search.postprocess");
-    util::WallTimer timer;
-    PostProcessor post(sets_, &cache, params, ctx, em_pool);
-    partial[part] = post.Run(std::move(refined), &stats);
-    stats.timers.Accumulate("postprocess", timer.ElapsedSeconds());
-    post_span.set_arg("em_computed", stats.em_computed);
-  };
-  auto search_partition = [&](size_t part, util::ThreadPool* em_pool) {
-    postprocess_partition(part, refine_partition(part), em_pool);
-  };
-
-  // Declared AFTER everything the partition tasks touch, with a joining
-  // guard: if anything below throws while tasks are in flight, the guard
-  // drains them before the unwind destroys cache/partial/stats (the
-  // poisoned cache unblocks any consumer stuck in NextTuples). On the
-  // happy path every future is already consumed and the guard no-ops.
-  std::optional<RefinementOutput> p1_refined;
-  std::vector<std::future<void>> futures;
-  struct FutureJoiner {
-    std::vector<std::future<void>>* futures;
-    EdgeCache* cache;
-    ~FutureJoiner() {
-      bool pending = false;
-      for (const auto& f : *futures) pending |= f.valid();
-      if (!pending) return;
-      // The producer is gone; release consumers blocked on it, then join.
-      cache->Abort();
-      for (auto& f : *futures) {
-        if (!f.valid()) continue;
-        try {
-          f.get();
-        } catch (...) {
-          // Unwinding already; the primary exception wins.
-        }
-      }
-    }
-  } joiner{&futures, &cache};
-
-  if (overlapped) {
-    // Pipelined search: the partition tasks start refining immediately,
-    // pulling tuples through the cache's incremental interface, while this
-    // thread produces the stream — cursor construction and refinement
-    // proceed concurrently instead of back-to-back, and the consumers'
-    // θlb publications feed straight back into this producer's stop
-    // similarity. The producer runs here, NOT on the pool, so starved
-    // consumers can never deadlock it out of a worker slot. Unpartitioned
-    // searches only put REFINEMENT on the pool; post-processing runs back
-    // on this thread once production is over, so its exact-matching
-    // batches keep the pool's full width (a partition task blocked in the
-    // EM futures would strand one worker).
-    futures.reserve(p);
-    if (p == 1) {
-      futures.push_back(
-          pool->Submit([&] { p1_refined = refine_partition(0); }));
-    } else {
-      for (size_t part = 0; part < p; ++part) {
-        futures.push_back(pool->Submit(
-            [&search_partition, part] { search_partition(part, nullptr); }));
-      }
+  // Partitions run one after another. Production stays open across them —
+  // a later partition may need tuples below an earlier one's stop — and is
+  // sealed once all of them finished; its cost lands in the refinement
+  // timers of the partitions that pulled it.
+  std::vector<ResultEntry> merged;
+  for (const index::InvertedIndex& inverted : partition_inverted_) {
+    SearchStats stats;
+    RefinementOutput refined;
+    {
+      util::TraceSpan refine_span("search.refinement");
+      RefinementPhase refinement(sets_, &inverted, query.size(), params);
+      util::WallTimer timer;
+      refined = refinement.Run(&cache, &stats, ctx);
+      stats.timers.Accumulate("refinement", timer.ElapsedSeconds());
+      refine_span.set_arg("tuples", stats.stream_tuples);
     }
     {
-      // The EdgeCache producer: cursor pulls, ordering, caching — the
-      // stream side of the pipelined overlap (hidden behind refinement
-      // wall-clock when consumers keep up).
-      KOIOS_TRACE_SPAN("search.stream_produce");
-      cache.Materialize();
+      util::TraceSpan post_span("search.postprocess");
+      util::WallTimer timer;
+      PostProcessor post(sets_, &cache, params, ctx);
+      const std::vector<ResultEntry> topk = post.Run(std::move(refined), &stats);
+      merged.insert(merged.end(), topk.begin(), topk.end());
+      stats.timers.Accumulate("postprocess", timer.ElapsedSeconds());
+      post_span.set_arg("em_computed", stats.em_computed);
     }
-    // Diagnostic label. The "refinement" phase benches read still covers
-    // the stream cost: every partition's refinement timer spans this whole
-    // materialization (consumers block on the producer through NextTuples
-    // until the stream ends), exactly as the seed's serialized
-    // stream+replay did. Folding this span into "refinement" as well
-    // would double-count concurrent wall-clock; "stream" exists to show
-    // how much of it the overlap hides.
-    result.stats.timers.Accumulate("stream", stream_timer.ElapsedSeconds());
-    for (auto& f : futures) f.get();
-    if (p == 1) {
-      postprocess_partition(0, std::move(*p1_refined), pool.get());
-    }
-  } else {
-    // Serial: production is pipelined inside the consumers' pull loops
-    // (inline mode), so its cost lands in the partitions' "refinement"
-    // timers as the seed's materialize-then-replay did. The cache stays
-    // unsealed across partitions — a later partition may need tuples below
-    // an earlier one's stop — and is sealed once all of them finished.
-    for (size_t part = 0; part < p; ++part) search_partition(part, nullptr);
-    cache.FinishProduction();
+    result.stats.Merge(stats);
   }
+  cache.FinishProduction();
   result.stats.stream_tuples_produced = cache.produced();
   result.stats.stream_stop_sim = cache.stop_sim();
   result.stats.memory.AddPeak("stream.edge_cache", cache.MemoryUsageBytes());
   result.stats.memory.AddPeak("index.inverted", IndexMemoryUsageBytes());
 
   // ---- merge-sort the per-partition top-k lists --------------------------
-  std::vector<ResultEntry> merged;
-  for (size_t part = 0; part < p; ++part) {
-    merged.insert(merged.end(), partial[part].begin(), partial[part].end());
-    result.stats.Merge(partial_stats[part]);
-  }
   std::sort(merged.begin(), merged.end(),
             [](const ResultEntry& a, const ResultEntry& b) {
               if (a.score != b.score) return a.score > b.score;

@@ -1,6 +1,12 @@
 // KoiosSearcher — the public entry point: top-k semantic overlap search
 // over a set repository, with optional random partitioning searched under a
 // shared global θlb (paper §VI).
+//
+// A search runs on the calling thread: the partitions are searched one
+// after another through one on-demand EdgeCache, each pulling the token
+// stream as far as its refinement needs. Parallelism within a query lives
+// one level up, in serve::ShardCoordinator, which runs each shard as one
+// of these single-threaded searches.
 #ifndef KOIOS_CORE_SEARCHER_H_
 #define KOIOS_CORE_SEARCHER_H_
 
@@ -17,9 +23,9 @@
 namespace koios::core {
 
 struct SearcherOptions {
-  /// Random partitions of the repository; each is searched independently
-  /// (in parallel when SearchParams::num_threads > 1) and the per-partition
-  /// top-k lists are merged. 1 = unpartitioned.
+  /// Random partitions of the repository; each is searched in turn under
+  /// the shared θlb and the per-partition top-k lists are merged.
+  /// 1 = unpartitioned.
   size_t num_partitions = 1;
   uint64_t partition_seed = 7;
 };
@@ -45,9 +51,9 @@ class KoiosSearcher {
   /// The searcher itself is immutable after construction, so any number
   /// of threads may run this concurrently with DISTINCT sessions —
   /// results are bit-identical to the single-consumer overload (cursor
-  /// payloads are deterministic in (token, α), and the feedback loop's
-  /// withheld bounds never depend on other sessions' progress). Throws
-  /// SearchAborted when `ctx` expires mid-query.
+  /// payloads are deterministic in (token, α), and a query's stop depends
+  /// only on its own consumption). Throws SearchAborted when `ctx` expires
+  /// mid-query.
   SearchResult Search(std::span<const TokenId> query,
                       const SearchParams& params, sim::SimilarityIndex* index,
                       SearchContext* ctx) const;

@@ -18,16 +18,16 @@ struct SearchStats {
   // --- refinement --------------------------------------------------------
   /// Tuples consumed from the token stream Ie.
   size_t stream_tuples = 0;
-  /// Tuples the producer materialized (once per query, not per partition).
-  /// With θlb→producer feedback this is the pruned count; the drain-to-α
-  /// path produces every pair >= α.
+  /// Tuples the edge cache produced (once per query, not per partition).
+  /// With θlb feedback this is the pruned count; the drain-to-α path
+  /// produces every pair >= α.
   size_t stream_tuples_produced = 0;
-  /// Similarity at which the feedback loop stopped the stream (0 = drained
-  /// to α). Strictly above α whenever feedback saved work.
+  /// Similarity of the first tuple the stream did not produce once the
+  /// consumers stopped pulling (0 = drained to α). Strictly above α
+  /// whenever feedback saved work.
   Score stream_stop_sim = 0.0;
-  /// Survivor budget in force when a refinement consumer stopped early
-  /// (0 = never stopped). Fixed max(32, 4k) by default; varies with the
-  /// measured stream cost under SearchParams::use_adaptive_survivor_budget.
+  /// Survivor budget max(32, 4k) in force when a refinement consumer
+  /// stopped early (0 = never stopped).
   size_t stream_survivor_budget = 0;
   /// Distinct sets that ever became candidates (appeared in a probed
   /// posting list).

@@ -335,11 +335,6 @@ QueryEngine::Result QueryEngine::Execute(const ServingState& state,
                                          const Ticket& ticket,
                                          const CancelToken* cancel,
                                          const TraceTask& trace) {
-  // Engine policy: intra-query parallelism off (see the header comment) —
-  // the query runs single-threaded in inline-pipelined mode; concurrency
-  // comes from the other workers.
-  params.num_threads = 1;
-
   // Hop the submitter's trace onto this worker; the admission wait (from
   // Enqueue to pickup) is a span only measurable after the fact.
   util::TraceAdopt adopt(trace.trace_id, trace.parent_span);
@@ -375,9 +370,8 @@ QueryEngine::Result QueryEngine::Execute(const ServingState& state,
           util::TraceRecorder::Current();
       qopts.trace_id = ambient.trace_id;
       qopts.trace_parent = ambient.parent_span;
-      // The coordinator owns session creation (one per shard) and the
-      // no-session serialization fallback; at num_shards = 1 this is
-      // exactly the pre-shard execution path.
+      // The coordinator owns session creation (one per shard); at
+      // num_shards = 1 this is exactly the pre-shard execution path.
       result = state.coordinator.Execute(query, params, qopts,
                                          shard_pool_.get(), &report);
     }
@@ -503,7 +497,7 @@ std::vector<QueryEngine::Result> QueryEngine::SearchMany(
   }
   std::sort(tokens.begin(), tokens.end());
   tokens.erase(std::unique(tokens.begin(), tokens.end()), tokens.end());
-  if (state->coordinator.sessions_supported() && !tokens.empty()) {
+  if (!tokens.empty()) {
     KOIOS_TRACE_SPAN_ARG("serve.prewarm", "tokens", tokens.size());
     std::unique_ptr<sim::SimilarityIndex> session = state->index->NewSession();
     session->set_thread_pool(&pool_);

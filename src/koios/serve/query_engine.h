@@ -45,11 +45,10 @@
 //    and swaps keep their exact semantics (the coordinator lives inside
 //    the ServingState, so a swap flips all shards atomically).
 //
-// Intra-query threading is intentionally OFF in engine execution
-// (params.num_threads is forced to 1): at serving concurrency the cores
-// are already saturated by distinct queries, and single-threaded inline
-// execution keeps per-query latency deterministic and avoids nested-pool
-// deadlocks (a pool task waiting on sub-tasks of the same pool).
+// A search is single-threaded (KoiosSearcher runs inline on its caller);
+// the only intra-query parallelism is the shard fan-out above, on its own
+// pool of leaf tasks, so a worker never waits on sub-tasks of its own pool.
+// At serving concurrency the cores are already busy with distinct queries.
 #ifndef KOIOS_SERVE_QUERY_ENGINE_H_
 #define KOIOS_SERVE_QUERY_ENGINE_H_
 
@@ -104,8 +103,8 @@ struct EngineOptions {
   size_t num_shards = 1;
   /// Cross-shard θlb exchange (paper §VI partition pruning, lifted to
   /// shards): every shard's refinement publishes into one query-global
-  /// threshold that all shards' producers read, so a bound proven by any
-  /// shard stops the others' streams early. Results are identical either
+  /// threshold that every shard's refinement reads, so a bound proven by
+  /// any shard stops the others' streams early. Results are identical either
   /// way — off is the independent-shard baseline the scaling bench
   /// measures the exchange against. Ignored at num_shards = 1.
   bool shard_theta_exchange = true;
@@ -165,9 +164,8 @@ class QueryEngine {
  public:
   using Result = util::StatusOr<core::SearchResult>;
 
-  /// Serves over caller-owned parts (both must outlive the engine). The
-  /// index must support NewSession() for true concurrency; without it the
-  /// engine still works but serializes query execution behind a mutex.
+  /// Serves over caller-owned parts (both must outlive the engine). Every
+  /// query and shard probes its own NewSession() of the index.
   QueryEngine(const index::SetCollection* sets, sim::SimilarityIndex* index,
               const EngineOptions& options = {});
 
@@ -376,8 +374,7 @@ class QueryEngine {
 
   EngineOptions options_;
   // The hot-swappable serving state; reads and the swap flip are brief
-  // critical sections (never held across a search). (The no-session
-  // serialization fallback lives inside each state's coordinator now.)
+  // critical sections (never held across a search).
   mutable std::mutex state_mutex_;
   StatePtr state_;
 

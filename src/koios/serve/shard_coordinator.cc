@@ -15,9 +15,7 @@ namespace koios::serve {
 ShardCoordinator::ShardCoordinator(const index::SetCollection* sets,
                                    sim::SimilarityIndex* index,
                                    const ShardOptions& options)
-    : options_(options),
-      index_(index),
-      sessions_supported_(index->NewSession() != nullptr) {
+    : options_(options), index_(index) {
   // One shard serves the FULL collection directly (no slice, no rebased
   // offsets) — the N=1 fast path the equivalence contract depends on.
   if (options.num_shards <= 1 || sets->size() <= 1) {
@@ -39,27 +37,12 @@ core::SearchResult ShardCoordinator::Execute(std::span<const TokenId> query,
                                              const QueryOptions& qopts,
                                              util::ThreadPool* shard_pool,
                                              QueryReport* report) const {
-  if (!sessions_supported_) {
-    // No probe sessions: shards would fight over the shared index's
-    // cursor positions, so the whole query — all shards, sequentially —
-    // runs under one lock, exactly as whole queries serialized before.
-    std::lock_guard<std::mutex> lock(no_session_mutex_);
-    return ExecuteSharded(query, params, qopts, /*shard_pool=*/nullptr,
-                          report);
-  }
-  return ExecuteSharded(query, params, qopts, shard_pool, report);
-}
-
-core::SearchResult ShardCoordinator::ExecuteSharded(
-    std::span<const TokenId> query, const core::SearchParams& params,
-    const QueryOptions& qopts, util::ThreadPool* shard_pool,
-    QueryReport* report) const {
   const size_t n = shards_.size();
 
   // One query-global θlb; every shard's refinement publishes into it and
-  // every shard's producer derives its stop similarity from it (with the
-  // exchange off each context keeps its private threshold — same results,
-  // more work). Fresh per query, so no reset ordering to get wrong.
+  // derives its stop similarity from it (with the exchange off each
+  // context keeps its private threshold — same results, more work). Fresh
+  // per query, so no reset ordering to get wrong.
   core::GlobalThreshold shared_theta;
   const bool exchange = options_.theta_exchange && n > 1;
 
@@ -87,15 +70,9 @@ core::SearchResult ShardCoordinator::ExecuteSharded(
     std::optional<util::TraceSpan> span;
     if (n > 1) span.emplace("shard.execute", "shard", i);
     util::WallTimer timer;
-    if (sessions_supported_) {
-      std::unique_ptr<sim::SimilarityIndex> session = index_->NewSession();
-      partial[i] =
-          shards_[i]->Execute(query, shard_params, session.get(),
-                              contexts[i].get());
-    } else {
-      partial[i] =
-          shards_[i]->Execute(query, shard_params, index_, contexts[i].get());
-    }
+    std::unique_ptr<sim::SimilarityIndex> session = index_->NewSession();
+    partial[i] = shards_[i]->Execute(query, shard_params, session.get(),
+                                     contexts[i].get());
     seconds[i] = timer.ElapsedSeconds();
   };
 
@@ -129,9 +106,8 @@ core::SearchResult ShardCoordinator::ExecuteSharded(
     }
     if (first_error != nullptr) std::rethrow_exception(first_error);
   } else {
-    // Sequential scatter: the no-session fallback, and the deterministic
-    // mode tests use (θlb flows from earlier shards to later ones with
-    // reproducible tuple counts).
+    // Sequential scatter: the deterministic mode tests use (θlb flows
+    // from earlier shards to later ones with reproducible tuple counts).
     for (size_t i = 0; i < n; ++i) run_shard(i);
   }
 

@@ -40,7 +40,6 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <vector>
 
@@ -80,10 +79,6 @@ class ShardCoordinator {
 
   size_t num_shards() const { return shards_.size(); }
   const ShardEngine& shard(size_t i) const { return *shards_[i]; }
-  /// True when the shared index hands out per-query probe sessions;
-  /// without them shard execution (and whole queries) serialize behind an
-  /// internal mutex, exactly like the pre-shard engine did.
-  bool sessions_supported() const { return sessions_supported_; }
 
   /// Per-query inputs threaded from the engine's admission machinery into
   /// every shard's SearchContext.
@@ -105,11 +100,11 @@ class ShardCoordinator {
   };
 
   /// Executes one query across all shards and merges (see file comment).
-  /// `shard_pool` carries shards 1..N-1 and is required when
-  /// num_shards() > 1 and sessions are supported; shard 0 always runs on
-  /// the calling thread. `report` (optional) receives per-shard timings
-  /// and stats. Throws SearchAborted on deadline/cancel — after every
-  /// in-flight shard has been joined.
+  /// Every shard probes its own session of the shared index. `shard_pool`
+  /// carries shards 1..N-1; shard 0 always runs on the calling thread, and
+  /// a null pool runs the shards one after another on it. `report`
+  /// (optional) receives per-shard timings and stats. Throws SearchAborted
+  /// on deadline/cancel — after every in-flight shard has been joined.
   core::SearchResult Execute(std::span<const TokenId> query,
                              core::SearchParams params,
                              const QueryOptions& qopts,
@@ -117,22 +112,11 @@ class ShardCoordinator {
                              QueryReport* report) const;
 
  private:
-  core::SearchResult ExecuteSharded(std::span<const TokenId> query,
-                                    const core::SearchParams& params,
-                                    const QueryOptions& qopts,
-                                    util::ThreadPool* shard_pool,
-                                    QueryReport* report) const;
-
   ShardOptions options_;
   sim::SimilarityIndex* index_;
-  bool sessions_supported_;
   // unique_ptr for pointer stability: each engine's searcher points into
   // the engine's own slice storage (see ShardEngine).
   std::vector<std::unique_ptr<ShardEngine>> shards_;
-  // Serializes execution when the index cannot hand out sessions (shards
-  // would otherwise fight over the shared cursor positions). Mutable: the
-  // coordinator lives inside an immutable ServingState.
-  mutable std::mutex no_session_mutex_;
 };
 
 }  // namespace koios::serve

@@ -59,7 +59,7 @@ class ShardEngine {
   const core::KoiosSearcher& searcher() const { return searcher_; }
 
   /// Runs the query on this shard through `index` (the caller's per-query
-  /// probe session, or the shared index under external serialization) and
+  /// probe session) and
   /// `ctx` (deadline / cancellation / the coordinator-attached shared
   /// θlb), returning results with GLOBAL set ids. Reentrant with distinct
   /// sessions and contexts, like KoiosSearcher::Search. Throws

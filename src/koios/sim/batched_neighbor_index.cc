@@ -39,11 +39,6 @@ class BatchedNeighborIndex::Session final : public SimilarityIndex {
     return parent_->ProbeNext(positions_, q, alpha);
   }
 
-  ProbeOutcome NextNeighborBounded(TokenId q, Score alpha, Score stop_sim,
-                                   Neighbor* out) override {
-    return parent_->ProbeNextBounded(positions_, q, alpha, stop_sim, out);
-  }
-
   const SimilarityFunction* similarity() const override {
     return parent_->similarity();
   }
@@ -59,7 +54,6 @@ class BatchedNeighborIndex::Session final : public SimilarityIndex {
   /// Sessions carry their own pool so a per-query pool attachment never
   /// races another query's (the parent's pool_ is not touched).
   void set_thread_pool(util::ThreadPool* pool) override { pool_ = pool; }
-  util::ThreadPool* thread_pool() const override { return pool_; }
 
   std::unique_ptr<SimilarityIndex> NewSession() override {
     return std::make_unique<Session>(parent_);
@@ -299,16 +293,11 @@ BatchedNeighborIndex::CursorPtr BatchedNeighborIndex::BuildCursor(
   thread_local std::vector<Score> scores;
   scores.resize(candidates->size());
   sim_->SimilarityBatch(q, *candidates, scores);
-  Score max_sim = 0.0;
   for (size_t i = 0; i < candidates->size(); ++i) {
     const TokenId t = (*candidates)[i];
     if (t == q) continue;  // self-matches are injected by the token stream
-    if (scores[i] >= alpha) {
-      cursor->neighbors.push_back({t, scores[i]});
-      max_sim = std::max(max_sim, scores[i]);
-    }
+    if (scores[i] >= alpha) cursor->neighbors.push_back({t, scores[i]});
   }
-  cursor->max_sim = max_sim;
   // Long-lived cached payload: drop the push_back growth slack so the
   // budget accounting (capacity-based) matches what is actually resident.
   cursor->neighbors.shrink_to_fit();
@@ -323,12 +312,6 @@ BatchedNeighborIndex::BuildCursorBlock(std::span<const TokenId> qs,
     c = std::make_shared<SharedCursor>();
     c->alpha = alpha;
   }
-  auto finalize = [](SharedCursor& c) {
-    Score max_sim = 0.0;
-    for (const Neighbor& n : c.neighbors) max_sim = std::max(max_sim, n.sim);
-    c.max_sim = max_sim;
-    c.neighbors.shrink_to_fit();  // see BuildCursor
-  };
 
   // Resolve the block's target list: the shared candidate set when the
   // backend has one, otherwise the sorted union of each query's candidates
@@ -367,7 +350,7 @@ BatchedNeighborIndex::BuildCursorBlock(std::span<const TokenId> qs,
           if (cand[i] == qs[qi]) continue;
           if (scores[i] >= alpha) cursor.neighbors.push_back({cand[i], scores[i]});
         }
-        finalize(cursor);
+        cursor.neighbors.shrink_to_fit();  // see BuildCursor
       }
       return cursors;
     }
@@ -400,7 +383,7 @@ BatchedNeighborIndex::BuildCursorBlock(std::span<const TokenId> qs,
         if (row[ti] >= alpha) cursor.neighbors.push_back({t, row[ti]});
       }
     }
-    finalize(cursor);
+    cursor.neighbors.shrink_to_fit();  // see BuildCursor
   }
   return cursors;
 }
@@ -453,55 +436,9 @@ std::optional<Neighbor> BatchedNeighborIndex::ProbeNext(PositionMap& positions,
   return cursor.neighbors[pos.next++];
 }
 
-ProbeOutcome BatchedNeighborIndex::ProbeNextBounded(PositionMap& positions,
-                                                    TokenId q, Score alpha,
-                                                    Score stop_sim,
-                                                    Neighbor* out) const {
-  ProbePos& pos = positions[q];
-  if (pos.cursor == nullptr || pos.cursor->alpha != alpha) {
-    pos.cursor = CursorFor(q, alpha);
-    pos.next = 0;
-  }
-  SharedCursor& cursor = *pos.cursor;
-  if (pos.next >= cursor.neighbors.size()) return ProbeOutcome::kExhausted;
-  if (stop_sim > 0.0) {
-    // Upper bound on every remaining neighbor without ordering anything:
-    // consumption is in non-increasing order, so the LAST CONSUMED
-    // neighbor bounds the tail; before anything was consumed the
-    // build-time max does. Deliberately independent of how far OTHER
-    // consumers ordered this shared cursor — a shared-progress bound
-    // would be tighter but would make the withheld slack (and thus the
-    // producer's stop point) depend on concurrent queries, breaking
-    // bit-reproducibility of concurrent vs serial execution.
-    const Score bound =
-        pos.next > 0 ? cursor.neighbors[pos.next - 1].sim : cursor.max_sim;
-    if (bound < stop_sim) {
-      *out = {kInvalidToken, bound};
-      return ProbeOutcome::kWithheld;
-    }
-  }
-  EnsureOrdered(cursor, pos.next + 1);
-  const Neighbor& next = cursor.neighbors[pos.next];
-  if (next.sim < stop_sim) {
-    // Ordered but below the threshold; leave it unconsumed (callers only
-    // ever raise stop_sim, so it will never be requested again).
-    *out = {kInvalidToken, next.sim};
-    return ProbeOutcome::kWithheld;
-  }
-  *out = next;
-  ++pos.next;
-  return ProbeOutcome::kNeighbor;
-}
-
 std::optional<Neighbor> BatchedNeighborIndex::NextNeighbor(TokenId q,
                                                            Score alpha) {
   return ProbeNext(legacy_positions_, q, alpha);
-}
-
-ProbeOutcome BatchedNeighborIndex::NextNeighborBounded(TokenId q, Score alpha,
-                                                       Score stop_sim,
-                                                       Neighbor* out) {
-  return ProbeNextBounded(legacy_positions_, q, alpha, stop_sim, out);
 }
 
 // ---- prewarm ----------------------------------------------------------------

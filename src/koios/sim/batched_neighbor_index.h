@@ -33,7 +33,9 @@
 // an atomic, so readers of the ordered prefix never take a lock. What
 // CANNOT be shared is consumption position: each consumer advances its
 // own per-token position over the shared payload. NewSession() returns a
-// per-query view holding exactly that state; the index's own
+// per-query view holding exactly that state, and it is the only way to
+// probe concurrently: the serve engine hands one to every query and the
+// shard coordinator one to every shard. The index's own
 // NextNeighbor/ResetCursors remain the single-consumer convenience
 // interface backed by one internal legacy position table. ResetCursors
 // resets POSITIONS only — the shared cursor payloads persist across
@@ -101,17 +103,6 @@ class BatchedNeighborIndex : public SimilarityIndex {
  public:
   std::optional<Neighbor> NextNeighbor(TokenId q, Score alpha) override;
 
-  /// Stop-threshold fast path: when every remaining neighbor of the cursor
-  /// is provably below `stop_sim` (bounded by the last consumed neighbor's
-  /// similarity, or by the cursor's build-time max before anything was
-  /// consumed), the probe reports kWithheld WITHOUT ordering another
-  /// chunk — tuples the refinement θlb has ruled out are never
-  /// nth_element'd or sorted. The reported bound depends only on this
-  /// consumer's own consumption, never on other sessions' ordering
-  /// progress, so concurrent queries stay bit-reproducible.
-  ProbeOutcome NextNeighborBounded(TokenId q, Score alpha, Score stop_sim,
-                                   Neighbor* out) override;
-
   const SimilarityFunction* similarity() const override { return sim_; }
 
   /// Resets the single-consumer probe POSITIONS. Shared cursor payloads
@@ -131,13 +122,10 @@ class BatchedNeighborIndex : public SimilarityIndex {
   /// Prewarm, and with the owning index's legacy interface.
   std::unique_ptr<SimilarityIndex> NewSession() override;
 
-  /// Swap the worker pool used by Prewarm (nullptr = serial). The searcher
-  /// attaches its per-query pool around TokenStream construction so cursor
+  /// Swap the worker pool used by Prewarm (nullptr = serial), so cursor
   /// builds fan out without the index owning threads. Sessions carry their
   /// own pool pointer, so this setting is only for the legacy interface.
   void set_thread_pool(util::ThreadPool* pool) override { pool_ = pool; }
-
-  util::ThreadPool* thread_pool() const override { return pool_; }
 
   CursorCacheStats cursor_cache_stats() const;
 
@@ -228,9 +216,6 @@ class BatchedNeighborIndex : public SimilarityIndex {
   struct SharedCursor {
     Score alpha = -1.0;               // threshold the α filter ran at
     std::vector<Neighbor> neighbors;  // >= alpha; [0, ordered_prefix) sorted
-    // Largest survivor similarity, set at build time: bounds the whole
-    // cursor before anything is consumed (the stop-threshold fast path).
-    Score max_sim = 0.0;
     // Exact payload footprint, fixed when the cursor is published (the
     // neighbor array is shrunk to fit at build time, so capacity == size
     // and the accounting matches the allocation).
@@ -318,12 +303,10 @@ class BatchedNeighborIndex : public SimilarityIndex {
   void PrewarmShared(std::span<const TokenId> tokens, Score alpha,
                      util::ThreadPool* pool) const;
 
-  /// Probe bodies shared by the legacy interface and sessions; `positions`
+  /// Probe body shared by the legacy interface and sessions; `positions`
   /// is the calling consumer's private state.
   std::optional<Neighbor> ProbeNext(PositionMap& positions, TokenId q,
                                     Score alpha) const;
-  ProbeOutcome ProbeNextBounded(PositionMap& positions, TokenId q, Score alpha,
-                                Score stop_sim, Neighbor* out) const;
 
   const SimilarityFunction* sim_;
   util::ThreadPool* pool_;

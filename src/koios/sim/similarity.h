@@ -8,7 +8,9 @@
 //    by the token stream Ie (paper §IV). The paper plugs in a Faiss top-k
 //    index for cosine and a set-similarity join for Jaccard; this repo
 //    provides an exact brute-force index and LSH / MinHash approximations,
-//    all built on the shared BatchedNeighborIndex cursor machinery.
+//    all built on the shared BatchedNeighborIndex cursor machinery. One
+//    probe interface: NextNeighbor, on the index or on a per-query
+//    session (NewSession) that shares the index's built cursors.
 //
 // THE BATCH CONTRACT (established in PR 1, honored by every backend): hot
 // consumers never score candidates pairwise through the virtual call. They
@@ -86,13 +88,6 @@ struct Neighbor {
   Score sim = 0.0;
 };
 
-/// Result of a stop-bounded probe (NextNeighborBounded).
-enum class ProbeOutcome : uint8_t {
-  kNeighbor,   // a neighbor >= stop_sim was produced
-  kExhausted,  // the cursor has no neighbors >= alpha left
-  kWithheld,   // neighbors remain, but all are below stop_sim
-};
-
 /// Streaming per-query-token neighbor index over the vocabulary `D`.
 ///
 /// `NextNeighbor(q, alpha)` returns the most similar *not yet returned*
@@ -107,34 +102,12 @@ enum class ProbeOutcome : uint8_t {
 /// Thread-safety: single consumer. NextNeighbor / ResetCursors / Prewarm
 /// must not be called concurrently with each other; Prewarm may use worker
 /// threads internally (cursors for distinct tokens are independent).
+/// Concurrent consumers each probe their own NewSession().
 class SimilarityIndex {
  public:
   virtual ~SimilarityIndex() = default;
 
   virtual std::optional<Neighbor> NextNeighbor(TokenId q, Score alpha) = 0;
-
-  /// Stop-bounded probe (the θlb→producer feedback loop, paper §IV–VI): like
-  /// NextNeighbor, but the caller declares it has no use for neighbors with
-  /// similarity below `stop_sim` (a running lower bound derived from θlb;
-  /// callers only ever raise it for a given cursor). On kNeighbor, `*out` is
-  /// the neighbor and the cursor advanced. On kWithheld, `out->sim` is an
-  /// upper bound on every remaining neighbor's similarity (all < stop_sim)
-  /// and `out->token` is kInvalidToken; implementations should avoid doing
-  /// ordering work for the withheld tail — withheld neighbors are never
-  /// requested again. The default adapts NextNeighbor: a below-stop
-  /// neighbor is consumed and reported withheld, which is sound because
-  /// stop thresholds are monotone.
-  virtual ProbeOutcome NextNeighborBounded(TokenId q, Score alpha,
-                                           Score stop_sim, Neighbor* out) {
-    auto n = NextNeighbor(q, alpha);
-    if (!n.has_value()) return ProbeOutcome::kExhausted;
-    if (n->sim < stop_sim) {
-      *out = {kInvalidToken, n->sim};
-      return ProbeOutcome::kWithheld;
-    }
-    *out = *n;
-    return ProbeOutcome::kNeighbor;
-  }
 
   /// The SimilarityFunction this index scores candidates with, when it has
   /// one (nullptr otherwise). Consumers use it to complete similarity
@@ -157,15 +130,14 @@ class SimilarityIndex {
   /// A per-query *probe session*: an independent SimilarityIndex view over
   /// the same vocabulary whose cursor consumption state is private to the
   /// caller, so any number of sessions may probe CONCURRENTLY (the serve
-  /// subsystem hands one to every in-flight query). Implementations share
-  /// the expensive cursor payloads across sessions behind internal
-  /// synchronization — concurrent queries over the same vocabulary reuse
-  /// each other's cursors — while NextNeighbor positions stay per-session.
-  /// The session borrows the index (it must outlive the session) and
-  /// forwards similarity()/exact_neighbors(). Returns nullptr when the
-  /// backend has no concurrent probe support (callers must then serialize
-  /// whole searches themselves).
-  virtual std::unique_ptr<SimilarityIndex> NewSession() { return nullptr; }
+  /// subsystem hands one to every in-flight query and shard). Every index
+  /// provides one: implementations share the expensive cursor payloads
+  /// across sessions behind internal synchronization — concurrent queries
+  /// over the same vocabulary reuse each other's cursors — while
+  /// NextNeighbor positions stay per-session. The session borrows the index
+  /// (it must outlive the session) and forwards
+  /// similarity()/exact_neighbors().
+  virtual std::unique_ptr<SimilarityIndex> NewSession() = 0;
 
   /// Hint that `NextNeighbor(t, alpha)` is about to be called for every
   /// token in `tokens`. Implementations may build the cursors eagerly (and
@@ -177,14 +149,10 @@ class SimilarityIndex {
   }
 
   /// Lend the index a worker pool for Prewarm's fan-out (nullptr detaches).
-  /// The searcher attaches its per-query pool around stream construction
-  /// and restores the previous pool afterwards; indexes without internal
-  /// parallelism ignore it. The pool must outlive every Prewarm call made
-  /// while attached.
+  /// The serve engine lends its pool to the session that prewarms a
+  /// SearchMany batch; indexes without internal parallelism ignore it. The
+  /// pool must outlive every Prewarm call made while attached.
   virtual void set_thread_pool(util::ThreadPool* pool) { (void)pool; }
-
-  /// The currently attached pool (nullptr when none / unsupported).
-  virtual util::ThreadPool* thread_pool() const { return nullptr; }
 
   virtual size_t MemoryUsageBytes() const { return 0; }
 };

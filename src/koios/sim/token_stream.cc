@@ -28,39 +28,19 @@ TokenStream::TokenStream(std::vector<TokenId> query, SimilarityIndex* index,
   }
 }
 
-void TokenStream::Refill(uint32_t pos, Score stop_sim) {
-  sim::Neighbor neighbor;
-  switch (index_->NextNeighborBounded(query_[pos], alpha_, stop_sim,
-                                      &neighbor)) {
-    case ProbeOutcome::kNeighbor:
-      heap_.push(Entry{neighbor.sim, pos, neighbor.token});
-      break;
-    case ProbeOutcome::kWithheld:
-      // The element's remaining neighbors are all <= neighbor.sim < stop;
-      // they are never produced, so the bound feeds the stream's slack.
-      stopped_ = true;
-      stop_sim_ = std::max(stop_sim_, neighbor.sim);
-      break;
-    case ProbeOutcome::kExhausted:
-      break;
+void TokenStream::Refill(uint32_t pos) {
+  if (auto neighbor = index_->NextNeighbor(query_[pos], alpha_)) {
+    heap_.push(Entry{neighbor->sim, pos, neighbor->token});
   }
 }
 
-std::optional<StreamTuple> TokenStream::Next(Score stop_sim) {
+std::optional<StreamTuple> TokenStream::Next() {
   if (heap_.empty()) return std::nullopt;
   const Entry top = heap_.top();
-  if (stop_sim > 0.0 && top.sim < stop_sim) {
-    // Every buffered entry and every cursor tail is <= top.sim: stopping
-    // here leaves no unseen pair above top.sim, which becomes the slack
-    // consumers carry in their final upper bounds.
-    stopped_ = true;
-    stop_sim_ = std::max(stop_sim_, top.sim);
-    return std::nullopt;
-  }
   heap_.pop();
   // Only the popped element's stream advanced; all other elements' best
   // unseen neighbors are still buffered (paper §IV).
-  Refill(top.query_pos, stop_sim);
+  Refill(top.query_pos);
   ++emitted_;
   return StreamTuple{top.query_pos, query_[top.query_pos], top.token, top.sim};
 }

@@ -44,27 +44,15 @@ class TokenStream {
               std::function<bool(TokenId)> in_vocabulary);
 
   /// Next tuple in non-increasing similarity order, or nullopt when every
-  /// query element's stream is exhausted (below α) — or, with a positive
-  /// `stop_sim`, when the next tuple's similarity is below it (the θlb
-  /// feedback loop: refinement consumers publish a similarity under which
-  /// no unseen set can reach the top-k, so tuples below it are withheld
-  /// instead of ordered, scored and materialized). Callers may only raise
-  /// `stop_sim` across calls; once a tuple is withheld the stream counts as
-  /// *stopped* rather than exhausted (see stopped() / stop_sim()).
-  std::optional<StreamTuple> Next(Score stop_sim = 0.0);
+  /// query element's stream is exhausted (below α). The stream is lazy:
+  /// a consumer that stops calling this (the θlb feedback loop) leaves the
+  /// rest unordered and unscored.
+  std::optional<StreamTuple> Next();
 
-  /// True if a positive stop threshold ever withheld a tuple; the stream
-  /// then ended early (above α) instead of draining.
-  bool stopped() const { return stopped_; }
-
-  /// Sound upper bound on the similarity of every pair the stream did NOT
-  /// emit (0 while nothing was withheld): the maximum over all withheld
-  /// tuples' similarity bounds. This is the slack consumers must keep in
-  /// their final upper bounds when the stream stops early.
-  Score stop_sim() const { return stop_sim_; }
-
-  /// Similarity of the next tuple Next() would consider (nullopt when the
-  /// heap is empty, i.e. every element's cursor is exhausted or withheld).
+  /// Similarity of the tuple Next() would emit (nullopt when the heap is
+  /// empty, i.e. every element's cursor is exhausted). It bounds every pair
+  /// not emitted yet: the slack consumers keep in their final upper bounds
+  /// when they stop early.
   std::optional<Score> PeekSim() const {
     if (heap_.empty()) return std::nullopt;
     return heap_.top().sim;
@@ -93,17 +81,13 @@ class TokenStream {
   };
 
   /// Probe the index for query position `pos` and push the result (if any).
-  /// A positive `stop_sim` makes the probe stop-bounded: a below-threshold
-  /// neighbor is withheld (recorded in stop_sim_) instead of pushed.
-  void Refill(uint32_t pos, Score stop_sim = 0.0);
+  void Refill(uint32_t pos);
 
   std::vector<TokenId> query_;
   SimilarityIndex* index_;
   Score alpha_;
   std::priority_queue<Entry> heap_;
   size_t emitted_ = 0;
-  bool stopped_ = false;
-  Score stop_sim_ = 0.0;  // max bound over withheld tuples
 };
 
 }  // namespace koios::sim

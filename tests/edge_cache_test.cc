@@ -1,7 +1,6 @@
 // Unit tests for the materialized stream / similarity cache.
 #include <gtest/gtest.h>
 
-#include <future>
 #include <span>
 #include <vector>
 
@@ -10,7 +9,6 @@
 #include "koios/matching/hungarian.h"
 #include "koios/sim/exact_knn_index.h"
 #include "koios/sim/token_stream.h"
-#include "koios/util/thread_pool.h"
 #include "test_util.h"
 
 namespace koios::core {
@@ -107,52 +105,10 @@ TEST(EdgeCacheTest, MatrixScoreMatchesDirectOracle) {
   }
 }
 
-TEST(EdgeCacheTest, DeferredMaterializeFeedsConcurrentConsumers) {
-  // The overlapped-search shape: several consumers replay the stream
-  // through NextTuples while the producer is still materializing. Every
-  // consumer must observe the exact same sequence the finished cache
-  // reports via tuples().
-  auto w = testing::MakeRandomWorkload(60, 300, 5, 15, 9005);
-  const auto qs = w.corpus.sets.Tokens(3);
-  std::vector<TokenId> q(qs.begin(), qs.end());
-  sim::TokenStream stream(q, w.index.get(), 0.6,
-                          [](TokenId) { return true; });
-  EdgeCache cache(&stream, EdgeCache::Deferred{});
-
-  constexpr size_t kConsumers = 4;
-  util::ThreadPool pool(kConsumers);
-  std::vector<std::future<std::vector<sim::StreamTuple>>> futures;
-  for (size_t c = 0; c < kConsumers; ++c) {
-    futures.push_back(pool.Submit([&cache] {
-      std::vector<sim::StreamTuple> seen;
-      std::vector<sim::StreamTuple> buf(7);  // odd size: spans batches
-      size_t from = 0;
-      while (const size_t n =
-                 cache.NextTuples(from, std::span<sim::StreamTuple>(buf))) {
-        seen.insert(seen.end(), buf.begin(), buf.begin() + n);
-        from += n;
-      }
-      return seen;
-    }));
-  }
-  cache.Materialize();
-  const auto& want = cache.tuples();
-  ASSERT_FALSE(want.empty());
-  for (auto& f : futures) {
-    const auto seen = f.get();
-    ASSERT_EQ(seen.size(), want.size());
-    for (size_t i = 0; i < want.size(); ++i) {
-      EXPECT_EQ(seen[i].token, want[i].token) << "pos " << i;
-      EXPECT_EQ(seen[i].query_pos, want[i].query_pos) << "pos " << i;
-      EXPECT_DOUBLE_EQ(seen[i].sim, want[i].sim) << "pos " << i;
-    }
-  }
-}
-
-TEST(EdgeCacheTest, InlineModeProducesOnDemandAndSeals) {
-  // The single-thread pipelined shape: the consumer's NextTuples pulls
-  // production along; FinishProduction seals, and replays observe the
-  // exact sequence a synchronous cache produces.
+TEST(EdgeCacheTest, ProducesOnDemandAndSeals) {
+  // The consumer's NextTuples pulls production along; FinishProduction
+  // seals, and the pulls observe the exact sequence a drained cache
+  // produces.
   auto w = testing::MakeRandomWorkload(50, 250, 5, 15, 9006);
   const auto qs = w.corpus.sets.Tokens(2);
   std::vector<TokenId> q(qs.begin(), qs.end());
@@ -165,7 +121,7 @@ TEST(EdgeCacheTest, InlineModeProducesOnDemandAndSeals) {
   }
   w.index->ResetCursors();
   sim::TokenStream stream(q, w.index.get(), 0.7, [](TokenId) { return true; });
-  EdgeCache cache(&stream, EdgeCache::InlineProducer{});
+  EdgeCache cache(&stream, /*completer=*/nullptr);
   EXPECT_FALSE(cache.Materialized());
   std::vector<sim::StreamTuple> seen;
   std::vector<sim::StreamTuple> buf(5);
@@ -187,7 +143,7 @@ TEST(EdgeCacheTest, InlineModeProducesOnDemandAndSeals) {
   }
 }
 
-TEST(EdgeCacheTest, InlineModeSealsEarlyWithSlack) {
+TEST(EdgeCacheTest, SealsEarlyWithSlack) {
   // A consumer that stops pulling mid-stream seals the cache with a sound
   // slack: the recorded stop similarity bounds every unproduced pair.
   auto w = testing::MakeRandomWorkload(50, 250, 5, 15, 9007);
@@ -203,7 +159,7 @@ TEST(EdgeCacheTest, InlineModeSealsEarlyWithSlack) {
   ASSERT_GT(full.size(), 8u);
   w.index->ResetCursors();
   sim::TokenStream stream(q, w.index.get(), 0.7, [](TokenId) { return true; });
-  EdgeCache cache(&stream, EdgeCache::InlineProducer{});
+  EdgeCache cache(&stream, /*completer=*/nullptr);
   std::vector<sim::StreamTuple> buf(8);
   ASSERT_EQ(cache.NextTuples(0, std::span<sim::StreamTuple>(buf)), 8u);
   cache.FinishProduction();
@@ -212,21 +168,6 @@ TEST(EdgeCacheTest, InlineModeSealsEarlyWithSlack) {
   for (size_t i = cache.produced(); i < full.size(); ++i) {
     EXPECT_LE(full[i].sim, cache.stop_sim() + 1e-12) << i;
   }
-}
-
-TEST(EdgeCacheTest, AbortPoisonsWithFullSlack) {
-  auto w = testing::MakeRandomWorkload(30, 150, 5, 12, 9008);
-  const auto qs = w.corpus.sets.Tokens(1);
-  std::vector<TokenId> q(qs.begin(), qs.end());
-  sim::TokenStream stream(q, w.index.get(), 0.8, [](TokenId) { return true; });
-  EdgeCache cache(&stream, EdgeCache::Deferred{});
-  cache.Abort();
-  EXPECT_TRUE(cache.Materialized());
-  EXPECT_FALSE(cache.ExhaustedToAlpha());
-  EXPECT_DOUBLE_EQ(cache.stop_sim(), 1.0);
-  // A blocked consumer wakes with 0 tuples instead of hanging.
-  std::vector<sim::StreamTuple> buf(4);
-  EXPECT_EQ(cache.NextTuples(0, std::span<sim::StreamTuple>(buf)), 0u);
 }
 
 TEST(EdgeCacheTest, SelfMatchEdgesPresentForVocabularyTokens) {

@@ -167,23 +167,6 @@ TEST_P(PartitionExactnessTest, PartitionedSearchIsExact) {
 INSTANTIATE_TEST_SUITE_P(PartitionCounts, PartitionExactnessTest,
                          ::testing::Values<size_t>(1, 2, 5, 10, 25));
 
-TEST(PartitionExactnessTest, ParallelPartitionsMatchSequential) {
-  auto w = MakeRandomWorkload(100, 500, 5, 20, 3100);
-  SearcherOptions options;
-  options.num_partitions = 6;
-  KoiosSearcher searcher(&w.corpus.sets, w.index.get(), options);
-  const auto q = w.corpus.sets.Tokens(17);
-  SearchParams sequential;
-  sequential.k = 10;
-  sequential.alpha = 0.8;
-  SearchParams parallel = sequential;
-  parallel.num_threads = 4;
-  const auto r1 = searcher.Search(q, sequential);
-  const auto r2 = searcher.Search(q, parallel);
-  ASSERT_EQ(r1.topk.size(), r2.topk.size());
-  EXPECT_NEAR(r1.KthScore(), r2.KthScore(), kTol);
-}
-
 // -------------------------------------------------------- filter ablation --
 
 struct FilterConfig {

@@ -265,7 +265,6 @@ TEST(ServeFaultTest, QueriesStayExactUnderCursorAndDispatchChaos) {
   SearchParams params;
   params.k = 5;
   params.alpha = 0.75;
-  params.num_threads = 1;
   std::vector<std::vector<TokenId>> queries;
   for (SetId id = 0; id < 16; ++id) {
     const auto tokens = w.corpus.sets.Tokens(id * 5);
@@ -564,7 +563,6 @@ void ExpectExactOverTheWire(NetChaosRig& rig, net::BlockingClient& client,
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   SearchParams params;
   params.k = 5;
-  params.num_threads = 1;
   const SearchResult want = rig.serial->Search(query, params);
   ASSERT_EQ(got.value().size(), want.topk.size());
   for (size_t e = 0; e < want.topk.size(); ++e) {
@@ -667,7 +665,6 @@ TEST(NetFaultTest, ProbabilisticIoChaosNeverCorruptsAnAnswer) {
       ++answered;
       SearchParams params;
       params.k = 5;
-      params.num_threads = 1;
       const SearchResult want = rig.serial->Search(query, params);
       ASSERT_EQ(got.value().size(), want.topk.size()) << "query " << i;
       for (size_t e = 0; e < want.topk.size(); ++e) {

@@ -89,7 +89,6 @@ TEST(NetServerTest, BinarySearchMatchesSerialBitForBit) {
   ASSERT_TRUE(client.value().Ping().ok());
 
   SearchParams params;
-  params.num_threads = 1;
   const size_t ks[] = {1, 5, 10};
   for (size_t i = 0; i < 12; ++i) {
     const std::vector<TokenId> query = f.QueryFor(i);
@@ -126,7 +125,6 @@ TEST(NetServerTest, SearchManyStreamsOneFramePerQueryInCompletionOrder) {
         seen[frame.query_index] = true;
         SearchParams params;
         params.k = 5;
-        params.num_threads = 1;
         ExpectSameTopk(frame.results,
                        f.serial->Search(queries[frame.query_index], params),
                        "batch");
@@ -174,7 +172,6 @@ TEST(NetServerTest, JsonLineModeAnswersInSubmissionOrder) {
     EXPECT_EQ(line.find("{\"status\":\"ok\""), 0u) << line;
     SearchParams params;
     params.k = 5;
-    params.num_threads = 1;
     const SearchResult want = f.serial->Search(f.QueryFor(i), params);
     if (!want.topk.empty()) {
       EXPECT_NE(
@@ -424,7 +421,6 @@ TEST(NetServerTest, KilledClientMidStreamCancelsItsQueriesAndServerSurvives) {
   ASSERT_TRUE(next.ok()) << "server died after mid-stream disconnect";
   SearchParams params;
   params.k = 5;
-  params.num_threads = 1;
   auto got = next.value().Search(f.QueryFor(3), 5, 0.8, 0);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   ExpectSameTopk(got.value(), f.serial->Search(f.QueryFor(3), params),

@@ -4,7 +4,6 @@
 
 #include "koios/core/postprocess.h"
 #include "koios/core/refinement.h"
-#include "koios/core/searcher.h"
 #include "test_util.h"
 
 namespace koios::core {
@@ -25,8 +24,7 @@ struct PostHarness {
     RefinementPhase refinement(&workload->corpus.sets, &inverted, query.size(),
                                params);
     RefinementOutput refined = refinement.Run(&cache, stats);
-    PostProcessor post(&workload->corpus.sets, &cache, params, nullptr,
-                       nullptr);
+    PostProcessor post(&workload->corpus.sets, &cache, params, nullptr);
     return post.Run(std::move(refined), stats);
   }
 
@@ -131,27 +129,6 @@ TEST(PostProcessTest, FewerPositiveSetsThanK) {
   const auto oracle =
       testing::OracleRanking(w.corpus.sets, query, *w.sim, params.alpha);
   EXPECT_EQ(result.size(), oracle.size());
-}
-
-TEST(PostProcessTest, ParallelEmMatchesSequential) {
-  auto w = testing::MakeRandomWorkload(140, 600, 5, 25, 606);
-  const auto query = QueryOf(w, 30);
-  PostHarness h1(&w, query, 0.8);
-  SearchParams sequential;
-  sequential.k = 10;
-  sequential.alpha = 0.8;
-  SearchStats s1;
-  const auto r1 = h1.Run(sequential, &s1);
-
-  // Parallel path through the public searcher (thread pool inside).
-  KoiosSearcher searcher(&w.corpus.sets, w.index.get());
-  SearchParams parallel = sequential;
-  parallel.num_threads = 4;
-  const auto r2 = searcher.Search(query, parallel);
-  ASSERT_EQ(r1.size(), r2.topk.size());
-  for (size_t i = 0; i < r1.size(); ++i) {
-    EXPECT_NEAR(r1[i].score, r2.topk[i].score, 1e-6);
-  }
 }
 
 TEST(PostProcessTest, GlobalThresholdMonotoneMax) {

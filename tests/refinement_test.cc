@@ -132,8 +132,8 @@ TEST(RefinementTest, FiltersOnlyReduceSurvivors) {
 }
 
 // One refinement run over a fresh stream of `query`. With stream feedback
-// the stream is produced inline and the consumer may stop early, as in
-// KoiosSearcher's serial mode; without it the stream drains to α.
+// the stream is produced on demand and the consumer may stop early, as in
+// KoiosSearcher; without it the stream drains to α.
 RefinementOutput RefineOnce(const index::SetCollection& sets,
                             sim::SimilarityIndex* index,
                             const std::vector<TokenId>& query,
@@ -148,10 +148,7 @@ RefinementOutput RefineOnce(const index::SetCollection& sets,
     return phase.Run(&cache, stats);
   }
   SearchContext ctx;
-  ctx.BeginSearch(/*num_consumers=*/1);
-  EdgeCache cache(
-      &stream, EdgeCache::InlineProducer{}, index->similarity(),
-      [&ctx] { return ctx.stop_controller().ProducerStop(); }, &ctx);
+  EdgeCache cache(&stream, index->similarity(), &ctx);
   RefinementOutput out = phase.Run(&cache, stats, &ctx);
   cache.FinishProduction();
   return out;

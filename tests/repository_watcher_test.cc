@@ -64,7 +64,6 @@ std::vector<core::ResultEntry> RunQuery(serve::QueryEngine* engine,
                                         const std::vector<TokenId>& query) {
   core::SearchParams params;
   params.k = 5;
-  params.num_threads = 1;
   auto result = engine->Submit(query, params).get();
   EXPECT_TRUE(result.ok()) << result.status().ToString();
   return result.ok() ? result.value().topk : std::vector<core::ResultEntry>{};

@@ -214,6 +214,27 @@ void ExpectVerification(const VerificationCounters& got,
   EXPECT_EQ(got.result_checksum, want.result_checksum) << label;
 }
 
+// What the token stream produced: the tuples the edge cache ordered and
+// kept, and the stop similarity each query's cache was sealed at, summed
+// bit pattern by bit pattern.
+struct ProductionCounters {
+  size_t tuples_produced = 0;
+  uint64_t stop_sim_bits = 0;
+};
+
+void Accumulate(const SearchStats& stats, ProductionCounters* p) {
+  p->tuples_produced += stats.stream_tuples_produced;
+  uint64_t bits = 0;
+  std::memcpy(&bits, &stats.stream_stop_sim, sizeof bits);
+  p->stop_sim_bits += bits;
+}
+
+void ExpectProduction(const ProductionCounters& got,
+                      const ProductionCounters& want, const char* label) {
+  EXPECT_EQ(got.tuples_produced, want.tuples_produced) << label;
+  EXPECT_EQ(got.stop_sim_bits, want.stop_sim_bits) << label;
+}
+
 std::vector<std::vector<TokenId>> PinnedQueries(
     const testing::RandomWorkload& w) {
   std::vector<std::vector<TokenId>> queries;
@@ -229,6 +250,7 @@ TEST(SearcherTest, RefinementCountersArePinned) {
   KoiosSearcher searcher(&w.corpus.sets, w.index.get());
   for (const bool bucketed : {true, false}) {
     RefinementCounters got;
+    ProductionCounters produced;
     VerificationCounters verified_k1, verified_k10;
     // k = 1 stops the stream early through the feedback loop's survivor
     // count; k = 10 drains it to α.
@@ -240,6 +262,7 @@ TEST(SearcherTest, RefinementCountersArePinned) {
       for (const auto& query : queries) {
         const SearchResult r = searcher.Search(query, params);
         Accumulate(r.stats, &got);
+        Accumulate(r.stats, &produced);
         Accumulate(r.stats, r.topk, k == 1 ? &verified_k1 : &verified_k10);
       }
     }
@@ -251,12 +274,49 @@ TEST(SearcherTest, RefinementCountersArePinned) {
         /*bucket_moves=*/bucketed ? 54630u : 0u, /*stream_tuples=*/3186,
         /*postprocess_sets=*/671};
     ExpectCounters(got, want, label);
+    // Production is pulled 16 tuples at a time and sealed where the
+    // consumer stopped, the same either way.
+    ExpectProduction(produced, {3312, 18362494020889021249ull}, label);
     // Post-processing sees the same survivors either way.
     ExpectVerification(verified_k1, {16, 0, 0, 16, 4914962997095115013ull},
                        label);
     ExpectVerification(verified_k10,
                        {94, 67, 494, 94, 2718616746841741523ull}, label);
   }
+}
+
+// The same queries over 4 random partitions, searched one after another
+// through one edge cache under the shared θlb (§VI): later partitions
+// replay the prefix earlier ones produced and pull further production
+// only past it.
+TEST(SearcherTest, PartitionedCountersArePinned) {
+  auto w = testing::MakeRandomWorkload(400, 1500, 4, 40, 709);
+  const auto queries = PinnedQueries(w);
+  SearcherOptions options;
+  options.num_partitions = 4;
+  KoiosSearcher searcher(&w.corpus.sets, w.index.get(), options);
+  RefinementCounters got;
+  ProductionCounters produced;
+  VerificationCounters verified_k1, verified_k10;
+  for (const size_t k : {1, 10}) {
+    SearchParams params;
+    params.k = k;
+    params.alpha = 0.75;
+    for (const auto& query : queries) {
+      const SearchResult r = searcher.Search(query, params);
+      Accumulate(r.stats, &got);
+      Accumulate(r.stats, &produced);
+      Accumulate(r.stats, r.topk, k == 1 ? &verified_k1 : &verified_k10);
+    }
+  }
+  ExpectCounters(got, {11860, 10425, 57906, 15717, 1435}, "4 partitions");
+  ExpectProduction(produced, {4817, 4584800343389235688ull}, "4 partitions");
+  // The merged top-k equals the unpartitioned search's bit for bit.
+  ExpectVerification(verified_k1, {20, 12, 70, 20, 4914962997095115013ull},
+                     "4 partitions k=1");
+  ExpectVerification(verified_k10,
+                     {389, 208, 734, 390, 2718616746841741523ull},
+                     "4 partitions k=10");
 }
 
 TEST(SearcherTest, ExtensionSearcherCountersArePinned) {

@@ -50,7 +50,6 @@ std::vector<Scenario> MakeScenarios(const testing::RandomWorkload& w,
     s.query.assign(tokens.begin(), tokens.end());
     s.params.k = ks[i % 3];
     s.params.alpha = alphas[i % 2];
-    s.params.num_threads = 1;
     scenarios.push_back(std::move(s));
   }
   return scenarios;

@@ -54,7 +54,6 @@ std::vector<Scenario> MakeScenarios(const index::SetCollection& sets,
     s.query.assign(tokens.begin(), tokens.end());
     s.params.k = ks[i % 3];
     s.params.alpha = alphas[i % 2];
-    s.params.num_threads = 1;
     scenarios.push_back(std::move(s));
   }
   return scenarios;
@@ -244,7 +243,6 @@ TEST(ShardCoordinatorTest, TieBreaksDeterministicAcrossShardsAndThreads) {
   SearchParams params;
   params.k = 10;  // 4-way ties guarantee the cut lands inside a tie group
   params.alpha = 0.65;
-  params.num_threads = 1;
   std::vector<std::vector<TokenId>> queries;
   for (SetId id = 0; id < 10; ++id) {
     const auto tokens = ties.Tokens(id);

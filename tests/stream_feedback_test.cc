@@ -1,14 +1,12 @@
-// The θlb→producer feedback loop (ISSUE 3): exactness of
-// feedback-terminated searches against the brute-force oracle AND against
-// a full drain-to-α run, plus the regression guarantee that the stream
-// actually stops strictly above α when the top-k saturates early.
+// The θlb stream-feedback loop: exactness of feedback-terminated searches
+// against the brute-force oracle AND against a full drain-to-α run, plus
+// the regression guarantee that the stream actually stops strictly above α
+// when the top-k saturates early.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "koios/core/edge_cache.h"
@@ -34,7 +32,7 @@ constexpr double kTol = 1e-9;
 //  * feedback never produces more tuples than the drain.
 void ExpectFeedbackExact(testing::RandomWorkload* w, SetId query_set,
                          size_t partitions, size_t k, Score alpha,
-                         size_t num_threads, const std::string& label) {
+                         const std::string& label) {
   const auto q = w->corpus.sets.Tokens(query_set);
   SearcherOptions options;
   options.num_partitions = partitions;
@@ -43,7 +41,6 @@ void ExpectFeedbackExact(testing::RandomWorkload* w, SetId query_set,
   SearchParams feedback;
   feedback.k = k;
   feedback.alpha = alpha;
-  feedback.num_threads = num_threads;
   feedback.use_stream_feedback = true;
   SearchParams drain = feedback;
   drain.use_stream_feedback = false;
@@ -82,25 +79,23 @@ void ExpectFeedbackExact(testing::RandomWorkload* w, SetId query_set,
 // ------------------------------------------------- exactness, k x p grid --
 
 class FeedbackExactnessTest
-    : public ::testing::TestWithParam<std::tuple<size_t, size_t, size_t>> {};
+    : public ::testing::TestWithParam<std::tuple<size_t, size_t>> {};
 
 TEST_P(FeedbackExactnessTest, MatchesDrainAndBruteForce) {
-  const auto [partitions, k, num_threads] = GetParam();
+  const auto [partitions, k] = GetParam();
   auto w = MakeRandomWorkload(140, 650, 5, 25, 7000 + partitions * 17 + k);
   for (SetId qid : {SetId{1}, SetId{57}}) {
-    ExpectFeedbackExact(&w, qid, partitions, k, 0.75, num_threads,
+    ExpectFeedbackExact(&w, qid, partitions, k, 0.75,
                         "p=" + std::to_string(partitions) +
                             " k=" + std::to_string(k) +
-                            " t=" + std::to_string(num_threads) +
                             " q=" + std::to_string(qid));
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     PartitionKGrid, FeedbackExactnessTest,
-    ::testing::Combine(::testing::Values<size_t>(1, 4),     // partitions
-                       ::testing::Values<size_t>(1, 5, 20),  // k
-                       ::testing::Values<size_t>(1, 4)));    // threads
+    ::testing::Combine(::testing::Values<size_t>(1, 4),      // partitions
+                       ::testing::Values<size_t>(1, 5, 20)));  // k
 
 // --------------------------------------------------------- stop above α --
 
@@ -140,9 +135,7 @@ TEST(StreamFeedbackTest, PartitionedSearchSharesGlobalTheta) {
   // GlobalThreshold. In a serial 4-partition search the partition holding
   // the query set publishes θlb = |Q|, after which every later partition's
   // consumer breaks almost immediately — aggregate consumption must drop
-  // well below the drain's, and production must never exceed it. The
-  // threaded run (producer races the consumers, so the stop point varies)
-  // must still return the identical exact answer.
+  // well below the drain's, and production must never exceed it.
   auto w = MakeRandomWorkload(200, 800, 8, 30, 8102);
   SearcherOptions options;
   options.num_partitions = 4;
@@ -159,103 +152,12 @@ TEST(StreamFeedbackTest, PartitionedSearchSharesGlobalTheta) {
   EXPECT_LT(serial.stats.stream_tuples, drained.stats.stream_tuples);
   EXPECT_LE(serial.stats.stream_tuples_produced,
             drained.stats.stream_tuples_produced);
-
-  params.num_threads = 4;
-  const SearchResult threaded = searcher.Search(q, params);
-  EXPECT_LE(threaded.stats.stream_tuples_produced,
-            drained.stats.stream_tuples_produced);
-  ASSERT_EQ(threaded.topk.size(), serial.topk.size());
-  for (size_t i = 0; i < threaded.topk.size(); ++i) {
-    EXPECT_EQ(threaded.topk[i].set, serial.topk[i].set);
-    EXPECT_DOUBLE_EQ(threaded.topk[i].score, serial.topk[i].score);
-  }
-}
-
-// -------------------------------------------------- producer pacing race --
-
-TEST(StreamFeedbackTest, PacedProducerWaitsForSlowConsumer) {
-  // The overlapped-mode production race (ROADMAP follow-up, fixed in this
-  // PR): a free-running deferred producer can drain the stream to α before
-  // a slow consumer has processed enough tuples to declare its stop
-  // similarity, forfeiting the feedback savings entirely. With pacing the
-  // producer must stay within its lead of the consumer's hand-off
-  // position, so even a deliberately slow consumer ends the stream with
-  // far fewer tuples produced than a full drain.
-  auto w = MakeRandomWorkload(120, 900, 8, 30, 8107);
-  // A wide query (several stored sets unioned) over a low α: a deep drain,
-  // so the paced/unpaced difference is unmistakable.
-  std::vector<TokenId> q;
-  for (const SetId id : {SetId{5}, SetId{9}, SetId{23}, SetId{31}}) {
-    const auto qs = w.corpus.sets.Tokens(id);
-    q.insert(q.end(), qs.begin(), qs.end());
-  }
-  std::sort(q.begin(), q.end());
-  q.erase(std::unique(q.begin(), q.end()), q.end());
-  const Score alpha = 0.3;  // deep α-tail: the drain is large
-
-  // Reference: the unpaced full drain of this stream.
-  size_t full_drain = 0;
-  {
-    sim::TokenStream stream(q, w.index.get(), alpha,
-                            [](TokenId) { return true; });
-    EdgeCache drain(&stream, EdgeCache::Deferred{});
-    drain.Materialize();
-    full_drain = drain.produced();
-  }
-
-  constexpr size_t kConsumeTarget = 128;
-  constexpr size_t kChunk = 32;
-  constexpr size_t kLead = 64;
-  // The bound pacing must enforce: the hand-off position when the stop was
-  // declared (target plus up to one pull chunk), plus the lead, plus one
-  // publish batch of producer overshoot.
-  constexpr size_t kPacedBound = kConsumeTarget + kChunk + kLead + 32;
-  ASSERT_GT(full_drain, 2 * kPacedBound)
-      << "corpus too small to distinguish a paced run from a drain";
-
-  SearchContext ctx;
-  ctx.BeginSearch(/*num_consumers=*/1);
-  sim::TokenStream stream(q, w.index.get(), alpha,
-                          [](TokenId) { return true; });
-  EdgeCache cache(
-      &stream, EdgeCache::Deferred{}, w.sim.get(),
-      [&ctx] { return ctx.stop_controller().ProducerStop(); }, nullptr,
-      /*expected_consumers=*/1, /*producer_lead=*/kLead);
-  ASSERT_TRUE(cache.PacingEnabled());
-
-  std::thread producer([&] { cache.Materialize(); });
-  {
-    // Deliberately slow consumer: the warm cursor cache lets the producer
-    // build tuples orders of magnitude faster than this loop consumes
-    // them, which is exactly the racy regime.
-    EdgeCache::ConsumerGuard consumer(&cache);
-    std::vector<sim::StreamTuple> chunk(kChunk);
-    size_t consumed = 0;
-    Score last_sim = 1.0;
-    while (consumed < kConsumeTarget) {
-      const size_t n =
-          cache.NextTuples(consumed, std::span<sim::StreamTuple>(chunk));
-      if (n == 0) break;
-      consumed += n;
-      consumer.Advance(consumed);
-      last_sim = chunk[n - 1].sim;
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-    }
-    ctx.stop_controller().PublishConsumerStop(last_sim);
-  }
-  producer.join();
-
-  EXPECT_FALSE(cache.ExhaustedToAlpha());
-  EXPECT_LE(cache.produced(), kPacedBound)
-      << "producer outran its lead over the slow consumer";
-  EXPECT_LT(cache.produced(), full_drain / 2)
-      << "slow consumer still lost the streaming savings";
 }
 
 // ------------------------------------------ matrix completion, directly --
 
 TEST(StreamFeedbackTest, BuildMatrixCompletesBelowStopEdges) {
-  // A cache whose producer was stopped early must still hand exact
+  // A cache whose consumer stopped pulling early must still hand exact
   // matching the full simα matrix: the missing below-stop edges are
   // completed through the similarity's batch kernels.
   auto w = MakeRandomWorkload(80, 400, 6, 18, 8103);
@@ -265,11 +167,16 @@ TEST(StreamFeedbackTest, BuildMatrixCompletesBelowStopEdges) {
 
   sim::TokenStream stream(q, w.index.get(), alpha,
                           [](TokenId) { return true; });
-  // Fixed stop threshold well above α: the stream is guaranteed to stop
-  // early (self-matches at 1.0 are produced, the tail is withheld).
-  EdgeCache cache(&stream, EdgeCache::Deferred{}, w.sim.get(),
-                  [] { return 0.9; });
-  cache.Materialize();
+  // The consumer stops at a fixed similarity well above α: the self-matches
+  // at 1.0 are produced, the tail is not.
+  EdgeCache cache(&stream, w.sim.get());
+  std::vector<sim::StreamTuple> buf(EdgeCache::kPullChunk);
+  size_t from = 0;
+  while (const size_t n = cache.NextTuples(from, buf)) {
+    from += n;
+    if (buf[n - 1].sim < 0.9) break;
+  }
+  cache.FinishProduction();
   ASSERT_FALSE(cache.ExhaustedToAlpha());
   ASSERT_GE(cache.stop_sim(), alpha);
 
@@ -317,46 +224,10 @@ TEST(StreamFeedbackTest, ApproximateIndexesDoNotEnableFeedback) {
   }
 }
 
-// ------------------------------------------- adaptive survivor budget --
+// ---------------------------------------------------- survivor budget --
 
-TEST(StreamFeedbackTest, AdaptiveSurvivorBudgetStaysExact) {
-  // The adaptive (rent-to-buy) budget only moves WHERE the stop lands, so
-  // both policies must return the drain's exact answer, and a stop under
-  // either must record the budget that authorized it.
-  auto w = MakeRandomWorkload(200, 800, 8, 30, 8105);
-  const auto q = w.corpus.sets.Tokens(21);
-  KoiosSearcher searcher(&w.corpus.sets, w.index.get());
-
-  SearchParams drain;
-  drain.k = 5;
-  drain.alpha = 0.6;
-  drain.use_stream_feedback = false;
-  const SearchResult rd = searcher.Search(q, drain);
-
-  for (const double em_cost_tuples : {4.0, 64.0, 4096.0}) {
-    SearchParams adaptive = drain;
-    adaptive.use_stream_feedback = true;
-    adaptive.use_adaptive_survivor_budget = true;
-    adaptive.adaptive_em_cost_tuples = em_cost_tuples;
-    const SearchResult ra = searcher.Search(q, adaptive);
-
-    ASSERT_EQ(ra.topk.size(), rd.topk.size()) << "ratio " << em_cost_tuples;
-    for (size_t i = 0; i < ra.topk.size(); ++i) {
-      EXPECT_EQ(ra.topk[i].set, rd.topk[i].set) << "ratio " << em_cost_tuples;
-      EXPECT_DOUBLE_EQ(ra.topk[i].score, rd.topk[i].score)
-          << "ratio " << em_cost_tuples;
-    }
-    EXPECT_LE(ra.stats.stream_tuples_produced, rd.stats.stream_tuples_produced);
-    if (ra.stats.stream_stop_sim > 0.0) {
-      // The consumer stopped: the budget in force was recorded and honors
-      // the floor.
-      EXPECT_GE(ra.stats.stream_survivor_budget, 32u);
-    }
-  }
-}
-
-TEST(StreamFeedbackTest, AdaptiveBudgetDefaultsOff) {
-  // Default params keep the fixed max(32, 4k) policy: a stopping search
+TEST(StreamFeedbackTest, StopRecordsFixedSurvivorBudget) {
+  // The feedback stop tolerates max(32, 4k) survivors: a stopping search
   // records exactly that budget.
   auto w = MakeRandomWorkload(200, 800, 8, 30, 8106);
   const auto q = w.corpus.sets.Tokens(13);
@@ -364,11 +235,9 @@ TEST(StreamFeedbackTest, AdaptiveBudgetDefaultsOff) {
   SearchParams params;
   params.k = 1;
   params.alpha = 0.5;
-  ASSERT_FALSE(params.use_adaptive_survivor_budget);
   const SearchResult r = searcher.Search(q, params);
-  if (r.stats.stream_stop_sim > 0.0) {
-    EXPECT_EQ(r.stats.stream_survivor_budget, std::max<size_t>(32, 4 * params.k));
-  }
+  ASSERT_GT(r.stats.stream_stop_sim, 0.0) << "the search should stop early";
+  EXPECT_EQ(r.stats.stream_survivor_budget, std::max<size_t>(32, 4 * params.k));
 }
 
 // ------------------------------------------------------ workspace reuse --

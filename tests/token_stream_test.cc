@@ -130,93 +130,14 @@ TEST(TokenStreamTest, CoversAllPairsAboveAlpha) {
   }
 }
 
-TEST(TokenStreamTest, StopThresholdWithholdsBelowTau) {
-  testing::TableSimilarity sim;
-  sim.Set(0, 1, 0.95);
-  sim.Set(0, 2, 0.85);
-  sim.Set(0, 3, 0.82);
-  ExactKnnIndex index({1, 2, 3}, &sim);
-  TokenStream stream({0}, &index, 0.8, [](TokenId) { return false; });
-  auto t1 = stream.Next(/*stop_sim=*/0.9);
-  ASSERT_TRUE(t1.has_value());
-  EXPECT_EQ(t1->token, 1u);
-  // The refill after the pop already withheld 0.85 < 0.9: the element's
-  // remaining neighbors are below the threshold, so the stream is stopped.
-  EXPECT_FALSE(stream.Next(0.9).has_value());
-  EXPECT_TRUE(stream.stopped());
-  EXPECT_GE(stream.stop_sim(), 0.85 - 1e-12);
-  EXPECT_LT(stream.stop_sim(), 0.9);
-}
-
-TEST(TokenStreamTest, DrainWithoutStopNeverMarksStopped) {
+TEST(TokenStreamTest, DrainedStreamHasNothingToPeek) {
   testing::TableSimilarity sim;
   sim.Set(0, 1, 0.9);
   ExactKnnIndex index({0, 1}, &sim);
   TokenStream stream({0}, &index, 0.8, [](TokenId) { return true; });
   while (stream.Next()) {
   }
-  EXPECT_FALSE(stream.stopped());
-  EXPECT_DOUBLE_EQ(stream.stop_sim(), 0.0);
   EXPECT_FALSE(stream.PeekSim().has_value());
-}
-
-TEST(TokenStreamTest, RisingStopThresholdMatchesPrefixOfFullDrain) {
-  // Feeding a monotonically rising stop threshold must emit exactly a
-  // prefix of the unbounded stream (same tuples, same order).
-  auto w = testing::MakeRandomWorkload(40, 250, 5, 15, 88);
-  const auto query_span = w.corpus.sets.Tokens(2);
-  std::vector<TokenId> query(query_span.begin(), query_span.end());
-  std::vector<StreamTuple> full;
-  {
-    TokenStream stream(query, w.index.get(), 0.7, [](TokenId) { return true; });
-    while (auto t = stream.Next()) full.push_back(*t);
-  }
-  w.index->ResetCursors();
-  TokenStream bounded(query, w.index.get(), 0.7, [](TokenId) { return true; });
-  std::vector<StreamTuple> prefix;
-  // Ramp the threshold with the emitted count; stops somewhere mid-stream.
-  while (auto t = bounded.Next(0.70 + 0.002 * static_cast<Score>(prefix.size()))) {
-    prefix.push_back(*t);
-  }
-  ASSERT_LE(prefix.size(), full.size());
-  for (size_t i = 0; i < prefix.size(); ++i) {
-    EXPECT_EQ(prefix[i].token, full[i].token) << i;
-    EXPECT_EQ(prefix[i].query_pos, full[i].query_pos) << i;
-    EXPECT_DOUBLE_EQ(prefix[i].sim, full[i].sim) << i;
-  }
-  if (prefix.size() < full.size()) {
-    EXPECT_TRUE(bounded.stopped());
-    // The slack bound covers every unemitted pair.
-    for (size_t i = prefix.size(); i < full.size(); ++i) {
-      EXPECT_LE(full[i].sim, bounded.stop_sim() + 1e-12) << i;
-    }
-  }
-}
-
-TEST(ExactKnnIndexTest, BoundedProbeSkipsOrderingBelowStop) {
-  testing::TableSimilarity sim;
-  sim.Set(0, 1, 0.9);
-  sim.Set(0, 2, 0.85);
-  ExactKnnIndex index({1, 2}, &sim);
-  Neighbor n;
-  // Fresh cursor whose max (0.9) is below the stop: withheld without any
-  // chunk ordering, bound reported.
-  EXPECT_EQ(index.NextNeighborBounded(0, 0.8, 0.95, &n),
-            ProbeOutcome::kWithheld);
-  EXPECT_EQ(n.token, kInvalidToken);
-  EXPECT_DOUBLE_EQ(n.sim, 0.9);
-  // Lower stop: the neighbor flows again (nothing was consumed).
-  EXPECT_EQ(index.NextNeighborBounded(0, 0.8, 0.5, &n),
-            ProbeOutcome::kNeighbor);
-  EXPECT_EQ(n.token, 1u);
-  EXPECT_EQ(index.NextNeighborBounded(0, 0.8, 0.87, &n),
-            ProbeOutcome::kWithheld);
-  EXPECT_DOUBLE_EQ(n.sim, 0.85);
-  EXPECT_EQ(index.NextNeighborBounded(0, 0.8, 0.5, &n),
-            ProbeOutcome::kNeighbor);
-  EXPECT_EQ(n.token, 2u);
-  EXPECT_EQ(index.NextNeighborBounded(0, 0.8, 0.0, &n),
-            ProbeOutcome::kExhausted);
 }
 
 TEST(TokenStreamTest, EmittedCountTracksTuples) {

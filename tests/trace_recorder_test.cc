@@ -380,7 +380,6 @@ TEST(TraceRecorderTest, EngineQuerySpansCoverSearchWallTime) {
   core::SearchParams params;
   params.k = 5;
   params.alpha = 0.7;
-  params.num_threads = 1;
   const auto tokens = w.corpus.sets.Tokens(0);
   // The query takes well under a millisecond, so one preemption inside an
   // uninstrumented gap can cost a run its coverage; a phase that loses its
@@ -442,7 +441,6 @@ TEST(TraceRecorderTest, SlowQueryLogDumpsSpanTreeAndStats) {
   core::SearchParams params;
   params.k = 10;
   params.alpha = 0.7;
-  params.num_threads = 1;
   const auto tokens = w.corpus.sets.Tokens(1);
   {
     // Stall the query at refinement's cancellation poll, so it is slow on
