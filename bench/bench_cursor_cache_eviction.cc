@@ -61,10 +61,10 @@ struct PhaseOutcome {
   }
 };
 
-/// One pass of the Zipf workload through a fresh session: every op
-/// resolves one (token, α) cursor (positions reset per op so repeats are
-/// cache resolutions, as across real queries) and samples the cache's
-/// byte gauge against `cap` (0 = unbounded).
+/// One pass of the Zipf workload: every op resolves one (token, α) cursor
+/// through a fresh session (so repeats are cache resolutions, as across
+/// real queries) and samples the cache's byte gauge against `cap`
+/// (0 = unbounded).
 PhaseOutcome RunWorkload(sim::ExactKnnIndex* index,
                          const std::vector<TokenId>& tokens,
                          const std::vector<Score>& alphas, size_t cap) {
@@ -73,11 +73,10 @@ PhaseOutcome RunWorkload(sim::ExactKnnIndex* index,
   // MemoryUsageBytes = constant index structures + the cache gauge; the
   // cap governs the gauge, so sample relative to the empty-cache baseline.
   const size_t baseline = index->MemoryUsageBytes() - before.bytes;
-  auto session = index->NewSession();
   util::WallTimer timer;
   for (size_t i = 0; i < tokens.size(); ++i) {
-    (void)session->NextNeighbor(tokens[i], alphas[i % alphas.size()]);
-    session->ResetCursors();
+    (void)index->NewSession()->NextNeighbor(tokens[i],
+                                            alphas[i % alphas.size()]);
     // The gauge read is lock-free; single-threaded phases observe the
     // post-publish (post-eviction) state, so this is the HARD cap check.
     const size_t bytes = index->MemoryUsageBytes() - baseline;
@@ -93,11 +92,13 @@ PhaseOutcome RunWorkload(sim::ExactKnnIndex* index,
   return out;
 }
 
-/// Drains every neighbor of `q` at `alpha` through `index`.
-std::vector<sim::Neighbor> Drain(sim::SimilarityIndex* index, TokenId q,
+/// Drains every neighbor of `q` at `alpha` through a fresh session of
+/// `index`.
+std::vector<sim::Neighbor> Drain(const sim::SimilarityIndex& index, TokenId q,
                                  Score alpha) {
+  auto session = index.NewSession();
   std::vector<sim::Neighbor> out;
-  while (auto n = index->NextNeighbor(q, alpha)) out.push_back(*n);
+  while (auto n = session->NextNeighbor(q, alpha)) out.push_back(*n);
   return out;
 }
 
@@ -146,20 +147,17 @@ int Run(size_t total_ops, size_t vocab_size, double capacity_frac,
   bool exact = true;
   {
     sim::ExactKnnIndex reference(vocabulary, &cosine);
-    auto session = bounded_index.NewSession();
     for (TokenId q : {TokenId{0}, TokenId{3}, TokenId{257},
                       static_cast<TokenId>(vocab_size - 1)}) {
       for (const Score alpha : alphas) {
-        const auto got = Drain(session.get(), q, alpha);
-        const auto want = Drain(&reference, q, alpha);
+        const auto got = Drain(bounded_index, q, alpha);
+        const auto want = Drain(reference, q, alpha);
         if (got.size() != want.size()) exact = false;
         for (size_t i = 0; exact && i < got.size(); ++i) {
           if (got[i].token != want[i].token || got[i].sim != want[i].sim) {
             exact = false;
           }
         }
-        session->ResetCursors();
-        reference.ResetCursors();
       }
     }
   }
@@ -176,27 +174,23 @@ int Run(size_t total_ops, size_t vocab_size, double capacity_frac,
       threads.emplace_back([&, ti] {
         util::Rng trng(900 + ti);
         util::ZipfDistribution tz(vocab_size, kZipfSkew);
-        auto session = bounded_index.NewSession();
         sim::ExactKnnIndex reference(vocabulary, &cosine);
         for (size_t i = 0; i < 2000; ++i) {
           const TokenId q = static_cast<TokenId>(tz.Sample(&trng));
           const Score alpha = alphas[i % alphas.size()];
           if (i % 97 != 0) {
-            (void)session->NextNeighbor(q, alpha);
-            session->ResetCursors();
+            (void)bounded_index.NewSession()->NextNeighbor(q, alpha);
             continue;
           }
           // Every ~100th op: full-drain comparison against the private
           // cold reference.
-          const auto got = Drain(session.get(), q, alpha);
-          const auto want = Drain(&reference, q, alpha);
+          const auto got = Drain(bounded_index, q, alpha);
+          const auto want = Drain(reference, q, alpha);
           bool same = got.size() == want.size();
           for (size_t j = 0; same && j < got.size(); ++j) {
             same = got[j].token == want[j].token && got[j].sim == want[j].sim;
           }
           if (!same) ++thread_mismatches;
-          session->ResetCursors();
-          reference.ResetCursors();
         }
       });
     }

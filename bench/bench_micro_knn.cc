@@ -8,7 +8,7 @@
 //  * batched  — ExactKnnIndex's current path: one SimilarityBatch dense
 //               kernel scan per query token, alpha filter on the flat score
 //               array, lazy chunked ordering (first chunk only).
-//  * parallel — Prewarm() fanning the batched builds across the ThreadPool.
+//  * parallel — Prewarm() fanning the batched builds across a ThreadPool.
 //
 // Also reports the CosineAllRows dense matrix-vector ceiling. Emits a
 // human-readable table and, with `--json <path>`, a JSON blob for the CI
@@ -133,10 +133,10 @@ int Main(int argc, char** argv) {
   // --- single (per-cursor dense scan + lazy first chunk) -------------------
   sim::ExactKnnIndex index(vocabulary, &cosine);
   const Measurement single = Measure(pairs_total, queries.size(), [&] {
-    index.ResetCursors();
+    auto session = index.NewSession();
     for (TokenId q : queries) {
       // First probe builds the cursor and orders only the first chunk.
-      (void)index.NextNeighbor(q, kAlpha);
+      (void)session->NextNeighbor(q, kAlpha);
     }
   });
 
@@ -144,17 +144,15 @@ int Main(int argc, char** argv) {
   // This is the production path: TokenStream prewarms every query token's
   // cursor at construction.
   const Measurement batched = Measure(pairs_total, queries.size(), [&] {
-    index.ResetCursors();
     index.Prewarm(queries, kAlpha);
   });
 
   // --- parallel prewarm ----------------------------------------------------
   const size_t workers = std::max(1u, std::thread::hardware_concurrency());
   util::ThreadPool pool(workers);
-  sim::ExactKnnIndex parallel_index(vocabulary, &cosine, &pool);
+  sim::ExactKnnIndex parallel_index(vocabulary, &cosine);
   const Measurement parallel = Measure(pairs_total, queries.size(), [&] {
-    parallel_index.ResetCursors();
-    parallel_index.Prewarm(queries, kAlpha);
+    parallel_index.Prewarm(queries, kAlpha, &pool);
   });
 
   // --- dense matrix-vector ceiling ----------------------------------------
@@ -168,10 +166,10 @@ int Main(int argc, char** argv) {
 
   // --- sanity: batched path returns the same first neighbor ---------------
   size_t mismatches = 0;
-  index.ResetCursors();
+  auto session = index.NewSession();
   for (TokenId q : queries) {
     const auto seed_list = SeedScalarBuildCursor(cosine, vocabulary, q, kAlpha);
-    const auto got = index.NextNeighbor(q, kAlpha);
+    const auto got = session->NextNeighbor(q, kAlpha);
     if (seed_list.empty() != !got.has_value()) ++mismatches;
     // The kernel accumulates in a different (vectorized) order than the
     // seed's serial loop, so scores agree to ~1e-15, not bit-for-bit; a

@@ -383,13 +383,11 @@ int Main(int argc, char** argv) {
     for (TokenId q : queries) (void)seed_lsh.BuildCursor(q, lsh_alpha);
   });
   const double single_lsh_s = BestOf([&] {
-    lsh.ResetCursors();
-    for (TokenId q : queries) (void)lsh.NextNeighbor(q, lsh_alpha);
+    auto session = lsh.NewSession();
+    for (TokenId q : queries) (void)session->NextNeighbor(q, lsh_alpha);
   });
-  const double prewarm_lsh_s = BestOf([&] {
-    lsh.ResetCursors();
-    lsh.Prewarm(queries, lsh_alpha);
-  });
+  const double prewarm_lsh_s =
+      BestOf([&] { lsh.Prewarm(queries, lsh_alpha); });
   const double lsh_cands = static_cast<double>(lsh_result.total_candidates);
   lsh_result.seed_cands_per_sec = lsh_cands / seed_lsh_s;
   lsh_result.single_cands_per_sec = lsh_cands / single_lsh_s;
@@ -403,18 +401,20 @@ int Main(int argc, char** argv) {
 
   // Parity: the batched stream must reproduce the seed cursor (scores to
   // ~1e-15 — the kernels accumulate in a different order).
-  lsh.ResetCursors();
+  auto lsh_session = lsh.NewSession();
   for (TokenId q : queries) {
     const auto want = seed_lsh.BuildCursor(q, lsh_alpha);
     for (const auto& expect : want) {
-      const auto got = lsh.NextNeighbor(q, lsh_alpha);
+      const auto got = lsh_session->NextNeighbor(q, lsh_alpha);
       if (!got.has_value() || got->token != expect.token ||
           std::abs(got->sim - expect.sim) > 1e-9) {
         ++lsh_result.mismatches;
         break;
       }
     }
-    if (lsh.NextNeighbor(q, lsh_alpha).has_value()) ++lsh_result.mismatches;
+    if (lsh_session->NextNeighbor(q, lsh_alpha).has_value()) {
+      ++lsh_result.mismatches;
+    }
   }
   PrintProbe("lsh", lsh_result);
 
@@ -455,13 +455,11 @@ int Main(int argc, char** argv) {
     for (TokenId q : mh_queries) (void)seed_mh.BuildCursor(q, mh_alpha);
   });
   const double single_mh_s = BestOf([&] {
-    minhash.ResetCursors();
-    for (TokenId q : mh_queries) (void)minhash.NextNeighbor(q, mh_alpha);
+    auto session = minhash.NewSession();
+    for (TokenId q : mh_queries) (void)session->NextNeighbor(q, mh_alpha);
   });
-  const double prewarm_mh_s = BestOf([&] {
-    minhash.ResetCursors();
-    minhash.Prewarm(mh_queries, mh_alpha);
-  });
+  const double prewarm_mh_s =
+      BestOf([&] { minhash.Prewarm(mh_queries, mh_alpha); });
   const double mh_cands = static_cast<double>(mh_result.total_candidates);
   mh_result.seed_cands_per_sec = mh_cands / seed_mh_s;
   mh_result.single_cands_per_sec = mh_cands / single_mh_s;
@@ -478,18 +476,20 @@ int Main(int argc, char** argv) {
       mh_queries, mh_candidates, mh_alpha, mh_result.total_candidates,
       &mh_result);
 
-  minhash.ResetCursors();
+  auto mh_session = minhash.NewSession();
   for (TokenId q : mh_queries) {
     const auto want = seed_mh.BuildCursor(q, mh_alpha);
     for (const auto& expect : want) {
-      const auto got = minhash.NextNeighbor(q, mh_alpha);
+      const auto got = mh_session->NextNeighbor(q, mh_alpha);
       if (!got.has_value() || got->token != expect.token ||
           got->sim != expect.sim) {  // Jaccard: both divide identical counts
         ++mh_result.mismatches;
         break;
       }
     }
-    if (minhash.NextNeighbor(q, mh_alpha).has_value()) ++mh_result.mismatches;
+    if (mh_session->NextNeighbor(q, mh_alpha).has_value()) {
+      ++mh_result.mismatches;
+    }
   }
   PrintProbe("minhash", mh_result);
 

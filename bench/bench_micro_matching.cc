@@ -148,7 +148,7 @@ void BM_TokenStream(benchmark::State& state) {
   const auto query_span = w.corpus.sets.Tokens(0);
   std::vector<TokenId> query(query_span.begin(), query_span.end());
   for (auto _ : state) {
-    sim::TokenStream stream(query, w.index.get(), 0.7,
+    sim::TokenStream stream(query, *w.index, 0.7,
                             [](TokenId) { return true; });
     size_t tuples = 0;
     while (stream.Next()) ++tuples;

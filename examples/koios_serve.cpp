@@ -117,8 +117,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(counters.rejected_queue_full),
               static_cast<unsigned long long>(counters.deadline_exceeded));
   std::printf("latency: %s\n", engine.latency().Summary().c_str());
-  auto* cache_owner =
-      dynamic_cast<sim::BatchedNeighborIndex*>(snapshot.value()->index());
+  const auto* cache_owner = dynamic_cast<const sim::BatchedNeighborIndex*>(
+      snapshot.value()->index());
   if (cache_owner != nullptr) {
     const sim::CursorCacheStats cache = cache_owner->cursor_cache_stats();
     std::printf("cursor cache: %llu hits / %llu misses (cross-query reuse)\n",

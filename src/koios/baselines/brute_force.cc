@@ -16,18 +16,18 @@
 namespace koios::baselines {
 
 BruteForceBaseline::BruteForceBaseline(const index::SetCollection* sets,
-                                       sim::SimilarityIndex* index)
+                                       const sim::SimilarityIndex* index)
     : sets_(sets), index_(index), inverted_(*sets) {}
 
-core::SearchResult BruteForceBaseline::Search(std::span<const TokenId> query,
-                                              const BaselineOptions& options) {
+core::SearchResult BruteForceBaseline::Search(
+    std::span<const TokenId> query, const BaselineOptions& options) const {
   core::SearchResult result;
   if (query.empty() || sets_->size() == 0) return result;
 
   // Refinement (candidate collection).
   util::WallTimer timer;
   sim::TokenStream stream(
-      std::vector<TokenId>(query.begin(), query.end()), index_, options.alpha,
+      std::vector<TokenId>(query.begin(), query.end()), *index_, options.alpha,
       [this](TokenId t) { return inverted_.InVocabulary(t); });
   core::EdgeCache cache(&stream);
 

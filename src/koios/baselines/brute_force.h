@@ -34,14 +34,14 @@ class BruteForceBaseline {
   /// `index` supplies the token stream (same as Koios, so the comparison
   /// isolates the filter framework, not the index).
   BruteForceBaseline(const index::SetCollection* sets,
-                     sim::SimilarityIndex* index);
+                     const sim::SimilarityIndex* index);
 
   core::SearchResult Search(std::span<const TokenId> query,
-                            const BaselineOptions& options);
+                            const BaselineOptions& options) const;
 
  private:
   const index::SetCollection* sets_;
-  sim::SimilarityIndex* index_;
+  const sim::SimilarityIndex* index_;
   index::InvertedIndex inverted_;
 };
 

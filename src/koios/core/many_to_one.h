@@ -45,14 +45,15 @@ class ManyToOneSearcher {
  public:
   /// Both referents must outlive the searcher.
   ManyToOneSearcher(const index::SetCollection* sets,
-                    sim::SimilarityIndex* index);
+                    const sim::SimilarityIndex* index);
 
+  /// Reentrant, like KoiosSearcher::Search.
   SearchResult Search(std::span<const TokenId> query,
-                      const SearchParams& params);
+                      const SearchParams& params) const;
 
  private:
   const index::SetCollection* sets_;
-  sim::SimilarityIndex* index_;
+  const sim::SimilarityIndex* index_;
   index::InvertedIndex inverted_;
 };
 

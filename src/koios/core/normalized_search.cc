@@ -22,17 +22,17 @@ Score NormalizedOverlap(std::span<const TokenId> query,
 }
 
 NormalizedSearcher::NormalizedSearcher(const index::SetCollection* sets,
-                                       sim::SimilarityIndex* index)
+                                       const sim::SimilarityIndex* index)
     : sets_(sets), index_(index), inverted_(*sets) {}
 
 SearchResult NormalizedSearcher::Search(std::span<const TokenId> query,
-                                        const SearchParams& params) {
+                                        const SearchParams& params) const {
   SearchResult result;
   if (query.empty() || sets_->size() == 0) return result;
   util::WallTimer timer;
 
   sim::TokenStream stream(
-      std::vector<TokenId>(query.begin(), query.end()), index_, params.alpha,
+      std::vector<TokenId>(query.begin(), query.end()), *index_, params.alpha,
       [this](TokenId t) { return inverted_.InVocabulary(t); });
   EdgeCache cache(&stream);
 

@@ -32,16 +32,18 @@ Score NormalizedOverlap(std::span<const TokenId> query,
 
 class NormalizedSearcher {
  public:
+  /// Both referents must outlive the searcher.
   NormalizedSearcher(const index::SetCollection* sets,
-                     sim::SimilarityIndex* index);
+                     const sim::SimilarityIndex* index);
 
   /// Top-k sets by NSO; scores in the result are normalized overlaps.
+  /// Reentrant, like KoiosSearcher::Search.
   SearchResult Search(std::span<const TokenId> query,
-                      const SearchParams& params);
+                      const SearchParams& params) const;
 
  private:
   const index::SetCollection* sets_;
-  sim::SimilarityIndex* index_;
+  const sim::SimilarityIndex* index_;
   index::InvertedIndex inverted_;
 };
 

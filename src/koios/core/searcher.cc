@@ -14,7 +14,7 @@
 namespace koios::core {
 
 KoiosSearcher::KoiosSearcher(const index::SetCollection* sets,
-                             sim::SimilarityIndex* index,
+                             const sim::SimilarityIndex* index,
                              const SearcherOptions& options)
     : sets_(sets), index_(index), options_(options) {
   const size_t p = std::max<size_t>(1, options_.num_partitions);
@@ -47,22 +47,22 @@ size_t KoiosSearcher::IndexMemoryUsageBytes() const {
 }
 
 SearchResult KoiosSearcher::Search(std::span<const TokenId> query,
-                                   const SearchParams& params) {
-  return Search(query, params, index_, nullptr);
-}
-
-SearchResult KoiosSearcher::Search(std::span<const TokenId> query,
-                                   const SearchParams& params,
-                                   sim::SimilarityIndex* index,
+                                   const SearchParams& query_params,
                                    SearchContext* ctx) const {
-  assert(params.k >= 1);
-  assert(params.alpha > 0.0);
+  assert(query_params.k >= 1);
+  assert(query_params.alpha > 0.0);
   SearchResult result;
   if (query.empty() || sets_->size() == 0) return result;
 
+  // The partition lists merge by score (below), which needs exact scores:
+  // a set reported with its No-EM lower bound could lose its place to a set
+  // from another partition whose exact score is below its own.
+  SearchParams params = query_params;
+  if (partition_inverted_.size() > 1) params.verify_result_scores = true;
+
   // Per-query machinery: callers that care (the serve engine) pass their
-  // own context (deadline, cancel flag, shared θlb); the legacy path gets
-  // a stack-local one.
+  // own context (deadline, cancel flag, shared θlb); others get a
+  // stack-local one.
   SearchContext local_ctx;
   if (ctx == nullptr) ctx = &local_ctx;
   ctx->BeginSearch();
@@ -82,8 +82,8 @@ SearchResult KoiosSearcher::Search(std::span<const TokenId> query,
     KOIOS_TRACE_SPAN("search.cursor_build");
     util::WallTimer cursor_timer;
     stream_storage.emplace(
-        std::vector<TokenId>(query.begin(), query.end()), index, params.alpha,
-        [this](TokenId t) { return InVocabulary(t); });
+        std::vector<TokenId>(query.begin(), query.end()), *index_,
+        params.alpha, [this](TokenId t) { return InVocabulary(t); });
     result.stats.timers.Accumulate("cursor_build",
                                    cursor_timer.ElapsedSeconds());
   }
@@ -100,9 +100,9 @@ SearchResult KoiosSearcher::Search(std::span<const TokenId> query,
   // pairs an approximate probe (LSH/MinHash) never surfaced, silently
   // changing results between the modes. Without either (or with the
   // ablation toggle off) the stream drains to α as the seed did.
-  const sim::SimilarityFunction* completer = index->similarity();
+  const sim::SimilarityFunction* completer = index_->similarity();
   const bool feedback = params.use_stream_feedback && completer != nullptr &&
-                        index->exact_neighbors();
+                        index_->exact_neighbors();
   EdgeCache cache(&*stream_storage, feedback ? completer : nullptr, ctx);
 
   // ---- per-partition search under the shared global θlb ------------------

@@ -7,6 +7,11 @@
 // stream as far as its refinement needs. Parallelism within a query lives
 // one level up, in serve::ShardCoordinator, which runs each shard as one
 // of these single-threaded searches.
+//
+// The searcher is immutable after construction and Search is const and
+// reentrant: a query's probe state lives in its own token stream (which
+// opens a session over the shared index) and its refinement scratch is
+// per thread, so any number of threads may search one instance at once.
 #ifndef KOIOS_CORE_SEARCHER_H_
 #define KOIOS_CORE_SEARCHER_H_
 
@@ -34,29 +39,23 @@ class KoiosSearcher {
  public:
   /// `sets`: the repository L. `index`: a neighbor index over L's
   /// vocabulary (exact for exact search). Both must outlive the searcher.
-  KoiosSearcher(const index::SetCollection* sets, sim::SimilarityIndex* index,
+  KoiosSearcher(const index::SetCollection* sets,
+                const sim::SimilarityIndex* index,
                 const SearcherOptions& options = {});
 
-  /// Top-k semantic overlap search for `query` (distinct tokens).
-  /// Single-consumer convenience: probes the constructor's index directly
-  /// (its cursor positions are mutated), so calls must not overlap.
+  /// Top-k semantic overlap search for `query` (distinct tokens). `ctx` is
+  /// the per-query SearchContext (deadline, cancellation, a shared θlb;
+  /// rearmed on entry); null runs with a private one. Reentrant: calls on
+  /// one searcher may overlap with distinct contexts, and results do not
+  /// depend on what else runs (cursor payloads are deterministic in
+  /// (token, α), and a query's stop depends only on its own consumption).
+  /// With more than one partition the result scores are always verified,
+  /// whatever `params.verify_result_scores` says: the partition merge
+  /// orders by score, and No-EM lower bounds from different partitions
+  /// are not comparable. Throws SearchAborted when `ctx` expires mid-query.
   SearchResult Search(std::span<const TokenId> query,
-                      const SearchParams& params);
-
-  /// Reentrant search: identical semantics, but every piece of mutable
-  /// state lives in the arguments — `index` is the per-query probe view
-  /// (a SimilarityIndex::NewSession() of the shared index; sessions share
-  /// built cursors behind internal synchronization), `ctx` the per-query
-  /// SearchContext (deadline/cancellation; rearmed on entry; nullable).
-  /// The searcher itself is immutable after construction, so any number
-  /// of threads may run this concurrently with DISTINCT sessions —
-  /// results are bit-identical to the single-consumer overload (cursor
-  /// payloads are deterministic in (token, α), and a query's stop depends
-  /// only on its own consumption). Throws SearchAborted when `ctx` expires
-  /// mid-query.
-  SearchResult Search(std::span<const TokenId> query,
-                      const SearchParams& params, sim::SimilarityIndex* index,
-                      SearchContext* ctx) const;
+                      const SearchParams& params,
+                      SearchContext* ctx = nullptr) const;
 
   size_t num_partitions() const { return partition_inverted_.size(); }
 
@@ -68,7 +67,7 @@ class KoiosSearcher {
 
  private:
   const index::SetCollection* sets_;
-  sim::SimilarityIndex* index_;
+  const sim::SimilarityIndex* index_;
   SearcherOptions options_;
   std::vector<index::InvertedIndex> partition_inverted_;
 };

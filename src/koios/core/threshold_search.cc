@@ -11,12 +11,12 @@
 namespace koios::core {
 
 ThresholdSearcher::ThresholdSearcher(const index::SetCollection* sets,
-                                     sim::SimilarityIndex* index)
+                                     const sim::SimilarityIndex* index)
     : sets_(sets), index_(index), inverted_(*sets) {}
 
 std::vector<ResultEntry> ThresholdSearcher::Search(
     std::span<const TokenId> query, const ThresholdParams& params,
-    SearchStats* stats) {
+    SearchStats* stats) const {
   SearchStats local_stats;
   if (stats == nullptr) stats = &local_stats;
   std::vector<ResultEntry> result;
@@ -24,7 +24,7 @@ std::vector<ResultEntry> ThresholdSearcher::Search(
 
   util::WallTimer timer;
   sim::TokenStream stream(
-      std::vector<TokenId>(query.begin(), query.end()), index_, params.alpha,
+      std::vector<TokenId>(query.begin(), query.end()), *index_, params.alpha,
       [this](TokenId t) { return inverted_.InVocabulary(t); });
   EdgeCache cache(&stream);
 

@@ -42,17 +42,19 @@ struct ThresholdParams {
 
 class ThresholdSearcher {
  public:
+  /// Both referents must outlive the searcher.
   ThresholdSearcher(const index::SetCollection* sets,
-                    sim::SimilarityIndex* index);
+                    const sim::SimilarityIndex* index);
 
   /// All sets with SO(Q, C) >= theta, in non-increasing score order.
+  /// Reentrant, like KoiosSearcher::Search.
   std::vector<ResultEntry> Search(std::span<const TokenId> query,
                                   const ThresholdParams& params,
-                                  SearchStats* stats = nullptr);
+                                  SearchStats* stats = nullptr) const;
 
  private:
   const index::SetCollection* sets_;
-  sim::SimilarityIndex* index_;
+  const sim::SimilarityIndex* index_;
   index::InvertedIndex inverted_;
 };
 

@@ -43,11 +43,12 @@ ShardOptions QueryEngine::MakeShardOptions() const {
 
 QueryEngine::StatePtr QueryEngine::MakeState(
     std::shared_ptr<const Snapshot> snapshot, const index::SetCollection* sets,
-    sim::SimilarityIndex* index) const {
+    const sim::SimilarityIndex* index) const {
   auto state = std::make_shared<ServingState>(std::move(snapshot), sets, index,
                                               MakeShardOptions());
   if (options_.cursor_cache_bytes > 0) {
-    if (auto* cache = dynamic_cast<sim::BatchedNeighborIndex*>(index)) {
+    if (const auto* cache =
+            dynamic_cast<const sim::BatchedNeighborIndex*>(index)) {
       cache->SetCursorCacheCapacity(options_.cursor_cache_bytes);
     }
   }
@@ -73,7 +74,7 @@ std::unique_ptr<util::ThreadPool> MakeShardPool(const EngineOptions& options) {
 }  // namespace
 
 QueryEngine::QueryEngine(const index::SetCollection* sets,
-                         sim::SimilarityIndex* index,
+                         const sim::SimilarityIndex* index,
                          const EngineOptions& options)
     : options_(options),
       state_(MakeState(nullptr, sets, index)),
@@ -101,10 +102,10 @@ void QueryEngine::SwapSnapshot(std::shared_ptr<const Snapshot> snapshot) {
   // the borrowed-parts construction mode).
   assert(snapshot != nullptr);
   if (snapshot == nullptr) return;
-  // Build the replacement state (partition inverted indexes, session
-  // probe, cache budget) BEFORE taking the lock: in-flight and newly
-  // admitted queries keep serving against the current state while the
-  // expensive part runs; only the pointer flip itself is serialized.
+  // Build the replacement state (partition inverted indexes, cache budget)
+  // BEFORE taking the lock: in-flight and newly admitted queries keep
+  // serving against the current state while the expensive part runs; only
+  // the pointer flip itself is serialized.
   const Snapshot* raw = snapshot.get();
   StatePtr next = MakeState(std::move(snapshot), &raw->sets(), raw->index());
   {
@@ -370,8 +371,7 @@ QueryEngine::Result QueryEngine::Execute(const ServingState& state,
           util::TraceRecorder::Current();
       qopts.trace_id = ambient.trace_id;
       qopts.trace_parent = ambient.parent_span;
-      // The coordinator owns session creation (one per shard); at
-      // num_shards = 1 this is exactly the pre-shard execution path.
+      // At num_shards = 1 this is exactly the pre-shard execution path.
       result = state.coordinator.Execute(query, params, qopts,
                                          shard_pool_.get(), &report);
     }
@@ -499,8 +499,6 @@ std::vector<QueryEngine::Result> QueryEngine::SearchMany(
   tokens.erase(std::unique(tokens.begin(), tokens.end()), tokens.end());
   if (!tokens.empty()) {
     KOIOS_TRACE_SPAN_ARG("serve.prewarm", "tokens", tokens.size());
-    std::unique_ptr<sim::SimilarityIndex> session = state->index->NewSession();
-    session->set_thread_pool(&pool_);
     // Chunked fan-out with a deadline poll between chunks: a stalled or
     // oversized prewarm stops warming the moment the batch deadline
     // expires, and the queries then surface clean DeadlineExceeded
@@ -510,9 +508,9 @@ std::vector<QueryEngine::Result> QueryEngine::SearchMany(
     const std::span<const TokenId> all(tokens);
     for (size_t i = 0; i < tokens.size() && !TicketExpired(ticket);
          i += kPrewarmPollChunk) {
-      session->Prewarm(
+      state->index->Prewarm(
           all.subspan(i, std::min(kPrewarmPollChunk, tokens.size() - i)),
-          params.alpha);
+          params.alpha, &pool_);
     }
   }
 

@@ -2,13 +2,14 @@
 // snapshot. KoiosSearcher::Search answers ONE query; this engine
 // multiplexes many over a shared util::ThreadPool:
 //
-//  * Shared immutable state, per-query sessions. The engine owns the
-//    partition inverted indexes (inside a const KoiosSearcher) and borrows
-//    the snapshot's neighbor index; every admitted query probes through
-//    its own SimilarityIndex::NewSession(), so concurrent queries share
-//    built cursors (the sharded cache pays each (token, α) build once
-//    across the whole workload) while consuming them independently.
-//    Results are bit-identical to serial one-at-a-time Search.
+//  * Shared immutable state. The engine owns the partition inverted
+//    indexes (inside const KoiosSearchers) and borrows the snapshot's
+//    immutable neighbor index; every query runs the searcher's reentrant
+//    Search, whose token stream probes through a session of its own, so
+//    concurrent queries share built cursors (the sharded cache pays each
+//    (token, α) build once across the whole workload) while consuming
+//    them independently. Results are bit-identical to serial
+//    one-at-a-time Search.
 //  * Admission control. At most `num_threads` queries run at once; beyond
 //    that, up to `max_queue` wait. Overflow is rejected IMMEDIATELY with
 //    ResourceExhausted (an overloaded serving system must shed load, not
@@ -164,9 +165,9 @@ class QueryEngine {
  public:
   using Result = util::StatusOr<core::SearchResult>;
 
-  /// Serves over caller-owned parts (both must outlive the engine). Every
-  /// query and shard probes its own NewSession() of the index.
-  QueryEngine(const index::SetCollection* sets, sim::SimilarityIndex* index,
+  /// Serves over caller-owned parts (both must outlive the engine).
+  QueryEngine(const index::SetCollection* sets,
+              const sim::SimilarityIndex* index,
               const EngineOptions& options = {});
 
   /// Serves over (and keeps alive) a shared snapshot.
@@ -271,7 +272,7 @@ class QueryEngine {
   /// Per-shard execution latency samples of completed queries (one sample
   /// per shard per query — shard i's own wall time inside the fan-out).
   /// Empty recorder for out-of-range shards. At num_shards = 1, shard 0
-  /// mirrors latency() minus the merge/session overhead.
+  /// mirrors latency() minus the coordinator's overhead.
   LatencyRecorder shard_latency(size_t shard) const;
   /// Aggregate SearchStats of shard `shard` across completed queries —
   /// per-shard tuples/candidates/phase timers ("cursor_build",
@@ -307,24 +308,24 @@ class QueryEngine {
   struct ServingState {
     ServingState(std::shared_ptr<const Snapshot> snap,
                  const index::SetCollection* sets,
-                 sim::SimilarityIndex* index_in,
+                 const sim::SimilarityIndex* index_in,
                  const ShardOptions& shard_options)
         : snapshot(std::move(snap)),
           index(index_in),
           coordinator(sets, index_in, shard_options) {}
 
     std::shared_ptr<const Snapshot> snapshot;  // null for borrowed parts
-    sim::SimilarityIndex* index;
+    const sim::SimilarityIndex* index;
     ShardCoordinator coordinator;  // holds the shard slices + searchers
   };
   using StatePtr = std::shared_ptr<const ServingState>;
 
-  /// Builds a serving state (partition indexes, sessions probe, cursor
-  /// cache budget). Runs off the serving path — existing queries keep
-  /// executing against the current state meanwhile.
+  /// Builds a serving state (partition indexes, cursor cache budget).
+  /// Runs off the serving path — existing queries keep executing against
+  /// the current state meanwhile.
   StatePtr MakeState(std::shared_ptr<const Snapshot> snapshot,
                      const index::SetCollection* sets,
-                     sim::SimilarityIndex* index) const;
+                     const sim::SimilarityIndex* index) const;
   StatePtr CurrentState() const;
 
   /// Per-query trace context, captured at admission (the submitter's

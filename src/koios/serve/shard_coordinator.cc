@@ -13,9 +13,9 @@
 namespace koios::serve {
 
 ShardCoordinator::ShardCoordinator(const index::SetCollection* sets,
-                                   sim::SimilarityIndex* index,
+                                   const sim::SimilarityIndex* index,
                                    const ShardOptions& options)
-    : options_(options), index_(index) {
+    : options_(options) {
   // One shard serves the FULL collection directly (no slice, no rebased
   // offsets) — the N=1 fast path the equivalence contract depends on.
   if (options.num_shards <= 1 || sets->size() <= 1) {
@@ -70,9 +70,7 @@ core::SearchResult ShardCoordinator::Execute(std::span<const TokenId> query,
     std::optional<util::TraceSpan> span;
     if (n > 1) span.emplace("shard.execute", "shard", i);
     util::WallTimer timer;
-    std::unique_ptr<sim::SimilarityIndex> session = index_->NewSession();
-    partial[i] = shards_[i]->Execute(query, shard_params, session.get(),
-                                     contexts[i].get());
+    partial[i] = shards_[i]->Execute(query, shard_params, contexts[i].get());
     seconds[i] = timer.ElapsedSeconds();
   };
 

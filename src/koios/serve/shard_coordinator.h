@@ -72,7 +72,8 @@ class ShardCoordinator {
   /// coordinator; slices borrow `sets`' token arena. num_shards is
   /// clamped to [1, max(1, sets->size())].
   ShardCoordinator(const index::SetCollection* sets,
-                   sim::SimilarityIndex* index, const ShardOptions& options);
+                   const sim::SimilarityIndex* index,
+                   const ShardOptions& options);
 
   ShardCoordinator(const ShardCoordinator&) = delete;
   ShardCoordinator& operator=(const ShardCoordinator&) = delete;
@@ -100,8 +101,8 @@ class ShardCoordinator {
   };
 
   /// Executes one query across all shards and merges (see file comment).
-  /// Every shard probes its own session of the shared index. `shard_pool`
-  /// carries shards 1..N-1; shard 0 always runs on the calling thread, and
+  /// Each shard's token stream probes the shared index through a session
+  /// of its own. `shard_pool` carries shards 1..N-1; shard 0 always runs on the calling thread, and
   /// a null pool runs the shards one after another on it. `report`
   /// (optional) receives per-shard timings and stats. Throws SearchAborted
   /// on deadline/cancel — after every in-flight shard has been joined.
@@ -113,7 +114,6 @@ class ShardCoordinator {
 
  private:
   ShardOptions options_;
-  sim::SimilarityIndex* index_;
   // unique_ptr for pointer stability: each engine's searcher points into
   // the engine's own slice storage (see ShardEngine).
   std::vector<std::unique_ptr<ShardEngine>> shards_;

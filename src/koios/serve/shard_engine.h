@@ -36,14 +36,15 @@ class ShardEngine {
   /// Full-collection shard (the N=1 fast path): no slice is materialized,
   /// the searcher runs over `sets` directly and result ids are already
   /// global. `sets` and `index` must outlive the engine.
-  ShardEngine(const index::SetCollection* sets, sim::SimilarityIndex* index,
+  ShardEngine(const index::SetCollection* sets,
+              const sim::SimilarityIndex* index,
               const core::SearcherOptions& options)
       : base_(0), sets_(sets), searcher_(sets, index, options) {}
 
   /// Slice shard: takes ownership of the slice (the searcher is built
   /// over slice.sets, which borrows the PARENT collection's token arena —
   /// the caller must keep whatever owns the parent alive).
-  ShardEngine(io::ShardSlice slice, sim::SimilarityIndex* index,
+  ShardEngine(io::ShardSlice slice, const sim::SimilarityIndex* index,
               const core::SearcherOptions& options)
       : slice_(std::move(slice)),
         base_(slice_.base),
@@ -58,17 +59,14 @@ class ShardEngine {
   size_t set_count() const { return sets_->size(); }
   const core::KoiosSearcher& searcher() const { return searcher_; }
 
-  /// Runs the query on this shard through `index` (the caller's per-query
-  /// probe session) and
-  /// `ctx` (deadline / cancellation / the coordinator-attached shared
-  /// θlb), returning results with GLOBAL set ids. Reentrant with distinct
-  /// sessions and contexts, like KoiosSearcher::Search. Throws
-  /// SearchAborted when ctx expires.
+  /// Runs the query on this shard under `ctx` (deadline / cancellation /
+  /// the coordinator-attached shared θlb), returning results with GLOBAL
+  /// set ids. Reentrant with distinct contexts, like
+  /// KoiosSearcher::Search. Throws SearchAborted when ctx expires.
   core::SearchResult Execute(std::span<const TokenId> query,
                              const core::SearchParams& params,
-                             sim::SimilarityIndex* index,
                              core::SearchContext* ctx) const {
-    core::SearchResult result = searcher_.Search(query, params, index, ctx);
+    core::SearchResult result = searcher_.Search(query, params, ctx);
     if (base_ != 0) {
       for (core::ResultEntry& entry : result.topk) entry.set += base_;
     }

@@ -6,9 +6,10 @@
 // repository format of io::SaveRepository) once, then handed around as
 // shared_ptr<const Snapshot>. Every QueryEngine (and any number of
 // concurrent queries inside each) reads the same instance; "const" is the
-// reentrancy contract — the only mutation behind it is the neighbor
-// index's internally synchronized shared cursor cache, which is not
-// observable through probe results (cursor builds are deterministic).
+// reentrancy contract — every query's probe state lives in its own token
+// stream's session, and the only mutation behind the const index is its
+// internally synchronized shared cursor cache, which is not observable
+// through probe results (cursor builds are deterministic).
 // Snapshot swap (reindex, corpus update) is therefore just: load the new
 // one, point new engines at it, drop the old shared_ptr when its last
 // in-flight query finishes.
@@ -69,10 +70,9 @@ class Snapshot {
   const embedding::EmbeddingStore& store() const { return store_; }
   const sim::SimilarityFunction& similarity() const { return *similarity_; }
 
-  /// The shared neighbor index. Non-const: probing mutates its internal
-  /// (synchronized) cursor cache; concurrent queries must each probe
-  /// through their own index->NewSession().
-  sim::SimilarityIndex* index() const { return index_.get(); }
+  /// The shared neighbor index: immutable, so any number of queries may
+  /// search it at once (each token stream opens its own probe session).
+  const sim::SimilarityIndex* index() const { return index_.get(); }
 
   /// True when the snapshot serves straight out of a v4 file mapping
   /// (dict/sets/store are in borrowed mode; the mapping is pinned here).

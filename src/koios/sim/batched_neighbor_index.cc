@@ -24,52 +24,40 @@ inline bool NeighborBefore(const Neighbor& a, const Neighbor& b) {
 
 }  // namespace
 
-// ---- per-query probe session ------------------------------------------------
+// ---- probe session ----------------------------------------------------------
 
-// A per-query SimilarityIndex view: private consumption positions over the
-// parent's shared cursor cache. Everything stateful that a query touches
-// through the SimilarityIndex interface lives here, which is what makes
-// KoiosSearcher::Search reentrant when each concurrent query probes its
-// own session.
-class BatchedNeighborIndex::Session final : public SimilarityIndex {
+// One query's consumption positions over the parent's shared cursor cache:
+// everything stateful that a probe touches lives here, which is what makes
+// the index itself const and every searcher's Search reentrant.
+class BatchedNeighborIndex::Session final : public ProbeSession {
  public:
   explicit Session(const BatchedNeighborIndex* parent) : parent_(parent) {}
 
   std::optional<Neighbor> NextNeighbor(TokenId q, Score alpha) override {
-    return parent_->ProbeNext(positions_, q, alpha);
-  }
-
-  const SimilarityFunction* similarity() const override {
-    return parent_->similarity();
-  }
-
-  bool exact_neighbors() const override { return parent_->exact_neighbors(); }
-
-  void ResetCursors() override { positions_.clear(); }
-
-  void Prewarm(std::span<const TokenId> tokens, Score alpha) override {
-    parent_->PrewarmShared(tokens, alpha, pool_);
-  }
-
-  /// Sessions carry their own pool so a per-query pool attachment never
-  /// races another query's (the parent's pool_ is not touched).
-  void set_thread_pool(util::ThreadPool* pool) override { pool_ = pool; }
-
-  std::unique_ptr<SimilarityIndex> NewSession() override {
-    return std::make_unique<Session>(parent_);
-  }
-
-  size_t MemoryUsageBytes() const override {
-    return parent_->MemoryUsageBytes();
+    Position& pos = positions_[q];
+    if (pos.cursor == nullptr || pos.cursor->alpha != alpha) {
+      // First probe, or a cursor filtered at a different α (a stale cursor
+      // would silently serve neighbors pruned at the old threshold).
+      pos.cursor = parent_->CursorFor(q, alpha);
+      pos.next = 0;
+    }
+    SharedCursor& cursor = *pos.cursor;
+    if (pos.next >= cursor.neighbors.size()) return std::nullopt;
+    EnsureOrdered(cursor, pos.next + 1);
+    return cursor.neighbors[pos.next++];
   }
 
  private:
+  struct Position {
+    CursorPtr cursor;  // resolved payload (null until first probe)
+    size_t next = 0;   // neighbors this session consumed
+  };
+
   const BatchedNeighborIndex* parent_;
-  util::ThreadPool* pool_ = nullptr;
-  PositionMap positions_;
+  std::unordered_map<TokenId, Position> positions_;
 };
 
-std::unique_ptr<SimilarityIndex> BatchedNeighborIndex::NewSession() {
+std::unique_ptr<ProbeSession> BatchedNeighborIndex::NewSession() const {
   return std::make_unique<Session>(this);
 }
 
@@ -121,10 +109,6 @@ void BatchedNeighborIndex::MergeSortedRuns(std::vector<TokenId>* ids,
   }
   ids->erase(std::unique(ids->begin(), ids->end()), ids->end());
 }
-
-BatchedNeighborIndex::BatchedNeighborIndex(const SimilarityFunction* sim,
-                                           util::ThreadPool* pool)
-    : sim_(sim), pool_(pool) {}
 
 // ---- shared cursor cache ----------------------------------------------------
 
@@ -204,7 +188,7 @@ BatchedNeighborIndex::CursorPtr BatchedNeighborIndex::PublishCursor(
   return winner;
 }
 
-void BatchedNeighborIndex::SetCursorCacheCapacity(size_t bytes) {
+void BatchedNeighborIndex::SetCursorCacheCapacity(size_t bytes) const {
   cache_bytes_.set_capacity(bytes);
   EvictToCapacity();
 }
@@ -398,8 +382,8 @@ void BatchedNeighborIndex::EnsureOrdered(SharedCursor& cursor, size_t count) {
   size_t prefix = cursor.ordered_prefix.load(std::memory_order_relaxed);
   while (prefix < wanted) {
     // Chunks double as consumption deepens: nth_element costs O(remaining)
-    // per round, so a flat chunk would make a full drain (the EdgeCache
-    // materializes the whole stream today) quadratic. Doubling keeps short
+    // per round, so a flat chunk would make a full drain (a query whose
+    // refinement runs the stream down to α) quadratic. Doubling keeps short
     // prefixes cheap and bounds full consumption at O(m log m), matching
     // the eager sort this replaced.
     const size_t chunk = std::max(kSortChunk, prefix);
@@ -418,34 +402,10 @@ void BatchedNeighborIndex::EnsureOrdered(SharedCursor& cursor, size_t count) {
   cursor.ordered_prefix.store(prefix, std::memory_order_release);
 }
 
-// ---- probe bodies -----------------------------------------------------------
-
-std::optional<Neighbor> BatchedNeighborIndex::ProbeNext(PositionMap& positions,
-                                                        TokenId q,
-                                                        Score alpha) const {
-  ProbePos& pos = positions[q];
-  if (pos.cursor == nullptr || pos.cursor->alpha != alpha) {
-    // First probe, or a cursor filtered at a different α (a stale cursor
-    // would silently serve neighbors pruned at the old threshold).
-    pos.cursor = CursorFor(q, alpha);
-    pos.next = 0;
-  }
-  SharedCursor& cursor = *pos.cursor;
-  if (pos.next >= cursor.neighbors.size()) return std::nullopt;
-  EnsureOrdered(cursor, pos.next + 1);
-  return cursor.neighbors[pos.next++];
-}
-
-std::optional<Neighbor> BatchedNeighborIndex::NextNeighbor(TokenId q,
-                                                           Score alpha) {
-  return ProbeNext(legacy_positions_, q, alpha);
-}
-
 // ---- prewarm ----------------------------------------------------------------
 
-void BatchedNeighborIndex::PrewarmShared(std::span<const TokenId> tokens,
-                                         Score alpha,
-                                         util::ThreadPool* pool) const {
+void BatchedNeighborIndex::Prewarm(std::span<const TokenId> tokens,
+                                   Score alpha, util::ThreadPool* pool) const {
   std::vector<TokenId> missing;
   missing.reserve(tokens.size());
   for (TokenId t : tokens) missing.push_back(t);
@@ -487,16 +447,9 @@ void BatchedNeighborIndex::PrewarmShared(std::span<const TokenId> tokens,
   }
 }
 
-void BatchedNeighborIndex::Prewarm(std::span<const TokenId> tokens,
-                                   Score alpha) {
-  PrewarmShared(tokens, alpha, pool_);
-}
-
 // ---- maintenance ------------------------------------------------------------
 
-void BatchedNeighborIndex::ResetCursors() { legacy_positions_.clear(); }
-
-void BatchedNeighborIndex::ClearCursorCache() {
+void BatchedNeighborIndex::ClearCursorCache() const {
   for (CacheShard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mutex);
     // Debit exactly what each dropped entry credited at publish; sessions
@@ -506,7 +459,6 @@ void BatchedNeighborIndex::ClearCursorCache() {
     shard.ring.clear();
     shard.hand = 0;
   }
-  legacy_positions_.clear();
 }
 
 CursorCacheStats BatchedNeighborIndex::cursor_cache_stats() const {

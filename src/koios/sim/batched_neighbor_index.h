@@ -20,8 +20,8 @@
 //    O(m log m) like an eager sort.
 //  * Prewarm() builds the cursors of a whole query up front in blocks of
 //    kPrewarmBlock through SimilarityBatchMulti (each target row is read
-//    once per multi-query block) and fans independent blocks across an
-//    optional util::ThreadPool.
+//    once per multi-query block) and fans independent blocks across the
+//    util::ThreadPool the caller passes, if any.
 //
 // CONCURRENCY (the serve subsystem's reentrancy contract): built cursors
 // live in a sharded, mutex-protected cache keyed by (token, α) and are
@@ -33,12 +33,10 @@
 // an atomic, so readers of the ordered prefix never take a lock. What
 // CANNOT be shared is consumption position: each consumer advances its
 // own per-token position over the shared payload. NewSession() returns a
-// per-query view holding exactly that state, and it is the only way to
-// probe concurrently: the serve engine hands one to every query and the
-// shard coordinator one to every shard. The index's own
-// NextNeighbor/ResetCursors remain the single-consumer convenience
-// interface backed by one internal legacy position table. ResetCursors
-// resets POSITIONS only — the shared cursor payloads persist across
+// ProbeSession holding exactly that state, and it is the only way to
+// probe: every TokenStream opens its own, so every query (and every shard
+// of a query) probes privately. The index itself holds no probe state,
+// so all of it is const. The shared cursor payloads persist across
 // queries (they are deterministic pure functions of (token, α), so
 // replaying against a warm cache is bit-identical to a cold one).
 //
@@ -51,9 +49,8 @@
 // cache HIT sets the entry's reference bit, the per-shard clock hand
 // clears bits on its way round and drops the first unreferenced entry, so
 // hot Zipf-head tokens survive and cold tail builds recycle. Eviction
-// drops only the CACHE's shared_ptr reference — a session (or the legacy
-// position table) holding the payload keeps it alive and keeps streaming
-// from it untouched; results therefore stay bit-identical under any
+// drops only the CACHE's shared_ptr reference — a session holding the
+// payload keeps it alive and keeps streaming from it untouched; results therefore stay bit-identical under any
 // eviction schedule, bounded-cache probing just pays extra rebuilds
 // (counted in `evictions`/`misses`).
 #ifndef KOIOS_SIM_BATCHED_NEIGHBOR_INDEX_H_
@@ -70,16 +67,12 @@
 #include "koios/sim/similarity.h"
 #include "koios/util/memory_tracker.h"
 
-namespace koios::util {
-class ThreadPool;
-}  // namespace koios::util
-
 namespace koios::sim {
 
 /// Counters of the shared cursor cache (monotone; snapshot accessor).
-/// hits/misses count cursor resolutions by ANY consumer (sessions, the
-/// legacy single-consumer interface, Prewarm); a hit means a previously
-/// built cursor — possibly built by a DIFFERENT query — was reused.
+/// hits/misses count cursor resolutions by ANY consumer (sessions and
+/// Prewarm); a hit means a previously built cursor — possibly built by a
+/// DIFFERENT query — was reused.
 struct CursorCacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
@@ -101,31 +94,20 @@ struct CursorCacheStats {
 
 class BatchedNeighborIndex : public SimilarityIndex {
  public:
-  std::optional<Neighbor> NextNeighbor(TokenId q, Score alpha) override;
-
   const SimilarityFunction* similarity() const override { return sim_; }
 
-  /// Resets the single-consumer probe POSITIONS. Shared cursor payloads
-  /// stay cached across queries (see the class comment); use
-  /// ClearCursorCache() to actually drop them.
-  void ResetCursors() override;
+  /// Eagerly builds (across `pool` when given) the cursors for every token
+  /// in `tokens` that is not already cached at this α. Cursors land in the
+  /// shared cache, so one query's (or one SearchMany batch's) prewarm is
+  /// every concurrent query's warm start.
+  void Prewarm(std::span<const TokenId> tokens, Score alpha,
+               util::ThreadPool* pool = nullptr) const override;
 
-  /// Eagerly builds (in parallel when a pool is set) the cursors for every
-  /// token in `tokens` that is not already cached at this α. Cursors land
-  /// in the shared cache, so one query's (or one SearchMany batch's)
-  /// prewarm is every concurrent query's warm start.
-  void Prewarm(std::span<const TokenId> tokens, Score alpha) override;
-
-  /// Per-query probe session over the shared cursor cache (see
+  /// Probe session over the shared cursor cache (see
   /// SimilarityIndex::NewSession). Sessions are cheap (an empty position
-  /// table); any number may run concurrently with each other, with
-  /// Prewarm, and with the owning index's legacy interface.
-  std::unique_ptr<SimilarityIndex> NewSession() override;
-
-  /// Swap the worker pool used by Prewarm (nullptr = serial), so cursor
-  /// builds fan out without the index owning threads. Sessions carry their
-  /// own pool pointer, so this setting is only for the legacy interface.
-  void set_thread_pool(util::ThreadPool* pool) override { pool_ = pool; }
+  /// table); any number may run concurrently with each other and with
+  /// Prewarm.
+  std::unique_ptr<ProbeSession> NewSession() const override;
 
   CursorCacheStats cursor_cache_stats() const;
 
@@ -137,7 +119,7 @@ class BatchedNeighborIndex : public SimilarityIndex {
   /// transiently overshoot by at most their in-flight payloads). Safe to
   /// call on a live index; a shrink evicts down to the new cap before
   /// returning.
-  void SetCursorCacheCapacity(size_t bytes);
+  void SetCursorCacheCapacity(size_t bytes) const;
 
   /// Evicts until the cache is within its capacity (no-op when unbounded
   /// or already within). Called automatically after every publish;
@@ -147,16 +129,14 @@ class BatchedNeighborIndex : public SimilarityIndex {
   /// Drops every cached cursor (memory pressure / tests). Sessions holding
   /// a cursor keep it alive until they release it; in-flight probes are
   /// unaffected.
-  void ClearCursorCache();
+  void ClearCursorCache() const;
 
   size_t MemoryUsageBytes() const override;
 
  protected:
   /// `sim`: any symmetric similarity; its batch entry points are the only
   /// way this class scores candidates.
-  /// `pool`: optional worker pool used by Prewarm() (nullptr = serial).
-  explicit BatchedNeighborIndex(const SimilarityFunction* sim,
-                                util::ThreadPool* pool = nullptr);
+  explicit BatchedNeighborIndex(const SimilarityFunction* sim) : sim_(sim) {}
 
   /// Append the candidate vocabulary tokens for query `q` to `out`
   /// (`out` arrives empty) as a SORTED, DUPLICATE-FREE list — bucket
@@ -228,13 +208,6 @@ class BatchedNeighborIndex : public SimilarityIndex {
   };
   using CursorPtr = std::shared_ptr<SharedCursor>;
 
-  /// Per-consumer consumption state over a shared cursor.
-  struct ProbePos {
-    CursorPtr cursor;  // resolved payload (null until first probe)
-    size_t next = 0;   // neighbors consumed by THIS consumer
-  };
-  using PositionMap = std::unordered_map<TokenId, ProbePos>;
-
   struct CacheKey {
     TokenId token;
     Score alpha;
@@ -297,23 +270,11 @@ class BatchedNeighborIndex : public SimilarityIndex {
   std::vector<CursorPtr> BuildCursorBlock(std::span<const TokenId> qs,
                                           Score alpha) const;
 
-  /// Prewarm body shared by the legacy interface and sessions: builds the
-  /// (token, α) pairs missing from the shared cache, fanning blocks across
-  /// `pool` when given.
-  void PrewarmShared(std::span<const TokenId> tokens, Score alpha,
-                     util::ThreadPool* pool) const;
-
-  /// Probe body shared by the legacy interface and sessions; `positions`
-  /// is the calling consumer's private state.
-  std::optional<Neighbor> ProbeNext(PositionMap& positions, TokenId q,
-                                    Score alpha) const;
-
   const SimilarityFunction* sim_;
-  util::ThreadPool* pool_;
 
   // Shared cursor cache + stats. Mutable: caching is not observable
   // through the probe results (builds are deterministic), and sessions
-  // must be able to populate it through a const parent.
+  // populate it through their const index.
   mutable std::array<CacheShard, kCacheShards> shards_;
   mutable std::atomic<uint64_t> hits_{0};
   mutable std::atomic<uint64_t> misses_{0};
@@ -326,9 +287,6 @@ class BatchedNeighborIndex : public SimilarityIndex {
   mutable util::ByteBudget cache_bytes_;
   mutable std::atomic<uint64_t> evictions_{0};
   mutable std::atomic<size_t> evict_shard_{0};
-
-  // Consumption state of the legacy single-consumer interface.
-  PositionMap legacy_positions_;
 };
 
 }  // namespace koios::sim

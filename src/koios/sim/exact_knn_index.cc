@@ -5,9 +5,8 @@
 namespace koios::sim {
 
 ExactKnnIndex::ExactKnnIndex(std::vector<TokenId> vocabulary,
-                             const SimilarityFunction* sim,
-                             util::ThreadPool* pool)
-    : BatchedNeighborIndex(sim, pool), vocabulary_(std::move(vocabulary)) {}
+                             const SimilarityFunction* sim)
+    : BatchedNeighborIndex(sim), vocabulary_(std::move(vocabulary)) {}
 
 size_t ExactKnnIndex::MemoryUsageBytes() const {
   return vocabulary_.capacity() * sizeof(TokenId) +

@@ -6,13 +6,13 @@
 // results", §VIII-E).
 //
 // All probing machinery (batched kernel scan, α filter, lazy chunked
-// ordering, α-keyed cursor cache, pooled Prewarm) lives in
+// ordering, α-keyed cursor cache, pooled Prewarm, probe sessions) lives in
 // BatchedNeighborIndex; this class only defines the candidate set, which
 // for the exact index is the ENTIRE vocabulary — shared by every query, so
 // the prewarm block path feeds it straight to SimilarityBatchMulti.
 //
-// Thread-safety: single consumer (see SimilarityIndex); Prewarm fans
-// cursor builds across the attached util::ThreadPool internally.
+// Thread-safety: immutable after construction; concurrent queries each
+// probe their own session (see SimilarityIndex).
 #ifndef KOIOS_SIM_EXACT_KNN_INDEX_H_
 #define KOIOS_SIM_EXACT_KNN_INDEX_H_
 
@@ -27,10 +27,7 @@ class ExactKnnIndex : public BatchedNeighborIndex {
  public:
   /// `vocabulary`: the distinct tokens of the repository `D`.
   /// `sim`: any symmetric similarity function (cosine, q-gram Jaccard, ...).
-  /// `pool`: optional worker pool used by Prewarm() to build cursors for
-  ///         distinct query tokens concurrently; nullptr builds serially.
-  ExactKnnIndex(std::vector<TokenId> vocabulary, const SimilarityFunction* sim,
-                util::ThreadPool* pool = nullptr);
+  ExactKnnIndex(std::vector<TokenId> vocabulary, const SimilarityFunction* sim);
 
   size_t vocabulary_size() const { return vocabulary_.size(); }
 

@@ -10,9 +10,8 @@ namespace koios::sim {
 CosineLshIndex::CosineLshIndex(std::vector<TokenId> vocabulary,
                                const embedding::EmbeddingStore* store,
                                const SimilarityFunction* sim,
-                               const LshIndexSpec& spec,
-                               util::ThreadPool* pool)
-    : BatchedNeighborIndex(sim, pool),
+                               const LshIndexSpec& spec)
+    : BatchedNeighborIndex(sim),
       vocabulary_(std::move(vocabulary)),
       store_(store),
       spec_(spec) {

@@ -14,9 +14,10 @@
 // over the block's candidate union — bucket probes of similar query
 // tokens overlap heavily, so the union amortizes target-row reads.
 //
-// Thread-safety: single consumer (see SimilarityIndex); the hash tables
-// are immutable after construction, so CollectCandidates is safe from
-// Prewarm's pool workers.
+// Thread-safety: immutable after construction (concurrent queries each
+// probe their own session, see SimilarityIndex); the hash tables never
+// change, so CollectCandidates is safe from Prewarm's pool workers and
+// from concurrent sessions.
 #ifndef KOIOS_SIM_LSH_INDEX_H_
 #define KOIOS_SIM_LSH_INDEX_H_
 
@@ -40,11 +41,9 @@ class CosineLshIndex : public BatchedNeighborIndex {
  public:
   /// Indexes the covered subset of `vocabulary`; `sim` scores each probe's
   /// candidate batch (so any downstream clamping matches the exact path).
-  /// `pool`: optional worker pool for Prewarm's fan-out.
   CosineLshIndex(std::vector<TokenId> vocabulary,
                  const embedding::EmbeddingStore* store,
-                 const SimilarityFunction* sim, const LshIndexSpec& spec,
-                 util::ThreadPool* pool = nullptr);
+                 const SimilarityFunction* sim, const LshIndexSpec& spec);
 
   size_t MemoryUsageBytes() const override;
 

@@ -29,9 +29,8 @@ uint64_t HashGram(const std::string& gram, uint64_t seed) {
 
 MinHashIndex::MinHashIndex(std::vector<TokenId> vocabulary,
                            const JaccardQGramSimilarity* sim,
-                           const MinHashIndexSpec& spec,
-                           util::ThreadPool* pool)
-    : BatchedNeighborIndex(sim, pool),
+                           const MinHashIndexSpec& spec)
+    : BatchedNeighborIndex(sim),
       vocabulary_(std::move(vocabulary)),
       jaccard_(sim),
       spec_(spec) {

@@ -13,9 +13,10 @@
 // cursor. Scores stay exact Jaccard values — only candidate generation is
 // approximate.
 //
-// Thread-safety: single consumer (see SimilarityIndex); the band tables
-// are immutable after construction, so CollectCandidates is safe from
-// Prewarm's pool workers.
+// Thread-safety: immutable after construction (concurrent queries each
+// probe their own session, see SimilarityIndex); the band tables never
+// change, so CollectCandidates is safe from Prewarm's pool workers and
+// from concurrent sessions.
 #ifndef KOIOS_SIM_MINHASH_INDEX_H_
 #define KOIOS_SIM_MINHASH_INDEX_H_
 
@@ -40,10 +41,8 @@ class MinHashIndex : public BatchedNeighborIndex {
   /// Indexes `vocabulary` by the MinHash of each token's q-gram set (the
   /// feature sets come from `sim`, which also scores each probe's candidate
   /// batch so results are exact Jaccard values).
-  /// `pool`: optional worker pool for Prewarm's fan-out.
   MinHashIndex(std::vector<TokenId> vocabulary,
-               const JaccardQGramSimilarity* sim, const MinHashIndexSpec& spec,
-               util::ThreadPool* pool = nullptr);
+               const JaccardQGramSimilarity* sim, const MinHashIndexSpec& spec);
 
   /// Theoretical collision probability of a pair with Jaccard `j`.
   double CollisionProbability(double j) const;

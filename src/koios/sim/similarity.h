@@ -9,8 +9,9 @@
 //    index for cosine and a set-similarity join for Jaccard; this repo
 //    provides an exact brute-force index and LSH / MinHash approximations,
 //    all built on the shared BatchedNeighborIndex cursor machinery. One
-//    probe interface: NextNeighbor, on the index or on a per-query
-//    session (NewSession) that shares the index's built cursors.
+//    probe interface: the index is immutable and shared, and each query
+//    probes through its own ProbeSession (NewSession), which holds the
+//    query's cursor positions over the index's built cursors.
 //
 // THE BATCH CONTRACT (established in PR 1, honored by every backend): hot
 // consumers never score candidates pairwise through the virtual call. They
@@ -88,26 +89,39 @@ struct Neighbor {
   Score sim = 0.0;
 };
 
+/// One query's probe state over a SimilarityIndex: the position it has
+/// reached in each query token's neighbor stream.
+///
+/// `NextNeighbor(q, alpha)` returns the most similar vocabulary token for
+/// query token `q` with similarity >= alpha that THIS session has not
+/// returned yet, in non-increasing similarity order (ties broken by
+/// ascending token id), or nullopt when exhausted. The α filter is a hard
+/// cutoff applied when the query token's cursor is built: a cursor built at
+/// one α never serves a probe at a different α (sessions re-resolve on
+/// mismatch). The query token itself is never returned (the token stream
+/// injects self-matches, which is how Def. 1's sim(x, x) = 1 reaches OOV
+/// tokens).
+///
+/// Thread-safety: one session per consumer. A session is not shared
+/// between threads; any number of sessions over one index may probe
+/// concurrently. The session borrows its index, which must outlive it.
+class ProbeSession {
+ public:
+  virtual ~ProbeSession() = default;
+
+  virtual std::optional<Neighbor> NextNeighbor(TokenId q, Score alpha) = 0;
+};
+
 /// Streaming per-query-token neighbor index over the vocabulary `D`.
 ///
-/// `NextNeighbor(q, alpha)` returns the most similar *not yet returned*
-/// vocabulary token for query token `q` with similarity >= alpha, in
-/// non-increasing similarity order (ties broken by ascending token id), or
-/// nullopt when exhausted. The α filter is a hard cutoff applied when the
-/// query token's cursor is built: a cursor built at one α must never serve
-/// a probe at a different α (implementations rebuild on mismatch). The
-/// query token itself is never returned (the token stream injects
-/// self-matches, which is how Def. 1's sim(x, x) = 1 reaches OOV tokens).
-///
-/// Thread-safety: single consumer. NextNeighbor / ResetCursors / Prewarm
-/// must not be called concurrently with each other; Prewarm may use worker
-/// threads internally (cursors for distinct tokens are independent).
-/// Concurrent consumers each probe their own NewSession().
+/// The index is immutable after construction and every member is const and
+/// thread-safe: all probe state lives in the ProbeSessions it hands out.
+/// Implementations may memoize built cursors behind internal
+/// synchronization (concurrent sessions then reuse each other's builds);
+/// the memo is not observable through probe results.
 class SimilarityIndex {
  public:
   virtual ~SimilarityIndex() = default;
-
-  virtual std::optional<Neighbor> NextNeighbor(TokenId q, Score alpha) = 0;
 
   /// The SimilarityFunction this index scores candidates with, when it has
   /// one (nullptr otherwise). Consumers use it to complete similarity
@@ -115,7 +129,7 @@ class SimilarityIndex {
   /// searcher only enables stream feedback when this is non-null.
   virtual const SimilarityFunction* similarity() const { return nullptr; }
 
-  /// True iff NextNeighbor streams EVERY vocabulary token with sim >= α
+  /// True iff a session streams EVERY vocabulary token with sim >= α
   /// (no recall loss). Approximate backends (LSH, MinHash) must return
   /// false: results there are exact *with respect to the neighbors the
   /// probe returns*, and the feedback loop's matrix completion would score
@@ -124,35 +138,22 @@ class SimilarityIndex {
   /// stream feedback when this is true.
   virtual bool exact_neighbors() const { return false; }
 
-  /// Forget all cursors so a new query can reuse the index.
-  virtual void ResetCursors() = 0;
+  /// A fresh probe session: every query token's stream starts at its most
+  /// similar neighbor. Cheap; one per query (the token stream opens its
+  /// own).
+  virtual std::unique_ptr<ProbeSession> NewSession() const = 0;
 
-  /// A per-query *probe session*: an independent SimilarityIndex view over
-  /// the same vocabulary whose cursor consumption state is private to the
-  /// caller, so any number of sessions may probe CONCURRENTLY (the serve
-  /// subsystem hands one to every in-flight query and shard). Every index
-  /// provides one: implementations share the expensive cursor payloads
-  /// across sessions behind internal synchronization — concurrent queries
-  /// over the same vocabulary reuse each other's cursors — while
-  /// NextNeighbor positions stay per-session. The session borrows the index
-  /// (it must outlive the session) and forwards
-  /// similarity()/exact_neighbors().
-  virtual std::unique_ptr<SimilarityIndex> NewSession() = 0;
-
-  /// Hint that `NextNeighbor(t, alpha)` is about to be called for every
-  /// token in `tokens`. Implementations may build the cursors eagerly (and
-  /// in parallel — cursors for distinct tokens are independent) so the
-  /// first probe never blocks on a cold cursor. Default: do nothing.
-  virtual void Prewarm(std::span<const TokenId> tokens, Score alpha) {
+  /// Hint that sessions are about to probe every token in `tokens` at
+  /// `alpha`. Implementations may build the cursors eagerly, fanning the
+  /// builds across `pool` when given (cursors for distinct tokens are
+  /// independent), so the first probe never blocks on a cold cursor. The
+  /// pool is used only for the duration of the call. Default: do nothing.
+  virtual void Prewarm(std::span<const TokenId> tokens, Score alpha,
+                       util::ThreadPool* pool = nullptr) const {
     (void)tokens;
     (void)alpha;
+    (void)pool;
   }
-
-  /// Lend the index a worker pool for Prewarm's fan-out (nullptr detaches).
-  /// The serve engine lends its pool to the session that prewarms a
-  /// SearchMany batch; indexes without internal parallelism ignore it. The
-  /// pool must outlive every Prewarm call made while attached.
-  virtual void set_thread_pool(util::ThreadPool* pool) { (void)pool; }
 
   virtual size_t MemoryUsageBytes() const { return 0; }
 };

@@ -5,16 +5,15 @@
 
 namespace koios::sim {
 
-TokenStream::TokenStream(std::vector<TokenId> query, SimilarityIndex* index,
-                         Score alpha,
+TokenStream::TokenStream(std::vector<TokenId> query,
+                         const SimilarityIndex& index, Score alpha,
                          std::function<bool(TokenId)> in_vocabulary)
-    : query_(std::move(query)), index_(index), alpha_(alpha) {
+    : query_(std::move(query)), session_(index.NewSession()), alpha_(alpha) {
   assert(alpha_ > 0.0);
-  index_->ResetCursors();
-  // Build every query element's cursor up front (indexes with a thread
-  // pool fan the builds out — cursors are independent) so the heap refills
-  // below never block on a cold cursor.
-  index_->Prewarm(query_, alpha_);
+  // Build every query element's cursor up front (in blocks through the
+  // multi-query kernel) so the heap refills below never block on a cold
+  // cursor.
+  index.Prewarm(query_, alpha_);
   // Initial fill: each query element contributes its best tuple. The
   // self-match (sim 1.0) always sorts first for its element, so it is the
   // element's initial heap entry whenever the token occurs in D; otherwise
@@ -29,7 +28,7 @@ TokenStream::TokenStream(std::vector<TokenId> query, SimilarityIndex* index,
 }
 
 void TokenStream::Refill(uint32_t pos) {
-  if (auto neighbor = index_->NextNeighbor(query_[pos], alpha_)) {
+  if (auto neighbor = session_->NextNeighbor(query_[pos], alpha_)) {
     heap_.push(Entry{neighbor->sim, pos, neighbor->token});
   }
 }

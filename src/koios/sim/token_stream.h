@@ -2,6 +2,9 @@
 // (query element, vocabulary token, similarity) in non-increasing
 // similarity order, realized as one shared SimilarityIndex plus a priority
 // queue P of size |Q| holding each query element's best unseen neighbor.
+// The stream owns its query's probe state: it opens its own ProbeSession
+// over the (immutable) index, so any number of streams, on any threads,
+// may read one index at once.
 //
 // Two details from the paper are implemented here:
 //  * The stream stops producing for a query element once its next neighbor
@@ -15,6 +18,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <queue>
 #include <vector>
@@ -35,13 +39,14 @@ struct StreamTuple {
 class TokenStream {
  public:
   /// `query`: the query set's tokens (distinct).
-  /// `index`: shared neighbor index over the vocabulary D (cursors are
-  ///          reset by this constructor).
+  /// `index`: shared neighbor index over the vocabulary D; the stream
+  ///          probes it through a session of its own and must not outlive
+  ///          it.
   /// `alpha`: element similarity threshold (> 0).
   /// `in_vocabulary`: predicate telling whether a token occurs in D; used
   ///          to decide if a self-match tuple should be emitted.
-  TokenStream(std::vector<TokenId> query, SimilarityIndex* index, Score alpha,
-              std::function<bool(TokenId)> in_vocabulary);
+  TokenStream(std::vector<TokenId> query, const SimilarityIndex& index,
+              Score alpha, std::function<bool(TokenId)> in_vocabulary);
 
   /// Next tuple in non-increasing similarity order, or nullopt when every
   /// query element's stream is exhausted (below α). The stream is lazy:
@@ -84,7 +89,7 @@ class TokenStream {
   void Refill(uint32_t pos);
 
   std::vector<TokenId> query_;
-  SimilarityIndex* index_;
+  std::unique_ptr<ProbeSession> session_;
   Score alpha_;
   std::priority_queue<Entry> heap_;
   size_t emitted_ = 0;

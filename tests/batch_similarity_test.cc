@@ -226,7 +226,8 @@ TEST(LazyCursorTest, FullConsumptionEqualsEagerFullSort) {
     max_neighbors = std::max(max_neighbors, reference.size());
 
     std::vector<Neighbor> consumed;
-    while (auto n = index.NextNeighbor(q, alpha)) consumed.push_back(*n);
+    auto session = index.NewSession();
+    while (auto n = session->NextNeighbor(q, alpha)) consumed.push_back(*n);
 
     ASSERT_EQ(consumed.size(), reference.size()) << "q=" << q;
     for (size_t i = 0; i < consumed.size(); ++i) {
@@ -253,26 +254,27 @@ TEST(ExactKnnIndexTest, CursorRebuiltWhenAlphaChanges) {
   sim.Set(1, 3, 0.5);
   sim.Set(1, 4, 0.3);
   ExactKnnIndex index({1, 2, 3, 4}, &sim);
+  auto session = index.NewSession();
 
   // First query at a high threshold: only token 2 qualifies.
-  auto n = index.NextNeighbor(1, 0.8);
+  auto n = session->NextNeighbor(1, 0.8);
   ASSERT_TRUE(n.has_value());
   EXPECT_EQ(n->token, 2u);
-  EXPECT_FALSE(index.NextNeighbor(1, 0.8).has_value());
+  EXPECT_FALSE(session->NextNeighbor(1, 0.8).has_value());
 
-  // Second query at a lower threshold WITHOUT ResetCursors: a stale cursor
+  // Second query at a lower threshold on the SAME session: a stale cursor
   // would keep serving the α=0.8 filtering (and claim exhaustion); the
   // rebuilt cursor must yield all three neighbors from the top.
-  n = index.NextNeighbor(1, 0.25);
+  n = session->NextNeighbor(1, 0.25);
   ASSERT_TRUE(n.has_value());
   EXPECT_EQ(n->token, 2u);
-  n = index.NextNeighbor(1, 0.25);
+  n = session->NextNeighbor(1, 0.25);
   ASSERT_TRUE(n.has_value());
   EXPECT_EQ(n->token, 3u);
-  n = index.NextNeighbor(1, 0.25);
+  n = session->NextNeighbor(1, 0.25);
   ASSERT_TRUE(n.has_value());
   EXPECT_EQ(n->token, 4u);
-  EXPECT_FALSE(index.NextNeighbor(1, 0.25).has_value());
+  EXPECT_FALSE(session->NextNeighbor(1, 0.25).has_value());
 }
 
 // ---------------------------------------------------------------- prewarm --
@@ -291,14 +293,16 @@ TEST(ExactKnnIndexTest, ParallelPrewarmMatchesSerialProbing) {
   }
 
   util::ThreadPool pool(4);
-  ExactKnnIndex warmed(vocab, &sim, &pool);
-  warmed.Prewarm(queries, alpha);
+  ExactKnnIndex warmed(vocab, &sim);
+  warmed.Prewarm(queries, alpha, &pool);
   ExactKnnIndex cold(vocab, &sim);
 
+  auto warm_session = warmed.NewSession();
+  auto cold_session = cold.NewSession();
   for (TokenId q : queries) {
     while (true) {
-      const auto a = warmed.NextNeighbor(q, alpha);
-      const auto b = cold.NextNeighbor(q, alpha);
+      const auto a = warm_session->NextNeighbor(q, alpha);
+      const auto b = cold_session->NextNeighbor(q, alpha);
       ASSERT_EQ(a.has_value(), b.has_value()) << "q=" << q;
       if (!a.has_value()) break;
       EXPECT_EQ(a->token, b->token) << "q=" << q;
@@ -307,15 +311,17 @@ TEST(ExactKnnIndexTest, ParallelPrewarmMatchesSerialProbing) {
   }
 }
 
-TEST(ExactKnnIndexTest, PrewarmedCursorsSurviveResetCursors) {
+TEST(ExactKnnIndexTest, PrewarmedCursorsServeFreshSessions) {
   embedding::SyntheticEmbeddingModel model(SmallSpec());
   CosineEmbeddingSimilarity sim(&model.store());
   const auto vocab = FullVocabulary(model.spec().vocab_size);
   ExactKnnIndex index(vocab, &sim);
   index.Prewarm(std::vector<TokenId>{1, 2, 3}, 0.5);
-  index.ResetCursors();
-  // After a reset the index must rebuild transparently.
-  (void)index.NextNeighbor(1, 0.5);
+  const CursorCacheStats warm = index.cursor_cache_stats();
+  // A session opened after the prewarm probes the built cursor: no build.
+  (void)index.NewSession()->NextNeighbor(1, 0.5);
+  EXPECT_EQ(index.cursor_cache_stats().misses, warm.misses);
+  EXPECT_GT(index.cursor_cache_stats().hits, warm.hits);
   EXPECT_GT(index.MemoryUsageBytes(), 0u);
 }
 

@@ -26,11 +26,17 @@ std::vector<TokenId> FullVocabulary(size_t n) {
   return vocab;
 }
 
-/// Drains a token's stream through `index` and returns the sequence.
-std::vector<Neighbor> Drain(SimilarityIndex* index, TokenId q, Score alpha) {
+/// Drains a token's stream through `session` and returns the sequence.
+std::vector<Neighbor> Drain(ProbeSession* session, TokenId q, Score alpha) {
   std::vector<Neighbor> out;
-  while (auto n = index->NextNeighbor(q, alpha)) out.push_back(*n);
+  while (auto n = session->NextNeighbor(q, alpha)) out.push_back(*n);
   return out;
+}
+
+/// Drains a token's stream through a fresh session of `index`.
+std::vector<Neighbor> Drain(const SimilarityIndex& index, TokenId q,
+                            Score alpha) {
+  return Drain(index.NewSession().get(), q, alpha);
 }
 
 TEST(CursorCacheTest, SessionsShareCursorPayloads) {
@@ -54,6 +60,9 @@ TEST(CursorCacheTest, SessionsShareCursorPayloads) {
   // hits grew.
   EXPECT_EQ(after_second.misses, after_first.misses);
   EXPECT_GT(after_second.hits, after_first.hits);
+  // Clearing drops the cached payloads.
+  w.index->ClearCursorCache();
+  EXPECT_EQ(w.index->cursor_cache_stats().cursors, 0u);
 }
 
 TEST(CursorCacheTest, AlphaKeyedEntriesCoexist) {
@@ -76,19 +85,6 @@ TEST(CursorCacheTest, AlphaKeyedEntriesCoexist) {
   for (size_t i = 0; i < strict.size(); ++i) {
     EXPECT_EQ(strict_again[i].token, strict[i].token);
   }
-}
-
-TEST(CursorCacheTest, LegacyResetCursorsKeepsPayloads) {
-  auto w = testing::MakeRandomWorkload(40, 300, 5, 15, 9003);
-  const auto first = Drain(w.index.get(), 3, 0.5);
-  const CursorCacheStats warm = w.index->cursor_cache_stats();
-  w.index->ResetCursors();
-  const auto second = Drain(w.index.get(), 3, 0.5);
-  // Positions restarted, payload reused.
-  ASSERT_EQ(first.size(), second.size());
-  EXPECT_EQ(w.index->cursor_cache_stats().misses, warm.misses);
-  w.index->ClearCursorCache();
-  EXPECT_EQ(w.index->cursor_cache_stats().cursors, 0u);
 }
 
 // ------------------------------------------- byte budget + CLOCK eviction --
@@ -133,8 +129,7 @@ TEST(CursorCacheTest, EvictionNeverInvalidatesLiveSessions) {
   TokenId probe = kInvalidToken;
   std::vector<sim::Neighbor> want;
   for (const TokenId t : w.corpus.vocabulary) {
-    reference.ResetCursors();
-    want = Drain(&reference, t, alpha);
+    want = Drain(reference, t, alpha);
     if (want.size() > 4) {
       probe = t;
       break;
@@ -172,16 +167,14 @@ TEST(CursorCacheTest, EvictionNeverInvalidatesLiveSessions) {
 
 TEST(CursorCacheTest, ClockPrefersEvictingColdEntriesOverHot) {
   auto w = testing::MakeRandomWorkload(40, 400, 5, 15, 9008);
-  auto session = w.index->NewSession();
   // One hot token re-resolved constantly among many cold one-shot tokens.
   const TokenId hot = 3;
   const Score alpha = 0.5;
   w.index->SetCursorCacheCapacity(16 * 1024);
   for (TokenId cold = 10; cold < 300; ++cold) {
-    (void)session->NextNeighbor(cold, alpha);
-    session->ResetCursors();  // drop the position so re-probes re-resolve
-    (void)session->NextNeighbor(hot, alpha);
-    session->ResetCursors();
+    // A fresh session per probe, so every probe re-resolves its cursor.
+    (void)w.index->NewSession()->NextNeighbor(cold, alpha);
+    (void)w.index->NewSession()->NextNeighbor(hot, alpha);
   }
   const sim::CursorCacheStats stats = w.index->cursor_cache_stats();
   ASSERT_GT(stats.evictions, 0u) << "budget never binding — grow the loop";
@@ -211,7 +204,6 @@ TEST(CursorCacheTest, EightThreadHammerMatchesColdIndex) {
   for (size_t ti = 0; ti < kThreads; ++ti) {
     threads.emplace_back([&, ti] {
       util::Rng rng(100 + ti);
-      auto session = w.index->NewSession();
       // Per-thread cold reference over a PRIVATE index (its own cache), so
       // comparisons never synchronize through the hammered one. Same
       // vocabulary as the workload index.
@@ -220,12 +212,11 @@ TEST(CursorCacheTest, EightThreadHammerMatchesColdIndex) {
         const TokenId q = vocab[rng.NextBounded(vocab.size())];
         const Score alpha = alphas[rng.NextBounded(2)];
         // Interleave single probes that order only a cursor's first chunk.
-        if (i % 3 == 1) {
-          (void)session->NextNeighbor(q, alpha);
-          session->ResetCursors();
-        }
-        const auto got = Drain(session.get(), q, alpha);
-        const auto want = Drain(&reference, q, alpha);
+        if (i % 3 == 1) (void)w.index->NewSession()->NextNeighbor(q, alpha);
+        // Fresh sessions on both sides, so repeated draws of the same token
+        // re-drain from the top (payloads stay cached).
+        const auto got = Drain(*w.index, q, alpha);
+        const auto want = Drain(reference, q, alpha);
         if (got.size() != want.size()) {
           errors[ti] = "size mismatch";
           failed.store(true);
@@ -238,10 +229,6 @@ TEST(CursorCacheTest, EightThreadHammerMatchesColdIndex) {
             return;
           }
         }
-        // Restart both consumers so repeated draws of the same token
-        // re-drain from the top (payloads stay cached).
-        session->ResetCursors();
-        reference.ResetCursors();
       }
     });
   }
@@ -278,15 +265,15 @@ TEST(CursorCacheTest, ClearAndEvictUnderLiveSessionsHammer) {
   for (size_t ti = 0; ti < kThreads; ++ti) {
     threads.emplace_back([&, ti] {
       util::Rng rng(4200 + ti);
-      auto session = w.index->NewSession();
       ExactKnnIndex reference(vocab, w.sim.get());
       for (size_t i = 0; i < kTokensPerThread; ++i) {
         const TokenId q = vocab[rng.NextBounded(vocab.size())];
         // Interleave a partial probe with the full drain so some payloads
         // are held across whatever clears/evictions land in between.
+        auto session = w.index->NewSession();
         (void)session->NextNeighbor(q, 0.45);
         const auto got = Drain(session.get(), q, 0.45);
-        auto want = Drain(&reference, q, 0.45);
+        auto want = Drain(reference, q, 0.45);
         // `got` misses the first neighbor (consumed by the partial probe).
         if (!want.empty()) want.erase(want.begin());
         if (got.size() != want.size()) {
@@ -299,8 +286,6 @@ TEST(CursorCacheTest, ClearAndEvictUnderLiveSessionsHammer) {
             }
           }
         }
-        session->ResetCursors();
-        reference.ResetCursors();
       }
     });
   }

@@ -18,7 +18,7 @@ TEST(EdgeCacheTest, PreservesStreamOrder) {
   auto w = testing::MakeRandomWorkload(40, 200, 5, 15, 9001);
   const auto qs = w.corpus.sets.Tokens(0);
   std::vector<TokenId> q(qs.begin(), qs.end());
-  sim::TokenStream stream(q, w.index.get(), 0.75,
+  sim::TokenStream stream(q, *w.index, 0.75,
                           [](TokenId) { return true; });
   EdgeCache cache(&stream);
   Score prev = 1.0;
@@ -33,7 +33,7 @@ TEST(EdgeCacheTest, EdgesGroupedByToken) {
   auto w = testing::MakeRandomWorkload(40, 200, 5, 15, 9002);
   const auto qs = w.corpus.sets.Tokens(1);
   std::vector<TokenId> q(qs.begin(), qs.end());
-  sim::TokenStream stream(q, w.index.get(), 0.75,
+  sim::TokenStream stream(q, *w.index, 0.75,
                           [](TokenId) { return true; });
   EdgeCache cache(&stream);
   size_t total_edges = 0;
@@ -56,7 +56,7 @@ TEST(EdgeCacheTest, BuildMatrixRestrictsToIncidentNodes) {
   sim.Set(0, 100, 0.9);
   sim.Set(2, 101, 0.8);
   sim::ExactKnnIndex index({100, 101, 102}, &sim);
-  sim::TokenStream stream({0, 1, 2}, &index, 0.7,
+  sim::TokenStream stream({0, 1, 2}, index, 0.7,
                           [](TokenId) { return false; });
   EdgeCache cache(&stream);
   std::vector<uint32_t> rows, cols;
@@ -75,7 +75,7 @@ TEST(EdgeCacheTest, BuildMatrixRestrictsToIncidentNodes) {
 TEST(EdgeCacheTest, BuildMatrixEmptyForUnrelatedSet) {
   testing::TableSimilarity sim;
   sim::ExactKnnIndex index({100}, &sim);
-  sim::TokenStream stream({0}, &index, 0.7, [](TokenId) { return false; });
+  sim::TokenStream stream({0}, index, 0.7, [](TokenId) { return false; });
   EdgeCache cache(&stream);
   std::vector<uint32_t> rows, cols;
   const std::vector<TokenId> candidate = {100};
@@ -91,7 +91,7 @@ TEST(EdgeCacheTest, MatrixScoreMatchesDirectOracle) {
   const auto qs = w.corpus.sets.Tokens(2);
   std::vector<TokenId> q(qs.begin(), qs.end());
   const Score alpha = 0.75;
-  sim::TokenStream stream(q, w.index.get(), alpha, [&](TokenId t) {
+  sim::TokenStream stream(q, *w.index, alpha, [&](TokenId t) {
     return inverted.InVocabulary(t);
   });
   EdgeCache cache(&stream);
@@ -114,13 +114,12 @@ TEST(EdgeCacheTest, ProducesOnDemandAndSeals) {
   std::vector<TokenId> q(qs.begin(), qs.end());
   std::vector<sim::StreamTuple> want;
   {
-    sim::TokenStream stream(q, w.index.get(), 0.7,
+    sim::TokenStream stream(q, *w.index, 0.7,
                             [](TokenId) { return true; });
     EdgeCache sync_cache(&stream);
     want = sync_cache.tuples();
   }
-  w.index->ResetCursors();
-  sim::TokenStream stream(q, w.index.get(), 0.7, [](TokenId) { return true; });
+  sim::TokenStream stream(q, *w.index, 0.7, [](TokenId) { return true; });
   EdgeCache cache(&stream, /*completer=*/nullptr);
   EXPECT_FALSE(cache.Materialized());
   std::vector<sim::StreamTuple> seen;
@@ -151,14 +150,13 @@ TEST(EdgeCacheTest, SealsEarlyWithSlack) {
   std::vector<TokenId> q(qs.begin(), qs.end());
   std::vector<sim::StreamTuple> full;
   {
-    sim::TokenStream stream(q, w.index.get(), 0.7,
+    sim::TokenStream stream(q, *w.index, 0.7,
                             [](TokenId) { return true; });
     EdgeCache sync_cache(&stream);
     full = sync_cache.tuples();
   }
   ASSERT_GT(full.size(), 8u);
-  w.index->ResetCursors();
-  sim::TokenStream stream(q, w.index.get(), 0.7, [](TokenId) { return true; });
+  sim::TokenStream stream(q, *w.index, 0.7, [](TokenId) { return true; });
   EdgeCache cache(&stream, /*completer=*/nullptr);
   std::vector<sim::StreamTuple> buf(8);
   ASSERT_EQ(cache.NextTuples(0, std::span<sim::StreamTuple>(buf)), 8u);
@@ -175,7 +173,7 @@ TEST(EdgeCacheTest, SelfMatchEdgesPresentForVocabularyTokens) {
   index::InvertedIndex inverted(w.corpus.sets);
   const auto qs = w.corpus.sets.Tokens(0);
   std::vector<TokenId> q(qs.begin(), qs.end());
-  sim::TokenStream stream(q, w.index.get(), 0.8, [&](TokenId t) {
+  sim::TokenStream stream(q, *w.index, 0.8, [&](TokenId t) {
     return inverted.InVocabulary(t);
   });
   EdgeCache cache(&stream);

@@ -249,10 +249,12 @@ TEST(MinHashIndexTest, FindsTypoVariantsWithHighRecall) {
   for (size_t i = 0; i < 20 && i < corpus.vocabulary.size(); ++i) {
     const TokenId q = corpus.vocabulary[i * 3 % corpus.vocabulary.size()];
     std::set<TokenId> truth;
-    exact.ResetCursors();
-    while (auto n = exact.NextNeighbor(q, 0.5)) truth.insert(n->token);
-    minhash.ResetCursors();
-    while (auto n = minhash.NextNeighbor(q, 0.5)) found += truth.count(n->token);
+    auto exact_session = exact.NewSession();
+    while (auto n = exact_session->NextNeighbor(q, 0.5)) truth.insert(n->token);
+    auto minhash_session = minhash.NewSession();
+    while (auto n = minhash_session->NextNeighbor(q, 0.5)) {
+      found += truth.count(n->token);
+    }
     exact_total += truth.size();
   }
   ASSERT_GT(exact_total, 0u);
@@ -267,8 +269,9 @@ TEST(MinHashIndexTest, DescendingOrderAndAlphaCutoff) {
   data::StringCorpus corpus = data::GenerateStringCorpus(spec);
   sim::JaccardQGramSimilarity jaccard(&corpus.dict, 3);
   sim::MinHashIndex index(corpus.vocabulary, &jaccard, {});
+  auto session = index.NewSession();
   Score prev = 1.0;
-  while (auto n = index.NextNeighbor(corpus.vocabulary[0], 0.4)) {
+  while (auto n = session->NextNeighbor(corpus.vocabulary[0], 0.4)) {
     EXPECT_LE(n->sim, prev + 1e-12);
     EXPECT_GE(n->sim, 0.4);
     prev = n->sim;

@@ -190,9 +190,12 @@ class SeedMinHashReference {
   std::vector<std::unordered_map<uint64_t, std::vector<TokenId>>> bands_;
 };
 
-std::vector<Neighbor> Drain(SimilarityIndex* index, TokenId q, Score alpha) {
+/// Drains `q`'s stream through a fresh session of `index`.
+std::vector<Neighbor> Drain(const SimilarityIndex& index, TokenId q,
+                            Score alpha) {
+  auto session = index.NewSession();
   std::vector<Neighbor> out;
-  while (auto n = index->NextNeighbor(q, alpha)) out.push_back(*n);
+  while (auto n = session->NextNeighbor(q, alpha)) out.push_back(*n);
   return out;
 }
 
@@ -241,10 +244,7 @@ TEST(LshBatchParityTest, BatchedProbesEqualSeedPairwisePath) {
   for (const Score alpha : {0.3, 0.6, 0.85}) {
     for (int i = 0; i < 25; ++i) {
       const TokenId q = static_cast<TokenId>(rng.NextBounded(spec.vocab_size));
-      // Reset per query: a repeated draw would otherwise drain an already
-      // exhausted cursor.
-      index.ResetCursors();
-      ExpectSameStream(Drain(&index, q, alpha), seed.Stream(q, alpha), q,
+      ExpectSameStream(Drain(index, q, alpha), seed.Stream(q, alpha), q,
                        1e-12);
     }
   }
@@ -267,7 +267,7 @@ TEST(LshBatchParityTest, PrewarmedBlockPathEqualsColdSinglePath) {
   lsh.num_tables = 8;
   lsh.bits_per_table = 7;
   util::ThreadPool pool(4);
-  CosineLshIndex warmed(vocab, &model.store(), &sim, lsh, &pool);
+  CosineLshIndex warmed(vocab, &model.store(), &sim, lsh);
   CosineLshIndex cold(vocab, &model.store(), &sim, lsh);
 
   std::vector<TokenId> queries;
@@ -278,11 +278,11 @@ TEST(LshBatchParityTest, PrewarmedBlockPathEqualsColdSinglePath) {
   const Score alpha = 0.4;
   // The warmed index builds cursors through the multi-query union kernel;
   // the cold one through per-query single scans. Streams must agree.
-  warmed.Prewarm(queries, alpha);
+  warmed.Prewarm(queries, alpha, &pool);
   for (TokenId q : queries) {
     // Single- and multi-query cosine kernels share an accumulation shape,
     // so these two paths ARE bit-identical.
-    ExpectSameStream(Drain(&warmed, q, alpha), Drain(&cold, q, alpha), q);
+    ExpectSameStream(Drain(warmed, q, alpha), Drain(cold, q, alpha), q);
   }
 }
 
@@ -304,10 +304,9 @@ TEST(MinHashBatchParityTest, BatchedProbesEqualSeedPairwisePath) {
   SeedMinHashReference seed(corpus.vocabulary, &jaccard, mh);
 
   for (const Score alpha : {0.3, 0.5, 0.7}) {
-    index.ResetCursors();
     for (size_t i = 0; i < corpus.vocabulary.size(); i += 9) {
       const TokenId q = corpus.vocabulary[i];
-      ExpectSameStream(Drain(&index, q, alpha), seed.Stream(q, alpha), q);
+      ExpectSameStream(Drain(index, q, alpha), seed.Stream(q, alpha), q);
     }
   }
 }
@@ -322,7 +321,7 @@ TEST(MinHashBatchParityTest, PrewarmedBlockPathEqualsColdSinglePath) {
 
   MinHashIndexSpec mh;
   util::ThreadPool pool(3);
-  MinHashIndex warmed(corpus.vocabulary, &jaccard, mh, &pool);
+  MinHashIndex warmed(corpus.vocabulary, &jaccard, mh);
   MinHashIndex cold(corpus.vocabulary, &jaccard, mh);
 
   std::vector<TokenId> queries;
@@ -330,9 +329,9 @@ TEST(MinHashBatchParityTest, PrewarmedBlockPathEqualsColdSinglePath) {
     queries.push_back(corpus.vocabulary[i]);
   }
   const Score alpha = 0.45;
-  warmed.Prewarm(queries, alpha);
+  warmed.Prewarm(queries, alpha, &pool);
   for (TokenId q : queries) {
-    ExpectSameStream(Drain(&warmed, q, alpha), Drain(&cold, q, alpha), q);
+    ExpectSameStream(Drain(warmed, q, alpha), Drain(cold, q, alpha), q);
   }
 }
 

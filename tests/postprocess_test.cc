@@ -16,7 +16,7 @@ struct PostHarness {
       : workload(w),
         query(std::move(q)),
         inverted(w->corpus.sets),
-        stream(query, w->index.get(), alpha,
+        stream(query, *w->index, alpha,
                [this](TokenId t) { return inverted.InVocabulary(t); }),
         cache(&stream) {}
 

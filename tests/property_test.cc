@@ -287,7 +287,7 @@ TEST_P(StreamAlphaTest, StreamEqualsSortedPairEnumeration) {
   auto w = testing::MakeRandomWorkload(30, 250, 5, 15, 2024);
   const auto qs = w.corpus.sets.Tokens(0);
   std::vector<TokenId> q(qs.begin(), qs.end());
-  sim::TokenStream stream(q, w.index.get(), alpha, [&](TokenId t) {
+  sim::TokenStream stream(q, *w.index, alpha, [&](TokenId t) {
     return std::binary_search(w.corpus.vocabulary.begin(),
                               w.corpus.vocabulary.end(), t);
   });

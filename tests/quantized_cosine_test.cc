@@ -207,8 +207,9 @@ TEST(QuantizedCosineSimilarityTest, Int8KnnStreamStaysCloseToExact) {
   const Score alpha = 0.5;
   size_t compared = 0;
   for (TokenId q : {TokenId{2}, TokenId{77}, TokenId{310}}) {
+    auto session = quant_index.NewSession();
     while (true) {
-      const auto qn = quant_index.NextNeighbor(q, alpha);
+      const auto qn = session->NextNeighbor(q, alpha);
       if (!qn.has_value()) break;
       // The quantized stream's scores must be within the bound of the true
       // similarity of that pair (membership near α may legitimately

@@ -26,7 +26,7 @@ struct RefinementHarness {
       : workload(w),
         query(std::move(q)),
         inverted(w->corpus.sets),
-        stream(query, w->index.get(), alpha,
+        stream(query, *w->index, alpha,
                [this](TokenId t) { return inverted.InVocabulary(t); }),
         cache(&stream) {}
 
@@ -135,7 +135,7 @@ TEST(RefinementTest, FiltersOnlyReduceSurvivors) {
 // the stream is produced on demand and the consumer may stop early, as in
 // KoiosSearcher; without it the stream drains to α.
 RefinementOutput RefineOnce(const index::SetCollection& sets,
-                            sim::SimilarityIndex* index,
+                            const sim::SimilarityIndex& index,
                             const std::vector<TokenId>& query,
                             const SearchParams& params, SearchStats* stats) {
   const index::InvertedIndex inverted(sets);
@@ -148,7 +148,7 @@ RefinementOutput RefineOnce(const index::SetCollection& sets,
     return phase.Run(&cache, stats);
   }
   SearchContext ctx;
-  EdgeCache cache(&stream, index->similarity(), &ctx);
+  EdgeCache cache(&stream, index.similarity(), &ctx);
   RefinementOutput out = phase.Run(&cache, stats, &ctx);
   cache.FinishProduction();
   return out;
@@ -217,9 +217,9 @@ TEST(RefinementTest, LazyAndNaiveIubAgreeBitForBit) {
             SearchParams naive = lazy;
             naive.use_bucket_index = false;
             SearchStats sa, sb;
-            const auto a = RefineOnce(w.corpus.sets, w.index.get(), query,
+            const auto a = RefineOnce(w.corpus.sets, *w.index, query,
                                       lazy, &sa);
-            const auto b = RefineOnce(w.corpus.sets, w.index.get(), query,
+            const auto b = RefineOnce(w.corpus.sets, *w.index, query,
                                       naive, &sb);
             ExpectSameRefinement(
                 a, sa, b, sb,
@@ -270,8 +270,8 @@ TEST(RefinementTest, SetPrunableAfterItsLastTouchIsPruned) {
     SearchParams naive = lazy;
     naive.use_bucket_index = false;
     SearchStats sa, sb;
-    const auto a = RefineOnce(c.sets, c.index.get(), c.query, lazy, &sa);
-    const auto b = RefineOnce(c.sets, c.index.get(), c.query, naive, &sb);
+    const auto a = RefineOnce(c.sets, *c.index, c.query, lazy, &sa);
+    const auto b = RefineOnce(c.sets, *c.index, c.query, naive, &sb);
     const std::string label = feedback ? "feedback" : "drain";
     ExpectSameRefinement(a, sa, b, sb, label);
     // The final sweep (drain) or the stop check's scan (feedback) prunes

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <span>
+#include <thread>
 #include <vector>
 
 #include "koios/core/many_to_one.h"
@@ -352,6 +354,64 @@ TEST(SearcherTest, ExtensionSearcherCountersArePinned) {
                      {0, 4055, 447, 0, 14656711681328097458ull}, "threshold");
   ExpectVerification(verified_normalized,
                      {0, 258, 336, 0, 3613653194376187162ull}, "normalized");
+}
+
+// One instance of each searcher serves 4 threads at once. Every token
+// stream opens its own probe session over the shared index and refinement
+// scratch is per thread, so every answer equals the serial one bit for bit.
+TEST(SearcherTest, ConcurrentSearchesOnOneInstanceMatchSerial) {
+  auto w = testing::MakeRandomWorkload(400, 1500, 4, 40, 709);
+  std::vector<std::vector<TokenId>> queries = PinnedQueries(w);
+  queries.resize(12);
+  SearchParams params;
+  params.k = 10;
+  params.alpha = 0.75;
+  ThresholdParams threshold_params;
+  threshold_params.theta = 3.0;
+  threshold_params.alpha = 0.75;
+  const KoiosSearcher koios(&w.corpus.sets, w.index.get());
+  const ThresholdSearcher threshold(&w.corpus.sets, w.index.get());
+  const NormalizedSearcher normalized(&w.corpus.sets, w.index.get());
+  const ManyToOneSearcher many_to_one(&w.corpus.sets, w.index.get());
+
+  // The four answers to one query, in searcher order.
+  using Answers = std::vector<std::vector<ResultEntry>>;
+  auto answer = [&](const std::vector<TokenId>& q) {
+    return Answers{koios.Search(q, params).topk,
+                   threshold.Search(q, threshold_params),
+                   normalized.Search(q, params).topk,
+                   many_to_one.Search(q, params).topk};
+  };
+  auto same = [](const Answers& a, const Answers& b) {
+    for (size_t i = 0; i < a.size(); ++i) {
+      if (a[i].size() != b[i].size()) return false;
+      for (size_t j = 0; j < a[i].size(); ++j) {
+        if (a[i][j].set != b[i][j].set || a[i][j].score != b[i][j].score ||
+            a[i][j].exact != b[i][j].exact) {
+          return false;
+        }
+      }
+    }
+    return true;
+  };
+  std::vector<Answers> serial;
+  for (const auto& q : queries) serial.push_back(answer(q));
+
+  constexpr size_t kThreads = 4;
+  std::atomic<size_t> mismatches{0};
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Each thread starts at a different query, so the threads probe
+      // different tokens at any one time as well as the same ones.
+      for (size_t i = 0; i < queries.size(); ++i) {
+        const size_t qi = (i + 3 * t) % queries.size();
+        if (!same(answer(queries[qi]), serial[qi])) ++mismatches;
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0u);
 }
 
 }  // namespace

@@ -212,9 +212,7 @@ TEST(QueryEngineTest, ExpiredDeadlineIsCleanlyRejected) {
   std::atomic<bool> cancel{true};
   core::SearchContext ctx;
   ctx.set_cancel_flag(&cancel);
-  auto session = w.index->NewSession();
-  EXPECT_THROW(searcher.Search(tokens, params, session.get(), &ctx),
-               core::SearchAborted);
+  EXPECT_THROW(searcher.Search(tokens, params, &ctx), core::SearchAborted);
 
   // And mid-flight: a deadline that expires during execution surfaces as
   // DeadlineExceeded through the engine (loose timing — just assert the

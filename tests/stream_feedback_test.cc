@@ -165,7 +165,7 @@ TEST(StreamFeedbackTest, BuildMatrixCompletesBelowStopEdges) {
   std::vector<TokenId> q(qs.begin(), qs.end());
   const Score alpha = 0.6;
 
-  sim::TokenStream stream(q, w.index.get(), alpha,
+  sim::TokenStream stream(q, *w.index, alpha,
                           [](TokenId) { return true; });
   // The consumer stops at a fixed similarity well above α: the self-matches
   // at 1.0 are produced, the tail is not.

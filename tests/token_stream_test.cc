@@ -19,10 +19,11 @@ TEST(ExactKnnIndexTest, ReturnsNeighborsDescending) {
   sim.Set(0, 2, 0.95);
   sim.Set(0, 3, 0.85);
   ExactKnnIndex index({1, 2, 3, 4}, &sim);
-  auto n1 = index.NextNeighbor(0, 0.8);
-  auto n2 = index.NextNeighbor(0, 0.8);
-  auto n3 = index.NextNeighbor(0, 0.8);
-  auto n4 = index.NextNeighbor(0, 0.8);
+  auto session = index.NewSession();
+  auto n1 = session->NextNeighbor(0, 0.8);
+  auto n2 = session->NextNeighbor(0, 0.8);
+  auto n3 = session->NextNeighbor(0, 0.8);
+  auto n4 = session->NextNeighbor(0, 0.8);
   ASSERT_TRUE(n1 && n2 && n3);
   EXPECT_EQ(n1->token, 2u);
   EXPECT_EQ(n2->token, 1u);
@@ -34,26 +35,25 @@ TEST(ExactKnnIndexTest, RespectsAlphaCutoff) {
   testing::TableSimilarity sim;
   sim.Set(0, 1, 0.79);
   ExactKnnIndex index({1}, &sim);
-  EXPECT_FALSE(index.NextNeighbor(0, 0.8).has_value());
-  index.ResetCursors();
-  EXPECT_TRUE(index.NextNeighbor(0, 0.5).has_value());
+  EXPECT_FALSE(index.NewSession()->NextNeighbor(0, 0.8).has_value());
+  EXPECT_TRUE(index.NewSession()->NextNeighbor(0, 0.5).has_value());
 }
 
 TEST(ExactKnnIndexTest, NeverReturnsQueryItself) {
   testing::TableSimilarity sim;
   ExactKnnIndex index({0, 1}, &sim);
-  auto n = index.NextNeighbor(0, 0.5);
+  auto n = index.NewSession()->NextNeighbor(0, 0.5);
   EXPECT_FALSE(n.has_value());  // only potential match is self
 }
 
-TEST(ExactKnnIndexTest, ResetCursorsRestartsStreams) {
+TEST(ExactKnnIndexTest, FreshSessionRestartsStreams) {
   testing::TableSimilarity sim;
   sim.Set(0, 1, 0.9);
   ExactKnnIndex index({1}, &sim);
-  EXPECT_TRUE(index.NextNeighbor(0, 0.8).has_value());
-  EXPECT_FALSE(index.NextNeighbor(0, 0.8).has_value());
-  index.ResetCursors();
-  EXPECT_TRUE(index.NextNeighbor(0, 0.8).has_value());
+  auto session = index.NewSession();
+  EXPECT_TRUE(session->NextNeighbor(0, 0.8).has_value());
+  EXPECT_FALSE(session->NextNeighbor(0, 0.8).has_value());
+  EXPECT_TRUE(index.NewSession()->NextNeighbor(0, 0.8).has_value());
 }
 
 // ------------------------------------------------------------ TokenStream --
@@ -62,7 +62,7 @@ TEST(TokenStreamTest, EmitsSelfMatchesFirst) {
   testing::TableSimilarity sim;
   sim.Set(0, 5, 0.9);
   ExactKnnIndex index({0, 1, 5}, &sim);
-  TokenStream stream({0, 1}, &index, 0.8, [](TokenId) { return true; });
+  TokenStream stream({0, 1}, index, 0.8, [](TokenId) { return true; });
   auto t1 = stream.Next();
   auto t2 = stream.Next();
   ASSERT_TRUE(t1 && t2);
@@ -76,7 +76,7 @@ TEST(TokenStreamTest, NonIncreasingSimilarityOrder) {
   auto w = testing::MakeRandomWorkload(50, 300, 5, 20, 77);
   const auto query_span = w.corpus.sets.Tokens(0);
   std::vector<TokenId> query(query_span.begin(), query_span.end());
-  TokenStream stream(query, w.index.get(), 0.7,
+  TokenStream stream(query, *w.index, 0.7,
                      [](TokenId) { return true; });
   Score prev = 1.0;
   size_t count = 0;
@@ -93,7 +93,7 @@ TEST(TokenStreamTest, SkipsSelfMatchForOutOfVocabularyTokens) {
   testing::TableSimilarity sim;
   ExactKnnIndex index({1, 2}, &sim);
   // Token 99 not in vocabulary: no self-match, no neighbors.
-  TokenStream stream({99}, &index, 0.8, [](TokenId t) { return t < 10; });
+  TokenStream stream({99}, index, 0.8, [](TokenId t) { return t < 10; });
   EXPECT_FALSE(stream.Next().has_value());
 }
 
@@ -103,7 +103,7 @@ TEST(TokenStreamTest, CoversAllPairsAboveAlpha) {
   const auto query_span = w.corpus.sets.Tokens(1);
   std::vector<TokenId> query(query_span.begin(), query_span.end());
   const Score alpha = 0.75;
-  TokenStream stream(query, w.index.get(), alpha, [&](TokenId t) {
+  TokenStream stream(query, *w.index, alpha, [&](TokenId t) {
     return std::binary_search(w.corpus.vocabulary.begin(),
                               w.corpus.vocabulary.end(), t);
   });
@@ -130,11 +130,37 @@ TEST(TokenStreamTest, CoversAllPairsAboveAlpha) {
   }
 }
 
+TEST(TokenStreamTest, StreamsOverOneIndexAreIndependent) {
+  // Each stream opens its own probe session, so two streams interleaved
+  // over one index emit exactly what each emits alone.
+  auto w = testing::MakeRandomWorkload(50, 300, 5, 20, 78);
+  const auto span = w.corpus.sets.Tokens(0);
+  const std::vector<TokenId> query(span.begin(), span.end());
+  auto in_vocab = [](TokenId) { return true; };
+  std::vector<StreamTuple> alone;
+  TokenStream reference(query, *w.index, 0.7, in_vocab);
+  while (auto t = reference.Next()) alone.push_back(*t);
+
+  TokenStream a(query, *w.index, 0.7, in_vocab);
+  TokenStream b(query, *w.index, 0.7, in_vocab);
+  for (const StreamTuple& want : alone) {
+    for (TokenStream* stream : {&a, &b}) {
+      const auto got = stream->Next();
+      ASSERT_TRUE(got.has_value());
+      EXPECT_EQ(got->query_pos, want.query_pos);
+      EXPECT_EQ(got->token, want.token);
+      EXPECT_EQ(got->sim, want.sim);
+    }
+  }
+  EXPECT_FALSE(a.Next().has_value());
+  EXPECT_FALSE(b.Next().has_value());
+}
+
 TEST(TokenStreamTest, DrainedStreamHasNothingToPeek) {
   testing::TableSimilarity sim;
   sim.Set(0, 1, 0.9);
   ExactKnnIndex index({0, 1}, &sim);
-  TokenStream stream({0}, &index, 0.8, [](TokenId) { return true; });
+  TokenStream stream({0}, index, 0.8, [](TokenId) { return true; });
   while (stream.Next()) {
   }
   EXPECT_FALSE(stream.PeekSim().has_value());
@@ -144,7 +170,7 @@ TEST(TokenStreamTest, EmittedCountTracksTuples) {
   testing::TableSimilarity sim;
   sim.Set(0, 1, 0.9);
   ExactKnnIndex index({0, 1}, &sim);
-  TokenStream stream({0}, &index, 0.8, [](TokenId) { return true; });
+  TokenStream stream({0}, index, 0.8, [](TokenId) { return true; });
   EXPECT_EQ(stream.emitted(), 0u);
   while (stream.Next()) {
   }
@@ -165,10 +191,10 @@ TEST(LshIndexTest, FindsHighSimilarityNeighborsWithManyTables) {
   for (size_t i = 0; i < 10 && i < w.corpus.vocabulary.size(); ++i) {
     const TokenId q = w.corpus.vocabulary[i * 7 % w.corpus.vocabulary.size()];
     std::set<TokenId> exact_neighbors;
-    w.index->ResetCursors();
-    while (auto n = w.index->NextNeighbor(q, 0.9)) exact_neighbors.insert(n->token);
-    lsh.ResetCursors();
-    while (auto n = lsh.NextNeighbor(q, 0.9)) {
+    auto exact = w.index->NewSession();
+    while (auto n = exact->NextNeighbor(q, 0.9)) exact_neighbors.insert(n->token);
+    auto approx = lsh.NewSession();
+    while (auto n = approx->NextNeighbor(q, 0.9)) {
       lsh_found += exact_neighbors.count(n->token);
     }
     exact_total += exact_neighbors.size();
@@ -186,8 +212,9 @@ TEST(LshIndexTest, DescendingOrderWithinCursor) {
   spec.bits_per_table = 8;
   CosineLshIndex lsh(w.corpus.vocabulary, &w.model->store(), w.sim.get(), spec);
   const TokenId q = w.corpus.vocabulary[0];
+  auto session = lsh.NewSession();
   Score prev = 1.0;
-  while (auto n = lsh.NextNeighbor(q, 0.7)) {
+  while (auto n = session->NextNeighbor(q, 0.7)) {
     EXPECT_LE(n->sim, prev + 1e-12);
     prev = n->sim;
   }
@@ -200,7 +227,7 @@ TEST(LshIndexTest, OovQueryHasNoNeighbors) {
   // Find an OOV token.
   for (TokenId t : w.corpus.vocabulary) {
     if (!w.model->store().Has(t)) {
-      EXPECT_FALSE(lsh.NextNeighbor(t, 0.7).has_value());
+      EXPECT_FALSE(lsh.NewSession()->NextNeighbor(t, 0.7).has_value());
       break;
     }
   }
