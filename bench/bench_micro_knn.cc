@@ -10,8 +10,12 @@
 //               array, lazy chunked ordering (first chunk only).
 //  * parallel — Prewarm() fanning the batched builds across a ThreadPool.
 //
-// Also reports the CosineAllRows dense matrix-vector ceiling. Emits a
-// human-readable table and, with `--json <path>`, a JSON blob for the CI
+// Built cursors outlive sessions in the index's cursor cache, so the index
+// rows clear that cache before every rep (outside the timer): each rep
+// builds every cursor. Also reports dense-mv, one CosineAllRows
+// matrix-vector product per query token, for reference; it is not the
+// kernel's ceiling (batched's blocked multi-query kernel beats it). Emits
+// a human-readable table and, with `--json <path>`, a JSON blob for the CI
 // trajectory. Usage: bench_micro_knn [--json out.json] [--vocab N] [--dim N]
 #include <algorithm>
 #include <cmath>
@@ -65,11 +69,15 @@ struct Measurement {
   double build_latency_us = 0.0;  // mean per-cursor build latency
 };
 
+/// Best of kReps timed runs of `run`; `reset` (if any) runs untimed before
+/// each one.
 Measurement Measure(size_t pairs_total, size_t num_queries,
-                    const std::function<void()>& run) {
+                    const std::function<void()>& run,
+                    const std::function<void()>& reset = nullptr) {
   Measurement m;
   m.seconds = 1e100;
   for (size_t rep = 0; rep < kReps; ++rep) {
+    if (reset) reset();
     util::WallTimer timer;
     run();
     m.seconds = std::min(m.seconds, timer.ElapsedSeconds());
@@ -132,30 +140,33 @@ int Main(int argc, char** argv) {
 
   // --- single (per-cursor dense scan + lazy first chunk) -------------------
   sim::ExactKnnIndex index(vocabulary, &cosine);
-  const Measurement single = Measure(pairs_total, queries.size(), [&] {
-    auto session = index.NewSession();
-    for (TokenId q : queries) {
-      // First probe builds the cursor and orders only the first chunk.
-      (void)session->NextNeighbor(q, kAlpha);
-    }
-  });
+  const auto cold_cache = [&] { index.ClearCursorCache(); };
+  const Measurement single = Measure(
+      pairs_total, queries.size(),
+      [&] {
+        auto session = index.NewSession();
+        for (TokenId q : queries) {
+          // First probe builds the cursor and orders only the first chunk.
+          (void)session->NextNeighbor(q, kAlpha);
+        }
+      },
+      cold_cache);
 
   // --- batched (serial Prewarm: multi-query blocked kernel) ----------------
   // This is the production path: TokenStream prewarms every query token's
   // cursor at construction.
-  const Measurement batched = Measure(pairs_total, queries.size(), [&] {
-    index.Prewarm(queries, kAlpha);
-  });
+  const Measurement batched = Measure(
+      pairs_total, queries.size(), [&] { index.Prewarm(queries, kAlpha); },
+      cold_cache);
 
   // --- parallel prewarm ----------------------------------------------------
   const size_t workers = std::max(1u, std::thread::hardware_concurrency());
   util::ThreadPool pool(workers);
-  sim::ExactKnnIndex parallel_index(vocabulary, &cosine);
-  const Measurement parallel = Measure(pairs_total, queries.size(), [&] {
-    parallel_index.Prewarm(queries, kAlpha, &pool);
-  });
+  const Measurement parallel = Measure(
+      pairs_total, queries.size(),
+      [&] { index.Prewarm(queries, kAlpha, &pool); }, cold_cache);
 
-  // --- dense matrix-vector ceiling ----------------------------------------
+  // --- dense matrix-vector reference --------------------------------------
   std::vector<float> dense_out(model.store().covered());
   const size_t dense_pairs = queries.size() * model.store().covered();
   const Measurement dense = Measure(dense_pairs, queries.size(), [&] {

@@ -1,8 +1,11 @@
 #include "koios/net/server.h"
 
 #include <poll.h>
+#include <sys/eventfd.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cstring>
 #include <future>
 #include <list>
@@ -16,6 +19,10 @@ namespace koios::net {
 namespace {
 
 constexpr size_t kReadChunk = 16 * 1024;
+// The loop's only poll timeout: the deadline sweeps (slow-loris, stalled
+// writes, idle closes, the drain deadline) need a turn this often. Query
+// completions do not wait for it; they wake the poll through the eventfd.
+constexpr int kSweepIntervalMs = 50;
 
 std::string HttpResponse(int code, const std::string& reason,
                          const std::string& body, bool head_only,
@@ -30,6 +37,37 @@ std::string HttpResponse(int code, const std::string& reason,
 }
 
 }  // namespace
+
+/// The event loop's wakeup: an eventfd in its poll set that every query
+/// completion callback, Stop() and Drain() write. The server and every
+/// in-flight callback share ownership, so a query that completes after the
+/// server is gone (the engine outlives the server in koios_serverd) writes
+/// to this still-open fd, never to a closed or reused one.
+class Wakeup {
+ public:
+  Wakeup() : fd_(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC)) {}
+  ~Wakeup() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  Wakeup(const Wakeup&) = delete;
+  Wakeup& operator=(const Wakeup&) = delete;
+
+  int fd() const { return fd_; }
+  void Notify() const {
+    const uint64_t one = 1;
+    // Fails only when the counter is about to overflow, and then the fd
+    // is readable already.
+    [[maybe_unused]] const ssize_t n = ::write(fd_, &one, sizeof one);
+  }
+  /// Zeroes the counter: the next poll blocks until a new Notify.
+  void Clear() const {
+    uint64_t count = 0;
+    [[maybe_unused]] const ssize_t n = ::read(fd_, &count, sizeof count);
+  }
+
+ private:
+  int fd_;
+};
 
 struct PendingQuery {
   uint32_t query_index = 0;
@@ -68,6 +106,7 @@ struct Connection {
 
 struct Server::Impl {
   Socket listener;
+  std::shared_ptr<const Wakeup> wakeup;  // set by Start()
   std::list<Connection> connections;
 
   // Authoritative counters (atomics: the loop thread writes, stats() and
@@ -106,7 +145,7 @@ struct Server::Impl {
     c.dead = true;
     // Disconnect propagation: nobody will read these answers, so stop the
     // workers computing them. The engine resolves them as kCancelled; the
-    // dropped futures are safe (packaged_task state is refcounted).
+    // dropped futures are safe (the promise's shared state is refcounted).
     for (PendingQuery& p : c.pending) {
       // Resolved entries (JSON parse errors) have no engine-side work to
       // cancel and don't count as cancelled queries.
@@ -159,6 +198,11 @@ ServerStats Server::stats() const {
 
 util::Status Server::Start() {
   if (started_) return util::Status::FailedPrecondition("already started");
+  impl_->wakeup = std::make_shared<const Wakeup>();
+  if (impl_->wakeup->fd() < 0) {
+    return util::Status::Internal(std::string("eventfd: ") +
+                                  std::strerror(errno));
+  }
   util::StatusOr<Socket> listener =
       ListenTcp(options_.bind_address, options_.port, options_.listen_backlog,
                 &port_);
@@ -268,12 +312,14 @@ util::Status Server::Start() {
 void Server::Drain() {
   if (!started_) return;
   draining_.store(true, std::memory_order_release);
+  impl_->wakeup->Notify();
   if (loop_thread_.joinable()) loop_thread_.join();
 }
 
 void Server::Stop() {
   if (!started_) return;
   stop_.store(true, std::memory_order_release);
+  impl_->wakeup->Notify();
   if (loop_thread_.joinable()) loop_thread_.join();
 }
 
@@ -307,8 +353,22 @@ void QueueOutput(LoopContext& ctx, Connection& c, const std::string& payload) {
   }
 }
 
+/// The query's answer. QueryEngine forwards an unexpected exception from a
+/// search (bad_alloc, a faulty similarity backend) through the future; it
+/// becomes an Internal error for this one query instead of escaping the
+/// loop thread and terminating the daemon.
+serve::QueryEngine::Result TakeResult(PendingQuery& p) {
+  try {
+    return p.future.get();
+  } catch (const std::exception& e) {
+    return util::Status::Internal(std::string("query failed: ") + e.what());
+  } catch (...) {
+    return util::Status::Internal("query failed with a non-standard exception");
+  }
+}
+
 void EmitResult(LoopContext& ctx, Connection& c, PendingQuery& p) {
-  const serve::QueryEngine::Result result = p.future.get();
+  const serve::QueryEngine::Result result = TakeResult(p);
   util::Histogram* request_seconds = c.mode == Connection::Mode::kJson
                                          ? ctx.im->request_seconds_json
                                          : ctx.im->request_seconds_binary;
@@ -408,8 +468,9 @@ void SubmitQuery(LoopContext& ctx, Connection& c, uint32_t query_index,
   // The engine's Enqueue captures the ambient trace; its queue_wait and
   // search spans nest under this request's root span.
   util::TraceAdopt adopt(trace, root);
-  serve::QueryEngine::Submission submission =
-      engine->SubmitCancellable(std::move(tokens), params, deadline);
+  serve::QueryEngine::Submission submission = engine->SubmitCancellable(
+      std::move(tokens), params, deadline,
+      [wakeup = ctx.im->wakeup] { wakeup->Notify(); });
   PendingQuery p;
   p.query_index = query_index;
   p.cancel = std::move(submission.cancel);
@@ -703,10 +764,13 @@ void Server::Loop() {
     }
 
     // ---- build the poll set -------------------------------------------
+    // Slot 0 is the wakeup, slot 1 the listener while it is open.
     fds.clear();
     fd_conns.clear();
-    bool have_pending = false;
-    if (im.listener.valid()) {
+    fds.push_back({im.wakeup->fd(), POLLIN, 0});
+    fd_conns.push_back(nullptr);
+    const bool listening = im.listener.valid();
+    if (listening) {
       fds.push_back({im.listener.fd(), POLLIN, 0});
       fd_conns.push_back(nullptr);
     }
@@ -723,17 +787,16 @@ void Server::Loop() {
       if (c.HasUnflushedOutput()) events |= POLLOUT;
       fds.push_back({c.sock.fd(), events, 0});
       fd_conns.push_back(&c);
-      if (!c.pending.empty()) have_pending = true;
     }
-    // Short tick while queries are in flight (their futures resolve
-    // between polls); relaxed tick otherwise.
-    const int timeout_ms = have_pending ? 2 : 50;
-    ::poll(fds.data(), fds.size(), timeout_ms);
+    ::poll(fds.data(), fds.size(), kSweepIntervalMs);
     const auto now = std::chrono::steady_clock::now();
+    // Clear the wakeup before the pending futures are scanned below: a
+    // query that completes during the scan writes it again, so the next
+    // poll returns at once instead of that completion being lost.
+    if ((fds[0].revents & POLLIN) != 0) im.wakeup->Clear();
 
     // ---- accept --------------------------------------------------------
-    if (im.listener.valid() && !fds.empty() &&
-        fd_conns[0] == nullptr && (fds[0].revents & POLLIN) != 0) {
+    if (listening && (fds[1].revents & POLLIN) != 0) {
       const int64_t accept_t0 =
           im.server_trace != 0 ? util::TraceRecorder::Instance().NowNs() : 0;
       size_t accepted_count = 0;

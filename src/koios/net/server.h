@@ -1,8 +1,11 @@
 // koios_serverd's front-end: a single poll-driven event loop that maps TCP
 // connections onto QueryEngine::SubmitCancellable and streams results back
-// as the engine finalizes them. The loop never blocks on the engine (it
-// polls ready futures between IO rounds), so one slow query cannot stall
-// accepts, reads, health checks or other connections' responses.
+// as the engine finalizes them. The loop never blocks on the engine: each
+// query's completion callback writes an eventfd in the loop's poll set, and
+// the woken loop collects the ready futures. So one slow query cannot stall
+// accepts, reads, health checks or other connections' responses, and a
+// finished query is answered as soon as it completes. The poll's one
+// timeout, 50 ms, paces the deadline sweeps below.
 //
 // Robustness contract (the issue's checklist, in code):
 //  * Hard connection cap — accepts past ServerOptions::max_connections are

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <exception>
+#include <optional>
 #include <span>
 #include <utility>
 
@@ -16,14 +18,6 @@
 namespace koios::serve {
 
 namespace {
-
-/// A future already carrying a rejection status (Submit must never block
-/// the caller, least of all to say "no").
-std::future<QueryEngine::Result> RejectedFuture(util::Status status) {
-  std::promise<QueryEngine::Result> promise;
-  promise.set_value(QueryEngine::Result(std::move(status)));
-  return promise.get_future();
-}
 
 /// Retry hint in whole milliseconds; never 0 for a positive wait (a 0 hint
 /// reads as "no hint" on the Status).
@@ -250,23 +244,32 @@ std::future<QueryEngine::Result> QueryEngine::Submit(
 
 QueryEngine::Submission QueryEngine::SubmitCancellable(
     std::vector<TokenId> query, const core::SearchParams& params,
-    std::chrono::milliseconds deadline) {
+    std::chrono::milliseconds deadline, std::function<void()> on_complete) {
   Submission submission;
   submission.cancel = std::make_shared<CancelToken>();
   submission.future =
       Enqueue(CurrentState(), std::move(query), params, MakeTicket(deadline),
-              /*enforce_queue_bound=*/true, submission.cancel);
+              /*enforce_queue_bound=*/true, submission.cancel,
+              std::move(on_complete));
   return submission;
 }
 
 std::future<QueryEngine::Result> QueryEngine::Enqueue(
     StatePtr state, std::vector<TokenId> query,
     const core::SearchParams& params, Ticket ticket, bool enforce_queue_bound,
-    std::shared_ptr<CancelToken> cancel) {
+    std::shared_ptr<CancelToken> cancel, std::function<void()> on_complete) {
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
     ++counters_.submitted;
   }
+  // A rejection is a future that is ready at once (Submit must never block
+  // the caller, least of all to say "no"), so its callback runs here.
+  auto reject = [&on_complete](util::Status status) {
+    std::promise<Result> promise;
+    promise.set_value(Result(std::move(status)));
+    if (on_complete) on_complete();
+    return promise.get_future();
+  };
   // fetch_add-then-check keeps the bound exact under concurrent submitters
   // (a plain load+add would let two of them both slip past the last slot).
   const size_t admitted = in_flight_.fetch_add(1, std::memory_order_acq_rel);
@@ -280,7 +283,7 @@ std::future<QueryEngine::Result> QueryEngine::Enqueue(
       std::lock_guard<std::mutex> lock(stats_mutex_);
       ++counters_.rejected_queue_full;
     }
-    return RejectedFuture(
+    return reject(
         util::Status::ResourceExhausted(
             "query queue full (" + std::to_string(options_.max_queue) +
             " waiting + " + std::to_string(pool_.num_threads()) + " running)")
@@ -304,7 +307,7 @@ std::future<QueryEngine::Result> QueryEngine::Enqueue(
           std::lock_guard<std::mutex> lock(stats_mutex_);
           ++counters_.rejected_wait_exceeds_deadline;
         }
-        return RejectedFuture(
+        return reject(
             util::Status::DeadlineExceeded(
                 "estimated queue wait exceeds the query deadline")
                 .WithRetryAfterMs(HintMs(wait)));
@@ -312,22 +315,37 @@ std::future<QueryEngine::Result> QueryEngine::Enqueue(
     }
   }
   const TraceTask trace = CaptureTrace();
+  std::promise<Result> promise;
+  std::future<Result> future = promise.get_future();
   // The task pins `state`: its snapshot/searcher/index stay alive and
   // untouched until this query completes, no matter how many hot swaps
   // happen while it waits in the queue.
-  return pool_.Submit(
-      [this, state = std::move(state), query = std::move(query), params,
-       ticket, cancel = std::move(cancel), trace]() -> Result {
-        // The slot must be released on EVERY exit — Execute absorbs
-        // deadline aborts, but an unexpected exception (bad_alloc, a
-        // faulty similarity backend) propagates into the future, and a
-        // leaked slot would erode admission capacity permanently.
-        struct SlotRelease {
-          std::atomic<size_t>* in_flight;
-          ~SlotRelease() { in_flight->fetch_sub(1, std::memory_order_acq_rel); }
-        } release{&in_flight_};
-        return Execute(*state, query, params, ticket, cancel.get(), trace);
-      });
+  pool_.Submit([this, state = std::move(state), query = std::move(query),
+                params, ticket, cancel = std::move(cancel), trace,
+                promise = std::move(promise),
+                on_complete = std::move(on_complete)]() mutable {
+    std::optional<Result> result;
+    std::exception_ptr error;
+    try {
+      result.emplace(
+          Execute(*state, query, params, ticket, cancel.get(), trace));
+    } catch (...) {
+      // Execute absorbs deadline aborts; anything else (bad_alloc, a
+      // faulty similarity backend) travels through the future.
+      error = std::current_exception();
+    }
+    // The slot is released on every exit (a leaked slot would erode
+    // admission capacity for good) and BEFORE the future is ready, so a
+    // caller that submits again as soon as get() returns finds it free.
+    in_flight_.fetch_sub(1, std::memory_order_acq_rel);
+    if (error != nullptr) {
+      promise.set_exception(std::move(error));
+    } else {
+      promise.set_value(std::move(*result));
+    }
+    if (on_complete) on_complete();
+  });
+  return future;
 }
 
 QueryEngine::Result QueryEngine::Execute(const ServingState& state,

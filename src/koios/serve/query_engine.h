@@ -201,13 +201,24 @@ class QueryEngine {
   /// runs). A cancelled query resolves to kCancelled with zero partial
   /// results; a token fired after completion is a harmless no-op. The
   /// token is also usable from other threads than the submitter.
+  ///
+  /// `on_complete` (may be empty) runs exactly once per submission, after
+  /// the returned future is ready — for every outcome: an answer, a
+  /// deadline, a cancellation, an exception in the future, and an
+  /// admission rejection. It runs on the engine worker that finished the
+  /// query, or on the calling thread, before SubmitCancellable returns,
+  /// when admission rejects the query. By then the query's admission slot
+  /// is already free. It must be cheap and must not throw: it runs on a
+  /// worker between queries. The network edge uses it to wake its event
+  /// loop.
   struct Submission {
     std::future<Result> future;
     std::shared_ptr<CancelToken> cancel;
   };
   Submission SubmitCancellable(std::vector<TokenId> query,
                                const core::SearchParams& params,
-                               std::chrono::milliseconds deadline);
+                               std::chrono::milliseconds deadline,
+                               std::function<void()> on_complete);
 
   /// Batched execution: prewarms the union of the batch's query tokens
   /// once (deduplicated, parallel on the engine pool), then runs every
@@ -358,8 +369,8 @@ class QueryEngine {
   /// Worker-side execution against the query's admission-time state.
   /// Deadline aborts become DeadlineExceeded statuses; anything else a
   /// search throws (bad_alloc, a faulty similarity backend) propagates
-  /// through the future — the wrapper in Enqueue still releases the
-  /// admission slot.
+  /// through the future — the task in Enqueue still releases the
+  /// admission slot first.
   Result Execute(const ServingState& state, const std::vector<TokenId>& query,
                  core::SearchParams params, const Ticket& ticket,
                  const CancelToken* cancel, const TraceTask& trace);
@@ -371,7 +382,8 @@ class QueryEngine {
   std::future<Result> Enqueue(StatePtr state, std::vector<TokenId> query,
                               const core::SearchParams& params, Ticket ticket,
                               bool enforce_queue_bound,
-                              std::shared_ptr<CancelToken> cancel = nullptr);
+                              std::shared_ptr<CancelToken> cancel = nullptr,
+                              std::function<void()> on_complete = nullptr);
 
   EngineOptions options_;
   // The hot-swappable serving state; reads and the swap flip are brief

@@ -7,6 +7,7 @@
 // work. Ports are always ephemeral (port 0) so parallel ctest is safe.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <memory>
@@ -600,6 +601,96 @@ TEST(NetServerTest, JsonUnavailableRejectionKeepsItsPlaceInResponseOrder) {
   EXPECT_NE(responses[1].find("retry_after_ms"), std::string::npos)
       << responses[1];
   EXPECT_GE(f.server->stats().unavailable_rejections, 1u);
+}
+
+// A search that throws (here: a similarity backend whose sessions cannot
+// be opened) reaches the loop through the engine's future. It must come
+// back as an Internal error for that one query, in both dialects, instead
+// of escaping the loop thread and terminating the daemon.
+TEST(NetServerTest, QueryThatThrowsAnswersInternalAndTheConnectionSurvives) {
+  auto workload = testing::MakeRandomWorkload(60, 300, 5, 15, 12010);
+  testing::ThrowingIndex index;
+  EngineSlot slot;
+  serve::EngineOptions engine_options;
+  engine_options.num_threads = 1;
+  slot.Set(std::make_shared<serve::QueryEngine>(&workload.corpus.sets, &index,
+                                                engine_options));
+  Server server(&slot, nullptr);
+  ASSERT_TRUE(server.Start().ok());
+  const auto tokens = workload.corpus.sets.Tokens(4);
+  const std::vector<TokenId> query(tokens.begin(), tokens.end());
+
+  auto client = BlockingClient::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(client.ok());
+  auto got = client.value().Search(query, 5, 0.8, 0);
+  ASSERT_FALSE(got.ok());
+  EXPECT_EQ(got.status().code(), util::StatusCode::kInternal);
+  // The client reports transport errors as kInternal too; the message
+  // shows the server answered.
+  EXPECT_NE(got.status().message().find(testing::ThrowingIndex::kMessage),
+            std::string::npos)
+      << got.status().ToString();
+  EXPECT_TRUE(client.value().Ping().ok());
+
+  auto sock = ConnectTcp("127.0.0.1", server.port(),
+                         std::chrono::milliseconds(2000));
+  ASSERT_TRUE(sock.ok());
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  std::string line = "{\"tokens\":[";
+  for (size_t t = 0; t < query.size(); ++t) {
+    if (t > 0) line += ',';
+    line += std::to_string(query[t]);
+  }
+  line += "],\"k\":5}\n";
+  for (int round = 0; round < 2; ++round) {  // the connection survives
+    ASSERT_TRUE(
+        WriteAll(sock.value().fd(), line.data(), line.size(), deadline).ok());
+    std::string response;
+    for (;;) {
+      char c = 0;
+      ASSERT_TRUE(ReadExact(sock.value().fd(), &c, 1, deadline).ok());
+      if (c == '\n') break;
+      response.push_back(c);
+    }
+    EXPECT_NE(response.find("\"status\":\"internal\""), std::string::npos)
+        << response;
+    EXPECT_NE(response.find(testing::ThrowingIndex::kMessage),
+              std::string::npos)
+        << response;
+  }
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.responses_error, 3u);
+  EXPECT_EQ(stats.responses_ok, 0u);
+}
+
+// A finished query wakes the loop at once: a client's round trip is the
+// engine's time plus the wire, not plus a poll tick.
+TEST(NetServerTest, CompletedQueryWakesTheLoop) {
+  std::unique_ptr<ServerFixture> owner =
+      MakeServer({}, 12012, /*engine_threads=*/1);
+  ServerFixture& f = *owner;
+  auto client = BlockingClient::Connect("127.0.0.1", f.server->port());
+  ASSERT_TRUE(client.ok());
+  ASSERT_TRUE(client.value().Ping().ok());
+
+  std::vector<double> round_trip_ms;
+  for (size_t i = 0; i < 100; ++i) {
+    const auto t0 = std::chrono::steady_clock::now();
+    auto got = client.value().Search(f.QueryFor(i), 5, 0.8, 0);
+    round_trip_ms.push_back(std::chrono::duration<double, std::milli>(
+                                std::chrono::steady_clock::now() - t0)
+                                .count());
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+  }
+  std::nth_element(round_trip_ms.begin(),
+                   round_trip_ms.begin() + round_trip_ms.size() / 2,
+                   round_trip_ms.end());
+  const double median_ms = round_trip_ms[round_trip_ms.size() / 2];
+  const double engine_ms = f.slot.Get()->latency().Percentile(50) * 1e3;
+  EXPECT_LT(median_ms - engine_ms, 1.5)
+      << "median round trip " << median_ms << " ms, engine p50 " << engine_ms
+      << " ms";
 }
 
 TEST(NetServerTest, DrainFinishesInFlightWorkThenStopsListening) {

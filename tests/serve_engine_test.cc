@@ -9,9 +9,11 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <functional>
 #include <future>
 #include <iterator>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -195,6 +197,163 @@ TEST(QueryEngineTest, QueueOverflowRejectedCleanly) {
   const EngineCounters counters = engine.counters();
   EXPECT_EQ(counters.rejected_queue_full, rejected);
   EXPECT_EQ(counters.completed, ok);
+}
+
+TEST(QueryEngineTest, BackToBackSubmitsFindTheSlotFree) {
+  // The worker releases a query's admission slot BEFORE its future is
+  // ready, so a caller that submits again as soon as get() returns is
+  // admitted even when nothing may wait.
+  auto w = testing::MakeRandomWorkload(100, 400, 5, 20, 11030);
+  EngineOptions options;
+  options.num_threads = 1;
+  options.max_queue = 0;
+  QueryEngine engine(&w.corpus.sets, w.index.get(), options);
+  const auto tokens = w.corpus.sets.Tokens(2);
+  const std::vector<TokenId> query(tokens.begin(), tokens.end());
+  SearchParams params;
+  params.k = 5;
+  params.alpha = 0.7;
+  for (size_t i = 0; i < 1000; ++i) {
+    QueryEngine::Result r = engine.Submit(query, params).get();
+    ASSERT_TRUE(r.ok()) << "submission " << i << ": " << r.status().ToString();
+  }
+  EXPECT_EQ(engine.counters().rejected_queue_full, 0u);
+}
+
+TEST(QueryEngineTest, QueryThatThrowsReleasesItsSlot) {
+  // An exception from the search travels through the future, and the slot
+  // is still released: with one worker and no queue, every later
+  // submission is admitted (and throws) instead of being rejected.
+  auto w = testing::MakeRandomWorkload(60, 300, 5, 15, 11031);
+  testing::ThrowingIndex index;
+  EngineOptions options;
+  options.num_threads = 1;
+  options.max_queue = 0;
+  QueryEngine engine(&w.corpus.sets, &index, options);
+  const auto tokens = w.corpus.sets.Tokens(1);
+  SearchParams params;
+  for (size_t i = 0; i < 3; ++i) {
+    std::future<QueryEngine::Result> future =
+        engine.Submit({tokens.begin(), tokens.end()}, params);
+    EXPECT_THROW(future.get(), std::runtime_error) << "submission " << i;
+  }
+  EXPECT_EQ(engine.counters().rejected_queue_full, 0u);
+}
+
+/// Counts the runs of one submission's completion callback and notes the
+/// thread of the last run.
+struct CallbackProbe {
+  std::atomic<int> calls{0};
+  std::atomic<bool> on_caller{false};
+
+  std::function<void()> Callback() {
+    return [this, caller = std::this_thread::get_id()] {
+      on_caller.store(std::this_thread::get_id() == caller);
+      calls.fetch_add(1);
+    };
+  }
+};
+
+TEST(QueryEngineTest, CompletionCallbackRunsOncePerSubmission) {
+  // Every outcome runs the callback exactly once: an answer, a queue-full
+  // rejection, an expired deadline, a cancellation and a search that
+  // throws. Rejections run it on the caller, the rest on the worker.
+  auto w = testing::MakeRandomWorkload(100, 400, 5, 20, 11032);
+  const auto tokens = w.corpus.sets.Tokens(2);
+  const std::vector<TokenId> query(tokens.begin(), tokens.end());
+  SearchParams params;
+  params.k = 5;
+  params.alpha = 0.7;
+  const std::chrono::milliseconds no_deadline(0);
+  EngineOptions options;
+  options.num_threads = 1;
+  options.max_queue = 0;
+
+  CallbackProbe answered, expired, cancelled, thrown;
+  std::vector<CallbackProbe> burst(8);
+  {
+    QueryEngine engine(&w.corpus.sets, w.index.get(), options);
+    QueryEngine::Result ok =
+        engine.SubmitCancellable(query, params, no_deadline,
+                                 answered.Callback())
+            .future.get();
+    ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+    {
+      // Every dispatch stalls 50 ms: the expiring query holds the one
+      // worker while the whole burst behind it finds no slot.
+      util::FaultSpec stall;
+      stall.latency = std::chrono::milliseconds(50);
+      util::ScopedFault dispatch_fault("threadpool.dispatch", stall);
+      QueryEngine::Submission late = engine.SubmitCancellable(
+          query, params, std::chrono::milliseconds(1), expired.Callback());
+      std::vector<std::future<QueryEngine::Result>> rejected;
+      for (CallbackProbe& probe : burst) {
+        rejected.push_back(engine
+                               .SubmitCancellable(query, params, no_deadline,
+                                                  probe.Callback())
+                               .future);
+      }
+      EXPECT_EQ(late.future.get().status().code(),
+                util::StatusCode::kDeadlineExceeded);
+      for (auto& future : rejected) {
+        EXPECT_EQ(future.get().status().code(),
+                  util::StatusCode::kResourceExhausted);
+      }
+      QueryEngine::Submission abandoned = engine.SubmitCancellable(
+          query, params, no_deadline, cancelled.Callback());
+      abandoned.cancel->Cancel();
+      EXPECT_EQ(abandoned.future.get().status().code(),
+                util::StatusCode::kCancelled);
+    }
+  }
+  {
+    testing::ThrowingIndex index;
+    QueryEngine engine(&w.corpus.sets, &index, options);
+    EXPECT_THROW(engine
+                     .SubmitCancellable(query, params, no_deadline,
+                                        thrown.Callback())
+                     .future.get(),
+                 std::runtime_error);
+  }
+  // Both engines are gone, so every callback that will ever run has run.
+  for (CallbackProbe* worker_side : {&answered, &expired, &cancelled, &thrown}) {
+    EXPECT_EQ(worker_side->calls.load(), 1);
+    EXPECT_FALSE(worker_side->on_caller.load());
+  }
+  for (const CallbackProbe& rejected : burst) {
+    EXPECT_EQ(rejected.calls.load(), 1);
+    EXPECT_TRUE(rejected.on_caller.load());
+  }
+}
+
+TEST(QueryEngineTest, CompletionCallbackRunsAfterTheFutureIsReady) {
+  // The callback parks until the test lets it go; while it is parked, the
+  // future it announces must already be ready.
+  auto w = testing::MakeRandomWorkload(100, 400, 5, 20, 11033);
+  const auto tokens = w.corpus.sets.Tokens(3);
+  SearchParams params;
+  params.k = 5;
+  params.alpha = 0.7;
+  EngineOptions options;
+  options.num_threads = 1;
+  QueryEngine engine(&w.corpus.sets, w.index.get(), options);
+
+  std::promise<void> entered;
+  std::future<void> callback_entered = entered.get_future();
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  QueryEngine::Submission submission = engine.SubmitCancellable(
+      {tokens.begin(), tokens.end()}, params, std::chrono::milliseconds(0),
+      [&entered, released] {
+        entered.set_value();
+        released.wait();
+      });
+  callback_entered.wait();
+  EXPECT_EQ(submission.future.wait_for(std::chrono::seconds(0)),
+            std::future_status::ready);
+  release.set_value();
+  QueryEngine::Result result = submission.future.get();
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
 }
 
 TEST(QueryEngineTest, ExpiredDeadlineIsCleanlyRejected) {

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "koios/data/corpus.h"
@@ -71,6 +72,17 @@ inline Score OracleKthScore(
   const size_t idx = std::min(k, ranking.size()) - 1;
   return ranking[idx].second;
 }
+
+/// A neighbor index whose probe sessions cannot be opened: stands in for a
+/// faulty similarity backend, so every search over it throws
+/// std::runtime_error carrying kMessage.
+class ThrowingIndex : public sim::SimilarityIndex {
+ public:
+  static constexpr const char* kMessage = "similarity backend failed";
+  std::unique_ptr<sim::ProbeSession> NewSession() const override {
+    throw std::runtime_error(kMessage);
+  }
+};
 
 /// A ready-to-search random workload: synthetic embeddings + corpus +
 /// cosine similarity + exact index.
