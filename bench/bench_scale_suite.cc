@@ -3,8 +3,8 @@
 // record per-size build time, container sizes, load times, RSS deltas,
 // and serving QPS / tail latency into one JSON report. A 4-shard pass
 // over the v4 snapshot adds per-shard phase timings (cursor_build /
-// stream / refinement / postprocess) to each tier — ROADMAP item 2's
-// cursor-build cliff tracking, attributable per shard.
+// stream / refinement / postprocess) to each tier, so the phase that
+// grows with the corpus shows, attributable per shard.
 //
 // Two HARD gates:
 //  * exactness (exit 2) — for every probe query, the top-k served from

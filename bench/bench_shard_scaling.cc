@@ -1,6 +1,6 @@
-// Shard scaling harness (ROADMAP item 4): per-query scatter-gather speedup
-// of the sharded QueryEngine over a partitioned corpus, plus the θlb
-// exchange ablation.
+// Shard scaling harness (corpus shards: the paper's §VI partitions,
+// searched concurrently): per-query scatter-gather speedup of the sharded
+// QueryEngine over a partitioned corpus, plus the θlb exchange ablation.
 //
 // Setup: a ~100k-set corpus (WDC-shaped skew at laptop scale), one engine
 // per shard count N ∈ {1, 2, 4, 8} with ONE query worker — so closed-loop

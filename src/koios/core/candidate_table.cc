@@ -16,15 +16,17 @@ size_t TokenHash(TokenId token, size_t mask) {
 
 }  // namespace
 
-void CandidateTable::Reset(size_t num_sets, size_t query_size) {
+void CandidateTable::Reset(SetId first, SetId end, size_t query_size) {
+  assert(first <= end);
   if (++epoch_ == 0) {
     // Wrapped: stale stamps could alias the new epoch, so clear them once.
     std::fill(stamps_.begin(), stamps_.end(), Stamp{});
     std::fill(token_table_.begin(), token_table_.end(), TokenEntry{});
     epoch_ = 1;
   }
-  if (stamps_.size() < num_sets) stamps_.resize(num_sets);
-  num_sets_ = num_sets;
+  first_ = first;
+  num_sets_ = end - first;
+  if (stamps_.size() < num_sets_) stamps_.resize(num_sets_);
   query_size_ = query_size;
   words_ = Words(query_size);
   records_.clear();
@@ -51,7 +53,7 @@ uint32_t CandidateTable::Add(SetId id, uint32_t capacity) {
   c = CandidateState{};
   c.id = id;
   c.capacity = capacity;
-  stamps_[id] = {epoch_, slot};
+  stamps_[Index(id)] = {epoch_, slot};
   ++live_;
   return slot;
 }

@@ -1,10 +1,12 @@
 // Per-query refinement state (§V) in flat, reusable storage: one record per
-// live candidate set, found through an epoch-stamped SetId-indexed slot
-// table, with the matched-element bookkeeping kept as bitsets.
+// live candidate set, found through an epoch-stamped slot table indexed by
+// the set's offset in the searched id range, with the matched-element
+// bookkeeping kept as bitsets.
 #ifndef KOIOS_CORE_CANDIDATE_TABLE_H_
 #define KOIOS_CORE_CANDIDATE_TABLE_H_
 
 #include <algorithm>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -70,11 +72,15 @@ struct CandidateState {
   }
 };
 
-/// The candidates of one refinement run. Reset() starts a query in O(1)
-/// amortized time: a set's slot entry counts only when stamped with the
-/// current epoch, so nothing is zeroed per query. Slots of pruned sets are
-/// recycled, so the records and bitsets grow to the peak number of LIVE
-/// candidates, and the slot table to the largest collection served.
+/// The candidates of one refinement run over the sets of one id range
+/// [first, end): a partition's range, or [0, |S|) for a whole collection.
+/// The slot table holds one stamp per id of the range, indexed by
+/// id − first, so a search over one contiguous shard of N keeps |S|/N
+/// stamps. Reset() starts a query in O(1) amortized time: a set's slot
+/// entry counts only when stamped with the current epoch, so nothing is
+/// zeroed per query. Slots of pruned sets are recycled, so the records and
+/// bitsets grow to the peak number of LIVE candidates, and the slot table
+/// to the widest range served.
 ///
 /// Each record owns two |Q|-bit bitsets in one arena: the query rows with
 /// a retained maximum (iUB) and the greedily matched query elements
@@ -87,13 +93,13 @@ class CandidateTable {
   static constexpr uint32_t kUnseen = 0xFFFFFFFFu;
   static constexpr uint32_t kPruned = 0xFFFFFFFEu;
 
-  /// Starts a query over sets [0, num_sets) and a query of `query_size`
-  /// elements, forgetting every candidate of the previous one.
-  void Reset(size_t num_sets, size_t query_size);
+  /// Starts a query over the sets [first, end) and a query of
+  /// `query_size` elements, forgetting every candidate of the previous one.
+  void Reset(SetId first, SetId end, size_t query_size);
 
-  /// The live slot of `id`, or kUnseen / kPruned.
+  /// The live slot of `id` (in [first, end)), or kUnseen / kPruned.
   uint32_t Lookup(SetId id) const {
-    const Stamp stamp = stamps_[id];
+    const Stamp stamp = stamps_[Index(id)];
     return stamp.epoch == epoch_ ? stamp.slot : kUnseen;
   }
 
@@ -107,7 +113,7 @@ class CandidateTable {
   uint32_t Add(SetId id, uint32_t capacity);
 
   /// Marks unseen set `id` pruned without giving it a slot.
-  void MarkPruned(SetId id) { stamps_[id] = {epoch_, kPruned}; }
+  void MarkPruned(SetId id) { stamps_[Index(id)] = {epoch_, kPruned}; }
 
   /// Prunes the live candidate in `slot` and recycles the slot.
   void Prune(uint32_t slot);
@@ -171,8 +177,8 @@ class CandidateTable {
   /// unchecked, so a result above `limit` only means "more than limit".
   size_t Sweep(Score s, Score theta, size_t* pruned, size_t limit = SIZE_MAX);
 
-  /// Bytes the current query uses: its |S| stamps, the records, bitsets
-  /// and token bits it created. The storage itself is reused, so its
+  /// Bytes the current query uses: its end − first stamps, the records,
+  /// bitsets and token bits it created. The storage itself is reused, so its
   /// capacity is a high-water mark over every query the thread served;
   /// counting the query's own use makes the figure repeat for the same
   /// query whatever ran before it.
@@ -189,6 +195,11 @@ class CandidateTable {
     size_t first_bit = 0;
   };
 
+  /// The stamp index of `id`: its offset in the query's id range.
+  size_t Index(SetId id) const {
+    assert(id >= first_ && id - first_ < num_sets_);
+    return id - first_;
+  }
   static bool TestBit(const uint64_t* bits, size_t i) {
     return (bits[i >> 6] >> (i & 63)) & 1;
   }
@@ -204,9 +215,10 @@ class CandidateTable {
   void GrowTokenTable();
 
   uint32_t epoch_ = 0;
-  size_t num_sets_ = 0;
+  SetId first_ = 0;      // the id range's first set
+  size_t num_sets_ = 0;  // its width, end − first
   size_t query_size_ = 0;
-  std::vector<Stamp> stamps_;           // SetId -> slot, when epoch matches
+  std::vector<Stamp> stamps_;           // id − first -> slot, epoch-checked
   std::vector<CandidateState> records_;  // by slot
   std::vector<uint64_t> bits_;          // by slot: row bits, query bits
   size_t words_ = 0;                    // 64-bit words per |Q|-bit bitset

@@ -44,7 +44,7 @@ SearchResult ManyToOneSearcher::Search(std::span<const TokenId> query,
   // so each record's capacity is |Q| and its row_sum is the score.
   const uint32_t rows_total = static_cast<uint32_t>(query.size());
   CandidateTable& table = ThreadCandidateTable();
-  table.Reset(sets_->size(), query.size());
+  table.Reset(0, static_cast<SetId>(sets_->size()), query.size());
   util::TopKList<SetId> topk(params.k);
 
   // The bound score + remaining_rows * s is *exact* at convergence: it is

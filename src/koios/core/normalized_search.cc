@@ -38,7 +38,7 @@ SearchResult NormalizedSearcher::Search(std::span<const TokenId> query,
 
   // ---- refinement with per-candidate normalized bounds --------------------
   CandidateTable& table = ThreadCandidateTable();
-  table.Reset(sets_->size(), query.size());
+  table.Reset(0, static_cast<SetId>(sets_->size()), query.size());
   util::TopKList<SetId> llb(params.k);  // normalized lower bounds
 
   for (const sim::StreamTuple& tuple : cache.tuples()) {

@@ -204,11 +204,12 @@ std::vector<ResultEntry> PostProcessor::Run(RefinementOutput refinement,
   // bound while an EM'd set is repositioned to its exact score, so WHICH
   // of several sets tied at the k-th exact score made the window depends
   // on processing history — and serial, partitioned and sharded runs have
-  // different histories. The bit-identity contract (ROADMAP item 4) needs
-  // one canonical answer: smallest ids win. Sweep the remaining alive
-  // sets that could still reach the k-th exact score (SO <= ub bounds the
-  // sweep; early termination against θk keeps the non-tied ones cheap)
-  // and let the final (score desc, id asc) sort pick canonically.
+  // different histories. The bit-identity contract (the same top-k at
+  // every partition, shard and thread count) needs one canonical answer:
+  // smallest ids win. Sweep the remaining alive sets that could still
+  // reach the k-th exact score (SO <= ub bounds the sweep; early
+  // termination against θk keeps the non-tied ones cheap) and let the
+  // final (score desc, id asc) sort pick canonically.
   if (params_.verify_result_scores && result.size() >= params_.k &&
       !result.empty()) {
     Score theta_k = result.front().score;

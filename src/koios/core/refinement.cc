@@ -23,7 +23,7 @@ RefinementOutput RefinementPhase::Run(EdgeCache* cache, SearchStats* stats,
   out.llb = util::TopKList<SetId>(params_.k);
 
   CandidateTable& table = ThreadCandidateTable();
-  table.Reset(sets_->size(), query_size_);
+  table.Reset(inverted_->first_set(), inverted_->end_set(), query_size_);
   // The iUB filter (§V): the arrival of stream similarity s tightens every
   // candidate's upper bound to S_i + m_i·s. Its cutoff never falls (see
   // CandidateState::Prunable), so instead of sweeping every candidate per

@@ -55,7 +55,9 @@ struct RefinementOutput {
 class RefinementPhase {
  public:
   /// `sets` is the full collection; `inverted` indexes the sets of this
-  /// partition only (or all sets when unpartitioned).
+  /// partition only (or all sets when unpartitioned). The run's candidate
+  /// table spans the partition's id range, [first_set, end_set) of
+  /// `inverted`.
   RefinementPhase(const index::SetCollection* sets,
                   const index::InvertedIndex* inverted, size_t query_size,
                   const SearchParams& params);

@@ -82,7 +82,6 @@ class SearchContext {
   /// private per-context threshold). The pointee must outlive every search
   /// using this context.
   void AttachSharedTheta(GlobalThreshold* shared) { shared_theta_ = shared; }
-  bool has_shared_theta() const { return shared_theta_ != nullptr; }
 
   void set_deadline(std::chrono::steady_clock::time_point deadline) {
     deadline_ = deadline;
@@ -104,8 +103,8 @@ class SearchContext {
     if (Cancelled()) throw SearchAborted{};
   }
 
-  /// Called by KoiosSearcher::Search on entry: rearms the private θlb. A
-  /// shared (attached) θlb is deliberately left alone — see
+  /// Called on entry to every KoiosSearcher search: rearms the private
+  /// θlb. A shared (attached) θlb is deliberately left alone — see
   /// AttachSharedTheta.
   void BeginSearch() {
     if (shared_theta_ == nullptr) global_theta_.Reset();

@@ -13,21 +13,36 @@
 
 namespace koios::core {
 
+namespace {
+
+/// The paper's random partitions (§VI: "we randomly partition the
+/// repository"): expected equal sizes, ids ascending in each.
+std::vector<std::vector<SetId>> RandomPartitions(
+    const index::SetCollection& sets, const SearcherOptions& options) {
+  const size_t p = std::max<size_t>(1, options.num_partitions);
+  std::vector<std::vector<SetId>> members(p);
+  util::Rng rng(options.partition_seed);
+  for (SetId id = 0; id < sets.size(); ++id) {
+    members[p == 1 ? 0 : rng.NextBounded(p)].push_back(id);
+  }
+  return members;
+}
+
+}  // namespace
+
 KoiosSearcher::KoiosSearcher(const index::SetCollection* sets,
                              const sim::SimilarityIndex* index,
                              const SearcherOptions& options)
-    : sets_(sets), index_(index), options_(options) {
-  const size_t p = std::max<size_t>(1, options_.num_partitions);
-  // Random partition assignment (paper §VI: "we randomly partition the
-  // repository"); expected equal sizes.
-  std::vector<std::vector<SetId>> members(p);
-  util::Rng rng(options_.partition_seed);
-  for (SetId id = 0; id < sets_->size(); ++id) {
-    members[p == 1 ? 0 : rng.NextBounded(p)].push_back(id);
-  }
-  partition_inverted_.reserve(p);
-  for (const auto& subset : members) {
-    partition_inverted_.emplace_back(*sets_, subset);
+    : KoiosSearcher(sets, index, RandomPartitions(*sets, options)) {}
+
+KoiosSearcher::KoiosSearcher(
+    const index::SetCollection* sets, const sim::SimilarityIndex* index,
+    const std::vector<std::vector<SetId>>& partitions)
+    : sets_(sets), index_(index) {
+  assert(!partitions.empty());
+  partition_inverted_.reserve(partitions.size());
+  for (const std::vector<SetId>& members : partitions) {
+    partition_inverted_.emplace_back(*sets_, members);
   }
 }
 
@@ -38,25 +53,34 @@ bool KoiosSearcher::InVocabulary(TokenId token) const {
   return false;
 }
 
-size_t KoiosSearcher::IndexMemoryUsageBytes() const {
-  size_t bytes = 0;
-  for (const auto& inverted : partition_inverted_) {
-    bytes += inverted.MemoryUsageBytes();
-  }
-  return bytes;
+SearchResult KoiosSearcher::Search(std::span<const TokenId> query,
+                                   const SearchParams& params,
+                                   SearchContext* ctx) const {
+  return SearchPartitions(partition_inverted_, query, params, ctx);
 }
 
-SearchResult KoiosSearcher::Search(std::span<const TokenId> query,
-                                   const SearchParams& query_params,
-                                   SearchContext* ctx) const {
+SearchResult KoiosSearcher::SearchPartition(size_t i,
+                                            std::span<const TokenId> query,
+                                            const SearchParams& params,
+                                            SearchContext* ctx) const {
+  assert(i < partition_inverted_.size());
+  return SearchPartitions(std::span(partition_inverted_).subspan(i, 1), query,
+                          params, ctx);
+}
+
+SearchResult KoiosSearcher::SearchPartitions(
+    std::span<const index::InvertedIndex> partitions,
+    std::span<const TokenId> query, const SearchParams& query_params,
+    SearchContext* ctx) const {
   assert(query_params.k >= 1);
   assert(query_params.alpha > 0.0);
   SearchResult result;
   if (query.empty() || sets_->size() == 0) return result;
 
-  // The partition lists merge by score (below), which needs exact scores:
-  // a set reported with its No-EM lower bound could lose its place to a set
-  // from another partition whose exact score is below its own.
+  // Partition lists merge by score (MergeTopK, below or in the caller of
+  // SearchPartition), which needs exact scores: a set reported with its
+  // No-EM lower bound could lose its place to a set from another partition
+  // whose exact score is below its own.
   SearchParams params = query_params;
   if (partition_inverted_.size() > 1) params.verify_result_scores = true;
 
@@ -83,7 +107,12 @@ SearchResult KoiosSearcher::Search(std::span<const TokenId> query,
     util::WallTimer cursor_timer;
     stream_storage.emplace(
         std::vector<TokenId>(query.begin(), query.end()), *index_,
-        params.alpha, [this](TokenId t) { return InVocabulary(t); });
+        params.alpha, [partitions](TokenId t) {
+          return std::any_of(partitions.begin(), partitions.end(),
+                             [t](const index::InvertedIndex& inverted) {
+                               return inverted.InVocabulary(t);
+                             });
+        });
     result.stats.timers.Accumulate("cursor_build",
                                    cursor_timer.ElapsedSeconds());
   }
@@ -111,7 +140,9 @@ SearchResult KoiosSearcher::Search(std::span<const TokenId> query,
   // sealed once all of them finished; its cost lands in the refinement
   // timers of the partitions that pulled it.
   std::vector<ResultEntry> merged;
-  for (const index::InvertedIndex& inverted : partition_inverted_) {
+  size_t index_bytes = 0;
+  for (const index::InvertedIndex& inverted : partitions) {
+    index_bytes += inverted.MemoryUsageBytes();
     SearchStats stats;
     RefinementOutput refined;
     {
@@ -137,17 +168,20 @@ SearchResult KoiosSearcher::Search(std::span<const TokenId> query,
   result.stats.stream_tuples_produced = cache.produced();
   result.stats.stream_stop_sim = cache.stop_sim();
   result.stats.memory.AddPeak("stream.edge_cache", cache.MemoryUsageBytes());
-  result.stats.memory.AddPeak("index.inverted", IndexMemoryUsageBytes());
+  result.stats.memory.AddPeak("index.inverted", index_bytes);
+  result.topk = MergeTopK(std::move(merged), params.k);
+  return result;
+}
 
-  // ---- merge-sort the per-partition top-k lists --------------------------
-  std::sort(merged.begin(), merged.end(),
+std::vector<ResultEntry> MergeTopK(std::vector<ResultEntry> entries,
+                                   size_t k) {
+  std::sort(entries.begin(), entries.end(),
             [](const ResultEntry& a, const ResultEntry& b) {
               if (a.score != b.score) return a.score > b.score;
               return a.set < b.set;
             });
-  if (merged.size() > params.k) merged.resize(params.k);
-  result.topk = std::move(merged);
-  return result;
+  if (entries.size() > k) entries.resize(k);
+  return entries;
 }
 
 }  // namespace koios::core

@@ -58,8 +58,8 @@ struct SearchStats {
   size_t em_workspace_reuses = 0;
 
   // --- meta ---------------------------------------------------------------
-  util::PhaseTimer timers;           // "refinement", "postprocess"
-  util::MemoryTracker memory;        // per-structure peak footprints
+  util::PhaseTimer timers;  // "cursor_build", "refinement", "postprocess"
+  util::MemoryTracker memory;  // per-structure peak footprints
 
   void Merge(const SearchStats& other) {
     stream_tuples += other.stream_tuples;

@@ -33,7 +33,7 @@ std::vector<ResultEntry> ThresholdSearcher::Search(
   // when a posting walk touches it and in the final sweep.
   const Score theta = params.theta;
   CandidateTable& table = ThreadCandidateTable();
-  table.Reset(sets_->size(), query.size());
+  table.Reset(0, static_cast<SetId>(sets_->size()), query.size());
 
   for (const sim::StreamTuple& tuple : cache.tuples()) {
     const Score s = tuple.sim;

@@ -1,6 +1,7 @@
 #include "koios/index/inverted_index.h"
 
 #include <algorithm>
+#include <cassert>
 #include <numeric>
 
 namespace koios::index {
@@ -18,6 +19,11 @@ InvertedIndex::InvertedIndex(const SetCollection& collection,
 
 void InvertedIndex::Build(const SetCollection& collection,
                           std::span<const SetId> subset) {
+  assert(std::is_sorted(subset.begin(), subset.end()));
+  if (!subset.empty()) {
+    first_set_ = subset.front();
+    end_set_ = subset.back() + 1;
+  }
   const size_t bound = collection.TokenIdBound();
   heads_.assign(bound, kEmpty);
 

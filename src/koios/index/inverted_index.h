@@ -17,8 +17,9 @@ class InvertedIndex {
   /// Builds postings for every set in `collection` (dense by token id).
   explicit InvertedIndex(const SetCollection& collection);
 
-  /// Builds postings for a *subset* of the collection — used by
-  /// partitioned search, where each partition indexes only its own sets.
+  /// Builds postings for a *subset* of the collection (ascending SetIds)
+  /// — used by partitioned search, where each partition indexes only its
+  /// own sets.
   InvertedIndex(const SetCollection& collection, std::span<const SetId> subset);
 
   /// Sets containing `token` (ascending SetId); empty if none.
@@ -36,6 +37,11 @@ class InvertedIndex {
   /// The distinct tokens of the indexed sets.
   std::vector<TokenId> Vocabulary() const;
 
+  /// The indexed sets' ids lie in [first_set(), end_set()): the first
+  /// indexed id and one past the last (both 0 when none is indexed).
+  SetId first_set() const { return first_set_; }
+  SetId end_set() const { return end_set_; }
+
   size_t NumTokens() const { return ranges_.size(); }
   size_t MaxPostingLength() const;
 
@@ -52,6 +58,8 @@ class InvertedIndex {
   std::vector<SetId> postings_;                      // concatenated lists
   std::vector<std::pair<size_t, size_t>> ranges_;    // (begin, count) per token
   std::vector<uint32_t> heads_;                      // TokenId -> ranges_ slot
+  SetId first_set_ = 0;
+  SetId end_set_ = 0;
 };
 
 }  // namespace koios::index

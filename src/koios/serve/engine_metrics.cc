@@ -176,8 +176,8 @@ void RegisterEngineMetrics(
 
     // The CURRENT serving state's cursor cache: after a hot swap this is
     // the new index's cache (the old one dies with its last query). The
-    // searcher() accessor pins the state while we read, exactly like an
-    // in-flight query would.
+    // snapshot() pointer pins it while we read, exactly like an in-flight
+    // query would.
     if (std::shared_ptr<const Snapshot> snapshot = engine->snapshot()) {
       if (const auto* cache = dynamic_cast<const sim::BatchedNeighborIndex*>(
               snapshot->index())) {

@@ -31,7 +31,6 @@ ShardOptions QueryEngine::MakeShardOptions() const {
   ShardOptions shard_options;
   shard_options.num_shards = std::max<size_t>(1, options_.num_shards);
   shard_options.theta_exchange = options_.shard_theta_exchange;
-  shard_options.searcher = options_.searcher;
   return shard_options;
 }
 
@@ -160,12 +159,6 @@ util::Status QueryEngine::TrySwapFromRepository(const std::string& path,
 
 std::shared_ptr<const Snapshot> QueryEngine::snapshot() const {
   return CurrentState()->snapshot;
-}
-
-std::shared_ptr<const core::KoiosSearcher> QueryEngine::searcher() const {
-  StatePtr state = CurrentState();
-  const core::KoiosSearcher* ptr = &state->coordinator.shard(0).searcher();
-  return std::shared_ptr<const core::KoiosSearcher>(std::move(state), ptr);
 }
 
 size_t QueryEngine::num_shards() const {

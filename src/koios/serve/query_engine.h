@@ -2,10 +2,10 @@
 // snapshot. KoiosSearcher::Search answers ONE query; this engine
 // multiplexes many over a shared util::ThreadPool:
 //
-//  * Shared immutable state. The engine owns the partition inverted
-//    indexes (inside const KoiosSearchers) and borrows the snapshot's
+//  * Shared immutable state. The engine owns the shard inverted indexes
+//    (inside one const KoiosSearcher) and borrows the snapshot's
 //    immutable neighbor index; every query runs the searcher's reentrant
-//    Search, whose token stream probes through a session of its own, so
+//    search, whose token stream probes through a session of its own, so
 //    concurrent queries share built cursors (the sharded cache pays each
 //    (token, α) build once across the whole workload) while consuming
 //    them independently. Results are bit-identical to serial
@@ -36,15 +36,16 @@
 //    and the old snapshot is destroyed when its last in-flight query
 //    drops the reference — no drain, no lock held across a search.
 //  * Sharded scatter-gather (num_shards > 1). The set collection is
-//    partitioned into N contiguous slices (dict/embeddings/neighbor index
-//    replicated — shared pages under the v4 mmap format), each with its
-//    own ShardEngine; every query fans out across all shards (shard 0 on
-//    the query's worker, the rest on a dedicated shard pool), exchanges
-//    θlb mid-flight so any shard's proven bound prunes the others, and
-//    merges the per-shard top-k streams deterministically. Results are
-//    bit-identical to the N=1 engine; admission, deadlines, cancellation
-//    and swaps keep their exact semantics (the coordinator lives inside
-//    the ServingState, so a swap flips all shards atomically).
+//    partitioned into N contiguous id ranges, the partitions of one
+//    searcher (dict/embeddings/neighbor index replicated — shared pages
+//    under the v4 mmap format); every query fans out across all shards
+//    (shard 0 on the query's worker, the rest on a dedicated shard pool),
+//    exchanges θlb mid-flight so any shard's proven bound prunes the
+//    others, and merges the per-shard top-k lists deterministically.
+//    Results are bit-identical to the N=1 engine; admission, deadlines,
+//    cancellation and swaps keep their exact semantics (the coordinator
+//    lives inside the ServingState, so a swap flips all shards
+//    atomically).
 //
 // A search is single-threaded (KoiosSearcher runs inline on its caller);
 // the only intra-query parallelism is the shard fan-out above, on its own
@@ -63,7 +64,6 @@
 #include <vector>
 
 #include "koios/core/search_types.h"
-#include "koios/core/searcher.h"
 #include "koios/serve/latency_recorder.h"
 #include "koios/serve/shard_coordinator.h"
 #include "koios/serve/snapshot.h"
@@ -87,20 +87,18 @@ struct EngineOptions {
   /// backends ignore it). A long-running engine should set this: the
   /// (token, α) cache otherwise grows with lifetime traffic.
   size_t cursor_cache_bytes = 0;
-  /// Repository partitioning (paper §VI) used by the engine's searcher.
-  core::SearcherOptions searcher;
 
-  /// Corpus shards (ROADMAP item 4): the set collection is partitioned
-  /// into this many contiguous slices, each searched by its own
-  /// ShardEngine, with one query fanned across all of them (shard 0 on
-  /// the query's worker, the rest on a dedicated shard pool) and the
-  /// per-shard top-k streams merged deterministically. Dict, embeddings
-  /// and the neighbor index stay shared (replicated) across shards.
-  /// 1 = today's single-shard engine, bit-for-bit; results are
+  /// Corpus shards, the paper's §VI partitions searched concurrently: the
+  /// set collection is partitioned into this many contiguous id ranges,
+  /// the partitions of one searcher, with one query fanned across all of
+  /// them (shard 0 on the query's worker, the rest on a dedicated shard
+  /// pool) and the per-shard top-k lists merged deterministically. Dict,
+  /// embeddings and the neighbor index stay shared (replicated) across
+  /// shards. 1 = one partition over the whole collection; results are
   /// bit-identical at every N (hard gate in bench_shard_scaling). Clamped
-  /// to the set count. Fixed for the engine's lifetime — hot swaps re-
-  /// slice the NEW snapshot at the same N, flipping all shards atomically
-  /// (they live inside the one ServingState pointer).
+  /// to the set count. Fixed for the engine's lifetime — hot swaps
+  /// partition the NEW snapshot at the same N, flipping all shards
+  /// atomically (they live inside the one ServingState pointer).
   size_t num_shards = 1;
   /// Cross-shard θlb exchange (paper §VI partition pruning, lifted to
   /// shards): every shard's refinement publishes into one query-global
@@ -261,13 +259,6 @@ class QueryEngine {
   /// constructed over borrowed parts and never swapped).
   std::shared_ptr<const Snapshot> snapshot() const;
 
-  /// The CURRENT serving state's FIRST shard searcher (the only shard —
-  /// the full collection — at num_shards = 1). The returned pointer PINS
-  /// the state it belongs to (aliasing shared_ptr), so it stays valid
-  /// across hot swaps — but a caller holding it across a swap keeps
-  /// reading the OLD snapshot's searcher, exactly like an in-flight query
-  /// would.
-  std::shared_ptr<const core::KoiosSearcher> searcher() const;
   size_t num_threads() const { return pool_.num_threads(); }
   /// ACTUAL shard count of the current serving state (options.num_shards
   /// clamped to the snapshot's set count; 1 for an unsharded engine).
@@ -310,12 +301,12 @@ class QueryEngine {
 
   /// Everything a query dereferences while it runs, bundled immutably so
   /// a hot swap is one shared_ptr flip — INCLUDING every shard: the
-  /// coordinator (and the slices + per-shard searchers inside it) lives
-  /// here, so a swap replaces all N shards atomically; a query can never
-  /// see shard 0 of one snapshot and shard 1 of another. A query pins the
-  /// state it was ADMITTED under (captured into its task), which is what
-  /// makes the swap safe with queries in flight: nothing a running search
-  /// touches is ever mutated or freed underneath it.
+  /// coordinator (and the searcher with every shard's index inside it)
+  /// lives here, so a swap replaces all N shards atomically; a query can
+  /// never see shard 0 of one snapshot and shard 1 of another. A query
+  /// pins the state it was ADMITTED under (captured into its task), which
+  /// is what makes the swap safe with queries in flight: nothing a running
+  /// search touches is ever mutated or freed underneath it.
   struct ServingState {
     ServingState(std::shared_ptr<const Snapshot> snap,
                  const index::SetCollection* sets,
@@ -327,7 +318,7 @@ class QueryEngine {
 
     std::shared_ptr<const Snapshot> snapshot;  // null for borrowed parts
     const sim::SimilarityIndex* index;
-    ShardCoordinator coordinator;  // holds the shard slices + searchers
+    ShardCoordinator coordinator;  // holds the searcher and shard indexes
   };
   using StatePtr = std::shared_ptr<const ServingState>;
 

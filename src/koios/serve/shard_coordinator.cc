@@ -3,41 +3,53 @@
 #include <algorithm>
 #include <exception>
 #include <future>
+#include <numeric>
 #include <optional>
 #include <utility>
 
-#include "koios/io/shard_slice.h"
 #include "koios/util/timer.h"
 #include "koios/util/trace_recorder.h"
 
 namespace koios::serve {
 
+std::vector<ShardRange> ShardRanges(size_t set_count, size_t num_shards) {
+  const size_t n =
+      std::clamp<size_t>(num_shards, 1, std::max<size_t>(1, set_count));
+  std::vector<ShardRange> ranges(n);
+  for (size_t i = 0; i < n; ++i) {
+    ranges[i] = {static_cast<SetId>(set_count * i / n),
+                 static_cast<SetId>(set_count * (i + 1) / n)};
+  }
+  return ranges;
+}
+
+namespace {
+
+/// Each shard's members: the ids of its range, ascending.
+std::vector<std::vector<SetId>> ShardMembers(size_t set_count,
+                                             size_t num_shards) {
+  std::vector<std::vector<SetId>> members;
+  for (const ShardRange& range : ShardRanges(set_count, num_shards)) {
+    std::vector<SetId>& ids = members.emplace_back(range.end - range.first);
+    std::iota(ids.begin(), ids.end(), range.first);
+  }
+  return members;
+}
+
+}  // namespace
+
 ShardCoordinator::ShardCoordinator(const index::SetCollection* sets,
                                    const sim::SimilarityIndex* index,
                                    const ShardOptions& options)
-    : options_(options) {
-  // One shard serves the FULL collection directly (no slice, no rebased
-  // offsets) — the N=1 fast path the equivalence contract depends on.
-  if (options.num_shards <= 1 || sets->size() <= 1) {
-    shards_.push_back(
-        std::make_unique<ShardEngine>(sets, index, options.searcher));
-    return;
-  }
-  std::vector<io::ShardSlice> slices =
-      io::SliceCollection(*sets, options.num_shards);
-  shards_.reserve(slices.size());
-  for (io::ShardSlice& slice : slices) {
-    shards_.push_back(std::make_unique<ShardEngine>(std::move(slice), index,
-                                                    options.searcher));
-  }
-}
+    : options_(options),
+      searcher_(sets, index, ShardMembers(sets->size(), options.num_shards)) {}
 
 core::SearchResult ShardCoordinator::Execute(std::span<const TokenId> query,
-                                             core::SearchParams params,
+                                             const core::SearchParams& params,
                                              const QueryOptions& qopts,
                                              util::ThreadPool* shard_pool,
                                              QueryReport* report) const {
-  const size_t n = shards_.size();
+  const size_t n = num_shards();
 
   // One query-global θlb; every shard's refinement publishes into it and
   // derives its stop similarity from it (with the exchange off each
@@ -57,12 +69,6 @@ core::SearchResult ShardCoordinator::Execute(std::span<const TokenId> query,
     contexts.push_back(std::move(ctx));
   }
 
-  // Exact scores are what make the cross-shard (score desc, id asc) order
-  // well defined; certified lower bounds from the No-EM filter are not
-  // comparable across shards. N=1 keeps the caller's setting untouched.
-  core::SearchParams shard_params = params;
-  if (n > 1) shard_params.verify_result_scores = true;
-
   std::vector<core::SearchResult> partial(n);
   std::vector<double> seconds(n, 0.0);
 
@@ -70,7 +76,8 @@ core::SearchResult ShardCoordinator::Execute(std::span<const TokenId> query,
     std::optional<util::TraceSpan> span;
     if (n > 1) span.emplace("shard.execute", "shard", i);
     util::WallTimer timer;
-    partial[i] = shards_[i]->Execute(query, shard_params, contexts[i].get());
+    partial[i] =
+        searcher_.SearchPartition(i, query, params, contexts[i].get());
     seconds[i] = timer.ElapsedSeconds();
   };
 
@@ -120,11 +127,8 @@ core::SearchResult ShardCoordinator::Execute(std::span<const TokenId> query,
 
   if (n == 1) return std::move(partial[0]);
 
-  // Gather: every global top-k entry ranks within the top-k of its own
-  // shard, so concatenating the shard lists and re-sorting under the
-  // global total order loses nothing; the (score desc, id asc) tie-break
-  // is exactly the searcher's own partition merge, which is what makes
-  // the result bit-identical to N=1.
+  // Gather: the searcher's own partition merge, which is what makes the
+  // result bit-identical to N=1.
   KOIOS_TRACE_SPAN("shard.merge");
   core::SearchResult result;
   std::vector<core::ResultEntry> merged;
@@ -132,13 +136,7 @@ core::SearchResult ShardCoordinator::Execute(std::span<const TokenId> query,
     merged.insert(merged.end(), p.topk.begin(), p.topk.end());
     result.stats.Merge(p.stats);
   }
-  std::sort(merged.begin(), merged.end(),
-            [](const core::ResultEntry& a, const core::ResultEntry& b) {
-              if (a.score != b.score) return a.score > b.score;
-              return a.set < b.set;
-            });
-  if (merged.size() > params.k) merged.resize(params.k);
-  result.topk = std::move(merged);
+  result.topk = core::MergeTopK(std::move(merged), params.k);
   return result;
 }
 

@@ -1,7 +1,15 @@
-// ShardCoordinator — scatter-gather query execution over N ShardEngines
-// (ROADMAP item 4: the paper's §VI partition pruning lifted from
-// in-process partitions to corpus shards, behind the unchanged Submit
-// interface).
+// ShardCoordinator — scatter-gather query execution over N corpus shards:
+// the paper's §VI partition pruning, with the partitions searched
+// concurrently behind the unchanged Submit interface.
+//
+// A shard is one partition of a single KoiosSearcher: shard i owns the
+// contiguous set ids [i·n/N, (i+1)·n/N) of the full collection
+// (ShardRanges). The sets and the postings derived from them are
+// partitioned — each shard has its own inverted index, and its candidate
+// table spans only its own id range — while the dictionary, embeddings and
+// neighbor index are replicated: every shard probes the same index (for a
+// v4 snapshot, shared mmap'd pages). Results carry the collection's own
+// set ids.
 //
 // Per query the coordinator:
 //  1. creates ONE query-global θlb and N per-shard SearchContexts (each
@@ -10,43 +18,39 @@
 //     shard's refinement proves immediately tightens every other shard's
 //     pruning and stream-stop similarity — the cross-shard feedback that
 //     makes N shards cheaper than N independent searches;
-//  2. fans out: shards 1..N-1 run on the dedicated shard pool, shard 0
-//     runs INLINE on the calling (query-worker) thread. Shard tasks are
-//     single-threaded searches that never wait on any pool, so a query
-//     worker blocking on shard futures can never deadlock — the shard
-//     pool only ever executes leaf work;
+//  2. fans out KoiosSearcher::SearchPartition, one per shard, each through
+//     a token stream of its own: shards 1..N-1 run on the dedicated shard
+//     pool, shard 0 runs INLINE on the calling (query-worker) thread.
+//     Shard tasks are single-threaded searches that never wait on any
+//     pool, so a query worker blocking on shard futures can never
+//     deadlock — the shard pool only ever executes leaf work;
 //  3. gathers: joins every shard (even after a failure — the per-shard
 //     contexts live on this frame), then merges the per-shard top-k lists
-//     under the global total order (score desc, SetId asc) and truncates
-//     to k.
+//     with core::MergeTopK, the searcher's own partition merge.
 //
-// Exactness of the merge: shard results carry exact scores
-// (verify_result_scores is forced on for N>1 — certified-lower-bound
-// scores would make the cross-shard order ill-defined), and any set in
-// the global top-k is by definition within the top-k OF ITS OWN SHARD, so
-// the union of shard top-k lists always contains the global top-k. θlb
-// exchange is sound for the same reason the in-process version is: a
-// shard's k-th lower bound never exceeds the global θk, and pruning
-// comparisons keep their ε slack, so ties survive. Results are therefore
-// bit-identical to the N=1 engine — the property bench_shard_scaling
-// gates hard.
+// Exactness of the merge: the searcher verifies result scores whenever it
+// has more than one partition, and any set in the global top-k is by
+// definition within the top-k OF ITS OWN SHARD, so the union of shard
+// top-k lists always contains the global top-k. θlb exchange is sound for
+// the same reason the in-process version is: a shard's k-th lower bound
+// never exceeds the global θk, and pruning comparisons keep their ε slack,
+// so ties survive. Results are therefore bit-identical to the N=1 engine —
+// the property bench_shard_scaling gates hard.
 //
-// N=1 compiles down to today's behavior: no slicing (the one shard IS the
-// full collection), no shared θlb, no shard spans, no pool hop — the
-// query runs inline exactly as QueryEngine::Execute always has.
+// N=1 is the same call: one partition over the whole collection, no
+// shared θlb, no shard spans, no pool hop, and the shard's answer is the
+// query's — exactly KoiosSearcher::Search over an unpartitioned searcher.
 #ifndef KOIOS_SERVE_SHARD_COORDINATOR_H_
 #define KOIOS_SERVE_SHARD_COORDINATOR_H_
 
 #include <atomic>
 #include <chrono>
-#include <memory>
 #include <span>
 #include <vector>
 
 #include "koios/core/search_types.h"
 #include "koios/core/searcher.h"
 #include "koios/index/set_collection.h"
-#include "koios/serve/shard_engine.h"
 #include "koios/sim/similarity.h"
 #include "koios/util/thread_pool.h"
 
@@ -60,17 +64,26 @@ struct ShardOptions {
   /// scaling bench compares against; results are identical either way,
   /// only the work differs.
   bool theta_exchange = true;
-  /// Per-shard in-process partitioning (paper §VI), applied within each
-  /// shard's searcher.
-  core::SearcherOptions searcher;
 };
+
+/// The set ids of one shard: [first, end).
+struct ShardRange {
+  SetId first = 0;
+  SetId end = 0;
+};
+
+/// The contiguous shards of a collection of `set_count` sets: shard i of
+/// n owns [i·set_count/n, (i+1)·set_count/n), so sizes differ by at most
+/// one and every set is in exactly one shard. `num_shards` is clamped to
+/// [1, max(1, set_count)]: more shards than sets gives one set per shard,
+/// and an empty collection its one empty shard.
+std::vector<ShardRange> ShardRanges(size_t set_count, size_t num_shards);
 
 class ShardCoordinator {
  public:
-  /// Builds N shard engines over contiguous slices of `sets`, all probing
-  /// the shared `index` (replicated across shards). Both must outlive the
-  /// coordinator; slices borrow `sets`' token arena. num_shards is
-  /// clamped to [1, max(1, sets->size())].
+  /// Builds one searcher over `sets` whose partitions are the
+  /// ShardRanges(sets->size(), options.num_shards), all probing the shared
+  /// `index`. Both must outlive the coordinator.
   ShardCoordinator(const index::SetCollection* sets,
                    const sim::SimilarityIndex* index,
                    const ShardOptions& options);
@@ -78,8 +91,7 @@ class ShardCoordinator {
   ShardCoordinator(const ShardCoordinator&) = delete;
   ShardCoordinator& operator=(const ShardCoordinator&) = delete;
 
-  size_t num_shards() const { return shards_.size(); }
-  const ShardEngine& shard(size_t i) const { return *shards_[i]; }
+  size_t num_shards() const { return searcher_.num_partitions(); }
 
   /// Per-query inputs threaded from the engine's admission machinery into
   /// every shard's SearchContext.
@@ -102,21 +114,20 @@ class ShardCoordinator {
 
   /// Executes one query across all shards and merges (see file comment).
   /// Each shard's token stream probes the shared index through a session
-  /// of its own. `shard_pool` carries shards 1..N-1; shard 0 always runs on the calling thread, and
-  /// a null pool runs the shards one after another on it. `report`
-  /// (optional) receives per-shard timings and stats. Throws SearchAborted
-  /// on deadline/cancel — after every in-flight shard has been joined.
+  /// of its own. `shard_pool` carries shards 1..N-1; shard 0 always runs
+  /// on the calling thread, and a null pool runs the shards one after
+  /// another on it. `report` (optional) receives per-shard timings and
+  /// stats. Throws SearchAborted on deadline/cancel — after every
+  /// in-flight shard has been joined.
   core::SearchResult Execute(std::span<const TokenId> query,
-                             core::SearchParams params,
+                             const core::SearchParams& params,
                              const QueryOptions& qopts,
                              util::ThreadPool* shard_pool,
                              QueryReport* report) const;
 
  private:
   ShardOptions options_;
-  // unique_ptr for pointer stability: each engine's searcher points into
-  // the engine's own slice storage (see ShardEngine).
-  std::vector<std::unique_ptr<ShardEngine>> shards_;
+  core::KoiosSearcher searcher_;  // one partition per shard
 };
 
 }  // namespace koios::serve

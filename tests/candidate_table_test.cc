@@ -15,7 +15,7 @@ namespace {
 // `query_size` elements; tokens sit at posting index 0.
 struct OneCandidate {
   OneCandidate(uint32_t set_size, uint32_t query_size) {
-    table.Reset(/*num_sets=*/1, query_size);
+    table.Reset(/*first=*/0, /*end=*/1, query_size);
     slot = table.Add(0, table.Capacity(set_size));
   }
   size_t Bit(TokenId token) { return table.TokenBits(token, 1); }
@@ -135,7 +135,7 @@ TEST(CandidateStateTest, UpperBoundSoundOnRandomInstances) {
 
     std::sort(edges.begin(), edges.end(),
               [](const Edge& a, const Edge& b) { return a.s > b.s; });
-    table.Reset(/*num_sets=*/1, nq);
+    table.Reset(/*first=*/0, /*end=*/1, nq);
     const uint32_t slot = table.Add(0, table.Capacity(nc));
     for (const Edge& e : edges) {
       table.AddRow(slot, e.q, e.s);
@@ -167,7 +167,7 @@ TEST(CandidateStateTest, PrunableIsStrictAndUsesTheRemainingRows) {
 
 TEST(CandidateTableTest, SweepPrunesBelowCutoffAndStopsPastLimit) {
   CandidateTable table;
-  table.Reset(/*num_sets=*/6, /*query_size=*/2);
+  table.Reset(/*first=*/0, /*end=*/6, /*query_size=*/2);
   // Capacity 2 and one retained row each: m = 1, row_sum = that row's s.
   const Score row_sums[] = {0.5, 1.5, 0.9, 1.6, 0.2, 1.55};
   for (SetId id = 0; id < 6; ++id) {
@@ -196,7 +196,7 @@ TEST(CandidateTableTest, SweepPrunesBelowCutoffAndStopsPastLimit) {
 
 TEST(CandidateTableTest, ResetForgetsEveryCandidate) {
   CandidateTable table;
-  table.Reset(/*num_sets=*/10, /*query_size=*/4);
+  table.Reset(/*first=*/0, /*end=*/10, /*query_size=*/4);
   const uint32_t slot = table.Add(3, table.Capacity(7));
   table.MarkPruned(5);
   EXPECT_EQ(table.Lookup(3), slot);
@@ -204,20 +204,70 @@ TEST(CandidateTableTest, ResetForgetsEveryCandidate) {
   EXPECT_EQ(table.Lookup(4), CandidateTable::kUnseen);
   EXPECT_EQ(table.live(), 1u);
 
-  table.Reset(/*num_sets=*/20, /*query_size=*/4);  // larger collection
+  table.Reset(/*first=*/0, /*end=*/20, /*query_size=*/4);  // wider range
   for (SetId id = 0; id < 20; ++id) {
     EXPECT_EQ(table.Lookup(id), CandidateTable::kUnseen) << id;
   }
   EXPECT_EQ(table.live(), 0u);
-  table.Reset(/*num_sets=*/5, /*query_size=*/2);  // smaller one
+  table.Reset(/*first=*/0, /*end=*/5, /*query_size=*/2);  // narrower one
   for (SetId id = 0; id < 5; ++id) {
     EXPECT_EQ(table.Lookup(id), CandidateTable::kUnseen) << id;
   }
 }
 
+// A shard's query resets the table over its own id range right after a
+// query over the whole collection: the stamps are indexed by id − first,
+// so the range's ids reuse stamps the earlier query wrote for other ids.
+TEST(CandidateTableTest, ResetOverAnIdRangeIndexesFromItsFirstId) {
+  constexpr SetId kSets = 40;
+  constexpr SetId kFirst = 25;
+  constexpr SetId kEnd = kFirst + 10;
+  CandidateTable table;
+  table.Reset(/*first=*/0, /*end=*/kSets, /*query_size=*/3);
+  for (SetId id = 0; id < kSets; ++id) {
+    if (id % 2 == 0) {
+      table.Add(id, table.Capacity(5));
+    } else {
+      table.MarkPruned(id);
+    }
+  }
+
+  table.Reset(kFirst, kEnd, /*query_size=*/3);
+  EXPECT_EQ(table.live(), 0u);
+  for (SetId id = kFirst; id < kEnd; ++id) {
+    EXPECT_EQ(table.Lookup(id), CandidateTable::kUnseen) << id;
+  }
+  // One (epoch, slot) stamp of two uint32s per id of the range, and
+  // nothing else before a candidate arrives.
+  EXPECT_EQ(table.MemoryUsageBytes(), (kEnd - kFirst) * 2 * sizeof(uint32_t));
+
+  const uint32_t first = table.Add(kFirst, table.Capacity(4));
+  const uint32_t last = table.Add(kEnd - 1, table.Capacity(4));
+  table.MarkPruned(kFirst + 3);
+  EXPECT_EQ(table.Lookup(kFirst), first);
+  EXPECT_EQ(table.Lookup(kEnd - 1), last);
+  EXPECT_EQ(table[last].id, kEnd - 1);
+  EXPECT_EQ(table.Lookup(kFirst + 3), CandidateTable::kPruned);
+  EXPECT_EQ(table.Lookup(kFirst + 1), CandidateTable::kUnseen);
+  std::vector<SetId> live;
+  table.ForEachLive(
+      [&](uint32_t, const CandidateState& c) { live.push_back(c.id); });
+  std::sort(live.begin(), live.end());
+  EXPECT_EQ(live, (std::vector<SetId>{kFirst, kEnd - 1}));
+
+  // A fresh table holds exactly its range's stamps, so an index that
+  // ignored `first` would run past them.
+  CandidateTable fresh;
+  fresh.Reset(/*first=*/1000, /*end=*/1010, /*query_size=*/3);
+  const uint32_t slot = fresh.Add(1009, fresh.Capacity(4));
+  EXPECT_EQ(fresh.Lookup(1009), slot);
+  EXPECT_EQ(fresh.Lookup(1000), CandidateTable::kUnseen);
+}
+
 TEST(CandidateTableTest, PrunedSlotsAreRecycledClean) {
   CandidateTable table;
-  table.Reset(/*num_sets=*/4, /*query_size=*/130);  // three-word bitsets
+  // 130 query elements: three-word bitsets.
+  table.Reset(/*first=*/0, /*end=*/4, /*query_size=*/130);
   const uint32_t a = table.Add(0, table.Capacity(200));
   table.AddRow(a, 129, 0.9);
   const size_t bit = table.TokenBits(42, 2);
@@ -247,7 +297,7 @@ TEST(CandidateTableTest, PrunedSlotsAreRecycledClean) {
 
 TEST(CandidateTableTest, TokenBitsAreStablePerTokenAndDisjoint) {
   CandidateTable table;
-  table.Reset(/*num_sets=*/1, /*query_size=*/1);
+  table.Reset(/*first=*/0, /*end=*/1, /*query_size=*/1);
   // Enough tokens to grow the token table several times.
   std::vector<std::pair<size_t, size_t>> ranges;  // [first, first + len)
   for (TokenId t = 0; t < 500; ++t) {
@@ -263,7 +313,7 @@ TEST(CandidateTableTest, TokenBitsAreStablePerTokenAndDisjoint) {
     EXPECT_LE(ranges[i - 1].second, ranges[i].first);
   }
   // A new query starts with fresh, cleared token bits.
-  table.Reset(/*num_sets=*/1, /*query_size=*/1);
+  table.Reset(/*first=*/0, /*end=*/1, /*query_size=*/1);
   const uint32_t slot = table.Add(0, 1);
   EXPECT_TRUE(table.EdgeValid(slot, 0, table.TokenBits(977, 8)));
 }

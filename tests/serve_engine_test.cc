@@ -99,6 +99,8 @@ TEST(QueryEngineTest, ConcurrentSubmitsMatchSerialSearchBitForBit) {
   EXPECT_EQ(engine.latency().count(), scenarios.size());
 }
 
+// Shards are contiguous partitions, the serial searcher's are random: the
+// answers are the same.
 TEST(QueryEngineTest, PartitionedEngineMatchesPartitionedSerial) {
   auto w = testing::MakeRandomWorkload(150, 600, 5, 25, 11002);
   const auto scenarios = MakeScenarios(w, 12);
@@ -109,8 +111,9 @@ TEST(QueryEngineTest, PartitionedEngineMatchesPartitionedSerial) {
 
   EngineOptions options;
   options.num_threads = 3;
-  options.searcher = searcher_options;
+  options.num_shards = 4;
   QueryEngine engine(&w.corpus.sets, w.index.get(), options);
+  ASSERT_EQ(engine.num_shards(), 4u);
 
   std::vector<std::future<QueryEngine::Result>> futures;
   for (const Scenario& s : scenarios) {

@@ -1,15 +1,18 @@
-// Sharded scatter-gather execution (ROADMAP item 4): slicing a collection
-// must partition it exactly, any shard count must answer bit-identically
-// to the single-shard engine (including under ties that straddle shard
+// Sharded scatter-gather execution, where each shard is one contiguous
+// partition of a single KoiosSearcher: the shard count must clamp to the
+// set count, any shard count must answer bit-identically to the
+// single-shard engine (including under ties that straddle shard
 // boundaries — the property the TSan job hammers with threads), the
 // cross-shard θlb exchange must provably reduce producer work without
-// changing results, SearchStats::Merge must aggregate every field, and
-// snapshot hot-swaps must stay atomic with a sharded engine under load.
+// changing results, sequential scatter must do pinned work per shard,
+// SearchStats::Merge must aggregate every field, and snapshot hot-swaps
+// must stay atomic with a sharded engine under load.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <cstring>
 #include <future>
 #include <memory>
 #include <string>
@@ -19,7 +22,6 @@
 #include "koios/core/searcher.h"
 #include "koios/core/stats.h"
 #include "koios/io/serialization.h"
-#include "koios/io/shard_slice.h"
 #include "koios/serve/engine_metrics.h"
 #include "koios/serve/query_engine.h"
 #include "koios/serve/shard_coordinator.h"
@@ -71,78 +73,33 @@ void ExpectSameResult(const SearchResult& got, const SearchResult& want,
   }
 }
 
-TEST(ShardSliceTest, SlicesPartitionTheCollectionExactly) {
-  auto w = testing::MakeRandomWorkload(150, 600, 5, 25, 12001);
-  const index::SetCollection& full = w.corpus.sets;
+TEST(ShardCoordinatorTest, ClampsShardCountToTheSetCount) {
+  auto w = testing::MakeRandomWorkload(150, 600, 5, 25, 12002);
+  const index::SetCollection& sets = w.corpus.sets;
 
-  for (size_t n : {size_t{1}, size_t{2}, size_t{4}, size_t{7}}) {
-    const auto slices = io::SliceCollection(full, n);
-    ASSERT_EQ(slices.size(), n);
-
-    size_t covered = 0;
-    SetId expected_base = 0;
-    for (const io::ShardSlice& slice : slices) {
-      EXPECT_EQ(slice.base, expected_base) << "shards must be contiguous";
-      EXPECT_EQ(slice.sets.TokenIdBound(), full.TokenIdBound())
-          << "every shard shares the replicated index's vocabulary";
-      // CSR invariants of the rebased offsets.
-      ASSERT_FALSE(slice.offsets.empty());
-      EXPECT_EQ(slice.offsets.front(), 0u);
-      EXPECT_EQ(slice.offsets.back(), slice.sets.TotalTokens());
-      // Every set's tokens, read through the slice, are the parent's.
-      for (SetId local = 0; local < slice.sets.size(); ++local) {
-        const auto got = slice.sets.Tokens(local);
-        const auto want = full.Tokens(slice.base + local);
-        ASSERT_EQ(got.size(), want.size());
-        EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin()))
-            << "shard base " << slice.base << " local " << local;
-      }
-      covered += slice.sets.size();
-      expected_base += static_cast<SetId>(slice.sets.size());
-      // Balanced to within one set.
-      EXPECT_LE(slice.sets.size(), full.size() / n + 1);
-      EXPECT_GE(slice.sets.size(), full.size() / n);
-    }
-    EXPECT_EQ(covered, full.size()) << "every set in exactly one shard";
+  // More shards than sets: one set per shard, in id order.
+  const std::vector<ShardRange> ranges = ShardRanges(sets.size(), 500);
+  ASSERT_EQ(ranges.size(), sets.size());
+  for (SetId i = 0; i < ranges.size(); ++i) {
+    EXPECT_EQ(ranges[i].first, i);
+    EXPECT_EQ(ranges[i].end, i + 1);
   }
-}
+  // Zero requested: one shard holding everything; an empty collection
+  // still gets its one, empty, shard.
+  ASSERT_EQ(ShardRanges(sets.size(), 0).size(), 1u);
+  EXPECT_EQ(ShardRanges(sets.size(), 0)[0].end, sets.size());
+  ASSERT_EQ(ShardRanges(0, 4).size(), 1u);
+  EXPECT_EQ(ShardRanges(0, 4)[0].end, 0u);
 
-TEST(ShardSliceTest, ClampsShardCountToTheSetCount) {
-  auto w = testing::MakeRandomWorkload(10, 100, 3, 8, 12002);
-  const index::SetCollection& full = w.corpus.sets;
-
-  // More shards than sets: one set per shard.
-  const auto singles = io::SliceCollection(full, 500);
-  ASSERT_EQ(singles.size(), full.size());
-  for (const auto& slice : singles) EXPECT_EQ(slice.sets.size(), 1u);
-
-  // Zero requested: one shard holding everything.
-  const auto all = io::SliceCollection(full, 0);
-  ASSERT_EQ(all.size(), 1u);
-  EXPECT_EQ(all[0].base, 0u);
-  EXPECT_EQ(all[0].sets.size(), full.size());
-  EXPECT_EQ(all[0].sets.TotalTokens(), full.TotalTokens());
-}
-
-TEST(ShardSliceTest, PlanMatchesTheSlicesItPredicts) {
-  auto w = testing::MakeRandomWorkload(97, 400, 4, 20, 12003);
-  const index::SetCollection& full = w.corpus.sets;
-  for (size_t n : {size_t{1}, size_t{3}, size_t{8}}) {
-    const auto plans = io::PlanShards(full, n);
-    const auto slices = io::SliceCollection(full, n);
-    ASSERT_EQ(plans.size(), slices.size());
-    size_t total_tokens = 0;
-    for (size_t i = 0; i < plans.size(); ++i) {
-      EXPECT_EQ(plans[i].first_set, slices[i].base);
-      EXPECT_EQ(plans[i].set_count, slices[i].sets.size());
-      EXPECT_EQ(plans[i].token_count, slices[i].sets.TotalTokens());
-      EXPECT_EQ(plans[i].postings_bytes,
-                plans[i].token_count * sizeof(TokenId));
-      EXPECT_EQ(plans[i].offsets_bytes,
-                (plans[i].set_count + 1) * sizeof(uint64_t));
-      total_tokens += plans[i].token_count;
-    }
-    EXPECT_EQ(total_tokens, full.TotalTokens());
+  ShardOptions options;
+  options.num_shards = 500;
+  ShardCoordinator coordinator(&sets, w.index.get(), options);
+  EXPECT_EQ(coordinator.num_shards(), sets.size());
+  KoiosSearcher serial(&sets, w.index.get());
+  for (const Scenario& s : MakeScenarios(sets, 3)) {
+    ExpectSameResult(
+        coordinator.Execute(s.query, s.params, {}, nullptr, nullptr),
+        serial.Search(s.query, s.params), "one set per shard");
   }
 }
 
@@ -316,6 +273,100 @@ TEST(ShardCoordinatorTest, ThetaExchangeCutsProducerWorkWithoutChangingResults) 
   EXPECT_LT(with_exchange, without_exchange)
       << "cross-shard θlb exchange must reduce the tuples producers "
          "materialize (it only ever tightens the stop similarity)";
+}
+
+uint64_t Fnv(uint64_t hash, uint64_t x) {
+  return (hash ^ x) * 1099511628211ull;
+}
+
+uint64_t Bits(Score s) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &s, sizeof bits);
+  return bits;
+}
+
+// Sequential scatter is deterministic, so what each shard does is pinned:
+// its work and EM counters, the bits of its stop similarity, and its
+// inverted-index and candidate-table bytes, folded shard by shard and
+// query by query into one FNV-1a digest, next to the Σ of tuples the
+// shards produced. The merged answers (set, score bits, exact) hash to one
+// checksum per workload at every shard count, exchange on or off.
+TEST(ShardCoordinatorTest, SequentialScatterIsPinned) {
+  struct Pin {
+    size_t shards;
+    bool exchange;
+    size_t produced;
+    uint64_t counters;
+  };
+  struct Case {
+    testing::RandomWorkload w;
+    uint64_t results;
+    std::vector<Pin> pins;
+  };
+  const Case cases[] = {
+      {testing::MakeRandomWorkload(150, 600, 5, 25, 12006),
+       6040647239028213570ull,
+       {{1, true, 1661, 3866113986806906077ull},
+        {1, false, 1661, 3866113986806906077ull},
+        {2, true, 3652, 8812379389393452113ull},
+        {2, false, 3894, 10420118066191975838ull},
+        {4, true, 7420, 10589111140626618551ull},
+        {4, false, 8222, 4527646781156382288ull},
+        {8, true, 14359, 10097436176087797520ull},
+        {8, false, 16651, 18445296178802546106ull}}},
+      {testing::MakeRandomWorkload(600, 1500, 4, 40, 712),
+       5028581123481827329ull,
+       {{1, true, 3571, 482945020427239696ull},
+        {1, false, 3571, 482945020427239696ull},
+        {2, true, 7128, 6170461178078536891ull},
+        {2, false, 8703, 3925454171031172242ull},
+        {4, true, 14877, 5056786667129591614ull},
+        {4, false, 18820, 1644869960832078841ull},
+        {8, true, 30120, 16993355750133389447ull},
+        {8, false, 38664, 6935072537725128439ull}}},
+  };
+
+  for (const Case& c : cases) {
+    const auto scenarios = MakeScenarios(c.w.corpus.sets, 24);
+    for (const Pin& pin : c.pins) {
+      const std::string label =
+          std::to_string(c.w.corpus.sets.size()) + " sets, " +
+          std::to_string(pin.shards) + " shards, exchange " +
+          (pin.exchange ? "on" : "off");
+      ShardOptions options;
+      options.num_shards = pin.shards;
+      options.theta_exchange = pin.exchange;
+      ShardCoordinator coordinator(&c.w.corpus.sets, c.w.index.get(),
+                                   options);
+      size_t produced = 0;
+      uint64_t counters = 14695981039346656037ull;  // FNV-1a basis
+      uint64_t results = 14695981039346656037ull;
+      for (const Scenario& s : scenarios) {
+        ShardCoordinator::QueryReport report;
+        const SearchResult r = coordinator.Execute(
+            s.query, s.params, {}, /*shard_pool=*/nullptr, &report);
+        ASSERT_EQ(report.shard_stats.size(), pin.shards) << label;
+        for (const SearchStats& st : report.shard_stats) {
+          produced += st.stream_tuples_produced;
+          for (const uint64_t x :
+               {st.stream_tuples, st.stream_tuples_produced, st.candidates,
+                st.iub_filtered, st.bucket_moves, st.postprocess_sets,
+                st.no_em_skipped, st.em_early_terminated, st.em_computed,
+                st.result_verification_ems, Bits(st.stream_stop_sim),
+                uint64_t{st.memory.Get("index.inverted")},
+                uint64_t{st.memory.Get("refinement.scratch")}}) {
+            counters = Fnv(counters, x);
+          }
+        }
+        for (const core::ResultEntry& e : r.topk) {
+          results = Fnv(Fnv(Fnv(results, e.set), Bits(e.score)), e.exact);
+        }
+      }
+      EXPECT_EQ(produced, pin.produced) << label;
+      EXPECT_EQ(counters, pin.counters) << label;
+      EXPECT_EQ(results, c.results) << label;
+    }
+  }
 }
 
 TEST(SearchStatsTest, MergeAggregatesEveryField) {

@@ -11,19 +11,20 @@
 //                                             sharded open (per-shard set
 //                                             ranges, token counts, bytes;
 //                                             replicated dict/embedding
-//                                             footprint)
+//                                             footprint); N is a positive
+//                                             decimal integer
 //
 // Exit status: 0 ok, 1 usage, 2 operation failed.
 
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
 #include "koios/io/repository_v4.h"
 #include "koios/io/serialization.h"
-#include "koios/io/shard_slice.h"
+#include "koios/serve/shard_coordinator.h"
 
 namespace {
 
@@ -180,11 +181,20 @@ int Convert(const std::string& in, const std::string& out, bool to_v3) {
 // What a sharded open replicates vs partitions, for capacity planning
 // before anyone passes --shards to the daemon. Every shard shares the
 // dictionary, embeddings and neighbor index (for a v4 file those are
-// mmap'd read-only pages shared for free); each owns a contiguous slice
-// of the sets, whose only per-shard cost is the rebased offsets copy.
-int Shard(const std::string& path, size_t num_shards) {
-  if (num_shards < 1) {
-    std::fprintf(stderr, "error: shard count must be >= 1\n");
+// mmap'd read-only pages shared for free); each owns a contiguous range of
+// the sets (serve::ShardRanges, the ranges the daemon uses) and builds the
+// postings of that range.
+int Shard(const std::string& path, const std::string& count) {
+  // Digits only (from_chars takes no sign, space or suffix for an
+  // unsigned type), no overflow, at least 1.
+  size_t num_shards = 0;
+  const char* count_end = count.data() + count.size();
+  const auto [ptr, ec] = std::from_chars(count.data(), count_end, num_shards);
+  if (ec != std::errc() || ptr != count_end || num_shards < 1) {
+    std::fprintf(stderr,
+                 "error: shard count must be a decimal integer >= 1, got "
+                 "'%s'\n",
+                 count.c_str());
     return 2;
   }
   auto version = PeekRepositoryVersion(path);
@@ -196,22 +206,23 @@ int Shard(const std::string& path, size_t num_shards) {
   // Either path yields the same plan; v4 avoids materializing the sets.
   auto report = [&](const koios::index::SetCollection& sets,
                     size_t dict_bytes, size_t embed_bytes) {
-    const auto plans = koios::io::PlanShards(sets, num_shards);
+    const auto ranges = koios::serve::ShardRanges(sets.size(), num_shards);
+    const auto offsets = sets.RawOffsets();
     std::printf("%s: %zu sets, %zu tokens -> %zu shard(s)\n", path.c_str(),
-                sets.size(), sets.TotalTokens(), plans.size());
-    if (plans.size() < num_shards) {
+                sets.size(), sets.TotalTokens(), ranges.size());
+    if (ranges.size() < num_shards) {
       std::printf("  (requested %zu; clamped to the set count)\n", num_shards);
     }
     std::printf("  replicated per shard: dict %zu bytes, embeddings %zu "
                 "bytes (shared pages when mmap'd)\n",
                 dict_bytes, embed_bytes);
-    std::printf("  %-6s %12s %12s %12s %14s %14s\n", "shard", "first-set",
-                "sets", "tokens", "postings-B", "offsets-B");
-    for (size_t i = 0; i < plans.size(); ++i) {
-      const auto& p = plans[i];
-      std::printf("  %-6zu %12u %12zu %12zu %14zu %14zu\n", i, p.first_set,
-                  p.set_count, p.token_count, p.postings_bytes,
-                  p.offsets_bytes);
+    std::printf("  %-6s %12s %12s %12s %14s\n", "shard", "first-set", "sets",
+                "tokens", "postings-B");
+    for (size_t i = 0; i < ranges.size(); ++i) {
+      const auto [first, end] = ranges[i];
+      const size_t tokens = offsets[end] - offsets[first];
+      std::printf("  %-6zu %12u %12u %12zu %14zu\n", i, first, end - first,
+                  tokens, tokens * sizeof(koios::TokenId));
     }
     return 0;
   };
@@ -269,7 +280,7 @@ int main(int argc, char** argv) {
   if (cmd == "verify") return Verify(argv[2]);
   if (cmd == "shard") {
     if (argc != 4) return Usage();
-    return Shard(argv[2], static_cast<size_t>(std::atoll(argv[3])));
+    return Shard(argv[2], argv[3]);
   }
   if (cmd == "convert") {
     bool to_v3 = false;
