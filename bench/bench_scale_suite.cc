@@ -49,6 +49,7 @@
 #include "koios/util/rng.h"
 #include "koios/util/timer.h"
 #include "koios/util/trace_recorder.h"
+#include "bench_util.h"
 
 namespace koios {
 namespace {
@@ -80,16 +81,6 @@ size_t FileSizeBytes(const std::string& path) {
   return size < 0 ? 0 : static_cast<size_t>(size);
 }
 
-double Percentile(std::vector<double> v, double p) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  const double idx = p * static_cast<double>(v.size() - 1);
-  const size_t lo = static_cast<size_t>(idx);
-  const size_t hi = std::min(lo + 1, v.size() - 1);
-  const double frac = idx - static_cast<double>(lo);
-  return v[lo] * (1.0 - frac) + v[hi] * frac;
-}
-
 bool SameTopK(const core::SearchResult& got, const core::SearchResult& want) {
   if (got.topk.size() != want.topk.size()) return false;
   for (size_t i = 0; i < got.topk.size(); ++i) {
@@ -114,7 +105,7 @@ struct PhaseDelta {
 // blended across the fan-out.
 struct ShardPhaseReport {
   size_t shard = 0;
-  std::map<std::string, double> phase_sec;
+  core::PhaseTimes phase_sec;
 };
 
 struct SizeReport {
@@ -324,16 +315,16 @@ int Run(const std::vector<size_t>& sizes, size_t num_queries,
     all_exact = all_exact && r.exact;
     r.qps = serve_sec > 0 ? static_cast<double>(2 * sampled.size()) / serve_sec
                           : 0.0;
-    r.p50_ms = Percentile(latencies_ms, 0.50);
-    r.p99_ms = Percentile(latencies_ms, 0.99);
+    r.p50_ms = bench::Percentile(latencies_ms, 50);
+    r.p99_ms = bench::Percentile(latencies_ms, 99);
 
     // ---- per-shard phase breakdown (sharded pass over the v4 snapshot) --
     // The same probe queries through a 4-shard engine; each shard's
-    // SearchStats timers (cursor_build / stream / refinement /
-    // postprocess) land in the JSON so a 1M-tier p50 regression can be
-    // attributed to a single shard's cursor-build cliff rather than a
-    // blended number. Results feed the exactness gate too: the sharded
-    // engine must serve the identical top-k.
+    // SearchStats timers (cursor_build / refinement / postprocess) land
+    // in the JSON so a 1M-tier p50 regression can be attributed to a
+    // single shard's cursor-build cliff rather than a blended number.
+    // Results feed the exactness gate too: the sharded engine must serve
+    // the identical top-k.
     {
       serve::EngineOptions options;
       options.num_threads = 1;
@@ -354,7 +345,7 @@ int Run(const std::vector<size_t>& sizes, size_t num_queries,
       for (size_t s = 0; s < engine.num_shards(); ++s) {
         ShardPhaseReport sp;
         sp.shard = s;
-        sp.phase_sec = engine.shard_search_stats(s).timers.phases();
+        sp.phase_sec = engine.shard_search_stats(s).timers;
         r.shard_phases.push_back(std::move(sp));
       }
       all_exact = all_exact && r.exact;
@@ -372,8 +363,7 @@ int Run(const std::vector<size_t>& sizes, size_t num_queries,
     if (!r.shard_phases.empty()) {
       std::printf("           per-shard (N=4) cursor_build ms:");
       for (const ShardPhaseReport& sp : r.shard_phases) {
-        const auto it = sp.phase_sec.find("cursor_build");
-        std::printf(" %.1f", (it != sp.phase_sec.end() ? it->second : 0.0) * 1e3);
+        std::printf(" %.1f", sp.phase_sec.Get(core::Phase::kCursorBuild) * 1e3);
       }
       std::printf("\n");
     }
@@ -421,10 +411,10 @@ int Run(const std::vector<size_t>& sizes, size_t num_queries,
         const ShardPhaseReport& sp = r.shard_phases[s];
         std::fprintf(f, "%s\n       {\"shard\": %zu, \"phases\": {",
                      s > 0 ? "," : "", sp.shard);
-        size_t p = 0;
-        for (const auto& [name, sec] : sp.phase_sec) {
-          std::fprintf(f, "%s\"%s\": %.3f", p++ > 0 ? ", " : "", name.c_str(),
-                       sec * 1e3);
+        for (core::Phase phase : core::kPhases) {
+          std::fprintf(f, "%s\"%s\": %.3f",
+                       phase != core::kPhases.front() ? ", " : "",
+                       core::PhaseName(phase), sp.phase_sec.Get(phase) * 1e3);
         }
         std::fprintf(f, "}}");
       }

@@ -17,8 +17,8 @@
 //                  same convention as the other benches' timing bars).
 //  * open loop   — arrivals on a fixed schedule at 70% of the closed-loop
 //                  rate; latency = completion − scheduled arrival (queue
-//                  wait included), reported as p50/p95/p99 through
-//                  serve::LatencyRecorder.
+//                  wait included), reported as exact nearest-rank
+//                  p50/p95/p99 over every sample.
 //
 // Exactness is a HARD gate (exit 2): every engine result must be
 // bit-identical (set, score, exact flag) to the serial reference — the
@@ -43,12 +43,12 @@
 #include "koios/data/query_benchmark.h"
 #include "koios/embedding/synthetic_model.h"
 #include "koios/matching/semantic_overlap.h"
-#include "koios/serve/latency_recorder.h"
 #include "koios/serve/query_engine.h"
 #include "koios/sim/cosine_similarity.h"
 #include "koios/sim/exact_knn_index.h"
 #include "koios/util/rng.h"
 #include "koios/util/timer.h"
+#include "bench_util.h"
 
 namespace koios {
 namespace {
@@ -190,7 +190,7 @@ int Run(size_t total_queries, const std::string& json_path) {
   // overload) counts against the tail. Completions are harvested in submit
   // order — the engine pool is FIFO, so this adds no systematic bias.
   const double open_rate = 0.7 * closed[1].qps;
-  serve::LatencyRecorder open_latency;
+  std::vector<double> open_latency;  // seconds
   double open_sec = 0.0;
   bool open_exact = true;
   {
@@ -216,7 +216,7 @@ int Run(size_t total_queries, const std::string& json_path) {
     for (size_t i = 0; i < futures.size(); ++i) {
       serve::QueryEngine::Result r = futures[i].get();
       const auto done = Clock::now();
-      open_latency.Record(
+      open_latency.push_back(
           std::chrono::duration<double>(done - scheduled[i]).count());
       if (!r.ok() || !SameResult(r.value(), reference[stream[i]])) {
         open_exact = false;
@@ -243,7 +243,8 @@ int Run(size_t total_queries, const std::string& json_path) {
   std::printf("%-22s | %9.1f | %8s | %s\n", "open loop (0.7x rate)",
               static_cast<double>(stream.size()) / open_sec, "-",
               open_exact ? "yes" : "NO");
-  std::printf("open-loop latency: %s\n", open_latency.Summary().c_str());
+  std::printf("open-loop latency: %s\n",
+              bench::LatencySummary(open_latency).c_str());
   std::printf(
       "cursor cache: %llu hits, %llu misses, %llu duplicate builds, %llu "
       "cursors\n",
@@ -276,9 +277,9 @@ int Run(size_t total_queries, const std::string& json_path) {
       std::fprintf(f,
                    "  \"open_loop\": {\"rate_qps\": %.2f, \"p50_ms\": %.3f, "
                    "\"p95_ms\": %.3f, \"p99_ms\": %.3f},\n",
-                   open_rate, open_latency.Percentile(50) * 1e3,
-                   open_latency.Percentile(95) * 1e3,
-                   open_latency.Percentile(99) * 1e3);
+                   open_rate, bench::Percentile(open_latency, 50) * 1e3,
+                   bench::Percentile(open_latency, 95) * 1e3,
+                   bench::Percentile(open_latency, 99) * 1e3);
       std::fprintf(
           f,
           "  \"cursor_cache\": {\"hits\": %llu, \"misses\": %llu, "

@@ -34,13 +34,13 @@
 #include "koios/data/corpus.h"
 #include "koios/data/query_benchmark.h"
 #include "koios/embedding/synthetic_model.h"
-#include "koios/serve/latency_recorder.h"
 #include "koios/serve/query_engine.h"
 #include "koios/serve/shard_coordinator.h"
 #include "koios/sim/cosine_similarity.h"
 #include "koios/sim/exact_knn_index.h"
 #include "koios/util/rng.h"
 #include "koios/util/timer.h"
+#include "bench_util.h"
 
 namespace koios {
 namespace {
@@ -56,7 +56,7 @@ struct ShardRun {
   size_t shards = 0;
   double qps = 0.0;
   double speedup = 1.0;
-  serve::LatencyRecorder latency;
+  std::vector<double> latency;  // seconds, one per query
   size_t sum_produced = 0;  // Σ per-shard stream_tuples_produced
   bool exact = true;
 };
@@ -150,7 +150,7 @@ int Run(size_t num_sets, size_t num_queries, const std::string& json_path) {
       util::WallTimer query_timer;
       serve::QueryEngine::Result r =
           engine.Submit(scenarios[i].tokens, scenarios[i].params).get();
-      run.latency.Record(query_timer.ElapsedSeconds());
+      run.latency.push_back(query_timer.ElapsedSeconds());
       if (!r.ok() || !SameResult(r.value(), reference[i])) run.exact = false;
     }
     const double sec = timer.ElapsedSeconds();
@@ -196,8 +196,8 @@ int Run(size_t num_sets, size_t num_queries, const std::string& json_path) {
   for (const ShardRun& run : runs) {
     std::printf("%-8zu | %9.2f | %7.2fx | %9.2f | %9.2f | %12zu | %s\n",
                 run.shards, run.qps, run.speedup,
-                run.latency.Percentile(50) * 1e3,
-                run.latency.Percentile(99) * 1e3, run.sum_produced,
+                bench::Percentile(run.latency, 50) * 1e3,
+                bench::Percentile(run.latency, 99) * 1e3, run.sum_produced,
                 run.exact ? "yes" : "NO");
   }
   const double exchange_saving =
@@ -235,8 +235,8 @@ int Run(size_t num_sets, size_t num_queries, const std::string& json_path) {
                      "%.3f, \"p50_ms\": %.3f, \"p99_ms\": %.3f, "
                      "\"sum_produced\": %zu}%s\n",
                      run.shards, run.qps, run.speedup,
-                     run.latency.Percentile(50) * 1e3,
-                     run.latency.Percentile(99) * 1e3, run.sum_produced,
+                     bench::Percentile(run.latency, 50) * 1e3,
+                     bench::Percentile(run.latency, 99) * 1e3, run.sum_produced,
                      i + 1 < runs.size() ? "," : "");
       }
       std::fprintf(f, "  ],\n");

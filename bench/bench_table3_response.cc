@@ -14,7 +14,6 @@
 #include <cstdio>
 
 #include "bench_util.h"
-#include "koios/serve/latency_recorder.h"
 
 namespace koios::bench {
 namespace {
@@ -54,13 +53,13 @@ void Run() {
     for (const bool feedback : {true, false}) {
       params.use_stream_feedback = feedback;
       Aggregate k_ref, k_post, k_resp, k_mem, b_resp, b_mem, produced;
-      serve::LatencyRecorder latency;
+      std::vector<double> latency;  // seconds
       for (const auto& query : bq.queries) {
         const RunOutcome rk = RunKoios(&searcher, query.tokens, params);
         k_ref.Add(rk.refinement_sec);
         k_post.Add(rk.postprocess_sec);
         k_resp.Add(rk.response_sec);
-        latency.Record(rk.response_sec);
+        latency.push_back(rk.response_sec);
         k_mem.Add(static_cast<double>(rk.memory_bytes) / (1 << 20));
         produced.Add(static_cast<double>(rk.stats.stream_tuples_produced));
         if (feedback) {
@@ -87,8 +86,9 @@ void Run() {
             k_mem.Mean(), "-", "-", "-", produced.Mean());
       }
       // Serving systems are judged by their tail, not their mean: the
-      // response-time distribution per mode (serve::LatencyRecorder).
-      std::printf("%-10s |   latency %s\n", "", latency.Summary().c_str());
+      // response-time distribution per mode.
+      std::printf("%-10s |   latency %s\n", "",
+                  LatencySummary(latency).c_str());
     }
   }
   std::printf(

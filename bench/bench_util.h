@@ -10,6 +10,7 @@
 #define KOIOS_BENCH_BENCH_UTIL_H_
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -154,6 +155,34 @@ struct Aggregate {
   double Mean() const { return n == 0 ? 0.0 : sum / static_cast<double>(n); }
 };
 
+/// Exact nearest-rank percentile, `p` in [0, 100]: the smallest sample with
+/// at least p% of the samples at or below it (p = 0 is the minimum). 0 when
+/// empty. Benches keep every sample; the engine's histograms estimate.
+inline double Percentile(std::vector<double> samples, double p) {
+  if (samples.empty()) return 0.0;
+  std::sort(samples.begin(), samples.end());
+  const double rank =
+      std::ceil(std::clamp(p, 0.0, 100.0) / 100.0 * samples.size());
+  return samples[std::clamp<size_t>(static_cast<size_t>(rank), 1,
+                                    samples.size()) -
+                 1];
+}
+
+/// One line in milliseconds from latency samples in seconds, e.g.
+/// "n=128 mean=1.20ms p50=1.10ms p95=2.00ms p99=3.40ms max=5.00ms".
+inline std::string LatencySummary(const std::vector<double>& seconds) {
+  double sum = 0.0;
+  for (double s : seconds) sum += s;
+  const double mean = seconds.empty() ? 0.0 : sum / seconds.size();
+  char buf[160];
+  std::snprintf(buf, sizeof(buf),
+                "n=%zu mean=%.2fms p50=%.2fms p95=%.2fms p99=%.2fms max=%.2fms",
+                seconds.size(), mean * 1e3, Percentile(seconds, 50) * 1e3,
+                Percentile(seconds, 95) * 1e3, Percentile(seconds, 99) * 1e3,
+                Percentile(seconds, 100) * 1e3);
+  return buf;
+}
+
 /// One Koios run over a query; wall-clock response plus the engine stats.
 struct RunOutcome {
   double response_sec = 0.0;
@@ -172,8 +201,8 @@ inline RunOutcome RunKoios(core::KoiosSearcher* searcher,
   core::SearchResult result = searcher->Search(query, params);
   RunOutcome out;
   out.response_sec = timer.ElapsedSeconds();
-  out.refinement_sec = result.stats.timers.Get("refinement");
-  out.postprocess_sec = result.stats.timers.Get("postprocess");
+  out.refinement_sec = result.stats.timers.Get(core::Phase::kRefinement);
+  out.postprocess_sec = result.stats.timers.Get(core::Phase::kPostprocess);
   out.memory_bytes = result.stats.memory.TotalBytes();
   out.kth_score = result.KthScore();
   out.stats = result.stats;
@@ -188,8 +217,8 @@ inline RunOutcome RunBaseline(baselines::BruteForceBaseline* baseline,
   core::SearchResult result = baseline->Search(query, options);
   RunOutcome out;
   out.response_sec = timer.ElapsedSeconds();
-  out.refinement_sec = result.stats.timers.Get("refinement");
-  out.postprocess_sec = result.stats.timers.Get("postprocess");
+  out.refinement_sec = result.stats.timers.Get(core::Phase::kRefinement);
+  out.postprocess_sec = result.stats.timers.Get(core::Phase::kPostprocess);
   out.memory_bytes = result.stats.memory.TotalBytes();
   out.kth_score = result.KthScore();
   out.stats = result.stats;

@@ -116,7 +116,10 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(counters.completed),
               static_cast<unsigned long long>(counters.rejected_queue_full),
               static_cast<unsigned long long>(counters.deadline_exceeded));
-  std::printf("latency: %s\n", engine.latency().Summary().c_str());
+  std::printf("latency: n=%llu p50=%.2fms p99=%.2fms\n",
+              static_cast<unsigned long long>(engine.latency().Count()),
+              engine.latency().Percentile(50) * 1e3,
+              engine.latency().Percentile(99) * 1e3);
   const auto* cache_owner = dynamic_cast<const sim::BatchedNeighborIndex*>(
       snapshot.value()->index());
   if (cache_owner != nullptr) {

@@ -57,7 +57,8 @@ core::SearchResult BruteForceBaseline::Search(
     to_verify.assign(candidates.begin(), candidates.end());
     std::sort(to_verify.begin(), to_verify.end());
   }
-  result.stats.timers.Accumulate("refinement", timer.ElapsedSeconds());
+  result.stats.timers.Accumulate(core::Phase::kRefinement,
+                                 timer.ElapsedSeconds());
   result.stats.memory.AddPeak("stream.edge_cache", cache.MemoryUsageBytes());
   result.stats.memory.AddPeak("index.inverted", inverted_.MemoryUsageBytes());
   result.stats.memory.AddPeak("baseline.candidates",
@@ -105,7 +106,8 @@ core::SearchResult BruteForceBaseline::Search(
       if (so > 0.0) topk.Offer(id, so);
     }
   }
-  result.stats.timers.Accumulate("postprocess", timer.ElapsedSeconds());
+  result.stats.timers.Accumulate(core::Phase::kPostprocess,
+                                 timer.ElapsedSeconds());
 
   for (const auto& [id, score] : topk.Descending()) {
     result.topk.push_back({id, score, /*exact=*/true});

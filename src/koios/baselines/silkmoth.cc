@@ -87,7 +87,8 @@ core::SearchResult SilkMothSearch::Search(std::span<const TokenId> query,
     candidates.insert(postings.begin(), postings.end());
   }
   result.stats.candidates = candidates.size();
-  result.stats.timers.Accumulate("refinement", timer.ElapsedSeconds());
+  result.stats.timers.Accumulate(core::Phase::kRefinement,
+                                 timer.ElapsedSeconds());
 
   // --- check filter + verification ---------------------------------------
   timer.Restart();
@@ -115,7 +116,8 @@ core::SearchResult SilkMothSearch::Search(std::span<const TokenId> query,
     ++result.stats.em_computed;
     if (so >= options.theta - kScoreEps && so > 0.0) topk.Offer(id, so);
   }
-  result.stats.timers.Accumulate("postprocess", timer.ElapsedSeconds());
+  result.stats.timers.Accumulate(core::Phase::kPostprocess,
+                                 timer.ElapsedSeconds());
 
   for (const auto& [id, score] : topk.Descending()) {
     result.topk.push_back({id, score, /*exact=*/true});

@@ -2,7 +2,6 @@
 
 #include <unordered_map>
 
-#include "koios/util/timer.h"
 #include "koios/util/top_k_list.h"
 
 namespace koios::baselines {
@@ -13,7 +12,6 @@ VanillaTopK::VanillaTopK(const index::SetCollection* sets)
 core::SearchResult VanillaTopK::Search(std::span<const TokenId> query,
                                        size_t k) const {
   core::SearchResult result;
-  util::WallTimer timer;
   std::unordered_map<SetId, uint32_t> overlap;
   for (TokenId t : query) {
     for (SetId id : inverted_.Postings(t)) ++overlap[id];
@@ -26,7 +24,6 @@ core::SearchResult VanillaTopK::Search(std::span<const TokenId> query,
   for (const auto& [id, score] : topk.Descending()) {
     result.topk.push_back({id, score, /*exact=*/true});
   }
-  result.stats.timers.Accumulate("search", timer.ElapsedSeconds());
   return result;
 }
 

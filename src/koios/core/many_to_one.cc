@@ -114,7 +114,7 @@ SearchResult ManyToOneSearcher::Search(std::span<const TokenId> query,
   for (const auto& [id, score] : topk.Descending()) {
     result.topk.push_back({id, score, /*exact=*/true});
   }
-  result.stats.timers.Accumulate("refinement", timer.ElapsedSeconds());
+  result.stats.timers.Accumulate(Phase::kRefinement, timer.ElapsedSeconds());
   result.stats.memory.AddPeak("refinement.scratch", table.MemoryUsageBytes());
   return result;
 }

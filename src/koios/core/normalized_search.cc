@@ -95,7 +95,7 @@ SearchResult NormalizedSearcher::Search(std::span<const TokenId> query,
     order.push_back({nub, c.id, cap});
   });
   result.stats.postprocess_sets += order.size();
-  result.stats.timers.Accumulate("refinement", timer.ElapsedSeconds());
+  result.stats.timers.Accumulate(Phase::kRefinement, timer.ElapsedSeconds());
 
   // ---- verification: window over normalized upper bounds ------------------
   timer.Restart();
@@ -124,7 +124,7 @@ SearchResult NormalizedSearcher::Search(std::span<const TokenId> query,
     const Score nso = match.score / item.cap;
     if (nso > 0.0) topk.Offer(item.id, nso);
   }
-  result.stats.timers.Accumulate("postprocess", timer.ElapsedSeconds());
+  result.stats.timers.Accumulate(Phase::kPostprocess, timer.ElapsedSeconds());
 
   for (const auto& [id, score] : topk.Descending()) {
     result.topk.push_back({id, score, /*exact=*/true});

@@ -8,7 +8,6 @@
 #include "koios/core/refinement.h"
 #include "koios/sim/token_stream.h"
 #include "koios/util/rng.h"
-#include "koios/util/timer.h"
 #include "koios/util/trace_recorder.h"
 
 namespace koios::core {
@@ -103,8 +102,7 @@ SearchResult KoiosSearcher::SearchPartitions(
     // token's (token, α) cursor — the up-front index cost of a query.
     // Timed into the stats (not only the sampled trace) so per-shard
     // breakdowns can read the cost of every query, sampled or not.
-    KOIOS_TRACE_SPAN("search.cursor_build");
-    util::WallTimer cursor_timer;
+    PhaseScope phase(Phase::kCursorBuild, &result.stats);
     stream_storage.emplace(
         std::vector<TokenId>(query.begin(), query.end()), *index_,
         params.alpha, [partitions](TokenId t) {
@@ -113,8 +111,6 @@ SearchResult KoiosSearcher::SearchPartitions(
                                return inverted.InVocabulary(t);
                              });
         });
-    result.stats.timers.Accumulate("cursor_build",
-                                   cursor_timer.ElapsedSeconds());
   }
 
   // ---- θlb feedback (§IV–VI) --------------------------------------------
@@ -146,21 +142,17 @@ SearchResult KoiosSearcher::SearchPartitions(
     SearchStats stats;
     RefinementOutput refined;
     {
-      util::TraceSpan refine_span("search.refinement");
+      PhaseScope phase(Phase::kRefinement, &stats);
       RefinementPhase refinement(sets_, &inverted, query.size(), params);
-      util::WallTimer timer;
       refined = refinement.Run(&cache, &stats, ctx);
-      stats.timers.Accumulate("refinement", timer.ElapsedSeconds());
-      refine_span.set_arg("tuples", stats.stream_tuples);
+      phase.set_arg("tuples", stats.stream_tuples);
     }
     {
-      util::TraceSpan post_span("search.postprocess");
-      util::WallTimer timer;
+      PhaseScope phase(Phase::kPostprocess, &stats);
       PostProcessor post(sets_, &cache, params, ctx);
       const std::vector<ResultEntry> topk = post.Run(std::move(refined), &stats);
       merged.insert(merged.end(), topk.begin(), topk.end());
-      stats.timers.Accumulate("postprocess", timer.ElapsedSeconds());
-      post_span.set_arg("em_computed", stats.em_computed);
+      phase.set_arg("em_computed", stats.em_computed);
     }
     result.stats.Merge(stats);
   }

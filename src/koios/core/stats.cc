@@ -4,6 +4,38 @@
 
 namespace koios::core {
 
+namespace {
+
+constexpr const char* kPhaseNames[] = {"cursor_build", "refinement",
+                                       "postprocess"};
+// Span names are string literals: the trace recorder keeps the pointers.
+constexpr const char* kPhaseSpanNames[] = {
+    "search.cursor_build", "search.refinement", "search.postprocess"};
+
+}  // namespace
+
+const char* PhaseName(Phase phase) {
+  return kPhaseNames[static_cast<size_t>(phase)];
+}
+
+double PhaseTimes::Get(std::string_view name) const {
+  for (Phase phase : kPhases) {
+    if (name == PhaseName(phase)) return Get(phase);
+  }
+  return 0.0;
+}
+
+double PhaseTimes::Total() const {
+  double total = 0.0;
+  for (double seconds : seconds_) total += seconds;
+  return total;
+}
+
+PhaseScope::PhaseScope(Phase phase, SearchStats* stats)
+    : phase_(phase),
+      stats_(stats),
+      span_(kPhaseSpanNames[static_cast<size_t>(phase)]) {}
+
 std::string SearchStats::ToString() const {
   std::ostringstream out;
   out << "refinement:  tuples=" << stream_tuples
@@ -19,8 +51,8 @@ std::string SearchStats::ToString() const {
       << " verify_ems=" << result_verification_ems
       << " ws_reuses=" << em_workspace_reuses << "\n";
   out << "time:        ";
-  for (const auto& [name, secs] : timers.phases()) {
-    out << name << "=" << secs << "s ";
+  for (Phase phase : kPhases) {
+    out << PhaseName(phase) << "=" << timers.Get(phase) << "s ";
   }
   out << "\nmemory:      " << util::MemoryTracker::FormatBytes(memory.TotalBytes());
   return out.str();

@@ -5,14 +5,46 @@
 #define KOIOS_CORE_STATS_H_
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
+#include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "koios/util/memory_tracker.h"
 #include "koios/util/timer.h"
+#include "koios/util/trace_recorder.h"
 #include "koios/util/types.h"
 
 namespace koios::core {
+
+/// The phases a search is timed by (the paper's Figs. 5-6 breakdowns).
+enum class Phase { kCursorBuild, kRefinement, kPostprocess };
+inline constexpr std::array<Phase, 3> kPhases = {
+    Phase::kCursorBuild, Phase::kRefinement, Phase::kPostprocess};
+
+/// "cursor_build", "refinement", "postprocess".
+const char* PhaseName(Phase phase);
+
+/// Seconds spent per phase, one slot per Phase.
+class PhaseTimes {
+ public:
+  void Accumulate(Phase phase, double seconds) {
+    seconds_[static_cast<size_t>(phase)] += seconds;
+  }
+  double Get(Phase phase) const { return seconds_[static_cast<size_t>(phase)]; }
+  /// By PhaseName; 0 for a name that is not a phase.
+  double Get(std::string_view name) const;
+  double Total() const;
+  void Merge(const PhaseTimes& other) {
+    for (size_t i = 0; i < seconds_.size(); ++i) {
+      seconds_[i] += other.seconds_[i];
+    }
+  }
+
+ private:
+  std::array<double, kPhases.size()> seconds_{};
+};
 
 struct SearchStats {
   // --- refinement --------------------------------------------------------
@@ -58,7 +90,7 @@ struct SearchStats {
   size_t em_workspace_reuses = 0;
 
   // --- meta ---------------------------------------------------------------
-  util::PhaseTimer timers;  // "cursor_build", "refinement", "postprocess"
+  PhaseTimes timers;
   util::MemoryTracker memory;  // per-structure peak footprints
 
   void Merge(const SearchStats& other) {
@@ -83,6 +115,30 @@ struct SearchStats {
 
   /// Multi-line human-readable rendering (used by examples and benches).
   std::string ToString() const;
+};
+
+/// Times one phase of a search, once: on destruction it adds the scope's
+/// wall time to `stats->timers`, and while the query is sampled by the
+/// trace recorder it is also the phase's span ("search.cursor_build",
+/// "search.refinement", "search.postprocess").
+class PhaseScope {
+ public:
+  PhaseScope(Phase phase, SearchStats* stats);
+  ~PhaseScope() { stats_->timers.Accumulate(phase_, timer_.ElapsedSeconds()); }
+
+  PhaseScope(const PhaseScope&) = delete;
+  PhaseScope& operator=(const PhaseScope&) = delete;
+
+  /// The span's integer annotation (ignored when the query is unsampled).
+  void set_arg(const char* arg_name, uint64_t value) {
+    span_.set_arg(arg_name, value);
+  }
+
+ private:
+  Phase phase_;
+  SearchStats* stats_;
+  util::TraceSpan span_;
+  util::WallTimer timer_;
 };
 
 }  // namespace koios::core

@@ -68,7 +68,7 @@ std::vector<ResultEntry> ThresholdSearcher::Search(
   }
   // Final sweep: the slack term vanishes.
   table.Sweep(0.0, theta, &stats->iub_filtered);
-  stats->timers.Accumulate("refinement", timer.ElapsedSeconds());
+  stats->timers.Accumulate(Phase::kRefinement, timer.ElapsedSeconds());
 
   // ---- verification -------------------------------------------------------
   timer.Restart();
@@ -101,7 +101,7 @@ std::vector<ResultEntry> ThresholdSearcher::Search(
       result.push_back(entry);
     }
   });
-  stats->timers.Accumulate("postprocess", timer.ElapsedSeconds());
+  stats->timers.Accumulate(Phase::kPostprocess, timer.ElapsedSeconds());
 
   std::sort(result.begin(), result.end(),
             [](const ResultEntry& a, const ResultEntry& b) {

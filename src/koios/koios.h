@@ -31,7 +31,6 @@
 #include "koios/io/serialization.h"
 #include "koios/index/set_collection.h"
 #include "koios/matching/semantic_overlap.h"
-#include "koios/serve/latency_recorder.h"
 #include "koios/serve/query_engine.h"
 #include "koios/serve/snapshot.h"
 #include "koios/sim/cosine_similarity.h"

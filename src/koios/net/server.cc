@@ -353,22 +353,11 @@ void QueueOutput(LoopContext& ctx, Connection& c, const std::string& payload) {
   }
 }
 
-/// The query's answer. QueryEngine forwards an unexpected exception from a
-/// search (bad_alloc, a faulty similarity backend) through the future; it
-/// becomes an Internal error for this one query instead of escaping the
-/// loop thread and terminating the daemon.
-serve::QueryEngine::Result TakeResult(PendingQuery& p) {
-  try {
-    return p.future.get();
-  } catch (const std::exception& e) {
-    return util::Status::Internal(std::string("query failed: ") + e.what());
-  } catch (...) {
-    return util::Status::Internal("query failed with a non-standard exception");
-  }
-}
-
+/// Encodes the query's answer onto the connection. A search that threw
+/// (bad_alloc, a faulty similarity backend) arrives as an Internal status
+/// for this one query: the engine never puts an exception in the future.
 void EmitResult(LoopContext& ctx, Connection& c, PendingQuery& p) {
-  const serve::QueryEngine::Result result = TakeResult(p);
+  const serve::QueryEngine::Result result = p.future.get();
   util::Histogram* request_seconds = c.mode == Connection::Mode::kJson
                                          ? ctx.im->request_seconds_json
                                          : ctx.im->request_seconds_binary;

@@ -21,7 +21,7 @@ struct EngineMetrics {
   // Overload governor.
   util::Gauge* latency_ewma_seconds;
   util::Gauge* estimated_queue_wait_seconds;
-  // LatencyRecorder percentiles.
+  // Percentiles of the engine's latency histogram.
   util::Gauge* latency_p50;
   util::Gauge* latency_p95;
   util::Gauge* latency_p99;
@@ -96,16 +96,16 @@ void RegisterEngineMetrics(
       "Governor estimate of a new query's queue wait (0 on a cold engine)");
   m.latency_p50 = registry->RegisterGauge(
       "koios_query_latency_p50_seconds",
-      "Median end-to-end query latency over the recorder window");
+      "Median query execution time (bucket estimate, within 9.1%)");
   m.latency_p95 = registry->RegisterGauge(
       "koios_query_latency_p95_seconds",
-      "95th-percentile query latency over the recorder window");
+      "95th-percentile query execution time (bucket estimate)");
   m.latency_p99 = registry->RegisterGauge(
       "koios_query_latency_p99_seconds",
-      "99th-percentile query latency over the recorder window");
+      "99th-percentile query execution time (bucket estimate)");
   m.latency_max = registry->RegisterGauge(
       "koios_query_latency_max_seconds",
-      "Worst query latency over the recorder window (0 while empty)");
+      "Upper edge of the slowest query's latency bucket (0 while empty)");
   m.stream_tuples = registry->RegisterCounter(
       "koios_stream_tuples_consumed_total",
       "Token-stream tuples consumed by refinement across queries");
@@ -159,11 +159,11 @@ void RegisterEngineMetrics(
 
     m.latency_ewma_seconds->Set(engine->LatencyEwmaSeconds());
     m.estimated_queue_wait_seconds->Set(engine->EstimatedQueueWaitSeconds());
-    const LatencyRecorder latency = engine->latency();
+    const util::Histogram& latency = engine->latency();
     m.latency_p50->Set(latency.Percentile(50.0));
     m.latency_p95->Set(latency.Percentile(95.0));
     m.latency_p99->Set(latency.Percentile(99.0));
-    m.latency_max->Set(latency.count() > 0 ? latency.Max() : 0.0);
+    m.latency_max->Set(latency.Percentile(100.0));
 
     const core::SearchStats stats = engine->search_stats();
     m.stream_tuples->Set(stats.stream_tuples);
@@ -214,7 +214,7 @@ void RegisterEngineMetrics(
       util::Gauge* p99 = registry->RegisterGauge(
           util::LabeledMetricName("koios_shard_latency_p99_seconds", "shard",
                                   label),
-          "Per-shard 99th-percentile execution time");
+          "Per-shard 99th-percentile execution time (bucket estimate)");
       util::Counter* queries = registry->RegisterCounter(
           util::LabeledMetricName("koios_shard_queries_total", "shard", label),
           "Shard executions completed (one per shard per query)");
@@ -223,11 +223,11 @@ void RegisterEngineMetrics(
                                   "shard", label),
           "Token-stream tuples this shard's producer materialized (the "
           "θlb-exchange savings show up here)");
-      const LatencyRecorder latency = engine->shard_latency(i);
+      const util::Histogram& latency = engine->shard_latency(i);
       const core::SearchStats stats = engine->shard_search_stats(i);
-      if (ewma != nullptr) ewma->Set(latency.EwmaSeconds());
+      if (ewma != nullptr) ewma->Set(engine->ShardLatencyEwmaSeconds(i));
       if (p99 != nullptr) p99->Set(latency.Percentile(99.0));
-      if (queries != nullptr) queries->Set(latency.count());
+      if (queries != nullptr) queries->Set(latency.Count());
       if (produced != nullptr) produced->Set(stats.stream_tuples_produced);
     }
   });

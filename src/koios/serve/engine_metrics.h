@@ -1,12 +1,13 @@
 // Bridges the serve subsystem's pre-existing instrumentation — the
-// EngineCounters, the LatencyRecorder percentiles/EWMA, the aggregated
-// per-query SearchStats, and the shared cursor cache's CursorCacheStats —
-// into a util::MetricRegistry, replacing the ad-hoc printf plumbing the
-// examples and benches used. The bridge is a collection CALLBACK: nothing
-// is double-counted on the hot path; at scrape time the callback reads the
-// authoritative sources and refreshes the registered metrics, so the
-// /metrics endpoint always reflects the engine the daemon is serving with
-// RIGHT NOW (hot swaps flip the cursor cache underneath it transparently).
+// EngineCounters, the latency histograms' percentiles and the EWMAs, the
+// aggregated per-query SearchStats, and the shared cursor cache's
+// CursorCacheStats — into a util::MetricRegistry, replacing the ad-hoc
+// printf plumbing the examples and benches used. The bridge is a
+// collection CALLBACK: nothing is double-counted on the hot path; at
+// scrape time the callback reads the authoritative sources and refreshes
+// the registered metrics, so the /metrics endpoint always reflects the
+// engine the daemon is serving with RIGHT NOW (hot swaps flip the cursor
+// cache underneath it transparently).
 #ifndef KOIOS_SERVE_ENGINE_METRICS_H_
 #define KOIOS_SERVE_ENGINE_METRICS_H_
 

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 #include <exception>
-#include <optional>
 #include <span>
 #include <utility>
 
@@ -64,6 +63,15 @@ std::unique_ptr<util::ThreadPool> MakeShardPool(const EngineOptions& options) {
       (options.num_shards - 1) * std::max<size_t>(1, options.num_threads));
 }
 
+/// One latency histogram per requested shard.
+std::deque<util::Histogram> MakeShardLatency(const EngineOptions& options) {
+  std::deque<util::Histogram> series;
+  for (size_t i = 0; i < std::max<size_t>(1, options.num_shards); ++i) {
+    series.emplace_back(util::FineLatencyBuckets());
+  }
+  return series;
+}
+
 }  // namespace
 
 QueryEngine::QueryEngine(const index::SetCollection* sets,
@@ -71,7 +79,8 @@ QueryEngine::QueryEngine(const index::SetCollection* sets,
                          const EngineOptions& options)
     : options_(options),
       state_(MakeState(nullptr, sets, index)),
-      shard_latency_(std::max<size_t>(1, options.num_shards)),
+      shard_latency_(MakeShardLatency(options)),
+      shard_ewma_(std::max<size_t>(1, options.num_shards)),
       shard_stats_(std::max<size_t>(1, options.num_shards)),
       shard_pool_(MakeShardPool(options)),
       pool_(std::max<size_t>(1, options.num_threads)) {}
@@ -79,7 +88,8 @@ QueryEngine::QueryEngine(const index::SetCollection* sets,
 QueryEngine::QueryEngine(std::shared_ptr<const Snapshot> snapshot,
                          const EngineOptions& options)
     : options_(options),
-      shard_latency_(std::max<size_t>(1, options.num_shards)),
+      shard_latency_(MakeShardLatency(options)),
+      shard_ewma_(std::max<size_t>(1, options.num_shards)),
       shard_stats_(std::max<size_t>(1, options.num_shards)),
       shard_pool_(MakeShardPool(options)),
       pool_(std::max<size_t>(1, options.num_threads)) {
@@ -196,12 +206,12 @@ bool QueryEngine::TicketExpired(const Ticket& ticket) {
 }
 
 double QueryEngine::GovernorEwmaSecondsLocked() const {
-  if (options_.num_shards <= 1) return latency_.EwmaSeconds();
+  if (options_.num_shards <= 1) return latency_ewma_.seconds();
   double slowest = 0.0;
-  for (const LatencyRecorder& recorder : shard_latency_) {
-    slowest = std::max(slowest, recorder.EwmaSeconds());
+  for (const LatencyEwma& ewma : shard_ewma_) {
+    slowest = std::max(slowest, ewma.seconds());
   }
-  return slowest > 0.0 ? slowest : latency_.EwmaSeconds();
+  return slowest > 0.0 ? slowest : latency_ewma_.seconds();
 }
 
 double QueryEngine::EstimatedQueueWaitSeconds(size_t admitted) const {
@@ -317,25 +327,25 @@ std::future<QueryEngine::Result> QueryEngine::Enqueue(
                 params, ticket, cancel = std::move(cancel), trace,
                 promise = std::move(promise),
                 on_complete = std::move(on_complete)]() mutable {
-    std::optional<Result> result;
-    std::exception_ptr error;
-    try {
-      result.emplace(
-          Execute(*state, query, params, ticket, cancel.get(), trace));
-    } catch (...) {
-      // Execute absorbs deadline aborts; anything else (bad_alloc, a
-      // faulty similarity backend) travels through the future.
-      error = std::current_exception();
-    }
+    // Execute absorbs deadline aborts; anything else (bad_alloc, a faulty
+    // similarity backend) is answered kInternal here, so no exception
+    // object crosses to the thread that reads the future.
+    Result result = [&]() -> Result {
+      try {
+        return Execute(*state, query, params, ticket, cancel.get(), trace);
+      } catch (const std::exception& e) {
+        return util::Status::Internal(std::string("query failed: ") +
+                                      e.what());
+      } catch (...) {
+        return util::Status::Internal(
+            "query failed with a non-standard exception");
+      }
+    }();
     // The slot is released on every exit (a leaked slot would erode
     // admission capacity for good) and BEFORE the future is ready, so a
     // caller that submits again as soon as get() returns finds it free.
     in_flight_.fetch_sub(1, std::memory_order_acq_rel);
-    if (error != nullptr) {
-      promise.set_exception(std::move(error));
-    } else {
-      promise.set_value(std::move(*result));
-    }
+    promise.set_value(std::move(result));
     if (on_complete) on_complete();
   });
   return future;
@@ -387,15 +397,19 @@ QueryEngine::Result QueryEngine::Execute(const ServingState& state,
                                          shard_pool_.get(), &report);
     }
     const double elapsed = timer.ElapsedSeconds();
+    const size_t shards =
+        std::min(report.shard_seconds.size(), shard_latency_.size());
+    latency_.Observe(elapsed);
+    for (size_t i = 0; i < shards; ++i) {
+      shard_latency_[i].Observe(report.shard_seconds[i]);
+    }
     {
       std::lock_guard<std::mutex> lock(stats_mutex_);
       ++counters_.completed;
       search_stats_.Merge(result.stats);
-      latency_.Record(elapsed);
-      const size_t shards =
-          std::min(report.shard_seconds.size(), shard_latency_.size());
+      latency_ewma_.Record(elapsed);
       for (size_t i = 0; i < shards; ++i) {
-        shard_latency_[i].Record(report.shard_seconds[i]);
+        shard_ewma_[i].Record(report.shard_seconds[i]);
         shard_stats_[i].Merge(report.shard_stats[i]);
       }
     }
@@ -418,7 +432,7 @@ QueryEngine::Result QueryEngine::Execute(const ServingState& state,
     {
       std::lock_guard<std::mutex> lock(stats_mutex_);
       ++counters_.deadline_exceeded;
-      ewma = latency_.EwmaSeconds();
+      ewma = latency_ewma_.seconds();
     }
     auto status = util::Status::DeadlineExceeded(
         "query deadline elapsed; partial results discarded");
@@ -550,15 +564,10 @@ core::SearchStats QueryEngine::search_stats() const {
   return search_stats_;
 }
 
-LatencyRecorder QueryEngine::latency() const {
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  return latency_;
-}
-
-LatencyRecorder QueryEngine::shard_latency(size_t shard) const {
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  if (shard >= shard_latency_.size()) return LatencyRecorder{};
-  return shard_latency_[shard];
+const util::Histogram& QueryEngine::shard_latency(size_t shard) const {
+  static const util::Histogram* const kEmpty =
+      new util::Histogram(util::FineLatencyBuckets());
+  return shard < shard_latency_.size() ? shard_latency_[shard] : *kEmpty;
 }
 
 core::SearchStats QueryEngine::shard_search_stats(size_t shard) const {
@@ -569,7 +578,12 @@ core::SearchStats QueryEngine::shard_search_stats(size_t shard) const {
 
 double QueryEngine::LatencyEwmaSeconds() const {
   std::lock_guard<std::mutex> lock(stats_mutex_);
-  return latency_.EwmaSeconds();
+  return latency_ewma_.seconds();
+}
+
+double QueryEngine::ShardLatencyEwmaSeconds(size_t shard) const {
+  std::lock_guard<std::mutex> lock(stats_mutex_);
+  return shard < shard_ewma_.size() ? shard_ewma_[shard].seconds() : 0.0;
 }
 
 double QueryEngine::EstimatedQueueWaitSeconds() const {

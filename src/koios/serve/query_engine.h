@@ -56,6 +56,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <deque>
 #include <functional>
 #include <future>
 #include <memory>
@@ -64,9 +65,9 @@
 #include <vector>
 
 #include "koios/core/search_types.h"
-#include "koios/serve/latency_recorder.h"
 #include "koios/serve/shard_coordinator.h"
 #include "koios/serve/snapshot.h"
+#include "koios/util/metric_registry.h"
 #include "koios/util/status.h"
 #include "koios/util/thread_pool.h"
 
@@ -142,6 +143,26 @@ struct EngineCounters {
   uint64_t slow_queries = 0;
 };
 
+/// Exponentially weighted moving average of a service time in seconds
+/// (α = 0.2; the first sample seeds it directly; 0 when empty). This is the
+/// overload governor's estimate of "how long does one query take right
+/// now": a slow regime moves it within a handful of samples, where a
+/// lifetime mean would average the whole history. Not thread-safe; the
+/// engine updates and reads it under its stats mutex.
+class LatencyEwma {
+ public:
+  void Record(double seconds) {
+    seconds_ = seeded_ ? kAlpha * seconds + (1.0 - kAlpha) * seconds_ : seconds;
+    seeded_ = true;
+  }
+  double seconds() const { return seconds_; }
+
+ private:
+  static constexpr double kAlpha = 0.2;
+  double seconds_ = 0.0;
+  bool seeded_ = false;
+};
+
 /// Cooperative cancellation for a submitted query: the network edge holds
 /// the token and fires it when its client disconnects, so a query whose
 /// answer nobody will read stops burning a worker at the next deadline
@@ -181,13 +202,15 @@ class QueryEngine {
   /// Admits one query. The future resolves to the SearchResult, or to
   /// ResourceExhausted (rejected at the door, never ran) /
   /// DeadlineExceeded (expired waiting or mid-execution; any partial work
-  /// was discarded). Rejections carry a retry_after_ms() hint derived from
-  /// the queue depth and the EWMA service time, so callers back off for
-  /// roughly the time the engine needs to drain rather than retrying
-  /// blind. A query whose ESTIMATED queue wait already exceeds its
-  /// deadline budget is failed fast with DeadlineExceeded at admission —
-  /// it would only have occupied a queue slot to time out later.
-  /// Thread-safe.
+  /// was discarded) / Internal (the search threw — bad_alloc, a faulty
+  /// similarity backend — and the status carries the exception's
+  /// message; the future never holds an exception). Rejections carry a
+  /// retry_after_ms() hint derived from the queue depth and the EWMA
+  /// service time, so callers back off for roughly the time the engine
+  /// needs to drain rather than retrying blind. A query whose ESTIMATED
+  /// queue wait already exceeds its deadline budget is failed fast with
+  /// DeadlineExceeded at admission — it would only have occupied a queue
+  /// slot to time out later. Thread-safe.
   std::future<Result> Submit(std::vector<TokenId> query,
                              const core::SearchParams& params);
   std::future<Result> Submit(std::vector<TokenId> query,
@@ -200,13 +223,15 @@ class QueryEngine {
   /// results; a token fired after completion is a harmless no-op. The
   /// token is also usable from other threads than the submitter.
   ///
+  /// A search that throws is answered kInternal, as in Submit.
+  ///
   /// `on_complete` (may be empty) runs exactly once per submission, after
   /// the returned future is ready — for every outcome: an answer, a
-  /// deadline, a cancellation, an exception in the future, and an
-  /// admission rejection. It runs on the engine worker that finished the
-  /// query, or on the calling thread, before SubmitCancellable returns,
-  /// when admission rejects the query. By then the query's admission slot
-  /// is already free. It must be cheap and must not throw: it runs on a
+  /// deadline, a cancellation, a failed search, and an admission
+  /// rejection. It runs on the engine worker that finished the query, or
+  /// on the calling thread, before SubmitCancellable returns, when
+  /// admission rejects the query. By then the query's admission slot is
+  /// already free. It must be cheap and must not throw: it runs on a
   /// worker between queries. The network edge uses it to wake its event
   /// loop.
   struct Submission {
@@ -269,22 +294,26 @@ class QueryEngine {
   /// filter hits, exact matchings) — the engine-lifetime totals the metric
   /// registry exposes, replacing per-call ad-hoc stat plumbing.
   core::SearchStats search_stats() const;
-  /// Copy of the per-query wall-latency samples (successful queries only).
-  LatencyRecorder latency() const;
-  /// Per-shard execution latency samples of completed queries (one sample
-  /// per shard per query — shard i's own wall time inside the fan-out).
-  /// Empty recorder for out-of-range shards. At num_shards = 1, shard 0
-  /// mirrors latency() minus the coordinator's overhead.
-  LatencyRecorder shard_latency(size_t shard) const;
+  /// Execution time of every successful query, in FineLatencyBuckets():
+  /// fixed memory, read without a lock. The count of a query is visible
+  /// once its future is ready.
+  const util::Histogram& latency() const { return latency_; }
+  /// Shard `shard`'s own wall time inside the fan-out, one observation per
+  /// completed query; an empty histogram for out-of-range shards. At
+  /// num_shards = 1, shard 0 mirrors latency() minus the coordinator's
+  /// overhead.
+  const util::Histogram& shard_latency(size_t shard) const;
   /// Aggregate SearchStats of shard `shard` across completed queries —
   /// per-shard tuples/candidates/phase timers ("cursor_build",
   /// "refinement", "postprocess") for the metrics layer and the scale
   /// suite's per-shard breakdowns.
   core::SearchStats shard_search_stats(size_t shard) const;
   /// EWMA service time in seconds (0 until the first query completes) —
-  /// the overload governor's "how long does one query take right now",
-  /// exposed for metrics without copying the whole sample vector.
+  /// the overload governor's "how long does one query take right now".
   double LatencyEwmaSeconds() const;
+  /// Shard `shard`'s EWMA execution time in seconds (0 before its first
+  /// completed query, and for out-of-range shards).
+  double ShardLatencyEwmaSeconds(size_t shard) const;
   /// The overload governor's CURRENT estimate of how long a query
   /// submitted right now would wait before a worker picks it up. 0 while
   /// a worker is free — and, by design, 0 on a COLD engine (no completed
@@ -359,9 +388,8 @@ class QueryEngine {
   double EstimatedQueueWaitSeconds(size_t admitted) const;
   /// Worker-side execution against the query's admission-time state.
   /// Deadline aborts become DeadlineExceeded statuses; anything else a
-  /// search throws (bad_alloc, a faulty similarity backend) propagates
-  /// through the future — the task in Enqueue still releases the
-  /// admission slot first.
+  /// search throws (bad_alloc, a faulty similarity backend) propagates to
+  /// the task in Enqueue, which answers it kInternal.
   Result Execute(const ServingState& state, const std::vector<TokenId>& query,
                  core::SearchParams params, const Ticket& ticket,
                  const CancelToken* cancel, const TraceTask& trace);
@@ -388,14 +416,17 @@ class QueryEngine {
   // Steady-clock ns of the last emitted slow-query report (rate limiter).
   std::atomic<int64_t> last_slow_log_ns_{0};
 
+  // Latency histograms are lock-free; everything else under the mutex.
+  // Per-shard series are sized to the REQUESTED shard count (a snapshot
+  // with fewer sets than shards reports into the low indexes only); a
+  // deque, because a Histogram holds atomics and must not move.
+  util::Histogram latency_{util::FineLatencyBuckets()};
+  std::deque<util::Histogram> shard_latency_;
   mutable std::mutex stats_mutex_;
   EngineCounters counters_;
   core::SearchStats search_stats_;  // merged per completed query
-  LatencyRecorder latency_;
-  // Per-shard accumulation, indexed by shard — sized to the REQUESTED
-  // shard count (a snapshot with fewer sets than shards reports into the
-  // low indexes only).
-  std::vector<LatencyRecorder> shard_latency_;
+  LatencyEwma latency_ewma_;
+  std::vector<LatencyEwma> shard_ewma_;
   std::vector<core::SearchStats> shard_stats_;
 
   // The shard fan-out pool (created only at num_shards > 1): shards

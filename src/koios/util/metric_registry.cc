@@ -107,12 +107,10 @@ std::string LabeledMetricName(std::string_view base, std::string_view key,
 
 // ---------------------------------------------------------------- Histogram
 
-Histogram::Histogram(std::string name, std::string help,
-                     std::vector<double> bounds)
-    : name_(std::move(name)), help_(std::move(help)), bounds_(std::move(bounds)) {
+Histogram::Histogram(std::vector<double> bounds)
+    : bounds_(std::move(bounds)),
+      buckets_(std::make_unique<std::atomic<uint64_t>[]>(bounds_.size() + 1)) {
   assert(std::is_sorted(bounds_.begin(), bounds_.end()));
-  buckets_ = std::make_unique<std::atomic<uint64_t>[]>(bounds_.size() + 1);
-  for (size_t i = 0; i <= bounds_.size(); ++i) buckets_[i].store(0);
 }
 
 void Histogram::Observe(double value) {
@@ -138,6 +136,32 @@ uint64_t Histogram::CumulativeCount(size_t i) const {
   return total;
 }
 
+double Histogram::Percentile(double p) const {
+  // The rank comes from the bucket total, not count_, so it is consistent
+  // with the walk below. Observations only add, so the walk's running total
+  // reaches the rank no later than it did when the total was summed.
+  uint64_t total = 0;
+  for (size_t b = 0; b <= bounds_.size(); ++b) {
+    total += buckets_[b].load(std::memory_order_relaxed);
+  }
+  if (total == 0) return 0.0;
+  const double rank_real =
+      std::ceil(std::clamp(p, 0.0, 100.0) / 100.0 * static_cast<double>(total));
+  const uint64_t rank =
+      std::clamp<uint64_t>(static_cast<uint64_t>(rank_real), 1, total);
+  uint64_t below = 0;
+  for (size_t b = 0; b < bounds_.size(); ++b) {
+    const uint64_t in_bucket = buckets_[b].load(std::memory_order_relaxed);
+    if (below + in_bucket >= rank) {
+      const double lo = b == 0 ? 0.0 : bounds_[b - 1];
+      return lo + (bounds_[b] - lo) * static_cast<double>(rank - below) /
+                      static_cast<double>(in_bucket);
+    }
+    below += in_bucket;
+  }
+  return bounds_.empty() ? 0.0 : bounds_.back();  // the +Inf bucket
+}
+
 void Histogram::SetSnapshot(const std::vector<uint64_t>& bucket_counts,
                             double sum) {
   uint64_t total = 0;
@@ -153,10 +177,20 @@ void Histogram::SetSnapshot(const std::vector<uint64_t>& bucket_counts,
   count_.store(total, std::memory_order_relaxed);
 }
 
-std::vector<double> ExponentialLatencyBuckets() {
+std::vector<double> GeometricBuckets(double first, double ratio,
+                                     double limit) {
+  assert(first > 0.0 && ratio > 1.0);
   std::vector<double> bounds;
-  for (double b = 1e-4; b < 200.0; b *= 2.0) bounds.push_back(b);
+  for (double b = first; b < limit; b *= ratio) bounds.push_back(b);
   return bounds;
+}
+
+std::vector<double> ExponentialLatencyBuckets() {
+  return GeometricBuckets(1e-4, 2.0, 200.0);
+}
+
+std::vector<double> FineLatencyBuckets() {
+  return GeometricBuckets(1e-6, std::exp2(0.125), 200.0);
 }
 
 // ----------------------------------------------------------- MetricRegistry
@@ -177,7 +211,8 @@ Counter* MetricRegistry::RegisterCounter(std::string_view name,
   }
   Entry entry;
   entry.kind = Entry::kCounter;
-  entry.counter.reset(new Counter(std::string(name), std::string(help)));
+  entry.help = help;
+  entry.counter.reset(new Counter());
   Counter* ptr = entry.counter.get();
   metrics_.emplace_back(std::string(name), std::move(entry));
   return ptr;
@@ -191,7 +226,8 @@ Gauge* MetricRegistry::RegisterGauge(std::string_view name,
   }
   Entry entry;
   entry.kind = Entry::kGauge;
-  entry.gauge.reset(new Gauge(std::string(name), std::string(help)));
+  entry.help = help;
+  entry.gauge.reset(new Gauge());
   Gauge* ptr = entry.gauge.get();
   metrics_.emplace_back(std::string(name), std::move(entry));
   return ptr;
@@ -207,8 +243,8 @@ Histogram* MetricRegistry::RegisterHistogram(std::string_view name,
   }
   Entry entry;
   entry.kind = Entry::kHistogram;
-  entry.histogram.reset(
-      new Histogram(std::string(name), std::string(help), std::move(bounds)));
+  entry.help = help;
+  entry.histogram = std::make_unique<Histogram>(std::move(bounds));
   Histogram* ptr = entry.histogram.get();
   metrics_.emplace_back(std::string(name), std::move(entry));
   return ptr;
@@ -277,12 +313,7 @@ std::string MetricRegistry::RenderText() const {
     const std::string base_name(base);
     // HELP from the first series with help text; TYPE from the first.
     for (size_t i : indices) {
-      const Entry& entry = metrics_[i].second;
-      const std::string& help = entry.kind == Entry::kCounter
-                                    ? entry.counter->help_
-                                    : entry.kind == Entry::kGauge
-                                          ? entry.gauge->help_
-                                          : entry.histogram->help_;
+      const std::string& help = metrics_[i].second.help;
       if (!help.empty()) {
         out += "# HELP " + base_name + " " + EscapeHelp(help) + "\n";
         break;

@@ -9,13 +9,16 @@
 //    raw Counter*/Gauge* and never touch the registry mutex again. All
 //    mutation methods are lock-free atomics.
 //  * Pull model for pre-existing instrumentation: subsystems that already
-//    keep their own counters (EngineCounters, CursorCacheStats, the
-//    LatencyRecorder percentiles) register a collection CALLBACK instead
-//    of double-counting on the hot path; callbacks run at render time and
-//    refresh gauges from the authoritative source.
-//  * Histograms use fixed exponential bucket bounds chosen at registration
+//    keep their own counters (EngineCounters, CursorCacheStats) register a
+//    collection CALLBACK instead of double-counting on the hot path;
+//    callbacks run at render time and refresh gauges from the
+//    authoritative source.
+//  * Histograms use fixed geometric bucket bounds chosen at construction
 //    (upper-bound inclusive, +Inf implicit), each bucket a relaxed atomic —
 //    cheap enough to record every request's latency on the network thread.
+//    Histogram is the repository's one latency aggregate: the registry's
+//    series, the engine's query and shard latencies and the trace
+//    recorder's per-phase times all record into one.
 //  * Labeled series register under a full name of the form
 //    `base{key="value"}` (build one safely with LabeledMetricName, which
 //    escapes the value). The renderer groups every series of a base name
@@ -57,9 +60,7 @@ class Counter {
 
  private:
   friend class MetricRegistry;
-  explicit Counter(std::string name, std::string help)
-      : name_(std::move(name)), help_(std::move(help)) {}
-  std::string name_, help_;
+  Counter() = default;
   std::atomic<uint64_t> value_{0};
 };
 
@@ -77,17 +78,20 @@ class Gauge {
 
  private:
   friend class MetricRegistry;
-  explicit Gauge(std::string name, std::string help)
-      : name_(std::move(name)), help_(std::move(help)) {}
-  std::string name_, help_;
+  Gauge() = default;
   std::atomic<double> value_{0.0};
 };
 
 /// Fixed-bucket histogram: bounds are upper-bound inclusive and strictly
 /// increasing; an implicit +Inf bucket catches the rest. Records are
-/// lock-free (one relaxed fetch_add per bucket + sum/count).
+/// lock-free (one relaxed fetch_add per bucket + sum/count), so any thread
+/// may Observe while others read. Memory is fixed at construction: 8 bytes
+/// per bound plus 8 per bucket, whatever the number of observations.
+/// Observations are non-negative (latencies, durations).
 class Histogram {
  public:
+  explicit Histogram(std::vector<double> bounds);
+
   void Observe(double value);
   uint64_t Count() const { return count_.load(std::memory_order_relaxed); }
   double Sum() const { return sum_.load(std::memory_order_relaxed); }
@@ -95,26 +99,44 @@ class Histogram {
   /// Cumulative count of observations <= bounds()[i].
   uint64_t CumulativeCount(size_t i) const;
 
+  /// Estimated percentile, `p` in [0, 100]; 0 when empty. Nearest rank over
+  /// the bucket counts — the ceil(p/100 · n)-th smallest observation, at
+  /// least the first — then linear interpolation inside that observation's
+  /// bucket (lo, hi], with lo = 0 for the first bucket. The estimate and the
+  /// exact nearest-rank value share the bucket, so on geometric bounds of
+  /// ratio r the relative error is below r − 1 (plus up to the first bound,
+  /// absolute, in the first bucket). An observation in the +Inf bucket reads
+  /// as the last finite bound. p = 100 is the upper edge of the highest
+  /// non-empty bucket.
+  double Percentile(double p) const;
+
   /// For collection callbacks that MIRROR an authoritative histogram
   /// source (e.g. the trace recorder's per-phase histograms): replaces the
   /// per-bucket counts (bounds().size() + 1 entries, +Inf last) and the
   /// sum; the count becomes the bucket total. The source being monotone
-  /// keeps the exposed histogram monotone. Extra entries are ignored,
-  /// missing ones leave old values in place.
+  /// keeps the exposed histogram monotone. Extra entries are ignored and
+  /// missing ones zero their buckets, so SetSnapshot({}, 0.0) empties the
+  /// histogram.
   void SetSnapshot(const std::vector<uint64_t>& bucket_counts, double sum);
 
  private:
-  friend class MetricRegistry;
-  Histogram(std::string name, std::string help, std::vector<double> bounds);
-  std::string name_, help_;
   std::vector<double> bounds_;
   std::unique_ptr<std::atomic<uint64_t>[]> buckets_;  // bounds_.size() + 1
   std::atomic<uint64_t> count_{0};
   std::atomic<double> sum_{0.0};
 };
 
+/// Every first · ratio^k below `limit` (k = 0, 1, ...): geometric bucket
+/// bounds. Requires first > 0 and ratio > 1.
+std::vector<double> GeometricBuckets(double first, double ratio, double limit);
+
 /// Default latency bucket bounds (seconds): 100us .. ~100s, x2 steps.
 std::vector<double> ExponentialLatencyBuckets();
+
+/// Fine latency bucket bounds (seconds): 1us .. ~190s at ratio 2^(1/8),
+/// 221 bounds. Any percentile of latencies from 1us to 190s reads within
+/// 9.1% of the exact nearest-rank value; the bucket counts take 1.8 kB.
+std::vector<double> FineLatencyBuckets();
 
 /// `base{key="value"}` with Prometheus label-value escaping (backslash,
 /// double-quote, newline). Use this to build labeled series names instead
@@ -164,6 +186,7 @@ class MetricRegistry {
  private:
   struct Entry {
     enum Kind { kCounter, kGauge, kHistogram } kind;
+    std::string help;
     std::unique_ptr<Counter> counter;
     std::unique_ptr<Gauge> gauge;
     std::unique_ptr<Histogram> histogram;

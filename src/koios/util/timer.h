@@ -1,11 +1,9 @@
-// Wall-clock timing utilities for the phase breakdowns reported in the
-// paper's figures (refinement vs post-processing share per query).
+// Monotonic stopwatch. core::PhaseScope times the paper's phase breakdowns
+// (refinement vs post-processing share per query) with it.
 #ifndef KOIOS_UTIL_TIMER_H_
 #define KOIOS_UTIL_TIMER_H_
 
 #include <chrono>
-#include <map>
-#include <string>
 
 namespace koios::util {
 
@@ -26,51 +24,6 @@ class WallTimer {
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
-};
-
-/// Accumulates named durations, e.g. {"refinement": 1.2s, "postprocess": ...}.
-class PhaseTimer {
- public:
-  /// Add `seconds` to phase `name`.
-  void Accumulate(const std::string& name, double seconds) {
-    seconds_[name] += seconds;
-  }
-
-  double Get(const std::string& name) const {
-    auto it = seconds_.find(name);
-    return it == seconds_.end() ? 0.0 : it->second;
-  }
-
-  double Total() const {
-    double t = 0.0;
-    for (const auto& [_, s] : seconds_) t += s;
-    return t;
-  }
-
-  const std::map<std::string, double>& phases() const { return seconds_; }
-
-  void Merge(const PhaseTimer& other) {
-    for (const auto& [n, s] : other.seconds_) seconds_[n] += s;
-  }
-
- private:
-  std::map<std::string, double> seconds_;
-};
-
-/// RAII helper: adds the scope's duration to a PhaseTimer on destruction.
-class ScopedPhase {
- public:
-  ScopedPhase(PhaseTimer* timer, std::string name)
-      : timer_(timer), name_(std::move(name)) {}
-  ~ScopedPhase() { timer_->Accumulate(name_, watch_.ElapsedSeconds()); }
-
-  ScopedPhase(const ScopedPhase&) = delete;
-  ScopedPhase& operator=(const ScopedPhase&) = delete;
-
- private:
-  PhaseTimer* timer_;
-  std::string name_;
-  WallTimer watch_;
 };
 
 }  // namespace koios::util

@@ -1,11 +1,12 @@
 #include "koios/util/trace_recorder.h"
 
 #include <algorithm>
-#include <cassert>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <functional>
+
+#include "koios/util/metric_registry.h"
 
 namespace koios::util {
 
@@ -40,11 +41,8 @@ struct TraceRecorder::ThreadRing {
 };
 
 struct TraceRecorder::PhaseHist {
-  static constexpr size_t kBucketSlots = 32;  // bounds + 1, generously sized
   std::atomic<const char*> name{nullptr};
-  std::atomic<uint64_t> buckets[kBucketSlots] = {};
-  std::atomic<uint64_t> count{0};
-  std::atomic<double> sum{0.0};
+  Histogram seconds{PhaseBucketBounds()};
 };
 
 struct TraceRecorder::TlsState {
@@ -227,12 +225,8 @@ std::vector<TraceSpanRecord> TraceRecorder::SnapshotTrace(
 // -------------------------------------------------------------- phase hists
 
 const std::vector<double>& TraceRecorder::PhaseBucketBounds() {
-  static const std::vector<double>* bounds = [] {
-    auto* b = new std::vector<double>();
-    for (double v = 1e-6; v < 300.0; v *= 4.0) b->push_back(v);
-    assert(b->size() + 1 <= PhaseHist::kBucketSlots);
-    return b;
-  }();
+  static const std::vector<double>* bounds =
+      new std::vector<double>(GeometricBuckets(1e-6, 4.0, 300.0));
   return *bounds;
 }
 
@@ -263,17 +257,7 @@ void TraceRecorder::RecordPhase(const char* name, double seconds) {
       hist = &phases_[m];
     }
   }
-  const std::vector<double>& bounds = PhaseBucketBounds();
-  const size_t idx =
-      std::upper_bound(bounds.begin(), bounds.end(), seconds) - bounds.begin();
-  const size_t bucket =
-      (idx > 0 && bounds[idx - 1] == seconds) ? idx - 1 : idx;
-  hist->buckets[bucket].fetch_add(1, std::memory_order_relaxed);
-  hist->count.fetch_add(1, std::memory_order_relaxed);
-  double current = hist->sum.load(std::memory_order_relaxed);
-  while (!hist->sum.compare_exchange_weak(current, current + seconds,
-                                          std::memory_order_relaxed)) {
-  }
+  hist->seconds.Observe(seconds);
 }
 
 std::vector<TraceRecorder::PhaseSnapshot> TraceRecorder::PhaseHistograms()
@@ -286,12 +270,16 @@ std::vector<TraceRecorder::PhaseSnapshot> TraceRecorder::PhaseHistograms()
     PhaseSnapshot snap;
     snap.name = phases_[i].name.load(std::memory_order_relaxed);
     if (snap.name == nullptr) continue;
+    const Histogram& hist = phases_[i].seconds;
     snap.buckets.resize(buckets);
+    uint64_t below = 0;
     for (size_t b = 0; b < buckets; ++b) {
-      snap.buckets[b] = phases_[i].buckets[b].load(std::memory_order_relaxed);
+      const uint64_t cumulative = hist.CumulativeCount(b);
+      snap.buckets[b] = cumulative - below;
+      below = cumulative;
     }
-    snap.count = phases_[i].count.load(std::memory_order_relaxed);
-    snap.sum = phases_[i].sum.load(std::memory_order_relaxed);
+    snap.count = hist.Count();
+    snap.sum = hist.Sum();
     out.push_back(std::move(snap));
   }
   return out;
@@ -314,9 +302,7 @@ void TraceRecorder::ResetForTest() {
     const size_t n = num_phases_.load(std::memory_order_relaxed);
     for (size_t i = 0; i < n; ++i) {
       phases_[i].name.store(nullptr, std::memory_order_relaxed);
-      for (auto& b : phases_[i].buckets) b.store(0, std::memory_order_relaxed);
-      phases_[i].count.store(0, std::memory_order_relaxed);
-      phases_[i].sum.store(0.0, std::memory_order_relaxed);
+      phases_[i].seconds.SetSnapshot({}, 0.0);
     }
     num_phases_.store(0, std::memory_order_relaxed);
   }

@@ -8,7 +8,7 @@
 //   * /debug/tracez renders them as Chrome trace-event JSON (loadable in
 //     Perfetto / chrome://tracing),
 //   * the engine's slow-query log dumps one trace's span tree as text,
-//   * per-phase exponential histograms (one per distinct span name) feed
+//   * per-phase util::Histograms (one per distinct span name) feed
 //     koios_phase_seconds{phase="..."} in the metric registry.
 //
 // Cost contract (the reason this file exists at all):
@@ -126,8 +126,8 @@ class TraceRecorder {
   std::string RenderSpanTree(uint64_t trace_id) const;
 
   // ---- per-phase histograms (seconds) ----
-  // Every recorded span also lands in an exponential histogram keyed by
-  // span name. The metrics layer mirrors these into
+  // Every recorded span also lands in a util::Histogram keyed by span
+  // name. The metrics layer mirrors these into
   // koios_phase_seconds{phase="<name>"}.
   struct PhaseSnapshot {
     const char* name = nullptr;

@@ -2,11 +2,15 @@
 // Registration must be idempotent with stable pointers, kind collisions
 // must surface as nullptr instead of aliasing storage, histograms must
 // bucket correctly (upper-bound inclusive, implicit +Inf), collection
-// callbacks must refresh mirrored values at render time, and the text
-// exposition must be stable, parseable Prometheus format.
+// callbacks must refresh mirrored values at render time, the text
+// exposition must be stable, parseable Prometheus format, and histogram
+// percentiles must stay within one bucket of the exact nearest rank.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -233,10 +237,93 @@ TEST(MetricRegistryTest, SetSnapshotOverwritesBucketsAndRecomputesCount) {
       << text;
   EXPECT_NE(text.find("koios_snap_seconds_count 7"), std::string::npos);
 
-  // A short vector (fewer slots than buckets) must not read out of range.
+  // A short vector (fewer slots than buckets) must not read out of range,
+  // and zeroes the buckets it does not name.
   h->SetSnapshot({9}, 1.0);
   EXPECT_EQ(h->CumulativeCount(0), 9u);
+  EXPECT_EQ(h->CumulativeCount(1), 9u);
   EXPECT_EQ(h->Count(), 9u);
+}
+
+/// Exact nearest-rank percentile: the ceil(p/100 · n)-th smallest sample,
+/// at least the first.
+double NearestRank(std::vector<double> samples, double p) {
+  std::sort(samples.begin(), samples.end());
+  const double n = static_cast<double>(samples.size());
+  const size_t rank = static_cast<size_t>(std::ceil(p / 100.0 * n));
+  return samples[std::clamp<size_t>(rank, 1, samples.size()) - 1];
+}
+
+/// The estimate shares the exact value's bucket (lo, hi], so it is off by
+/// less than hi − lo = (ratio − 1)·lo; the first bucket [0, first] only
+/// bounds it absolutely.
+void ExpectWithinOneBucket(double estimate, double exact, double p) {
+  const double first = FineLatencyBuckets().front();
+  const double ratio = std::exp2(0.125);
+  const double slack = (ratio - 1.0) * exact + (exact <= first ? first : 0.0);
+  EXPECT_LE(std::abs(estimate - exact), slack)
+      << "p=" << p << " estimate " << estimate << " exact " << exact;
+}
+
+TEST(HistogramPercentileTest, WithinOneFineBucketOfTheExactNearestRank) {
+  // The engine's latency bounds on a seeded log-normal latency sample
+  // (median 2 ms, a tail past 100 ms).
+  Histogram h(FineLatencyBuckets());
+  std::mt19937_64 rng(20231);
+  std::lognormal_distribution<double> latency(std::log(0.002), 1.0);
+  std::vector<double> samples;
+  for (int i = 0; i < 10000; ++i) {
+    samples.push_back(latency(rng));
+    h.Observe(samples.back());
+  }
+  ASSERT_EQ(h.Count(), 10000u);
+  for (double p : {0.0, 1.0, 50.0, 90.0, 95.0, 99.0, 100.0}) {
+    ExpectWithinOneBucket(h.Percentile(p), NearestRank(samples, p), p);
+  }
+}
+
+TEST(HistogramPercentileTest, EdgeCases) {
+  const std::vector<double> bounds = FineLatencyBuckets();
+  ASSERT_EQ(bounds.size(), 221u);
+  EXPECT_DOUBLE_EQ(bounds.front(), 1e-6);
+  EXPECT_LT(bounds.back(), 200.0);
+
+  Histogram empty(bounds);
+  for (double p : {0.0, 50.0, 100.0}) EXPECT_EQ(empty.Percentile(p), 0.0);
+
+  // One sample: every percentile is that sample, to within its bucket.
+  Histogram one(bounds);
+  one.Observe(0.0025);
+  for (double p : {0.0, 1.0, 50.0, 99.0, 100.0}) {
+    ExpectWithinOneBucket(one.Percentile(p), 0.0025, p);
+  }
+
+  // Samples exactly on a bound land in the bucket that bound closes, so
+  // p = 100 reads the bound itself and no percentile reads above it.
+  Histogram on_bound(bounds);
+  for (int i = 0; i < 3; ++i) on_bound.Observe(bounds[40]);
+  EXPECT_DOUBLE_EQ(on_bound.Percentile(100.0), bounds[40]);
+  EXPECT_GT(on_bound.Percentile(0.0), bounds[39]);
+  EXPECT_LE(on_bound.Percentile(50.0), bounds[40]);
+
+  // The +Inf bucket reads as the last finite bound.
+  Histogram past(bounds);
+  past.Observe(0.001);
+  past.Observe(1000.0);
+  EXPECT_DOUBLE_EQ(past.Percentile(100.0), bounds.back());
+  ExpectWithinOneBucket(past.Percentile(50.0), 0.001, 50.0);
+}
+
+TEST(HistogramPercentileTest, GeometricBucketsKeepTheirBounds) {
+  // ×2 from 100 µs for the server's request histograms.
+  const std::vector<double> server = ExponentialLatencyBuckets();
+  ASSERT_EQ(server.size(), 21u);
+  EXPECT_DOUBLE_EQ(server.front(), 1e-4);
+  EXPECT_DOUBLE_EQ(server.back(), 1e-4 * 1048576.0);
+  // ×4 from 1 µs for the trace recorder's phase histograms.
+  const std::vector<double> phases = GeometricBuckets(1e-6, 4.0, 300.0);
+  ASSERT_EQ(phases.size(), 15u);
+  EXPECT_DOUBLE_EQ(phases.back(), 1e-6 * 268435456.0);
 }
 
 TEST(MetricRegistryTest, CallbackMayRegisterNewSeriesDuringRender) {

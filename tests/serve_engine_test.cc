@@ -13,7 +13,6 @@
 #include <future>
 #include <iterator>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -96,7 +95,7 @@ TEST(QueryEngineTest, ConcurrentSubmitsMatchSerialSearchBitForBit) {
   EXPECT_EQ(counters.submitted, scenarios.size());
   EXPECT_EQ(counters.completed, scenarios.size());
   EXPECT_EQ(counters.rejected_queue_full, 0u);
-  EXPECT_EQ(engine.latency().count(), scenarios.size());
+  EXPECT_EQ(engine.latency().Count(), scenarios.size());
 }
 
 // Shards are contiguous partitions, the serial searcher's are random: the
@@ -224,9 +223,9 @@ TEST(QueryEngineTest, BackToBackSubmitsFindTheSlotFree) {
 }
 
 TEST(QueryEngineTest, QueryThatThrowsReleasesItsSlot) {
-  // An exception from the search travels through the future, and the slot
-  // is still released: with one worker and no queue, every later
-  // submission is admitted (and throws) instead of being rejected.
+  // An exception from the search is answered kInternal with its message,
+  // and the slot is still released: with one worker and no queue, every
+  // later submission is admitted (and fails) instead of being rejected.
   auto w = testing::MakeRandomWorkload(60, 300, 5, 15, 11031);
   testing::ThrowingIndex index;
   EngineOptions options;
@@ -236,11 +235,27 @@ TEST(QueryEngineTest, QueryThatThrowsReleasesItsSlot) {
   const auto tokens = w.corpus.sets.Tokens(1);
   SearchParams params;
   for (size_t i = 0; i < 3; ++i) {
-    std::future<QueryEngine::Result> future =
-        engine.Submit({tokens.begin(), tokens.end()}, params);
-    EXPECT_THROW(future.get(), std::runtime_error) << "submission " << i;
+    const QueryEngine::Result result =
+        engine.Submit({tokens.begin(), tokens.end()}, params).get();
+    EXPECT_EQ(result.status().code(), util::StatusCode::kInternal)
+        << "submission " << i;
+    EXPECT_NE(result.status().message().find(testing::ThrowingIndex::kMessage),
+              std::string::npos)
+        << result.status().ToString();
   }
   EXPECT_EQ(engine.counters().rejected_queue_full, 0u);
+}
+
+TEST(LatencyEwmaTest, SeedsAndTracks) {
+  LatencyEwma ewma;
+  EXPECT_DOUBLE_EQ(ewma.seconds(), 0.0);
+  ewma.Record(0.010);  // the first sample seeds the EWMA directly
+  EXPECT_DOUBLE_EQ(ewma.seconds(), 0.010);
+  ewma.Record(0.020);  // alpha = 0.2: 0.2*0.020 + 0.8*0.010
+  EXPECT_DOUBLE_EQ(ewma.seconds(), 0.012);
+  // A regime shift dominates within a handful of samples.
+  for (int i = 0; i < 30; ++i) ewma.Record(0.100);
+  EXPECT_GT(ewma.seconds(), 0.09);
 }
 
 /// Counts the runs of one submission's completion callback and notes the
@@ -312,11 +327,13 @@ TEST(QueryEngineTest, CompletionCallbackRunsOncePerSubmission) {
   {
     testing::ThrowingIndex index;
     QueryEngine engine(&w.corpus.sets, &index, options);
-    EXPECT_THROW(engine
-                     .SubmitCancellable(query, params, no_deadline,
-                                        thrown.Callback())
-                     .future.get(),
-                 std::runtime_error);
+    const QueryEngine::Result failed =
+        engine.SubmitCancellable(query, params, no_deadline, thrown.Callback())
+            .future.get();
+    EXPECT_EQ(failed.status().code(), util::StatusCode::kInternal);
+    EXPECT_NE(failed.status().message().find(testing::ThrowingIndex::kMessage),
+              std::string::npos)
+        << failed.status().ToString();
   }
   // Both engines are gone, so every callback that will ever run has run.
   for (CallbackProbe* worker_side : {&answered, &expired, &cancelled, &thrown}) {

@@ -135,12 +135,14 @@ TEST(ShardCoordinatorTest, EveryShardCountIsBitIdenticalToSerial) {
     // The per-shard observability the governor and /metrics read: every
     // shard executed every query, and the fan-out actually produced work.
     for (size_t i = 0; i < shards; ++i) {
-      EXPECT_EQ(engine.shard_latency(i).count(), scenarios.size())
+      EXPECT_EQ(engine.shard_latency(i).Count(), scenarios.size())
           << "shard " << i << " of " << shards;
+      EXPECT_GT(engine.ShardLatencyEwmaSeconds(i), 0.0) << "shard " << i;
       EXPECT_GT(engine.shard_search_stats(i).stream_tuples_produced, 0u);
     }
-    EXPECT_EQ(engine.shard_latency(shards).count(), 0u)
-        << "out-of-range shard reads an empty recorder";
+    EXPECT_EQ(engine.shard_latency(shards).Count(), 0u)
+        << "out-of-range shard reads an empty histogram";
+    EXPECT_EQ(engine.ShardLatencyEwmaSeconds(shards), 0.0);
   }
 }
 
@@ -176,6 +178,52 @@ TEST(ShardCoordinatorTest, EngineMetricsRenderRepeatedlyAtEveryShardCount) {
           << "shards=" << shards << " render " << render;
     }
   }
+}
+
+TEST(ShardCoordinatorTest, ScrapeWhileQueriesCompleteCountsEveryQuery) {
+  // Two submitters complete 500 queries each on a 4-shard engine while a
+  // third thread renders the engine's metrics in a loop. The latency
+  // histograms are observed outside the stats mutex and read without it;
+  // the sanitizer jobs run this suite, and no observation may be lost.
+  auto w = testing::MakeRandomWorkload(80, 400, 5, 18, 12009);
+  const auto scenarios = MakeScenarios(w.corpus.sets, 8);
+  EngineOptions options;
+  options.num_threads = 2;
+  options.num_shards = 4;
+  QueryEngine engine(&w.corpus.sets, w.index.get(), options);
+  util::MetricRegistry registry;
+  RegisterEngineMetrics(&registry, &engine);
+
+  constexpr size_t kPerSubmitter = 500;
+  std::atomic<bool> done{false};
+  std::atomic<size_t> failures{0};
+  std::thread scraper([&] {
+    while (!done.load()) registry.RenderText();
+  });
+  std::vector<std::thread> submitters;
+  for (size_t t = 0; t < 2; ++t) {
+    submitters.emplace_back([&, t] {
+      for (size_t i = 0; i < kPerSubmitter; ++i) {
+        const Scenario& s = scenarios[(i + t) % scenarios.size()];
+        if (!engine.Submit(s.query, s.params).get().ok()) failures.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& submitter : submitters) submitter.join();
+  done.store(true);
+  scraper.join();
+
+  EXPECT_EQ(failures.load(), 0u);
+  const std::string text = registry.RenderText();
+  EXPECT_NE(text.find("koios_queries_completed_total 1000\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find(util::LabeledMetricName("koios_shard_queries_total",
+                                              "shard", "3") +
+                      " 1000\n"),
+            std::string::npos)
+      << text;
+  EXPECT_EQ(engine.latency().Count(), 1000u);
 }
 
 /// A corpus of 4 exact copies of each distinct content, spread so copies
@@ -387,8 +435,9 @@ TEST(SearchStatsTest, MergeAggregatesEveryField) {
   a.postprocess_ub_pruned = 31;
   a.result_verification_ems = 37;
   a.em_workspace_reuses = 41;
-  a.timers.Accumulate("refinement", 1.0);
-  a.timers.Accumulate("cursor_build", 0.25);
+  a.timers.Accumulate(core::Phase::kCursorBuild, 0.25);
+  a.timers.Accumulate(core::Phase::kRefinement, 1.0);
+  a.timers.Accumulate(core::Phase::kPostprocess, 0.125);
   a.memory.Add("candidates", 100);
 
   SearchStats b;
@@ -406,8 +455,9 @@ TEST(SearchStatsTest, MergeAggregatesEveryField) {
   b.postprocess_ub_pruned = 83;
   b.result_verification_ems = 89;
   b.em_workspace_reuses = 97;
-  b.timers.Accumulate("refinement", 2.0);
-  b.timers.Accumulate("postprocess", 0.5);
+  b.timers.Accumulate(core::Phase::kCursorBuild, 0.75);
+  b.timers.Accumulate(core::Phase::kRefinement, 2.0);
+  b.timers.Accumulate(core::Phase::kPostprocess, 0.5);
   b.memory.Add("candidates", 50);
   b.memory.Add("stream", 200);
 
@@ -429,10 +479,15 @@ TEST(SearchStatsTest, MergeAggregatesEveryField) {
   // consumer reached and the largest budget any consumer was granted.
   EXPECT_DOUBLE_EQ(a.stream_stop_sim, 0.9);
   EXPECT_EQ(a.stream_survivor_budget, 32u);
-  // Timers sum per phase; phases unique to one side survive.
+  // Timers sum per phase, read by enum or by name.
+  EXPECT_DOUBLE_EQ(a.timers.Get(core::Phase::kCursorBuild), 1.0);
+  EXPECT_DOUBLE_EQ(a.timers.Get(core::Phase::kRefinement), 3.0);
+  EXPECT_DOUBLE_EQ(a.timers.Get(core::Phase::kPostprocess), 0.625);
+  EXPECT_DOUBLE_EQ(a.timers.Get("cursor_build"), 1.0);
   EXPECT_DOUBLE_EQ(a.timers.Get("refinement"), 3.0);
-  EXPECT_DOUBLE_EQ(a.timers.Get("cursor_build"), 0.25);
-  EXPECT_DOUBLE_EQ(a.timers.Get("postprocess"), 0.5);
+  EXPECT_DOUBLE_EQ(a.timers.Get("postprocess"), 0.625);
+  EXPECT_DOUBLE_EQ(a.timers.Get("search"), 0.0);  // not a phase
+  EXPECT_DOUBLE_EQ(a.timers.Total(), 4.625);
   // Memory categories sum.
   EXPECT_EQ(a.memory.Get("candidates"), 150u);
   EXPECT_EQ(a.memory.Get("stream"), 200u);

@@ -10,7 +10,8 @@
 #   2. happy path: ping, one query, a batch over the binary protocol,
 #      line-JSON via the same listener
 #   3. metrics scrape: server + engine + watcher families present, incl.
-#      per-dialect request latency and koios_phase_seconds span histograms
+#      per-dialect request latency, koios_phase_seconds span histograms
+#      and positive engine latency gauges (p50, p99, EWMA)
 #   4. hot snapshot push (atomic rename): watcher swaps, still ready,
 #      queries keep answering
 #   5. corrupt push: swap rejected (fail-closed), old snapshot answers,
@@ -152,6 +153,13 @@ grep -q '^koios_server_request_seconds_bucket{dialect="json"' \
   <<<"$METRICS" || fail "metrics missing json-dialect latency"
 grep -q '^koios_phase_seconds_bucket{phase="search"' <<<"$METRICS" ||
   fail "metrics missing koios_phase_seconds for the search phase"
+# The engine's latency gauges, read from its histograms and EWMA: act 2's
+# queries completed, so each is present and positive.
+for series in koios_query_latency_p50_seconds koios_query_latency_p99_seconds \
+  koios_query_latency_ewma_seconds; do
+  awk -v s="$series" '$1 == s && $2 > 0 { ok = 1 } END { exit !ok }' \
+    <<<"$METRICS" || fail "metrics: $series missing or not above 0"
+done
 
 # ---- act 4: hot snapshot push (atomic rename) -----------------------------
 note "act 4: hot snapshot push"
