@@ -1,14 +1,16 @@
 // Micro-benchmark for the batched neighbor-generation path (ISSUE 1): how
 // fast can cursors over the vocabulary be built?
 //
-// Three configurations over the same 10k-token, dim-300 vocabulary:
+// Three cursor-build configurations over the same 10k-token, dim-300
+// vocabulary:
 //  * scalar   — the seed code path: one virtual Similarity() call per
 //               (query token, vocab token) pair, then an eager full sort of
 //               everything >= alpha.
-//  * batched  — ExactKnnIndex's current path: one SimilarityBatch dense
-//               kernel scan per query token, alpha filter on the flat score
+//  * single   — one SimilarityBatch dense kernel scan per query token
+//               (a session's first probe), alpha filter on the flat score
 //               array, lazy chunked ordering (first chunk only).
-//  * parallel — Prewarm() fanning the batched builds across a ThreadPool.
+//  * batched  — ExactKnnIndex's production path: Prewarm() builds the
+//               query's cursors in multi-query blocks.
 //
 // Built cursors outlive sessions in the index's cursor cache, so the index
 // rows clear that cache before every rep (outside the timer): each rep
@@ -26,7 +28,6 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "koios/embedding/synthetic_model.h"
@@ -34,7 +35,6 @@
 #include "koios/sim/exact_knn_index.h"
 #include "koios/sim/similarity.h"
 #include "koios/util/rng.h"
-#include "koios/util/thread_pool.h"
 #include "koios/util/timer.h"
 
 namespace koios {
@@ -159,13 +159,6 @@ int Main(int argc, char** argv) {
       pairs_total, queries.size(), [&] { index.Prewarm(queries, kAlpha); },
       cold_cache);
 
-  // --- parallel prewarm ----------------------------------------------------
-  const size_t workers = std::max(1u, std::thread::hardware_concurrency());
-  util::ThreadPool pool(workers);
-  const Measurement parallel = Measure(
-      pairs_total, queries.size(),
-      [&] { index.Prewarm(queries, kAlpha, &pool); }, cold_cache);
-
   // --- dense matrix-vector reference --------------------------------------
   std::vector<float> dense_out(model.store().covered());
   const size_t dense_pairs = queries.size() * model.store().covered();
@@ -192,7 +185,6 @@ int Main(int argc, char** argv) {
   }
 
   const double speedup = batched.pairs_per_sec / scalar.pairs_per_sec;
-  const double par_speedup = parallel.pairs_per_sec / scalar.pairs_per_sec;
 
   std::printf("%-10s %15s %18s %12s\n", "config", "pairs/sec", "cursor-build us",
               "speedup");
@@ -202,8 +194,6 @@ int Main(int argc, char** argv) {
               single.build_latency_us, single.pairs_per_sec / scalar.pairs_per_sec);
   std::printf("%-10s %15.3e %18.1f %11.1fx\n", "batched", batched.pairs_per_sec,
               batched.build_latency_us, speedup);
-  std::printf("%-10s %15.3e %18.1f %11.1fx\n", "parallel",
-              parallel.pairs_per_sec, parallel.build_latency_us, par_speedup);
   std::printf("%-10s %15.3e %18.1f %11.1fx\n", "dense-mv", dense.pairs_per_sec,
               dense.build_latency_us, dense.pairs_per_sec / scalar.pairs_per_sec);
   std::printf("scalar neighbors=%zu, first-neighbor mismatches=%zu\n",
@@ -221,25 +211,19 @@ int Main(int argc, char** argv) {
                  "  \"dim\": %zu,\n"
                  "  \"alpha\": %.2f,\n"
                  "  \"queries\": %zu,\n"
-                 "  \"threads\": %zu,\n"
                  "  \"scalar_pairs_per_sec\": %.6e,\n"
                  "  \"single_cursor_pairs_per_sec\": %.6e,\n"
                  "  \"batched_pairs_per_sec\": %.6e,\n"
-                 "  \"parallel_pairs_per_sec\": %.6e,\n"
                  "  \"dense_mv_pairs_per_sec\": %.6e,\n"
                  "  \"scalar_build_latency_us\": %.3f,\n"
                  "  \"batched_build_latency_us\": %.3f,\n"
-                 "  \"parallel_build_latency_us\": %.3f,\n"
                  "  \"batched_speedup\": %.3f,\n"
-                 "  \"parallel_speedup\": %.3f,\n"
                  "  \"first_neighbor_mismatches\": %zu\n"
                  "}\n",
-                 vocab, dim, kAlpha, queries.size(), workers,
-                 scalar.pairs_per_sec, single.pairs_per_sec,
-                 batched.pairs_per_sec,
-                 parallel.pairs_per_sec, dense.pairs_per_sec,
-                 scalar.build_latency_us, batched.build_latency_us,
-                 parallel.build_latency_us, speedup, par_speedup, mismatches);
+                 vocab, dim, kAlpha, queries.size(), scalar.pairs_per_sec,
+                 single.pairs_per_sec, batched.pairs_per_sec,
+                 dense.pairs_per_sec, scalar.build_latency_us,
+                 batched.build_latency_us, speedup, mismatches);
     std::fclose(f);
     std::printf("json written to %s\n", json_path.c_str());
   }

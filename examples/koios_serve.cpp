@@ -1,7 +1,7 @@
 // koios_serve: the serving path end to end — build a repository, persist
 // it with io::SaveRepository, load it back as an immutable serve::Snapshot,
 // and run a concurrent query mix through a serve::QueryEngine with
-// admission control, deadlines, and batched SearchMany.
+// admission control and deadlines.
 //
 //   $ ./koios_serve [repo.bin]
 //
@@ -66,24 +66,24 @@ int main(int argc, char** argv) {
   serve::EngineOptions options;
   options.num_threads = 4;            // 4 queries in flight
   options.max_queue = 64;             // 65th concurrent submit is rejected
-  options.default_deadline = std::chrono::milliseconds(2000);
   serve::QueryEngine engine(snapshot.value(), options);
 
   core::SearchParams params;
   params.k = 10;
   params.alpha = 0.8;
+  const auto deadline = std::chrono::milliseconds(2000);  // per query
 
-  // ---- 3. A batched lookup: shared tokens prewarmed once ------------------
-  std::vector<std::vector<TokenId>> batch;
+  // ---- 3. A batch: submit every query, then wait for all of them ----------
+  // Queries that share tokens share the cursors the first of them builds.
+  std::vector<std::future<serve::QueryEngine::Result>> batch;
   for (SetId id = 0; id < 8; ++id) {
     const auto tokens = snapshot.value()->sets().Tokens(id * 97 % 1500);
-    batch.emplace_back(tokens.begin(), tokens.end());
+    batch.push_back(
+        engine.Submit({tokens.begin(), tokens.end()}, params, deadline));
   }
-  const auto batch_results = engine.SearchMany(batch, params);
   size_t batch_ok = 0;
-  for (const auto& result : batch_results) batch_ok += result.ok() ? 1 : 0;
-  std::printf("SearchMany: %zu/%zu queries answered\n", batch_ok,
-              batch_results.size());
+  for (auto& future : batch) batch_ok += future.get().ok() ? 1 : 0;
+  std::printf("batch: %zu/%zu queries answered\n", batch_ok, batch.size());
 
   // ---- 4. Concurrent clients through Submit -------------------------------
   constexpr size_t kClients = 4, kPerClient = 25;
@@ -95,7 +95,8 @@ int main(int argc, char** argv) {
         const SetId qid = static_cast<SetId>((c * kPerClient + i * 31) % 1500);
         const auto tokens = snapshot.value()->sets().Tokens(qid);
         auto result =
-            engine.Submit({tokens.begin(), tokens.end()}, params).get();
+            engine.Submit({tokens.begin(), tokens.end()}, params, deadline)
+                .get();
         if (result.ok()) {
           ++answered;
         } else {

@@ -7,6 +7,7 @@
 #include <cerrno>
 #include <cstring>
 
+#include "koios/serve/snapshot.h"
 #include "koios/util/fault_injector.h"
 #include "koios/util/trace_recorder.h"
 
@@ -248,11 +249,9 @@ util::Status RepositoryWatcher::LoadOrSwapFrom(const std::string& load_path) {
   if (engine == nullptr) {
     // First load: same fail-closed bar as a swap — a v4 snapshot is
     // verified eagerly before it can become the readiness flip.
-    serve::SnapshotOptions load_options = options_.snapshot;
-    load_options.mmap_verify = true;
     util::StatusOr<std::shared_ptr<const serve::Snapshot>> snapshot = [&] {
       KOIOS_TRACE_SPAN("watch.initial_load");
-      return serve::Snapshot::Load(load_path, load_options);
+      return serve::Snapshot::Load(load_path, /*verify=*/true);
     }();
     if (!snapshot.ok()) {
       std::lock_guard<std::mutex> lock(stats_mutex_);
@@ -267,8 +266,7 @@ util::Status RepositoryWatcher::LoadOrSwapFrom(const std::string& load_path) {
     ++stats_.initial_loads;
     return util::Status::OK();
   }
-  util::Status status =
-      engine->TrySwapFromRepository(load_path, options_.snapshot);
+  util::Status status = engine->TrySwapFromRepository(load_path);
   std::lock_guard<std::mutex> lock(stats_mutex_);
   if (status.ok()) {
     ++stats_.swaps_completed;

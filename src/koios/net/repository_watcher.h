@@ -36,7 +36,6 @@
 
 #include "koios/net/engine_slot.h"
 #include "koios/serve/query_engine.h"
-#include "koios/serve/snapshot.h"
 #include "koios/util/metric_registry.h"
 #include "koios/util/status.h"
 
@@ -46,10 +45,6 @@ struct WatcherOptions {
   std::chrono::milliseconds poll_interval{500};
   /// Engine configuration applied when the FIRST load builds the engine.
   serve::EngineOptions engine;
-  /// Snapshot load options (TrySwapFromRepository forces mmap_verify on
-  /// for swaps regardless; this applies to the initial load, where the
-  /// watcher forces it too — same fail-closed bar for the first snapshot).
-  serve::SnapshotOptions snapshot;
 };
 
 /// Monotone watcher counters (snapshot; safe from any thread).

@@ -19,6 +19,9 @@ namespace koios::net {
 namespace {
 
 constexpr size_t kReadChunk = 16 * 1024;
+constexpr int kListenBacklog = 64;
+// In-flight queries per connection before its reads pause (backpressure).
+constexpr size_t kMaxPipelinedRequests = 128;
 // The loop's only poll timeout: the deadline sweeps (slow-loris, stalled
 // writes, idle closes, the drain deadline) need a turn this often. Query
 // completions do not wait for it; they wake the poll through the eventfd.
@@ -204,8 +207,7 @@ util::Status Server::Start() {
                                   std::strerror(errno));
   }
   util::StatusOr<Socket> listener =
-      ListenTcp(options_.bind_address, options_.port, options_.listen_backlog,
-                &port_);
+      ListenTcp(options_.bind_address, options_.port, kListenBacklog, &port_);
   if (!listener.ok()) return listener.status();
   impl_->listener = std::move(listener).value();
 
@@ -582,7 +584,7 @@ void DispatchHttp(LoopContext& ctx, Connection& c, const std::string& head) {
 /// Leaves a partial request in place (tracked for the slow-loris sweep).
 void ProcessInput(LoopContext& ctx, Connection& c) {
   while (!c.dead && !c.close_after_flush && !c.inbuf.empty() &&
-         c.pending.size() < ctx.opts->max_pipelined_requests) {
+         c.pending.size() < kMaxPipelinedRequests) {
     if (c.mode == Connection::Mode::kUnknown) {
       const uint8_t first = static_cast<uint8_t>(c.inbuf[0]);
       if (first == kFrameMagic) {
@@ -769,7 +771,7 @@ void Server::Loop() {
       // full pipeline or an unconsumed oversized inbuf — TCP pushes back
       // on the sender instead of us buffering without bound.
       const bool paused =
-          c.pending.size() >= options_.max_pipelined_requests ||
+          c.pending.size() >= kMaxPipelinedRequests ||
           c.inbuf.size() > options_.max_request_bytes + kReadChunk ||
           c.close_after_flush;
       if (!paused) events |= POLLIN;
@@ -864,7 +866,7 @@ void Server::Loop() {
       // Slow-loris tracking: a nonempty inbuf after processing is a
       // partial request (or unread pipelined overflow).
       if (!c.inbuf.empty() && !c.close_after_flush &&
-          c.pending.size() < options_.max_pipelined_requests) {
+          c.pending.size() < kMaxPipelinedRequests) {
         if (!c.has_incomplete) {
           c.has_incomplete = true;
           c.incomplete_since = now;

@@ -57,13 +57,10 @@ struct ServerOptions {
   std::string bind_address = "127.0.0.1";
   /// 0 = ephemeral; read the actual port from port() after Start().
   uint16_t port = 0;
-  int listen_backlog = 64;
   /// Hard cap on concurrently open connections.
   size_t max_connections = 256;
   /// Largest accepted request frame body (binary) or line (JSON/HTTP).
   size_t max_request_bytes = 1 << 20;
-  /// In-flight queries per connection before reads pause (backpressure).
-  size_t max_pipelined_requests = 128;
   /// An incomplete request older than this closes the connection.
   std::chrono::milliseconds read_deadline{10'000};
   /// Pending output with no write progress for this long closes it.
@@ -75,8 +72,7 @@ struct ServerOptions {
   size_t max_output_buffer_bytes = 4 << 20;
   /// Drain() gives in-flight work this long before force-closing.
   std::chrono::milliseconds drain_deadline{5'000};
-  /// Applied to queries that arrive with deadline_ms == 0 (0 = engine
-  /// default, which may itself be "none").
+  /// Applied to queries that arrive with deadline_ms == 0 (0 = none).
   std::chrono::milliseconds default_query_deadline{0};
   /// retry_after_ms attached to kUnavailable (not ready / draining).
   int64_t unavailable_retry_after_ms = 500;

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 #include <exception>
-#include <span>
 #include <utility>
 
 #include <cstdio>
@@ -24,12 +23,16 @@ int64_t HintMs(double wait_seconds) {
   return std::max<int64_t>(1, std::llround(wait_seconds * 1e3));
 }
 
+/// At most one slow-query report per this interval, so an overloaded
+/// engine logs a steady trickle, not a flood.
+constexpr std::chrono::nanoseconds kSlowQueryLogInterval =
+    std::chrono::seconds(1);
+
 }  // namespace
 
 ShardOptions QueryEngine::MakeShardOptions() const {
   ShardOptions shard_options;
   shard_options.num_shards = std::max<size_t>(1, options_.num_shards);
-  shard_options.theta_exchange = options_.shard_theta_exchange;
   return shard_options;
 }
 
@@ -119,8 +122,7 @@ void QueryEngine::SwapSnapshot(std::shared_ptr<const Snapshot> snapshot) {
   ++counters_.swaps_completed;
 }
 
-util::Status QueryEngine::TrySwapFromRepository(const std::string& path,
-                                                const SnapshotOptions& options) {
+util::Status QueryEngine::TrySwapFromRepository(const std::string& path) {
   auto record_failure = [this](util::Status status) {
     std::lock_guard<std::mutex> lock(stats_mutex_);
     ++counters_.swap_failures;
@@ -130,16 +132,14 @@ util::Status QueryEngine::TrySwapFromRepository(const std::string& path,
   // is still serving the old state, so every failure below degrades to
   // "the reload did not happen" rather than "serving stopped".
   //
-  // Eager mmap verification regardless of what the caller passed: a lazy
-  // v4 load defers bulk-arena checksums to first touch, which for a LIVE
-  // swap would mean corruption surfacing mid-query on the new snapshot.
-  // A swap must adopt only a fully verified file or keep the old one.
-  SnapshotOptions verified_options = options;
-  verified_options.mmap_verify = true;
+  // Eager mmap verification: a lazy v4 load defers bulk-arena checksums
+  // to first touch, which for a LIVE swap would mean corruption surfacing
+  // mid-query on the new snapshot. A swap must adopt only a fully verified
+  // file or keep the old one.
   util::StatusOr<std::shared_ptr<const Snapshot>> loaded = [&] {
     // Spans only under an ambient trace — the watcher starts one per swap.
     KOIOS_TRACE_SPAN("swap.load");
-    return Snapshot::Load(path, verified_options);
+    return Snapshot::Load(path, /*verify=*/true);
   }();
   if (!loaded.ok()) return record_failure(loaded.status());
   // Chaos seam: a fault between the (successful) load and the flip models
@@ -181,8 +181,8 @@ QueryEngine::TraceTask QueryEngine::CaptureTrace() const {
   util::TraceRecorder& rec = util::TraceRecorder::Instance();
   const util::TraceRecorder::ThreadContext ambient =
       util::TraceRecorder::Current();
-  // A submitter with an ambient trace (the net edge's request trace, or a
-  // batch) is joined; a direct caller gets its own sampling decision.
+  // A submitter with an ambient trace (the net edge's request trace) is
+  // joined; a direct caller gets its own sampling decision.
   trace.trace_id =
       ambient.trace_id != 0 ? ambient.trace_id : rec.StartTrace();
   trace.parent_span = ambient.parent_span;
@@ -233,16 +233,13 @@ double QueryEngine::EstimatedQueueWaitSeconds(size_t admitted) const {
 
 std::future<QueryEngine::Result> QueryEngine::Submit(
     std::vector<TokenId> query, const core::SearchParams& params) {
-  return Enqueue(CurrentState(), std::move(query), params,
-                 MakeTicket(options_.default_deadline),
-                 /*enforce_queue_bound=*/true);
+  return Enqueue(std::move(query), params, Ticket{});
 }
 
 std::future<QueryEngine::Result> QueryEngine::Submit(
     std::vector<TokenId> query, const core::SearchParams& params,
     std::chrono::milliseconds deadline) {
-  return Enqueue(CurrentState(), std::move(query), params, MakeTicket(deadline),
-                 /*enforce_queue_bound=*/true);
+  return Enqueue(std::move(query), params, MakeTicket(deadline));
 }
 
 QueryEngine::Submission QueryEngine::SubmitCancellable(
@@ -250,17 +247,15 @@ QueryEngine::Submission QueryEngine::SubmitCancellable(
     std::chrono::milliseconds deadline, std::function<void()> on_complete) {
   Submission submission;
   submission.cancel = std::make_shared<CancelToken>();
-  submission.future =
-      Enqueue(CurrentState(), std::move(query), params, MakeTicket(deadline),
-              /*enforce_queue_bound=*/true, submission.cancel,
-              std::move(on_complete));
+  submission.future = Enqueue(std::move(query), params, MakeTicket(deadline),
+                              submission.cancel, std::move(on_complete));
   return submission;
 }
 
 std::future<QueryEngine::Result> QueryEngine::Enqueue(
-    StatePtr state, std::vector<TokenId> query,
-    const core::SearchParams& params, Ticket ticket, bool enforce_queue_bound,
-    std::shared_ptr<CancelToken> cancel, std::function<void()> on_complete) {
+    std::vector<TokenId> query, const core::SearchParams& params,
+    Ticket ticket, std::shared_ptr<CancelToken> cancel,
+    std::function<void()> on_complete) {
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
     ++counters_.submitted;
@@ -276,8 +271,7 @@ std::future<QueryEngine::Result> QueryEngine::Enqueue(
   // fetch_add-then-check keeps the bound exact under concurrent submitters
   // (a plain load+add would let two of them both slip past the last slot).
   const size_t admitted = in_flight_.fetch_add(1, std::memory_order_acq_rel);
-  if (enforce_queue_bound &&
-      admitted >= pool_.num_threads() + options_.max_queue) {
+  if (admitted >= pool_.num_threads() + options_.max_queue) {
     in_flight_.fetch_sub(1, std::memory_order_acq_rel);
     // How long until the engine has drained enough to admit a retry: the
     // wait a query at the BACK of the full queue would see.
@@ -292,7 +286,7 @@ std::future<QueryEngine::Result> QueryEngine::Enqueue(
             " waiting + " + std::to_string(pool_.num_threads()) + " running)")
             .WithRetryAfterMs(HintMs(wait)));
   }
-  if (enforce_queue_bound && ticket.has_deadline) {
+  if (ticket.has_deadline) {
     // Fail fast: if the estimated queue wait alone already eats the whole
     // deadline budget, admitting the query only spends a slot to time out
     // later — reject now, with the wait as the backoff hint. Conservative
@@ -318,6 +312,7 @@ std::future<QueryEngine::Result> QueryEngine::Enqueue(
     }
   }
   const TraceTask trace = CaptureTrace();
+  StatePtr state = CurrentState();
   std::promise<Result> promise;
   std::future<Result> future = promise.get_future();
   // The task pins `state`: its snapshot/searcher/index stay alive and
@@ -456,10 +451,7 @@ void QueryEngine::MaybeLogSlowQuery(const std::vector<TokenId>& query,
   }
   // Rate limit: one report per interval, claimed with a CAS so concurrent
   // slow finishers elect exactly one reporter.
-  const int64_t interval_ns =
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          options_.slow_query_log_interval)
-          .count();
+  const int64_t interval_ns = kSlowQueryLogInterval.count();
   const int64_t now_ns =
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
@@ -491,67 +483,6 @@ void QueryEngine::MaybeLogSlowQuery(const std::vector<TokenId>& query,
   } else {
     std::fprintf(stderr, "%s", report.c_str());
   }
-}
-
-std::vector<QueryEngine::Result> QueryEngine::SearchMany(
-    const std::vector<std::vector<TokenId>>& queries,
-    const core::SearchParams& params) {
-  // The deadline ticket exists BEFORE any batch work: the prewarm below
-  // runs on the queries' clock. (It used to be made after the prewarm, so
-  // a stalled prewarm delayed every query unboundedly while their
-  // deadlines had not even started — the worst of both.)
-  const Ticket ticket = MakeTicket(options_.default_deadline);
-  // One state for the whole batch: the prewarmed cache and the executed
-  // queries must be the same index even if a swap lands mid-batch.
-  const StatePtr state = CurrentState();
-
-  // One sampling decision per batch: when it hits, the shared prewarm and
-  // every member query record into the same trace (the queries join the
-  // ambient batch trace at Enqueue).
-  const uint64_t batch_trace = util::TraceRecorder::Enabled()
-                                   ? util::TraceRecorder::Instance().StartTrace()
-                                   : 0;
-  util::TraceAdopt batch_adopt(batch_trace, 0);
-
-  // Deduplicate the batch's tokens and pay each (token, α) cursor build
-  // once, fanned across the engine pool, BEFORE any query runs. Queries
-  // then find their cursors hot in the shared cache (counted as hits).
-  std::vector<TokenId> tokens;
-  for (const auto& query : queries) {
-    tokens.insert(tokens.end(), query.begin(), query.end());
-  }
-  std::sort(tokens.begin(), tokens.end());
-  tokens.erase(std::unique(tokens.begin(), tokens.end()), tokens.end());
-  if (!tokens.empty()) {
-    KOIOS_TRACE_SPAN_ARG("serve.prewarm", "tokens", tokens.size());
-    // Chunked fan-out with a deadline poll between chunks: a stalled or
-    // oversized prewarm stops warming the moment the batch deadline
-    // expires, and the queries then surface clean DeadlineExceeded
-    // rejections instead of silently blowing their budget warming cursors
-    // nobody will get to use. Each chunk still fans across the pool.
-    constexpr size_t kPrewarmPollChunk = 64;
-    const std::span<const TokenId> all(tokens);
-    for (size_t i = 0; i < tokens.size() && !TicketExpired(ticket);
-         i += kPrewarmPollChunk) {
-      state->index->Prewarm(
-          all.subspan(i, std::min(kPrewarmPollChunk, tokens.size() - i)),
-          params.alpha, &pool_);
-    }
-  }
-
-  // The batch bypasses the rejection bound (the caller is synchronous, so
-  // the work is bounded by them) but still occupies in-flight slots — see
-  // the header contract.
-  std::vector<std::future<Result>> futures;
-  futures.reserve(queries.size());
-  for (const auto& query : queries) {
-    futures.push_back(
-        Enqueue(state, query, params, ticket, /*enforce_queue_bound=*/false));
-  }
-  std::vector<Result> results;
-  results.reserve(queries.size());
-  for (auto& future : futures) results.push_back(future.get());
-  return results;
 }
 
 EngineCounters QueryEngine::counters() const {

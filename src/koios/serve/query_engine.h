@@ -13,19 +13,13 @@
 //  * Admission control. At most `num_threads` queries run at once; beyond
 //    that, up to `max_queue` wait. Overflow is rejected IMMEDIATELY with
 //    ResourceExhausted (an overloaded serving system must shed load, not
-//    grow an unbounded queue). Each query carries a deadline (explicit or
-//    options default); one that expires before or while running is
-//    rejected cleanly with DeadlineExceeded and NO partial results — the
-//    search phases poll the deadline and unwind through the exception-safe
-//    shutdown machinery.
-//  * Batched admission. SearchMany deduplicates the tokens shared across a
-//    batch and prewarms their cursors ONCE (in parallel, on the engine
-//    pool) before the queries run, so overlapping queries never build the
-//    same cursor twice — the cross-query analogue of TokenStream's
-//    per-query Prewarm. The batch deadline ticket is created BEFORE the
-//    prewarm and polled between prewarm chunks, so a stalled prewarm
-//    counts against (and is cut short by) the queries' deadline instead
-//    of silently delaying every query with the clock not yet running.
+//    grow an unbounded queue). A query may carry a deadline; one that
+//    expires before or while running is rejected cleanly with
+//    DeadlineExceeded and NO partial results — the search phases poll the
+//    deadline and unwind through the exception-safe shutdown machinery.
+//    Every query is admitted one at a time through the same path (Submit,
+//    SubmitCancellable); a batch is a loop of submissions, and queries
+//    that share tokens share the cursors the first of them builds.
 //  * Live snapshot hot-swap. Everything a query dereferences — snapshot,
 //    searcher (partition indexes), neighbor index — is bundled in one
 //    immutable ServingState resolved at ADMISSION time and pinned by the
@@ -79,9 +73,6 @@ struct EngineOptions {
   /// Admitted-but-waiting bound; a Submit arriving with the queue full is
   /// rejected with ResourceExhausted.
   size_t max_queue = 256;
-  /// Deadline applied to queries submitted without an explicit one;
-  /// zero = no deadline.
-  std::chrono::milliseconds default_deadline{0};
   /// Byte budget for the neighbor index's shared cursor cache (applied via
   /// BatchedNeighborIndex::SetCursorCacheCapacity to the served index and
   /// to every index swapped in later; 0 = unbounded, and non-batched
@@ -93,31 +84,25 @@ struct EngineOptions {
   /// set collection is partitioned into this many contiguous id ranges,
   /// the partitions of one searcher, with one query fanned across all of
   /// them (shard 0 on the query's worker, the rest on a dedicated shard
-  /// pool) and the per-shard top-k lists merged deterministically. Dict,
-  /// embeddings and the neighbor index stay shared (replicated) across
-  /// shards. 1 = one partition over the whole collection; results are
-  /// bit-identical at every N (hard gate in bench_shard_scaling). Clamped
-  /// to the set count. Fixed for the engine's lifetime — hot swaps
+  /// pool) and the per-shard top-k lists merged deterministically. The
+  /// shards always exchange θlb mid-query, so a bound proven by any shard
+  /// prunes the others. Dict, embeddings and the neighbor index stay
+  /// shared (replicated) across shards. 1 = one partition over the whole
+  /// collection; results are bit-identical at every N (hard gate in
+  /// bench_shard_scaling). Clamped to the set count. Fixed for the
+  /// engine's lifetime — hot swaps
   /// partition the NEW snapshot at the same N, flipping all shards
   /// atomically (they live inside the one ServingState pointer).
   size_t num_shards = 1;
-  /// Cross-shard θlb exchange (paper §VI partition pruning, lifted to
-  /// shards): every shard's refinement publishes into one query-global
-  /// threshold that every shard's refinement reads, so a bound proven by
-  /// any shard stops the others' streams early. Results are identical either
-  /// way — off is the independent-shard baseline the scaling bench
-  /// measures the exchange against. Ignored at num_shards = 1.
-  bool shard_theta_exchange = true;
 
   /// Completed queries slower than this get a report — the query's full
   /// span tree (when it was sampled by the trace recorder) plus
   /// SearchStats::ToString() — written to `slow_query_sink`. Zero
-  /// disables. Reports are rate-limited to one per
-  /// `slow_query_log_interval` so an overloaded engine logs a steady
-  /// trickle, not a flood (the koios_slow_queries_total counter still
-  /// ticks for every over-threshold query).
+  /// disables. Reports are rate-limited to one per second so an
+  /// overloaded engine logs a steady trickle, not a flood (the
+  /// koios_slow_queries_total counter still ticks for every over-threshold
+  /// query).
   std::chrono::milliseconds slow_query_threshold{0};
-  std::chrono::milliseconds slow_query_log_interval{1000};
   /// Destination for slow-query reports; null = stderr.
   std::function<void(const std::string&)> slow_query_sink;
 };
@@ -210,7 +195,8 @@ class QueryEngine {
   /// needs to drain rather than retrying blind. A query whose ESTIMATED
   /// queue wait already exceeds its deadline budget is failed fast with
   /// DeadlineExceeded at admission — it would only have occupied a queue
-  /// slot to time out later. Thread-safe.
+  /// slot to time out later. Without a deadline argument the query has
+  /// none. Thread-safe.
   std::future<Result> Submit(std::vector<TokenId> query,
                              const core::SearchParams& params);
   std::future<Result> Submit(std::vector<TokenId> query,
@@ -243,19 +229,6 @@ class QueryEngine {
                                std::chrono::milliseconds deadline,
                                std::function<void()> on_complete);
 
-  /// Batched execution: prewarms the union of the batch's query tokens
-  /// once (deduplicated, parallel on the engine pool), then runs every
-  /// query concurrently and waits for all of them. Results are positional.
-  /// The batch itself is never rejected (the caller blocks, so the work is
-  /// bounded by them), but its queries DO occupy in-flight slots while
-  /// they run — concurrent Submit() callers can see the queue as full
-  /// until the batch drains. The options deadline covers the whole batch
-  /// INCLUDING the prewarm (the ticket is made first and polled between
-  /// prewarm chunks); an expired batch yields DeadlineExceeded per query.
-  std::vector<Result> SearchMany(
-      const std::vector<std::vector<TokenId>>& queries,
-      const core::SearchParams& params);
-
   /// Atomically points the engine at a rebuilt repository between queries
   /// (reindex, corpus update) WITHOUT draining: the replacement serving
   /// state — searcher with partition indexes, cursor-cache budget — is
@@ -273,12 +246,10 @@ class QueryEngine {
   /// succeeded. On ANY failure the engine keeps serving its current
   /// snapshot untouched — a corrupt or half-written repository file can
   /// never take down a serving process, only fail its reload. v4 mmap
-  /// files are always verified EAGERLY here (options.mmap_verify is
-  /// forced on), so a corrupt bulk arena fails the swap instead of
-  /// surfacing mid-query later. Thread-safe, same flip semantics as
-  /// SwapSnapshot.
-  util::Status TrySwapFromRepository(const std::string& path,
-                                     const SnapshotOptions& options = {});
+  /// files are verified EAGERLY here, so a corrupt bulk arena fails the
+  /// swap instead of surfacing mid-query later. Thread-safe, same flip
+  /// semantics as SwapSnapshot.
+  util::Status TrySwapFromRepository(const std::string& path);
 
   /// The snapshot currently being served (null when the engine was
   /// constructed over borrowed parts and never swapped).
@@ -339,14 +310,11 @@ class QueryEngine {
   struct ServingState {
     ServingState(std::shared_ptr<const Snapshot> snap,
                  const index::SetCollection* sets,
-                 const sim::SimilarityIndex* index_in,
+                 const sim::SimilarityIndex* index,
                  const ShardOptions& shard_options)
-        : snapshot(std::move(snap)),
-          index(index_in),
-          coordinator(sets, index_in, shard_options) {}
+        : snapshot(std::move(snap)), coordinator(sets, index, shard_options) {}
 
     std::shared_ptr<const Snapshot> snapshot;  // null for borrowed parts
-    const sim::SimilarityIndex* index;
     ShardCoordinator coordinator;  // holds the searcher and shard indexes
   };
   using StatePtr = std::shared_ptr<const ServingState>;
@@ -398,9 +366,11 @@ class QueryEngine {
                          const core::SearchParams& params,
                          const core::SearchStats& stats,
                          double elapsed_seconds, uint64_t trace_id);
-  std::future<Result> Enqueue(StatePtr state, std::vector<TokenId> query,
+  /// The one admission path: counts the submission, applies the queue
+  /// bound and the fail-fast deadline check, then queues the query against
+  /// the current serving state.
+  std::future<Result> Enqueue(std::vector<TokenId> query,
                               const core::SearchParams& params, Ticket ticket,
-                              bool enforce_queue_bound,
                               std::shared_ptr<CancelToken> cancel = nullptr,
                               std::function<void()> on_complete = nullptr);
 

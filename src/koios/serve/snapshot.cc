@@ -28,24 +28,21 @@ std::vector<TokenId> DistinctTokens(const index::SetCollection& sets) {
 
 }  // namespace
 
-void Snapshot::BuildServingStructures(const SnapshotOptions& options,
-                                      std::vector<TokenId> vocabulary) {
-  if (options.quantize_embeddings) store_.Finalize();
-  similarity_ = std::make_unique<sim::CosineEmbeddingSimilarity>(
-      &store_, options.precision);
+void Snapshot::BuildServingStructures(std::vector<TokenId> vocabulary) {
+  similarity_ = std::make_unique<sim::CosineEmbeddingSimilarity>(&store_);
   index_ = std::make_unique<sim::ExactKnnIndex>(std::move(vocabulary),
                                                 similarity_.get());
 }
 
 util::StatusOr<std::shared_ptr<const Snapshot>> Snapshot::Load(
-    const std::string& path, const SnapshotOptions& options) {
+    const std::string& path, bool verify) {
   const auto version = io::PeekRepositoryVersion(path);
   if (version.ok() && version.value() == 4) {
     // Zero-copy path: the snapshot serves straight out of the mapping;
     // dict/sets/store are borrowed views and the view_ member keeps the
     // mapping alive for as long as any query can touch them.
-    auto view_or = io::MmapRepositoryView::Open(
-        path, io::MmapOptions{.verify = options.mmap_verify});
+    auto view_or =
+        io::MmapRepositoryView::Open(path, io::MmapOptions{.verify = verify});
     if (!view_or.ok()) return view_or.status();
     auto view = std::move(view_or).value();
     if (!view->has_embeddings()) {
@@ -66,7 +63,6 @@ util::StatusOr<std::shared_ptr<const Snapshot>> Snapshot::Load(
     snapshot->sets_ = std::move(sets).value();
     snapshot->store_ = std::move(store).value();
     snapshot->BuildServingStructures(
-        options,
         std::vector<TokenId>(vocab.value().begin(), vocab.value().end()));
     return std::shared_ptr<const Snapshot>(std::move(snapshot));
   }
@@ -83,19 +79,18 @@ util::StatusOr<std::shared_ptr<const Snapshot>> Snapshot::Load(
   snapshot->dict_ = std::move(repo.value().dict);
   snapshot->sets_ = std::move(repo.value().sets);
   snapshot->store_ = std::move(repo.value().store);
-  snapshot->BuildServingStructures(options, DistinctTokens(snapshot->sets_));
+  snapshot->BuildServingStructures(DistinctTokens(snapshot->sets_));
   return std::shared_ptr<const Snapshot>(std::move(snapshot));
 }
 
 std::shared_ptr<const Snapshot> Snapshot::Build(text::Dictionary dict,
                                                 index::SetCollection sets,
-                                                embedding::EmbeddingStore store,
-                                                const SnapshotOptions& options) {
+                                                embedding::EmbeddingStore store) {
   std::shared_ptr<Snapshot> snapshot(new Snapshot());
   snapshot->dict_ = std::move(dict);
   snapshot->sets_ = std::move(sets);
   snapshot->store_ = std::move(store);
-  snapshot->BuildServingStructures(options, DistinctTokens(snapshot->sets_));
+  snapshot->BuildServingStructures(DistinctTokens(snapshot->sets_));
   return snapshot;
 }
 

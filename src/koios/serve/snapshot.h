@@ -30,40 +30,27 @@
 
 namespace koios::serve {
 
-struct SnapshotOptions {
-  /// Build the embedding store's int8 quantized tier after load
-  /// (EmbeddingStore::Finalize) so approximate/throughput consumers can
-  /// select Precision::kInt8. A loaded repository that was saved with a
-  /// finalized store re-finalizes automatically regardless (the io layer
-  /// persists the flag, and a v4 file stores the tier itself); this
-  /// forces the tier for older files.
-  bool quantize_embeddings = false;
-  /// Precision the snapshot's cosine similarity reads (kInt8 requires the
-  /// quantized tier; exact search should keep the default).
-  embedding::Precision precision = embedding::Precision::kFloat64;
-  /// v4 files only: eagerly CRC-check every section (bulk arenas
-  /// included) and content-scan the token arenas before serving from the
-  /// mapping. Costs an O(file) pass at load; the lazy default validates
-  /// structure + metadata sections only. TrySwapFromRepository always
-  /// verifies eagerly regardless — a live swap must not adopt a snapshot
-  /// whose corruption would only surface mid-query.
-  bool mmap_verify = false;
-};
-
 class Snapshot {
  public:
   /// Loads a repository file written by io::SaveRepository and builds the
-  /// serving structures (cosine similarity over the embeddings, exact kNN
+  /// serving structures (cosine similarity over the float rows, exact kNN
   /// index over the sets' distinct tokens). Fails on files without an
   /// embedding store — a snapshot must be able to score similarities.
+  ///
+  /// `verify` applies to v4 files only: eagerly CRC-check every section
+  /// (bulk arenas included) and content-scan the token arenas before
+  /// serving from the mapping. It costs an O(file) pass at load; the lazy
+  /// default validates structure and metadata sections only. Hot swaps and
+  /// the daemon's first load verify, so a live snapshot is never one whose
+  /// corruption would only surface mid-query.
   static util::StatusOr<std::shared_ptr<const Snapshot>> Load(
-      const std::string& path, const SnapshotOptions& options = {});
+      const std::string& path, bool verify = false);
 
   /// Builds a snapshot from in-memory parts (takes ownership). Same
   /// structures as Load without the round-trip through disk.
-  static std::shared_ptr<const Snapshot> Build(
-      text::Dictionary dict, index::SetCollection sets,
-      embedding::EmbeddingStore store, const SnapshotOptions& options = {});
+  static std::shared_ptr<const Snapshot> Build(text::Dictionary dict,
+                                               index::SetCollection sets,
+                                               embedding::EmbeddingStore store);
 
   const text::Dictionary& dict() const { return dict_; }
   const index::SetCollection& sets() const { return sets_; }
@@ -82,8 +69,7 @@ class Snapshot {
 
  private:
   Snapshot() = default;
-  void BuildServingStructures(const SnapshotOptions& options,
-                              std::vector<TokenId> vocabulary);
+  void BuildServingStructures(std::vector<TokenId> vocabulary);
 
   // Pins the v4 mapping the borrowed artifacts below point into;
   // declared first so it is destroyed last (members destruct in reverse

@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
-#include <future>
 #include <utility>
 
 #include "koios/util/fault_injector.h"
-#include "koios/util/thread_pool.h"
 
 namespace koios::sim {
 
@@ -261,8 +259,8 @@ BatchedNeighborIndex::CursorPtr BatchedNeighborIndex::BuildCursor(
     TokenId q, Score alpha) const {
   auto cursor = std::make_shared<SharedCursor>();
   cursor->alpha = alpha;
-  // thread_local scratch: builds run concurrently on pool workers and on
-  // concurrent sessions' cache misses.
+  // thread_local scratch: builds run concurrently in different queries'
+  // prewarms and sessions' cache misses.
   thread_local std::vector<TokenId> collected;
   const std::vector<TokenId>* candidates = SharedCandidates();
   if (candidates == nullptr) {
@@ -405,44 +403,26 @@ void BatchedNeighborIndex::EnsureOrdered(SharedCursor& cursor, size_t count) {
 // ---- prewarm ----------------------------------------------------------------
 
 void BatchedNeighborIndex::Prewarm(std::span<const TokenId> tokens,
-                                   Score alpha, util::ThreadPool* pool) const {
+                                   Score alpha) const {
   std::vector<TokenId> missing;
   missing.reserve(tokens.size());
   for (TokenId t : tokens) missing.push_back(t);
   std::sort(missing.begin(), missing.end());
   missing.erase(std::unique(missing.begin(), missing.end()), missing.end());
   // Drop tokens already cached at this α (each counts as a prewarm hit —
-  // possibly warmed by a concurrent query or an earlier SearchMany batch).
+  // possibly warmed by a concurrent or an earlier query).
   std::erase_if(missing,
                 [&](TokenId t) { return FindCursor(t, alpha) != nullptr; });
   if (missing.empty()) return;
   misses_.fetch_add(missing.size(), std::memory_order_relaxed);
 
   const std::span<const TokenId> all(missing);
-  if (pool != nullptr && missing.size() > kPrewarmBlock) {
-    // Fan blocks out across the pool; cursors are independent, so the only
-    // serial part is publishing the finished blocks into the shard maps.
-    std::vector<std::future<std::vector<CursorPtr>>> futures;
-    for (size_t b = 0; b < missing.size(); b += kPrewarmBlock) {
-      const auto block =
-          all.subspan(b, std::min(kPrewarmBlock, missing.size() - b));
-      futures.push_back(pool->Submit(
-          [this, block, alpha] { return BuildCursorBlock(block, alpha); }));
-    }
-    size_t b = 0;
-    for (auto& f : futures) {
-      for (CursorPtr& c : f.get()) {
-        PublishCursor(missing[b++], alpha, std::move(c));
-      }
-    }
-  } else {
-    for (size_t b = 0; b < missing.size(); b += kPrewarmBlock) {
-      const auto block =
-          all.subspan(b, std::min(kPrewarmBlock, missing.size() - b));
-      std::vector<CursorPtr> built = BuildCursorBlock(block, alpha);
-      for (size_t i = 0; i < block.size(); ++i) {
-        PublishCursor(block[i], alpha, std::move(built[i]));
-      }
+  for (size_t b = 0; b < missing.size(); b += kPrewarmBlock) {
+    const auto block =
+        all.subspan(b, std::min(kPrewarmBlock, missing.size() - b));
+    std::vector<CursorPtr> built = BuildCursorBlock(block, alpha);
+    for (size_t i = 0; i < block.size(); ++i) {
+      PublishCursor(block[i], alpha, std::move(built[i]));
     }
   }
 }

@@ -18,10 +18,10 @@
 //    only when consumption reaches it. Short-prefix consumers (the θ-bound
 //    usually stops the stream early) pay O(chunk); full drains stay
 //    O(m log m) like an eager sort.
-//  * Prewarm() builds the cursors of a whole query up front in blocks of
-//    kPrewarmBlock through SimilarityBatchMulti (each target row is read
-//    once per multi-query block) and fans independent blocks across the
-//    util::ThreadPool the caller passes, if any.
+//  * Prewarm() builds the cursors of a whole query up front, on the
+//    calling thread, in blocks of kPrewarmBlock through
+//    SimilarityBatchMulti (each target row is read once per multi-query
+//    block).
 //
 // CONCURRENCY (the serve subsystem's reentrancy contract): built cursors
 // live in a sharded, mutex-protected cache keyed by (token, α) and are
@@ -96,12 +96,10 @@ class BatchedNeighborIndex : public SimilarityIndex {
  public:
   const SimilarityFunction* similarity() const override { return sim_; }
 
-  /// Eagerly builds (across `pool` when given) the cursors for every token
-  /// in `tokens` that is not already cached at this α. Cursors land in the
-  /// shared cache, so one query's (or one SearchMany batch's) prewarm is
-  /// every concurrent query's warm start.
-  void Prewarm(std::span<const TokenId> tokens, Score alpha,
-               util::ThreadPool* pool = nullptr) const override;
+  /// Eagerly builds the cursors for every token in `tokens` that is not
+  /// already cached at this α. Cursors land in the shared cache, so one
+  /// query's prewarm is every concurrent query's warm start.
+  void Prewarm(std::span<const TokenId> tokens, Score alpha) const override;
 
   /// Probe session over the shared cursor cache (see
   /// SimilarityIndex::NewSession). Sessions are cheap (an empty position
@@ -142,8 +140,8 @@ class BatchedNeighborIndex : public SimilarityIndex {
   /// (`out` arrives empty) as a SORTED, DUPLICATE-FREE list — bucket
   /// backends union their (naturally sorted) bucket lists with
   /// UnionBuckets. `q` itself may be included (the α filter skips it; the
-  /// token stream injects self-matches). Called concurrently from pool
-  /// workers during Prewarm AND from concurrent sessions' cache misses, so
+  /// token stream injects self-matches). Concurrent queries' Prewarm
+  /// calls and sessions' cache misses call it at once, so
   /// implementations must be const-thread-safe. Backends with
   /// SharedCandidates() never receive this call; the default asserts that.
   virtual void CollectCandidates(TokenId q, std::vector<TokenId>* out) const;
@@ -179,8 +177,7 @@ class BatchedNeighborIndex : public SimilarityIndex {
   // chunk or less before the θ-bound stops the stream.
   static constexpr size_t kSortChunk = 64;
 
-  // Query tokens scored per multi-query kernel call during Prewarm. Also
-  // the granularity of the thread-pool fan-out.
+  // Query tokens scored per multi-query kernel call during Prewarm.
   static constexpr size_t kPrewarmBlock = 8;
 
   // Shards of the cursor cache. Sixteen keeps the mutex word count trivial

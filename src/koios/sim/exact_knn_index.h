@@ -6,7 +6,7 @@
 // results", §VIII-E).
 //
 // All probing machinery (batched kernel scan, α filter, lazy chunked
-// ordering, α-keyed cursor cache, pooled Prewarm, probe sessions) lives in
+// ordering, α-keyed cursor cache, blocked Prewarm, probe sessions) lives in
 // BatchedNeighborIndex; this class only defines the candidate set, which
 // for the exact index is the ENTIRE vocabulary — shared by every query, so
 // the prewarm block path feeds it straight to SimilarityBatchMulti.

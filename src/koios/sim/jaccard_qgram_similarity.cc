@@ -92,8 +92,8 @@ void JaccardQGramSimilarity::SimilarityBatchMulti(
 
   // Transpose the block once: (gram id, target position) pairs sorted by
   // gram id become CSR postings whose keys are scanned in lockstep with
-  // each query's sorted id array. thread_local scratch: prewarm blocks run
-  // on pool workers.
+  // each query's sorted id array. thread_local scratch: prewarm blocks of
+  // concurrent queries run on their own threads.
   thread_local std::vector<std::pair<uint32_t, uint32_t>> pairs;
   pairs.clear();
   for (uint32_t ti = 0; ti < targets.size(); ++ti) {

@@ -15,8 +15,8 @@
 //
 // Thread-safety: immutable after construction (concurrent queries each
 // probe their own session, see SimilarityIndex); the band tables never
-// change, so CollectCandidates is safe from Prewarm's pool workers and
-// from concurrent sessions.
+// change, so CollectCandidates is safe from concurrent Prewarm calls and
+// sessions.
 #ifndef KOIOS_SIM_MINHASH_INDEX_H_
 #define KOIOS_SIM_MINHASH_INDEX_H_
 

@@ -18,7 +18,7 @@
 // collect candidate ids into a contiguous batch and make one
 // SimilarityBatch (or, across several query tokens, one
 // SimilarityBatchMulti) call, and they announce upcoming probes through
-// Prewarm so cursor construction can be batched and parallelized. Any
+// Prewarm so cursor construction can be batched across query tokens. Any
 // SimilarityFunction that can score a batch faster than |batch| virtual
 // calls overrides the batch entry points; the defaults keep every
 // similarity correct unchanged. See docs/ARCHITECTURE.md.
@@ -31,10 +31,6 @@
 #include <span>
 
 #include "koios/util/types.h"
-
-namespace koios::util {
-class ThreadPool;
-}  // namespace koios::util
 
 namespace koios::sim {
 
@@ -144,15 +140,12 @@ class SimilarityIndex {
   virtual std::unique_ptr<ProbeSession> NewSession() const = 0;
 
   /// Hint that sessions are about to probe every token in `tokens` at
-  /// `alpha`. Implementations may build the cursors eagerly, fanning the
-  /// builds across `pool` when given (cursors for distinct tokens are
-  /// independent), so the first probe never blocks on a cold cursor. The
-  /// pool is used only for the duration of the call. Default: do nothing.
-  virtual void Prewarm(std::span<const TokenId> tokens, Score alpha,
-                       util::ThreadPool* pool = nullptr) const {
+  /// `alpha`. Implementations may build the cursors eagerly, on the
+  /// calling thread, so the first probe never blocks on a cold cursor.
+  /// Default: do nothing.
+  virtual void Prewarm(std::span<const TokenId> tokens, Score alpha) const {
     (void)tokens;
     (void)alpha;
-    (void)pool;
   }
 
   virtual size_t MemoryUsageBytes() const { return 0; }

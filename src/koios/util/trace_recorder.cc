@@ -421,7 +421,9 @@ std::string TraceRecorder::RenderSpanTree(uint64_t trace_id) const {
       if (s.arg_name != nullptr) {
         out += "  [";
         out += s.arg_name;
-        out += "=" + std::to_string(s.arg_value) + "]";
+        out += '=';
+        out += std::to_string(s.arg_value);
+        out += ']';
       }
       out += "\n";
       emit_children(s.span_id, depth + 1);

@@ -17,7 +17,6 @@
 #include "koios/sim/jaccard_qgram_similarity.h"
 #include "koios/sim/similarity.h"
 #include "koios/util/rng.h"
-#include "koios/util/thread_pool.h"
 #include "test_util.h"
 
 namespace koios::sim {
@@ -279,7 +278,7 @@ TEST(ExactKnnIndexTest, CursorRebuiltWhenAlphaChanges) {
 
 // ---------------------------------------------------------------- prewarm --
 
-TEST(ExactKnnIndexTest, ParallelPrewarmMatchesSerialProbing) {
+TEST(ExactKnnIndexTest, PrewarmedBlockBuildsMatchColdProbing) {
   embedding::SyntheticEmbeddingModel model(SmallSpec());
   CosineEmbeddingSimilarity sim(&model.store());
   const auto vocab = FullVocabulary(model.spec().vocab_size);
@@ -292,9 +291,8 @@ TEST(ExactKnnIndexTest, ParallelPrewarmMatchesSerialProbing) {
         static_cast<TokenId>(rng.NextBounded(model.spec().vocab_size)));
   }
 
-  util::ThreadPool pool(4);
   ExactKnnIndex warmed(vocab, &sim);
-  warmed.Prewarm(queries, alpha, &pool);
+  warmed.Prewarm(queries, alpha);
   ExactKnnIndex cold(vocab, &sim);
 
   auto warm_session = warmed.NewSession();

@@ -23,7 +23,6 @@
 #include "koios/sim/minhash_index.h"
 #include "koios/text/qgram.h"
 #include "koios/util/rng.h"
-#include "koios/util/thread_pool.h"
 
 namespace koios::sim {
 namespace {
@@ -266,7 +265,6 @@ TEST(LshBatchParityTest, PrewarmedBlockPathEqualsColdSinglePath) {
   LshIndexSpec lsh;
   lsh.num_tables = 8;
   lsh.bits_per_table = 7;
-  util::ThreadPool pool(4);
   CosineLshIndex warmed(vocab, &model.store(), &sim, lsh);
   CosineLshIndex cold(vocab, &model.store(), &sim, lsh);
 
@@ -278,7 +276,7 @@ TEST(LshBatchParityTest, PrewarmedBlockPathEqualsColdSinglePath) {
   const Score alpha = 0.4;
   // The warmed index builds cursors through the multi-query union kernel;
   // the cold one through per-query single scans. Streams must agree.
-  warmed.Prewarm(queries, alpha, &pool);
+  warmed.Prewarm(queries, alpha);
   for (TokenId q : queries) {
     // Single- and multi-query cosine kernels share an accumulation shape,
     // so these two paths ARE bit-identical.
@@ -320,7 +318,6 @@ TEST(MinHashBatchParityTest, PrewarmedBlockPathEqualsColdSinglePath) {
   JaccardQGramSimilarity jaccard(&corpus.dict, 3);
 
   MinHashIndexSpec mh;
-  util::ThreadPool pool(3);
   MinHashIndex warmed(corpus.vocabulary, &jaccard, mh);
   MinHashIndex cold(corpus.vocabulary, &jaccard, mh);
 
@@ -329,7 +326,7 @@ TEST(MinHashBatchParityTest, PrewarmedBlockPathEqualsColdSinglePath) {
     queries.push_back(corpus.vocabulary[i]);
   }
   const Score alpha = 0.45;
-  warmed.Prewarm(queries, alpha, &pool);
+  warmed.Prewarm(queries, alpha);
   for (TokenId q : queries) {
     ExpectSameStream(Drain(warmed, q, alpha), Drain(cold, q, alpha), q);
   }

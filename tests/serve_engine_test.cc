@@ -1,8 +1,8 @@
 // The serve subsystem (ISSUE 4): concurrent QueryEngine execution must be
 // bit-identical to serial KoiosSearcher::Search, admission control must
-// reject overflow and expired deadlines cleanly, SearchMany must reuse
-// prewarmed cursors across the batch, and snapshots must round-trip
-// through the repository file format.
+// reject overflow and expired deadlines cleanly, concurrent queries must
+// share the cursors they build, and snapshots must round-trip through the
+// repository file format.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -457,12 +457,12 @@ TEST(QueryEngineTest, ColdEngineNeverFailsFastOnEstimatedWait) {
   EXPECT_GT(engine.LatencyEwmaSeconds(), 0.0);
 }
 
-TEST(QueryEngineTest, SearchManyPrewarmsOnceAcrossTheBatch) {
+TEST(QueryEngineTest, ConcurrentOverlappingQueriesShareCursorBuilds) {
   auto w = testing::MakeRandomWorkload(120, 500, 5, 20, 11006);
   KoiosSearcher serial(&w.corpus.sets, w.index.get());
 
-  // Overlapping queries: shared tokens should be built once, total builds
-  // bounded by the distinct (token, α) count of the batch.
+  // Overlapping queries submitted together: shared tokens should be built
+  // once, total builds bounded by the distinct (token, α) count.
   std::vector<std::vector<TokenId>> queries;
   std::vector<TokenId> distinct;
   for (SetId id : {SetId{3}, SetId{3}, SetId{17}, SetId{17}, SetId{42}}) {
@@ -486,21 +486,25 @@ TEST(QueryEngineTest, SearchManyPrewarmsOnceAcrossTheBatch) {
   ASSERT_NE(cache_owner, nullptr);
   const sim::CursorCacheStats before = cache_owner->cursor_cache_stats();
 
-  const std::vector<QueryEngine::Result> results =
-      engine.SearchMany(queries, params);
-  ASSERT_EQ(results.size(), queries.size());
+  std::vector<std::future<QueryEngine::Result>> futures;
+  for (const auto& query : queries) {
+    futures.push_back(engine.Submit(query, params));
+  }
+  std::vector<QueryEngine::Result> results;
+  for (auto& future : futures) results.push_back(future.get());
+
+  const sim::CursorCacheStats after = cache_owner->cursor_cache_stats();
   for (size_t i = 0; i < results.size(); ++i) {
     ASSERT_TRUE(results[i].ok()) << results[i].status().ToString();
     const SearchResult want = serial.Search(queries[i], params);
-    ExpectSameResult(results[i].value(), want, "search_many");
+    ExpectSameResult(results[i].value(), want, "concurrent submit");
   }
-
-  const sim::CursorCacheStats after = cache_owner->cursor_cache_stats();
-  // Every build the batch triggered is one of the distinct tokens, built
+  // Every build the queries triggered is one of the distinct tokens, built
   // at most once (duplicate-build races excepted, counted separately).
   EXPECT_LE(after.misses - before.misses,
             distinct.size() + after.duplicate_builds);
-  // The queries themselves ran hot: their probes hit the prewarmed cache.
+  // The queries ran hot: their probes hit the cursors their own or a
+  // concurrent query's prewarm built.
   EXPECT_GT(after.hits, before.hits);
 }
 
@@ -757,57 +761,6 @@ TEST(QueryEngineTest, QueryAfterMidRefinementAbortIsBitIdentical) {
   QueryEngine::Result after = engine.Submit(query, params).get();
   ASSERT_TRUE(after.ok()) << after.status().ToString();
   ExpectSameResult(after.value(), reference, "after the abort");
-}
-
-TEST(QueryEngineTest, SearchManyDeadlineCoversThePrewarm) {
-  // ISSUE 5 satellite: the batch ticket must exist BEFORE the prewarm so a
-  // stalled prewarm surfaces as clean DeadlineExceeded rejections instead
-  // of silently delaying every query with the deadline clock not started.
-  // A 1 ms deadline against a prewarm that costs tens of milliseconds is
-  // deterministic: under the OLD order every query would still run (each
-  // got a fresh 1 ms after the prewarm finished); under the new order the
-  // batch comes back rejected, and the prewarm itself was cut short at a
-  // poll boundary.
-  auto w = testing::MakeRandomWorkload(60, 8000, 30, 60, 11012);
-  EngineOptions options;
-  options.num_threads = 2;
-  options.default_deadline = std::chrono::milliseconds(1);
-  QueryEngine engine(&w.corpus.sets, w.index.get(), options);
-
-  std::vector<std::vector<TokenId>> queries;
-  std::vector<TokenId> distinct;
-  for (SetId id = 0; id < 20; ++id) {
-    const auto tokens = w.corpus.sets.Tokens(id);
-    queries.emplace_back(tokens.begin(), tokens.end());
-    distinct.insert(distinct.end(), tokens.begin(), tokens.end());
-  }
-  std::sort(distinct.begin(), distinct.end());
-  distinct.erase(std::unique(distinct.begin(), distinct.end()),
-                 distinct.end());
-  ASSERT_GT(distinct.size(), 400u);  // enough prewarm work to blow 1 ms
-
-  SearchParams params;
-  params.k = 5;
-  params.alpha = 0.75;
-  const std::vector<QueryEngine::Result> results =
-      engine.SearchMany(queries, params);
-  ASSERT_EQ(results.size(), queries.size());
-  size_t rejected = 0;
-  for (const auto& r : results) {
-    if (!r.ok()) {
-      EXPECT_EQ(r.status().code(), util::StatusCode::kDeadlineExceeded)
-          << r.status().ToString();
-      ++rejected;
-    }
-  }
-  EXPECT_EQ(rejected, queries.size())
-      << "the batch deadline did not cover the prewarm";
-  EXPECT_EQ(engine.counters().deadline_exceeded, rejected);
-  // The prewarm was cut short at a deadline poll: far fewer cursor builds
-  // than the batch's distinct token count.
-  auto* cache_owner = dynamic_cast<sim::BatchedNeighborIndex*>(w.index.get());
-  ASSERT_NE(cache_owner, nullptr);
-  EXPECT_LT(cache_owner->cursor_cache_stats().misses, distinct.size());
 }
 
 TEST(QueryEngineTest, SnapshotRoundTripServesIdentically) {

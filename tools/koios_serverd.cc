@@ -17,14 +17,24 @@
 //
 //   koios_serverd --repo /path/repo.bin [--port 0] [--threads 4] ...
 //
-// Exit status: 0 clean drain / clean stop, 1 usage, 2 startup failure.
+// Every numeric flag takes a decimal integer of its own unsigned type:
+// digits only, the whole argument, in range (--port <= 65535; --threads,
+// --shards and --poll-ms >= 1).
+//
+// Exit status: 0 clean drain / clean stop, 1 usage, 2 bad flag value or
+// startup failure.
 
+#include <charconv>
+#include <chrono>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <thread>
+#include <type_traits>
 
 #include "koios/net/engine_slot.h"
 #include "koios/net/repository_watcher.h"
@@ -71,7 +81,6 @@ int Usage(const char* argv0) {
       "10000)\n"
       "  --idle-ms N            idle connection close (default 60000, 0 = "
       "never)\n"
-      "  --quantize             build the int8 embedding tier on load\n"
       "  --trace-sample N       trace 1 in N queries (default 16, 0 = "
       "tracing\n"
       "                         off); sampled spans feed /debug/tracez and\n"
@@ -85,6 +94,16 @@ int Usage(const char* argv0) {
   return 1;
 }
 
+/// Parses `text` as a decimal T of at least `min`: digits only (from_chars
+/// takes no sign, space or suffix for an unsigned type), the whole
+/// argument, no overflow.
+template <typename T>
+bool ParseNumber(const char* text, T min, T* out) {
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, *out);
+  return ec == std::errc() && ptr == end && *out >= min;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -96,58 +115,63 @@ int main(int argc, char** argv) {
   net::WatcherOptions watcher_options;
   watcher_options.engine.num_threads = 4;
   watcher_options.engine.cursor_cache_bytes = 64u << 20;
-  long long trace_sample = 16;
-  long long trace_ring = 4096;
+  uint32_t trace_sample = 16;
+  uint32_t trace_ring = 4096;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto next = [&](long long* out) {
-      if (i + 1 >= argc) return false;
-      *out = std::atoll(argv[++i]);
+    // Matches numeric flag `flag`, reads its value as a decimal of
+    // `min`'s type, at least `min`, and stores it in `out`. A bad value
+    // exits 2 here, before anything binds, loads or starts a thread.
+    auto numeric = [&](const char* flag, auto min, auto& out) {
+      if (arg != flag || i + 1 >= argc) return false;
+      const char* text = argv[++i];
+      decltype(min) value{};
+      if (!ParseNumber(text, min, &value)) {
+        std::fprintf(stderr,
+                     "koios_serverd: %s takes a decimal integer in [%llu, "
+                     "%llu], got '%s'\n",
+                     flag, static_cast<unsigned long long>(min),
+                     static_cast<unsigned long long>(
+                         std::numeric_limits<decltype(min)>::max()),
+                     text);
+        std::exit(2);
+      }
+      out = std::remove_reference_t<decltype(out)>(value);
       return true;
     };
-    long long v = 0;
+    auto& engine = watcher_options.engine;
+    auto& options = server_options;
     if (arg == "--repo" && i + 1 < argc) {
       repo = argv[++i];
     } else if (arg == "--bind" && i + 1 < argc) {
-      server_options.bind_address = argv[++i];
+      options.bind_address = argv[++i];
     } else if (arg == "--port-file" && i + 1 < argc) {
       port_file = argv[++i];
-    } else if (arg == "--port" && next(&v)) {
-      server_options.port = static_cast<uint16_t>(v);
-    } else if (arg == "--threads" && next(&v)) {
-      watcher_options.engine.num_threads = static_cast<size_t>(v);
-    } else if (arg == "--shards" && next(&v)) {
-      watcher_options.engine.num_shards = static_cast<size_t>(v);
-    } else if (arg == "--queue" && next(&v)) {
-      watcher_options.engine.max_queue = static_cast<size_t>(v);
-    } else if (arg == "--deadline-ms" && next(&v)) {
-      server_options.default_query_deadline = std::chrono::milliseconds(v);
-    } else if (arg == "--cache-bytes" && next(&v)) {
-      watcher_options.engine.cursor_cache_bytes = static_cast<size_t>(v);
-    } else if (arg == "--poll-ms" && next(&v)) {
-      watcher_options.poll_interval = std::chrono::milliseconds(v);
-    } else if (arg == "--max-conns" && next(&v)) {
-      server_options.max_connections = static_cast<size_t>(v);
-    } else if (arg == "--max-request-bytes" && next(&v)) {
-      server_options.max_request_bytes = static_cast<size_t>(v);
-    } else if (arg == "--drain-ms" && next(&v)) {
-      server_options.drain_deadline = std::chrono::milliseconds(v);
-    } else if (arg == "--read-deadline-ms" && next(&v)) {
-      server_options.read_deadline = std::chrono::milliseconds(v);
-    } else if (arg == "--write-deadline-ms" && next(&v)) {
-      server_options.write_deadline = std::chrono::milliseconds(v);
-    } else if (arg == "--idle-ms" && next(&v)) {
-      server_options.idle_timeout = std::chrono::milliseconds(v);
-    } else if (arg == "--quantize") {
-      watcher_options.snapshot.quantize_embeddings = true;
-    } else if (arg == "--trace-sample" && next(&v)) {
-      trace_sample = v;
-    } else if (arg == "--trace-ring" && next(&v)) {
-      trace_ring = v;
-    } else if (arg == "--slow-query-ms" && next(&v)) {
-      watcher_options.engine.slow_query_threshold =
-          std::chrono::milliseconds(v);
+    } else if (numeric("--port", uint16_t{0}, options.port) ||
+               numeric("--threads", uint32_t{1}, engine.num_threads) ||
+               numeric("--shards", uint32_t{1}, engine.num_shards) ||
+               numeric("--queue", uint32_t{0}, engine.max_queue) ||
+               numeric("--deadline-ms", uint32_t{0},
+                       options.default_query_deadline) ||
+               numeric("--cache-bytes", uint64_t{0},
+                       engine.cursor_cache_bytes) ||
+               numeric("--poll-ms", uint32_t{1},
+                       watcher_options.poll_interval) ||
+               numeric("--max-conns", uint32_t{0}, options.max_connections) ||
+               numeric("--max-request-bytes", uint32_t{0},
+                       options.max_request_bytes) ||
+               numeric("--drain-ms", uint32_t{0}, options.drain_deadline) ||
+               numeric("--read-deadline-ms", uint32_t{0},
+                       options.read_deadline) ||
+               numeric("--write-deadline-ms", uint32_t{0},
+                       options.write_deadline) ||
+               numeric("--idle-ms", uint32_t{0}, options.idle_timeout) ||
+               numeric("--trace-sample", uint32_t{0}, trace_sample) ||
+               numeric("--trace-ring", uint32_t{0}, trace_ring) ||
+               numeric("--slow-query-ms", uint32_t{0},
+                       engine.slow_query_threshold)) {
+      // Parsed and stored.
     } else {
       std::fprintf(stderr, "unknown option %s\n", arg.c_str());
       return Usage(argv[0]);
@@ -166,10 +190,8 @@ int main(int argc, char** argv) {
   // (--trace-sample 0) leaves only a relaxed load + branch on hot paths.
   if (trace_sample > 0) {
     util::TraceRecorder::Options trace_options;
-    trace_options.sample_every = static_cast<uint64_t>(trace_sample);
-    if (trace_ring > 0) {
-      trace_options.ring_spans = static_cast<size_t>(trace_ring);
-    }
+    trace_options.sample_every = trace_sample;
+    if (trace_ring > 0) trace_options.ring_spans = trace_ring;
     util::TraceRecorder::Instance().Configure(trace_options);
   }
 

@@ -22,9 +22,11 @@
 #include <cstring>
 #include <string>
 
+#include "koios/embedding/embedding_store.h"
 #include "koios/io/repository_v4.h"
 #include "koios/io/serialization.h"
 #include "koios/serve/shard_coordinator.h"
+#include "koios/text/dictionary.h"
 
 namespace {
 
@@ -178,6 +180,28 @@ int Convert(const std::string& in, const std::string& out, bool to_v3) {
   return 0;
 }
 
+/// Bytes of a dictionary's artifacts: the token strings and their
+/// size() + 1 u64 offsets. The same figure for an owned dictionary (v3)
+/// and one borrowed from a v4 mapping.
+size_t DictionaryBytes(const koios::text::Dictionary& dict) {
+  size_t bytes = (dict.size() + 1) * sizeof(uint64_t);
+  for (koios::TokenId t = 0; t < dict.size(); ++t) {
+    bytes += dict.TokenOf(t).size();
+  }
+  return bytes;
+}
+
+/// Bytes of an embedding store's artifacts: the float rows, the row table
+/// and, when present, the int8 tier. The same figure for an owned store
+/// (v3) and one borrowed from a v4 mapping.
+size_t EmbeddingBytes(const koios::embedding::EmbeddingStore& store) {
+  return store.RowData().size_bytes() + store.RowTable().size_bytes() +
+         store.QuantizedCodes().size_bytes() +
+         store.QuantizedScales().size_bytes() +
+         store.QuantizedOffsets().size_bytes() +
+         store.QuantizedSums().size_bytes();
+}
+
 // What a sharded open replicates vs partitions, for capacity planning
 // before anyone passes --shards to the daemon. Every shard shares the
 // dictionary, embeddings and neighbor index (for a v4 file those are
@@ -203,7 +227,8 @@ int Shard(const std::string& path, const std::string& count) {
     return 2;
   }
 
-  // Either path yields the same plan; v4 avoids materializing the sets.
+  // Either path yields the same plan (the footprints are artifact sizes,
+  // not heap capacity); v4 avoids materializing the sets.
   auto report = [&](const koios::index::SetCollection& sets,
                     size_t dict_bytes, size_t embed_bytes) {
     const auto ranges = koios::serve::ShardRanges(sets.size(), num_shards);
@@ -245,20 +270,23 @@ int Shard(const std::string& path, const std::string& count) {
     }
     size_t embed_bytes = 0;
     if (view.value()->has_embeddings()) {
-      const auto& h = view.value()->header();
-      embed_bytes = static_cast<size_t>(h.embed_rows) *
-                    static_cast<size_t>(h.embed_dim) * sizeof(double);
+      auto store = view.value()->BorrowEmbeddings();
+      if (!store.ok()) {
+        std::fprintf(stderr, "error: %s\n", store.status().ToString().c_str());
+        return 2;
+      }
+      embed_bytes = EmbeddingBytes(store.value());
     }
-    return report(sets.value(), dict.value().MemoryUsageBytes(), embed_bytes);
+    return report(sets.value(), DictionaryBytes(dict.value()), embed_bytes);
   }
   auto repo = LoadRepository(path);
   if (!repo.ok()) {
     std::fprintf(stderr, "error: %s\n", repo.status().ToString().c_str());
     return 2;
   }
-  return report(repo.value().sets, repo.value().dict.MemoryUsageBytes(),
+  return report(repo.value().sets, DictionaryBytes(repo.value().dict),
                 repo.value().has_embeddings
-                    ? repo.value().store.MemoryUsageBytes()
+                    ? EmbeddingBytes(repo.value().store)
                     : 0);
 }
 

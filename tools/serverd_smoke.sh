@@ -6,6 +6,9 @@
 #   tools/serverd_smoke.sh [BUILD_DIR]       # default: build
 #
 # Acts, in order:
+#   0. bad numeric flag values (a sign, a suffix, out of range, below the
+#      flag's minimum) exit 2 naming the flag, before the daemon binds,
+#      loads or starts a thread
 #   1. fixture + daemon A starts, becomes ready (zero-touch initial load)
 #   2. happy path: ping, one query, a batch over the binary protocol,
 #      line-JSON via the same listener
@@ -97,6 +100,23 @@ wait_metric() { # port, exact metric line, tries
   done
   return 1
 }
+
+# ---- act 0: bad numeric flag values exit 2 --------------------------------
+note "act 0: bad numeric flag values exit 2"
+# Each pair is one flag and one value it must refuse. The repository path
+# does not exist, so nothing is loaded even if a value slipped through; the
+# timeout catches a daemon that started instead of exiting.
+for bad in "--threads -1" "--shards -1" "--queue -1" \
+  "--max-request-bytes -1" "--threads 4x" "--port 70000" "--threads 0" \
+  "--shards 0" "--poll-ms 0"; do
+  read -r flag value <<<"$bad"
+  rc=0
+  timeout 10 "$SERVERD" --repo "$WORK/never.bin" "$flag" "$value" \
+    >/dev/null 2>"$WORK/bad_flag.err" || rc=$?
+  [[ "$rc" -eq 2 ]] || fail "'$bad' exited $rc, want 2"
+  grep -q -- "$flag" "$WORK/bad_flag.err" ||
+    fail "'$bad': message does not name the flag: $(cat "$WORK/bad_flag.err")"
+done
 
 # ---- act 1: fixture + daemon A -------------------------------------------
 note "act 1: start daemon A on a fresh fixture"
