@@ -1,8 +1,7 @@
 // Micro-benchmark for the batched approximate-probe path (ISSUE 2): how
-// fast can LSH / MinHash bucket probes score their candidate batches, and
-// what does the int8 quantized tier cost in accuracy?
+// fast can LSH / MinHash bucket probes score their candidate batches?
 //
-// Three sections:
+// Two sections:
 //  * lsh     — SimHash probes over cosine embeddings. The seed path
 //              (unordered_set candidate union, one virtual Similarity()
 //              call per candidate, eager full sort) is reproduced verbatim
@@ -14,8 +13,6 @@
 //              baseline scores candidates by string-gram merge, the
 //              batched path through JaccardQGramSimilarity's interned-id
 //              merge kernel.
-//  * int8    — the fused dequant-dot CosineBatch tier vs kFloat64:
-//              throughput, absolute error, and top-10 recall.
 //
 // Emits a table and, with `--json <path>`, a JSON blob for CI. Exit 2 =
 // batched/seed parity mismatch; exit 3 = probe speedup below the 3x
@@ -505,62 +502,6 @@ int Main(int argc, char** argv) {
   }
   PrintProbe("minhash", mh_result);
 
-  // ------------------------------------------------------------ int8 ------
-  model.mutable_store().Finalize();
-  const auto& store = model.store();
-  std::vector<double> exact(vocab), quant(vocab);
-  const size_t int8_pairs = queries.size() * vocab;
-
-  const double float_s = BestOf([&] {
-    for (TokenId q : queries) {
-      store.CosineBatch(q, vocabulary, std::span<double>(exact),
-                        embedding::Precision::kFloat64);
-    }
-  });
-  const double int8_s = BestOf([&] {
-    for (TokenId q : queries) {
-      store.CosineBatch(q, vocabulary, std::span<double>(quant),
-                        embedding::Precision::kInt8);
-    }
-  });
-
-  double max_err = 0.0, sum_err = 0.0, recall_sum = 0.0;
-  constexpr size_t kTop = 10;
-  for (TokenId q : queries) {
-    store.CosineBatch(q, vocabulary, std::span<double>(exact),
-                      embedding::Precision::kFloat64);
-    store.CosineBatch(q, vocabulary, std::span<double>(quant),
-                      embedding::Precision::kInt8);
-    std::vector<size_t> order_e(vocab), order_q(vocab);
-    for (size_t i = 0; i < vocab; ++i) order_e[i] = order_q[i] = i;
-    for (size_t i = 0; i < vocab; ++i) {
-      const double err = std::abs(quant[i] - exact[i]);
-      max_err = std::max(max_err, err);
-      sum_err += err;
-    }
-    auto top = [&](std::vector<size_t>& order, const std::vector<double>& s) {
-      std::partial_sort(order.begin(), order.begin() + kTop + 1, order.end(),
-                        [&](size_t a, size_t b) { return s[a] > s[b]; });
-    };
-    top(order_e, exact);
-    top(order_q, quant);
-    // Recall@10 excluding the self-match (always rank 0 in both).
-    std::unordered_set<size_t> truth(order_e.begin() + 1,
-                                     order_e.begin() + 1 + kTop);
-    size_t hit = 0;
-    for (size_t i = 1; i <= kTop; ++i) hit += truth.count(order_q[i]);
-    recall_sum += static_cast<double>(hit) / static_cast<double>(kTop);
-  }
-  const double mean_err =
-      sum_err / static_cast<double>(queries.size() * vocab);
-  const double recall = recall_sum / static_cast<double>(queries.size());
-  const double float_pps = static_cast<double>(int8_pairs) / float_s;
-  const double int8_pps = static_cast<double>(int8_pairs) / int8_s;
-  std::printf("int8: float64=%.3e pairs/sec int8=%.3e pairs/sec (%.2fx), "
-              "max_abs_err=%.2e mean_abs_err=%.2e recall@10=%.4f\n",
-              float_pps, int8_pps, int8_pps / float_pps, max_err, mean_err,
-              recall);
-
   if (!json_path.empty()) {
     std::FILE* f = std::fopen(json_path.c_str(), "w");
     if (f == nullptr) {
@@ -592,12 +533,7 @@ int Main(int argc, char** argv) {
         "  \"minhash_seed_score_per_sec\": %.6e,\n"
         "  \"minhash_batched_score_per_sec\": %.6e,\n"
         "  \"minhash_scoring_speedup\": %.3f,\n"
-        "  \"minhash_mismatches\": %zu,\n"
-        "  \"int8_float64_pairs_per_sec\": %.6e,\n"
-        "  \"int8_pairs_per_sec\": %.6e,\n"
-        "  \"int8_max_abs_err\": %.6e,\n"
-        "  \"int8_mean_abs_err\": %.6e,\n"
-        "  \"int8_recall_at_10\": %.4f\n"
+        "  \"minhash_mismatches\": %zu\n"
         "}\n",
         vocab, dim, lsh_alpha, lsh_result.total_candidates,
         lsh_result.seed_cands_per_sec, lsh_result.single_cands_per_sec,
@@ -608,8 +544,7 @@ int Main(int argc, char** argv) {
         mh_result.seed_cands_per_sec, mh_result.single_cands_per_sec,
         mh_result.prewarm_cands_per_sec, mh_result.probe_speedup,
         mh_result.seed_score_per_sec, mh_result.batched_score_per_sec,
-        mh_result.scoring_speedup, mh_result.mismatches, float_pps, int8_pps,
-        max_err, mean_err, recall);
+        mh_result.scoring_speedup, mh_result.mismatches);
     std::fclose(f);
     std::printf("json written to %s\n", json_path.c_str());
   }

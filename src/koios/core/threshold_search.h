@@ -10,9 +10,9 @@
 //     below θ (the lazy iUB filter of §V, as in RefinementPhase);
 //   * post-processing skips verification when the greedy lower bound
 //     already clears θ, and early-terminates exact matching at θ.
-// This module exists both as a user-facing feature (joinability predicates
-// want thresholds, not ranks) and as the bridge used to hand SilkMoth its
-// θ*k in the comparison bench.
+// This module is a user-facing feature: joinability predicates want
+// thresholds, not ranks. (The SilkMoth comparison bench takes its θ*k from
+// the Koios top-k result, not from here.)
 #ifndef KOIOS_CORE_THRESHOLD_SEARCH_H_
 #define KOIOS_CORE_THRESHOLD_SEARCH_H_
 

@@ -121,35 +121,6 @@ inline void DotKernelMulti(const float* t, const double* const* q, size_t n,
 
 #endif
 
-// Integer dot product of two int8 code rows, exact in int32 (dim * 127^2
-// fits comfortably). Unlike the float kernels above, no explicit vector
-// extensions are needed: integer addition is associative, so the compiler
-// is free to vectorize this reduction (GCC/Clang emit pmaddwd-class code
-// at -O3) without any -ffast-math concession, and every evaluation order
-// yields the same exact sum.
-inline int32_t DotKernelI8(const int8_t* __restrict a,
-                           const int8_t* __restrict b, size_t n) {
-  int32_t acc = 0;
-  for (size_t i = 0; i < n; ++i) {
-    acc += static_cast<int32_t>(a[i]) * static_cast<int32_t>(b[i]);
-  }
-  return acc;
-}
-
-// Fused dequant-dot: with per-row affine codes v ≈ scale * code + offset,
-//   dot(a, b) ≈ sa*sb*Σ ai*bi + sa*ob*Σ ai + sb*oa*Σ bi + dim*oa*ob,
-// where the code sums are precomputed at Finalize() — so the only per-pair
-// work is the integer dot product. Evaluated in double in this fixed shape
-// by both the scalar reference and the batched kernel, making the two
-// bit-identical.
-inline double FusedDequantDot(int32_t dot, double sa, double oa, int32_t sum_a,
-                              double sb, double ob, int32_t sum_b, size_t dim) {
-  return sa * sb * static_cast<double>(dot) +
-         sa * ob * static_cast<double>(sum_a) +
-         sb * oa * static_cast<double>(sum_b) +
-         static_cast<double>(dim) * oa * ob;
-}
-
 // Pull a row's cache lines toward the core before the kernel needs them.
 // Batch callers (LSH probes especially) visit rows in token order, which
 // is scattered in the matrix — without prefetch every row transition
@@ -169,9 +140,7 @@ inline void PrefetchRow(const float* row, size_t dim) {
 
 util::StatusOr<EmbeddingStore> EmbeddingStore::FromBorrowed(
     size_t dim, size_t rows, std::span<const uint32_t> row_of,
-    std::span<const float> data, std::span<const int8_t> qcodes,
-    std::span<const float> qscales, std::span<const float> qoffsets,
-    std::span<const int32_t> qsums) {
+    std::span<const float> data) {
   if (dim == 0) {
     return util::Status::InvalidArgument("embedding dimension is zero");
   }
@@ -197,26 +166,11 @@ util::StatusOr<EmbeddingStore> EmbeddingStore::FromBorrowed(
     return util::Status::InvalidArgument(
         "embedding row table leaves rows unreferenced");
   }
-  const bool has_quantized = !qcodes.empty();
-  if (has_quantized &&
-      (qcodes.size() != rows * dim || qscales.size() != rows ||
-       qoffsets.size() != rows || qsums.size() != rows)) {
-    return util::Status::InvalidArgument(
-        "quantized tier arenas do not match rows x dim");
-  }
   EmbeddingStore store(dim);
   store.borrowed_ = true;
   store.rows_ = rows;
   store.b_row_of_ = row_of;
   store.b_data_ = data;
-  if (has_quantized) {
-    store.quantized_ = true;
-    store.quantized_borrowed_ = true;
-    store.b_qdata_ = qcodes;
-    store.b_qscale_ = qscales;
-    store.b_qoffset_ = qoffsets;
-    store.b_qsum_ = qsums;
-  }
   return store;
 }
 
@@ -248,60 +202,6 @@ void EmbeddingStore::AddImpl(TokenId token, std::span<const float> vector,
   }
   for (float v : vector) data_.push_back(static_cast<float>(v * inv));
   ++rows_;
-  // The int8 tier no longer covers every row; drop it until the next
-  // Finalize() rather than serving a partially quantized matrix.
-  if (quantized_) {
-    quantized_ = false;
-    quantized_borrowed_ = false;
-    qdata_.clear();
-    qscale_.clear();
-    qoffset_.clear();
-    qsum_.clear();
-    b_qdata_ = {};
-    b_qscale_ = {};
-    b_qoffset_ = {};
-    b_qsum_ = {};
-  }
-}
-
-void EmbeddingStore::Finalize() {
-  if (quantized_) return;
-  // On a borrowed store without a stored tier, the codes are built as
-  // OWNED arrays over the borrowed rows (the mapping is read-only).
-  quantized_borrowed_ = false;
-  ++finalize_runs_;
-  const float* data = DataPtr();
-  qdata_.resize(rows_ * dim_);
-  qscale_.resize(rows_);
-  qoffset_.resize(rows_);
-  qsum_.resize(rows_);
-  for (size_t r = 0; r < rows_; ++r) {
-    const float* row = data + r * dim_;
-    float lo = row[0], hi = row[0];
-    for (size_t d = 1; d < dim_; ++d) {
-      lo = std::min(lo, row[d]);
-      hi = std::max(hi, row[d]);
-    }
-    // Affine map centered on the row's range: codes span [-127, 127]. A
-    // constant row (hi == lo) quantizes to all-zero codes with the value
-    // carried entirely by the offset.
-    const float offset = 0.5f * (lo + hi);
-    const float scale = (hi - lo) / 254.0f;
-    const float inv = scale > 0.0f ? 1.0f / scale : 0.0f;
-    int8_t* codes = &qdata_[r * dim_];
-    int32_t sum = 0;
-    for (size_t d = 0; d < dim_; ++d) {
-      const float c = std::round((row[d] - offset) * inv);
-      const int8_t code =
-          static_cast<int8_t>(std::clamp(c, -127.0f, 127.0f));
-      codes[d] = code;
-      sum += code;
-    }
-    qscale_[r] = scale;
-    qoffset_[r] = offset;
-    qsum_[r] = sum;
-  }
-  quantized_ = true;
 }
 
 std::span<const float> EmbeddingStore::VectorOf(TokenId token) const {
@@ -325,13 +225,11 @@ double EmbeddingStore::Cosine(TokenId a, TokenId b) const {
   return dot;
 }
 
-template <typename Out>
-void EmbeddingStore::CosineBatchImpl(TokenId q,
-                                     std::span<const TokenId> targets,
-                                     std::span<Out> out) const {
+void EmbeddingStore::CosineBatch(TokenId q, std::span<const TokenId> targets,
+                                 std::span<double> out) const {
   assert(out.size() == targets.size());
   if (!Has(q)) {
-    std::fill(out.begin(), out.end(), Out{0});
+    std::fill(out.begin(), out.end(), 0.0);
     return;
   }
   const float* __restrict data = DataPtr();
@@ -357,84 +255,8 @@ void EmbeddingStore::CosineBatchImpl(TokenId q,
     }
     const uint32_t row = RowIndexOf(targets[i]);
     out[i] = row == kNoRow
-                 ? Out{0}
-                 : static_cast<Out>(DotKernel(
-                       pq, data + static_cast<size_t>(row) * dim_, dim_));
-  }
-}
-
-void EmbeddingStore::CosineBatch(TokenId q, std::span<const TokenId> targets,
-                                 std::span<double> out) const {
-  CosineBatchImpl(q, targets, out);
-}
-
-void EmbeddingStore::CosineBatch(TokenId q, std::span<const TokenId> targets,
-                                 std::span<float> out) const {
-  CosineBatchImpl(q, targets, out);
-}
-
-double EmbeddingStore::CosineQuantized(TokenId a, TokenId b) const {
-  assert(quantized_);
-  if (!Has(a) || !Has(b)) return 0.0;
-  const uint32_t* row_of = RowOfPtr();
-  const int8_t* qdata = QDataPtr();
-  const float* qscale = QScalePtr();
-  const float* qoffset = QOffsetPtr();
-  const int32_t* qsum = QSumPtr();
-  const size_t ra = row_of[a], rb = row_of[b];
-  const int32_t dot = DotKernelI8(qdata + ra * dim_, qdata + rb * dim_, dim_);
-  return FusedDequantDot(dot, qscale[ra], qoffset[ra], qsum[ra], qscale[rb],
-                         qoffset[rb], qsum[rb], dim_);
-}
-
-void EmbeddingStore::CosineBatchInt8(TokenId q,
-                                     std::span<const TokenId> targets,
-                                     std::span<double> out) const {
-  assert(out.size() == targets.size());
-  if (!Has(q)) {
-    std::fill(out.begin(), out.end(), 0.0);
-    return;
-  }
-  const int8_t* __restrict qdata = QDataPtr();
-  const float* qscale = QScalePtr();
-  const float* qoffset = QOffsetPtr();
-  const int32_t* qsum = QSumPtr();
-  const size_t rq = RowOfPtr()[q];
-  const int8_t* __restrict pq = qdata + rq * dim_;
-  const double sq = qscale[rq], oq = qoffset[rq];
-  const int32_t sumq = qsum[rq];
-  const size_t n = targets.size();
-  uint32_t row = n > 0 ? RowIndexOf(targets[0]) : kNoRow;
-  for (size_t i = 0; i < n; ++i) {
-    const uint32_t next = i + 1 < n ? RowIndexOf(targets[i + 1]) : kNoRow;
-#if defined(__GNUC__) || defined(__clang__)
-    if (next != kNoRow) {
-      // int8 rows span dim_/64 cache lines; pull them all.
-      const int8_t* p = qdata + static_cast<size_t>(next) * dim_;
-      for (size_t off = 0; off < dim_; off += 64) {
-        __builtin_prefetch(p + off, /*rw=*/0, /*locality=*/1);
-      }
-    }
-#endif
-    if (row == kNoRow) {
-      out[i] = 0.0;
-    } else {
-      const int32_t dot =
-          DotKernelI8(pq, qdata + static_cast<size_t>(row) * dim_, dim_);
-      out[i] = FusedDequantDot(dot, sq, oq, sumq, qscale[row], qoffset[row],
-                               qsum[row], dim_);
-    }
-    row = next;
-  }
-}
-
-void EmbeddingStore::CosineBatch(TokenId q, std::span<const TokenId> targets,
-                                 std::span<double> out,
-                                 Precision precision) const {
-  if (precision == Precision::kInt8 && quantized_) {
-    CosineBatchInt8(q, targets, out);
-  } else {
-    CosineBatchImpl(q, targets, out);
+                 ? 0.0
+                 : DotKernel(pq, data + static_cast<size_t>(row) * dim_, dim_);
   }
 }
 
@@ -502,20 +324,6 @@ void EmbeddingStore::CosineMultiBatch(std::span<const TokenId> queries,
       }
       for (size_t j = 0; j < rem; ++j) covered_q[b + j].out_row[ti] = dots[j];
     }
-  }
-}
-
-void EmbeddingStore::CosineMultiBatch(std::span<const TokenId> queries,
-                                      std::span<const TokenId> targets,
-                                      std::span<double> out,
-                                      Precision precision) const {
-  if (precision == Precision::kInt8 && quantized_) {
-    const size_t nt = targets.size();
-    for (size_t qi = 0; qi < queries.size(); ++qi) {
-      CosineBatchInt8(queries[qi], targets, out.subspan(qi * nt, nt));
-    }
-  } else {
-    CosineMultiBatch(queries, targets, out);
   }
 }
 

@@ -3,22 +3,18 @@
 // cosine similarity, so any L2-normalized vector table with a realistic
 // similarity distribution exercises the same code paths.
 //
-// Two storage tiers: the float rows every exact path reads, and an
-// optional int8 affine-quantized tier (built by Finalize()) whose fused
-// dequant-dot kernels trade a small bounded score error for 4× smaller
-// row reads — selected per call through the Precision enum.
+// One storage tier: float rows, read with double accumulation. Koios is
+// exact only while the token stream carries exact neighbours under the
+// similarity the matching scores with (§VIII-E), so no approximate tier
+// sits behind this interface.
 //
 // Two storage MODES behind one interface (the borrowed/owned contract the
 // v4 mmap repository format relies on, see docs/ARCHITECTURE.md):
-//  * owned (default) — Add()/Finalize() build heap arrays.
+//  * owned (default) — Add() builds heap arrays.
 //  * borrowed — FromBorrowed() wraps external arenas (typically inside an
 //    io::MmapRepositoryView mapping) without copying a row: the float
-//    matrix, the token→row table, and optionally the FINALIZED int8 tier
-//    (codes/scales/offsets/sums stored in the file, so a borrowed load
-//    performs ZERO quantization work — finalize_runs() stays 0). Borrowed
-//    stores are immutable through Add() (asserted); Finalize() on a
-//    borrowed store without a stored tier builds an owned tier over the
-//    borrowed rows. The arenas must outlive the store — serve::Snapshot
+//    matrix and the token→row table. Borrowed stores are immutable through
+//    Add() (asserted). The arenas must outlive the store — serve::Snapshot
 //    pins the mapping.
 #ifndef KOIOS_EMBEDDING_EMBEDDING_STORE_H_
 #define KOIOS_EMBEDDING_EMBEDDING_STORE_H_
@@ -33,16 +29,6 @@
 
 namespace koios::embedding {
 
-/// Storage tier a cosine kernel reads from.
-///  * kFloat64 — float rows, double accumulation: the exact tier every
-///    result-bearing path uses (scores agree with the scalar Cosine()
-///    reference to ~1e-15, which the exactness machinery relies on).
-///  * kInt8 — per-row affine-quantized int8 rows built by Finalize():
-///    4× smaller row reads and an integer dot kernel, at a small, bounded
-///    score error (see docs/BENCHMARKS.md). For approximate backends and
-///    throughput-bound scans.
-enum class Precision : uint8_t { kFloat64 = 0, kInt8 = 1 };
-
 /// Row-major matrix of token embeddings, indexed by TokenId. Tokens without
 /// a vector (out-of-vocabulary, "OOV") have no row; cosine similarity
 /// against them is 0 except for the identical-token case, which the token
@@ -55,16 +41,11 @@ class EmbeddingStore {
   /// Wraps external arenas without copying. `row_of` maps TokenId → row
   /// index (kNoRow for OOV) and must reference each row in [0, rows)
   /// exactly once; `data` is the rows×dim float matrix (rows already
-  /// L2-normalized by the writer). The quantized spans either are all
-  /// empty (no stored tier) or carry the finalized tier verbatim
-  /// (rows×dim codes, per-row scale/offset/code-sum) — the store comes
-  /// back quantized() WITHOUT re-running Finalize(). All spans must
-  /// outlive the store (and any copy of it).
+  /// L2-normalized by the writer). Both spans must outlive the store (and
+  /// any copy of it).
   static util::StatusOr<EmbeddingStore> FromBorrowed(
       size_t dim, size_t rows, std::span<const uint32_t> row_of,
-      std::span<const float> data, std::span<const int8_t> qcodes,
-      std::span<const float> qscales, std::span<const float> qoffsets,
-      std::span<const int32_t> qsums);
+      std::span<const float> data);
 
   /// Registers `vector` (size dim) for `token`; the vector is L2-normalized
   /// on insertion. Tokens must be added at most once. Owned mode only.
@@ -89,57 +70,27 @@ class EmbeddingStore {
   /// for callers that dot against non-row vectors (e.g. LSH hyperplanes).
   static double Dot(std::span<const float> a, std::span<const float> b);
 
-  /// Builds the quantized tier: every stored row is affine-quantized to
-  /// int8 codes with a per-row scale/offset (code = round((v - offset) /
-  /// scale), codes in [-127, 127]) plus a precomputed per-row code sum, so
-  /// the fused dequant-dot kernel needs only one integer dot product per
-  /// pair. Idempotent; call after the last Add(). A later Add() drops the
-  /// tier (quantized() turns false) until Finalize() runs again.
-  void Finalize();
-
-  /// True once Finalize() has quantized every current row (or a borrowed
-  /// store carries the finalized tier from its file).
-  bool quantized() const { return quantized_; }
+  /// Does nothing. Kept only because benchmark/koios_bench.cc still calls
+  /// it after building its model; drop it together with that call.
+  void Finalize() {}
 
   /// True when the float rows are a borrowed arena (immutable mode).
   bool borrowed() const { return borrowed_; }
 
-  /// Number of times Finalize() actually quantized the rows (idempotent
-  /// calls don't count). A v4 borrowed load must keep this at ZERO — the
-  /// tier ships finalized in the file; the regression test pins it.
-  size_t finalize_runs() const { return finalize_runs_; }
-
   /// Cosine similarity in [-1, 1] (dot product of normalized rows).
   /// Returns 0 if either token is OOV.
   double Cosine(TokenId a, TokenId b) const;
-
-  /// Cosine from the int8 tier via the fused dequant-dot formula — the
-  /// scalar reference the batched kInt8 kernel matches exactly. Requires
-  /// quantized(); returns 0 if either token is OOV.
-  double CosineQuantized(TokenId a, TokenId b) const;
 
   /// Batched cosine: out[i] = Cosine(q, targets[i]) for every i. One row
   /// lookup for `q`, then a dense unrolled dot-product kernel per target —
   /// no per-pair dispatch. `out.size()` must equal `targets.size()`.
   /// If `q` is OOV the output is all zeros; OOV targets score 0.
   ///
-  /// The double overload accumulates in double like Cosine() and agrees
-  /// with it to ~1e-15, which the exactness machinery (kScoreEps = 1e-9
-  /// comparisons) relies on; the float overload is for throughput-only
-  /// consumers (benchmarks, future quantized backends).
+  /// Accumulates in double like Cosine() and agrees with it to ~1e-15,
+  /// which the exactness machinery (kScoreEps = 1e-9 comparisons) relies
+  /// on.
   void CosineBatch(TokenId q, std::span<const TokenId> targets,
                    std::span<double> out) const;
-  void CosineBatch(TokenId q, std::span<const TokenId> targets,
-                   std::span<float> out) const;
-
-  /// Precision-selected batched cosine. kFloat64 is the overload above,
-  /// bit-identical to it. kInt8 reads the quantized tier through a fused
-  /// dequant-dot kernel: out[i] = sa*sb*dot_i8(a, b) + sa*ob*sum(a) +
-  /// sb*oa*sum(b) + dim*oa*ob, with the integer dot exact in int32 and the
-  /// per-row sums precomputed at Finalize() — no row is ever dequantized
-  /// to floats. Falls back to kFloat64 when quantized() is false.
-  void CosineBatch(TokenId q, std::span<const TokenId> targets,
-                   std::span<double> out, Precision precision) const;
 
   /// Multi-query batched cosine: out[qi * targets.size() + ti] =
   /// Cosine(queries[qi], targets[ti]), row-major by query (`out.size()`
@@ -151,14 +102,6 @@ class EmbeddingStore {
   void CosineMultiBatch(std::span<const TokenId> queries,
                         std::span<const TokenId> targets,
                         std::span<double> out) const;
-
-  /// Precision-selected multi-query batch. kInt8 loops the fused
-  /// dequant-dot CosineBatch per query (int8 rows are 4× smaller, so the
-  /// float path's row-reuse blocking buys little there); kFloat64 is the
-  /// overload above, bit-identical to it.
-  void CosineMultiBatch(std::span<const TokenId> queries,
-                        std::span<const TokenId> targets,
-                        std::span<double> out, Precision precision) const;
 
   /// Dense matrix-vector kernel: out[r] = dot(row(q), row(r)) for every
   /// stored row r in row order (`out.size()` must equal `covered()`).
@@ -187,44 +130,16 @@ class EmbeddingStore {
   std::span<const uint32_t> RowTable() const {
     return {RowOfPtr(), RowOfSize()};
   }
-  /// The int8 tier arrays (empty spans until quantized()).
-  std::span<const int8_t> QuantizedCodes() const {
-    return {QDataPtr(), quantized_ ? rows_ * dim_ : 0};
-  }
-  std::span<const float> QuantizedScales() const {
-    return {QScalePtr(), quantized_ ? rows_ : 0};
-  }
-  std::span<const float> QuantizedOffsets() const {
-    return {QOffsetPtr(), quantized_ ? rows_ : 0};
-  }
-  std::span<const int32_t> QuantizedSums() const {
-    return {QSumPtr(), quantized_ ? rows_ : 0};
-  }
-
   /// Heap footprint (owned arrays only — borrowed arenas are file-backed
   /// pages accounted by the mapping that owns them).
   size_t MemoryUsageBytes() const {
     return data_.capacity() * sizeof(float) +
-           row_of_.capacity() * sizeof(uint32_t) + QuantizedMemoryUsageBytes();
-  }
-
-  /// Footprint of the int8 tier alone (0 until Finalize(); 0 when the
-  /// tier is borrowed from a mapping).
-  size_t QuantizedMemoryUsageBytes() const {
-    return qdata_.capacity() * sizeof(int8_t) +
-           qscale_.capacity() * sizeof(float) +
-           qoffset_.capacity() * sizeof(float) +
-           qsum_.capacity() * sizeof(int32_t);
+           row_of_.capacity() * sizeof(uint32_t);
   }
 
  private:
   template <typename Out>
-  void CosineBatchImpl(TokenId q, std::span<const TokenId> targets,
-                       std::span<Out> out) const;
-  template <typename Out>
   void CosineAllRowsImpl(TokenId q, std::span<Out> out) const;
-  void CosineBatchInt8(TokenId q, std::span<const TokenId> targets,
-                       std::span<double> out) const;
   void AddImpl(TokenId token, std::span<const float> vector, double inv);
 
   // Mode-dispatching storage accessors: every read path goes through
@@ -239,18 +154,6 @@ class EmbeddingStore {
   size_t RowOfSize() const {
     return borrowed_ ? b_row_of_.size() : row_of_.size();
   }
-  const int8_t* QDataPtr() const {
-    return quantized_borrowed_ ? b_qdata_.data() : qdata_.data();
-  }
-  const float* QScalePtr() const {
-    return quantized_borrowed_ ? b_qscale_.data() : qscale_.data();
-  }
-  const float* QOffsetPtr() const {
-    return quantized_borrowed_ ? b_qoffset_.data() : qoffset_.data();
-  }
-  const int32_t* QSumPtr() const {
-    return quantized_borrowed_ ? b_qsum_.data() : qsum_.data();
-  }
 
   size_t dim_;
   size_t rows_ = 0;
@@ -261,21 +164,6 @@ class EmbeddingStore {
   std::span<const float> b_data_;
   std::span<const uint32_t> b_row_of_;
   bool borrowed_ = false;
-
-  // int8 tier (valid only while quantized_): per-row affine codes + the
-  // constants the fused dequant-dot formula needs. Either owned (built by
-  // Finalize()) or borrowed verbatim from a v4 file.
-  bool quantized_ = false;
-  bool quantized_borrowed_ = false;
-  size_t finalize_runs_ = 0;
-  std::vector<int8_t> qdata_;    // rows_ x dim_ codes
-  std::vector<float> qscale_;    // per-row scale
-  std::vector<float> qoffset_;   // per-row offset
-  std::vector<int32_t> qsum_;    // per-row sum of codes
-  std::span<const int8_t> b_qdata_;
-  std::span<const float> b_qscale_;
-  std::span<const float> b_qoffset_;
-  std::span<const int32_t> b_qsum_;
 };
 
 }  // namespace koios::embedding

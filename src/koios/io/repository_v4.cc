@@ -71,27 +71,13 @@ util::Status SaveRepositoryV4(const text::Dictionary& dict,
   // orderings downstream are bit-identical across the two load paths.
   std::vector<uint32_t> row_of;
   std::vector<float> rows;
-  std::vector<int8_t> qcodes;
-  std::vector<float> qscales, qoffsets;
-  std::vector<int32_t> qsums;
   const bool has_embeddings = store != nullptr;
-  const bool has_quantized = has_embeddings && store->quantized();
   if (has_embeddings) {
     const auto table = store->RowTable();
     const auto data = store->RowData();
     const size_t dim = store->dim();
     row_of.assign(table.begin(), table.end());
     rows.reserve(data.size());
-    const auto old_codes = store->QuantizedCodes();
-    const auto old_scales = store->QuantizedScales();
-    const auto old_offsets = store->QuantizedOffsets();
-    const auto old_sums = store->QuantizedSums();
-    if (has_quantized) {
-      qcodes.reserve(old_codes.size());
-      qscales.reserve(old_scales.size());
-      qoffsets.reserve(old_offsets.size());
-      qsums.reserve(old_sums.size());
-    }
     uint32_t next_row = 0;
     for (size_t t = 0; t < table.size(); ++t) {
       const uint32_t old_row = table[t];
@@ -99,13 +85,6 @@ util::Status SaveRepositoryV4(const text::Dictionary& dict,
       row_of[t] = next_row++;
       rows.insert(rows.end(), data.begin() + old_row * dim,
                   data.begin() + (old_row + 1) * dim);
-      if (has_quantized) {
-        qcodes.insert(qcodes.end(), old_codes.begin() + old_row * dim,
-                      old_codes.begin() + (old_row + 1) * dim);
-        qscales.push_back(old_scales[old_row]);
-        qoffsets.push_back(old_offsets[old_row]);
-        qsums.push_back(old_sums[old_row]);
-      }
     }
   }
 
@@ -126,15 +105,6 @@ util::Status SaveRepositoryV4(const text::Dictionary& dict,
         {kEmbedRowOf, row_of.data(), row_of.size() * sizeof(uint32_t)});
     sections.push_back({kEmbedData, rows.data(), rows.size() * sizeof(float)});
   }
-  if (has_quantized) {
-    sections.push_back({kQuantCodes, qcodes.data(), qcodes.size()});
-    sections.push_back(
-        {kQuantScales, qscales.data(), qscales.size() * sizeof(float)});
-    sections.push_back(
-        {kQuantOffsets, qoffsets.data(), qoffsets.size() * sizeof(float)});
-    sections.push_back(
-        {kQuantSums, qsums.data(), qsums.size() * sizeof(int32_t)});
-  }
 
   V4Header header;
   header.magic = kMagic;
@@ -145,7 +115,6 @@ util::Status SaveRepositoryV4(const text::Dictionary& dict,
   header.embed_rows = has_embeddings ? store->covered() : 0;
   header.token_id_bound = sets.TokenIdBound();
   header.has_embeddings = has_embeddings ? 1 : 0;
-  header.has_quantized = has_quantized ? 1 : 0;
   header.section_count = static_cast<uint32_t>(sections.size());
 
   std::vector<SectionEntry> table(sections.size());
@@ -452,27 +421,9 @@ util::StatusOr<embedding::EmbeddingStore> MmapRepositoryView::BorrowEmbeddings()
   const std::span<const float> rows(
       reinterpret_cast<const float*>(file_.data() + data.offset),
       data.length / sizeof(float));
-  std::span<const int8_t> qcodes;
-  std::span<const float> qscales, qoffsets;
-  std::span<const int32_t> qsums;
-  if (has_quantized()) {
-    const SectionEntry& codes =
-        table_[static_cast<size_t>(kind_index_[kQuantCodes])];
-    qcodes = {reinterpret_cast<const int8_t*>(file_.data() + codes.offset),
-              codes.length};
-    auto scales = Section(kQuantScales);
-    if (!scales.ok()) return scales.status();
-    auto offsets = Section(kQuantOffsets);
-    if (!offsets.ok()) return offsets.status();
-    auto sums = Section(kQuantSums);
-    if (!sums.ok()) return sums.status();
-    qscales = AsSpan<float>(scales.value());
-    qoffsets = AsSpan<float>(offsets.value());
-    qsums = AsSpan<int32_t>(sums.value());
-  }
   auto store = embedding::EmbeddingStore::FromBorrowed(
       header_.embed_dim, header_.embed_rows, AsSpan<uint32_t>(row_of.value()),
-      rows, qcodes, qscales, qoffsets, qsums);
+      rows);
   if (!store.ok()) {
     return util::Status::InvalidArgument("corrupt v4 embedding sections: " +
                                          store.status().message());

@@ -5,8 +5,7 @@
 // first query. v4 is an ARENA format: the on-disk bytes ARE the serving
 // layout, so a load is mmap + header/offset validation, and the serving
 // structures (Dictionary / SetCollection / EmbeddingStore in borrowed
-// mode) wrap the mapped arenas without copying a byte. The int8 quantized
-// tier is stored FINALIZED — a v4 load performs zero quantization work.
+// mode) wrap the mapped arenas without copying a byte.
 //
 // File layout (little-endian, same machine-family caveat as v1/v3):
 //
@@ -28,10 +27,16 @@
 //   5     vocabulary: sorted distinct tokens   u32       always
 //   6     embedding row table TokenId->row     u32       has_embeddings
 //   7     embedding rows (rows x dim, L2-nrm)  f32       has_embeddings
-//   8     int8 codes (rows x dim)              i8        has_quantized
-//   9     quantizer scales (per row)           f32       has_quantized
-//   10    quantizer offsets (per row)          f32       has_quantized
-//   11    quantizer code sums (per row)        i32       has_quantized
+//   8     legacy int8 codes (rows x dim)       i8        has_quantized
+//   9     legacy quantizer scales (per row)    f32       has_quantized
+//   10    legacy quantizer offsets (per row)   f32       has_quantized
+//   11    legacy quantizer code sums (per row) i32       has_quantized
+//
+// Sections 8-11 are LEGACY: an earlier writer stored an int8 tier there.
+// This writer never emits them (has_quantized = 0), and no reader borrows
+// them. A file that carries them still opens: the structural pass
+// validates their kinds and lengths, and eager verification CRC-checks
+// them like every other section.
 //
 // Integrity model (three tiers — see docs/ARCHITECTURE.md):
 //  * STRUCTURAL, always at Open(): header CRC (over the header with its
@@ -41,15 +46,15 @@
 //    an EXACT file-size match. Every truncation and every bit flip in the
 //    header, section table, or padding is rejected here — before any
 //    section byte is dereferenced, so a short file can never SIGBUS.
-//  * LAZY per-section CRC: metadata sections (1,2,3,5,6,9,10,11) are
+//  * LAZY per-section CRC: metadata sections (1,2,3,5,6) are
 //    CRC-verified on first borrow of the artifact that reads them.
 //  * EAGER (MmapOptions::verify, the `koios_snapshot verify` tool, and
-//    TrySwapFromRepository): CRC of EVERY section including the three
-//    bulk arenas (4,7,8) plus content scans (set tokens in bounds and
-//    sorted per set, vocabulary sorted/deduped/in bounds). Lazy mode
-//    deliberately skips the bulk-arena CRCs: checksumming the full file
-//    would put load time back on the same O(corpus) footing as a v3
-//    parse, forfeiting the mmap advantage.
+//    TrySwapFromRepository): CRC of EVERY section, the bulk arenas (4,7)
+//    and any legacy sections included, plus content scans (set tokens in
+//    bounds and sorted per set, vocabulary sorted/deduped/in bounds).
+//    Lazy mode deliberately skips the bulk-arena CRCs: checksumming the
+//    full file would put load time back on the same O(corpus) footing as
+//    a v3 parse, forfeiting the mmap advantage.
 #ifndef KOIOS_IO_REPOSITORY_V4_H_
 #define KOIOS_IO_REPOSITORY_V4_H_
 
@@ -84,7 +89,7 @@ struct V4Header {
   uint64_t embed_rows = 0;      // covered tokens
   uint64_t token_id_bound = 0;  // dense vocabulary bound of set token ids
   uint8_t has_embeddings = 0;
-  uint8_t has_quantized = 0;    // implies has_embeddings
+  uint8_t has_quantized = 0;    // legacy sections 8-11; implies has_embeddings
   uint8_t reserved_a[2] = {0, 0};
   uint32_t section_count = 0;
   uint32_t header_crc = 0;
@@ -123,9 +128,8 @@ inline constexpr size_t kV4Alignment = 64;
 /// Writes the v4 container atomically ("<path>.tmp" + rename, like
 /// SaveRepository). Embedding rows are canonicalized to token-ascending
 /// order (the order a v3 load produces), so queries against a v4-borrowed
-/// store are bit-identical to the v3-loaded equivalent. If `store` is
-/// finalized, the int8 tier is written verbatim; loading it back performs
-/// no quantization work. Hits the "io.save.write" failpoint.
+/// store are bit-identical to the v3-loaded equivalent. Writes no legacy
+/// sections. Hits the "io.save.write" failpoint.
 util::Status SaveRepositoryV4(const text::Dictionary& dict,
                               const index::SetCollection& sets,
                               const embedding::EmbeddingStore* store,  // nullable
@@ -158,10 +162,9 @@ class MmapRepositoryView {
   /// Borrowed set collection over sections 3+4 (offsets CRC-checked on
   /// first call; the token arena is eager-verify only).
   util::StatusOr<index::SetCollection> BorrowSets() const;
-  /// Borrowed embedding store over sections 6-11 (row table and per-row
-  /// quantizer constants CRC-checked on first call; the float matrix and
-  /// code arenas are eager-verify only). FailedPrecondition when the file
-  /// carries no embeddings.
+  /// Borrowed embedding store over sections 6+7 (row table CRC-checked on
+  /// first call; the float matrix is eager-verify only). FailedPrecondition
+  /// when the file carries no embeddings.
   util::StatusOr<embedding::EmbeddingStore> BorrowEmbeddings() const;
   /// The precomputed sorted distinct token ids of the set corpus
   /// (section 5, CRC-checked on first call). Lets a snapshot load skip
@@ -174,7 +177,6 @@ class MmapRepositoryView {
 
   const V4Header& header() const { return header_; }
   bool has_embeddings() const { return header_.has_embeddings != 0; }
-  bool has_quantized() const { return header_.has_quantized != 0; }
   size_t file_size() const { return file_.size(); }
 
  private:

@@ -22,11 +22,10 @@ constexpr uint32_t kSetsMagic = 0x4B534554u;        // "TESK"
 constexpr uint32_t kEmbeddingMagic = 0x4B454D42u;   // "BMEK"
 constexpr uint32_t kRepositoryMagic = 0x4B52504Fu;  // "OPRK"
 constexpr uint32_t kVersion = 1;
-// Embedding store v2 adds a quantized-tier flag after the row count, so a
-// store that was Finalize()d before saving comes back quantized (the int8
-// codes are a deterministic function of the float rows, so the loader
-// re-finalizes instead of persisting 4 redundant arrays). v1 files load
-// unchanged (never quantized).
+// Embedding store v2 adds a flag byte after the row count. It once marked
+// a store whose int8 tier the loader rebuilt; the writer now always
+// stores 0 and the loader reads the byte and ignores it, so files that
+// set it still load (with the same rows). v1 files have no flag byte.
 constexpr uint32_t kEmbeddingVersion = 2;
 // Repository container versions (see the header comment): v1 = unframed
 // legacy, v3 = CRC-framed sections + cross-artifact validation. 2 was
@@ -249,11 +248,7 @@ util::Status SaveEmbeddingStore(const embedding::EmbeddingStore& store,
   if (!status.ok()) return status;
   WritePod<uint64_t>(out, store.dim());
   WritePod<uint64_t>(out, store.covered());
-  // A finalized store round-trips with its int8 tier intact: the loader
-  // re-runs Finalize() (deterministic given the rows) when this flag is
-  // set, so the Precision::kInt8 paths work on a loaded repository exactly
-  // as they did on the saved one.
-  WritePod<uint8_t>(out, store.quantized() ? 1 : 0);
+  WritePod<uint8_t>(out, 0);  // legacy tier flag, ignored on load
   for (TokenId t = 0; t < token_bound; ++t) {
     if (!store.Has(t)) continue;
     WritePod<TokenId>(out, t);
@@ -285,8 +280,8 @@ util::StatusOr<embedding::EmbeddingStore> LoadEmbeddingStore(
     return util::Status::InvalidArgument(
         "embedding row count exceeds file size");
   }
-  uint8_t quantized = 0;  // v1 files predate the int8 tier
-  if (version >= 2 && !ReadPod(in, &quantized)) {
+  uint8_t legacy_tier_flag = 0;  // v1 files have no flag byte
+  if (version >= 2 && !ReadPod(in, &legacy_tier_flag)) {
     return util::Status::InvalidArgument("truncated embedding header");
   }
   embedding::EmbeddingStore store(dim);
@@ -310,7 +305,6 @@ util::StatusOr<embedding::EmbeddingStore> LoadEmbeddingStore(
     // store bit-identical to the one that was saved.
     store.AddNormalized(token, vec);
   }
-  if (quantized != 0) store.Finalize();
   return store;
 }
 
@@ -462,7 +456,6 @@ util::StatusOr<LoadedRepository> MaterializeV4(const std::string& path) {
       }
       repo.store.AddNormalized(t, borrowed.VectorOf(t));
     }
-    if (borrowed.quantized()) repo.store.Finalize();
     repo.has_embeddings = true;
   }
   return repo;

@@ -23,8 +23,9 @@
 //    still loadable (with allocation bounded by the remaining file size,
 //    but without checksum protection). The version number jumps 1 -> 3 so
 //    that "3" unambiguously means CRC-framed repo-wide: the embedding
-//    section's own v2 (quantized-tier flag) keeps its number inside the
-//    frame, and v1/v2 embedding payloads load in either container.
+//    section's own v2 (a flag byte the loader ignores) keeps its number
+//    inside the frame, and v1/v2 embedding payloads load in either
+//    container.
 //
 // Durability: SaveRepository writes to "<path>.tmp" and renames into
 // place, so a crash (or injected fault) mid-save never leaves a
@@ -54,10 +55,7 @@ util::StatusOr<index::SetCollection> LoadSetCollection(std::istream& in);
 
 // ---- EmbeddingStore ----------------------------------------------------------
 /// `token_bound`: exclusive upper bound of token ids to scan (e.g.
-/// dictionary size). A Finalize()d store's int8 tier survives the round
-/// trip: the file records the flag and the loader re-finalizes (the codes
-/// are deterministic in the float rows), so `quantized()` and the
-/// Precision::kInt8 kernels behave identically on the loaded store.
+/// dictionary size). Rows round-trip bit for bit.
 util::Status SaveEmbeddingStore(const embedding::EmbeddingStore& store,
                                 TokenId token_bound, std::ostream& out);
 /// `token_id_bound`: exclusive upper bound a stored row's token id must

@@ -198,13 +198,9 @@ ParseStatus ParseRequestFrame(const char* data, size_t size,
         *error = "truncated search header";
         return ParseStatus::kError;
       }
-      if (!std::isfinite(out->alpha) || out->alpha <= 0.0 ||
-          out->alpha > 1.0) {
-        *error = "alpha must be in (0, 1]";
-        return ParseStatus::kError;
-      }
-      if (out->k == 0) {
-        *error = "k must be positive";
+      if (auto params = core::ValidateSearchParams(out->k, out->alpha);
+          !params.ok()) {
+        *error = params.message();
         return ParseStatus::kError;
       }
       uint32_t nqueries = 1;
@@ -521,11 +517,7 @@ util::Status ParseJsonRequestLine(const std::string& line, JsonRequest* out) {
     return util::Status::InvalidArgument(
         "request must carry a non-empty \"tokens\" array");
   }
-  if (out->k == 0) return util::Status::InvalidArgument("k must be positive");
-  if (out->alpha <= 0.0 || out->alpha > 1.0) {
-    return util::Status::InvalidArgument("alpha must be in (0, 1]");
-  }
-  return util::Status::OK();
+  return core::ValidateSearchParams(out->k, out->alpha);
 }
 
 std::string JsonOkResponse(const std::vector<core::ResultEntry>& topk) {

@@ -256,10 +256,6 @@ std::future<QueryEngine::Result> QueryEngine::Enqueue(
     std::vector<TokenId> query, const core::SearchParams& params,
     Ticket ticket, std::shared_ptr<CancelToken> cancel,
     std::function<void()> on_complete) {
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++counters_.submitted;
-  }
   // A rejection is a future that is ready at once (Submit must never block
   // the caller, least of all to say "no"), so its callback runs here.
   auto reject = [&on_complete](util::Status status) {
@@ -268,6 +264,15 @@ std::future<QueryEngine::Result> QueryEngine::Enqueue(
     if (on_complete) on_complete();
     return promise.get_future();
   };
+  // Parameters no search can run with are refused before admission.
+  if (auto valid = core::ValidateSearchParams(params.k, params.alpha);
+      !valid.ok()) {
+    return reject(std::move(valid));
+  }
+  {
+    std::lock_guard<std::mutex> lock(stats_mutex_);
+    ++counters_.submitted;
+  }
   // fetch_add-then-check keeps the bound exact under concurrent submitters
   // (a plain load+add would let two of them both slip past the last slot).
   const size_t admitted = in_flight_.fetch_add(1, std::memory_order_acq_rel);

@@ -185,6 +185,8 @@ class QueryEngine {
   QueryEngine& operator=(const QueryEngine&) = delete;
 
   /// Admits one query. The future resolves to the SearchResult, or to
+  /// InvalidArgument (k = 0 or α outside (0, 1], see
+  /// core::ValidateSearchParams; refused before admission, never ran) /
   /// ResourceExhausted (rejected at the door, never ran) /
   /// DeadlineExceeded (expired waiting or mid-execution; any partial work
   /// was discarded) / Internal (the search threw — bad_alloc, a faulty

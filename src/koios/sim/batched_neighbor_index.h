@@ -10,9 +10,9 @@
 // PR 1 established for the exact path:
 //
 //  * One kernel call per query token instead of one virtual call per
-//    candidate — dense similarities (cosine over an embedding matrix,
-//    optionally int8-quantized) vectorize, everything else falls back to
-//    the pairwise loop inside the batch call.
+//    candidate — dense similarities (cosine over an embedding matrix)
+//    vectorize, everything else falls back to the pairwise loop inside
+//    the batch call.
 //  * Survivors are ordered LAZILY: the cursor partial-sorts the next chunk
 //    (std::nth_element + chunk sort, starting at kSortChunk and doubling)
 //    only when consumption reaches it. Short-prefix consumers (the θ-bound

@@ -8,7 +8,7 @@ void CosineEmbeddingSimilarity::SimilarityBatch(TokenId q,
                                                 std::span<const TokenId> targets,
                                                 std::span<Score> out) const {
   assert(out.size() == targets.size());
-  store_->CosineBatch(q, targets, out, precision_);
+  store_->CosineBatch(q, targets, out);
   for (size_t i = 0; i < targets.size(); ++i) {
     if (targets[i] == q) {
       out[i] = 1.0;  // Def. 1: sim(x, x) = 1 even when out-of-vocabulary.
@@ -24,7 +24,7 @@ void CosineEmbeddingSimilarity::SimilarityBatchMulti(
     std::span<const TokenId> queries, std::span<const TokenId> targets,
     std::span<Score> out) const {
   assert(out.size() == queries.size() * targets.size());
-  store_->CosineMultiBatch(queries, targets, out, precision_);
+  store_->CosineMultiBatch(queries, targets, out);
   for (size_t qi = 0; qi < queries.size(); ++qi) {
     Score* row = out.data() + qi * targets.size();
     for (size_t ti = 0; ti < targets.size(); ++ti) {

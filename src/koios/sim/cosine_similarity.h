@@ -11,25 +11,14 @@ namespace koios::sim {
 /// sim(a, b) = max(0, cosine(emb(a), emb(b))); identical tokens score 1
 /// even when out-of-vocabulary (Def. 1 requires sim(x, x) = 1, and the
 /// paper's OOV handling depends on it).
-///
-/// `precision` selects the EmbeddingStore tier every entry point reads —
-/// kFloat64 (default, exact) or kInt8 (fused dequant-dot over the
-/// quantized tier; requires store->Finalize(), silently falls back to
-/// float rows otherwise). Pairwise and batched calls read the same tier,
-/// so a kInt8 similarity stays self-consistent across the index paths.
 class CosineEmbeddingSimilarity : public SimilarityFunction {
  public:
-  explicit CosineEmbeddingSimilarity(
-      const embedding::EmbeddingStore* store,
-      embedding::Precision precision = embedding::Precision::kFloat64)
-      : store_(store), precision_(precision) {}
+  explicit CosineEmbeddingSimilarity(const embedding::EmbeddingStore* store)
+      : store_(store) {}
 
   Score Similarity(TokenId a, TokenId b) const override {
     if (a == b) return 1.0;
-    const double c =
-        (precision_ == embedding::Precision::kInt8 && store_->quantized())
-            ? store_->CosineQuantized(a, b)
-            : store_->Cosine(a, b);
+    const double c = store_->Cosine(a, b);
     if (c <= 0.0) return 0.0;
     return c > 1.0 ? 1.0 : c;
   }
@@ -48,11 +37,9 @@ class CosineEmbeddingSimilarity : public SimilarityFunction {
                             std::span<Score> out) const override;
 
   const embedding::EmbeddingStore& store() const { return *store_; }
-  embedding::Precision precision() const { return precision_; }
 
  private:
   const embedding::EmbeddingStore* store_;
-  embedding::Precision precision_;
 };
 
 }  // namespace koios::sim

@@ -200,7 +200,6 @@ std::string SaveTinyRepositoryV4(const std::string& filename) {
   for (TokenId t = 0; t < 10; ++t) {
     store.Add(t, std::vector<float>{static_cast<float>(t) + 1.0f, 1.0f});
   }
-  store.Finalize();
   const std::string path = ::testing::TempDir() + "/" + filename;
   EXPECT_TRUE(io::SaveRepositoryV4(dict, sets, &store, path).ok());
   return path;

@@ -2,6 +2,7 @@
 // serialization round-trips.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -129,53 +130,39 @@ TEST(SerializationTest, EmbeddingStoreRoundTrip) {
   EXPECT_NEAR(loaded.value().Cosine(2, 5), store.Cosine(2, 5), 1e-6);
 }
 
-TEST(SerializationTest, QuantizedTierSurvivesRoundTrip) {
-  // A Finalize()d store must come back quantized (the loader re-finalizes
-  // from the persisted flag) with the int8 kernels agreeing exactly — the
-  // codes are deterministic in the float rows.
+TEST(SerializationTest, LegacyTierFlagIsIgnoredOnLoad) {
+  // Embedding stream v2 carries a flag byte after the row count. Earlier
+  // writers set it to mark a stored int8 tier; the writer now stores 0 and
+  // the loader ignores the byte, so a payload that sets it still loads
+  // with the same rows.
   embedding::EmbeddingStore store(4);
   store.Add(0, std::vector<float>{0.9f, 0.1f, -0.3f, 0.2f});
   store.Add(1, std::vector<float>{-0.2f, 0.8f, 0.5f, 0.1f});
   store.Add(3, std::vector<float>{0.4f, -0.4f, 0.6f, -0.5f});
-  store.Finalize();
-  ASSERT_TRUE(store.quantized());
-
   std::stringstream buffer;
   ASSERT_TRUE(SaveEmbeddingStore(store, 10, buffer).ok());
-  auto loaded = LoadEmbeddingStore(buffer);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_TRUE(loaded.value().quantized());
-  EXPECT_GT(loaded.value().QuantizedMemoryUsageBytes(), 0u);
-  // Both tiers agree with the saved store, pair by pair.
-  const TokenId ids[] = {0, 1, 3};
-  for (TokenId a : ids) {
-    for (TokenId b : ids) {
-      EXPECT_DOUBLE_EQ(loaded.value().Cosine(a, b), store.Cosine(a, b));
-      EXPECT_DOUBLE_EQ(loaded.value().CosineQuantized(a, b),
-                       store.CosineQuantized(a, b));
-    }
-  }
-  // The Precision selector reads the restored tier (kInt8 must not fall
-  // back to float rows).
-  std::vector<TokenId> targets{0, 1, 3};
-  std::vector<double> got(targets.size()), want(targets.size());
-  loaded.value().CosineBatch(0, targets, std::span<double>(got),
-                             embedding::Precision::kInt8);
-  store.CosineBatch(0, targets, std::span<double>(want),
-                    embedding::Precision::kInt8);
-  for (size_t i = 0; i < targets.size(); ++i) {
-    EXPECT_DOUBLE_EQ(got[i], want[i]);
-  }
-}
+  std::string bytes = buffer.str();
+  // [magic u32][version u32][dim u64][rows u64][flag u8]
+  constexpr size_t kVersionOffset = 4;
+  constexpr size_t kFlagOffset = 4 + 4 + 8 + 8;
+  uint32_t version = 0;
+  std::memcpy(&version, bytes.data() + kVersionOffset, sizeof(version));
+  ASSERT_EQ(version, 2u);
+  ASSERT_EQ(bytes[kFlagOffset], 0) << "the writer must leave the flag 0";
+  bytes[kFlagOffset] = 1;
 
-TEST(SerializationTest, UnquantizedStoreRoundTripsUnquantized) {
-  embedding::EmbeddingStore store(2);
-  store.Add(0, std::vector<float>{1.0f, 0.0f});
-  std::stringstream buffer;
-  ASSERT_TRUE(SaveEmbeddingStore(store, 4, buffer).ok());
-  auto loaded = LoadEmbeddingStore(buffer);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_FALSE(loaded.value().quantized());
+  std::stringstream flagged(bytes);
+  auto loaded = LoadEmbeddingStore(flagged);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded.value().dim(), store.dim());
+  ASSERT_EQ(loaded.value().covered(), store.covered());
+  const auto got_rows = loaded.value().RowData();
+  const auto want_rows = store.RowData();
+  EXPECT_TRUE(std::equal(got_rows.begin(), got_rows.end(), want_rows.begin()));
+  const auto got_table = loaded.value().RowTable();
+  const auto want_table = store.RowTable();
+  EXPECT_TRUE(std::equal(got_table.begin(), got_table.end(),
+                         want_table.begin(), want_table.end()));
 }
 
 TEST(SerializationTest, CorruptMagicRejected) {
@@ -263,8 +250,8 @@ util::StatusOr<LoadedRepository> LoadFromBytes(const std::string& bytes) {
   return repo;
 }
 
-/// A small but complete repository (dictionary + sets + quantized
-/// embeddings) saved to bytes via the real writer.
+/// A small but complete repository (dictionary + sets + embeddings) saved
+/// to bytes via the real writer.
 std::string TinyRepositoryBytes(bool with_embeddings, uint64_t seed = 11,
                                 size_t vocab = 8) {
   text::Dictionary dict;
@@ -277,7 +264,6 @@ std::string TinyRepositoryBytes(bool with_embeddings, uint64_t seed = 11,
     const float x = static_cast<float>((seed + t) % 7) + 0.5f;
     store.Add(t, std::vector<float>{x, 1.0f / x, static_cast<float>(t)});
   }
-  store.Finalize();
   const std::string path = ::testing::TempDir() + "/koios_tiny_repo.bin";
   EXPECT_TRUE(
       SaveRepository(dict, sets, with_embeddings ? &store : nullptr, path)
@@ -392,7 +378,7 @@ TEST(CorruptionMatrixTest, DuplicateEmbeddingRowRejected) {
   std::stringstream buffer;
   ASSERT_TRUE(SaveEmbeddingStore(store, 4, buffer).ok());
   std::string bytes = buffer.str();
-  // Layout: magic u32, version u32, dim u64, rows u64, quantized u8, rows.
+  // Layout: magic u32, version u32, dim u64, rows u64, flag u8, rows.
   const size_t row_start = 4 + 4 + 8 + 8 + 1;
   const std::string row = bytes.substr(row_start);
   uint64_t rows = 2;
@@ -407,7 +393,7 @@ TEST(CorruptionMatrixTest, DuplicateEmbeddingRowRejected) {
 
 TEST(CorruptionMatrixTest, LegacyV1StillLoads) {
   // Mixed-version fleet: files written by the unframed v1 writer keep
-  // loading (without checksum protection), including the quantized flag
+  // loading (without checksum protection), including the flag byte
   // inside the embedding section.
   auto w = testing::MakeRandomWorkload(20, 50, 3, 8, 4242);
   text::Dictionary dict;

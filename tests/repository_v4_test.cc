@@ -1,7 +1,7 @@
 // Tests for the v4 zero-copy mmap repository format: round trips, the
 // borrowed-storage contract, the exhaustive corruption matrix (every
-// truncation, every single-bit flip), golden-file compatibility across
-// container generations, and the zero-requantization regression.
+// truncation, every single-bit flip), and golden-file compatibility across
+// container generations, including a v4 file with the legacy int8 sections.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,6 +10,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "koios/core/searcher.h"
@@ -40,9 +41,8 @@ void WriteBytes(const std::string& path, const std::string& bytes) {
 
 /// The deterministic fixture corpus every test here shares (and the same
 /// shape the checked-in golden files were generated from — see
-/// tests/testdata/README.md): 10 tokens, 5 sets, dim-4 quantized
-/// embeddings, all hand-seeded with no RNG so the bytes are reproducible
-/// forever.
+/// tests/testdata/README.md): 10 tokens, 5 sets, dim-4 embeddings, all
+/// hand-seeded with no RNG.
 struct Fixture {
   text::Dictionary dict;
   index::SetCollection sets;
@@ -63,31 +63,16 @@ Fixture MakeFixture() {
     f.store.Add(t, std::vector<float>{a, 1.0f / a, 0.25f * a,
                                       static_cast<float>(t % 3)});
   }
-  f.store.Finalize();
   return f;
 }
 
-/// The three feature shapes a v4 file can take — the corruption matrices
-/// run over all of them (different section counts, different layouts).
-enum class V4Variant { kFull, kUnquantized, kNoEmbeddings };
+/// The two feature shapes the v4 writer produces.
+enum class V4Variant { kFull, kNoEmbeddings };
 
 std::string V4Bytes(V4Variant variant = V4Variant::kFull) {
   Fixture f = MakeFixture();
-  embedding::EmbeddingStore unquantized(4);
-  const embedding::EmbeddingStore* store = nullptr;
-  switch (variant) {
-    case V4Variant::kFull:
-      store = &f.store;
-      break;
-    case V4Variant::kUnquantized:
-      for (TokenId t = 0; t < 10; ++t) {
-        if (f.store.Has(t)) unquantized.AddNormalized(t, f.store.VectorOf(t));
-      }
-      store = &unquantized;
-      break;
-    case V4Variant::kNoEmbeddings:
-      break;
-  }
+  const embedding::EmbeddingStore* store =
+      variant == V4Variant::kFull ? &f.store : nullptr;
   const std::string path = TempPath("v4_fixture.repo");
   EXPECT_TRUE(SaveRepositoryV4(f.dict, f.sets, store, path).ok());
   std::string bytes = FileBytes(path);
@@ -95,8 +80,23 @@ std::string V4Bytes(V4Variant variant = V4Variant::kFull) {
   return bytes;
 }
 
-constexpr V4Variant kAllVariants[] = {
-    V4Variant::kFull, V4Variant::kUnquantized, V4Variant::kNoEmbeddings};
+std::string GoldenPath(const char* name) {
+  return std::string(KOIOS_TESTDATA_DIR) + "/" + name;
+}
+
+/// Every v4 layout the corruption matrices cover: both shapes the writer
+/// produces, plus the checked-in file from an earlier writer that still
+/// carries the legacy int8 sections 8-11.
+std::vector<std::pair<std::string, std::string>> AllV4Files() {
+  return {{"written, full", V4Bytes(V4Variant::kFull)},
+          {"written, no embeddings", V4Bytes(V4Variant::kNoEmbeddings)},
+          {"golden_v4.repo", FileBytes(GoldenPath("golden_v4.repo"))}};
+}
+
+bool IsLegacySection(uint32_t kind) {
+  return kind == kQuantCodes || kind == kQuantScales ||
+         kind == kQuantOffsets || kind == kQuantSums;
+}
 
 /// Opens `bytes` as a v4 file and borrows EVERYTHING (dict, sets,
 /// embeddings, vocabulary) — the full lazy-validation surface.
@@ -185,7 +185,6 @@ TEST(RepositoryV4Test, LoadRepositoryMaterializesV4) {
   EXPECT_EQ(repo.value().dict.size(), f.dict.size());
   EXPECT_EQ(repo.value().sets.size(), f.sets.size());
   ASSERT_TRUE(repo.value().has_embeddings);
-  EXPECT_TRUE(repo.value().store.quantized());
   for (TokenId a = 0; a < 10; ++a) {
     for (TokenId b = 0; b < 10; ++b) {
       EXPECT_EQ(repo.value().store.Cosine(a, b), f.store.Cosine(a, b));
@@ -229,73 +228,75 @@ TEST(V4CorruptionMatrixTest, EveryTruncationReturnsError) {
   // and eager modes, for every feature shape, and in particular without
   // a SIGBUS from mapping a short file (the structural pass checks the
   // exact size before any section byte is dereferenced).
-  for (const V4Variant variant : kAllVariants) {
-    const std::string bytes = V4Bytes(variant);
-    ASSERT_GT(bytes.size(), 64u);
+  for (const auto& [name, bytes] : AllV4Files()) {
+    ASSERT_GT(bytes.size(), 64u) << name;
     for (size_t len = 0; len < bytes.size(); ++len) {
       const std::string prefix = bytes.substr(0, len);
       EXPECT_FALSE(OpenAndBorrowAll(prefix, /*verify=*/false).ok())
-          << "lazy load of truncation to " << len << " bytes succeeded";
+          << name << ": lazy load of truncation to " << len
+          << " bytes succeeded";
       EXPECT_FALSE(OpenAndBorrowAll(prefix, /*verify=*/true).ok())
-          << "eager load of truncation to " << len << " bytes succeeded";
+          << name << ": eager load of truncation to " << len
+          << " bytes succeeded";
     }
-    EXPECT_TRUE(OpenAndBorrowAll(bytes, /*verify=*/false).ok());
-    EXPECT_TRUE(OpenAndBorrowAll(bytes, /*verify=*/true).ok());
+    EXPECT_TRUE(OpenAndBorrowAll(bytes, /*verify=*/false).ok()) << name;
+    EXPECT_TRUE(OpenAndBorrowAll(bytes, /*verify=*/true).ok()) << name;
   }
 }
 
 TEST(V4CorruptionMatrixTest, EverySingleBitFlipFailsEagerVerification) {
   // Eager mode checksums every section (bulk arenas included), so EVERY
   // single-bit flip anywhere in the file — header, section table, arena
-  // padding, offset tables, data — must surface as a clean error Status,
-  // for every feature shape.
-  for (const V4Variant variant : kAllVariants) {
-    const std::string bytes = V4Bytes(variant);
+  // padding, offset tables, data, legacy sections — must surface as a
+  // clean error Status, for every layout.
+  for (const auto& [name, bytes] : AllV4Files()) {
     for (size_t pos = 0; pos < bytes.size(); ++pos) {
       for (int bit = 0; bit < 8; ++bit) {
         std::string mutated = bytes;
         mutated[pos] = static_cast<char>(mutated[pos] ^ (1 << bit));
         auto status = OpenAndBorrowAll(mutated, /*verify=*/true);
-        EXPECT_FALSE(status.ok())
-            << "bit " << bit << " at byte " << pos << " loaded eagerly";
+        EXPECT_FALSE(status.ok()) << name << ": bit " << bit << " at byte "
+                                  << pos << " loaded eagerly";
       }
     }
   }
 }
 
 TEST(V4CorruptionMatrixTest, LazyModeCatchesStructuralAndMetadataFlips) {
-  // Lazy mode skips the three bulk-arena CRCs by design (that is the
-  // load-time win). Everything BEFORE the first section — header, section
-  // table, the padding gap — plus every metadata section is still fully
+  // Lazy mode skips the bulk-arena CRCs by design (that is the load-time
+  // win). Everything BEFORE the first section — header, section table,
+  // the padding gap — plus every metadata section is still fully
   // protected at open/borrow time; enforce the matrix over that region.
-  const std::string bytes = V4Bytes();
-  V4Header header;
-  std::memcpy(&header, bytes.data(), sizeof(header));
-  std::vector<SectionEntry> table(header.section_count);
-  std::memcpy(table.data(), bytes.data() + sizeof(header),
-              table.size() * sizeof(SectionEntry));
-  const size_t first_section = table.front().offset;
-  for (size_t pos = 0; pos < first_section; ++pos) {
-    for (int bit = 0; bit < 8; ++bit) {
-      std::string mutated = bytes;
-      mutated[pos] = static_cast<char>(mutated[pos] ^ (1 << bit));
-      EXPECT_FALSE(OpenAndBorrowAll(mutated, /*verify=*/false).ok())
-          << "bit " << bit << " at pre-section byte " << pos
-          << " loaded lazily";
+  // The legacy sections 8-11 are skipped too: nothing borrows them, so
+  // only eager verification reads them.
+  for (const auto& [name, bytes] : AllV4Files()) {
+    V4Header header;
+    std::memcpy(&header, bytes.data(), sizeof(header));
+    std::vector<SectionEntry> table(header.section_count);
+    std::memcpy(table.data(), bytes.data() + sizeof(header),
+                table.size() * sizeof(SectionEntry));
+    const size_t first_section = table.front().offset;
+    for (size_t pos = 0; pos < first_section; ++pos) {
+      for (int bit = 0; bit < 8; ++bit) {
+        std::string mutated = bytes;
+        mutated[pos] = static_cast<char>(mutated[pos] ^ (1 << bit));
+        EXPECT_FALSE(OpenAndBorrowAll(mutated, /*verify=*/false).ok())
+            << name << ": bit " << bit << " at pre-section byte " << pos
+            << " loaded lazily";
+      }
     }
-  }
-  // Metadata sections (everything except the set-token, embed-data and
-  // quant-code bulk arenas) are CRC-checked on first borrow even lazily.
-  for (const SectionEntry& e : table) {
-    if (e.kind == kSetTokens || e.kind == kEmbedData || e.kind == kQuantCodes) {
-      continue;
-    }
-    for (uint64_t pos = e.offset; pos < e.offset + e.length; ++pos) {
-      std::string mutated = bytes;
-      mutated[pos] = static_cast<char>(mutated[pos] ^ 1);
-      EXPECT_FALSE(OpenAndBorrowAll(mutated, /*verify=*/false).ok())
-          << "flip in metadata section " << e.kind << " at " << pos
-          << " loaded lazily";
+    for (const SectionEntry& e : table) {
+      if (e.kind == kSetTokens || e.kind == kEmbedData ||
+          IsLegacySection(e.kind)) {
+        continue;
+      }
+      for (uint64_t pos = e.offset; pos < e.offset + e.length; ++pos) {
+        std::string mutated = bytes;
+        mutated[pos] = static_cast<char>(mutated[pos] ^ 1);
+        EXPECT_FALSE(OpenAndBorrowAll(mutated, /*verify=*/false).ok())
+            << name << ": flip in metadata section " << e.kind << " at "
+            << pos << " loaded lazily";
+      }
     }
   }
 }
@@ -314,13 +315,9 @@ TEST(V4CorruptionMatrixTest, EmptyAndForeignFilesRejected) {
 
 // ---------------------------------------------------------- golden files --
 
-std::string GoldenPath(const char* name) {
-  return std::string(KOIOS_TESTDATA_DIR) + "/" + name;
-}
-
 /// What the checked-in golden repositories contain (they were written by
-/// this repo's own savers from MakeFixture()'s corpus — see
-/// tests/testdata/README.md for the regeneration recipe).
+/// earlier versions of this repo's own savers from MakeFixture()'s corpus
+/// — see tests/testdata/README.md for their recipes).
 void ExpectFixtureContents(const LoadedRepository& repo) {
   const Fixture f = MakeFixture();
   ASSERT_EQ(repo.dict.size(), f.dict.size());
@@ -368,10 +365,48 @@ TEST(GoldenCompatTest, V2IsRejected) {
   EXPECT_NE(repo.status().message().find("version"), std::string::npos);
 }
 
+TEST(GoldenCompatTest, V4GoldenWithLegacyTierStillLoads) {
+  // Written by an earlier v4 writer: has_quantized set, sections 8-11
+  // present. The owned loader materializes it like any other v4 file.
+  auto view = MmapRepositoryView::Open(GoldenPath("golden_v4.repo"));
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
+  EXPECT_NE(view.value()->header().has_quantized, 0);
+  EXPECT_EQ(view.value()->header().section_count, 11u);
+  auto repo = LoadRepository(GoldenPath("golden_v4.repo"));
+  ASSERT_TRUE(repo.ok()) << repo.status().ToString();
+  ExpectFixtureContents(repo.value());
+}
+
+/// Serves `a` and `b` through real searchers and compares full top-k
+/// results bit for bit (set ids, scores, exact flags) over every fixture
+/// set as a query at three thresholds.
+void ExpectSameTopK(const serve::Snapshot& a, const serve::Snapshot& b) {
+  core::KoiosSearcher a_searcher(&a.sets(), a.index());
+  core::KoiosSearcher b_searcher(&b.sets(), b.index());
+  core::SearchParams params;
+  params.k = 3;
+  const Fixture f = MakeFixture();
+  for (const Score alpha : {0.5, 0.7, 0.9}) {
+    params.alpha = alpha;
+    for (SetId s = 0; s < f.sets.size(); ++s) {
+      const auto tokens = f.sets.Tokens(s);
+      const std::vector<TokenId> query(tokens.begin(), tokens.end());
+      const auto a_result = a_searcher.Search(query, params);
+      const auto b_result = b_searcher.Search(query, params);
+      ASSERT_EQ(a_result.topk.size(), b_result.topk.size());
+      for (size_t i = 0; i < a_result.topk.size(); ++i) {
+        EXPECT_EQ(a_result.topk[i].set, b_result.topk[i].set);
+        EXPECT_EQ(a_result.topk[i].score, b_result.topk[i].score);
+        EXPECT_EQ(a_result.topk[i].exact, b_result.topk[i].exact);
+      }
+    }
+  }
+}
+
 TEST(GoldenCompatTest, V3ToV4ConversionIsBitIdenticalTopK) {
   // Load the golden v3, rewrite as v4, serve BOTH through real snapshots
-  // and compare full top-k results bit for bit (set ids, scores, exact
-  // flags) — the acceptance contract of the format migration.
+  // and compare full top-k results bit for bit — the acceptance contract
+  // of the format migration.
   const std::string v3_path = GoldenPath("golden_v3.repo");
   const std::string v4_path = TempPath("golden_converted.repo");
   {
@@ -387,113 +422,26 @@ TEST(GoldenCompatTest, V3ToV4ConversionIsBitIdenticalTopK) {
   ASSERT_TRUE(v4_snap.ok()) << v4_snap.status().ToString();
   EXPECT_FALSE(v3_snap.value()->mmap_backed());
   EXPECT_TRUE(v4_snap.value()->mmap_backed());
-
-  core::KoiosSearcher v3_searcher(&v3_snap.value()->sets(),
-                                  v3_snap.value()->index());
-  core::KoiosSearcher v4_searcher(&v4_snap.value()->sets(),
-                                  v4_snap.value()->index());
-  core::SearchParams params;
-  params.k = 3;
-  for (const Score alpha : {0.5, 0.7, 0.9}) {
-    params.alpha = alpha;
-    const Fixture f = MakeFixture();
-    for (SetId s = 0; s < f.sets.size(); ++s) {
-      const auto tokens = f.sets.Tokens(s);
-      const std::vector<TokenId> query(tokens.begin(), tokens.end());
-      const auto v3_result = v3_searcher.Search(query, params);
-      const auto v4_result = v4_searcher.Search(query, params);
-      ASSERT_EQ(v3_result.topk.size(), v4_result.topk.size());
-      for (size_t i = 0; i < v3_result.topk.size(); ++i) {
-        EXPECT_EQ(v3_result.topk[i].set, v4_result.topk[i].set);
-        EXPECT_EQ(v3_result.topk[i].score, v4_result.topk[i].score);
-        EXPECT_EQ(v3_result.topk[i].exact, v4_result.topk[i].exact);
-      }
-    }
-  }
+  ExpectSameTopK(*v3_snap.value(), *v4_snap.value());
   std::remove(v4_path.c_str());
 }
 
-// -------------------------------------------- zero-requantization (perf) --
-
-TEST(ZeroRequantizationTest, V4LoadPerformsNoQuantizationWork) {
-  Fixture f = MakeFixture();
-  const std::string v4_path = TempPath("v4_requant.repo");
-  const std::string v3_path = TempPath("v3_requant.repo");
-  ASSERT_TRUE(SaveRepositoryV4(f.dict, f.sets, &f.store, v4_path).ok());
-  ASSERT_TRUE(SaveRepository(f.dict, f.sets, &f.store, v3_path).ok());
-
-  // v4 snapshot: the int8 tier comes straight from the file — quantized,
-  // borrowed, ZERO Finalize() runs.
-  auto v4_snap = serve::Snapshot::Load(v4_path);
-  ASSERT_TRUE(v4_snap.ok()) << v4_snap.status().ToString();
-  const auto& v4_store = v4_snap.value()->store();
-  EXPECT_TRUE(v4_store.quantized());
-  EXPECT_EQ(v4_store.finalize_runs(), 0u)
-      << "v4 load must not re-run quantization";
-
-  // v3 pays the latent cost this format removes: its loader re-runs
-  // Finalize() over every row (finalize_runs() == 1).
-  auto v3_snap = serve::Snapshot::Load(v3_path);
-  ASSERT_TRUE(v3_snap.ok());
-  EXPECT_TRUE(v3_snap.value()->store().quantized());
-  EXPECT_EQ(v3_snap.value()->store().finalize_runs(), 1u);
-
-  // And the stored tier is IDENTICAL to what Finalize() produced on the
-  // original: codes, scales, offsets, code sums, and every quantized
-  // kernel score.
-  ASSERT_EQ(v4_store.QuantizedCodes().size(), f.store.QuantizedCodes().size());
-  EXPECT_TRUE(std::equal(v4_store.QuantizedCodes().begin(),
-                         v4_store.QuantizedCodes().end(),
-                         f.store.QuantizedCodes().begin()));
-  EXPECT_TRUE(std::equal(v4_store.QuantizedScales().begin(),
-                         v4_store.QuantizedScales().end(),
-                         f.store.QuantizedScales().begin()));
-  EXPECT_TRUE(std::equal(v4_store.QuantizedOffsets().begin(),
-                         v4_store.QuantizedOffsets().end(),
-                         f.store.QuantizedOffsets().begin()));
-  EXPECT_TRUE(std::equal(v4_store.QuantizedSums().begin(),
-                         v4_store.QuantizedSums().end(),
-                         f.store.QuantizedSums().begin()));
-  for (TokenId a = 0; a < 10; ++a) {
-    for (TokenId b = 0; b < 10; ++b) {
-      EXPECT_EQ(v4_store.CosineQuantized(a, b), f.store.CosineQuantized(a, b));
-    }
+TEST(GoldenCompatTest, V4GoldenWithLegacyTierServesV3GoldenTopK) {
+  // The legacy file opens as a serving snapshot with verification off
+  // (lazy CRCs) and on (every section, 8-11 included), and answers
+  // exactly as the v3 golden does.
+  auto v3_snap = serve::Snapshot::Load(GoldenPath("golden_v3.repo"));
+  ASSERT_TRUE(v3_snap.ok()) << v3_snap.status().ToString();
+  for (const bool verify : {false, true}) {
+    auto v4_snap = serve::Snapshot::Load(GoldenPath("golden_v4.repo"), verify);
+    ASSERT_TRUE(v4_snap.ok()) << "verify=" << verify << ": "
+                              << v4_snap.status().ToString();
+    EXPECT_TRUE(v4_snap.value()->mmap_backed());
+    ExpectSameTopK(*v3_snap.value(), *v4_snap.value());
   }
-  std::remove(v4_path.c_str());
-  std::remove(v3_path.c_str());
 }
 
 // ----------------------------------------------------- borrowed contract --
-
-TEST(BorrowedStorageTest, FinalizeOnBorrowedStoreWithoutTierBuildsOwned) {
-  // A v4 file written from an UNFINALIZED store carries no tier; a serving
-  // path that wants int8 can still Finalize() — the codes land in owned
-  // arrays over the borrowed rows.
-  Fixture f = MakeFixture();
-  embedding::EmbeddingStore unfinalized(4);
-  for (TokenId t = 0; t < 10; ++t) {
-    if (!f.store.Has(t)) continue;
-    unfinalized.AddNormalized(t, f.store.VectorOf(t));
-  }
-  const std::string path = TempPath("v4_unfinalized.repo");
-  ASSERT_TRUE(SaveRepositoryV4(f.dict, f.sets, &unfinalized, path).ok());
-  auto view = MmapRepositoryView::Open(path);
-  ASSERT_TRUE(view.ok());
-  EXPECT_FALSE(view.value()->has_quantized());
-  auto store = view.value()->BorrowEmbeddings();
-  ASSERT_TRUE(store.ok());
-  EXPECT_FALSE(store.value().quantized());
-  store.value().Finalize();
-  EXPECT_TRUE(store.value().quantized());
-  EXPECT_EQ(store.value().finalize_runs(), 1u);
-  for (TokenId a = 0; a < 10; ++a) {
-    for (TokenId b = 0; b < 10; ++b) {
-      EXPECT_EQ(store.value().CosineQuantized(a, b),
-                f.store.CosineQuantized(a, b));
-    }
-  }
-  std::remove(path.c_str());
-}
 
 TEST(BorrowedStorageTest, VocabularySectionSkipsCorpusScan) {
   // The snapshot built over a v4 file must expose the same index

@@ -12,6 +12,7 @@
 #include <functional>
 #include <future>
 #include <iterator>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -344,6 +345,51 @@ TEST(QueryEngineTest, CompletionCallbackRunsOncePerSubmission) {
     EXPECT_EQ(rejected.calls.load(), 1);
     EXPECT_TRUE(rejected.on_caller.load());
   }
+}
+
+TEST(QueryEngineTest, InvalidParamsAreRejectedAtTheDoor) {
+  // k = 0 and α outside (0, 1] are answered InvalidArgument before
+  // admission, with the callback run once on the caller. The waits are
+  // bounded: at k = 0 a search reads past its empty top-k list, which a
+  // Release build turned into a worker that never finished.
+  auto w = testing::MakeRandomWorkload(60, 300, 5, 15, 11033);
+  EngineOptions options;
+  options.num_threads = 1;
+  QueryEngine engine(&w.corpus.sets, w.index.get(), options);
+  const auto tokens = w.corpus.sets.Tokens(1);
+  const std::vector<TokenId> query(tokens.begin(), tokens.end());
+  struct Invalid {
+    size_t k;
+    Score alpha;
+  };
+  const Invalid invalid[] = {{0, 0.7},
+                             {5, 0.0},
+                             {5, 1.5},
+                             {5, std::numeric_limits<Score>::quiet_NaN()}};
+  std::vector<CallbackProbe> probes(std::size(invalid));
+  for (size_t i = 0; i < std::size(invalid); ++i) {
+    SearchParams params;
+    params.k = invalid[i].k;
+    params.alpha = invalid[i].alpha;
+    QueryEngine::Submission submission = engine.SubmitCancellable(
+        query, params, std::chrono::milliseconds(0), probes[i].Callback());
+    ASSERT_EQ(submission.future.wait_for(std::chrono::seconds(5)),
+              std::future_status::ready)
+        << "k=" << params.k << " alpha=" << params.alpha;
+    EXPECT_EQ(submission.future.get().status().code(),
+              util::StatusCode::kInvalidArgument)
+        << "k=" << params.k << " alpha=" << params.alpha;
+    EXPECT_EQ(probes[i].calls.load(), 1);
+    EXPECT_TRUE(probes[i].on_caller.load());
+  }
+  SearchParams params;
+  params.k = 5;
+  params.alpha = 0.7;
+  std::future<QueryEngine::Result> valid = engine.Submit(query, params);
+  ASSERT_EQ(valid.wait_for(std::chrono::seconds(5)), std::future_status::ready);
+  const QueryEngine::Result answer = valid.get();
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  EXPECT_FALSE(answer.value().topk.empty());
 }
 
 TEST(QueryEngineTest, CompletionCallbackRunsAfterTheFutureIsReady) {

@@ -71,9 +71,8 @@ int Inspect(const std::string& path) {
     std::printf("  sets         %zu (total tokens %zu)\n",
                 repo.value().sets.size(), repo.value().sets.TotalTokens());
     if (repo.value().has_embeddings) {
-      std::printf("  embeddings   %zu rows x dim %zu%s\n",
-                  repo.value().store.covered(), repo.value().store.dim(),
-                  repo.value().store.quantized() ? " (int8 tier)" : "");
+      std::printf("  embeddings   %zu rows x dim %zu\n",
+                  repo.value().store.covered(), repo.value().store.dim());
     } else {
       std::printf("  embeddings   none\n");
     }
@@ -93,7 +92,7 @@ int Inspect(const std::string& path) {
   if (h.has_embeddings) {
     std::printf("  embeddings   %" PRIu64 " rows x dim %" PRIu64 "%s\n",
                 h.embed_rows, h.embed_dim,
-                h.has_quantized ? " (stored int8 tier)" : "");
+                h.has_quantized ? " (legacy int8 tier, ignored)" : "");
   } else {
     std::printf("  embeddings   none\n");
   }
@@ -191,15 +190,11 @@ size_t DictionaryBytes(const koios::text::Dictionary& dict) {
   return bytes;
 }
 
-/// Bytes of an embedding store's artifacts: the float rows, the row table
-/// and, when present, the int8 tier. The same figure for an owned store
-/// (v3) and one borrowed from a v4 mapping.
+/// Bytes of an embedding store's artifacts: the float rows and the row
+/// table. The same figure for an owned store (v3) and one borrowed from a
+/// v4 mapping.
 size_t EmbeddingBytes(const koios::embedding::EmbeddingStore& store) {
-  return store.RowData().size_bytes() + store.RowTable().size_bytes() +
-         store.QuantizedCodes().size_bytes() +
-         store.QuantizedScales().size_bytes() +
-         store.QuantizedOffsets().size_bytes() +
-         store.QuantizedSums().size_bytes();
+  return store.RowData().size_bytes() + store.RowTable().size_bytes();
 }
 
 // What a sharded open replicates vs partitions, for capacity planning

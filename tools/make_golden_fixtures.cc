@@ -1,10 +1,15 @@
-// make_golden_fixtures — regenerates the checked-in compatibility fixtures
-// under tests/testdata/ (golden_v1.repo, golden_v3.repo).
+// make_golden_fixtures — writes the corpus of the checked-in compatibility
+// fixtures under tests/testdata/ (golden_v1.repo, golden_v3.repo) in the
+// v1 and v3 containers.
 //
 // The corpus here MUST stay byte-for-byte in sync with MakeFixture() in
 // tests/repository_v4_test.cc: the compat tests load the checked-in files
 // and compare against a freshly built fixture. It is deliberately tiny,
-// hand-seeded and RNG-free so the binaries are reproducible forever.
+// hand-seeded and RNG-free.
+//
+// The checked-in files are never regenerated, and this tool no longer
+// reproduces their bytes: they set the embedding payload's legacy tier
+// flag, which the writer now leaves 0 (tests/testdata/README.md).
 //
 //   make_golden_fixtures <output-dir>
 
@@ -39,7 +44,6 @@ int main(int argc, char** argv) {
     store.Add(t, std::vector<float>{a, 1.0f / a, 0.25f * a,
                                     static_cast<float>(t % 3)});
   }
-  store.Finalize();
 
   const auto v1 = koios::io::SaveRepositoryLegacyV1(dict, sets, &store,
                                                     dir + "/golden_v1.repo");
