@@ -7,13 +7,16 @@
 //     --k N                   result size (default 10)
 //     --alpha A               element similarity threshold (default 0.5)
 //     --sim jaccard|embedding element similarity (default jaccard)
-//     --theta T               switch to threshold search with threshold T
-//     --many-to-one           use the many-to-one overlap measure
+//
+// A malformed or out-of-range --k or --alpha exits 2 with a message that
+// names the flag.
 //
 // Repository format: one set per line, elements whitespace-separated.
 // With --sim jaccard the tool is fully self-contained (q-gram similarity
 // over the strings); with --sim embedding a synthetic embedding model is
 // derived deterministically from the vocabulary (demo purposes).
+#include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -24,8 +27,6 @@
 #include <string>
 #include <vector>
 
-#include "koios/core/many_to_one.h"
-#include "koios/core/threshold_search.h"
 #include "koios/koios.h"
 
 namespace {
@@ -35,8 +36,6 @@ struct CliOptions {
   std::string query_text;
   size_t k = 10;
   double alpha = 0.5;
-  double theta = -1.0;  // < 0: top-k mode
-  bool many_to_one = false;
   std::string sim = "jaccard";
 };
 
@@ -52,18 +51,27 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
       }
       return argv[++i];
     };
+    // Parses the flag's whole value into `out` with std::from_chars (no
+    // leading space, no suffix, no overflow, no sign for an unsigned
+    // type); a malformed one exits 2.
+    auto number = [&](auto* out, const char* kind) {
+      const char* text = next();
+      const char* end = text + std::strlen(text);
+      const auto [ptr, ec] = std::from_chars(text, end, *out);
+      if (ec != std::errc() || ptr != end) {
+        std::fprintf(stderr, "koios_cli: %s takes %s, got '%s'\n",
+                     arg.c_str(), kind, text);
+        std::exit(2);
+      }
+    };
     if (arg == "--query") {
       options->query_text = next();
     } else if (arg == "--k") {
-      options->k = static_cast<size_t>(std::atoi(next()));
+      number(&options->k, "a decimal integer");
     } else if (arg == "--alpha") {
-      options->alpha = std::atof(next());
-    } else if (arg == "--theta") {
-      options->theta = std::atof(next());
+      number(&options->alpha, "a decimal number");
     } else if (arg == "--sim") {
       options->sim = next();
-    } else if (arg == "--many-to-one") {
-      options->many_to_one = true;
     } else {
       std::fprintf(stderr, "unknown option %s\n", arg.c_str());
       return false;
@@ -91,14 +99,14 @@ int main(int argc, char** argv) {
   if (!ParseArgs(argc, argv, &options)) {
     std::fprintf(stderr,
                  "usage: %s <repository.txt> [--query \"...\"] [--k N]"
-                 " [--alpha A] [--sim jaccard|embedding] [--theta T]"
-                 " [--many-to-one]\n",
+                 " [--alpha A] [--sim jaccard|embedding]\n",
                  argv[0]);
     return 2;
   }
   if (auto valid = core::ValidateSearchParams(options.k, options.alpha);
       !valid.ok()) {
-    std::fprintf(stderr, "%s\n", valid.ToString().c_str());
+    std::fprintf(stderr, "koios_cli: %s (--k %zu, --alpha %g)\n",
+                 valid.message().c_str(), options.k, options.alpha);
     return 2;
   }
 
@@ -150,39 +158,20 @@ int main(int argc, char** argv) {
   const std::vector<TokenId> query = InternLine(query_line, &dict);
   std::printf("query (%zu elements): %s\n\n", query.size(), query_line.c_str());
 
-  auto print_entry = [&](const core::ResultEntry& entry) {
+  core::KoiosSearcher searcher(&sets, &knn);
+  core::SearchParams params;
+  params.k = options.k;
+  params.alpha = options.alpha;
+  const auto result = searcher.Search(query, params);
+  std::printf("top-%zu by semantic overlap:\n", options.k);
+  for (const auto& entry : result.topk) {
     std::printf("  [SO %.3f]%s ", entry.score, entry.exact ? "" : " (lb)");
     for (TokenId t : sets.Tokens(entry.set)) {
-      { const std::string_view tok = dict.TokenOf(t); std::printf(" %.*s", static_cast<int>(tok.size()), tok.data()); }
+      const std::string_view tok = dict.TokenOf(t);
+      std::printf(" %.*s", static_cast<int>(tok.size()), tok.data());
     }
     std::printf("\n");
-  };
-
-  if (options.theta >= 0.0) {
-    core::ThresholdSearcher searcher(&sets, &knn);
-    core::ThresholdParams params;
-    params.theta = options.theta;
-    params.alpha = options.alpha;
-    const auto result = searcher.Search(query, params);
-    std::printf("%zu sets with SO >= %.2f:\n", result.size(), options.theta);
-    for (const auto& entry : result) print_entry(entry);
-  } else if (options.many_to_one) {
-    core::ManyToOneSearcher searcher(&sets, &knn);
-    core::SearchParams params;
-    params.k = options.k;
-    params.alpha = options.alpha;
-    const auto result = searcher.Search(query, params);
-    std::printf("top-%zu by many-to-one semantic overlap:\n", options.k);
-    for (const auto& entry : result.topk) print_entry(entry);
-  } else {
-    core::KoiosSearcher searcher(&sets, &knn);
-    core::SearchParams params;
-    params.k = options.k;
-    params.alpha = options.alpha;
-    const auto result = searcher.Search(query, params);
-    std::printf("top-%zu by semantic overlap:\n", options.k);
-    for (const auto& entry : result.topk) print_entry(entry);
-    std::printf("\n%s\n", result.stats.ToString().c_str());
   }
+  std::printf("\n%s\n", result.stats.ToString().c_str());
   return 0;
 }

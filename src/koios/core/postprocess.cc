@@ -32,8 +32,7 @@ struct ByUbDesc {
 
 // Per-thread exact-matching scratch: the matrix allocation and the
 // matcher's solve arrays survive across every candidate a thread verifies
-// (post-processing, result verification and the extension searchers
-// alike).
+// (post-processing, result verification and the tie sweep alike).
 struct EmScratch {
   matching::WeightMatrix matrix{0, 0};
   std::vector<uint32_t> rows, cols;

@@ -157,7 +157,7 @@ struct SearchParams {
 };
 
 /// The rules every query's k and α must meet before a search runs: k ≥ 1
-/// and α in (0, 1] (NaN fails). The searchers only assert them, and at
+/// and α in (0, 1] (NaN fails). KoiosSearcher only asserts them, and at
 /// k = 0 the top-k list reads past an empty set, so every entry point that
 /// takes parameters from outside the program checks them here first: both
 /// wire dialects, serve::QueryEngine admission and koios_cli.

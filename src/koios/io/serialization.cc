@@ -399,26 +399,6 @@ util::Status SaveRepository(const text::Dictionary& dict,
   return util::Status::OK();
 }
 
-util::Status SaveRepositoryLegacyV1(const text::Dictionary& dict,
-                                    const index::SetCollection& sets,
-                                    const embedding::EmbeddingStore* store,
-                                    const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return util::Status::NotFound("cannot create " + path);
-  auto status = WriteHeader(out, kRepositoryMagic, kRepositoryVersionLegacy);
-  if (!status.ok()) return status;
-  WritePod<uint8_t>(out, store != nullptr ? 1 : 0);
-  status = SaveDictionary(dict, out);
-  if (!status.ok()) return status;
-  status = SaveSetCollection(sets, out);
-  if (!status.ok()) return status;
-  if (store != nullptr) {
-    status = SaveEmbeddingStore(*store, static_cast<TokenId>(dict.size()), out);
-    if (!status.ok()) return status;
-  }
-  return util::Status::OK();
-}
-
 namespace {
 
 /// Materializes a v4 mmap repository into OWNED structures: the

@@ -19,13 +19,13 @@
 //    must fall inside the dictionary) — so truncated, bit-flipped, or
 //    mixed-generation files come back as a clean error Status, never as
 //    UB or a half-built repository.
-//  * v1 (legacy) — the same sections concatenated with no framing;
-//    still loadable (with allocation bounded by the remaining file size,
-//    but without checksum protection). The version number jumps 1 -> 3 so
-//    that "3" unambiguously means CRC-framed repo-wide: the embedding
-//    section's own v2 (a flag byte the loader ignores) keeps its number
-//    inside the frame, and v1/v2 embedding payloads load in either
-//    container.
+//  * v1 (legacy) — the same sections concatenated with no framing; no
+//    writer emits it, and it is still loadable (with allocation bounded
+//    by the remaining file size, but without checksum protection).
+//    The version number jumps 1 -> 3 so that "3" unambiguously means
+//    CRC-framed repo-wide: the embedding section's own v2 (a flag byte the
+//    loader ignores) keeps its number inside the frame, and v1/v2
+//    embedding payloads load in either container.
 //
 // Durability: SaveRepository writes to "<path>.tmp" and renames into
 // place, so a crash (or injected fault) mid-save never leaves a
@@ -74,14 +74,6 @@ util::Status SaveRepository(const text::Dictionary& dict,
                             const index::SetCollection& sets,
                             const embedding::EmbeddingStore* store,  // nullable
                             const std::string& path);
-
-/// Writes the UNFRAMED v1 container (no checksums, no atomic rename).
-/// Kept as the compatibility writer so tests can produce legacy files;
-/// new code should always use SaveRepository.
-util::Status SaveRepositoryLegacyV1(const text::Dictionary& dict,
-                                    const index::SetCollection& sets,
-                                    const embedding::EmbeddingStore* store,
-                                    const std::string& path);
 
 struct LoadedRepository {
   text::Dictionary dict;

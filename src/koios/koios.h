@@ -18,11 +18,8 @@
 #include "koios/baselines/brute_force.h"
 #include "koios/baselines/silkmoth.h"
 #include "koios/baselines/vanilla_topk.h"
-#include "koios/core/many_to_one.h"
-#include "koios/core/normalized_search.h"
 #include "koios/core/search_types.h"
 #include "koios/core/searcher.h"
-#include "koios/core/threshold_search.h"
 #include "koios/data/corpus.h"
 #include "koios/data/query_benchmark.h"
 #include "koios/embedding/synthetic_model.h"

@@ -26,7 +26,7 @@ inline bool NeighborBefore(const Neighbor& a, const Neighbor& b) {
 
 // One query's consumption positions over the parent's shared cursor cache:
 // everything stateful that a probe touches lives here, which is what makes
-// the index itself const and every searcher's Search reentrant.
+// the index itself const and KoiosSearcher::Search reentrant.
 class BatchedNeighborIndex::Session final : public ProbeSession {
  public:
   explicit Session(const BatchedNeighborIndex* parent) : parent_(parent) {}

@@ -394,24 +394,20 @@ TEST(CorruptionMatrixTest, DuplicateEmbeddingRowRejected) {
 TEST(CorruptionMatrixTest, LegacyV1StillLoads) {
   // Mixed-version fleet: files written by the unframed v1 writer keep
   // loading (without checksum protection), including the flag byte
-  // inside the embedding section.
-  auto w = testing::MakeRandomWorkload(20, 50, 3, 8, 4242);
-  text::Dictionary dict;
-  for (TokenId t = 0; t < 50; ++t) dict.Intern("tok" + std::to_string(t));
-  const std::string v1_path = ::testing::TempDir() + "/koios_repo_v1.bin";
-  ASSERT_TRUE(
-      SaveRepositoryLegacyV1(dict, w.corpus.sets, &w.model->store(), v1_path)
-          .ok());
+  // inside the embedding section. No writer emits v1, so the checked-in
+  // fixture is the file under test.
+  const std::string v1_path =
+      std::string(KOIOS_TESTDATA_DIR) + "/golden_v1.repo";
   auto repo = LoadRepository(v1_path);
   ASSERT_TRUE(repo.ok()) << repo.status().ToString();
   EXPECT_TRUE(repo.value().has_embeddings);
-  EXPECT_EQ(repo.value().sets.size(), w.corpus.sets.size());
-  EXPECT_EQ(repo.value().dict.size(), 50u);
-  // Truncating a legacy file must still fail cleanly (bounded allocation,
-  // no checksums needed for that guarantee).
+  EXPECT_EQ(repo.value().sets.size(), 5u);
+  EXPECT_EQ(repo.value().dict.size(), 10u);
+  // Truncating a legacy file anywhere must still fail cleanly (bounded
+  // allocation, no checksums needed for that guarantee).
   const std::string bytes = FileBytes(v1_path);
-  std::remove(v1_path.c_str());
-  for (size_t len = 0; len < bytes.size(); len += 97) {
+  ASSERT_FALSE(bytes.empty());
+  for (size_t len = 0; len < bytes.size(); ++len) {
     EXPECT_FALSE(LoadFromBytes(bytes.substr(0, len)).ok())
         << "v1 truncation to " << len << " bytes loaded";
   }

@@ -559,17 +559,20 @@ TEST(NetServerTest, JsonUnavailableRejectionKeepsItsPlaceInResponseOrder) {
   ASSERT_TRUE(WriteAll(sock.value().fd(), valid.data(), valid.size(),
                        deadline)
                   .ok());
-  // Wait until the valid line is dispatched (the batch was request #1).
+  // Wait until the valid line reached the engine: the batch's 100 queries
+  // plus this one. The server counts a request before it parses the line
+  // and reads the slot, so only the engine's count says the query got
+  // past the slot.
+  std::shared_ptr<serve::QueryEngine> held = f.slot.Get();
   for (int attempt = 0; attempt < 500; ++attempt) {
-    if (f.server->stats().requests >= 2) break;
+    if (held->counters().submitted >= 101) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
-  ASSERT_GE(f.server->stats().requests, 2u);
+  ASSERT_GE(held->counters().submitted, 101u);
 
   // Yank the slot (keeping the engine alive so in-flight work finishes):
   // the next line must be rejected kUnavailable — but BEHIND the pending
   // query, not ahead of it.
-  std::shared_ptr<serve::QueryEngine> held = f.slot.Get();
   f.slot.Set(nullptr);
   const std::string second = "{\"tokens\":[7,8,9],\"k\":3}\n";
   ASSERT_TRUE(WriteAll(sock.value().fd(), second.data(), second.size(),

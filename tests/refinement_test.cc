@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "koios/core/edge_cache.h"
-#include "koios/core/many_to_one.h"
 #include "koios/core/refinement.h"
 #include "koios/index/inverted_index.h"
 #include "koios/sim/exact_knn_index.h"
@@ -281,23 +280,6 @@ TEST(RefinementTest, SetPrunableAfterItsLastTouchIsPruned) {
     EXPECT_EQ(sa.candidates, feedback ? 2u : 3u) << label;
     EXPECT_EQ(sa.iub_filtered, feedback ? 1u : 2u) << label;
   }
-}
-
-TEST(RefinementTest, ManyToOneCountsSetPrunableAfterItsLastTouch) {
-  // Many-to-one search has no final sweep: its closing pass at the last
-  // tuple's (s, θ) = (0.75, 2.7) must prune set 0 (0.95 + 2 * 0.75 < 2.7),
-  // as a per-tuple sweep at that tuple would have.
-  PrunableAfterLastTouch c;
-  ManyToOneSearcher searcher(&c.sets, c.index.get());
-  SearchParams params;
-  params.k = 1;
-  params.alpha = 0.7;
-  const SearchResult r = searcher.Search(c.query, params);
-  ASSERT_EQ(r.topk.size(), 1u);
-  EXPECT_EQ(r.topk[0].set, 1u);
-  EXPECT_NEAR(r.topk[0].score, 2.7, 1e-12);
-  EXPECT_EQ(r.stats.candidates, 3u);
-  EXPECT_EQ(r.stats.iub_filtered, 2u);  // set 0 here, set 2 on arrival
 }
 
 TEST(RefinementTest, ThetaLbNeverExceedsThetaStar) {

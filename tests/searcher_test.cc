@@ -7,10 +7,7 @@
 #include <thread>
 #include <vector>
 
-#include "koios/core/many_to_one.h"
-#include "koios/core/normalized_search.h"
 #include "koios/core/searcher.h"
-#include "koios/core/threshold_search.h"
 #include "koios/sim/lsh_index.h"
 #include "test_util.h"
 
@@ -321,44 +318,9 @@ TEST(SearcherTest, PartitionedCountersArePinned) {
                      "4 partitions k=10");
 }
 
-TEST(SearcherTest, ExtensionSearcherCountersArePinned) {
-  auto w = testing::MakeRandomWorkload(400, 1500, 4, 40, 709);
-  const auto queries = PinnedQueries(w);
-  SearchParams params;
-  params.k = 10;
-  params.alpha = 0.75;
-
-  ThresholdSearcher threshold(&w.corpus.sets, w.index.get());
-  ThresholdParams threshold_params;
-  threshold_params.theta = 3.0;
-  threshold_params.alpha = 0.75;
-  NormalizedSearcher normalized(&w.corpus.sets, w.index.get());
-  ManyToOneSearcher many_to_one(&w.corpus.sets, w.index.get());
-  RefinementCounters got_threshold, got_normalized, got_many_to_one;
-  VerificationCounters verified_threshold, verified_normalized;
-  for (const auto& query : queries) {
-    SearchStats stats;
-    const std::vector<ResultEntry> above =
-        threshold.Search(query, threshold_params, &stats);
-    Accumulate(stats, &got_threshold);
-    Accumulate(stats, above, &verified_threshold);
-    const SearchResult top = normalized.Search(query, params);
-    Accumulate(top.stats, &got_normalized);
-    Accumulate(top.stats, top.topk, &verified_normalized);
-    Accumulate(many_to_one.Search(query, params).stats, &got_many_to_one);
-  }
-  ExpectCounters(got_threshold, {6217, 1715, 42214, 2800, 4502}, "threshold");
-  ExpectCounters(got_normalized, {6217, 5622, 0, 2800, 595}, "normalized");
-  ExpectCounters(got_many_to_one, {6217, 313, 42232, 2800, 0}, "many-to-one");
-  ExpectVerification(verified_threshold,
-                     {0, 4055, 447, 0, 14656711681328097458ull}, "threshold");
-  ExpectVerification(verified_normalized,
-                     {0, 258, 336, 0, 3613653194376187162ull}, "normalized");
-}
-
-// One instance of each searcher serves 4 threads at once. Every token
-// stream opens its own probe session over the shared index and refinement
-// scratch is per thread, so every answer equals the serial one bit for bit.
+// One KoiosSearcher serves 4 threads at once. Every token stream opens its
+// own probe session over the shared index and refinement scratch is per
+// thread, so every answer equals the serial one bit for bit.
 TEST(SearcherTest, ConcurrentSearchesOnOneInstanceMatchSerial) {
   auto w = testing::MakeRandomWorkload(400, 1500, 4, 40, 709);
   std::vector<std::vector<TokenId>> queries = PinnedQueries(w);
@@ -366,35 +328,23 @@ TEST(SearcherTest, ConcurrentSearchesOnOneInstanceMatchSerial) {
   SearchParams params;
   params.k = 10;
   params.alpha = 0.75;
-  ThresholdParams threshold_params;
-  threshold_params.theta = 3.0;
-  threshold_params.alpha = 0.75;
   const KoiosSearcher koios(&w.corpus.sets, w.index.get());
-  const ThresholdSearcher threshold(&w.corpus.sets, w.index.get());
-  const NormalizedSearcher normalized(&w.corpus.sets, w.index.get());
-  const ManyToOneSearcher many_to_one(&w.corpus.sets, w.index.get());
 
-  // The four answers to one query, in searcher order.
-  using Answers = std::vector<std::vector<ResultEntry>>;
+  using Answer = std::vector<ResultEntry>;
   auto answer = [&](const std::vector<TokenId>& q) {
-    return Answers{koios.Search(q, params).topk,
-                   threshold.Search(q, threshold_params),
-                   normalized.Search(q, params).topk,
-                   many_to_one.Search(q, params).topk};
+    return koios.Search(q, params).topk;
   };
-  auto same = [](const Answers& a, const Answers& b) {
-    for (size_t i = 0; i < a.size(); ++i) {
-      if (a[i].size() != b[i].size()) return false;
-      for (size_t j = 0; j < a[i].size(); ++j) {
-        if (a[i][j].set != b[i][j].set || a[i][j].score != b[i][j].score ||
-            a[i][j].exact != b[i][j].exact) {
-          return false;
-        }
+  auto same = [](const Answer& a, const Answer& b) {
+    if (a.size() != b.size()) return false;
+    for (size_t j = 0; j < a.size(); ++j) {
+      if (a[j].set != b[j].set || a[j].score != b[j].score ||
+          a[j].exact != b[j].exact) {
+        return false;
       }
     }
     return true;
   };
-  std::vector<Answers> serial;
+  std::vector<Answer> serial;
   for (const auto& q : queries) serial.push_back(answer(q));
 
   constexpr size_t kThreads = 4;
