@@ -8,9 +8,11 @@
 //   ./koios_client --port 7070 --stdin < queries.txt     # one batch
 //   ./koios_client --port 7070 --http /metrics
 //
-// Exit status: 0 success, 1 usage, 2 connect failure, 3 request failed
-// (the response's status line is printed to stderr).
+// Exit status: 0 success, 1 usage (also a malformed flag value or token
+// id, checked before anything connects), 2 connect failure, 3 request
+// failed (the response's status line is printed to stderr).
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -23,12 +25,26 @@
 
 namespace {
 
-std::vector<koios::TokenId> ParseTokens(const std::string& text) {
-  std::vector<koios::TokenId> tokens;
+/// Parses the whole of `text` into `*out` with std::from_chars: no leading
+/// space, no suffix, no overflow, and no sign for an unsigned type.
+template <typename T>
+bool ParseNumber(const std::string& text, T* out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  return ec == std::errc() && ptr == end;
+}
+
+/// Appends the whitespace-separated token ids of `text` to `*tokens`; false
+/// at the first field that is not a decimal token id.
+bool ParseTokens(const std::string& text, std::vector<koios::TokenId>* tokens) {
   std::istringstream in(text);
-  unsigned long t = 0;
-  while (in >> t) tokens.push_back(static_cast<koios::TokenId>(t));
-  return tokens;
+  std::string field;
+  while (in >> field) {
+    koios::TokenId t = 0;
+    if (!ParseNumber(field, &t)) return false;
+    tokens->push_back(t);
+  }
+  return true;
 }
 
 int Usage(const char* argv0) {
@@ -65,40 +81,89 @@ int main(int argc, char** argv) {
   uint32_t k = 10;
   double alpha = 0.8;
   uint32_t deadline_ms = 0;
-  int retries = 3;
-  net::ClientOptions client_options;
+  uint16_t retries = 3;
+  uint32_t timeout_ms = 30'000;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--host" && i + 1 < argc) {
-      host = argv[++i];
-    } else if (arg == "--port" && i + 1 < argc) {
-      port = static_cast<uint16_t>(std::atoi(argv[++i]));
-    } else if (arg == "--query" && i + 1 < argc) {
-      query_text = argv[++i];
-    } else if (arg == "--http" && i + 1 < argc) {
-      http_path = argv[++i];
+    // The flag's value; a flag given last, without one, exits 1.
+    auto next = [&]() -> const char* {
+      if (i + 1 >= argc) {
+        std::fprintf(stderr, "koios_client: missing value for %s\n",
+                     arg.c_str());
+        std::exit(1);
+      }
+      return argv[++i];
+    };
+    // Parses the flag's whole value into `out` (see ParseNumber). A bad
+    // value exits 1 here, before anything connects.
+    auto number = [&](auto* out, const char* kind) {
+      const char* text = next();
+      if (!ParseNumber(text, out)) {
+        std::fprintf(stderr, "koios_client: %s takes %s, got '%s'\n",
+                     arg.c_str(), kind, text);
+        std::exit(1);
+      }
+    };
+    if (arg == "--host") {
+      host = next();
+    } else if (arg == "--port") {
+      number(&port, "a port number in [1, 65535]");
+    } else if (arg == "--query") {
+      query_text = next();
+    } else if (arg == "--http") {
+      http_path = next();
     } else if (arg == "--ping") {
       ping = true;
     } else if (arg == "--stdin") {
       from_stdin = true;
-    } else if (arg == "--k" && i + 1 < argc) {
-      k = static_cast<uint32_t>(std::atoi(argv[++i]));
-    } else if (arg == "--alpha" && i + 1 < argc) {
-      alpha = std::atof(argv[++i]);
-    } else if (arg == "--deadline-ms" && i + 1 < argc) {
-      deadline_ms = static_cast<uint32_t>(std::atoi(argv[++i]));
-    } else if (arg == "--retries" && i + 1 < argc) {
-      retries = std::atoi(argv[++i]);
-    } else if (arg == "--timeout-ms" && i + 1 < argc) {
-      client_options.io_timeout =
-          std::chrono::milliseconds(std::atoll(argv[++i]));
+    } else if (arg == "--k") {
+      number(&k, "a decimal integer");
+    } else if (arg == "--alpha") {
+      number(&alpha, "a decimal number");
+    } else if (arg == "--deadline-ms") {
+      number(&deadline_ms, "a decimal integer");
+    } else if (arg == "--retries") {
+      number(&retries, "a decimal integer in [0, 65535]");
+    } else if (arg == "--timeout-ms") {
+      number(&timeout_ms, "a decimal integer");
     } else {
       std::fprintf(stderr, "unknown option %s\n", arg.c_str());
       return Usage(argv[0]);
     }
   }
   if (port == 0) return Usage(argv[0]);
+  net::ClientOptions client_options;
+  client_options.io_timeout = std::chrono::milliseconds(timeout_ms);
+
+  // Every query is parsed before anything connects.
+  std::vector<TokenId> tokens;
+  if (!ParseTokens(query_text, &tokens)) {
+    std::fprintf(stderr,
+                 "koios_client: --query takes space-separated token ids, "
+                 "got '%s'\n",
+                 query_text.c_str());
+    return 1;
+  }
+  std::vector<std::vector<TokenId>> queries;
+  if (from_stdin) {
+    std::string line;
+    for (size_t line_no = 1; std::getline(std::cin, line); ++line_no) {
+      std::vector<TokenId> line_tokens;
+      if (!ParseTokens(line, &line_tokens)) {
+        std::fprintf(stderr,
+                     "koios_client: --stdin line %zu is not space-separated "
+                     "token ids: '%s'\n",
+                     line_no, line.c_str());
+        return 1;
+      }
+      if (!line_tokens.empty()) queries.push_back(std::move(line_tokens));
+    }
+    if (queries.empty()) {
+      std::fprintf(stderr, "no queries on stdin\n");
+      return 1;
+    }
+  }
 
   if (!http_path.empty()) {
     int status_code = 0;
@@ -128,16 +193,6 @@ int main(int argc, char** argv) {
   }
 
   if (from_stdin) {
-    std::vector<std::vector<TokenId>> queries;
-    std::string line;
-    while (std::getline(std::cin, line)) {
-      std::vector<TokenId> tokens = ParseTokens(line);
-      if (!tokens.empty()) queries.push_back(std::move(tokens));
-    }
-    if (queries.empty()) {
-      std::fprintf(stderr, "no queries on stdin\n");
-      return 1;
-    }
     bool any_failed = false;
     util::Status status = client.value().SearchMany(
         queries, k, alpha, deadline_ms, [&](const net::ResponseFrame& frame) {
@@ -159,7 +214,6 @@ int main(int argc, char** argv) {
     return any_failed ? 3 : 0;
   }
 
-  const std::vector<TokenId> tokens = ParseTokens(query_text);
   if (tokens.empty()) return Usage(argv[0]);
   auto results =
       client.value().SearchWithBackoff(tokens, k, alpha, deadline_ms, retries);

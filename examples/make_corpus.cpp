@@ -4,6 +4,10 @@
 //
 //   ./make_corpus /tmp/repo.txt --sets 500 --words 800 --seed 7
 //   ./koios_cli /tmp/repo.txt --k 5 --alpha 0.5
+//
+// Exit status: 0 ok, 1 write failure, 2 usage (also a missing or malformed
+// flag value, checked before anything is generated).
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -22,21 +26,39 @@ int main(int argc, char** argv) {
     return 2;
   }
   data::StringCorpusSpec spec;
-  for (int i = 2; i + 1 < argc; i += 2) {
+  for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
-    const long value = std::atol(argv[i + 1]);
+    // Parses the flag's whole value into `out` with std::from_chars: digits
+    // only (no sign, space or suffix for an unsigned type), no overflow. A
+    // missing or bad value exits 2 here, before anything is generated.
+    auto number = [&](auto* out) {
+      if (i + 1 >= argc) {
+        std::fprintf(stderr, "make_corpus: missing value for %s\n",
+                     arg.c_str());
+        std::exit(2);
+      }
+      const char* text = argv[++i];
+      const char* end = text + std::strlen(text);
+      const auto [ptr, ec] = std::from_chars(text, end, *out);
+      if (ec != std::errc() || ptr != end) {
+        std::fprintf(stderr,
+                     "make_corpus: %s takes a decimal integer, got '%s'\n",
+                     arg.c_str(), text);
+        std::exit(2);
+      }
+    };
     if (arg == "--sets") {
-      spec.num_sets = static_cast<size_t>(value);
+      number(&spec.num_sets);
     } else if (arg == "--words") {
-      spec.num_base_words = static_cast<size_t>(value);
+      number(&spec.num_base_words);
     } else if (arg == "--typos") {
-      spec.typos_per_word = static_cast<size_t>(value);
+      number(&spec.typos_per_word);
     } else if (arg == "--min-size") {
-      spec.min_set_size = static_cast<size_t>(value);
+      number(&spec.min_set_size);
     } else if (arg == "--max-size") {
-      spec.max_set_size = static_cast<size_t>(value);
+      number(&spec.max_set_size);
     } else if (arg == "--seed") {
-      spec.seed = static_cast<uint64_t>(value);
+      number(&spec.seed);
     } else {
       std::fprintf(stderr, "unknown option %s\n", arg.c_str());
       return 2;

@@ -140,7 +140,7 @@ class EdgeCache {
                                      std::vector<uint32_t>* set_cols) const;
 
   /// BuildMatrix into a caller-owned matrix (capacity reuse across every
-  /// exact matching a thread runs; see core::ExactMatch).
+  /// exact matching a thread runs; post-processing keeps one per thread).
   void BuildMatrixInto(std::span<const TokenId> candidate_tokens,
                        std::vector<uint32_t>* query_rows,
                        std::vector<uint32_t>* set_cols,

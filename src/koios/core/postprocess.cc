@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <set>
+#include <span>
 #include <unordered_map>
 
 #include "koios/matching/sparse_matcher.h"
@@ -39,8 +40,12 @@ struct EmScratch {
   matching::SparseMatcher matcher;
 };
 
-}  // namespace
-
+// One exact matching (Def. 1) of the query against `candidate`, run in the
+// calling thread's EmScratch. PostProcessor::Run, its one caller, runs it
+// for post-processing, result verification and the tie sweep. Lemma 8
+// early termination is armed when `prune_threshold` >= 0. Adds 1 to
+// `*reuses` when the thread's matcher had solved before (the
+// em_workspace_reuses stat).
 matching::MatchResult ExactMatch(const EdgeCache& cache,
                                  std::span<const TokenId> candidate,
                                  double prune_threshold, size_t* reuses) {
@@ -50,6 +55,8 @@ matching::MatchResult ExactMatch(const EdgeCache& cache,
                         &scratch.matrix);
   return scratch.matcher.Solve(scratch.matrix, prune_threshold);
 }
+
+}  // namespace
 
 PostProcessor::PostProcessor(const index::SetCollection* sets,
                              const EdgeCache* cache,

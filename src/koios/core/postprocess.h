@@ -5,27 +5,14 @@
 #ifndef KOIOS_CORE_POSTPROCESS_H_
 #define KOIOS_CORE_POSTPROCESS_H_
 
-#include <span>
 #include <vector>
 
 #include "koios/core/edge_cache.h"
 #include "koios/core/refinement.h"
 #include "koios/core/search_types.h"
 #include "koios/index/set_collection.h"
-#include "koios/matching/hungarian.h"
 
 namespace koios::core {
-
-/// One exact matching (Def. 1) of the query against `candidate`, run in
-/// the calling thread's scratch: the weight matrix EdgeCache builds and a
-/// matching::SparseMatcher, both reused by every matching the thread runs.
-/// PostProcessor::Run, its one caller, runs it for post-processing, result
-/// verification and the tie sweep. Lemma 8 early termination is armed
-/// when `prune_threshold` >= 0. Adds 1 to `*reuses` when the thread's
-/// matcher had solved before (the em_workspace_reuses stat).
-matching::MatchResult ExactMatch(const EdgeCache& cache,
-                                 std::span<const TokenId> candidate,
-                                 double prune_threshold, size_t* reuses);
 
 class PostProcessor {
  public:

@@ -8,6 +8,21 @@
 
 namespace koios::core {
 
+namespace {
+
+// The calling thread's candidate table, the working state of
+// RefinementPhase::Run, its one user. It is owned per thread and reused by
+// every refinement run on it, keeping its storage between runs, so a warm
+// thread allocates nothing per query. Refinement never nests on a thread,
+// and each run resets the table first, so a run that unwound mid-query
+// leaves nothing behind.
+CandidateTable& ThreadCandidateTable() {
+  thread_local CandidateTable table;
+  return table;
+}
+
+}  // namespace
+
 RefinementPhase::RefinementPhase(const index::SetCollection* sets,
                                  const index::InvertedIndex* inverted,
                                  size_t query_size, const SearchParams& params)
@@ -195,11 +210,6 @@ RefinementOutput RefinementPhase::Run(EdgeCache* cache, SearchStats* stats,
   stats->memory.AddPeak("refinement.scratch", table.MemoryUsageBytes());
   stats->memory.AddPeak("refinement.llb", out.llb.MemoryUsageBytes());
   return out;
-}
-
-CandidateTable& ThreadCandidateTable() {
-  thread_local CandidateTable table;
-  return table;
 }
 
 }  // namespace koios::core

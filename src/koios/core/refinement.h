@@ -30,14 +30,6 @@ struct Survivor {
   }
 };
 
-/// The calling thread's candidate table, the working state of
-/// RefinementPhase::Run, its one user. It is owned per thread and reused
-/// by every refinement run on it, keeping its storage between runs, so a
-/// warm thread allocates nothing per query.
-/// Refinement never nests on a thread, and each run resets the table
-/// first, so a run that unwound mid-query leaves nothing behind.
-CandidateTable& ThreadCandidateTable();
-
 struct RefinementOutput {
   /// Candidates that survived all refinement filters (order unspecified).
   std::vector<Survivor> survivors;

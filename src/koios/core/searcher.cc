@@ -120,14 +120,12 @@ SearchResult KoiosSearcher::SearchPartitions(
   // the stop similarity τ(θlb, |Q|, partial scores); the cache produces
   // only what refinement pulls, so tuples under τ are never ordered,
   // scored or cached. Exactness requires the index's SimilarityFunction so
-  // exact matching can complete below-τ edges on demand, AND an
-  // exact-neighbor index: completing from the raw similarity would score
-  // pairs an approximate probe (LSH/MinHash) never surfaced, silently
-  // changing results between the modes. Without either (or with the
-  // ablation toggle off) the stream drains to α as the seed did.
+  // exact matching can complete below-τ edges on demand (the index streams
+  // every vocabulary token with sim >= α, so completion scores exactly the
+  // pairs a drain would). Without it (or with the ablation toggle off) the
+  // stream drains to α as the seed did.
   const sim::SimilarityFunction* completer = index_->similarity();
-  const bool feedback = params.use_stream_feedback && completer != nullptr &&
-                        index_->exact_neighbors();
+  const bool feedback = params.use_stream_feedback && completer != nullptr;
   EdgeCache cache(&*stream_storage, feedback ? completer : nullptr, ctx);
 
   // ---- per-partition search under the shared global θlb ------------------

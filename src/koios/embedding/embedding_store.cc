@@ -122,9 +122,9 @@ inline void DotKernelMulti(const float* t, const double* const* q, size_t n,
 #endif
 
 // Pull a row's cache lines toward the core before the kernel needs them.
-// Batch callers (LSH probes especially) visit rows in token order, which
-// is scattered in the matrix — without prefetch every row transition
-// stalls on L3/DRAM latency that the dot product cannot hide.
+// Batch callers visit rows in token order, which is scattered in the
+// matrix — without prefetch every row transition stalls on L3/DRAM latency
+// that the dot product cannot hide.
 inline void PrefetchRow(const float* row, size_t dim) {
 #if defined(__GNUC__) || defined(__clang__)
   for (size_t off = 0; off < dim; off += 16) {  // 16 floats per cache line
@@ -207,11 +207,6 @@ void EmbeddingStore::AddImpl(TokenId token, std::span<const float> vector,
 std::span<const float> EmbeddingStore::VectorOf(TokenId token) const {
   assert(Has(token));
   return {DataPtr() + static_cast<size_t>(RowOfPtr()[token]) * dim_, dim_};
-}
-
-double EmbeddingStore::Dot(std::span<const float> a, std::span<const float> b) {
-  assert(a.size() == b.size());
-  return DotKernel(a.data(), b.data(), a.size());
 }
 
 double EmbeddingStore::Cosine(TokenId a, TokenId b) const {

@@ -65,11 +65,6 @@ class EmbeddingStore {
   /// Normalized vector of `token`; asserts coverage.
   std::span<const float> VectorOf(TokenId token) const;
 
-  /// Vectorized dot product of two equal-length float spans with double
-  /// accumulation — the same kernel the batched cosine paths run, exposed
-  /// for callers that dot against non-row vectors (e.g. LSH hyperplanes).
-  static double Dot(std::span<const float> a, std::span<const float> b);
-
   /// Does nothing. Kept only because benchmark/koios_bench.cc still calls
   /// it after building its model; drop it together with that call.
   void Finalize() {}

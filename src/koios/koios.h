@@ -33,8 +33,6 @@
 #include "koios/sim/cosine_similarity.h"
 #include "koios/sim/exact_knn_index.h"
 #include "koios/sim/jaccard_qgram_similarity.h"
-#include "koios/sim/lsh_index.h"
-#include "koios/sim/minhash_index.h"
 #include "koios/sim/token_stream.h"
 #include "koios/text/dictionary.h"
 #include "koios/text/qgram.h"

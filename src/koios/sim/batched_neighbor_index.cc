@@ -1,7 +1,6 @@
 #include "koios/sim/batched_neighbor_index.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cstring>
 #include <utility>
 
@@ -20,7 +19,25 @@ inline bool NeighborBefore(const Neighbor& a, const Neighbor& b) {
   return a.token < b.token;
 }
 
+// The α filter over query `q`'s score row against `vocabulary`. The query
+// token itself is skipped: self-matches are injected by the token stream.
+// The cursor is a long-lived cached payload, so the push_back growth slack
+// is dropped and the budget accounting (capacity-based) matches what is
+// resident.
+void FilterRow(TokenId q, std::span<const TokenId> vocabulary,
+               const Score* row, Score alpha, std::vector<Neighbor>* out) {
+  for (size_t i = 0; i < vocabulary.size(); ++i) {
+    if (vocabulary[i] == q) continue;
+    if (row[i] >= alpha) out->push_back({vocabulary[i], row[i]});
+  }
+  out->shrink_to_fit();
+}
+
 }  // namespace
+
+BatchedNeighborIndex::BatchedNeighborIndex(std::vector<TokenId> vocabulary,
+                                           const SimilarityFunction* sim)
+    : vocabulary_(std::move(vocabulary)), sim_(sim) {}
 
 // ---- probe session ----------------------------------------------------------
 
@@ -57,55 +74,6 @@ class BatchedNeighborIndex::Session final : public ProbeSession {
 
 std::unique_ptr<ProbeSession> BatchedNeighborIndex::NewSession() const {
   return std::make_unique<Session>(this);
-}
-
-// ---- candidate collection helpers ------------------------------------------
-
-void BatchedNeighborIndex::CollectCandidates(TokenId q,
-                                             std::vector<TokenId>* out) const {
-  (void)q;
-  (void)out;
-  // Only reachable for backends without a shared candidate list; those
-  // must override this.
-  assert(SharedCandidates() == nullptr &&
-         "shared-candidate backends never collect per query");
-  assert(false && "CollectCandidates not implemented");
-}
-
-void BatchedNeighborIndex::SortUniqueVocabulary(
-    std::vector<TokenId>* vocabulary) {
-  std::sort(vocabulary->begin(), vocabulary->end());
-  vocabulary->erase(std::unique(vocabulary->begin(), vocabulary->end()),
-                    vocabulary->end());
-}
-
-void BatchedNeighborIndex::UnionBuckets(
-    std::span<const std::vector<TokenId>* const> buckets,
-    std::vector<TokenId>* out) {
-  std::vector<size_t> bounds{out->size()};
-  for (const std::vector<TokenId>* bucket : buckets) {
-    out->insert(out->end(), bucket->begin(), bucket->end());
-    bounds.push_back(out->size());
-  }
-  MergeSortedRuns(out, &bounds);
-}
-
-void BatchedNeighborIndex::MergeSortedRuns(std::vector<TokenId>* ids,
-                                           std::vector<size_t>* bounds) {
-  std::vector<size_t>& b = *bounds;
-  while (b.size() > 2) {
-    size_t w = 1;
-    size_t i = 0;
-    for (; i + 2 < b.size(); i += 2) {
-      std::inplace_merge(ids->begin() + static_cast<ptrdiff_t>(b[i]),
-                         ids->begin() + static_cast<ptrdiff_t>(b[i + 1]),
-                         ids->begin() + static_cast<ptrdiff_t>(b[i + 2]));
-      b[w++] = b[i + 2];
-    }
-    if (i + 1 < b.size()) b[w++] = b[i + 1];  // odd run carries over
-    b.resize(w);
-  }
-  ids->erase(std::unique(ids->begin(), ids->end()), ids->end());
 }
 
 // ---- shared cursor cache ----------------------------------------------------
@@ -259,30 +227,14 @@ BatchedNeighborIndex::CursorPtr BatchedNeighborIndex::BuildCursor(
     TokenId q, Score alpha) const {
   auto cursor = std::make_shared<SharedCursor>();
   cursor->alpha = alpha;
-  // thread_local scratch: builds run concurrently in different queries'
-  // prewarms and sessions' cache misses.
-  thread_local std::vector<TokenId> collected;
-  const std::vector<TokenId>* candidates = SharedCandidates();
-  if (candidates == nullptr) {
-    collected.clear();
-    CollectCandidates(q, &collected);
-    assert(std::is_sorted(collected.begin(), collected.end()));
-    candidates = &collected;
-  }
-  if (candidates->empty()) return cursor;
-  // One batched scan of the candidates, then the α filter over the flat
-  // score array.
+  if (vocabulary_.empty()) return cursor;
+  // One batched scan of the vocabulary, then the α filter over the flat
+  // score array. thread_local scratch: builds run concurrently in
+  // different queries' prewarms and sessions' cache misses.
   thread_local std::vector<Score> scores;
-  scores.resize(candidates->size());
-  sim_->SimilarityBatch(q, *candidates, scores);
-  for (size_t i = 0; i < candidates->size(); ++i) {
-    const TokenId t = (*candidates)[i];
-    if (t == q) continue;  // self-matches are injected by the token stream
-    if (scores[i] >= alpha) cursor->neighbors.push_back({t, scores[i]});
-  }
-  // Long-lived cached payload: drop the push_back growth slack so the
-  // budget accounting (capacity-based) matches what is actually resident.
-  cursor->neighbors.shrink_to_fit();
+  scores.resize(vocabulary_.size());
+  sim_->SimilarityBatch(q, vocabulary_, scores);
+  FilterRow(q, vocabulary_, scores.data(), alpha, &cursor->neighbors);
   return cursor;
 }
 
@@ -294,78 +246,16 @@ BatchedNeighborIndex::BuildCursorBlock(std::span<const TokenId> qs,
     c = std::make_shared<SharedCursor>();
     c->alpha = alpha;
   }
+  if (vocabulary_.empty()) return cursors;
 
-  // Resolve the block's target list: the shared candidate set when the
-  // backend has one, otherwise the sorted union of each query's candidates
-  // (bucket probes of SIMILAR query tokens overlap heavily, so the union
-  // amortizes the multi-query kernel's row reads across the block).
-  const std::vector<TokenId>* shared = SharedCandidates();
-  std::vector<std::vector<TokenId>> per_query;
-  std::vector<TokenId> target_union;
-  const std::vector<TokenId>* targets = shared;
-  if (shared == nullptr) {
-    per_query.resize(qs.size());
-    size_t total = 0;
-    std::vector<size_t> bounds{0};
-    for (size_t qi = 0; qi < qs.size(); ++qi) {
-      CollectCandidates(qs[qi], &per_query[qi]);
-      total += per_query[qi].size();
-      target_union.insert(target_union.end(), per_query[qi].begin(),
-                          per_query[qi].end());
-      bounds.push_back(target_union.size());
-    }
-    MergeSortedRuns(&target_union, &bounds);
-    // When the block's buckets barely overlap (unrelated query tokens),
-    // the union kernel would score |union| rows for every query — mostly
-    // rows outside that query's buckets. Scoring each query's own batch is
-    // then strictly less work; the multi-query union only wins when the
-    // row reads it amortizes actually repeat across queries.
-    if (target_union.size() * qs.size() > 2 * total) {
-      thread_local std::vector<Score> scores;
-      for (size_t qi = 0; qi < qs.size(); ++qi) {
-        const std::vector<TokenId>& cand = per_query[qi];
-        if (cand.empty()) continue;
-        scores.resize(cand.size());
-        sim_->SimilarityBatch(qs[qi], cand, scores);
-        SharedCursor& cursor = *cursors[qi];
-        for (size_t i = 0; i < cand.size(); ++i) {
-          if (cand[i] == qs[qi]) continue;
-          if (scores[i] >= alpha) cursor.neighbors.push_back({cand[i], scores[i]});
-        }
-        cursor.neighbors.shrink_to_fit();  // see BuildCursor
-      }
-      return cursors;
-    }
-    targets = &target_union;
-  }
-  if (targets->empty()) return cursors;
-
-  // One multi-query kernel call scores the whole block against the targets
-  // (each target row read once per multi-query sub-block).
+  // One multi-query kernel call scores the whole block against the
+  // vocabulary (each vocabulary row read once per multi-query sub-block).
   thread_local std::vector<Score> scores;
-  scores.resize(qs.size() * targets->size());
-  sim_->SimilarityBatchMulti(qs, *targets, scores);
-
+  scores.resize(qs.size() * vocabulary_.size());
+  sim_->SimilarityBatchMulti(qs, vocabulary_, scores);
   for (size_t qi = 0; qi < qs.size(); ++qi) {
-    SharedCursor& cursor = *cursors[qi];
-    const Score* row = scores.data() + qi * targets->size();
-    if (shared != nullptr) {
-      for (size_t i = 0; i < targets->size(); ++i) {
-        const TokenId t = (*targets)[i];
-        if (t == qs[qi]) continue;  // self-matches come from the token stream
-        if (row[i] >= alpha) cursor.neighbors.push_back({t, row[i]});
-      }
-    } else {
-      // Merge walk: both lists are sorted and per_query[qi] ⊆ targets, so
-      // each candidate's score index is found by advancing one pointer.
-      size_t ti = 0;
-      for (const TokenId t : per_query[qi]) {
-        while ((*targets)[ti] < t) ++ti;
-        if (t == qs[qi]) continue;
-        if (row[ti] >= alpha) cursor.neighbors.push_back({t, row[ti]});
-      }
-    }
-    cursor.neighbors.shrink_to_fit();  // see BuildCursor
+    FilterRow(qs[qi], vocabulary_, scores.data() + qi * vocabulary_.size(),
+              alpha, &cursors[qi]->neighbors);
   }
   return cursors;
 }
@@ -459,7 +349,7 @@ CursorCacheStats BatchedNeighborIndex::cursor_cache_stats() const {
 size_t BatchedNeighborIndex::MemoryUsageBytes() const {
   // The budget gauge is exact (credit at publish, debit at evict/clear),
   // so no shard walk is needed.
-  return cache_bytes_.used();
+  return vocabulary_.capacity() * sizeof(TokenId) + cache_bytes_.used();
 }
 
 }  // namespace koios::sim

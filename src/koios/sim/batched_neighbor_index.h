@@ -1,18 +1,15 @@
-// Shared batched-probe machinery for SimilarityIndex backends. Every
-// backend in this repo (exact scan, SimHash LSH, MinHash LSH) reduces to
-// the same shape: given a query token, produce a *candidate id batch*
-// (the whole vocabulary, or the union of the query's hash buckets), score
-// it with ONE SimilarityFunction::SimilarityBatch kernel call, α-filter
-// the flat score array, and stream the survivors lazily in non-increasing
-// order. This base class owns everything after candidate collection, so
-// all three indexes share one cursor implementation and automatically
-// honor the batch-API contract (SimilarityBatch[Multi] + Prewarm) that
-// PR 1 established for the exact path:
+// The neighbor index's batched-probe machinery: given a query token, score
+// the whole vocabulary with ONE SimilarityFunction::SimilarityBatch kernel
+// call, α-filter the flat score array, and stream the survivors lazily in
+// non-increasing order. Every cursor build scores that one list, so a
+// session streams every vocabulary token with sim >= α — the exactness the
+// searcher's θlb feedback relies on. It honors the batch-API contract
+// (SimilarityBatch[Multi] + Prewarm):
 //
 //  * One kernel call per query token instead of one virtual call per
-//    candidate — dense similarities (cosine over an embedding matrix)
-//    vectorize, everything else falls back to the pairwise loop inside
-//    the batch call.
+//    vocabulary token — dense similarities (cosine over an embedding
+//    matrix) vectorize, everything else falls back to the pairwise loop
+//    inside the batch call.
 //  * Survivors are ordered LAZILY: the cursor partial-sorts the next chunk
 //    (std::nth_element + chunk sort, starting at kSortChunk and doubling)
 //    only when consumption reaches it. Short-prefix consumers (the θ-bound
@@ -20,8 +17,8 @@
 //    O(m log m) like an eager sort.
 //  * Prewarm() builds the cursors of a whole query up front, on the
 //    calling thread, in blocks of kPrewarmBlock through
-//    SimilarityBatchMulti (each target row is read once per multi-query
-//    block).
+//    SimilarityBatchMulti (each vocabulary row is read once per
+//    multi-query block).
 //
 // CONCURRENCY (the serve subsystem's reentrancy contract): built cursors
 // live in a sharded, mutex-protected cache keyed by (token, α) and are
@@ -129,46 +126,15 @@ class BatchedNeighborIndex : public SimilarityIndex {
   /// unaffected.
   void ClearCursorCache() const;
 
+  /// The vocabulary plus the cached cursor payloads.
   size_t MemoryUsageBytes() const override;
 
  protected:
-  /// `sim`: any symmetric similarity; its batch entry points are the only
-  /// way this class scores candidates.
-  explicit BatchedNeighborIndex(const SimilarityFunction* sim) : sim_(sim) {}
-
-  /// Append the candidate vocabulary tokens for query `q` to `out`
-  /// (`out` arrives empty) as a SORTED, DUPLICATE-FREE list — bucket
-  /// backends union their (naturally sorted) bucket lists with
-  /// UnionBuckets. `q` itself may be included (the α filter skips it; the
-  /// token stream injects self-matches). Concurrent queries' Prewarm
-  /// calls and sessions' cache misses call it at once, so
-  /// implementations must be const-thread-safe. Backends with
-  /// SharedCandidates() never receive this call; the default asserts that.
-  virtual void CollectCandidates(TokenId q, std::vector<TokenId>* out) const;
-
-  /// Sorts + dedupes a vocabulary in place. Bucket backends run this
-  /// before building their tables so that bucket lists (filled in
-  /// vocabulary iteration order) come out ascending — the invariant
-  /// UnionBuckets relies on.
-  static void SortUniqueVocabulary(std::vector<TokenId>* vocabulary);
-
-  /// Appends the (ascending) `buckets` to `out` and unions them in place:
-  /// pairwise std::inplace_merge rounds, then a dedupe pass — linear-ish,
-  /// versus the O(n log n) branchy sort a concatenation would need.
-  static void UnionBuckets(
-      std::span<const std::vector<TokenId>* const> buckets,
-      std::vector<TokenId>* out);
-
-  /// Backends whose candidate list is one fixed set shared by every query
-  /// (the exact index scans the whole vocabulary) return it here; the
-  /// prewarm block path then feeds it straight to SimilarityBatchMulti
-  /// instead of unioning per-query collections. Return nullptr (default)
-  /// when candidates are per-query (bucket probes).
-  virtual const std::vector<TokenId>* SharedCandidates() const {
-    return nullptr;
-  }
-
-  const SimilarityFunction* sim() const { return sim_; }
+  /// `vocabulary`: the distinct tokens of the repository, the one list
+  /// every cursor build scores. `sim`: any symmetric similarity; its batch
+  /// entry points are the only way this class scores.
+  BatchedNeighborIndex(std::vector<TokenId> vocabulary,
+                       const SimilarityFunction* sim);
 
  private:
   class Session;
@@ -226,10 +192,6 @@ class BatchedNeighborIndex : public SimilarityIndex {
     size_t hand = 0;
   };
 
-  /// In-place union of the ascending runs of `ids` delimited by `bounds`.
-  static void MergeSortedRuns(std::vector<TokenId>* ids,
-                              std::vector<size_t>* bounds);
-
   /// Extends the shared ordered prefix until it covers `count` neighbors
   /// (or all of them): nth_element partitions the next chunk's members to
   /// the front, then the chunk is sorted with the deterministic tie-break,
@@ -260,13 +222,13 @@ class BatchedNeighborIndex : public SimilarityIndex {
 
   CursorPtr BuildCursor(TokenId q, Score alpha) const;
 
-  /// Batched build of one prewarm block: the block's candidate union is
-  /// scored with one SimilarityBatchMulti call, then each query's α filter
-  /// runs over its own candidates' rows (a merge walk of two sorted lists,
-  /// so no per-candidate lookups).
+  /// Batched build of one prewarm block: the block is scored against the
+  /// vocabulary with one SimilarityBatchMulti call, then each query's α
+  /// filter runs over its own row.
   std::vector<CursorPtr> BuildCursorBlock(std::span<const TokenId> qs,
                                           Score alpha) const;
 
+  std::vector<TokenId> vocabulary_;
   const SimilarityFunction* sim_;
 
   // Shared cursor cache + stats. Mutable: caching is not observable

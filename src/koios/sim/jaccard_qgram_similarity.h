@@ -6,7 +6,7 @@
 // is a linear merge intersection over sorted id arrays (integer compares)
 // instead of string compares. SimilarityBatch runs that merge kernel over
 // a contiguous candidate batch with the query's gram ids hot in cache —
-// the path MinHashIndex probes score through.
+// the path ExactKnnIndex's cold cursor builds score through.
 #ifndef KOIOS_SIM_JACCARD_QGRAM_SIMILARITY_H_
 #define KOIOS_SIM_JACCARD_QGRAM_SIMILARITY_H_
 
@@ -38,15 +38,15 @@ class JaccardQGramSimilarity : public SimilarityFunction {
   /// (gram id → target positions), then each query walks its own sorted id
   /// array against the sorted posting keys — one merge per query instead of
   /// one merge per (query, target) pair, with cost proportional to the
-  /// *matching* grams. This is the path MinHash prewarm blocks score
-  /// through (identical values to the pairwise overload).
+  /// *matching* grams. This is the path ExactKnnIndex's prewarm blocks and
+  /// the feedback loop's matrix completion score through (identical values
+  /// to the pairwise overload).
   void SimilarityBatchMulti(std::span<const TokenId> queries,
                             std::span<const TokenId> targets,
                             std::span<Score> out) const override;
 
   size_t q() const { return q_; }
-  /// Sorted q-grams of a token (for SilkMoth's signature machinery and the
-  /// MinHash signatures).
+  /// Sorted q-grams of a token (for SilkMoth's signature machinery).
   const std::vector<std::string>& GramsOf(TokenId t) const;
 
   size_t MemoryUsageBytes() const override;

@@ -6,16 +6,17 @@
 //    during verification and by the oracle baselines.
 //  * SimilarityIndex — streaming "next most similar vocabulary token" used
 //    by the token stream Ie (paper §IV). The paper plugs in a Faiss top-k
-//    index for cosine and a set-similarity join for Jaccard; this repo
-//    provides an exact brute-force index and LSH / MinHash approximations,
-//    all built on the shared BatchedNeighborIndex cursor machinery. One
-//    probe interface: the index is immutable and shared, and each query
-//    probes through its own ProbeSession (NewSession), which holds the
-//    query's cursor positions over the index's built cursors.
+//    index for cosine and notes that a minhash LSH index can be plugged in
+//    for Jaccard; this interface is that plug-in point, and its one
+//    backend is the exact ExactKnnIndex (BatchedNeighborIndex's cursor
+//    machinery over the whole vocabulary). One probe interface: the index
+//    is immutable and shared, and each query probes through its own
+//    ProbeSession (NewSession), which holds the query's cursor positions
+//    over the index's built cursors.
 //
-// THE BATCH CONTRACT (established in PR 1, honored by every backend): hot
-// consumers never score candidates pairwise through the virtual call. They
-// collect candidate ids into a contiguous batch and make one
+// THE BATCH CONTRACT: hot consumers never score candidates pairwise
+// through the virtual call. They collect candidate ids into a contiguous
+// batch and make one
 // SimilarityBatch (or, across several query tokens, one
 // SimilarityBatchMulti) call, and they announce upcoming probes through
 // Prewarm so cursor construction can be batched across query tokens. Any
@@ -110,6 +111,12 @@ class ProbeSession {
 
 /// Streaming per-query-token neighbor index over the vocabulary `D`.
 ///
+/// The contract: a session streams EVERY vocabulary token with sim >= α
+/// (no recall loss). Koios' answers are exact only while its token stream
+/// returns exact neighbors (§VIII-E), and the searcher's stream feedback
+/// completes below-stop matrix edges from similarity(), which scores
+/// exactly the pairs a full drain would.
+///
 /// The index is immutable after construction and every member is const and
 /// thread-safe: all probe state lives in the ProbeSessions it hands out.
 /// Implementations may memoize built cursors behind internal
@@ -124,15 +131,6 @@ class SimilarityIndex {
   /// matrices for pairs the feedback-terminated stream never produced; a
   /// searcher only enables stream feedback when this is non-null.
   virtual const SimilarityFunction* similarity() const { return nullptr; }
-
-  /// True iff a session streams EVERY vocabulary token with sim >= α
-  /// (no recall loss). Approximate backends (LSH, MinHash) must return
-  /// false: results there are exact *with respect to the neighbors the
-  /// probe returns*, and the feedback loop's matrix completion would score
-  /// pairs the probe never surfaced — silently changing results between
-  /// the feedback and drain modes. The searcher therefore only enables
-  /// stream feedback when this is true.
-  virtual bool exact_neighbors() const { return false; }
 
   /// A fresh probe session: every query token's stream starts at its most
   /// similar neighbor. Cheap; one per query (the token stream opens its

@@ -16,6 +16,7 @@
 #include "koios/sim/exact_knn_index.h"
 #include "koios/sim/jaccard_qgram_similarity.h"
 #include "koios/sim/similarity.h"
+#include "koios/text/qgram.h"
 #include "koios/util/rng.h"
 #include "test_util.h"
 
@@ -160,6 +161,33 @@ TEST(BatchSimilarityTest, JaccardBatchMultiMatchesPairwise) {
       EXPECT_DOUBLE_EQ(multi[qi * targets.size() + ti],
                        jaccard.Similarity(queries[qi], targets[ti]))
           << "q=" << queries[qi] << " t=" << targets[ti];
+    }
+  }
+}
+
+// ------------------------------------------- Jaccard interned-id kernel ----
+
+TEST(JaccardBatchTest, InternedIdSimilarityMatchesStringGramJaccard) {
+  data::StringCorpusSpec spec;
+  spec.num_sets = 40;
+  spec.num_base_words = 150;
+  spec.seed = 17;
+  data::StringCorpus corpus = data::GenerateStringCorpus(spec);
+  JaccardQGramSimilarity jaccard(&corpus.dict, 3);
+
+  // Pairwise and batched id-merge values must equal the string-gram
+  // reference exactly (interning is a bijection on gram sets).
+  std::vector<Score> batch(corpus.vocabulary.size());
+  for (size_t i = 0; i < corpus.vocabulary.size(); i += 11) {
+    const TokenId q = corpus.vocabulary[i];
+    jaccard.SimilarityBatch(q, corpus.vocabulary, batch);
+    for (size_t j = 0; j < corpus.vocabulary.size(); ++j) {
+      const TokenId t = corpus.vocabulary[j];
+      const double reference =
+          t == q ? 1.0 : text::JaccardSorted(jaccard.GramsOf(q), jaccard.GramsOf(t));
+      EXPECT_DOUBLE_EQ(jaccard.Similarity(q, t), reference)
+          << "q=" << q << " t=" << t;
+      EXPECT_DOUBLE_EQ(batch[j], reference) << "q=" << q << " t=" << t;
     }
   }
 }

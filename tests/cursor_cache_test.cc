@@ -13,18 +13,11 @@
 #include <vector>
 
 #include "koios/sim/exact_knn_index.h"
-#include "koios/sim/lsh_index.h"
 #include "koios/util/rng.h"
 #include "test_util.h"
 
 namespace koios::sim {
 namespace {
-
-std::vector<TokenId> FullVocabulary(size_t n) {
-  std::vector<TokenId> vocab(n);
-  for (size_t i = 0; i < n; ++i) vocab[i] = static_cast<TokenId>(i);
-  return vocab;
-}
 
 /// Drains a token's stream through `session` and returns the sequence.
 std::vector<Neighbor> Drain(ProbeSession* session, TokenId q, Score alpha) {
@@ -305,26 +298,6 @@ TEST(CursorCacheTest, ClearAndEvictUnderLiveSessionsHammer) {
   stop.store(true, std::memory_order_relaxed);
   maintenance.join();
   EXPECT_EQ(mismatches.load(), 0u);
-}
-
-TEST(CursorCacheTest, BucketBackendSessionsAreConsistent) {
-  // Sessions also work over an approximate backend (per-query candidate
-  // collection instead of a shared vocabulary scan).
-  auto w = testing::MakeRandomWorkload(40, 300, 5, 15, 9005);
-  LshIndexSpec spec;
-  CosineLshIndex lsh(FullVocabulary(300), &w.model->store(), w.sim.get(),
-                     spec);
-  auto s1 = lsh.NewSession();
-  auto s2 = lsh.NewSession();
-  for (TokenId q : {TokenId{5}, TokenId{99}, TokenId{200}}) {
-    const auto a = Drain(s1.get(), q, 0.5);
-    const auto b = Drain(s2.get(), q, 0.5);
-    ASSERT_EQ(a.size(), b.size()) << "q=" << q;
-    for (size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].token, b[i].token) << "q=" << q;
-      EXPECT_DOUBLE_EQ(a[i].sim, b[i].sim) << "q=" << q;
-    }
-  }
 }
 
 }  // namespace

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "koios/core/searcher.h"
-#include "koios/sim/lsh_index.h"
 #include "test_util.h"
 
 namespace koios::core {
@@ -101,29 +100,6 @@ TEST(SearcherTest, AlphaOneKeepsOnlyIdenticalElements) {
               static_cast<Score>(
                   w.corpus.sets.VanillaOverlap(sorted_query, entry.set)));
   }
-}
-
-TEST(SearcherTest, WorksWithLshIndexAgainstLshOracle) {
-  // With an approximate index Koios is exact w.r.t. the neighbors the
-  // index returns (paper §VIII-E). We can't compare against the full
-  // oracle, but results must be valid sets with correct exact scores.
-  auto w = testing::MakeRandomWorkload(80, 400, 5, 15, 707, /*coverage=*/1.0);
-  sim::LshIndexSpec spec;
-  spec.num_tables = 16;
-  spec.bits_per_table = 8;
-  sim::CosineLshIndex lsh(w.corpus.vocabulary, &w.model->store(), w.sim.get(),
-                          spec);
-  KoiosSearcher searcher(&w.corpus.sets, &lsh);
-  SearchParams params;
-  params.k = 5;
-  params.alpha = 0.8;
-  const auto query = QueryOf(w, 3);
-  const auto result = searcher.Search(query, params);
-  EXPECT_FALSE(result.topk.empty());
-  // The query's own source set must be found: its self-matches flow
-  // through the vocabulary predicate, not the LSH buckets.
-  EXPECT_EQ(result.topk[0].set, 3u);
-  EXPECT_NEAR(result.topk[0].score, static_cast<Score>(query.size()), 1e-6);
 }
 
 TEST(SearcherTest, PartitionSeedChangesAssignmentNotResult) {

@@ -6,14 +6,17 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "koios/core/edge_cache.h"
 #include "koios/core/searcher.h"
+#include "koios/data/string_corpus.h"
 #include "koios/matching/hungarian.h"
 #include "koios/matching/semantic_overlap.h"
-#include "koios/sim/lsh_index.h"
+#include "koios/sim/exact_knn_index.h"
+#include "koios/sim/jaccard_qgram_similarity.h"
 #include "koios/sim/token_stream.h"
 #include "test_util.h"
 
@@ -28,15 +31,19 @@ constexpr double kTol = 1e-9;
 
 // Runs the same query with feedback on and off and checks:
 //  * both results are identical entry by entry (set ids and exact scores),
-//  * both match the brute-force oracle (θ*k and every reported SO),
+//  * both match the brute-force oracle (θ*k, the score at every rank and
+//    every reported SO),
 //  * feedback never produces more tuples than the drain.
-void ExpectFeedbackExact(testing::RandomWorkload* w, SetId query_set,
-                         size_t partitions, size_t k, Score alpha,
-                         const std::string& label) {
-  const auto q = w->corpus.sets.Tokens(query_set);
+// Returns the feedback run.
+SearchResult ExpectFeedbackExact(const index::SetCollection& sets,
+                                 const sim::SimilarityIndex& index,
+                                 const sim::SimilarityFunction& sim,
+                                 std::span<const TokenId> q,
+                                 size_t partitions, size_t k, Score alpha,
+                                 const std::string& label) {
   SearcherOptions options;
   options.num_partitions = partitions;
-  KoiosSearcher searcher(&w->corpus.sets, w->index.get(), options);
+  KoiosSearcher searcher(&sets, &index, options);
 
   SearchParams feedback;
   feedback.k = k;
@@ -49,22 +56,26 @@ void ExpectFeedbackExact(testing::RandomWorkload* w, SetId query_set,
   const SearchResult rd = searcher.Search(q, drain);
 
   // Bit-identical top-k between the two modes.
-  ASSERT_EQ(rf.topk.size(), rd.topk.size()) << label;
-  for (size_t i = 0; i < rf.topk.size(); ++i) {
+  EXPECT_EQ(rf.topk.size(), rd.topk.size()) << label;
+  for (size_t i = 0; i < std::min(rf.topk.size(), rd.topk.size()); ++i) {
     EXPECT_EQ(rf.topk[i].set, rd.topk[i].set) << label << " entry " << i;
     EXPECT_DOUBLE_EQ(rf.topk[i].score, rd.topk[i].score)
         << label << " entry " << i;
   }
 
   // Both against the independent oracle.
-  const auto oracle = OracleRanking(w->corpus.sets, q, *w->sim, alpha);
+  const auto oracle = OracleRanking(sets, q, sim, alpha);
   const Score theta_star = OracleKthScore(oracle, k);
-  ASSERT_EQ(rf.topk.size(), std::min(k, oracle.size())) << label;
-  if (!rf.topk.empty()) {
-    EXPECT_NEAR(rf.KthScore(), theta_star, kTol) << label;
-    for (const ResultEntry& entry : rf.topk) {
+  for (const SearchResult* r : {&rf, &rd}) {
+    EXPECT_EQ(r->topk.size(), std::min(k, oracle.size())) << label;
+    if (r->topk.empty()) continue;
+    EXPECT_NEAR(r->KthScore(), theta_star, kTol) << label;
+    for (size_t i = 0; i < r->topk.size() && i < oracle.size(); ++i) {
+      const ResultEntry& entry = r->topk[i];
+      EXPECT_NEAR(entry.score, oracle[i].second, kTol)
+          << label << " rank " << i;
       const Score truth = matching::SemanticOverlap(
-          q, w->corpus.sets.Tokens(entry.set), *w->sim, alpha);
+          q, sets.Tokens(entry.set), sim, alpha);
       EXPECT_NEAR(entry.score, truth, kTol) << label << " set " << entry.set;
     }
   }
@@ -74,6 +85,7 @@ void ExpectFeedbackExact(testing::RandomWorkload* w, SetId query_set,
   EXPECT_LE(rf.stats.stream_tuples_produced, rd.stats.stream_tuples_produced)
       << label;
   EXPECT_EQ(rd.stats.stream_stop_sim, 0.0) << label;
+  return rf;
 }
 
 // ------------------------------------------------- exactness, k x p grid --
@@ -85,7 +97,8 @@ TEST_P(FeedbackExactnessTest, MatchesDrainAndBruteForce) {
   const auto [partitions, k] = GetParam();
   auto w = MakeRandomWorkload(140, 650, 5, 25, 7000 + partitions * 17 + k);
   for (SetId qid : {SetId{1}, SetId{57}}) {
-    ExpectFeedbackExact(&w, qid, partitions, k, 0.75,
+    ExpectFeedbackExact(w.corpus.sets, *w.index, *w.sim,
+                        w.corpus.sets.Tokens(qid), partitions, k, 0.75,
                         "p=" + std::to_string(partitions) +
                             " k=" + std::to_string(k) +
                             " q=" + std::to_string(qid));
@@ -96,6 +109,42 @@ INSTANTIATE_TEST_SUITE_P(
     PartitionKGrid, FeedbackExactnessTest,
     ::testing::Combine(::testing::Values<size_t>(1, 4),      // partitions
                        ::testing::Values<size_t>(1, 5, 20)));  // k
+
+// ------------------------------------- q-gram Jaccard (koios_cli default) --
+
+// A string corpus with typo variants on which some searches stop above α.
+data::StringCorpusSpec QGramSpec() {
+  data::StringCorpusSpec spec;
+  spec.num_sets = 400;
+  spec.num_base_words = 200;
+  spec.seed = 11;
+  return spec;
+}
+
+TEST(StreamFeedbackTest, JaccardQGramFeedbackMatchesDrainAndOracle) {
+  // koios_cli's default configuration: the exact index over q-gram Jaccard
+  // on a string corpus with typo variants. Where the stream stops above α,
+  // EdgeCache::BuildMatrixInto completes the below-stop edges through
+  // JaccardQGramSimilarity::SimilarityBatchMulti, so at least one (k, α)
+  // must stop early for this case to cover that path.
+  const data::StringCorpus corpus = data::GenerateStringCorpus(QGramSpec());
+  const sim::JaccardQGramSimilarity jaccard(&corpus.dict, 3);
+  const sim::ExactKnnIndex index(corpus.vocabulary, &jaccard);
+
+  bool stopped_early = false;
+  for (size_t k : {size_t{1}, size_t{5}}) {
+    for (Score alpha : {0.3, 0.5}) {
+      for (SetId qid : {SetId{41}, SetId{77}}) {
+        const SearchResult rf = ExpectFeedbackExact(
+            corpus.sets, index, jaccard, corpus.sets.Tokens(qid), 1, k, alpha,
+            "k=" + std::to_string(k) + " alpha=" + std::to_string(alpha) +
+                " q=" + std::to_string(qid));
+        stopped_early |= rf.stats.stream_stop_sim > 0.0;
+      }
+    }
+  }
+  EXPECT_TRUE(stopped_early) << "no (k, alpha) stopped the stream above alpha";
+}
 
 // --------------------------------------------------------- stop above α --
 
@@ -156,20 +205,21 @@ TEST(StreamFeedbackTest, PartitionedSearchSharesGlobalTheta) {
 
 // ------------------------------------------ matrix completion, directly --
 
-TEST(StreamFeedbackTest, BuildMatrixCompletesBelowStopEdges) {
-  // A cache whose consumer stopped pulling early must still hand exact
-  // matching the full simα matrix: the missing below-stop edges are
-  // completed through the similarity's batch kernels.
-  auto w = MakeRandomWorkload(80, 400, 6, 18, 8103);
-  const auto qs = w.corpus.sets.Tokens(2);
+// A cache whose consumer stopped pulling early must still hand exact
+// matching the full simα matrix: the missing below-stop edges are
+// completed through the similarity's batch kernels. Checks the matrix of
+// each of the first `num_sets` sets against the oracle.
+void ExpectCompletesBelowStopEdges(const index::SetCollection& sets,
+                                   const sim::SimilarityIndex& index,
+                                   const sim::SimilarityFunction& sim,
+                                   SetId query_set, Score alpha,
+                                   SetId num_sets) {
+  const auto qs = sets.Tokens(query_set);
   std::vector<TokenId> q(qs.begin(), qs.end());
-  const Score alpha = 0.6;
-
-  sim::TokenStream stream(q, *w.index, alpha,
-                          [](TokenId) { return true; });
+  sim::TokenStream stream(q, index, alpha, [](TokenId) { return true; });
   // The consumer stops at a fixed similarity well above α: the self-matches
   // at 1.0 are produced, the tail is not.
-  EdgeCache cache(&stream, w.sim.get());
+  EdgeCache cache(&stream, &sim);
   std::vector<sim::StreamTuple> buf(EdgeCache::kPullChunk);
   size_t from = 0;
   while (const size_t n = cache.NextTuples(from, buf)) {
@@ -180,48 +230,27 @@ TEST(StreamFeedbackTest, BuildMatrixCompletesBelowStopEdges) {
   ASSERT_FALSE(cache.ExhaustedToAlpha());
   ASSERT_GE(cache.stop_sim(), alpha);
 
-  for (SetId id = 0; id < 40; ++id) {
+  for (SetId id = 0; id < num_sets; ++id) {
     std::vector<uint32_t> rows, cols;
-    const auto m = cache.BuildMatrix(w.corpus.sets.Tokens(id), &rows, &cols);
+    const auto m = cache.BuildMatrix(sets.Tokens(id), &rows, &cols);
     const Score via_cache = matching::HungarianMatcher::Solve(m).score;
-    const Score direct = matching::SemanticOverlap(
-        q, w.corpus.sets.Tokens(id), *w.sim, alpha);
+    const Score direct =
+        matching::SemanticOverlap(q, sets.Tokens(id), sim, alpha);
     EXPECT_NEAR(via_cache, direct, 1e-9) << "set " << id;
   }
 }
 
-// -------------------------------------------- approximate backends gate --
+TEST(StreamFeedbackTest, BuildMatrixCompletesBelowStopEdges) {
+  auto w = MakeRandomWorkload(80, 400, 6, 18, 8103);
+  ExpectCompletesBelowStopEdges(w.corpus.sets, *w.index, *w.sim, 2, 0.6, 40);
+}
 
-TEST(StreamFeedbackTest, ApproximateIndexesDoNotEnableFeedback) {
-  // LSH/MinHash results are exact only w.r.t. the neighbors the probe
-  // returns; matrix completion from the raw similarity would score pairs
-  // the probe never surfaced and silently change results between modes.
-  // The searcher must therefore keep the drain-to-α path for them.
-  auto w = MakeRandomWorkload(150, 500, 5, 20, 8105, /*coverage=*/1.0);
-  sim::LshIndexSpec spec;
-  spec.num_tables = 16;
-  spec.bits_per_table = 6;
-  sim::CosineLshIndex lsh(w.corpus.vocabulary, &w.model->store(), w.sim.get(),
-                          spec);
-  ASSERT_FALSE(lsh.exact_neighbors());
-  ASSERT_NE(lsh.similarity(), nullptr);
-  KoiosSearcher searcher(&w.corpus.sets, &lsh);
-  const auto q = w.corpus.sets.Tokens(3);
-  SearchParams feedback;
-  feedback.k = 5;
-  feedback.alpha = 0.7;
-  SearchParams drain = feedback;
-  drain.use_stream_feedback = false;
-  const SearchResult rf = searcher.Search(q, feedback);
-  const SearchResult rd = searcher.Search(q, drain);
-  // Feedback is gated off: both runs drain identically.
-  EXPECT_EQ(rf.stats.stream_stop_sim, 0.0);
-  EXPECT_EQ(rf.stats.stream_tuples_produced, rd.stats.stream_tuples_produced);
-  ASSERT_EQ(rf.topk.size(), rd.topk.size());
-  for (size_t i = 0; i < rf.topk.size(); ++i) {
-    EXPECT_EQ(rf.topk[i].set, rd.topk[i].set);
-    EXPECT_DOUBLE_EQ(rf.topk[i].score, rd.topk[i].score);
-  }
+TEST(StreamFeedbackTest, JaccardBuildMatrixCompletesBelowStopEdges) {
+  // The same through JaccardQGramSimilarity::SimilarityBatchMulti.
+  const data::StringCorpus corpus = data::GenerateStringCorpus(QGramSpec());
+  const sim::JaccardQGramSimilarity jaccard(&corpus.dict, 3);
+  const sim::ExactKnnIndex index(corpus.vocabulary, &jaccard);
+  ExpectCompletesBelowStopEdges(corpus.sets, index, jaccard, 41, 0.3, 400);
 }
 
 // ---------------------------------------------------- survivor budget --

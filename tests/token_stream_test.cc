@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "koios/sim/exact_knn_index.h"
-#include "koios/sim/lsh_index.h"
 #include "koios/sim/token_stream.h"
 #include "test_util.h"
 
@@ -175,62 +174,6 @@ TEST(TokenStreamTest, EmittedCountTracksTuples) {
   while (stream.Next()) {
   }
   EXPECT_EQ(stream.emitted(), 2u);  // self + neighbor
-}
-
-// --------------------------------------------------------- CosineLshIndex --
-
-TEST(LshIndexTest, FindsHighSimilarityNeighborsWithManyTables) {
-  auto w = testing::MakeRandomWorkload(30, 400, 5, 15, 123, /*coverage=*/1.0);
-  LshIndexSpec spec;
-  spec.num_tables = 24;
-  spec.bits_per_table = 6;
-  CosineLshIndex lsh(w.corpus.vocabulary, &w.model->store(), w.sim.get(), spec);
-
-  // Recall of LSH vs exact for a handful of query tokens.
-  size_t exact_total = 0, lsh_found = 0;
-  for (size_t i = 0; i < 10 && i < w.corpus.vocabulary.size(); ++i) {
-    const TokenId q = w.corpus.vocabulary[i * 7 % w.corpus.vocabulary.size()];
-    std::set<TokenId> exact_neighbors;
-    auto exact = w.index->NewSession();
-    while (auto n = exact->NextNeighbor(q, 0.9)) exact_neighbors.insert(n->token);
-    auto approx = lsh.NewSession();
-    while (auto n = approx->NextNeighbor(q, 0.9)) {
-      lsh_found += exact_neighbors.count(n->token);
-    }
-    exact_total += exact_neighbors.size();
-  }
-  if (exact_total > 0) {
-    EXPECT_GE(static_cast<double>(lsh_found) / exact_total, 0.6)
-        << "LSH recall too low: " << lsh_found << "/" << exact_total;
-  }
-}
-
-TEST(LshIndexTest, DescendingOrderWithinCursor) {
-  auto w = testing::MakeRandomWorkload(30, 300, 5, 15, 321, /*coverage=*/1.0);
-  LshIndexSpec spec;
-  spec.num_tables = 8;
-  spec.bits_per_table = 8;
-  CosineLshIndex lsh(w.corpus.vocabulary, &w.model->store(), w.sim.get(), spec);
-  const TokenId q = w.corpus.vocabulary[0];
-  auto session = lsh.NewSession();
-  Score prev = 1.0;
-  while (auto n = session->NextNeighbor(q, 0.7)) {
-    EXPECT_LE(n->sim, prev + 1e-12);
-    prev = n->sim;
-  }
-}
-
-TEST(LshIndexTest, OovQueryHasNoNeighbors) {
-  auto w = testing::MakeRandomWorkload(20, 200, 5, 10, 55, /*coverage=*/0.5);
-  LshIndexSpec spec;
-  CosineLshIndex lsh(w.corpus.vocabulary, &w.model->store(), w.sim.get(), spec);
-  // Find an OOV token.
-  for (TokenId t : w.corpus.vocabulary) {
-    if (!w.model->store().Has(t)) {
-      EXPECT_FALSE(lsh.NewSession()->NextNeighbor(t, 0.7).has_value());
-      break;
-    }
-  }
 }
 
 }  // namespace

@@ -7,8 +7,10 @@
 //   make_serve_fixture /tmp/new.bin --seed 8 --queries /tmp/q.txt
 //   make_serve_fixture /tmp/bad.bin --seed 9 --corrupt     # CRC-broken
 //
-// Exit status: 0 ok, 1 usage, 2 write failure.
+// Exit status: 0 ok, 1 usage (also a malformed numeric flag, checked
+// before anything is generated or written), 2 write failure.
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -45,23 +47,45 @@ int main(int argc, char** argv) {
 
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto next = [&]() -> long long {
-      return i + 1 < argc ? std::atoll(argv[++i]) : 0;
+    // The flag's value; a flag given last, without one, exits 1.
+    auto next = [&]() -> const char* {
+      if (i + 1 >= argc) {
+        std::fprintf(stderr, "make_serve_fixture: missing value for %s\n",
+                     arg.c_str());
+        std::exit(1);
+      }
+      return argv[++i];
+    };
+    // Parses the flag's whole value into `out` with std::from_chars: digits
+    // only (no sign, space or suffix for an unsigned type), no overflow, at
+    // least `min`. A bad value exits 1 here, before anything is generated
+    // or written.
+    auto number = [&](auto* out, uint64_t min) {
+      const char* text = next();
+      const char* end = text + std::strlen(text);
+      const auto [ptr, ec] = std::from_chars(text, end, *out);
+      if (ec != std::errc() || ptr != end || *out < min) {
+        std::fprintf(stderr,
+                     "make_serve_fixture: %s takes a decimal integer >= "
+                     "%llu, got '%s'\n",
+                     arg.c_str(), static_cast<unsigned long long>(min), text);
+        std::exit(1);
+      }
     };
     if (arg == "--sets") {
-      num_sets = static_cast<size_t>(next());
+      number(&num_sets, 1);  // the query draw takes an id modulo the count
     } else if (arg == "--vocab") {
-      vocab = static_cast<size_t>(next());
+      number(&vocab, 0);
     } else if (arg == "--min-size") {
-      min_size = static_cast<size_t>(next());
+      number(&min_size, 0);
     } else if (arg == "--max-size") {
-      max_size = static_cast<size_t>(next());
+      number(&max_size, 0);
     } else if (arg == "--seed") {
-      seed = static_cast<uint64_t>(next());
+      number(&seed, 0);
     } else if (arg == "--num-queries") {
-      num_queries = static_cast<size_t>(next());
-    } else if (arg == "--queries" && i + 1 < argc) {
-      queries_path = argv[++i];
+      number(&num_queries, 0);
+    } else if (arg == "--queries") {
+      queries_path = next();
     } else if (arg == "--v3") {
       v3 = true;
     } else if (arg == "--corrupt") {
