@@ -1,27 +1,30 @@
-// Scale suite for the repository formats (v3 stream vs v4 mmap): build,
-// save, load, and serve a WDC-shaped corpus at increasing set counts and
-// record per-size build time, container sizes, load times, RSS deltas,
-// and serving QPS / tail latency into one JSON report. A 4-shard pass
-// over the v4 snapshot adds per-shard phase timings (cursor_build /
-// stream / refinement / postprocess) to each tier, so the phase that
-// grows with the corpus shows, attributable per shard.
+// Scale suite for the v4 repository format: build, save, open, and serve
+// a WDC-shaped corpus at increasing set counts and record per-size build
+// time, file size, save and open times, the open's RSS delta, and serving
+// QPS / tail latency into one JSON report. A 4-shard pass over the
+// mapped snapshot adds per-shard phase timings (cursor_build / stream /
+// refinement / postprocess) to each tier, so the phase that grows with
+// the corpus shows, attributable per shard.
 //
-// Two HARD gates:
-//  * exactness (exit 2) — for every probe query, the top-k served from
-//    the v4 mmap snapshot must be bit-identical (set, score, exact flag)
-//    to the v3 stream-loaded snapshot's. The v4 writer canonicalizes row
-//    order and the loaders never renormalize, so zero drift is the
-//    contract, not a tolerance.
-//  * mmap-backed (exit 2) — the v4 snapshot must serve from its file
-//    mapping, not from a materialized copy.
+// Two HARD gates (exit 2):
+//  * exactness — for every probe query, the top-k served from the v4
+//    mmap snapshot must be bit-identical (set, score, exact flag) to the
+//    top-k of a Snapshot::Build over the dictionary, sets and embedding
+//    store the tier wrote, and so must the 4-shard pass. The v4 writer
+//    canonicalizes row order and the reader never renormalizes, so zero
+//    drift is the contract, not a tolerance.
+//  * mmap-backed — the v4 snapshot must serve from its file mapping, not
+//    from a materialized copy.
 //
-// One TIMING gate (exit 3, the suite's acceptance bar): at the LARGEST
-// size in the sweep, the v4 mmap load must be >= 50x faster than the v3
-// stream deserialize. Lazy v4 validation is O(header + metadata
-// sections); v3 parses (and CRCs) every byte, so the gap widens with
-// corpus size — 50x is the floor at a million-set shape, not the typical
-// ratio. Exit-3 convention matches the other benches' timing bars
-// (tolerated on starved CI runners, fatal nowhere else).
+// One TIMING gate (exit 3): at the LARGEST size in the sweep, the v4
+// open (Snapshot::Load, lazy verification) must stay within
+// kV4LoadBoundMs. A lazy open reads the header and the metadata sections
+// (dictionary offsets, set offsets, vocabulary, embedding row table), all
+// linear in the set count at this suite's vocabulary of sets / 4, and
+// leaves the bulk arenas unread; the bound is set well above what that
+// costs, and far below what a parse of the whole corpus would. Exit-3
+// convention matches the other benches' timing bars (tolerated on
+// starved CI runners, fatal nowhere else).
 //
 // Usage: bench_scale_suite [--sets N[,N...]] [--queries N] [--json out.json]
 //   default sweep: 10000,100000,1000000 (the last tier is the paper-scale
@@ -40,7 +43,6 @@
 #include "koios/data/query_benchmark.h"
 #include "koios/embedding/synthetic_model.h"
 #include "koios/io/repository_v4.h"
-#include "koios/io/serialization.h"
 #include "koios/serve/query_engine.h"
 #include "koios/serve/snapshot.h"
 #include "koios/text/dictionary.h"
@@ -52,7 +54,17 @@
 namespace koios {
 namespace {
 
-constexpr double kRequiredLoadSpeedup = 50.0;
+// The timing gate's bound on the largest tier's v4 open, in ms: a fixed
+// part (open, mmap, header) plus a part per million sets. Measured on a
+// 4-thread x86-64 VM (GCC 12, Release): 1.15-1.44 ms at 100k sets and
+// 11.9-13.7 ms at 1M (5 runs each), against bounds of 4 ms and 31 ms.
+constexpr double kV4LoadFixedMs = 1.0;
+constexpr double kV4LoadMsPerMillionSets = 30.0;
+
+double V4LoadBoundMs(size_t num_sets) {
+  return kV4LoadFixedMs +
+         kV4LoadMsPerMillionSets * static_cast<double>(num_sets) / 1e6;
+}
 
 /// VmRSS of this process in kilobytes (0 if /proc is unavailable).
 size_t RssKb() {
@@ -111,11 +123,10 @@ struct SizeReport {
   size_t total_tokens = 0;
   size_t vocab = 0;
   double build_sec = 0.0;
-  size_t v3_bytes = 0, v4_bytes = 0;
-  double v3_save_sec = 0.0, v4_save_sec = 0.0;
-  double v3_load_sec = 0.0, v4_load_sec = 0.0;
-  double load_speedup = 0.0;
-  size_t v3_load_rss_kb = 0, v4_load_rss_kb = 0;
+  size_t v4_bytes = 0;
+  double v4_save_sec = 0.0;
+  double v4_load_sec = 0.0;
+  size_t v4_load_rss_kb = 0;
   double qps = 0.0, p50_ms = 0.0, p99_ms = 0.0;
   std::vector<PhaseDelta> phases;    // span-time attribution, v4 queries only
   double span_coverage = 0.0;        // direct search children / search total
@@ -180,21 +191,9 @@ int Run(const std::vector<size_t>& sizes, size_t num_queries,
     r.total_tokens = corpus.sets.TotalTokens();
     r.vocab = spec.vocab_size;
 
-    const std::string v3_path = "/tmp/koios_scale_v3.repo";
     const std::string v4_path = "/tmp/koios_scale_v4.repo";
 
     // ---- save ----------------------------------------------------------
-    {
-      util::WallTimer t;
-      auto status =
-          io::SaveRepository(dict, corpus.sets, &model.store(), v3_path);
-      if (!status.ok()) {
-        std::fprintf(stderr, "v3 save failed: %s\n",
-                     status.ToString().c_str());
-        return 2;
-      }
-      r.v3_save_sec = t.ElapsedSeconds();
-    }
     {
       util::WallTimer t;
       auto status =
@@ -206,27 +205,11 @@ int Run(const std::vector<size_t>& sizes, size_t num_queries,
       }
       r.v4_save_sec = t.ElapsedSeconds();
     }
-    r.v3_bytes = FileSizeBytes(v3_path);
     r.v4_bytes = FileSizeBytes(v4_path);
 
-    // ---- load (the headline comparison) --------------------------------
-    // v3: full stream deserialize, CRC + parse of every byte. Measured
-    // through the same Snapshot::Load entry point the serving layer uses.
-    std::shared_ptr<const serve::Snapshot> v3_snap;
-    {
-      const size_t rss_before = RssKb();
-      util::WallTimer t;
-      auto loaded = serve::Snapshot::Load(v3_path);
-      r.v3_load_sec = t.ElapsedSeconds();
-      if (!loaded.ok()) {
-        std::fprintf(stderr, "v3 load failed: %s\n",
-                     loaded.status().ToString().c_str());
-        return 2;
-      }
-      v3_snap = std::move(loaded).value();
-      r.v3_load_rss_kb = RssKb() - std::min(RssKb(), rss_before);
-    }
-    // v4: mmap + structural validation + metadata CRCs; the arenas stay
+    // ---- open (the timing gate) ----------------------------------------
+    // mmap + structural validation + metadata CRCs, through the same
+    // Snapshot::Load entry point the serving layer uses; the arenas stay
     // file-backed and page in on demand.
     std::shared_ptr<const serve::Snapshot> v4_snap;
     {
@@ -242,7 +225,6 @@ int Run(const std::vector<size_t>& sizes, size_t num_queries,
       v4_snap = std::move(loaded).value();
       r.v4_load_rss_kb = RssKb() - std::min(RssKb(), rss_before);
     }
-    r.load_speedup = r.v4_load_sec > 0 ? r.v3_load_sec / r.v4_load_sec : 0.0;
 
     // ---- mmap-backed gate -----------------------------------------------
     r.mmap_backed = v4_snap->mmap_backed();
@@ -255,14 +237,18 @@ int Run(const std::vector<size_t>& sizes, size_t num_queries,
     params.k = 10;
     params.alpha = 0.8;
 
-    core::KoiosSearcher v3_searcher(&v3_snap->sets(), v3_snap->index());
+    // The exactness reference: the artifacts the tier wrote, served from
+    // memory (the corpus is not read again below).
+    const std::shared_ptr<const serve::Snapshot> built = serve::Snapshot::Build(
+        std::move(dict), std::move(corpus.sets), model.store());
+    core::KoiosSearcher built_searcher(&built->sets(), built->index());
     core::KoiosSearcher v4_searcher(&v4_snap->sets(), v4_snap->index());
     std::vector<double> latencies_ms;
     std::vector<core::SearchResult> v4_results;
     util::WallTimer serve_timer;
     // The v4 pass runs alone (phase totals snapshotted around it) so the
-    // per-tier span attribution covers only the measured queries; the v3
-    // exactness pass follows.
+    // per-tier span attribution covers only the measured queries; the
+    // exactness pass over the built snapshot follows.
     const auto phases_before = PhaseTotals();
     for (const auto& q : sampled) {
       // Bench drives the searcher directly (no QueryEngine front door), so
@@ -275,12 +261,12 @@ int Run(const std::vector<size_t>& sizes, size_t num_queries,
     }
     const auto phases_after = PhaseTotals();
     for (size_t i = 0; i < sampled.size(); ++i) {
-      core::SearchResult v3_result =
-          v3_searcher.Search(sampled[i].tokens, params);
-      if (!SameTopK(v4_results[i], v3_result)) {
+      const core::SearchResult built_result =
+          built_searcher.Search(sampled[i].tokens, params);
+      if (!SameTopK(v4_results[i], built_result)) {
         std::fprintf(stderr,
-                     "EXACTNESS VIOLATION at %zu sets: v4 top-k diverges "
-                     "from v3\n",
+                     "EXACTNESS VIOLATION at %zu sets: the v4-mapped top-k "
+                     "diverges from the built snapshot's\n",
                      num_sets);
         r.exact = false;
       }
@@ -346,13 +332,11 @@ int Run(const std::vector<size_t>& sizes, size_t num_queries,
     }
 
     std::printf(
-        "[%8zu sets] build %.1fs | file v3 %.1fMB v4 %.1fMB | load v3 "
-        "%.3fs v4 %.5fs (%.0fx) | rss v3 +%zuMB v4 +%zuMB | p50 %.1fms "
-        "p99 %.1fms | span cover %.0f%% | %s %s\n",
-        num_sets, r.build_sec, r.v3_bytes / 1e6, r.v4_bytes / 1e6,
-        r.v3_load_sec, r.v4_load_sec, r.load_speedup, r.v3_load_rss_kb / 1024,
-        r.v4_load_rss_kb / 1024, r.p50_ms, r.p99_ms, r.span_coverage * 100.0,
-        r.exact ? "exact" : "DIVERGED",
+        "[%8zu sets] build %.1fs | file %.1fMB | save %.3fs | open %.3fms "
+        "| rss +%zuMB | p50 %.1fms p99 %.1fms | span cover %.0f%% | %s %s\n",
+        num_sets, r.build_sec, r.v4_bytes / 1e6, r.v4_save_sec,
+        r.v4_load_sec * 1e3, r.v4_load_rss_kb / 1024, r.p50_ms, r.p99_ms,
+        r.span_coverage * 100.0, r.exact ? "exact" : "DIVERGED",
         r.mmap_backed ? "mmap-backed" : "NOT-MMAP-BACKED");
     if (!r.shard_phases.empty()) {
       std::printf("           per-shard (N=4) cursor_build ms:");
@@ -363,7 +347,6 @@ int Run(const std::vector<size_t>& sizes, size_t num_queries,
     }
     reports.push_back(r);
 
-    std::remove(v3_path.c_str());
     std::remove(v4_path.c_str());
   }
 
@@ -381,18 +364,14 @@ int Run(const std::vector<size_t>& sizes, size_t num_queries,
           f,
           "    {\"num_sets\": %zu, \"total_tokens\": %zu, \"vocab\": %zu,\n"
           "     \"build_sec\": %.3f,\n"
-          "     \"v3_bytes\": %zu, \"v4_bytes\": %zu,\n"
-          "     \"v3_save_sec\": %.4f, \"v4_save_sec\": %.4f,\n"
-          "     \"v3_load_sec\": %.5f, \"v4_load_sec\": %.6f,\n"
-          "     \"load_speedup\": %.1f,\n"
-          "     \"v3_load_rss_kb\": %zu, \"v4_load_rss_kb\": %zu,\n"
+          "     \"v4_bytes\": %zu, \"v4_save_sec\": %.4f,\n"
+          "     \"v4_load_sec\": %.6f, \"v4_load_rss_kb\": %zu,\n"
           "     \"qps\": %.1f, \"p50_ms\": %.3f, \"p99_ms\": %.3f,\n"
           "     \"span_coverage\": %.4f,\n"
           "     \"phases\": {",
-          r.num_sets, r.total_tokens, r.vocab, r.build_sec, r.v3_bytes,
-          r.v4_bytes, r.v3_save_sec, r.v4_save_sec, r.v3_load_sec,
-          r.v4_load_sec, r.load_speedup, r.v3_load_rss_kb, r.v4_load_rss_kb,
-          r.qps, r.p50_ms, r.p99_ms, r.span_coverage);
+          r.num_sets, r.total_tokens, r.vocab, r.build_sec, r.v4_bytes,
+          r.v4_save_sec, r.v4_load_sec, r.v4_load_rss_kb, r.qps, r.p50_ms,
+          r.p99_ms, r.span_coverage);
       for (size_t p = 0; p < r.phases.size(); ++p) {
         const PhaseDelta& d = r.phases[p];
         std::fprintf(f, "%s\n       \"%s\": {\"count\": %llu, \"sum_ms\": %.3f}",
@@ -419,24 +398,25 @@ int Run(const std::vector<size_t>& sizes, size_t num_queries,
                    r.mmap_backed ? "true" : "false",
                    i + 1 < reports.size() ? "," : "");
     }
-    std::fprintf(f, "  ],\n  \"required_load_speedup\": %.0f\n}\n",
-                 kRequiredLoadSpeedup);
+    std::fprintf(f, "  ],\n  \"v4_load_bound_ms\": %.3f\n}\n",
+                 V4LoadBoundMs(reports.back().num_sets));
     std::fclose(f);
     std::printf("json written to %s\n", json_path.c_str());
   }
 
   if (!all_exact || !all_mmap_backed) return 2;
   const SizeReport& largest = reports.back();
-  if (largest.load_speedup < kRequiredLoadSpeedup) {
+  const double load_ms = largest.v4_load_sec * 1e3;
+  const double bound_ms = V4LoadBoundMs(largest.num_sets);
+  if (load_ms > bound_ms) {
     std::fprintf(stderr,
-                 "TIMING GATE: v4 load %.0fx faster than v3 at %zu sets "
-                 "(need >= %.0fx)\n",
-                 largest.load_speedup, largest.num_sets,
-                 kRequiredLoadSpeedup);
+                 "TIMING GATE: v4 open took %.3f ms at %zu sets (bound "
+                 "%.3f ms)\n",
+                 load_ms, largest.num_sets, bound_ms);
     return 3;
   }
-  std::printf("PASS: v4 load %.0fx faster than v3 at %zu sets (>= %.0fx)\n",
-              largest.load_speedup, largest.num_sets, kRequiredLoadSpeedup);
+  std::printf("PASS: v4 open %.3f ms at %zu sets (bound %.3f ms)\n", load_ms,
+              largest.num_sets, bound_ms);
   return 0;
 }
 

@@ -7,10 +7,11 @@
 //  * chaos     — the same stream while (a) a third of worker dispatches run
 //                late, (b) a fifth of cursor publishes are dropped, and
 //                (c) a background thread hammers TrySwapFromRepository with
-//                a corrupted repository file (every attempt must fail
-//                cleanly and the engine must keep serving), with ONE valid
-//                swap to a byte-identical repository mid-window (results
-//                must not move — cursor builds are deterministic).
+//                a corrupted v4 repository file (eager verification must
+//                fail every attempt cleanly and the engine must keep
+//                serving), with ONE valid swap to a byte-identical
+//                repository mid-window (results must not move — cursor
+//                builds are deterministic).
 //  * recovery  — disarm everything, rerun the stream: goodput must return
 //                to >= 90% of baseline (exit 3 if not — timing, tolerated
 //                on busy CI runners like the other benches' bars).
@@ -43,7 +44,7 @@
 #include "koios/data/corpus.h"
 #include "koios/data/query_benchmark.h"
 #include "koios/embedding/synthetic_model.h"
-#include "koios/io/serialization.h"
+#include "koios/io/repository_v4.h"
 #include "koios/serve/query_engine.h"
 #include "koios/serve/snapshot.h"
 #include "koios/util/fault_injector.h"
@@ -147,14 +148,15 @@ int Run(size_t total_queries, const std::string& json_path) {
   const std::string corrupt_path = dir + "/koios_chaos_corrupt.bin";
   {
     auto status =
-        io::SaveRepository(dict, corpus.sets, &model.store(), repo_path);
+        io::SaveRepositoryV4(dict, corpus.sets, &model.store(), repo_path);
     if (!status.ok()) {
       std::fprintf(stderr, "ERROR: save failed: %s\n",
                    status.ToString().c_str());
       return 2;
     }
-    // The corrupted twin: same file with one byte flipped mid-payload —
-    // individually framed sections make this a guaranteed checksum error.
+    // The corrupted twin: same file with one byte flipped mid-file. Every
+    // v4 section carries its own CRC, and a swap verifies them all
+    // eagerly, so this is a guaranteed checksum error.
     std::ifstream in(repo_path, std::ios::binary);
     std::string bytes((std::istreambuf_iterator<char>(in)),
                       std::istreambuf_iterator<char>());

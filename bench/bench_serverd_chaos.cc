@@ -164,7 +164,7 @@ LoopOutcome RunWireLoop(uint16_t port, const std::vector<Scenario>& scenarios,
 
 /// In-place clobber of `path` with the bytes of `src` — deliberately the
 /// SLOPPY push (same inode, like `cp`), the case the watcher's spool copy
-/// makes survivable. SaveRepository* is rename-atomic so it cannot
+/// makes survivable. SaveRepositoryV4 is rename-atomic so it cannot
 /// reproduce this.
 bool ClobberInPlace(const std::string& path, const std::string& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);

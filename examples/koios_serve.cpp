@@ -1,7 +1,8 @@
 // koios_serve: the serving path end to end — build a repository, persist
-// it with io::SaveRepository, load it back as an immutable serve::Snapshot,
-// and run a concurrent query mix through a serve::QueryEngine with
-// admission control and deadlines.
+// it with io::SaveRepositoryV4, load it back as an immutable
+// serve::Snapshot that serves straight out of the file mapping, and run a
+// concurrent query mix through a serve::QueryEngine with admission control
+// and deadlines.
 //
 //   $ ./koios_serve [repo.bin]
 //
@@ -47,7 +48,7 @@ int main(int argc, char** argv) {
 
   const std::string path =
       argc > 1 ? argv[1] : std::string("/tmp/koios_serve_demo.bin");
-  auto saved = io::SaveRepository(dict, corpus.sets, &model.store(), path);
+  auto saved = io::SaveRepositoryV4(dict, corpus.sets, &model.store(), path);
   if (!saved.ok()) {
     std::fprintf(stderr, "save failed: %s\n", saved.ToString().c_str());
     return 1;

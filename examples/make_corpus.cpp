@@ -6,7 +6,8 @@
 //   ./koios_cli /tmp/repo.txt --k 5 --alpha 0.5
 //
 // Exit status: 0 ok, 1 write failure, 2 usage (also a missing or malformed
-// flag value, checked before anything is generated).
+// flag value, or a spec the generator cannot draw: --words 0 or
+// --max-size below --min-size; all checked before anything is generated).
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
@@ -65,6 +66,15 @@ int main(int argc, char** argv) {
     }
   }
 
+  if (const util::Status valid = data::ValidateStringCorpusSpec(spec);
+      !valid.ok()) {
+    std::fprintf(stderr,
+                 "make_corpus: cannot generate --words %zu --min-size %zu "
+                 "--max-size %zu: %s\n",
+                 spec.num_base_words, spec.min_set_size, spec.max_set_size,
+                 valid.message().c_str());
+    return 2;
+  }
   const data::StringCorpus corpus = data::GenerateStringCorpus(spec);
   std::ofstream out(argv[1]);
   if (!out) {

@@ -112,10 +112,25 @@ size_t DrawSetSize(const CorpusSpec& spec, util::Rng* rng) {
 
 }  // namespace
 
+util::Status ValidateCorpusSpec(const CorpusSpec& spec) {
+  auto fail = [](const std::string& what) {
+    return util::Status::InvalidArgument("corpus spec: " + what);
+  };
+  if (spec.min_set_size < 1) return fail("min_set_size must be at least 1");
+  if (spec.max_set_size < spec.min_set_size) {
+    return fail("max_set_size " + std::to_string(spec.max_set_size) +
+                " is below min_set_size " + std::to_string(spec.min_set_size));
+  }
+  if (spec.max_set_size > spec.vocab_size) {
+    return fail("max_set_size " + std::to_string(spec.max_set_size) +
+                " exceeds vocab_size " + std::to_string(spec.vocab_size) +
+                ", the distinct tokens a set can draw");
+  }
+  return util::Status::OK();
+}
+
 Corpus GenerateCorpus(const CorpusSpec& spec) {
-  assert(spec.min_set_size >= 1);
-  assert(spec.max_set_size >= spec.min_set_size);
-  assert(spec.max_set_size <= spec.vocab_size);
+  assert(ValidateCorpusSpec(spec).ok());
 
   Corpus corpus;
   corpus.spec = spec;

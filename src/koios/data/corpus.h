@@ -24,6 +24,7 @@
 
 #include "koios/index/set_collection.h"
 #include "koios/util/rng.h"
+#include "koios/util/status.h"
 #include "koios/util/types.h"
 
 namespace koios::data {
@@ -72,7 +73,13 @@ struct Corpus {
   size_t NumSets() const { return sets.size(); }
 };
 
-/// Generates a corpus deterministically from spec.seed.
+/// InvalidArgument unless 1 <= min_set_size <= max_set_size <= vocab_size:
+/// the sizes GenerateCorpus can draw distinct tokens for. Tools that take
+/// the spec from flags check it before generating anything.
+util::Status ValidateCorpusSpec(const CorpusSpec& spec);
+
+/// Generates a corpus deterministically from spec.seed. The spec must pass
+/// ValidateCorpusSpec.
 Corpus GenerateCorpus(const CorpusSpec& spec);
 
 }  // namespace koios::data

@@ -26,7 +26,28 @@ std::string MakeTypo(const std::string& word, util::Rng* rng) {
   return out;
 }
 
+util::Status ValidateStringCorpusSpec(const StringCorpusSpec& spec) {
+  auto fail = [](const std::string& what) {
+    return util::Status::InvalidArgument("string corpus spec: " + what);
+  };
+  if (spec.num_base_words < 1) return fail("num_base_words must be at least 1");
+  if (spec.min_word_length < 1) {
+    return fail("min_word_length must be at least 1");
+  }
+  if (spec.max_word_length < spec.min_word_length) {
+    return fail("max_word_length " + std::to_string(spec.max_word_length) +
+                " is below min_word_length " +
+                std::to_string(spec.min_word_length));
+  }
+  if (spec.max_set_size < spec.min_set_size) {
+    return fail("max_set_size " + std::to_string(spec.max_set_size) +
+                " is below min_set_size " + std::to_string(spec.min_set_size));
+  }
+  return util::Status::OK();
+}
+
 StringCorpus GenerateStringCorpus(const StringCorpusSpec& spec) {
+  assert(ValidateStringCorpusSpec(spec).ok());
   StringCorpus corpus;
   corpus.spec = spec;
   util::Rng rng(spec.seed);

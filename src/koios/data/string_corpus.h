@@ -14,6 +14,7 @@
 #include "koios/index/set_collection.h"
 #include "koios/text/dictionary.h"
 #include "koios/util/rng.h"
+#include "koios/util/status.h"
 #include "koios/util/types.h"
 
 namespace koios::data {
@@ -42,7 +43,14 @@ struct StringCorpus {
   std::vector<TokenId> base_of;
 };
 
-/// Deterministically generates a corpus from spec.seed.
+/// InvalidArgument unless the spec has at least one base word, 1 <=
+/// min_word_length <= max_word_length and min_set_size <= max_set_size.
+/// Tools that take the spec from flags check it before generating
+/// anything.
+util::Status ValidateStringCorpusSpec(const StringCorpusSpec& spec);
+
+/// Deterministically generates a corpus from spec.seed. The spec must pass
+/// ValidateStringCorpusSpec.
 StringCorpus GenerateStringCorpus(const StringCorpusSpec& spec);
 
 /// One random typo: drop, double, or substitute a character.

@@ -1,11 +1,13 @@
-// Repository container format v4: the zero-copy mmap snapshot format.
+// Repository container format v4: the zero-copy mmap snapshot format, and
+// the only one anything writes (SaveRepositoryV4 below).
 //
-// v1/v3 (serialization.h) are STREAM formats — loading parses and copies
-// every artifact into heap structures, O(corpus bytes) of work before the
-// first query. v4 is an ARENA format: the on-disk bytes ARE the serving
-// layout, so a load is mmap + header/offset validation, and the serving
-// structures (Dictionary / SetCollection / EmbeddingStore in borrowed
-// mode) wrap the mapped arenas without copying a byte.
+// The legacy v1/v3 containers (read-only, serialization.h) are STREAM
+// formats — loading parses and copies every artifact into heap
+// structures, O(corpus bytes) of work before the first query. v4 is an
+// ARENA format: the on-disk bytes ARE the serving layout, so a load is
+// mmap + header/offset validation, and the serving structures
+// (Dictionary / SetCollection / EmbeddingStore in borrowed mode) wrap the
+// mapped arenas without copying a byte.
 //
 // File layout (little-endian, same machine-family caveat as v1/v3):
 //
@@ -125,11 +127,13 @@ inline constexpr size_t kV4Alignment = 64;
 
 // ---- writer -----------------------------------------------------------------
 
-/// Writes the v4 container atomically ("<path>.tmp" + rename, like
-/// SaveRepository). Embedding rows are canonicalized to token-ascending
-/// order (the order a v3 load produces), so queries against a v4-borrowed
-/// store are bit-identical to the v3-loaded equivalent. Writes no legacy
-/// sections. Hits the "io.save.write" failpoint.
+/// Writes the v4 container atomically: the bytes go to "<path>.tmp" and
+/// are renamed over `path` only once complete, so a failure mid-save
+/// leaves any pre-existing repository at `path` intact (and no .tmp
+/// debris behind). Embedding rows are canonicalized to token-ascending
+/// order (the order of LoadRepository's owned store), so queries against
+/// a v4-borrowed store are bit-identical to the owned equivalent. Writes
+/// no legacy sections. Hits the "io.save.write" failpoint.
 util::Status SaveRepositoryV4(const text::Dictionary& dict,
                               const index::SetCollection& sets,
                               const embedding::EmbeddingStore* store,  // nullable

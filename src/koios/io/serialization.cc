@@ -1,11 +1,8 @@
 #include "koios/io/serialization.h"
 
-#include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <istream>
 #include <limits>
-#include <ostream>
 #include <sstream>
 #include <vector>
 
@@ -23,20 +20,15 @@ constexpr uint32_t kEmbeddingMagic = 0x4B454D42u;   // "BMEK"
 constexpr uint32_t kRepositoryMagic = 0x4B52504Fu;  // "OPRK"
 constexpr uint32_t kVersion = 1;
 // Embedding store v2 adds a flag byte after the row count. It once marked
-// a store whose int8 tier the loader rebuilt; the writer now always
-// stores 0 and the loader reads the byte and ignores it, so files that
-// set it still load (with the same rows). v1 files have no flag byte.
+// a store whose int8 tier the loader rebuilt; the loader reads the byte
+// and ignores it, so files that set it load with the same rows. v1
+// payloads have no flag byte.
 constexpr uint32_t kEmbeddingVersion = 2;
 // Repository container versions (see the header comment): v1 = unframed
 // legacy, v3 = CRC-framed sections + cross-artifact validation. 2 was
 // never written and is rejected.
 constexpr uint32_t kRepositoryVersionLegacy = 1;
 constexpr uint32_t kRepositoryVersion = 3;
-
-template <typename T>
-void WritePod(std::ostream& out, const T& value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(T));
-}
 
 template <typename T>
 bool ReadPod(std::istream& in, T* value) {
@@ -66,14 +58,6 @@ uint64_t RemainingBytes(std::istream& in) {
     return std::numeric_limits<uint64_t>::max();
   }
   return static_cast<uint64_t>(end - pos);
-}
-
-util::Status WriteHeader(std::ostream& out, uint32_t magic,
-                         uint32_t version = kVersion) {
-  WritePod(out, magic);
-  WritePod(out, version);
-  if (!out) return util::Status::Internal("write failed");
-  return util::Status::OK();
 }
 
 util::Status CheckHeader(std::istream& in, uint32_t magic, const char* what,
@@ -106,15 +90,6 @@ uint32_t FrameChecksum(uint64_t length, const char* payload) {
   return util::Crc32(payload, static_cast<size_t>(length), seed);
 }
 
-util::Status WriteFrame(std::ostream& out, const std::string& payload) {
-  const uint64_t length = payload.size();
-  WritePod(out, length);
-  WritePod(out, FrameChecksum(length, payload.data()));
-  out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-  if (!out) return util::Status::Internal("write failed");
-  return util::Status::OK();
-}
-
 /// Reads one [length][crc][payload] frame, validating the length against
 /// the bytes actually left in the file before allocating and the checksum
 /// before the caller parses a single payload byte.
@@ -143,22 +118,7 @@ util::Status ReadFrame(std::istream& in, const char* what,
   return util::Status::OK();
 }
 
-}  // namespace
-
-// ---- Dictionary -------------------------------------------------------------
-
-util::Status SaveDictionary(const text::Dictionary& dict, std::ostream& out) {
-  auto status = WriteHeader(out, kDictionaryMagic);
-  if (!status.ok()) return status;
-  WritePod<uint64_t>(out, dict.size());
-  for (TokenId t = 0; t < dict.size(); ++t) {
-    const std::string_view token = dict.TokenOf(t);
-    WritePod<uint32_t>(out, static_cast<uint32_t>(token.size()));
-    out.write(token.data(), static_cast<std::streamsize>(token.size()));
-  }
-  if (!out) return util::Status::Internal("write failed");
-  return util::Status::OK();
-}
+// ---- legacy stream sections ------------------------------------------------
 
 util::StatusOr<text::Dictionary> LoadDictionary(std::istream& in) {
   auto status = CheckHeader(in, kDictionaryMagic, "dictionary");
@@ -193,23 +153,6 @@ util::StatusOr<text::Dictionary> LoadDictionary(std::istream& in) {
   return dict;
 }
 
-// ---- SetCollection ------------------------------------------------------------
-
-util::Status SaveSetCollection(const index::SetCollection& sets,
-                               std::ostream& out) {
-  auto status = WriteHeader(out, kSetsMagic);
-  if (!status.ok()) return status;
-  WritePod<uint64_t>(out, sets.size());
-  for (SetId id = 0; id < sets.size(); ++id) {
-    const auto tokens = sets.Tokens(id);
-    WritePod<uint32_t>(out, static_cast<uint32_t>(tokens.size()));
-    out.write(reinterpret_cast<const char*>(tokens.data()),
-              static_cast<std::streamsize>(tokens.size() * sizeof(TokenId)));
-  }
-  if (!out) return util::Status::Internal("write failed");
-  return util::Status::OK();
-}
-
 util::StatusOr<index::SetCollection> LoadSetCollection(std::istream& in) {
   auto status = CheckHeader(in, kSetsMagic, "set collection");
   if (!status.ok()) return status;
@@ -240,26 +183,10 @@ util::StatusOr<index::SetCollection> LoadSetCollection(std::istream& in) {
   return sets;
 }
 
-// ---- EmbeddingStore ------------------------------------------------------------
-
-util::Status SaveEmbeddingStore(const embedding::EmbeddingStore& store,
-                                TokenId token_bound, std::ostream& out) {
-  auto status = WriteHeader(out, kEmbeddingMagic, kEmbeddingVersion);
-  if (!status.ok()) return status;
-  WritePod<uint64_t>(out, store.dim());
-  WritePod<uint64_t>(out, store.covered());
-  WritePod<uint8_t>(out, 0);  // legacy tier flag, ignored on load
-  for (TokenId t = 0; t < token_bound; ++t) {
-    if (!store.Has(t)) continue;
-    WritePod<TokenId>(out, t);
-    const auto vec = store.VectorOf(t);
-    out.write(reinterpret_cast<const char*>(vec.data()),
-              static_cast<std::streamsize>(vec.size() * sizeof(float)));
-  }
-  if (!out) return util::Status::Internal("write failed");
-  return util::Status::OK();
-}
-
+/// `token_id_bound`: exclusive upper bound a stored row's token id must
+/// fall under (the dictionary size: the cross-artifact consistency
+/// check). Duplicate rows and rows beyond the bound are rejected as
+/// corrupt.
 util::StatusOr<embedding::EmbeddingStore> LoadEmbeddingStore(
     std::istream& in, uint64_t token_id_bound) {
   uint32_t version = 0;
@@ -310,57 +237,6 @@ util::StatusOr<embedding::EmbeddingStore> LoadEmbeddingStore(
 
 // ---- repository file ------------------------------------------------------------
 
-namespace {
-
-/// Serializes one artifact into an in-memory payload for framing.
-template <typename SaveFn>
-util::StatusOr<std::string> SectionPayload(SaveFn&& save) {
-  std::ostringstream buffer(std::ios::binary);
-  auto status = save(buffer);
-  if (!status.ok()) return status;
-  return std::move(buffer).str();
-}
-
-util::Status WriteRepositoryFile(const text::Dictionary& dict,
-                                 const index::SetCollection& sets,
-                                 const embedding::EmbeddingStore* store,
-                                 const std::string& path) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return util::Status::NotFound("cannot create " + path);
-  auto status = WriteHeader(out, kRepositoryMagic, kRepositoryVersion);
-  if (!status.ok()) return status;
-  WritePod<uint8_t>(out, store != nullptr ? 1 : 0);
-  // Chaos seam: fires after the header hit the disk, so the atomic-save
-  // contract is exercised against a half-written temp file.
-  if (KOIOS_FAULTPOINT("io.save.write")) {
-    return util::Status::Internal("injected write fault (io.save.write)");
-  }
-
-  auto dict_payload = SectionPayload(
-      [&](std::ostream& o) { return SaveDictionary(dict, o); });
-  if (!dict_payload.ok()) return dict_payload.status();
-  status = WriteFrame(out, dict_payload.value());
-  if (!status.ok()) return status;
-
-  auto sets_payload = SectionPayload(
-      [&](std::ostream& o) { return SaveSetCollection(sets, o); });
-  if (!sets_payload.ok()) return sets_payload.status();
-  status = WriteFrame(out, sets_payload.value());
-  if (!status.ok()) return status;
-
-  if (store != nullptr) {
-    auto store_payload = SectionPayload([&](std::ostream& o) {
-      return SaveEmbeddingStore(*store, static_cast<TokenId>(dict.size()), o);
-    });
-    if (!store_payload.ok()) return store_payload.status();
-    status = WriteFrame(out, store_payload.value());
-    if (!status.ok()) return status;
-  }
-  out.flush();
-  if (!out) return util::Status::Internal("write failed");
-  return util::Status::OK();
-}
-
 /// Every token id an artifact references must resolve inside the
 /// dictionary that shipped in the same file — the cross-artifact
 /// consistency gate that catches mixed-generation section splices even
@@ -375,31 +251,6 @@ util::Status ValidateRepository(const LoadedRepository& repo) {
   // dim is servable. Nothing further to cross-validate without embeddings.
   return util::Status::OK();
 }
-
-}  // namespace
-
-util::Status SaveRepository(const text::Dictionary& dict,
-                            const index::SetCollection& sets,
-                            const embedding::EmbeddingStore* store,
-                            const std::string& path) {
-  // Atomic publication: a crash (or injected fault) anywhere before the
-  // rename leaves `path` exactly as it was — either the previous valid
-  // repository or absent — and cleans up the temp file on the failure
-  // paths this process survives.
-  const std::string tmp = path + ".tmp";
-  auto status = WriteRepositoryFile(dict, sets, store, tmp);
-  if (!status.ok()) {
-    std::remove(tmp.c_str());
-    return status;
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return util::Status::Internal("cannot rename " + tmp + " to " + path);
-  }
-  return util::Status::OK();
-}
-
-namespace {
 
 /// Materializes a v4 mmap repository into OWNED structures: the
 /// compatibility path for callers that need the artifacts to outlive any

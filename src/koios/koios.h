@@ -25,6 +25,7 @@
 #include "koios/embedding/synthetic_model.h"
 #include "koios/embedding/vec_loader.h"
 #include "koios/index/inverted_index.h"
+#include "koios/io/repository_v4.h"
 #include "koios/io/serialization.h"
 #include "koios/index/set_collection.h"
 #include "koios/matching/semantic_overlap.h"

@@ -2,8 +2,8 @@
 // queries — dictionary, set collection, embeddings, similarity function,
 // neighbor index — bundled as ONE immutable, shareable unit.
 //
-// Ownership model: a snapshot is built (or loaded from the binary
-// repository format of io::SaveRepository) once, then handed around as
+// Ownership model: a snapshot is built (or loaded from a repository file
+// that io::SaveRepositoryV4 wrote) once, then handed around as
 // shared_ptr<const Snapshot>. Every QueryEngine (and any number of
 // concurrent queries inside each) reads the same instance; "const" is the
 // reentrancy contract — every query's probe state lives in its own token
@@ -32,10 +32,12 @@ namespace koios::serve {
 
 class Snapshot {
  public:
-  /// Loads a repository file written by io::SaveRepository and builds the
-  /// serving structures (cosine similarity over the float rows, exact kNN
-  /// index over the sets' distinct tokens). Fails on files without an
-  /// embedding store — a snapshot must be able to score similarities.
+  /// Loads a repository file and builds the serving structures (cosine
+  /// similarity over the float rows, exact kNN index over the sets'
+  /// distinct tokens). A v4 file (io::SaveRepositoryV4) is served
+  /// straight out of its mapping; a legacy v1/v3 file is parsed into owned
+  /// storage. Fails on files without an embedding store — a snapshot must
+  /// be able to score similarities.
   ///
   /// `verify` applies to v4 files only: eagerly CRC-check every section
   /// (bulk arenas included) and content-scan the token arenas before

@@ -10,7 +10,6 @@
 #include <cstddef>
 #include <map>
 #include <string>
-#include <vector>
 
 namespace koios::util {
 
@@ -77,13 +76,6 @@ class ByteBudget {
   std::atomic<size_t> capacity_;
   std::atomic<size_t> used_{0};
 };
-
-/// Heap footprint helpers for standard containers (approximate: payload
-/// only, ignoring allocator slack).
-template <typename T>
-size_t VectorBytes(const std::vector<T>& v) {
-  return v.capacity() * sizeof(T);
-}
 
 }  // namespace koios::util
 

@@ -265,14 +265,6 @@ Gauge* MetricRegistry::FindGauge(std::string_view name) const {
                                                           : nullptr;
 }
 
-Histogram* MetricRegistry::FindHistogram(std::string_view name) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const Entry* entry = Find(name);
-  return entry != nullptr && entry->kind == Entry::kHistogram
-             ? entry->histogram.get()
-             : nullptr;
-}
-
 void MetricRegistry::AddCollectionCallback(std::function<void()> callback) {
   std::lock_guard<std::mutex> lock(callbacks_mutex_);
   callbacks_.push_back(std::move(callback));

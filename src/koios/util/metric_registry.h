@@ -162,7 +162,6 @@ class MetricRegistry {
   /// Lookup without creating; nullptr when absent or a different kind.
   Counter* FindCounter(std::string_view name) const;
   Gauge* FindGauge(std::string_view name) const;
-  Histogram* FindHistogram(std::string_view name) const;
 
   /// Registers a callback run at the START of every RenderText — the seam
   /// that migrates pre-existing instrumentation (engine counters, cursor

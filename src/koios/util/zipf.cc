@@ -44,12 +44,4 @@ uint64_t ZipfDistribution::Sample(Rng* rng) const {
   }
 }
 
-std::vector<uint64_t> SampleZipf(uint64_t n, double s, size_t count, Rng* rng) {
-  ZipfDistribution dist(n, s);
-  std::vector<uint64_t> out;
-  out.reserve(count);
-  for (size_t i = 0; i < count; ++i) out.push_back(dist.Sample(rng));
-  return out;
-}
-
 }  // namespace koios::util

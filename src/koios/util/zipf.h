@@ -6,7 +6,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "koios/util/rng.h"
 
@@ -35,9 +34,6 @@ class ZipfDistribution {
   double h_n_;
   double threshold_;  // s-dependent acceptance shortcut for rank 0
 };
-
-/// Convenience: draw `count` Zipf-distributed ranks.
-std::vector<uint64_t> SampleZipf(uint64_t n, double s, size_t count, Rng* rng);
 
 }  // namespace koios::util
 

@@ -4,6 +4,7 @@
 
 #include "koios/data/corpus.h"
 #include "koios/data/query_benchmark.h"
+#include "koios/data/string_corpus.h"
 #include "koios/index/inverted_index.h"
 
 namespace koios::data {
@@ -91,6 +92,80 @@ TEST(CorpusTest, PresetShapesRoughlyMatchTableOne) {
   // Heavy tail: max far above average.
   EXPECT_GT(open_data.sets.MaxSetSize(),
             10 * static_cast<size_t>(open_data.sets.AvgSetSize()));
+}
+
+// ------------------------------------------------------- spec validation --
+
+void ExpectInvalid(const util::Status& status, const std::string& label) {
+  EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument) << label;
+}
+
+TEST(CorpusSpecTest, ValidateAcceptsWhatTheGeneratorCanDraw) {
+  EXPECT_TRUE(ValidateCorpusSpec(CorpusSpec{}).ok());
+  for (const CorpusSpec& preset :
+       {DblpSpec(), OpenDataSpec(), TwitterSpec(), WdcSpec()}) {
+    EXPECT_TRUE(ValidateCorpusSpec(preset).ok()) << preset.name;
+  }
+  CorpusSpec tight;
+  tight.vocab_size = 7;
+  tight.min_set_size = 7;
+  tight.max_set_size = 7;  // every set is the whole vocabulary
+  ASSERT_TRUE(ValidateCorpusSpec(tight).ok());
+  const Corpus corpus = GenerateCorpus(tight);
+  EXPECT_EQ(corpus.sets.MaxSetSize(), 7u);
+}
+
+TEST(CorpusSpecTest, ValidateRejectsSizesTheGeneratorCannotDraw) {
+  CorpusSpec spec;
+  spec.vocab_size = 100;
+  spec.min_set_size = 5;
+  spec.max_set_size = 20;
+  ASSERT_TRUE(ValidateCorpusSpec(spec).ok());
+
+  CorpusSpec zero_min = spec;
+  zero_min.min_set_size = 0;
+  ExpectInvalid(ValidateCorpusSpec(zero_min), "min_set_size 0");
+  CorpusSpec inverted = spec;
+  inverted.min_set_size = 9;
+  inverted.max_set_size = 3;
+  ExpectInvalid(ValidateCorpusSpec(inverted), "max below min");
+  CorpusSpec too_large = spec;
+  too_large.max_set_size = 5000;
+  ExpectInvalid(ValidateCorpusSpec(too_large), "max above vocab");
+  CorpusSpec empty_vocab = spec;
+  empty_vocab.vocab_size = 0;
+  ExpectInvalid(ValidateCorpusSpec(empty_vocab), "vocab 0");
+}
+
+TEST(StringCorpusSpecTest, ValidateAcceptsDefaultsAndEqualBounds) {
+  EXPECT_TRUE(ValidateStringCorpusSpec(StringCorpusSpec{}).ok());
+  StringCorpusSpec spec;
+  spec.num_sets = 20;
+  spec.num_base_words = 1;
+  spec.typos_per_word = 0;
+  spec.min_set_size = 0;
+  spec.max_set_size = 0;
+  spec.min_word_length = 3;
+  spec.max_word_length = 3;
+  ASSERT_TRUE(ValidateStringCorpusSpec(spec).ok());
+  EXPECT_EQ(GenerateStringCorpus(spec).sets.size(), 20u);
+}
+
+TEST(StringCorpusSpecTest, ValidateRejectsSpecsTheGeneratorCannotDraw) {
+  const StringCorpusSpec spec;
+  StringCorpusSpec no_words = spec;
+  no_words.num_base_words = 0;
+  ExpectInvalid(ValidateStringCorpusSpec(no_words), "num_base_words 0");
+  StringCorpusSpec inverted = spec;
+  inverted.max_set_size = 0;  // below the default minimum of 4
+  ExpectInvalid(ValidateStringCorpusSpec(inverted), "max_set_size 0");
+  StringCorpusSpec empty_words = spec;
+  empty_words.min_word_length = 0;
+  ExpectInvalid(ValidateStringCorpusSpec(empty_words), "min_word_length 0");
+  StringCorpusSpec inverted_words = spec;
+  inverted_words.max_word_length = spec.min_word_length - 1;
+  ExpectInvalid(ValidateStringCorpusSpec(inverted_words),
+                "max_word_length below min");
 }
 
 // --------------------------------------------------------- QueryBenchmark --

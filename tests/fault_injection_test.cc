@@ -111,85 +111,37 @@ TEST(FaultInjectorTest, ScopedFaultDisarmsOnScopeExit) {
 
 // --------------------------------------------------------------- io seams --
 
-/// Writes a small complete repository file; returns its path.
-std::string SaveTinyRepository(const std::string& filename) {
-  text::Dictionary dict;
-  for (TokenId t = 0; t < 10; ++t) dict.Intern("tok" + std::to_string(t));
-  index::SetCollection sets;
-  sets.AddSet(std::vector<TokenId>{0, 3, 9});
-  sets.AddSet(std::vector<TokenId>{1, 2});
-  embedding::EmbeddingStore store(2);
-  for (TokenId t = 0; t < 10; ++t) {
-    store.Add(t, std::vector<float>{static_cast<float>(t) + 1.0f, 1.0f});
-  }
-  const std::string path = ::testing::TempDir() + "/" + filename;
-  EXPECT_TRUE(io::SaveRepository(dict, sets, &store, path).ok());
-  return path;
-}
-
 TEST(IoFaultTest, ReadFailureAtEverySiteReturnsCleanStatus) {
-  // Sweep a one-shot read fault over EVERY ReadPod site of a full load:
-  // each position must yield an error Status (clean unwind, no crash, no
-  // partial repository), and once n exceeds the number of reads the load
-  // succeeds again — proving the sweep covered every site.
-  const std::string path = SaveTinyRepository("koios_fault_read.bin");
-  size_t failures = 0;
-  uint64_t first_success = 0;
-  for (uint64_t n = 1; n <= 100; ++n) {
-    FaultSpec spec;
-    spec.fail_on_hit = n;
-    ScopedFault fault("io.read", spec);
-    auto repo = io::LoadRepository(path);
-    if (repo.ok()) {
-      if (first_success == 0) first_success = n;
-      EXPECT_TRUE(repo.value().has_embeddings);
-    } else {
-      EXPECT_EQ(first_success, 0u)
-          << "load failed at n=" << n << " after succeeding earlier";
-      ++failures;
+  // Sweep a one-shot read fault over EVERY ReadPod site of a full load of
+  // each legacy stream golden: each position must yield an error Status
+  // (clean unwind, no crash, no partial repository), and once n exceeds
+  // the number of reads the load succeeds again — proving the sweep
+  // covered every site.
+  for (const char* golden : {"golden_v1.repo", "golden_v3.repo"}) {
+    const std::string path = std::string(KOIOS_TESTDATA_DIR) + "/" + golden;
+    size_t failures = 0;
+    uint64_t first_success = 0;
+    for (uint64_t n = 1; n <= 100; ++n) {
+      FaultSpec spec;
+      spec.fail_on_hit = n;
+      ScopedFault fault("io.read", spec);
+      auto repo = io::LoadRepository(path);
+      if (repo.ok()) {
+        if (first_success == 0) first_success = n;
+        EXPECT_TRUE(repo.value().has_embeddings) << golden;
+      } else {
+        EXPECT_EQ(first_success, 0u) << golden << ": load failed at n=" << n
+                                     << " after succeeding earlier";
+        ++failures;
+      }
     }
+    EXPECT_GT(failures, 10u) << golden;      // the format has many read sites
+    EXPECT_GT(first_success, 0u) << golden;  // and the sweep went past the last
+    EXPECT_TRUE(io::LoadRepository(path).ok()) << golden;  // disarmed
   }
-  EXPECT_GT(failures, 10u);        // the format has many read sites
-  EXPECT_GT(first_success, 0u);    // and the sweep went past the last one
-  EXPECT_TRUE(io::LoadRepository(path).ok());  // disarmed: unaffected
-  std::remove(path.c_str());
 }
 
-TEST(IoFaultTest, FailedSaveLeavesPreviousFileIntact) {
-  const std::string path = SaveTinyRepository("koios_fault_save.bin");
-  auto before = io::LoadRepository(path);
-  ASSERT_TRUE(before.ok());
-
-  // A save that dies mid-write must fail with a Status, leave the
-  // PREVIOUS repository loadable, and clean up its temp file.
-  text::Dictionary dict;
-  dict.Intern("other");
-  index::SetCollection sets;
-  sets.AddSet(std::vector<TokenId>{0});
-  {
-    FaultSpec spec;
-    spec.fail_on_hit = 1;
-    ScopedFault fault("io.save.write", spec);
-    auto status = io::SaveRepository(dict, sets, nullptr, path);
-    ASSERT_FALSE(status.ok());
-    EXPECT_NE(status.message().find("io.save.write"), std::string::npos);
-  }
-  std::ifstream tmp(path + ".tmp", std::ios::binary);
-  EXPECT_FALSE(static_cast<bool>(tmp)) << "temp file left behind";
-  auto after = io::LoadRepository(path);
-  ASSERT_TRUE(after.ok()) << after.status().ToString();
-  EXPECT_EQ(after.value().dict.size(), before.value().dict.size());
-  EXPECT_EQ(after.value().sets.size(), before.value().sets.size());
-
-  // Disarmed, the same save succeeds and replaces the file atomically.
-  ASSERT_TRUE(io::SaveRepository(dict, sets, nullptr, path).ok());
-  auto replaced = io::LoadRepository(path);
-  ASSERT_TRUE(replaced.ok());
-  EXPECT_EQ(replaced.value().dict.size(), 1u);
-  std::remove(path.c_str());
-}
-
-/// Saves the SaveTinyRepository corpus in v4 form; returns its path.
+/// Saves a small complete v4 repository; returns its path.
 std::string SaveTinyRepositoryV4(const std::string& filename) {
   text::Dictionary dict;
   for (TokenId t = 0; t < 10; ++t) dict.Intern("tok" + std::to_string(t));
@@ -203,6 +155,40 @@ std::string SaveTinyRepositoryV4(const std::string& filename) {
   const std::string path = ::testing::TempDir() + "/" + filename;
   EXPECT_TRUE(io::SaveRepositoryV4(dict, sets, &store, path).ok());
   return path;
+}
+
+TEST(IoFaultTest, FailedSaveLeavesPreviousFileIntact) {
+  const std::string path = SaveTinyRepositoryV4("koios_fault_save.bin");
+  auto before = io::LoadRepository(path);
+  ASSERT_TRUE(before.ok());
+
+  // A save that dies mid-write must fail with a Status, leave the
+  // PREVIOUS repository loadable, and clean up its temp file.
+  text::Dictionary dict;
+  dict.Intern("other");
+  index::SetCollection sets;
+  sets.AddSet(std::vector<TokenId>{0});
+  {
+    FaultSpec spec;
+    spec.fail_on_hit = 1;
+    ScopedFault fault("io.save.write", spec);
+    auto status = io::SaveRepositoryV4(dict, sets, nullptr, path);
+    ASSERT_FALSE(status.ok());
+    EXPECT_NE(status.message().find("io.save.write"), std::string::npos);
+  }
+  std::ifstream tmp(path + ".tmp", std::ios::binary);
+  EXPECT_FALSE(static_cast<bool>(tmp)) << "temp file left behind";
+  auto after = io::LoadRepository(path);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(after.value().dict.size(), before.value().dict.size());
+  EXPECT_EQ(after.value().sets.size(), before.value().sets.size());
+
+  // Disarmed, the same save succeeds and replaces the file atomically.
+  ASSERT_TRUE(io::SaveRepositoryV4(dict, sets, nullptr, path).ok());
+  auto replaced = io::LoadRepository(path);
+  ASSERT_TRUE(replaced.ok());
+  EXPECT_EQ(replaced.value().dict.size(), 1u);
+  std::remove(path.c_str());
 }
 
 TEST(IoFaultTest, MmapEstablishmentFailureReturnsCleanStatus) {
@@ -379,7 +365,8 @@ TEST(ServeFaultTest, AdmissionFailsFastWhenWaitExceedsDeadline) {
 }
 
 TEST(ServeFaultTest, TrySwapKeepsServingOnEveryFailurePath) {
-  const std::string good_path = SaveTinyRepository("koios_fault_swap_good.bin");
+  const std::string good_path =
+      SaveTinyRepositoryV4("koios_fault_swap_good.bin");
   auto snapshot = Snapshot::Load(good_path);
   ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
   std::shared_ptr<const Snapshot> snap1 = snapshot.value();
@@ -448,11 +435,12 @@ TEST(ServeFaultTest, TrySwapOnCorruptV4KeepsServingOldSnapshot) {
   // which lazy validation deliberately skips. TrySwapFromRepository
   // forces eager verification, so the swap must fail cleanly and the old
   // snapshot must keep serving — corruption never goes live.
-  const std::string v3_path = SaveTinyRepository("koios_fault_v4swap_old.bin");
+  const std::string old_path =
+      SaveTinyRepositoryV4("koios_fault_v4swap_old.bin");
   const std::string v4_path =
       SaveTinyRepositoryV4("koios_fault_v4swap_new.bin");
 
-  auto snapshot = Snapshot::Load(v3_path);
+  auto snapshot = Snapshot::Load(old_path);
   ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
   std::shared_ptr<const Snapshot> snap1 = snapshot.value();
   EngineOptions options;
@@ -512,7 +500,7 @@ TEST(ServeFaultTest, TrySwapOnCorruptV4KeepsServingOldSnapshot) {
   EXPECT_NE(engine.snapshot(), snap1);
   EXPECT_TRUE(engine.snapshot()->mmap_backed());
 
-  std::remove(v3_path.c_str());
+  std::remove(old_path.c_str());
   std::remove(v4_path.c_str());
   std::remove(corrupt_path.c_str());
 }

@@ -1,5 +1,6 @@
-// Tests for the persistence layer: .vec loading and binary repository
-// serialization round-trips.
+// Tests for the persistence layer: .vec loading, repository round trips
+// through the v4 writer and LoadRepository, and the legacy v1/v3 readers,
+// run on the checked-in golden files and on byte-level edits of them.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -7,10 +8,14 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "koios/core/searcher.h"
 #include "koios/embedding/vec_loader.h"
+#include "koios/io/repository_v4.h"
 #include "koios/io/serialization.h"
+#include "koios/util/crc32.h"
 #include "test_util.h"
 
 namespace koios::io {
@@ -84,91 +89,46 @@ TEST(VecLoaderTest, DuplicateRowsKeepFirst) {
   EXPECT_NEAR(vec[0], 1.0, 1e-6);
 }
 
-// ---------------------------------------------------------- serialization --
+// -------------------------------------------------------------- round trip --
 
-TEST(SerializationTest, DictionaryRoundTrip) {
+TEST(SerializationTest, RoundTripKeepsEdgeCaseArtifacts) {
+  // Tokens with spaces and an empty token, an empty set, and embedding
+  // rows for only some tokens all survive the writer and the owned load.
   text::Dictionary dict;
-  dict.Intern("alpha");
-  dict.Intern("beta gamma");  // spaces survive binary framing
-  dict.Intern("");
-  std::stringstream buffer;
-  ASSERT_TRUE(SaveDictionary(dict, buffer).ok());
-  auto loaded = LoadDictionary(buffer);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded.value().size(), 3u);
-  EXPECT_EQ(loaded.value().TokenOf(1), "beta gamma");
-  EXPECT_EQ(loaded.value().Lookup("alpha"), 0u);
-}
-
-TEST(SerializationTest, SetCollectionRoundTrip) {
+  for (const char* token : {"alpha", "beta gamma", "", "d", "e", "f"}) {
+    dict.Intern(token);
+  }
   index::SetCollection sets;
   sets.AddSet(std::vector<TokenId>{3, 1, 2});
   sets.AddSet(std::vector<TokenId>{});
-  sets.AddSet(std::vector<TokenId>{7});
-  std::stringstream buffer;
-  ASSERT_TRUE(SaveSetCollection(sets, buffer).ok());
-  auto loaded = LoadSetCollection(buffer);
-  ASSERT_TRUE(loaded.ok());
-  ASSERT_EQ(loaded.value().size(), 3u);
-  EXPECT_EQ(loaded.value().SetSize(0), 3u);
-  EXPECT_EQ(loaded.value().SetSize(1), 0u);
-  EXPECT_EQ(loaded.value().Tokens(2)[0], 7u);
-}
-
-TEST(SerializationTest, EmbeddingStoreRoundTrip) {
+  sets.AddSet(std::vector<TokenId>{5});
   embedding::EmbeddingStore store(3);
   store.Add(2, std::vector<float>{1.0f, 2.0f, 2.0f});
   store.Add(5, std::vector<float>{0.0f, 1.0f, 0.0f});
-  std::stringstream buffer;
-  ASSERT_TRUE(SaveEmbeddingStore(store, 10, buffer).ok());
-  auto loaded = LoadEmbeddingStore(buffer);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded.value().covered(), 2u);
-  EXPECT_TRUE(loaded.value().Has(2));
-  EXPECT_TRUE(loaded.value().Has(5));
-  EXPECT_FALSE(loaded.value().Has(3));
-  EXPECT_NEAR(loaded.value().Cosine(2, 5), store.Cosine(2, 5), 1e-6);
-}
 
-TEST(SerializationTest, LegacyTierFlagIsIgnoredOnLoad) {
-  // Embedding stream v2 carries a flag byte after the row count. Earlier
-  // writers set it to mark a stored int8 tier; the writer now stores 0 and
-  // the loader ignores the byte, so a payload that sets it still loads
-  // with the same rows.
-  embedding::EmbeddingStore store(4);
-  store.Add(0, std::vector<float>{0.9f, 0.1f, -0.3f, 0.2f});
-  store.Add(1, std::vector<float>{-0.2f, 0.8f, 0.5f, 0.1f});
-  store.Add(3, std::vector<float>{0.4f, -0.4f, 0.6f, -0.5f});
-  std::stringstream buffer;
-  ASSERT_TRUE(SaveEmbeddingStore(store, 10, buffer).ok());
-  std::string bytes = buffer.str();
-  // [magic u32][version u32][dim u64][rows u64][flag u8]
-  constexpr size_t kVersionOffset = 4;
-  constexpr size_t kFlagOffset = 4 + 4 + 8 + 8;
-  uint32_t version = 0;
-  std::memcpy(&version, bytes.data() + kVersionOffset, sizeof(version));
-  ASSERT_EQ(version, 2u);
-  ASSERT_EQ(bytes[kFlagOffset], 0) << "the writer must leave the flag 0";
-  bytes[kFlagOffset] = 1;
-
-  std::stringstream flagged(bytes);
-  auto loaded = LoadEmbeddingStore(flagged);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded.value().dim(), store.dim());
-  ASSERT_EQ(loaded.value().covered(), store.covered());
-  const auto got_rows = loaded.value().RowData();
-  const auto want_rows = store.RowData();
-  EXPECT_TRUE(std::equal(got_rows.begin(), got_rows.end(), want_rows.begin()));
-  const auto got_table = loaded.value().RowTable();
-  const auto want_table = store.RowTable();
-  EXPECT_TRUE(std::equal(got_table.begin(), got_table.end(),
-                         want_table.begin(), want_table.end()));
-}
-
-TEST(SerializationTest, CorruptMagicRejected) {
-  std::stringstream buffer;
-  buffer << "garbage bytes here and more of them";
-  EXPECT_FALSE(LoadDictionary(buffer).ok());
+  const std::string path = ::testing::TempDir() + "/koios_edge_repo.bin";
+  ASSERT_TRUE(SaveRepositoryV4(dict, sets, &store, path).ok());
+  auto repo = LoadRepository(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(repo.ok()) << repo.status().ToString();
+  const LoadedRepository& got = repo.value();
+  ASSERT_EQ(got.dict.size(), 6u);
+  EXPECT_EQ(got.dict.TokenOf(1), "beta gamma");
+  EXPECT_EQ(got.dict.TokenOf(2), "");
+  EXPECT_EQ(got.dict.Lookup("alpha"), 0u);
+  ASSERT_EQ(got.sets.size(), 3u);
+  for (SetId id = 0; id < sets.size(); ++id) {
+    const auto want = sets.Tokens(id);
+    const auto have = got.sets.Tokens(id);
+    EXPECT_TRUE(std::equal(have.begin(), have.end(), want.begin(), want.end()))
+        << "set " << id;
+  }
+  ASSERT_TRUE(got.has_embeddings);
+  EXPECT_EQ(got.store.covered(), 2u);
+  EXPECT_TRUE(got.store.Has(2));
+  EXPECT_TRUE(got.store.Has(5));
+  EXPECT_FALSE(got.store.Has(3));
+  EXPECT_EQ(got.store.Cosine(2, 5), store.Cosine(2, 5));
 }
 
 TEST(SerializationTest, RepositoryFileRoundTripAndSearch) {
@@ -179,7 +139,8 @@ TEST(SerializationTest, RepositoryFileRoundTripAndSearch) {
   for (TokenId t = 0; t < 300; ++t) dict.Intern("tok" + std::to_string(t));
 
   const std::string path = ::testing::TempDir() + "/koios_repo.bin";
-  ASSERT_TRUE(SaveRepository(dict, w.corpus.sets, &w.model->store(), path).ok());
+  ASSERT_TRUE(
+      SaveRepositoryV4(dict, w.corpus.sets, &w.model->store(), path).ok());
   auto repo = LoadRepository(path);
   ASSERT_TRUE(repo.ok()) << repo.status().ToString();
   ASSERT_TRUE(repo.value().has_embeddings);
@@ -204,26 +165,21 @@ TEST(SerializationTest, RepositoryFileRoundTripAndSearch) {
   std::remove(path.c_str());
 }
 
-TEST(SerializationTest, RepositoryWithoutEmbeddings) {
-  text::Dictionary dict;
-  dict.Intern("a");
-  index::SetCollection sets;
-  sets.AddSet(std::vector<TokenId>{0});
-  const std::string path = ::testing::TempDir() + "/koios_repo_noemb.bin";
-  ASSERT_TRUE(SaveRepository(dict, sets, nullptr, path).ok());
-  auto repo = LoadRepository(path);
-  ASSERT_TRUE(repo.ok());
-  EXPECT_FALSE(repo.value().has_embeddings);
-  std::remove(path.c_str());
-}
-
-// ------------------------------------------------- corruption robustness --
+// ------------------------------------------------- legacy v3 reader --
 //
-// The v3 container is designed so that EVERY byte-level corruption — any
-// truncation, any single bit flip — surfaces as a clean error Status. The
-// tests below enforce that exhaustively on a small repository file rather
-// than spot-checking a few hand-picked offsets: the file is a few hundred
-// bytes, so the full sweep is cheap and leaves no unexamined position.
+// No writer emits v1 or v3, so the legacy reader is tested on the bytes
+// of the checked-in golden files (tests/testdata/README.md) and on edits
+// of them. The v3 container is designed so that EVERY byte-level
+// corruption — any truncation, any single bit flip — surfaces as a clean
+// error Status. The tests below enforce that exhaustively: the files are
+// a few hundred bytes, so the full sweep is cheap and leaves no
+// unexamined position. Edits that must get past the frame checksums
+// re-frame the edited payload, so only the check under test can reject
+// the file.
+
+std::string GoldenPath(const char* name) {
+  return std::string(KOIOS_TESTDATA_DIR) + "/" + name;
+}
 
 std::string FileBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -231,12 +187,6 @@ std::string FileBytes(const std::string& path) {
   std::ostringstream buffer;
   buffer << in.rdbuf();
   return buffer.str();
-}
-
-void WriteBytes(const std::string& path, const std::string& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  ASSERT_TRUE(static_cast<bool>(out)) << path;
 }
 
 /// Round-trips `bytes` through a file and LoadRepository.
@@ -250,32 +200,91 @@ util::StatusOr<LoadedRepository> LoadFromBytes(const std::string& bytes) {
   return repo;
 }
 
-/// A small but complete repository (dictionary + sets + embeddings) saved
-/// to bytes via the real writer.
-std::string TinyRepositoryBytes(bool with_embeddings, uint64_t seed = 11,
-                                size_t vocab = 8) {
-  text::Dictionary dict;
-  for (TokenId t = 0; t < vocab; ++t) dict.Intern("t" + std::to_string(t));
-  index::SetCollection sets;
-  sets.AddSet(std::vector<TokenId>{0, 2, static_cast<TokenId>(vocab - 1)});
-  sets.AddSet(std::vector<TokenId>{1, 3});
-  embedding::EmbeddingStore store(3);
-  for (TokenId t = 0; t < vocab; ++t) {
-    const float x = static_cast<float>((seed + t) % 7) + 0.5f;
-    store.Add(t, std::vector<float>{x, 1.0f / x, static_cast<float>(t)});
+// v3 layout: [magic u32][version u32][has_embeddings u8], then one frame
+// per section (dictionary, set collection, embedding store if flagged):
+// [payload length u64][CRC-32 u32][payload].
+constexpr size_t kV3HeaderBytes = 9;
+constexpr size_t kHasEmbeddingsOffset = 8;
+constexpr size_t kFrameHeaderBytes = 12;
+
+/// A v3 file split into its header and its section payloads.
+struct V3File {
+  std::string header;
+  std::vector<std::string> payloads;
+};
+
+V3File SplitV3(const std::string& bytes) {
+  V3File file;
+  file.header = bytes.substr(0, kV3HeaderBytes);
+  for (size_t at = kV3HeaderBytes; at < bytes.size();) {
+    uint64_t length = 0;
+    std::memcpy(&length, bytes.data() + at, sizeof(length));
+    file.payloads.push_back(bytes.substr(at + kFrameHeaderBytes, length));
+    at += kFrameHeaderBytes + length;
   }
-  const std::string path = ::testing::TempDir() + "/koios_tiny_repo.bin";
-  EXPECT_TRUE(
-      SaveRepository(dict, sets, with_embeddings ? &store : nullptr, path)
-          .ok());
-  std::string bytes = FileBytes(path);
-  std::remove(path.c_str());
+  return file;
+}
+
+/// Re-frames every payload with a fresh length and checksum (the CRC-32
+/// of the length field, continued over the payload).
+std::string JoinV3(const V3File& file) {
+  std::string bytes = file.header;
+  for (const std::string& payload : file.payloads) {
+    const uint64_t length = payload.size();
+    const uint32_t crc = util::Crc32(payload.data(), payload.size(),
+                                     util::Crc32(&length, sizeof(length)));
+    bytes.append(reinterpret_cast<const char*>(&length), sizeof(length));
+    bytes.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
+    bytes += payload;
+  }
   return bytes;
 }
 
+enum V3Section : size_t { kDictionary = 0, kSets = 1, kEmbeddings = 2 };
+
+/// golden_v3.repo: dictionary, sets and embeddings.
+V3File GoldenV3() { return SplitV3(FileBytes(GoldenPath("golden_v3.repo"))); }
+
+/// golden_v3.repo without its embedding frame, the header flag cleared.
+V3File GoldenV3WithoutEmbeddings() {
+  V3File file = GoldenV3();
+  file.payloads.pop_back();
+  file.header[kHasEmbeddingsOffset] = 0;
+  return file;
+}
+
+// Embedding payload: [magic u32][version u32][dim u64][rows u64][flag u8],
+// then per row [token id u32][dim floats].
+constexpr size_t kEmbeddingFlagOffset = 4 + 4 + 8 + 8;
+constexpr size_t kFirstRowOffset = kEmbeddingFlagOffset + 1;
+
+size_t EmbeddingRowOffset(const std::string& payload, size_t row) {
+  uint64_t dim = 0;
+  std::memcpy(&dim, payload.data() + 8, sizeof(dim));
+  return kFirstRowOffset + row * (sizeof(TokenId) + dim * sizeof(float));
+}
+
+void SetRowToken(std::string* payload, size_t row, TokenId token) {
+  std::memcpy(payload->data() + EmbeddingRowOffset(*payload, row), &token,
+              sizeof(token));
+}
+
+TEST(CorruptionMatrixTest, GoldenEditsReframeCleanly) {
+  // The helpers themselves: splitting and re-framing the golden files
+  // reproduces them byte for byte, and the embedding-less variant loads.
+  const std::string bytes = FileBytes(GoldenPath("golden_v3.repo"));
+  const V3File file = SplitV3(bytes);
+  ASSERT_EQ(file.payloads.size(), 3u);
+  EXPECT_EQ(JoinV3(file), bytes);
+  auto repo = LoadFromBytes(JoinV3(GoldenV3WithoutEmbeddings()));
+  ASSERT_TRUE(repo.ok()) << repo.status().ToString();
+  EXPECT_FALSE(repo.value().has_embeddings);
+  EXPECT_EQ(repo.value().sets.size(), 5u);
+}
+
 TEST(CorruptionMatrixTest, EveryTruncationReturnsError) {
-  const std::string bytes = TinyRepositoryBytes(/*with_embeddings=*/true);
-  ASSERT_GT(bytes.size(), 9u);
+  const std::string bytes = JoinV3(GoldenV3());
+  ASSERT_GT(bytes.size(), kV3HeaderBytes);
   // Every strict prefix — which includes every section boundary — must be
   // rejected; only the full file loads.
   for (size_t len = 0; len < bytes.size(); ++len) {
@@ -287,7 +296,9 @@ TEST(CorruptionMatrixTest, EveryTruncationReturnsError) {
 
 TEST(CorruptionMatrixTest, EverySingleBitFlipReturnsError) {
   for (const bool with_embeddings : {true, false}) {
-    const std::string bytes = TinyRepositoryBytes(with_embeddings);
+    const std::string bytes =
+        JoinV3(with_embeddings ? GoldenV3() : GoldenV3WithoutEmbeddings());
+    ASSERT_TRUE(LoadFromBytes(bytes).ok());
     for (size_t i = 0; i < bytes.size(); ++i) {
       for (int bit = 0; bit < 8; ++bit) {
         std::string mutated = bytes;
@@ -302,7 +313,7 @@ TEST(CorruptionMatrixTest, EverySingleBitFlipReturnsError) {
 }
 
 TEST(CorruptionMatrixTest, WrongMagicAndVersionsRejected) {
-  std::string bytes = TinyRepositoryBytes(/*with_embeddings=*/true);
+  const std::string bytes = JoinV3(GoldenV3());
   std::string wrong_magic = bytes;
   wrong_magic[0] = 'X';
   EXPECT_FALSE(LoadFromBytes(wrong_magic).ok());
@@ -324,80 +335,114 @@ TEST(CorruptionMatrixTest, WrongMagicAndVersionsRejected) {
 }
 
 TEST(CorruptionMatrixTest, TrailingBytesRejected) {
-  std::string bytes = TinyRepositoryBytes(/*with_embeddings=*/true);
+  std::string bytes = JoinV3(GoldenV3());
   bytes.push_back('\0');
   EXPECT_FALSE(LoadFromBytes(bytes).ok());
 }
 
-TEST(CorruptionMatrixTest, MixedGenerationSpliceRejected) {
-  // Two individually valid repositories from different "generations": A
-  // has a 2-token dictionary, B's sets reference token ids up to 11. A
-  // file spliced from A's dictionary frame and B's sets frame has
-  // perfectly valid checksums on both sections — only the cross-artifact
-  // validation can catch it.
-  const std::string a = TinyRepositoryBytes(false, /*seed=*/1, /*vocab=*/2);
-  const std::string b = TinyRepositoryBytes(false, /*seed=*/2, /*vocab=*/12);
-  constexpr size_t kHeader = 9;   // magic u32 + version u32 + has_embeddings u8
-  constexpr size_t kFrame = 12;   // length u64 + crc u32
-  auto frame_end = [&](const std::string& bytes, size_t start) {
-    uint64_t length = 0;
-    std::memcpy(&length, bytes.data() + start, sizeof(length));
-    return start + kFrame + static_cast<size_t>(length);
-  };
-  const size_t a_dict_end = frame_end(a, kHeader);
-  const size_t b_dict_end = frame_end(b, kHeader);
-  std::string spliced = a.substr(0, a_dict_end) + b.substr(b_dict_end);
-  auto repo = LoadFromBytes(spliced);
-  ASSERT_FALSE(repo.ok());
-  EXPECT_NE(repo.status().message().find("beyond the dictionary"),
-            std::string::npos);
+TEST(CorruptionMatrixTest, BadSectionMagicRejected) {
+  // A section whose own magic is wrong, inside a frame whose checksum is
+  // valid, is rejected by name.
+  const char* const names[] = {"dictionary", "set collection",
+                               "embedding store"};
+  for (const size_t section : {kDictionary, kSets, kEmbeddings}) {
+    V3File file = GoldenV3();
+    file.payloads[section][0] ^= 0x20;
+    auto repo = LoadFromBytes(JoinV3(file));
+    ASSERT_FALSE(repo.ok()) << names[section];
+    EXPECT_NE(repo.status().message().find(std::string("bad magic for ") +
+                                           names[section]),
+              std::string::npos)
+        << repo.status().ToString();
+  }
 }
 
-TEST(CorruptionMatrixTest, EmbeddingRowBeyondBoundRejected) {
-  embedding::EmbeddingStore store(2);
-  store.Add(5, std::vector<float>{1.0f, 0.0f});
-  std::stringstream buffer;
-  ASSERT_TRUE(SaveEmbeddingStore(store, 10, buffer).ok());
-  // Unbounded load accepts it; a repository whose dictionary has only 3
-  // tokens must not.
-  auto unbounded = LoadEmbeddingStore(buffer);
-  EXPECT_TRUE(unbounded.ok());
-  buffer.clear();
-  buffer.seekg(0);
-  auto bounded = LoadEmbeddingStore(buffer, /*token_id_bound=*/3);
-  ASSERT_FALSE(bounded.ok());
-  EXPECT_NE(bounded.status().message().find("outside the dictionary"),
-            std::string::npos);
+TEST(CorruptionMatrixTest, MixedGenerationSpliceRejected) {
+  // Two individually valid generations: the golden's sets reference token
+  // ids up to 9, and an older dictionary knew only the first 2 tokens. A
+  // file spliced from that dictionary and the golden's sets has perfectly
+  // valid checksums on both sections — only the cross-artifact validation
+  // can catch it.
+  V3File file = GoldenV3WithoutEmbeddings();
+  std::string& dict = file.payloads[kDictionary];
+  // Dictionary payload: [magic u32][version u32][count u64], then per
+  // token [length u32][bytes].
+  constexpr size_t kFirstEntryOffset = 4 + 4 + 8;
+  size_t end = kFirstEntryOffset;
+  for (int token = 0; token < 2; ++token) {
+    uint32_t length = 0;
+    std::memcpy(&length, dict.data() + end, sizeof(length));
+    end += sizeof(length) + length;
+  }
+  dict.resize(end);
+  const uint64_t count = 2;
+  std::memcpy(dict.data() + 8, &count, sizeof(count));
+  auto repo = LoadFromBytes(JoinV3(file));
+  ASSERT_FALSE(repo.ok());
+  EXPECT_NE(repo.status().message().find("beyond the dictionary"),
+            std::string::npos)
+      << repo.status().ToString();
+}
+
+TEST(CorruptionMatrixTest, EmbeddingRowBeyondDictionaryRejected) {
+  // The golden dictionary has 10 tokens: a row for token 10 must not load.
+  V3File file = GoldenV3();
+  SetRowToken(&file.payloads[kEmbeddings], 0, 10);
+  auto repo = LoadFromBytes(JoinV3(file));
+  ASSERT_FALSE(repo.ok());
+  EXPECT_NE(repo.status().message().find("outside the dictionary"),
+            std::string::npos)
+      << repo.status().ToString();
 }
 
 TEST(CorruptionMatrixTest, DuplicateEmbeddingRowRejected) {
-  // The writer cannot produce a duplicate row, so craft the stream by
-  // saving one row and repeating its bytes with the row count bumped.
-  embedding::EmbeddingStore store(2);
-  store.Add(1, std::vector<float>{0.5f, 0.5f});
-  std::stringstream buffer;
-  ASSERT_TRUE(SaveEmbeddingStore(store, 4, buffer).ok());
-  std::string bytes = buffer.str();
-  // Layout: magic u32, version u32, dim u64, rows u64, flag u8, rows.
-  const size_t row_start = 4 + 4 + 8 + 8 + 1;
-  const std::string row = bytes.substr(row_start);
-  uint64_t rows = 2;
-  bytes.replace(4 + 4 + 8, sizeof(rows),
-                reinterpret_cast<const char*>(&rows), sizeof(rows));
-  bytes += row;
-  std::istringstream doubled(bytes);
-  auto loaded = LoadEmbeddingStore(doubled);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_NE(loaded.status().message().find("duplicate"), std::string::npos);
+  // Row 1 relabelled with row 0's token: two rows for one token.
+  V3File file = GoldenV3();
+  std::string& payload = file.payloads[kEmbeddings];
+  TokenId first = 0;
+  std::memcpy(&first, payload.data() + EmbeddingRowOffset(payload, 0),
+              sizeof(first));
+  SetRowToken(&payload, 1, first);
+  auto repo = LoadFromBytes(JoinV3(file));
+  ASSERT_FALSE(repo.ok());
+  EXPECT_NE(repo.status().message().find("duplicate"), std::string::npos)
+      << repo.status().ToString();
+}
+
+TEST(CorruptionMatrixTest, LegacyTierFlagIsIgnoredOnLoad) {
+  // Embedding stream v2 carries a flag byte after the row count; earlier
+  // writers set it to mark a stored int8 tier. The golden file sets it,
+  // and the same file with it cleared loads the same rows.
+  V3File file = GoldenV3();
+  std::string& payload = file.payloads[kEmbeddings];
+  uint32_t version = 0;
+  std::memcpy(&version, payload.data() + 4, sizeof(version));
+  ASSERT_EQ(version, 2u);
+  ASSERT_EQ(payload[kEmbeddingFlagOffset], 1);
+  auto flagged = LoadFromBytes(JoinV3(file));
+  payload[kEmbeddingFlagOffset] = 0;
+  auto cleared = LoadFromBytes(JoinV3(file));
+  ASSERT_TRUE(flagged.ok()) << flagged.status().ToString();
+  ASSERT_TRUE(cleared.ok()) << cleared.status().ToString();
+  const auto& a = flagged.value().store;
+  const auto& b = cleared.value().store;
+  EXPECT_EQ(a.dim(), b.dim());
+  ASSERT_EQ(a.covered(), b.covered());
+  const auto a_rows = a.RowData();
+  const auto b_rows = b.RowData();
+  EXPECT_TRUE(std::equal(a_rows.begin(), a_rows.end(), b_rows.begin(),
+                         b_rows.end()));
+  const auto a_table = a.RowTable();
+  const auto b_table = b.RowTable();
+  EXPECT_TRUE(std::equal(a_table.begin(), a_table.end(), b_table.begin(),
+                         b_table.end()));
 }
 
 TEST(CorruptionMatrixTest, LegacyV1StillLoads) {
   // Mixed-version fleet: files written by the unframed v1 writer keep
   // loading (without checksum protection), including the flag byte
-  // inside the embedding section. No writer emits v1, so the checked-in
-  // fixture is the file under test.
-  const std::string v1_path =
-      std::string(KOIOS_TESTDATA_DIR) + "/golden_v1.repo";
+  // inside the embedding section.
+  const std::string v1_path = GoldenPath("golden_v1.repo");
   auto repo = LoadRepository(v1_path);
   ASSERT_TRUE(repo.ok()) << repo.status().ToString();
   EXPECT_TRUE(repo.value().has_embeddings);
@@ -411,18 +456,6 @@ TEST(CorruptionMatrixTest, LegacyV1StillLoads) {
     EXPECT_FALSE(LoadFromBytes(bytes.substr(0, len)).ok())
         << "v1 truncation to " << len << " bytes loaded";
   }
-}
-
-TEST(CorruptionMatrixTest, SaveLeavesNoTempFileBehind) {
-  text::Dictionary dict;
-  dict.Intern("a");
-  index::SetCollection sets;
-  sets.AddSet(std::vector<TokenId>{0});
-  const std::string path = ::testing::TempDir() + "/koios_atomic_repo.bin";
-  ASSERT_TRUE(SaveRepository(dict, sets, nullptr, path).ok());
-  std::ifstream tmp(path + ".tmp", std::ios::binary);
-  EXPECT_FALSE(static_cast<bool>(tmp)) << "temp file left behind";
-  std::remove(path.c_str());
 }
 
 }  // namespace

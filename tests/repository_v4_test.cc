@@ -210,15 +210,17 @@ TEST(RepositoryV4Test, EmbeddinglessRepositoryRoundTrips) {
 
 TEST(RepositoryV4Test, SaveIsAtomic) {
   // A v4 save over an existing repository file must leave the original
-  // intact until the rename (same contract as SaveRepository).
+  // intact until the rename, and no temp file behind (a failed save is
+  // IoFaultTest.FailedSaveLeavesPreviousFileIntact).
   Fixture f = MakeFixture();
   const std::string path = TempPath("v4_atomic.repo");
   ASSERT_TRUE(SaveRepositoryV4(f.dict, f.sets, &f.store, path).ok());
   const std::string original = FileBytes(path);
   ASSERT_TRUE(SaveRepositoryV4(f.dict, f.sets, &f.store, path).ok());
   EXPECT_EQ(FileBytes(path), original) << "deterministic writer";
+  std::ifstream tmp(path + ".tmp", std::ios::binary);
+  EXPECT_FALSE(static_cast<bool>(tmp)) << "temp file left behind";
   std::remove(path.c_str());
-  std::remove((path + ".tmp").c_str());
 }
 
 // ------------------------------------------------------ corruption matrix --

@@ -19,7 +19,7 @@
 #include <vector>
 
 #include "koios/core/searcher.h"
-#include "koios/io/serialization.h"
+#include "koios/io/repository_v4.h"
 #include "koios/serve/query_engine.h"
 #include "koios/serve/snapshot.h"
 #include "koios/sim/batched_neighbor_index.h"
@@ -558,15 +558,15 @@ TEST(QueryEngineTest, ConcurrentOverlappingQueriesShareCursorBuilds) {
 std::shared_ptr<const Snapshot> SnapshotOf(const testing::RandomWorkload& w,
                                            size_t vocab_size,
                                            const std::string& filename) {
-  // The dictionary must cover every embedding row id (the io layer frames
-  // one row header per interned token).
+  // The dictionary covers every embedding row id, as LoadRepository
+  // requires of a repository.
   text::Dictionary dict;
   for (size_t t = 0; t < vocab_size; ++t) {
     dict.Intern("tok" + std::to_string(t));
   }
   const std::string path = ::testing::TempDir() + "/" + filename;
   EXPECT_TRUE(
-      io::SaveRepository(dict, w.corpus.sets, &w.model->store(), path).ok());
+      io::SaveRepositoryV4(dict, w.corpus.sets, &w.model->store(), path).ok());
   auto snapshot = Snapshot::Load(path);
   EXPECT_TRUE(snapshot.ok()) << snapshot.status().ToString();
   std::remove(path.c_str());
@@ -815,7 +815,7 @@ TEST(QueryEngineTest, SnapshotRoundTripServesIdentically) {
   for (TokenId t = 0; t < 400; ++t) dict.Intern("tok" + std::to_string(t));
   const std::string path = ::testing::TempDir() + "/koios_serve_snapshot.bin";
   ASSERT_TRUE(
-      io::SaveRepository(dict, w.corpus.sets, &w.model->store(), path).ok());
+      io::SaveRepositoryV4(dict, w.corpus.sets, &w.model->store(), path).ok());
 
   auto snapshot = Snapshot::Load(path);
   ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
@@ -850,7 +850,7 @@ TEST(SnapshotTest, LoadRejectsRepositoryWithoutEmbeddings) {
   index::SetCollection sets;
   sets.AddSet(std::vector<TokenId>{0});
   const std::string path = ::testing::TempDir() + "/koios_serve_noemb.bin";
-  ASSERT_TRUE(io::SaveRepository(dict, sets, nullptr, path).ok());
+  ASSERT_TRUE(io::SaveRepositoryV4(dict, sets, nullptr, path).ok());
   auto snapshot = Snapshot::Load(path);
   EXPECT_FALSE(snapshot.ok());
   EXPECT_EQ(snapshot.status().code(), util::StatusCode::kFailedPrecondition);

@@ -21,7 +21,7 @@
 
 #include "koios/core/searcher.h"
 #include "koios/core/stats.h"
-#include "koios/io/serialization.h"
+#include "koios/io/repository_v4.h"
 #include "koios/serve/engine_metrics.h"
 #include "koios/serve/query_engine.h"
 #include "koios/serve/shard_coordinator.h"
@@ -512,7 +512,7 @@ std::shared_ptr<const Snapshot> SnapshotOf(const testing::RandomWorkload& w,
   }
   const std::string path = ::testing::TempDir() + "/" + filename;
   EXPECT_TRUE(
-      io::SaveRepository(dict, w.corpus.sets, &w.model->store(), path).ok());
+      io::SaveRepositoryV4(dict, w.corpus.sets, &w.model->store(), path).ok());
   auto snapshot = Snapshot::Load(path);
   EXPECT_TRUE(snapshot.ok()) << snapshot.status().ToString();
   std::remove(path.c_str());

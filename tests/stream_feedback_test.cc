@@ -179,6 +179,56 @@ TEST(StreamFeedbackTest, StopsStrictlyAboveAlphaOnSkewedCorpus) {
   }
 }
 
+TEST(StreamFeedbackTest, AnswerNeedsAnEdgeBelowTheStop) {
+  // Query {q1, q2, q3}, α = 0.3, k = 2, over A = {q1, q2, q3},
+  // D = {q1, q2, w}, E = {q1, x, y} and a set of 20 fillers. q1's 20
+  // filler edges at 0.4 sit above D's q3–w edge at 0.35, so once A (3.0)
+  // and D fill the top-2 the stream stops at 0.4 without producing the
+  // 0.35 edge. D's answer, 1 + 1 + 0.35 = 2.35, is exact only if post-
+  // processing completes that below-stop edge: without it D reads 2.0,
+  // which still beats E (1 + 0.9 = 1.9) and would be returned wrong.
+  constexpr TokenId q1 = 0, q2 = 1, q3 = 2, w = 3, x = 4, y = 5;
+  constexpr TokenId kFirstFiller = 6, kFillers = 20;
+  index::SetCollection sets;
+  sets.AddSet(std::vector<TokenId>{q1, q2, q3});  // A
+  sets.AddSet(std::vector<TokenId>{q1, q2, w});   // D
+  sets.AddSet(std::vector<TokenId>{q1, x, y});    // E
+  std::vector<TokenId> fillers;
+  for (TokenId f = kFirstFiller; f < kFirstFiller + kFillers; ++f) {
+    fillers.push_back(f);
+  }
+  sets.AddSet(fillers);
+
+  testing::TableSimilarity sim;
+  sim.Set(q2, x, 0.9);
+  sim.Set(q3, w, 0.35);
+  sim.Set(q3, y, 0.2);  // below α: no edge
+  for (const TokenId f : fillers) sim.Set(q1, f, 0.4);
+  std::vector<TokenId> vocabulary;
+  for (TokenId t = 0; t < kFirstFiller + kFillers; ++t) vocabulary.push_back(t);
+  const sim::ExactKnnIndex index(vocabulary, &sim);
+
+  const std::vector<TokenId> q = {q1, q2, q3};
+  const SearchResult rf =
+      ExpectFeedbackExact(sets, index, sim, q, /*partitions=*/1, /*k=*/2,
+                          /*alpha=*/0.3, "below-stop edge");
+  ASSERT_EQ(rf.topk.size(), 2u);
+  EXPECT_EQ(rf.topk[0].set, 0u);
+  EXPECT_NEAR(rf.topk[0].score, 3.0, kTol);
+  EXPECT_EQ(rf.topk[1].set, 1u);
+  EXPECT_NEAR(rf.topk[1].score, 2.35, kTol);
+  EXPECT_GT(rf.stats.stream_stop_sim, 0.35)
+      << "the stream must stop above D's q3–w edge for this test to bite";
+
+  KoiosSearcher searcher(&sets, &index);
+  SearchParams drain;
+  drain.k = 2;
+  drain.alpha = 0.3;
+  drain.use_stream_feedback = false;
+  EXPECT_LT(rf.stats.stream_tuples_produced,
+            searcher.Search(q, drain).stats.stream_tuples_produced);
+}
+
 TEST(StreamFeedbackTest, PartitionedSearchSharesGlobalTheta) {
   // §VI: the stop machinery derives from the cross-partition
   // GlobalThreshold. In a serial 4-partition search the partition holding

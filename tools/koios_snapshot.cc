@@ -4,9 +4,9 @@
 //   koios_snapshot verify <file>              full integrity check (CRC of
 //                                             every section + content scans
 //                                             for v4; full parse for v1/v3)
-//   koios_snapshot convert <in> <out>         rewrite as v4 (in may be v1,
-//                                             v3 or v4)
-//   koios_snapshot convert --v3 <in> <out>    rewrite as v3
+//   koios_snapshot convert <in> <out>         rewrite as v4, the one format
+//                                             anything writes (in may be
+//                                             v1, v3 or v4)
 //   koios_snapshot shard <file> <N>           partition plan for an N-way
 //                                             sharded open (per-shard set
 //                                             ranges, token counts, bytes;
@@ -19,7 +19,6 @@
 #include <charconv>
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 #include "koios/embedding/embedding_store.h"
@@ -34,7 +33,6 @@ using koios::io::LoadRepository;
 using koios::io::MmapOptions;
 using koios::io::MmapRepositoryView;
 using koios::io::PeekRepositoryVersion;
-using koios::io::SaveRepository;
 using koios::io::SaveRepositoryV4;
 
 const char* SectionName(uint32_t kind) {
@@ -158,7 +156,7 @@ int Verify(const std::string& path) {
   return 0;
 }
 
-int Convert(const std::string& in, const std::string& out, bool to_v3) {
+int Convert(const std::string& in, const std::string& out) {
   auto repo = LoadRepository(in);
   if (!repo.ok()) {
     std::fprintf(stderr, "error loading %s: %s\n", in.c_str(),
@@ -168,19 +166,18 @@ int Convert(const std::string& in, const std::string& out, bool to_v3) {
   const koios::embedding::EmbeddingStore* store =
       repo.value().has_embeddings ? &repo.value().store : nullptr;
   const auto status =
-      to_v3 ? SaveRepository(repo.value().dict, repo.value().sets, store, out)
-            : SaveRepositoryV4(repo.value().dict, repo.value().sets, store, out);
+      SaveRepositoryV4(repo.value().dict, repo.value().sets, store, out);
   if (!status.ok()) {
     std::fprintf(stderr, "error writing %s: %s\n", out.c_str(),
                  status.ToString().c_str());
     return 2;
   }
-  std::printf("wrote %s (v%d)\n", out.c_str(), to_v3 ? 3 : 4);
+  std::printf("wrote %s (v4)\n", out.c_str());
   return 0;
 }
 
 /// Bytes of a dictionary's artifacts: the token strings and their
-/// size() + 1 u64 offsets. The same figure for an owned dictionary (v3)
+/// size() + 1 u64 offsets. The same figure for an owned dictionary (v1/v3)
 /// and one borrowed from a v4 mapping.
 size_t DictionaryBytes(const koios::text::Dictionary& dict) {
   size_t bytes = (dict.size() + 1) * sizeof(uint64_t);
@@ -191,7 +188,7 @@ size_t DictionaryBytes(const koios::text::Dictionary& dict) {
 }
 
 /// Bytes of an embedding store's artifacts: the float rows and the row
-/// table. The same figure for an owned store (v3) and one borrowed from a
+/// table. The same figure for an owned store (v1/v3) and one borrowed from a
 /// v4 mapping.
 size_t EmbeddingBytes(const koios::embedding::EmbeddingStore& store) {
   return store.RowData().size_bytes() + store.RowTable().size_bytes();
@@ -289,7 +286,7 @@ int Usage() {
   std::fprintf(stderr,
                "usage: koios_snapshot inspect <file>\n"
                "       koios_snapshot verify <file>\n"
-               "       koios_snapshot convert [--v3] <in> <out>\n"
+               "       koios_snapshot convert <in> <out>\n"
                "       koios_snapshot shard <file> <num-shards>\n");
   return 1;
 }
@@ -306,14 +303,8 @@ int main(int argc, char** argv) {
     return Shard(argv[2], argv[3]);
   }
   if (cmd == "convert") {
-    bool to_v3 = false;
-    int arg = 2;
-    if (std::strcmp(argv[arg], "--v3") == 0) {
-      to_v3 = true;
-      ++arg;
-    }
-    if (argc != arg + 2) return Usage();
-    return Convert(argv[arg], argv[arg + 1], to_v3);
+    if (argc != 4) return Usage();
+    return Convert(argv[2], argv[3]);
   }
   return Usage();
 }

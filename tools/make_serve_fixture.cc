@@ -1,14 +1,17 @@
-// make_serve_fixture — writes a synthetic repository file (and optionally
-// a matching query workload) for the serverd smoke script, the chaos bench
-// and CI. Deterministic per seed, so two invocations with different seeds
-// give the "old" and "new" snapshots of a hot-push scenario.
+// make_serve_fixture — writes a synthetic v4 repository file (and
+// optionally a matching query workload) for the serverd smoke script, the
+// chaos bench and CI. Deterministic per seed, so two invocations with
+// different seeds give the "old" and "new" snapshots of a hot-push
+// scenario.
 //
 //   make_serve_fixture /tmp/repo.bin --sets 400 --seed 7
 //   make_serve_fixture /tmp/new.bin --seed 8 --queries /tmp/q.txt
 //   make_serve_fixture /tmp/bad.bin --seed 9 --corrupt     # CRC-broken
 //
-// Exit status: 0 ok, 1 usage (also a malformed numeric flag, checked
-// before anything is generated or written), 2 write failure.
+// Exit status: 0 ok, 1 usage (also a malformed numeric flag, or sizes the
+// generator cannot draw: --min-size 0, --max-size below --min-size or
+// above --vocab; all checked before anything is generated or written),
+// 2 write failure.
 
 #include <charconv>
 #include <cstdio>
@@ -21,7 +24,6 @@
 #include "koios/data/corpus.h"
 #include "koios/embedding/synthetic_model.h"
 #include "koios/io/repository_v4.h"
-#include "koios/io/serialization.h"
 #include "koios/text/dictionary.h"
 
 int main(int argc, char** argv) {
@@ -29,7 +31,7 @@ int main(int argc, char** argv) {
   if (argc < 2 || argv[1][0] == '-') {
     std::fprintf(stderr,
                  "usage: %s <out.bin> [--sets N] [--vocab N] [--min-size N] "
-                 "[--max-size N] [--seed S] [--v3] [--queries PATH] "
+                 "[--max-size N] [--seed S] [--queries PATH] "
                  "[--num-queries N] [--corrupt]\n",
                  argv[0]);
     return 1;
@@ -40,7 +42,6 @@ int main(int argc, char** argv) {
   size_t min_size = 5;
   size_t max_size = 20;
   uint64_t seed = 7;
-  bool v3 = false;
   bool corrupt = false;
   std::string queries_path;
   size_t num_queries = 32;
@@ -86,8 +87,6 @@ int main(int argc, char** argv) {
       number(&num_queries, 0);
     } else if (arg == "--queries") {
       queries_path = next();
-    } else if (arg == "--v3") {
-      v3 = true;
     } else if (arg == "--corrupt") {
       corrupt = true;
     } else {
@@ -105,6 +104,13 @@ int main(int argc, char** argv) {
   spec.min_set_size = min_size;
   spec.max_set_size = max_size;
   spec.seed = seed;
+  if (const util::Status valid = data::ValidateCorpusSpec(spec); !valid.ok()) {
+    std::fprintf(stderr,
+                 "make_serve_fixture: cannot generate --vocab %zu "
+                 "--min-size %zu --max-size %zu: %s\n",
+                 vocab, min_size, max_size, valid.message().c_str());
+    return 1;
+  }
   const data::Corpus corpus = data::GenerateCorpus(spec);
 
   embedding::SyntheticModelSpec model_spec;
@@ -120,8 +126,7 @@ int main(int argc, char** argv) {
   for (size_t t = 0; t < vocab; ++t) dict.Intern("tok" + std::to_string(t));
 
   const util::Status status =
-      v3 ? io::SaveRepository(dict, corpus.sets, &model.store(), out_path)
-         : io::SaveRepositoryV4(dict, corpus.sets, &model.store(), out_path);
+      io::SaveRepositoryV4(dict, corpus.sets, &model.store(), out_path);
   if (!status.ok()) {
     std::fprintf(stderr, "error writing %s: %s\n", out_path.c_str(),
                  status.ToString().c_str());
@@ -129,8 +134,9 @@ int main(int argc, char** argv) {
   }
 
   if (corrupt) {
-    // Flip one byte past the header so the CRC framing catches it: the
-    // fail-closed reload path must reject this file.
+    // Flip one byte in the middle of the file, inside a section whose CRC
+    // eager verification checks: the fail-closed reload path must reject
+    // this file.
     std::FILE* f = std::fopen(out_path.c_str(), "r+b");
     if (f == nullptr) {
       std::fprintf(stderr, "cannot reopen %s to corrupt it\n",
@@ -170,9 +176,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::printf("wrote %s (%zu sets, vocab %zu, v%d%s)%s%s\n", out_path.c_str(),
-              corpus.sets.size(), vocab, v3 ? 3 : 4,
-              corrupt ? ", CORRUPTED" : "",
+  std::printf("wrote %s (%zu sets, vocab %zu, v4%s)%s%s\n", out_path.c_str(),
+              corpus.sets.size(), vocab, corrupt ? ", CORRUPTED" : "",
               queries_path.empty() ? "" : " + queries ",
               queries_path.c_str());
   return 0;
