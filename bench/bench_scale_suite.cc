@@ -1,10 +1,12 @@
 // Scale suite for the v4 repository format: build, save, open, and serve
 // a WDC-shaped corpus at increasing set counts and record per-size build
-// time, file size, save and open times, the open's RSS delta, and serving
-// QPS / tail latency into one JSON report. A 4-shard pass over the
-// mapped snapshot adds per-shard phase timings (cursor_build / stream /
-// refinement / postprocess) to each tier, so the phase that grows with
-// the corpus shows, attributable per shard.
+// time, file size, save and open times, the open's RSS delta, the
+// QueryEngine construction time over the mapped snapshot at N = 1 (which
+// searches the file's own ranked postings) and N = 4 (which builds each
+// shard's), and serving QPS / tail latency into one JSON report. A 4-shard
+// pass over the mapped snapshot adds per-shard phase timings
+// (cursor_build / stream / refinement / postprocess) to each tier, so the
+// phase that grows with the corpus shows, attributable per shard.
 //
 // Two HARD gates (exit 2):
 //  * exactness — for every probe query, the top-k served from the v4
@@ -14,7 +16,8 @@
 //    canonicalizes row order and the reader never renormalizes, so zero
 //    drift is the contract, not a tolerance.
 //  * mmap-backed — the v4 snapshot must serve from its file mapping, not
-//    from a materialized copy.
+//    from a materialized copy, and carry the ranked postings the serial
+//    pass searches.
 //
 // One TIMING gate (exit 3): at the LARGEST size in the sweep, the v4
 // open (Snapshot::Load, lazy verification) must stay within
@@ -127,6 +130,8 @@ struct SizeReport {
   double v4_save_sec = 0.0;
   double v4_load_sec = 0.0;
   size_t v4_load_rss_kb = 0;
+  double engine_n1_sec = 0.0;  // QueryEngine over the v4 snapshot, N = 1
+  double engine_n4_sec = 0.0;  // and N = 4
   double qps = 0.0, p50_ms = 0.0, p99_ms = 0.0;
   std::vector<PhaseDelta> phases;    // span-time attribution, v4 queries only
   double span_coverage = 0.0;        // direct search children / search total
@@ -227,8 +232,25 @@ int Run(const std::vector<size_t>& sizes, size_t num_queries,
     }
 
     // ---- mmap-backed gate -----------------------------------------------
-    r.mmap_backed = v4_snap->mmap_backed();
+    r.mmap_backed = v4_snap->mmap_backed() && v4_snap->postings() != nullptr;
     all_mmap_backed = all_mmap_backed && r.mmap_backed;
+    if (!r.mmap_backed) {
+      std::fprintf(stderr, "v4 snapshot at %zu sets is not mmap-backed or "
+                   "carries no postings\n", num_sets);
+      return 2;
+    }
+
+    // ---- engine build over the mapped snapshot --------------------------
+    // N = 1 searches the snapshot's ranked postings as they are; N = 4
+    // builds each shard's from the set arenas (concurrently). The N = 4
+    // engine is timed where the sharded pass below constructs it.
+    {
+      serve::EngineOptions options;
+      options.num_threads = 1;
+      util::WallTimer t;
+      serve::QueryEngine engine(v4_snap, options);
+      r.engine_n1_sec = t.ElapsedSeconds();
+    }
 
     // ---- probe queries: exactness gate + serving measurement -----------
     util::Rng rng(424244);
@@ -242,7 +264,8 @@ int Run(const std::vector<size_t>& sizes, size_t num_queries,
     const std::shared_ptr<const serve::Snapshot> built = serve::Snapshot::Build(
         std::move(dict), std::move(corpus.sets), model.store());
     core::KoiosSearcher built_searcher(&built->sets(), built->index());
-    core::KoiosSearcher v4_searcher(&v4_snap->sets(), v4_snap->index());
+    core::KoiosSearcher v4_searcher(&v4_snap->sets(), v4_snap->index(),
+                                    v4_snap->postings());
     std::vector<double> latencies_ms;
     std::vector<core::SearchResult> v4_results;
     util::WallTimer serve_timer;
@@ -310,7 +333,9 @@ int Run(const std::vector<size_t>& sizes, size_t num_queries,
       options.num_threads = 1;
       options.num_shards = 4;
       options.max_queue = sampled.size();
+      util::WallTimer engine_timer;
       serve::QueryEngine engine(v4_snap, options);
+      r.engine_n4_sec = engine_timer.ElapsedSeconds();
       for (size_t i = 0; i < sampled.size(); ++i) {
         serve::QueryEngine::Result res =
             engine.Submit(sampled[i].tokens, params).get();
@@ -333,10 +358,12 @@ int Run(const std::vector<size_t>& sizes, size_t num_queries,
 
     std::printf(
         "[%8zu sets] build %.1fs | file %.1fMB | save %.3fs | open %.3fms "
-        "| rss +%zuMB | p50 %.1fms p99 %.1fms | span cover %.0f%% | %s %s\n",
+        "| engine N=1 %.3fms N=4 %.3fms | rss +%zuMB | p50 %.1fms "
+        "p99 %.1fms | span cover %.0f%% | %s %s\n",
         num_sets, r.build_sec, r.v4_bytes / 1e6, r.v4_save_sec,
-        r.v4_load_sec * 1e3, r.v4_load_rss_kb / 1024, r.p50_ms, r.p99_ms,
-        r.span_coverage * 100.0, r.exact ? "exact" : "DIVERGED",
+        r.v4_load_sec * 1e3, r.engine_n1_sec * 1e3, r.engine_n4_sec * 1e3,
+        r.v4_load_rss_kb / 1024, r.p50_ms, r.p99_ms, r.span_coverage * 100.0,
+        r.exact ? "exact" : "DIVERGED",
         r.mmap_backed ? "mmap-backed" : "NOT-MMAP-BACKED");
     if (!r.shard_phases.empty()) {
       std::printf("           per-shard (N=4) cursor_build ms:");
@@ -366,11 +393,13 @@ int Run(const std::vector<size_t>& sizes, size_t num_queries,
           "     \"build_sec\": %.3f,\n"
           "     \"v4_bytes\": %zu, \"v4_save_sec\": %.4f,\n"
           "     \"v4_load_sec\": %.6f, \"v4_load_rss_kb\": %zu,\n"
+          "     \"engine_build_n1_ms\": %.3f, \"engine_build_n4_ms\": %.3f,\n"
           "     \"qps\": %.1f, \"p50_ms\": %.3f, \"p99_ms\": %.3f,\n"
           "     \"span_coverage\": %.4f,\n"
           "     \"phases\": {",
           r.num_sets, r.total_tokens, r.vocab, r.build_sec, r.v4_bytes,
-          r.v4_save_sec, r.v4_load_sec, r.v4_load_rss_kb, r.qps, r.p50_ms,
+          r.v4_save_sec, r.v4_load_sec, r.v4_load_rss_kb,
+          r.engine_n1_sec * 1e3, r.engine_n4_sec * 1e3, r.qps, r.p50_ms,
           r.p99_ms, r.span_coverage);
       for (size_t p = 0; p < r.phases.size(); ++p) {
         const PhaseDelta& d = r.phases[p];

@@ -39,7 +39,7 @@ core::SearchResult BruteForceBaseline::Search(
     params.k = options.k;
     params.alpha = options.alpha;
     params.use_iub_filter = true;
-    core::RefinementPhase refinement(sets_, &inverted_, query.size(), params);
+    core::RefinementPhase refinement(&inverted_, query.size(), params);
     core::RefinementOutput refined = refinement.Run(&cache, &result.stats);
     to_verify.reserve(refined.survivors.size());
     for (const auto& survivor : refined.survivors) {
@@ -49,8 +49,9 @@ core::SearchResult BruteForceBaseline::Search(
     // Plain baseline: every set that shares one α-similar element.
     std::unordered_set<SetId> candidates;
     for (const sim::StreamTuple& tuple : cache.tuples()) {
-      const auto postings = inverted_.Postings(tuple.token);
-      candidates.insert(postings.begin(), postings.end());
+      for (const uint32_t rank : inverted_.Postings(tuple.token)) {
+        candidates.insert(inverted_.SetAt(rank));
+      }
       ++result.stats.stream_tuples;
     }
     result.stats.candidates = candidates.size();

@@ -83,8 +83,9 @@ core::SearchResult SilkMothSearch::Search(std::span<const TokenId> query,
   }
   std::unordered_set<SetId> candidates;
   for (const auto& [token, _] : edges) {
-    const auto postings = inverted_.Postings(token);
-    candidates.insert(postings.begin(), postings.end());
+    for (const uint32_t rank : inverted_.Postings(token)) {
+      candidates.insert(inverted_.SetAt(rank));
+    }
   }
   result.stats.candidates = candidates.size();
   result.stats.timers.Accumulate(core::Phase::kRefinement,

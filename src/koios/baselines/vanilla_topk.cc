@@ -14,7 +14,9 @@ core::SearchResult VanillaTopK::Search(std::span<const TokenId> query,
   core::SearchResult result;
   std::unordered_map<SetId, uint32_t> overlap;
   for (TokenId t : query) {
-    for (SetId id : inverted_.Postings(t)) ++overlap[id];
+    for (const uint32_t rank : inverted_.Postings(t)) {
+      ++overlap[inverted_.SetAt(rank)];
+    }
   }
   result.stats.candidates = overlap.size();
   util::TopKList<SetId> topk(k);

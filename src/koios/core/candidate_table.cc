@@ -16,16 +16,14 @@ size_t TokenHash(TokenId token, size_t mask) {
 
 }  // namespace
 
-void CandidateTable::Reset(SetId first, SetId end, size_t query_size) {
-  assert(first <= end);
+void CandidateTable::Reset(size_t num_sets, size_t query_size) {
   if (++epoch_ == 0) {
     // Wrapped: stale stamps could alias the new epoch, so clear them once.
     std::fill(stamps_.begin(), stamps_.end(), Stamp{});
     std::fill(token_table_.begin(), token_table_.end(), TokenEntry{});
     epoch_ = 1;
   }
-  first_ = first;
-  num_sets_ = end - first;
+  num_sets_ = num_sets;
   if (stamps_.size() < num_sets_) stamps_.resize(num_sets_);
   query_size_ = query_size;
   words_ = Words(query_size);
@@ -37,8 +35,8 @@ void CandidateTable::Reset(SetId first, SetId end, size_t query_size) {
   token_bits_.clear();
 }
 
-uint32_t CandidateTable::Add(SetId id, uint32_t capacity) {
-  assert(Lookup(id) == kUnseen);
+uint32_t CandidateTable::Add(uint32_t rank, uint32_t capacity) {
+  assert(Lookup(rank) == kUnseen);
   uint32_t slot;
   if (free_.empty()) {
     slot = static_cast<uint32_t>(records_.size());
@@ -51,18 +49,18 @@ uint32_t CandidateTable::Add(SetId id, uint32_t capacity) {
   }
   CandidateState& c = records_[slot];
   c = CandidateState{};
-  c.id = id;
+  c.rank = rank;
   c.capacity = capacity;
-  stamps_[Index(id)] = {epoch_, slot};
+  stamps_[Index(rank)] = {epoch_, slot};
   ++live_;
   return slot;
 }
 
 void CandidateTable::Prune(uint32_t slot) {
   CandidateState& c = records_[slot];
-  assert(c.id != kInvalidSet);
-  MarkPruned(c.id);
-  c.id = kInvalidSet;
+  assert(c.rank != CandidateState::kFree);
+  MarkPruned(c.rank);
+  c.rank = CandidateState::kFree;
   free_.push_back(slot);
   --live_;
 }
@@ -73,7 +71,7 @@ size_t CandidateTable::Sweep(Score s, Score theta, size_t* pruned,
   for (uint32_t slot = 0; slot < records_.size() && survivors <= limit;
        ++slot) {
     const CandidateState& c = records_[slot];
-    if (c.id == kInvalidSet) continue;
+    if (c.rank == CandidateState::kFree) continue;
     if (c.Prunable(s, theta)) {
       Prune(slot);
       ++*pruned;

@@ -1,7 +1,7 @@
 // Per-query refinement state (§V) in flat, reusable storage: one record per
 // live candidate set, found through an epoch-stamped slot table indexed by
-// the set's offset in the searched id range, with the matched-element
-// bookkeeping kept as bitsets.
+// the set's size rank in the searched partition (index::InvertedIndex),
+// with the matched-element bookkeeping kept as bitsets.
 #ifndef KOIOS_CORE_CANDIDATE_TABLE_H_
 #define KOIOS_CORE_CANDIDATE_TABLE_H_
 
@@ -44,8 +44,32 @@ namespace koios::core {
 /// and value row_sum. Once the stream is exhausted the slack term
 /// vanishes (a row without a retained maximum has no α-edge left, or is
 /// dominated by the retained ones), so UpperBound(0) is the final bound.
+///
+/// Size cut (§IV, Lemma 2 at s = 1): SO(Q, C) ≤ min(|Q|, |C|), because a
+/// matching pairs at most min(|Q|, |C|) elements and each pair weighs at
+/// most 1. Refinement therefore stops each posting list at the first rank
+/// whose set has min(|Q|, |C|) < θlb − ε, for the θlb the tuple starts
+/// with. This is exact:
+///  * a cut set C has SO(C) ≤ min(|Q|, |C|) < θlb − ε ≤ θ*k − ε (θlb is a
+///    sum of greedy partial scores, each a lower bound on an SO, so the
+///    k-th largest never exceeds θ*k); C is strictly below every member of
+///    the top-k and below every tie at θ*k, which the ε guard keeps;
+///  * θlb only rises (partial scores only grow, and the shared bound is a
+///    running maximum), so a set cut once stays cut for the rest of the
+///    query, and the lists are ranked by |C| descending, so the cut sets
+///    are each list's tail and the walk stops at the first of them;
+///  * a cut set never moves θlb or the stop: its partial score is at most
+///    its SO, below the θlb in force, so whether θlb's list holds it or not
+///    leaves the list's bottom, as max'd with that θlb, unchanged; a
+///    candidate seen before the cut is pruned by the next sweep (its
+///    UpperBound ≤ min(|Q|, |C|)), exactly as a touch would have pruned it.
+/// Only the work counters move: cut sets are never candidates, never
+/// iUB-filtered on arrival, and never get a bucket move.
 struct CandidateState {
-  SetId id = kInvalidSet;  // kInvalidSet while the slot is free
+  static constexpr uint32_t kFree = 0xFFFFFFFFu;
+
+  uint32_t rank = kFree;   // the set's size rank; kFree while the slot is
+                           // free
   uint32_t capacity = 0;   // min(|Q|, |C|)
   uint32_t rows = 0;       // |R|: retained row maxima (iUB)
   uint32_t matched = 0;    // l: greedily matched element pairs (iLB)
@@ -72,15 +96,13 @@ struct CandidateState {
   }
 };
 
-/// The candidates of one refinement run over the sets of one id range
-/// [first, end): a partition's range, or [0, |S|) for a whole collection.
-/// The slot table holds one stamp per id of the range, indexed by
-/// id − first, so a search over one contiguous shard of N keeps |S|/N
-/// stamps. Reset() starts a query in O(1) amortized time: a set's slot
-/// entry counts only when stamped with the current epoch, so nothing is
-/// zeroed per query. Slots of pruned sets are recycled, so the records and
-/// bitsets grow to the peak number of LIVE candidates, and the slot table
-/// to the widest range served.
+/// The candidates of one refinement run over the n sets of one partition,
+/// keyed by their size ranks [0, n) (index::InvertedIndex): a search over
+/// one shard of N keeps |S|/N stamps. Reset() starts a query in O(1)
+/// amortized time: a set's slot entry counts only when stamped with the
+/// current epoch, so nothing is zeroed per query. Slots of pruned sets are
+/// recycled, so the records and bitsets grow to the peak number of LIVE
+/// candidates, and the slot table to the largest partition served.
 ///
 /// Each record owns two |Q|-bit bitsets in one arena: the query rows with
 /// a retained maximum (iUB) and the greedily matched query elements
@@ -93,13 +115,13 @@ class CandidateTable {
   static constexpr uint32_t kUnseen = 0xFFFFFFFFu;
   static constexpr uint32_t kPruned = 0xFFFFFFFEu;
 
-  /// Starts a query over the sets [first, end) and a query of
+  /// Starts a query over the ranks [0, num_sets) and a query of
   /// `query_size` elements, forgetting every candidate of the previous one.
-  void Reset(SetId first, SetId end, size_t query_size);
+  void Reset(size_t num_sets, size_t query_size);
 
-  /// The live slot of `id` (in [first, end)), or kUnseen / kPruned.
-  uint32_t Lookup(SetId id) const {
-    const Stamp stamp = stamps_[Index(id)];
+  /// The live slot of `rank`, or kUnseen / kPruned.
+  uint32_t Lookup(uint32_t rank) const {
+    const Stamp stamp = stamps_[Index(rank)];
     return stamp.epoch == epoch_ ? stamp.slot : kUnseen;
   }
 
@@ -108,12 +130,12 @@ class CandidateTable {
     return static_cast<uint32_t>(std::min(set_size, query_size_));
   }
 
-  /// Makes unseen set `id` a live candidate with the given capacity;
-  /// returns its slot.
-  uint32_t Add(SetId id, uint32_t capacity);
+  /// Makes the unseen set at `rank` a live candidate with the given
+  /// capacity; returns its slot.
+  uint32_t Add(uint32_t rank, uint32_t capacity);
 
-  /// Marks unseen set `id` pruned without giving it a slot.
-  void MarkPruned(SetId id) { stamps_[Index(id)] = {epoch_, kPruned}; }
+  /// Marks the unseen set at `rank` pruned without giving it a slot.
+  void MarkPruned(uint32_t rank) { stamps_[Index(rank)] = {epoch_, kPruned}; }
 
   /// Prunes the live candidate in `slot` and recycles the slot.
   void Prune(uint32_t slot);
@@ -166,7 +188,9 @@ class CandidateTable {
   template <class Fn>
   void ForEachLive(Fn&& fn) {
     for (uint32_t slot = 0; slot < records_.size(); ++slot) {
-      if (records_[slot].id != kInvalidSet) fn(slot, records_[slot]);
+      if (records_[slot].rank != CandidateState::kFree) {
+        fn(slot, records_[slot]);
+      }
     }
   }
 
@@ -177,7 +201,7 @@ class CandidateTable {
   /// unchecked, so a result above `limit` only means "more than limit".
   size_t Sweep(Score s, Score theta, size_t* pruned, size_t limit = SIZE_MAX);
 
-  /// Bytes the current query uses: its end − first stamps, the records,
+  /// Bytes the current query uses: its num_sets stamps, the records,
   /// bitsets and token bits it created. The storage itself is reused, so its
   /// capacity is a high-water mark over every query the thread served;
   /// counting the query's own use makes the figure repeat for the same
@@ -195,10 +219,9 @@ class CandidateTable {
     size_t first_bit = 0;
   };
 
-  /// The stamp index of `id`: its offset in the query's id range.
-  size_t Index(SetId id) const {
-    assert(id >= first_ && id - first_ < num_sets_);
-    return id - first_;
+  size_t Index(uint32_t rank) const {
+    assert(rank < num_sets_);
+    return rank;
   }
   static bool TestBit(const uint64_t* bits, size_t i) {
     return (bits[i >> 6] >> (i & 63)) & 1;
@@ -215,10 +238,9 @@ class CandidateTable {
   void GrowTokenTable();
 
   uint32_t epoch_ = 0;
-  SetId first_ = 0;      // the id range's first set
-  size_t num_sets_ = 0;  // its width, end − first
+  size_t num_sets_ = 0;
   size_t query_size_ = 0;
-  std::vector<Stamp> stamps_;           // id − first -> slot, epoch-checked
+  std::vector<Stamp> stamps_;           // rank -> slot, epoch-checked
   std::vector<CandidateState> records_;  // by slot
   std::vector<uint64_t> bits_;          // by slot: row bits, query bits
   size_t words_ = 0;                    // 64-bit words per |Q|-bit bitset

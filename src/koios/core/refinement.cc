@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 
 #include "koios/core/postprocess.h"
 #include "koios/util/fault_injector.h"
@@ -23,11 +24,9 @@ CandidateTable& ThreadCandidateTable() {
 
 }  // namespace
 
-RefinementPhase::RefinementPhase(const index::SetCollection* sets,
-                                 const index::InvertedIndex* inverted,
+RefinementPhase::RefinementPhase(const index::InvertedIndex* inverted,
                                  size_t query_size, const SearchParams& params)
-    : sets_(sets),
-      inverted_(inverted),
+    : inverted_(inverted),
       query_size_(query_size),
       params_(params) {}
 
@@ -38,7 +37,7 @@ RefinementOutput RefinementPhase::Run(EdgeCache* cache, SearchStats* stats,
   out.llb = util::TopKList<SetId>(params_.k);
 
   CandidateTable& table = ThreadCandidateTable();
-  table.Reset(inverted_->first_set(), inverted_->end_set(), query_size_);
+  table.Reset(inverted_->num_sets(), query_size_);
   // The iUB filter (§V): the arrival of stream similarity s tightens every
   // candidate's upper bound to S_i + m_i·s. Its cutoff never falls (see
   // CandidateState::Prunable), so instead of sweeping every candidate per
@@ -104,6 +103,16 @@ RefinementOutput RefinementPhase::Run(EdgeCache* cache, SearchStats* stats,
     return false;
   };
 
+  // The size cut (Lemma 2 at s = 1, see CandidateState): a set with
+  // min(|Q|, |C|) < θ − ε can never reach the top-k, so the walk keeps only
+  // the sets with min(|Q|, |C|) ≥ cut_size = ⌈θ − ε⌉. The lists are ranked
+  // by |C| descending, so those are the ranks below
+  // RanksWithSizeAtLeast(cut_size), or none once cut_size exceeds |Q|.
+  // Sets at least |Q| large have capacity |Q|; the rest read their size
+  // from the rank.
+  size_t cut_size = 0;
+  const uint32_t full_capacity = inverted_->RanksWithSizeAtLeast(query_size_);
+
   auto process_tuple = [&](const sim::StreamTuple& tuple) {
     const Score s = tuple.sim;
     last_sim = s;
@@ -111,13 +120,20 @@ RefinementOutput RefinementPhase::Run(EdgeCache* cache, SearchStats* stats,
     // with, as a sweep here would be; θlb may rise during the walk.
     const Score tuple_theta = theta_lb;
     if (naive_iub) table.Sweep(s, tuple_theta, &stats->iub_filtered);
+    const Score need = tuple_theta - kScoreEps;
+    cut_size = need > 0.0 ? static_cast<size_t>(std::ceil(need)) : 0;
+    const uint32_t cut = cut_size > query_size_
+                             ? 0
+                             : inverted_->RanksWithSizeAtLeast(cut_size);
 
-    // Probe the inverted index and update the sets containing this token.
-    const std::span<const SetId> postings = inverted_->Postings(tuple.token);
+    // Probe the inverted index and update the sets containing this token,
+    // up to the size cut.
+    const std::span<const uint32_t> postings = inverted_->Postings(tuple.token);
     const size_t token_bits = table.TokenBits(tuple.token, postings.size());
-    for (size_t i = 0; i < postings.size(); ++i) {
-      const SetId id = postings[i];
-      uint32_t slot = table.Lookup(id);
+    size_t i = 0;
+    for (; i < postings.size() && postings[i] < cut; ++i) {
+      const uint32_t rank = postings[i];
+      uint32_t slot = table.Lookup(rank);
       if (slot == CandidateTable::kPruned) continue;
       if (slot != CandidateTable::kUnseen) {
         if (lazy_iub && table[slot].Prunable(s, tuple_theta)) {
@@ -129,14 +145,17 @@ RefinementOutput RefinementPhase::Run(EdgeCache* cache, SearchStats* stats,
         // First sighting: s is this set's maximum element similarity to
         // any query element, so UB(C) = min(|Q|, |C|) * s (Lemma 2).
         ++stats->candidates;
-        const uint32_t capacity = table.Capacity(sets_->SetSize(id));
+        const uint32_t capacity =
+            rank < full_capacity
+                ? static_cast<uint32_t>(query_size_)
+                : table.Capacity(inverted_->SetSize(rank));
         if (params_.use_iub_filter &&
             static_cast<Score>(capacity) * s < theta_lb - kScoreEps) {
-          table.MarkPruned(id);
+          table.MarkPruned(rank);
           ++stats->iub_filtered;
           continue;
         }
-        slot = table.Add(id, capacity);
+        slot = table.Add(rank, capacity);
       }
 
       // iUB row update: retain this row's maximum if the row is new and
@@ -157,7 +176,7 @@ RefinementOutput RefinementPhase::Run(EdgeCache* cache, SearchStats* stats,
         // is not in the list and cannot enter it.
         const Score partial = table[slot].partial;
         if (!out.llb.Full() || partial >= out.llb.Bottom()) {
-          out.llb.Offer(id, partial);
+          out.llb.Offer(inverted_->SetAt(rank), partial);
           if (global_theta != nullptr && out.llb.Full()) {
             global_theta->Publish(out.llb.Bottom());
           }
@@ -165,6 +184,7 @@ RefinementOutput RefinementPhase::Run(EdgeCache* cache, SearchStats* stats,
         theta_lb = current_theta();
       }
     }
+    stats->postings_visited += i;
     ++stats->stream_tuples;
   };
 
@@ -203,9 +223,11 @@ RefinementOutput RefinementPhase::Run(EdgeCache* cache, SearchStats* stats,
 
   out.survivors.reserve(table.live());
   table.ForEachLive([&](uint32_t, const CandidateState& c) {
-    out.survivors.push_back({c.id, c.partial, c.row_sum, c.remaining()});
+    out.survivors.push_back(
+        {inverted_->SetAt(c.rank), c.partial, c.row_sum, c.remaining()});
   });
   out.last_sim = last_sim;
+  stats->size_cut = std::max(stats->size_cut, cut_size);
   stats->postprocess_sets += out.survivors.size();
   stats->memory.AddPeak("refinement.scratch", table.MemoryUsageBytes());
   stats->memory.AddPeak("refinement.llb", out.llb.MemoryUsageBytes());

@@ -11,7 +11,6 @@
 #include "koios/core/edge_cache.h"
 #include "koios/core/search_types.h"
 #include "koios/index/inverted_index.h"
-#include "koios/index/set_collection.h"
 #include "koios/util/top_k_list.h"
 
 namespace koios::core {
@@ -47,12 +46,11 @@ struct RefinementOutput {
 
 class RefinementPhase {
  public:
-  /// `sets` is the full collection; `inverted` indexes the sets of this
-  /// partition only (or all sets when unpartitioned). The run's candidate
-  /// table spans the partition's id range, [first_set, end_set) of
-  /// `inverted`.
-  RefinementPhase(const index::SetCollection* sets,
-                  const index::InvertedIndex* inverted, size_t query_size,
+  /// `inverted` indexes the sets of this partition only (or all sets when
+  /// unpartitioned); it also knows each set's size and id, so the phase
+  /// reads nothing else of the collection. The run's candidate table spans
+  /// the partition's size ranks.
+  RefinementPhase(const index::InvertedIndex* inverted, size_t query_size,
                   const SearchParams& params);
 
   /// Consumes the stream incrementally through `cache` (pulling production
@@ -89,7 +87,6 @@ class RefinementPhase {
                        SearchContext* ctx = nullptr);
 
  private:
-  const index::SetCollection* sets_;
   const index::InvertedIndex* inverted_;
   size_t query_size_;
   SearchParams params_;

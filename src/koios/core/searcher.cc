@@ -1,8 +1,12 @@
 #include "koios/core/searcher.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
+#include <exception>
+#include <mutex>
 #include <optional>
+#include <thread>
 
 #include "koios/core/edge_cache.h"
 #include "koios/core/refinement.h"
@@ -27,6 +31,42 @@ std::vector<std::vector<SetId>> RandomPartitions(
   return members;
 }
 
+/// Each partition's ranked index: partition 0 on the calling thread, the
+/// others on at most min(P − 1, hardware threads) short-lived threads that
+/// take the partitions in turn. A build failure (bad_alloc) is rethrown
+/// here once every thread has joined.
+std::vector<index::InvertedIndex> BuildPartitions(
+    const index::SetCollection& sets,
+    const std::vector<std::vector<SetId>>& partitions) {
+  assert(!partitions.empty());
+  std::vector<index::InvertedIndex> built(partitions.size());
+  std::atomic<size_t> next{1};
+  std::mutex error_mutex;
+  std::exception_ptr error;
+  auto build = [&](size_t i) {
+    try {
+      built[i] = index::InvertedIndex(sets, partitions[i]);
+    } catch (...) {
+      std::lock_guard<std::mutex> lock(error_mutex);
+      if (error == nullptr) error = std::current_exception();
+    }
+  };
+  const size_t helpers =
+      std::min<size_t>(partitions.size() - 1,
+                       std::max(1u, std::thread::hardware_concurrency()));
+  std::vector<std::thread> threads;
+  threads.reserve(helpers);
+  for (size_t t = 0; t < helpers; ++t) {
+    threads.emplace_back([&] {
+      for (size_t i; (i = next.fetch_add(1)) < partitions.size();) build(i);
+    });
+  }
+  build(0);
+  for (std::thread& thread : threads) thread.join();
+  if (error != nullptr) std::rethrow_exception(error);
+  return built;
+}
+
 }  // namespace
 
 KoiosSearcher::KoiosSearcher(const index::SetCollection* sets,
@@ -37,16 +77,20 @@ KoiosSearcher::KoiosSearcher(const index::SetCollection* sets,
 KoiosSearcher::KoiosSearcher(
     const index::SetCollection* sets, const sim::SimilarityIndex* index,
     const std::vector<std::vector<SetId>>& partitions)
-    : sets_(sets), index_(index) {
-  assert(!partitions.empty());
-  partition_inverted_.reserve(partitions.size());
-  for (const std::vector<SetId>& members : partitions) {
-    partition_inverted_.emplace_back(*sets_, members);
-  }
+    : sets_(sets),
+      index_(index),
+      owned_(BuildPartitions(*sets, partitions)),
+      partitions_(owned_) {}
+
+KoiosSearcher::KoiosSearcher(const index::SetCollection* sets,
+                             const sim::SimilarityIndex* index,
+                             const index::InvertedIndex* inverted)
+    : sets_(sets), index_(index), partitions_(inverted, 1) {
+  assert(inverted->num_sets() == sets->size());
 }
 
 bool KoiosSearcher::InVocabulary(TokenId token) const {
-  for (const auto& inverted : partition_inverted_) {
+  for (const auto& inverted : partitions_) {
     if (inverted.InVocabulary(token)) return true;
   }
   return false;
@@ -55,16 +99,15 @@ bool KoiosSearcher::InVocabulary(TokenId token) const {
 SearchResult KoiosSearcher::Search(std::span<const TokenId> query,
                                    const SearchParams& params,
                                    SearchContext* ctx) const {
-  return SearchPartitions(partition_inverted_, query, params, ctx);
+  return SearchPartitions(partitions_, query, params, ctx);
 }
 
 SearchResult KoiosSearcher::SearchPartition(size_t i,
                                             std::span<const TokenId> query,
                                             const SearchParams& params,
                                             SearchContext* ctx) const {
-  assert(i < partition_inverted_.size());
-  return SearchPartitions(std::span(partition_inverted_).subspan(i, 1), query,
-                          params, ctx);
+  assert(i < partitions_.size());
+  return SearchPartitions(partitions_.subspan(i, 1), query, params, ctx);
 }
 
 SearchResult KoiosSearcher::SearchPartitions(
@@ -81,7 +124,7 @@ SearchResult KoiosSearcher::SearchPartitions(
   // No-EM lower bound could lose its place to a set from another partition
   // whose exact score is below its own.
   SearchParams params = query_params;
-  if (partition_inverted_.size() > 1) params.verify_result_scores = true;
+  if (partitions_.size() > 1) params.verify_result_scores = true;
 
   // Per-query machinery: callers that care (the serve engine) pass their
   // own context (deadline, cancel flag, shared θlb); others get a
@@ -141,7 +184,7 @@ SearchResult KoiosSearcher::SearchPartitions(
     RefinementOutput refined;
     {
       PhaseScope phase(Phase::kRefinement, &stats);
-      RefinementPhase refinement(sets_, &inverted, query.size(), params);
+      RefinementPhase refinement(&inverted, query.size(), params);
       refined = refinement.Run(&cache, &stats, ctx);
       phase.set_arg("tuples", stats.stream_tuples);
     }

@@ -12,6 +12,12 @@
 // under one shared θlb, and merges with the same MergeTopK. The
 // SearcherOptions constructor draws the paper's random partitions.
 //
+// Each partition is searched through its own size-ranked inverted index
+// (index::InvertedIndex). The constructors build them — partition 0 on the
+// calling thread, the others on short-lived build threads — except that an
+// unpartitioned searcher may search a prebuilt whole-collection index
+// instead, such as the lists a v4 snapshot carries (serve::Snapshot).
+//
 // The searcher is immutable after construction, and Search and
 // SearchPartition are const and reentrant: a query's probe state lives in
 // its own token stream (which opens a session over the shared index) and
@@ -56,6 +62,13 @@ class KoiosSearcher {
                 const sim::SimilarityIndex* index,
                 const std::vector<std::vector<SetId>>& partitions);
 
+  /// One partition searched through `inverted`, a prebuilt index of every
+  /// set of `sets` (the lists a v4 snapshot carries), which must outlive
+  /// the searcher; nothing is built.
+  KoiosSearcher(const index::SetCollection* sets,
+                const sim::SimilarityIndex* index,
+                const index::InvertedIndex* inverted);
+
   /// Top-k semantic overlap search for `query` (distinct tokens) over
   /// every partition, through one token stream. `ctx` is the per-query
   /// SearchContext (deadline, cancellation, a shared θlb; rearmed on
@@ -80,7 +93,7 @@ class KoiosSearcher {
                                const SearchParams& params,
                                SearchContext* ctx = nullptr) const;
 
-  size_t num_partitions() const { return partition_inverted_.size(); }
+  size_t num_partitions() const { return partitions_.size(); }
 
   /// True if `token` occurs in the repository vocabulary D.
   bool InVocabulary(TokenId token) const;
@@ -95,7 +108,8 @@ class KoiosSearcher {
 
   const index::SetCollection* sets_;
   const sim::SimilarityIndex* index_;
-  std::vector<index::InvertedIndex> partition_inverted_;
+  std::vector<index::InvertedIndex> owned_;  // the indexes it built
+  std::span<const index::InvertedIndex> partitions_;  // owned_ or borrowed
 };
 
 /// Merges the top-k lists of disjoint partitions into the top-k of their

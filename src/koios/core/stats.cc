@@ -44,6 +44,7 @@ std::string SearchStats::ToString() const {
       << " survivor_budget=" << stream_survivor_budget
       << " candidates=" << candidates
       << " iub_filtered=" << iub_filtered << " bucket_moves=" << bucket_moves
+      << " postings_visited=" << postings_visited << " size_cut=" << size_cut
       << "\n";
   out << "postprocess: sets=" << postprocess_sets << " no_em=" << no_em_skipped
       << " em_early_term=" << em_early_terminated << " em=" << em_computed

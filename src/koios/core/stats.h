@@ -70,6 +70,13 @@ struct SearchStats {
   /// Changes of a candidate's iUB key m, each a bucket move in §V's
   /// bucketized filter (0 for the naive per-tuple scan).
   size_t bucket_moves = 0;
+  /// Posting-list entries the walk visited: those below each tuple's size
+  /// cut (the sets that can still reach θlb).
+  size_t postings_visited = 0;
+  /// The size cut refinement ended at, ⌈θlb − ε⌉: the walk skipped every
+  /// set with min(|Q|, |C|) below it from some tuple on (0 = no cut; the
+  /// largest of a query's partitions).
+  size_t size_cut = 0;
 
   // --- post-processing ---------------------------------------------------
   /// Sets entering post-processing (candidates - iub_filtered).
@@ -102,6 +109,8 @@ struct SearchStats {
     candidates += other.candidates;
     iub_filtered += other.iub_filtered;
     bucket_moves += other.bucket_moves;
+    postings_visited += other.postings_visited;
+    size_cut = std::max(size_cut, other.size_cut);
     postprocess_sets += other.postprocess_sets;
     no_em_skipped += other.no_em_skipped;
     em_early_terminated += other.em_early_terminated;

@@ -19,6 +19,9 @@ CorpusSpec CorpusSpec::Scaled(double f) const {
     scaled.max_set_size =
         std::max(min_set_size * 4, static_cast<size_t>(max_set_size * root));
   }
+  // A set draws distinct elements, so none can outgrow the vocabulary;
+  // the vocabulary shrinks by f, faster than the largest set.
+  scaled.max_set_size = std::min(scaled.max_set_size, scaled.vocab_size);
   return scaled;
 }
 

@@ -54,7 +54,8 @@ struct CorpusSpec {
 
   /// Returns a copy with num_sets and vocab_size multiplied by `f`
   /// (cardinality distributions and max sizes also shrink by sqrt(f) for
-  /// the heavy-tailed presets so posting/graph shapes stay proportional).
+  /// the heavy-tailed presets so posting/graph shapes stay proportional;
+  /// max_set_size never exceeds the scaled vocab_size).
   CorpusSpec Scaled(double f) const;
 };
 

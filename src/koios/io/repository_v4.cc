@@ -88,6 +88,10 @@ util::Status SaveRepositoryV4(const text::Dictionary& dict,
     }
   }
 
+  // Postings: the collection's size-ranked inverted index, so an engine
+  // over the mapping searches them as they are instead of building them.
+  const index::InvertedIndex postings(sets);
+
   std::vector<PendingSection> sections;
   const auto set_offsets = sets.RawOffsets();
   const auto set_tokens = sets.RawTokens();
@@ -105,6 +109,10 @@ util::Status SaveRepositoryV4(const text::Dictionary& dict,
         {kEmbedRowOf, row_of.data(), row_of.size() * sizeof(uint32_t)});
     sections.push_back({kEmbedData, rows.data(), rows.size() * sizeof(float)});
   }
+  sections.push_back({kPostingOffsets, postings.Offsets().data(),
+                      postings.Offsets().size_bytes()});
+  sections.push_back({kPostingRanks, postings.Ranks().data(),
+                      postings.Ranks().size_bytes()});
 
   V4Header header;
   header.magic = kMagic;
@@ -115,6 +123,7 @@ util::Status SaveRepositoryV4(const text::Dictionary& dict,
   header.embed_rows = has_embeddings ? store->covered() : 0;
   header.token_id_bound = sets.TokenIdBound();
   header.has_embeddings = has_embeddings ? 1 : 0;
+  header.has_postings = 1;
   header.section_count = static_cast<uint32_t>(sections.size());
 
   std::vector<SectionEntry> table(sections.size());
@@ -213,7 +222,8 @@ util::Status MmapRepositoryView::Validate() {
         "corrupt v4 header: quantized tier without embeddings");
   }
   const size_t expected_sections = 5 + (header_.has_embeddings ? 2 : 0) +
-                                   (header_.has_quantized ? 4 : 0);
+                                   (header_.has_quantized ? 4 : 0) +
+                                   (header_.has_postings ? 2 : 0);
   if (header_.section_count != expected_sections) {
     return util::Status::InvalidArgument(
         "corrupt v4 header: section count " +
@@ -247,6 +257,10 @@ util::Status MmapRepositoryView::Validate() {
     expected_kinds.push_back(kQuantScales);
     expected_kinds.push_back(kQuantOffsets);
     expected_kinds.push_back(kQuantSums);
+  }
+  if (header_.has_postings) {
+    expected_kinds.push_back(kPostingOffsets);
+    expected_kinds.push_back(kPostingRanks);
   }
 
   uint64_t prev_end = table_end;
@@ -304,6 +318,13 @@ util::Status MmapRepositoryView::Validate() {
     return util::Status::InvalidArgument(
         "corrupt v4 repository: token arena length not element-aligned");
   }
+  if (header_.has_postings &&
+      (length_of(kPostingOffsets) !=
+           (header_.token_id_bound + 1) * sizeof(uint64_t) ||
+       length_of(kPostingRanks) != length_of(kSetTokens))) {
+    return util::Status::InvalidArgument(
+        "corrupt v4 repository: posting section length mismatch");
+  }
   if (header_.has_embeddings) {
     const uint64_t matrix_bytes =
         header_.embed_rows * header_.embed_dim * sizeof(float);
@@ -350,6 +371,12 @@ util::Status MmapRepositoryView::CheckSectionCrc(size_t index) const {
   return util::Status::OK();
 }
 
+std::span<const uint8_t> MmapRepositoryView::RawSection(
+    SectionKind kind) const {
+  const SectionEntry& e = table_[static_cast<size_t>(kind_index_[kind])];
+  return {file_.data() + e.offset, e.length};
+}
+
 util::StatusOr<std::span<const uint8_t>> MmapRepositoryView::Section(
     SectionKind kind) const {
   const int idx = kind_index_[kind];
@@ -359,8 +386,7 @@ util::StatusOr<std::span<const uint8_t>> MmapRepositoryView::Section(
   }
   auto status = CheckSectionCrc(static_cast<size_t>(idx));
   if (!status.ok()) return status;
-  const SectionEntry& e = table_[static_cast<size_t>(idx)];
-  return std::span<const uint8_t>(file_.data() + e.offset, e.length);
+  return RawSection(kind);
 }
 
 namespace {
@@ -389,13 +415,8 @@ util::StatusOr<index::SetCollection> MmapRepositoryView::BorrowSets() const {
   auto offsets = Section(kSetOffsets);
   if (!offsets.ok()) return offsets.status();
   // Bulk arena: extent-validated at Open(); CRC only under eager verify.
-  const int tok_idx = kind_index_[kSetTokens];
-  const SectionEntry& tok = table_[static_cast<size_t>(tok_idx)];
   auto sets = index::SetCollection::FromBorrowed(
-      AsSpan<uint64_t>(offsets.value()),
-      std::span<const TokenId>(
-          reinterpret_cast<const TokenId*>(file_.data() + tok.offset),
-          tok.length / sizeof(TokenId)),
+      AsSpan<uint64_t>(offsets.value()), AsSpan<TokenId>(RawSection(kSetTokens)),
       header_.token_id_bound);
   if (!sets.ok()) {
     return util::Status::InvalidArgument("corrupt v4 set sections: " +
@@ -417,13 +438,9 @@ util::StatusOr<embedding::EmbeddingStore> MmapRepositoryView::BorrowEmbeddings()
   auto row_of = Section(kEmbedRowOf);
   if (!row_of.ok()) return row_of.status();
   // Bulk arena, extent-validated at Open().
-  const SectionEntry& data = table_[static_cast<size_t>(kind_index_[kEmbedData])];
-  const std::span<const float> rows(
-      reinterpret_cast<const float*>(file_.data() + data.offset),
-      data.length / sizeof(float));
   auto store = embedding::EmbeddingStore::FromBorrowed(
       header_.embed_dim, header_.embed_rows, AsSpan<uint32_t>(row_of.value()),
-      rows);
+      AsSpan<float>(RawSection(kEmbedData)));
   if (!store.ok()) {
     return util::Status::InvalidArgument("corrupt v4 embedding sections: " +
                                          store.status().message());
@@ -438,6 +455,71 @@ util::StatusOr<std::span<const TokenId>> MmapRepositoryView::Vocabulary()
   return AsSpan<TokenId>(vocab.value());
 }
 
+util::StatusOr<index::InvertedIndex> MmapRepositoryView::BorrowPostings(
+    const index::SetCollection& sets) const {
+  if (!has_postings()) {
+    return util::Status::FailedPrecondition(
+        "v4 repository carries no postings");
+  }
+  auto offsets = Section(kPostingOffsets);
+  if (!offsets.ok()) return offsets.status();
+  // Bulk arena, extent-validated at Open().
+  auto postings = index::InvertedIndex::FromBorrowed(
+      sets, AsSpan<uint64_t>(offsets.value()),
+      AsSpan<uint32_t>(RawSection(kPostingRanks)));
+  if (!postings.ok()) {
+    return util::Status::InvalidArgument("corrupt v4 posting sections: " +
+                                         postings.status().message());
+  }
+  return postings;
+}
+
+util::Status MmapRepositoryView::VerifyPostings() const {
+  auto sets = BorrowSets();
+  if (!sets.ok()) return sets.status();
+  auto postings = BorrowPostings(sets.value());
+  if (!postings.ok()) return postings.status();
+  const index::InvertedIndex& index = postings.value();
+  auto corrupt = [](const char* what) {
+    return util::Status::InvalidArgument(
+        std::string("corrupt v4 repository: ") + what);
+  };
+  const size_t bound = sets.value().TokenIdBound();
+  const uint32_t num_sets = static_cast<uint32_t>(index.num_sets());
+  // Each list strictly ascending, its ranks below the set count, and as
+  // long as its token's count in the set arenas.
+  std::vector<uint64_t> count(bound, 0);
+  for (const TokenId t : sets.value().RawTokens()) {
+    if (t >= bound) return corrupt("set token beyond the token id bound");
+    ++count[t];
+  }
+  for (TokenId t = 0; t < bound; ++t) {
+    const auto list = index.Postings(t);
+    for (size_t i = 0; i < list.size(); ++i) {
+      if (list[i] >= num_sets) return corrupt("posting rank beyond the set count");
+      if (i > 0 && list[i - 1] >= list[i]) {
+        return corrupt("posting list not strictly ascending");
+      }
+    }
+    if (list.size() != count[t]) {
+      return corrupt("posting list length differs from its token's count");
+    }
+  }
+  // Each posting's set holds its token: walking the sets in rank order,
+  // set r must be the next unread entry of each of its tokens' lists. With
+  // the lengths equal, that makes the lists the exact transpose.
+  std::vector<uint64_t> next(index.Offsets().begin(), index.Offsets().end() - 1);
+  const auto ranks = index.Ranks();
+  for (uint32_t rank = 0; rank < num_sets; ++rank) {
+    for (const TokenId t : sets.value().Tokens(index.SetAt(rank))) {
+      if (ranks[next[t]++] != rank) {
+        return corrupt("posting names a set without its token");
+      }
+    }
+  }
+  return util::Status::OK();
+}
+
 util::Status MmapRepositoryView::VerifyAllSections() const {
   for (size_t i = 0; i < table_.size(); ++i) {
     auto status = CheckSectionCrc(i);
@@ -447,14 +529,8 @@ util::Status MmapRepositoryView::VerifyAllSections() const {
   // tokens in dictionary bounds and sorted strictly per set, vocabulary
   // sorted/deduped/in bounds. (Borrow-time FromBorrowed validation covers
   // the offset tables and the row-table bijection.)
-  const SectionEntry& so = table_[static_cast<size_t>(kind_index_[kSetOffsets])];
-  const SectionEntry& st = table_[static_cast<size_t>(kind_index_[kSetTokens])];
-  const auto offsets = std::span<const uint64_t>(
-      reinterpret_cast<const uint64_t*>(file_.data() + so.offset),
-      so.length / sizeof(uint64_t));
-  const auto tokens = std::span<const TokenId>(
-      reinterpret_cast<const TokenId*>(file_.data() + st.offset),
-      st.length / sizeof(TokenId));
+  const auto offsets = AsSpan<uint64_t>(RawSection(kSetOffsets));
+  const auto tokens = AsSpan<TokenId>(RawSection(kSetTokens));
   if (offsets.empty() || offsets.front() != 0 ||
       offsets.back() != tokens.size()) {
     return util::Status::InvalidArgument(
@@ -500,6 +576,7 @@ util::Status MmapRepositoryView::VerifyAllSections() const {
       }
     }
   }
+  if (has_postings()) return VerifyPostings();
   return util::Status::OK();
 }
 

@@ -33,6 +33,8 @@
 //   9     legacy quantizer scales (per row)    f32       has_quantized
 //   10    legacy quantizer offsets (per row)   f32       has_quantized
 //   11    legacy quantizer code sums (per row) i32       has_quantized
+//   12    posting offsets (token_id_bound+1)   u64       has_postings
+//   13    posting ranks (one per set token)    u32       has_postings
 //
 // Sections 8-11 are LEGACY: an earlier writer stored an int8 tier there.
 // This writer never emits them (has_quantized = 0), and no reader borrows
@@ -40,20 +42,35 @@
 // validates their kinds and lengths, and eager verification CRC-checks
 // them like every other section.
 //
+// Sections 12-13 are the whole collection's size-ranked inverted index
+// (index::InvertedIndex): sets ranked by (|C| desc, id asc), each token's
+// list the ascending ranks of its sets, in CSR form. The rank order is a
+// pure function of the set sizes, so the reader re-derives it (one
+// counting sort) rather than store it. This writer always emits them;
+// files from earlier writers lack them (has_postings = 0) and still open,
+// their engines building the lists at construction.
+//
 // Integrity model (three tiers — see docs/ARCHITECTURE.md):
 //  * STRUCTURAL, always at Open(): header CRC (over the header with its
 //    crc field zeroed, continued over the section table), magic/version,
 //    kind sequence, alignment, monotone non-overlapping extents, zeroed
-//    padding, per-kind length arithmetic against the header counts, and
-//    an EXACT file-size match. Every truncation and every bit flip in the
-//    header, section table, or padding is rejected here — before any
-//    section byte is dereferenced, so a short file can never SIGBUS.
-//  * LAZY per-section CRC: metadata sections (1,2,3,5,6) are
-//    CRC-verified on first borrow of the artifact that reads them.
+//    padding, per-kind length arithmetic against the header counts (the
+//    posting offsets hold token_id_bound + 1 entries, the ranks one per
+//    set token), and an EXACT file-size match. Every truncation and every
+//    bit flip in the header, section table, or padding is rejected here —
+//    before any section byte is dereferenced, so a short file can never
+//    SIGBUS.
+//  * LAZY per-section CRC: metadata sections (1,2,3,5,6,12) are
+//    CRC-verified on first borrow of the artifact that reads them; the
+//    posting offsets are also checked monotone, from 0 to the rank
+//    arena's length.
 //  * EAGER (MmapOptions::verify, the `koios_snapshot verify` tool, and
-//    TrySwapFromRepository): CRC of EVERY section, the bulk arenas (4,7)
+//    TrySwapFromRepository): CRC of EVERY section, the bulk arenas (4,7,13)
 //    and any legacy sections included, plus content scans (set tokens in
-//    bounds and sorted per set, vocabulary sorted/deduped/in bounds).
+//    bounds and sorted per set, vocabulary sorted/deduped/in bounds, and
+//    the posting ranks the exact transpose of the set arenas: each list
+//    strictly ascending, ranks below the set count, list lengths equal to
+//    the token counts, each posting's set holding its token).
 //    Lazy mode deliberately skips the bulk-arena CRCs: checksumming the
 //    full file would put load time back on the same O(corpus) footing as
 //    a v3 parse, forfeiting the mmap advantage.
@@ -70,6 +87,7 @@
 #include <vector>
 
 #include "koios/embedding/embedding_store.h"
+#include "koios/index/inverted_index.h"
 #include "koios/index/set_collection.h"
 #include "koios/io/mmap_file.h"
 #include "koios/text/dictionary.h"
@@ -92,7 +110,8 @@ struct V4Header {
   uint64_t token_id_bound = 0;  // dense vocabulary bound of set token ids
   uint8_t has_embeddings = 0;
   uint8_t has_quantized = 0;    // legacy sections 8-11; implies has_embeddings
-  uint8_t reserved_a[2] = {0, 0};
+  uint8_t has_postings = 0;     // sections 12-13
+  uint8_t reserved_a = 0;
   uint32_t section_count = 0;
   uint32_t header_crc = 0;
   uint8_t reserved_b[4] = {0, 0, 0, 0};
@@ -120,9 +139,11 @@ enum SectionKind : uint32_t {
   kQuantScales = 9,
   kQuantOffsets = 10,
   kQuantSums = 11,
+  kPostingOffsets = 12,
+  kPostingRanks = 13,
 };
 
-inline constexpr size_t kV4MaxSections = 11;
+inline constexpr size_t kV4MaxSections = 13;
 inline constexpr size_t kV4Alignment = 64;
 
 // ---- writer -----------------------------------------------------------------
@@ -133,7 +154,8 @@ inline constexpr size_t kV4Alignment = 64;
 /// debris behind). Embedding rows are canonicalized to token-ascending
 /// order (the order of LoadRepository's owned store), so queries against
 /// a v4-borrowed store are bit-identical to the owned equivalent. Writes
-/// no legacy sections. Hits the "io.save.write" failpoint.
+/// the collection's size-ranked postings (sections 12-13) and no legacy
+/// sections. Hits the "io.save.write" failpoint.
 util::Status SaveRepositoryV4(const text::Dictionary& dict,
                               const index::SetCollection& sets,
                               const embedding::EmbeddingStore* store,  // nullable
@@ -174,13 +196,22 @@ class MmapRepositoryView {
   /// (section 5, CRC-checked on first call). Lets a snapshot load skip
   /// the O(corpus) DistinctTokens scan.
   util::StatusOr<std::span<const TokenId>> Vocabulary() const;
+  /// Borrowed size-ranked inverted index over sections 12+13 (offsets
+  /// CRC-checked on first call and checked monotone; the rank arena is
+  /// eager-verify only), its rank order derived from `sets` — this file's
+  /// borrowed set collection. FailedPrecondition when the file carries no
+  /// postings.
+  util::StatusOr<index::InvertedIndex> BorrowPostings(
+      const index::SetCollection& sets) const;
 
   /// CRC-checks every section (bulk arenas included) and content-scans
-  /// the set token and vocabulary arenas. Used by eager verify mode.
+  /// the set token, vocabulary and posting arenas. Used by eager verify
+  /// mode.
   util::Status VerifyAllSections() const;
 
   const V4Header& header() const { return header_; }
   bool has_embeddings() const { return header_.has_embeddings != 0; }
+  bool has_postings() const { return header_.has_postings != 0; }
   size_t file_size() const { return file_.size(); }
 
  private:
@@ -192,6 +223,10 @@ class MmapRepositoryView {
   /// missing kind is Internal (the structural pass pinned the sequence).
   util::StatusOr<std::span<const uint8_t>> Section(SectionKind kind) const;
   util::Status CheckSectionCrc(size_t index) const;
+  /// The raw bytes of a section that is present, without a CRC check.
+  std::span<const uint8_t> RawSection(SectionKind kind) const;
+  /// Proves sections 12-13 the transpose of the set arenas (eager tier).
+  util::Status VerifyPostings() const;
 
   MmapFile file_;
   V4Header header_;

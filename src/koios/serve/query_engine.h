@@ -3,7 +3,8 @@
 // multiplexes many over a shared util::ThreadPool:
 //
 //  * Shared immutable state. The engine owns the shard inverted indexes
-//    (inside one const KoiosSearcher) and borrows the snapshot's
+//    (inside one const KoiosSearcher; at one shard it borrows a v4
+//    snapshot's own ranked postings instead) and borrows the snapshot's
 //    immutable neighbor index; every query runs the searcher's reentrant
 //    search, whose token stream probes through a session of its own, so
 //    concurrent queries share built cursors (the sharded cache pays each
@@ -314,7 +315,9 @@ class QueryEngine {
                  const index::SetCollection* sets,
                  const sim::SimilarityIndex* index,
                  const ShardOptions& shard_options)
-        : snapshot(std::move(snap)), coordinator(sets, index, shard_options) {}
+        : snapshot(std::move(snap)),
+          coordinator(sets, index, shard_options,
+                      snapshot != nullptr ? snapshot->postings() : nullptr) {}
 
     std::shared_ptr<const Snapshot> snapshot;  // null for borrowed parts
     ShardCoordinator coordinator;  // holds the searcher and shard indexes

@@ -36,13 +36,24 @@ std::vector<std::vector<SetId>> ShardMembers(size_t set_count,
   return members;
 }
 
+core::KoiosSearcher MakeSearcher(const index::SetCollection* sets,
+                                 const sim::SimilarityIndex* index,
+                                 size_t num_shards,
+                                 const index::InvertedIndex* postings) {
+  if (postings != nullptr && ShardRanges(sets->size(), num_shards).size() == 1) {
+    return core::KoiosSearcher(sets, index, postings);
+  }
+  return core::KoiosSearcher(sets, index, ShardMembers(sets->size(), num_shards));
+}
+
 }  // namespace
 
 ShardCoordinator::ShardCoordinator(const index::SetCollection* sets,
                                    const sim::SimilarityIndex* index,
-                                   const ShardOptions& options)
+                                   const ShardOptions& options,
+                                   const index::InvertedIndex* postings)
     : options_(options),
-      searcher_(sets, index, ShardMembers(sets->size(), options.num_shards)) {}
+      searcher_(MakeSearcher(sets, index, options.num_shards, postings)) {}
 
 core::SearchResult ShardCoordinator::Execute(std::span<const TokenId> query,
                                              const core::SearchParams& params,

@@ -5,11 +5,14 @@
 // A shard is one partition of a single KoiosSearcher: shard i owns the
 // contiguous set ids [i·n/N, (i+1)·n/N) of the full collection
 // (ShardRanges). The sets and the postings derived from them are
-// partitioned — each shard has its own inverted index, and its candidate
-// table spans only its own id range — while the dictionary, embeddings and
+// partitioned — each shard has its own size-ranked inverted index, built
+// from the set arenas when the coordinator is made (shard 0 on the calling
+// thread, the others on short-lived build threads), and its candidate
+// table spans only its own sets — while the dictionary, embeddings and
 // neighbor index are replicated: every shard probes the same index (for a
-// v4 snapshot, shared mmap'd pages). Results carry the collection's own
-// set ids.
+// v4 snapshot, shared mmap'd pages). At N = 1 a v4 snapshot's own ranked
+// lists are searched as they are, and nothing is built. Results carry the
+// collection's own set ids.
 //
 // Per query the coordinator:
 //  1. creates ONE query-global θlb and N per-shard SearchContexts (each
@@ -83,10 +86,14 @@ class ShardCoordinator {
  public:
   /// Builds one searcher over `sets` whose partitions are the
   /// ShardRanges(sets->size(), options.num_shards), all probing the shared
-  /// `index`. Both must outlive the coordinator.
+  /// `index`. `postings` (nullable) is a prebuilt index of the whole
+  /// collection — a v4 snapshot's borrowed lists — that a single shard
+  /// searches instead of building its own. All three must outlive the
+  /// coordinator.
   ShardCoordinator(const index::SetCollection* sets,
                    const sim::SimilarityIndex* index,
-                   const ShardOptions& options);
+                   const ShardOptions& options,
+                   const index::InvertedIndex* postings = nullptr);
 
   ShardCoordinator(const ShardCoordinator&) = delete;
   ShardCoordinator& operator=(const ShardCoordinator&) = delete;

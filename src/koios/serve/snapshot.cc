@@ -58,9 +58,14 @@ util::StatusOr<std::shared_ptr<const Snapshot>> Snapshot::Load(
     auto vocab = view->Vocabulary();
     if (!vocab.ok()) return vocab.status();
     std::shared_ptr<Snapshot> snapshot(new Snapshot());
+    snapshot->sets_ = std::move(sets).value();
+    if (view->has_postings()) {
+      auto postings = view->BorrowPostings(snapshot->sets_);
+      if (!postings.ok()) return postings.status();
+      snapshot->postings_.emplace(std::move(postings).value());
+    }
     snapshot->view_ = std::move(view);
     snapshot->dict_ = std::move(dict).value();
-    snapshot->sets_ = std::move(sets).value();
     snapshot->store_ = std::move(store).value();
     snapshot->BuildServingStructures(
         std::vector<TokenId>(vocab.value().begin(), vocab.value().end()));

@@ -1,6 +1,7 @@
 // A repository snapshot: everything a serving process needs to answer
 // queries — dictionary, set collection, embeddings, similarity function,
-// neighbor index — bundled as ONE immutable, shareable unit.
+// neighbor index, and the size-ranked postings when its v4 file carries
+// them — bundled as ONE immutable, shareable unit.
 //
 // Ownership model: a snapshot is built (or loaded from a repository file
 // that io::SaveRepositoryV4 wrote) once, then handed around as
@@ -17,10 +18,12 @@
 #define KOIOS_SERVE_SNAPSHOT_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "koios/embedding/embedding_store.h"
+#include "koios/index/inverted_index.h"
 #include "koios/index/set_collection.h"
 #include "koios/io/repository_v4.h"
 #include "koios/sim/cosine_similarity.h"
@@ -63,6 +66,13 @@ class Snapshot {
   /// search it at once (each token stream opens its own probe session).
   const sim::SimilarityIndex* index() const { return index_.get(); }
 
+  /// The whole collection's size-ranked inverted index, borrowed from a v4
+  /// file that carries its posting sections; null for older v4 files,
+  /// legacy files and built snapshots, whose engines build their own.
+  const index::InvertedIndex* postings() const {
+    return postings_ ? &*postings_ : nullptr;
+  }
+
   /// True when the snapshot serves straight out of a v4 file mapping
   /// (dict/sets/store are in borrowed mode; the mapping is pinned here).
   bool mmap_backed() const { return view_ != nullptr; }
@@ -82,6 +92,7 @@ class Snapshot {
   embedding::EmbeddingStore store_{0};
   std::unique_ptr<sim::CosineEmbeddingSimilarity> similarity_;
   std::unique_ptr<sim::SimilarityIndex> index_;
+  std::optional<index::InvertedIndex> postings_;  // lists in view_'s pages
 };
 
 }  // namespace koios::serve

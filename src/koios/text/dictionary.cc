@@ -24,7 +24,7 @@ util::StatusOr<Dictionary> Dictionary::FromBorrowed(
   dict.b_offsets_ = offsets;
   dict.b_bytes_ = bytes;
   dict.size_ = offsets.size() - 1;
-  dict.lazy_ = std::make_shared<LazyLookup>();
+  dict.lazy_ = std::make_unique<LazyLookup>();
   return dict;
 }
 

@@ -36,6 +36,13 @@ class Dictionary {
  public:
   Dictionary() = default;
 
+  // Move-only: the owned lookup index keys view into the stored strings,
+  // so a copy's index would point into the source's storage.
+  Dictionary(Dictionary&&) = default;
+  Dictionary& operator=(Dictionary&&) = default;
+  Dictionary(const Dictionary&) = delete;
+  Dictionary& operator=(const Dictionary&) = delete;
+
   /// Wraps a flat string arena without copying: `offsets` holds size()+1
   /// monotone byte offsets into `bytes`; token `i` is
   /// bytes[offsets[i], offsets[i+1]). Validates the offsets (monotone,
@@ -47,7 +54,7 @@ class Dictionary {
   /// produce duplicates and CRCs catch corruption); the eager verify
   /// pass (io::MmapRepositoryView::VerifyAllSections) checks it, and a
   /// lazy build resolves duplicates first-id-wins. Both spans must
-  /// outlive the returned dictionary (and any copy of it).
+  /// outlive the returned dictionary.
   static util::StatusOr<Dictionary> FromBorrowed(
       std::span<const uint64_t> offsets, std::span<const char> bytes);
 
@@ -87,14 +94,13 @@ class Dictionary {
   size_t size_ = 0;
   // Lookup index, owned mode; keys view into tokens_.
   std::unordered_map<std::string_view, TokenId> ids_;
-  // Lookup index, borrowed mode: built on first use. Behind a shared_ptr
-  // so the dictionary stays movable/copyable (once_flag is neither), with
-  // copies sharing the built index — they share the arena anyway.
+  // Lookup index, borrowed mode: built on first use. Behind a pointer so
+  // the dictionary stays movable (once_flag is not).
   struct LazyLookup {
     std::once_flag once;
     std::unordered_map<std::string_view, TokenId> map;
   };
-  std::shared_ptr<LazyLookup> lazy_;
+  std::unique_ptr<LazyLookup> lazy_;
 };
 
 }  // namespace koios::text

@@ -15,7 +15,7 @@ namespace {
 // `query_size` elements; tokens sit at posting index 0.
 struct OneCandidate {
   OneCandidate(uint32_t set_size, uint32_t query_size) {
-    table.Reset(/*first=*/0, /*end=*/1, query_size);
+    table.Reset(/*num_sets=*/1, query_size);
     slot = table.Add(0, table.Capacity(set_size));
   }
   size_t Bit(TokenId token) { return table.TokenBits(token, 1); }
@@ -135,7 +135,7 @@ TEST(CandidateStateTest, UpperBoundSoundOnRandomInstances) {
 
     std::sort(edges.begin(), edges.end(),
               [](const Edge& a, const Edge& b) { return a.s > b.s; });
-    table.Reset(/*first=*/0, /*end=*/1, nq);
+    table.Reset(/*num_sets=*/1, nq);
     const uint32_t slot = table.Add(0, table.Capacity(nc));
     for (const Edge& e : edges) {
       table.AddRow(slot, e.q, e.s);
@@ -167,7 +167,7 @@ TEST(CandidateStateTest, PrunableIsStrictAndUsesTheRemainingRows) {
 
 TEST(CandidateTableTest, SweepPrunesBelowCutoffAndStopsPastLimit) {
   CandidateTable table;
-  table.Reset(/*first=*/0, /*end=*/6, /*query_size=*/2);
+  table.Reset(/*num_sets=*/6, /*query_size=*/2);
   // Capacity 2 and one retained row each: m = 1, row_sum = that row's s.
   const Score row_sums[] = {0.5, 1.5, 0.9, 1.6, 0.2, 1.55};
   for (SetId id = 0; id < 6; ++id) {
@@ -187,16 +187,16 @@ TEST(CandidateTableTest, SweepPrunesBelowCutoffAndStopsPastLimit) {
   EXPECT_EQ(table.Sweep(0.5, 2.0, &pruned), 3u);
   EXPECT_EQ(pruned, 3u);
   EXPECT_EQ(table.Lookup(4), CandidateTable::kPruned);
-  std::vector<SetId> live;
+  std::vector<uint32_t> live;
   table.ForEachLive(
-      [&](uint32_t, const CandidateState& c) { live.push_back(c.id); });
+      [&](uint32_t, const CandidateState& c) { live.push_back(c.rank); });
   std::sort(live.begin(), live.end());
-  EXPECT_EQ(live, (std::vector<SetId>{1, 3, 5}));
+  EXPECT_EQ(live, (std::vector<uint32_t>{1, 3, 5}));
 }
 
 TEST(CandidateTableTest, ResetForgetsEveryCandidate) {
   CandidateTable table;
-  table.Reset(/*first=*/0, /*end=*/10, /*query_size=*/4);
+  table.Reset(/*num_sets=*/10, /*query_size=*/4);
   const uint32_t slot = table.Add(3, table.Capacity(7));
   table.MarkPruned(5);
   EXPECT_EQ(table.Lookup(3), slot);
@@ -204,70 +204,61 @@ TEST(CandidateTableTest, ResetForgetsEveryCandidate) {
   EXPECT_EQ(table.Lookup(4), CandidateTable::kUnseen);
   EXPECT_EQ(table.live(), 1u);
 
-  table.Reset(/*first=*/0, /*end=*/20, /*query_size=*/4);  // wider range
+  table.Reset(/*num_sets=*/20, /*query_size=*/4);  // wider range
   for (SetId id = 0; id < 20; ++id) {
     EXPECT_EQ(table.Lookup(id), CandidateTable::kUnseen) << id;
   }
   EXPECT_EQ(table.live(), 0u);
-  table.Reset(/*first=*/0, /*end=*/5, /*query_size=*/2);  // narrower one
+  table.Reset(/*num_sets=*/5, /*query_size=*/2);  // narrower one
   for (SetId id = 0; id < 5; ++id) {
     EXPECT_EQ(table.Lookup(id), CandidateTable::kUnseen) << id;
   }
 }
 
-// A shard's query resets the table over its own id range right after a
-// query over the whole collection: the stamps are indexed by id − first,
-// so the range's ids reuse stamps the earlier query wrote for other ids.
-TEST(CandidateTableTest, ResetOverAnIdRangeIndexesFromItsFirstId) {
-  constexpr SetId kSets = 40;
-  constexpr SetId kFirst = 25;
-  constexpr SetId kEnd = kFirst + 10;
+// A shard's query resets the table over its own sets right after a query
+// over the whole collection: the stamps are indexed by size rank, so the
+// shard's ranks reuse stamps the earlier query wrote for other sets.
+TEST(CandidateTableTest, ResetToAPartitionKeepsOnlyItsStamps) {
+  constexpr uint32_t kSets = 40;
+  constexpr uint32_t kShard = 10;
   CandidateTable table;
-  table.Reset(/*first=*/0, /*end=*/kSets, /*query_size=*/3);
-  for (SetId id = 0; id < kSets; ++id) {
-    if (id % 2 == 0) {
-      table.Add(id, table.Capacity(5));
+  table.Reset(/*num_sets=*/kSets, /*query_size=*/3);
+  for (uint32_t rank = 0; rank < kSets; ++rank) {
+    if (rank % 2 == 0) {
+      table.Add(rank, table.Capacity(5));
     } else {
-      table.MarkPruned(id);
+      table.MarkPruned(rank);
     }
   }
 
-  table.Reset(kFirst, kEnd, /*query_size=*/3);
+  table.Reset(/*num_sets=*/kShard, /*query_size=*/3);
   EXPECT_EQ(table.live(), 0u);
-  for (SetId id = kFirst; id < kEnd; ++id) {
-    EXPECT_EQ(table.Lookup(id), CandidateTable::kUnseen) << id;
+  for (uint32_t rank = 0; rank < kShard; ++rank) {
+    EXPECT_EQ(table.Lookup(rank), CandidateTable::kUnseen) << rank;
   }
-  // One (epoch, slot) stamp of two uint32s per id of the range, and
+  // One (epoch, slot) stamp of two uint32s per set of the partition, and
   // nothing else before a candidate arrives.
-  EXPECT_EQ(table.MemoryUsageBytes(), (kEnd - kFirst) * 2 * sizeof(uint32_t));
+  EXPECT_EQ(table.MemoryUsageBytes(), kShard * 2 * sizeof(uint32_t));
 
-  const uint32_t first = table.Add(kFirst, table.Capacity(4));
-  const uint32_t last = table.Add(kEnd - 1, table.Capacity(4));
-  table.MarkPruned(kFirst + 3);
-  EXPECT_EQ(table.Lookup(kFirst), first);
-  EXPECT_EQ(table.Lookup(kEnd - 1), last);
-  EXPECT_EQ(table[last].id, kEnd - 1);
-  EXPECT_EQ(table.Lookup(kFirst + 3), CandidateTable::kPruned);
-  EXPECT_EQ(table.Lookup(kFirst + 1), CandidateTable::kUnseen);
-  std::vector<SetId> live;
+  const uint32_t first = table.Add(0, table.Capacity(4));
+  const uint32_t last = table.Add(kShard - 1, table.Capacity(4));
+  table.MarkPruned(3);
+  EXPECT_EQ(table.Lookup(0), first);
+  EXPECT_EQ(table.Lookup(kShard - 1), last);
+  EXPECT_EQ(table[last].rank, kShard - 1);
+  EXPECT_EQ(table.Lookup(3), CandidateTable::kPruned);
+  EXPECT_EQ(table.Lookup(1), CandidateTable::kUnseen);
+  std::vector<uint32_t> live;
   table.ForEachLive(
-      [&](uint32_t, const CandidateState& c) { live.push_back(c.id); });
+      [&](uint32_t, const CandidateState& c) { live.push_back(c.rank); });
   std::sort(live.begin(), live.end());
-  EXPECT_EQ(live, (std::vector<SetId>{kFirst, kEnd - 1}));
-
-  // A fresh table holds exactly its range's stamps, so an index that
-  // ignored `first` would run past them.
-  CandidateTable fresh;
-  fresh.Reset(/*first=*/1000, /*end=*/1010, /*query_size=*/3);
-  const uint32_t slot = fresh.Add(1009, fresh.Capacity(4));
-  EXPECT_EQ(fresh.Lookup(1009), slot);
-  EXPECT_EQ(fresh.Lookup(1000), CandidateTable::kUnseen);
+  EXPECT_EQ(live, (std::vector<uint32_t>{0, kShard - 1}));
 }
 
 TEST(CandidateTableTest, PrunedSlotsAreRecycledClean) {
   CandidateTable table;
   // 130 query elements: three-word bitsets.
-  table.Reset(/*first=*/0, /*end=*/4, /*query_size=*/130);
+  table.Reset(/*num_sets=*/4, /*query_size=*/130);
   const uint32_t a = table.Add(0, table.Capacity(200));
   table.AddRow(a, 129, 0.9);
   const size_t bit = table.TokenBits(42, 2);
@@ -278,7 +269,7 @@ TEST(CandidateTableTest, PrunedSlotsAreRecycledClean) {
 
   const uint32_t b = table.Add(1, table.Capacity(3));
   EXPECT_EQ(b, a);  // the slot is reused...
-  EXPECT_EQ(table[b].id, 1u);
+  EXPECT_EQ(table[b].rank, 1u);
   EXPECT_EQ(table[b].capacity, 3u);
   EXPECT_EQ(table[b].rows, 0u);
   EXPECT_EQ(table[b].partial, 0.0);
@@ -289,7 +280,7 @@ TEST(CandidateTableTest, PrunedSlotsAreRecycledClean) {
   size_t visited = 0;
   table.ForEachLive([&](uint32_t slot, const CandidateState& c) {
     EXPECT_EQ(slot, b);
-    EXPECT_EQ(c.id, 1u);
+    EXPECT_EQ(c.rank, 1u);
     ++visited;
   });
   EXPECT_EQ(visited, 1u);
@@ -297,7 +288,7 @@ TEST(CandidateTableTest, PrunedSlotsAreRecycledClean) {
 
 TEST(CandidateTableTest, TokenBitsAreStablePerTokenAndDisjoint) {
   CandidateTable table;
-  table.Reset(/*first=*/0, /*end=*/1, /*query_size=*/1);
+  table.Reset(/*num_sets=*/1, /*query_size=*/1);
   // Enough tokens to grow the token table several times.
   std::vector<std::pair<size_t, size_t>> ranges;  // [first, first + len)
   for (TokenId t = 0; t < 500; ++t) {
@@ -313,7 +304,7 @@ TEST(CandidateTableTest, TokenBitsAreStablePerTokenAndDisjoint) {
     EXPECT_LE(ranges[i - 1].second, ranges[i].first);
   }
   // A new query starts with fresh, cleared token bits.
-  table.Reset(/*first=*/0, /*end=*/1, /*query_size=*/1);
+  table.Reset(/*num_sets=*/1, /*query_size=*/1);
   const uint32_t slot = table.Add(0, 1);
   EXPECT_TRUE(table.EdgeValid(slot, 0, table.TokenBits(977, 8)));
 }

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 
 #include "koios/data/corpus.h"
@@ -102,10 +103,24 @@ void ExpectInvalid(const util::Status& status, const std::string& label) {
 
 TEST(CorpusSpecTest, ValidateAcceptsWhatTheGeneratorCanDraw) {
   EXPECT_TRUE(ValidateCorpusSpec(CorpusSpec{}).ok());
-  for (const CorpusSpec& preset :
-       {DblpSpec(), OpenDataSpec(), TwitterSpec(), WdcSpec()}) {
-    EXPECT_TRUE(ValidateCorpusSpec(preset).ok()) << preset.name;
+  // Every preset at every scale the benches and examples use: scaling
+  // shrinks the vocabulary by f, and the largest set must still fit in it
+  // (OpenDataSpec(0.02) once asked for sets of 4,511 over 3,596 tokens).
+  for (const double scale : {1.0, 0.1, 0.05, 0.02, 0.01}) {
+    for (const CorpusSpec& preset :
+         {DblpSpec(scale), OpenDataSpec(scale), TwitterSpec(scale),
+          WdcSpec(scale)}) {
+      EXPECT_TRUE(ValidateCorpusSpec(preset).ok())
+          << preset.name << " at " << scale << ": max " << preset.max_set_size
+          << " vocab " << preset.vocab_size;
+    }
   }
+  // A spec that already fits is left as it was.
+  const CorpusSpec wdc = WdcSpec(1.0);
+  EXPECT_EQ(wdc.max_set_size, 10240u);
+  EXPECT_EQ(WdcSpec(0.01).max_set_size,
+            static_cast<size_t>(10240 * std::sqrt(0.01)));
+  EXPECT_EQ(OpenDataSpec(0.01).max_set_size, OpenDataSpec(0.01).vocab_size);
   CorpusSpec tight;
   tight.vocab_size = 7;
   tight.min_set_size = 7;

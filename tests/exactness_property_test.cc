@@ -4,10 +4,12 @@
 // and every reported set's score is its true semantic overlap.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <tuple>
 #include <vector>
 
 #include "koios/core/searcher.h"
+#include "koios/serve/shard_coordinator.h"
 #include "test_util.h"
 
 namespace koios::core {
@@ -235,6 +237,69 @@ INSTANTIATE_TEST_SUITE_P(
                       FilterConfig{true, true, false, true},
                       FilterConfig{false, false, true, true},
                       FilterConfig{true, true, true, true}));
+
+// ------------------------------------------------------------- size cut --
+
+// The posting walk stops each list at the size cut: from some tuple on it
+// skips every set with min(|Q|, |C|) below SearchStats::size_cut. Over
+// random workloads at N ∈ {1, 2, 4} contiguous shards (searched one after
+// another under the shared θlb), with feedback on and off, every set under
+// the cut must be one the oracle rules out — min(|Q|, |C|) and SO both
+// below θ*k − ε — and the answers must equal the oracle's.
+TEST(ExactnessTest, SizeCutSkipsOnlySetsBelowThetaStar) {
+  size_t cut_sets = 0;
+  for (const uint64_t seed : {5001u, 5002u, 5003u}) {
+    auto w = MakeRandomWorkload(200 + 40 * (seed % 3), 800, 3, 40, seed);
+    const index::SetCollection& sets = w.corpus.sets;
+    std::vector<std::unique_ptr<serve::ShardCoordinator>> coordinators;
+    for (const size_t shards : {1, 2, 4}) {
+      serve::ShardOptions options;
+      options.num_shards = shards;
+      coordinators.push_back(std::make_unique<serve::ShardCoordinator>(
+          &sets, w.index.get(), options));
+    }
+    for (SetId qid = 0; qid < sets.size(); qid += 23) {
+      const auto q = sets.Tokens(qid);
+      const Score alpha = 0.75;
+      const auto oracle = OracleRanking(sets, q, *w.sim, alpha);
+      std::vector<Score> so(sets.size(), 0.0);
+      for (const auto& [id, score] : oracle) so[id] = score;
+      for (const auto& coordinator : coordinators) {
+        for (const bool feedback : {true, false}) {
+          for (const size_t k : {1, 5, 10}) {
+            SearchParams params;
+            params.k = k;
+            params.alpha = alpha;
+            params.use_stream_feedback = feedback;
+            const SearchResult result = coordinator->Execute(
+                q, params, {}, /*shard_pool=*/nullptr, nullptr);
+            const std::string label =
+                "seed " + std::to_string(seed) + " shards " +
+                std::to_string(coordinator->num_shards()) +
+                (feedback ? " feedback" : " drain") + " q " +
+                std::to_string(qid) + " k " + std::to_string(k);
+            const Score theta_star = OracleKthScore(oracle, k);
+            ASSERT_EQ(result.topk.size(), std::min(k, oracle.size())) << label;
+            EXPECT_NEAR(result.KthScore(), theta_star, kTol) << label;
+            for (const ResultEntry& entry : result.topk) {
+              EXPECT_NEAR(entry.score, so[entry.set], kTol) << label;
+            }
+            for (SetId id = 0; id < sets.size(); ++id) {
+              const size_t capacity = std::min(q.size(), sets.SetSize(id));
+              if (capacity >= result.stats.size_cut) continue;
+              ++cut_sets;
+              EXPECT_LT(static_cast<Score>(capacity), theta_star - kScoreEps)
+                  << label << " set " << id;
+              EXPECT_LT(so[id], theta_star - kScoreEps)
+                  << label << " set " << id;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(cut_sets, 0u) << "no query reached a size cut";
+}
 
 // ------------------------------------------------------- stress sampling --
 

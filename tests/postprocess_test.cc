@@ -21,8 +21,7 @@ struct PostHarness {
         cache(&stream) {}
 
   std::vector<ResultEntry> Run(const SearchParams& params, SearchStats* stats) {
-    RefinementPhase refinement(&workload->corpus.sets, &inverted, query.size(),
-                               params);
+    RefinementPhase refinement(&inverted, query.size(), params);
     RefinementOutput refined = refinement.Run(&cache, stats);
     PostProcessor post(&workload->corpus.sets, &cache, params, nullptr);
     return post.Run(std::move(refined), stats);

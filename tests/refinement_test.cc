@@ -30,8 +30,7 @@ struct RefinementHarness {
         cache(&stream) {}
 
   RefinementOutput Run(const SearchParams& params, SearchStats* stats) {
-    RefinementPhase phase(&workload->corpus.sets, &inverted, query.size(),
-                          params);
+    RefinementPhase phase(&inverted, query.size(), params);
     return phase.Run(&cache, stats);
   }
 
@@ -141,7 +140,7 @@ RefinementOutput RefineOnce(const index::SetCollection& sets,
   sim::TokenStream stream(query, index, params.alpha, [&](TokenId t) {
     return inverted.InVocabulary(t);
   });
-  RefinementPhase phase(&sets, &inverted, query.size(), params);
+  RefinementPhase phase(&inverted, query.size(), params);
   if (!params.use_stream_feedback) {
     EdgeCache cache(&stream);
     return phase.Run(&cache, stats);
@@ -237,7 +236,9 @@ TEST(RefinementTest, LazyAndNaiveIubAgreeBitForBit) {
 
 // Set 0 = {10} is last touched at s = 0.95. Set 1 = {11, 12, 13} then
 // lifts θlb to 2.7, which makes set 0 prunable with no later tuple
-// touching it, and set 2 = {14} arrives at 0.75, below θlb. The query
+// touching it, and set 2 = {14, 15, 16} arrives at 0.75, its bound
+// 3 · 0.75 below θlb. Set 2 holds three elements so that the size cut
+// (min(|Q|, |C|) < θlb − ε) leaves it to the arrival check. The query
 // tokens are in no set, so there are no self matches.
 struct PrunableAfterLastTouch {
   PrunableAfterLastTouch() {
@@ -248,9 +249,9 @@ struct PrunableAfterLastTouch {
     sim.Set(1, 14, 0.75);
     sets.AddSet(std::vector<TokenId>{10});
     sets.AddSet(std::vector<TokenId>{11, 12, 13});
-    sets.AddSet(std::vector<TokenId>{14});
+    sets.AddSet(std::vector<TokenId>{14, 15, 16});
     index = std::make_unique<sim::ExactKnnIndex>(
-        std::vector<TokenId>{10, 11, 12, 13, 14}, &sim);
+        std::vector<TokenId>{10, 11, 12, 13, 14, 15, 16}, &sim);
   }
 
   testing::TableSimilarity sim;

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -17,6 +18,7 @@
 #include "koios/io/repository_v4.h"
 #include "koios/io/serialization.h"
 #include "koios/serve/snapshot.h"
+#include "koios/util/crc32.h"
 
 namespace koios::io {
 namespace {
@@ -85,12 +87,14 @@ std::string GoldenPath(const char* name) {
 }
 
 /// Every v4 layout the corruption matrices cover: both shapes the writer
-/// produces, plus the checked-in file from an earlier writer that still
-/// carries the legacy int8 sections 8-11.
+/// produces, plus the checked-in files from earlier writers: one with the
+/// legacy int8 sections 8-11, one with sections 1-7 and no postings.
 std::vector<std::pair<std::string, std::string>> AllV4Files() {
   return {{"written, full", V4Bytes(V4Variant::kFull)},
           {"written, no embeddings", V4Bytes(V4Variant::kNoEmbeddings)},
-          {"golden_v4.repo", FileBytes(GoldenPath("golden_v4.repo"))}};
+          {"golden_v4.repo", FileBytes(GoldenPath("golden_v4.repo"))},
+          {"golden_v4_unranked.repo",
+           FileBytes(GoldenPath("golden_v4_unranked.repo"))}};
 }
 
 bool IsLegacySection(uint32_t kind) {
@@ -116,7 +120,51 @@ util::Status OpenAndBorrowAll(const std::string& bytes, bool verify) {
     auto store = view.value()->BorrowEmbeddings();
     if (!store.ok()) return store.status();
   }
+  if (view.value()->has_postings()) {
+    auto postings = view.value()->BorrowPostings(sets.value());
+    if (!postings.ok()) return postings.status();
+  }
   return util::Status::OK();
+}
+
+/// The section table of v4 `bytes`.
+std::vector<SectionEntry> SectionTable(const std::string& bytes) {
+  V4Header header;
+  std::memcpy(&header, bytes.data(), sizeof(header));
+  std::vector<SectionEntry> table(header.section_count);
+  std::memcpy(table.data(), bytes.data() + sizeof(header),
+              table.size() * sizeof(SectionEntry));
+  return table;
+}
+
+/// Recomputes every section CRC and the header CRC of v4 `bytes` after an
+/// edit, so the edit reaches the checks behind the checksums.
+void Reframe(std::string* bytes) {
+  std::vector<SectionEntry> table = SectionTable(*bytes);
+  for (SectionEntry& e : table) {
+    e.crc = util::Crc32(bytes->data() + e.offset, e.length);
+  }
+  V4Header header;
+  std::memcpy(&header, bytes->data(), sizeof(header));
+  header.header_crc = 0;
+  header.header_crc = util::Crc32(
+      table.data(), table.size() * sizeof(SectionEntry),
+      util::Crc32(&header, sizeof(header)));
+  std::memcpy(bytes->data(), &header, sizeof(header));
+  std::memcpy(bytes->data() + sizeof(header), table.data(),
+              table.size() * sizeof(SectionEntry));
+}
+
+/// Element `i` of section `kind` of v4 `bytes`, as a T.
+template <typename T>
+T* SectionElement(std::string* bytes, SectionKind kind, size_t i) {
+  for (const SectionEntry& e : SectionTable(*bytes)) {
+    if (e.kind == kind) {
+      return reinterpret_cast<T*>(bytes->data() + e.offset) + i;
+    }
+  }
+  ADD_FAILURE() << "no section " << kind;
+  return nullptr;
 }
 
 // ------------------------------------------------------------ round trip --
@@ -168,6 +216,39 @@ TEST(RepositoryV4Test, BorrowedRoundTripMatchesOriginal) {
   ASSERT_EQ(vocab.value().size(), expected_vocab.size());
   EXPECT_TRUE(std::equal(vocab.value().begin(), vocab.value().end(),
                          expected_vocab.begin()));
+  std::remove(path.c_str());
+}
+
+TEST(RepositoryV4Test, PostingSectionsHoldTheRankedIndex) {
+  // The writer stores the collection's size-ranked lists; the borrowed
+  // index answers as one built from the sets, with the rank order derived
+  // from the set sizes.
+  Fixture f = MakeFixture();
+  const std::string path = TempPath("v4_postings.repo");
+  ASSERT_TRUE(SaveRepositoryV4(f.dict, f.sets, &f.store, path).ok());
+  auto view = MmapRepositoryView::Open(path, MmapOptions{.verify = true});
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
+  EXPECT_TRUE(view.value()->has_postings());
+  auto sets = view.value()->BorrowSets();
+  ASSERT_TRUE(sets.ok());
+  auto postings = view.value()->BorrowPostings(sets.value());
+  ASSERT_TRUE(postings.ok()) << postings.status().ToString();
+  const index::InvertedIndex built(f.sets);
+  const index::InvertedIndex& borrowed = postings.value();
+  // Sets 1 and 3 hold four elements, 0 and 4 three, 2 two.
+  const std::vector<SetId> by_rank = {1, 3, 0, 4, 2};
+  ASSERT_EQ(borrowed.num_sets(), by_rank.size());
+  for (uint32_t rank = 0; rank < by_rank.size(); ++rank) {
+    EXPECT_EQ(borrowed.SetAt(rank), by_rank[rank]);
+  }
+  EXPECT_TRUE(std::ranges::equal(borrowed.Offsets(), built.Offsets()));
+  EXPECT_TRUE(std::ranges::equal(borrowed.Ranks(), built.Ranks()));
+  // The snapshot hands the borrowed lists to its engines.
+  auto snap = serve::Snapshot::Load(path);
+  ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+  ASSERT_NE(snap.value()->postings(), nullptr);
+  EXPECT_TRUE(std::ranges::equal(snap.value()->postings()->Ranks(),
+                                 built.Ranks()));
   std::remove(path.c_str());
 }
 
@@ -289,7 +370,7 @@ TEST(V4CorruptionMatrixTest, LazyModeCatchesStructuralAndMetadataFlips) {
     }
     for (const SectionEntry& e : table) {
       if (e.kind == kSetTokens || e.kind == kEmbedData ||
-          IsLegacySection(e.kind)) {
+          e.kind == kPostingRanks || IsLegacySection(e.kind)) {
         continue;
       }
       for (uint64_t pos = e.offset; pos < e.offset + e.length; ++pos) {
@@ -300,6 +381,68 @@ TEST(V4CorruptionMatrixTest, LazyModeCatchesStructuralAndMetadataFlips) {
             << pos << " loaded lazily";
       }
     }
+  }
+}
+
+TEST(V4CorruptionMatrixTest, PostingOffsetsCheckedOnBorrow) {
+  // Re-framed, so the CRCs hold: the lazy tier must still see offsets
+  // that fall or that do not end at the rank arena's length.
+  const std::string bytes = V4Bytes();
+  std::string falling = bytes;
+  std::swap(*SectionElement<uint64_t>(&falling, kPostingOffsets, 3),
+            *SectionElement<uint64_t>(&falling, kPostingOffsets, 4));
+  Reframe(&falling);
+  auto status = OpenAndBorrowAll(falling, /*verify=*/false);
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("not monotone"), std::string::npos)
+      << status.ToString();
+  std::string short_end = bytes;
+  *SectionElement<uint64_t>(&short_end, kPostingOffsets, 10) -= 1;
+  Reframe(&short_end);
+  status = OpenAndBorrowAll(short_end, /*verify=*/false);
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("do not span"), std::string::npos)
+      << status.ToString();
+}
+
+TEST(V4CorruptionMatrixTest, EagerVerificationProvesPostingsTheTranspose) {
+  // Each edit keeps every CRC and the offsets valid, so a lazy open serves
+  // it; eager verification must name what is wrong. Fixture lists, in
+  // ranks (sets 1, 3, 0, 4, 2): token 0 -> {1, 2}, token 3 -> {0},
+  // token 4 -> {0, 3}.
+  struct Edit {
+    const char* what;
+    std::function<void(std::string*)> apply;
+  };
+  auto rank = [](std::string* b, size_t i) {
+    return SectionElement<uint32_t>(b, kPostingRanks, i);
+  };
+  auto offset = [](std::string* b, size_t t) {
+    return SectionElement<uint64_t>(b, kPostingOffsets, t);
+  };
+  const Edit edits[] = {
+      {"not strictly ascending",
+       [&](std::string* b) { std::swap(*rank(b, 0), *rank(b, 1)); }},
+      {"beyond the set count",
+       [&](std::string* b) { *rank(b, *offset(b, 3)) = 5; }},
+      {"without its token",  // the set at rank 1 (set 3) lacks token 3
+       [&](std::string* b) { *rank(b, *offset(b, 3)) = 1; }},
+      {"length differs",  // token 3 -> {0, 3}, token 4 -> {3}
+       [&](std::string* b) {
+         const uint64_t start = *offset(b, 3);
+         *rank(b, start + 1) = 3;
+         *offset(b, 4) += 1;
+       }},
+  };
+  for (const Edit& edit : edits) {
+    std::string bytes = V4Bytes();
+    edit.apply(&bytes);
+    Reframe(&bytes);
+    EXPECT_TRUE(OpenAndBorrowAll(bytes, /*verify=*/false).ok()) << edit.what;
+    const auto status = OpenAndBorrowAll(bytes, /*verify=*/true);
+    ASSERT_FALSE(status.ok()) << edit.what;
+    EXPECT_NE(status.message().find(edit.what), std::string::npos)
+        << status.ToString();
   }
 }
 
@@ -374,17 +517,42 @@ TEST(GoldenCompatTest, V4GoldenWithLegacyTierStillLoads) {
   ASSERT_TRUE(view.ok()) << view.status().ToString();
   EXPECT_NE(view.value()->header().has_quantized, 0);
   EXPECT_EQ(view.value()->header().section_count, 11u);
+  // No posting sections: its engines build the lists themselves.
+  EXPECT_FALSE(view.value()->has_postings());
+  auto sets = view.value()->BorrowSets();
+  ASSERT_TRUE(sets.ok());
+  EXPECT_FALSE(view.value()->BorrowPostings(sets.value()).ok());
   auto repo = LoadRepository(GoldenPath("golden_v4.repo"));
   ASSERT_TRUE(repo.ok()) << repo.status().ToString();
   ExpectFixtureContents(repo.value());
+}
+
+TEST(GoldenCompatTest, V4GoldenWithoutPostingsStillLoads) {
+  // Written by the writer before the posting sections: sections 1-7 only.
+  auto view = MmapRepositoryView::Open(GoldenPath("golden_v4_unranked.repo"));
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
+  EXPECT_EQ(view.value()->header().section_count, 7u);
+  EXPECT_FALSE(view.value()->has_postings());
+  auto repo = LoadRepository(GoldenPath("golden_v4_unranked.repo"));
+  ASSERT_TRUE(repo.ok()) << repo.status().ToString();
+  ExpectFixtureContents(repo.value());
+}
+
+/// A searcher over `snap` as an engine would make it: through the
+/// snapshot's own ranked postings when it carries them.
+core::KoiosSearcher SearcherOf(const serve::Snapshot& snap) {
+  if (snap.postings() != nullptr) {
+    return core::KoiosSearcher(&snap.sets(), snap.index(), snap.postings());
+  }
+  return core::KoiosSearcher(&snap.sets(), snap.index());
 }
 
 /// Serves `a` and `b` through real searchers and compares full top-k
 /// results bit for bit (set ids, scores, exact flags) over every fixture
 /// set as a query at three thresholds.
 void ExpectSameTopK(const serve::Snapshot& a, const serve::Snapshot& b) {
-  core::KoiosSearcher a_searcher(&a.sets(), a.index());
-  core::KoiosSearcher b_searcher(&b.sets(), b.index());
+  const core::KoiosSearcher a_searcher = SearcherOf(a);
+  const core::KoiosSearcher b_searcher = SearcherOf(b);
   core::SearchParams params;
   params.k = 3;
   const Fixture f = MakeFixture();
@@ -424,6 +592,7 @@ TEST(GoldenCompatTest, V3ToV4ConversionIsBitIdenticalTopK) {
   ASSERT_TRUE(v4_snap.ok()) << v4_snap.status().ToString();
   EXPECT_FALSE(v3_snap.value()->mmap_backed());
   EXPECT_TRUE(v4_snap.value()->mmap_backed());
+  EXPECT_NE(v4_snap.value()->postings(), nullptr);
   ExpectSameTopK(*v3_snap.value(), *v4_snap.value());
   std::remove(v4_path.c_str());
 }
@@ -439,6 +608,23 @@ TEST(GoldenCompatTest, V4GoldenWithLegacyTierServesV3GoldenTopK) {
     ASSERT_TRUE(v4_snap.ok()) << "verify=" << verify << ": "
                               << v4_snap.status().ToString();
     EXPECT_TRUE(v4_snap.value()->mmap_backed());
+    EXPECT_EQ(v4_snap.value()->postings(), nullptr);
+    ExpectSameTopK(*v3_snap.value(), *v4_snap.value());
+  }
+}
+
+TEST(GoldenCompatTest, V4GoldenWithoutPostingsServesV3GoldenTopK) {
+  // Opens lazily and eagerly verified with no postings to borrow (its
+  // engines build the lists), and answers exactly as the v3 golden does.
+  auto v3_snap = serve::Snapshot::Load(GoldenPath("golden_v3.repo"));
+  ASSERT_TRUE(v3_snap.ok()) << v3_snap.status().ToString();
+  for (const bool verify : {false, true}) {
+    auto v4_snap =
+        serve::Snapshot::Load(GoldenPath("golden_v4_unranked.repo"), verify);
+    ASSERT_TRUE(v4_snap.ok()) << "verify=" << verify << ": "
+                              << v4_snap.status().ToString();
+    EXPECT_TRUE(v4_snap.value()->mmap_backed());
+    EXPECT_EQ(v4_snap.value()->postings(), nullptr);
     ExpectSameTopK(*v3_snap.value(), *v4_snap.value());
   }
 }

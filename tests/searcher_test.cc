@@ -122,13 +122,16 @@ TEST(SearcherTest, PartitionSeedChangesAssignmentNotResult) {
 // Refinement's work counters on a fixed corpus and query set. They are
 // deterministic, and a change to the refinement data structures must not
 // move them: the candidate table and the lazy iUB filter prune exactly the
-// sets the paper's per-tuple bucket sweep prunes.
+// sets the paper's per-tuple bucket sweep prunes. The posting walk stops
+// each list at the size cut (min(|Q|, |C|) < θlb − ε), so the sets past it
+// are never candidates and the postings past it are never visited.
 struct RefinementCounters {
   size_t candidates = 0;
   size_t iub_filtered = 0;
   size_t bucket_moves = 0;
   size_t stream_tuples = 0;
   size_t postprocess_sets = 0;
+  size_t postings_visited = 0;
 };
 
 void Accumulate(const SearchStats& stats, RefinementCounters* c) {
@@ -137,6 +140,7 @@ void Accumulate(const SearchStats& stats, RefinementCounters* c) {
   c->bucket_moves += stats.bucket_moves;
   c->stream_tuples += stats.stream_tuples;
   c->postprocess_sets += stats.postprocess_sets;
+  c->postings_visited += stats.postings_visited;
 }
 
 void ExpectCounters(const RefinementCounters& got,
@@ -146,6 +150,7 @@ void ExpectCounters(const RefinementCounters& got,
   EXPECT_EQ(got.bucket_moves, want.bucket_moves) << label;
   EXPECT_EQ(got.stream_tuples, want.stream_tuples) << label;
   EXPECT_EQ(got.postprocess_sets, want.postprocess_sets) << label;
+  EXPECT_EQ(got.postings_visited, want.postings_visited) << label;
 }
 
 // Exact matching's decisions on the same queries: which survivors the
@@ -245,9 +250,9 @@ TEST(SearcherTest, RefinementCountersArePinned) {
     // tuples, and moves no buckets.
     const char* label = bucketed ? "bucket index" : "naive iUB";
     const RefinementCounters want = {
-        /*candidates=*/11405, /*iub_filtered=*/10734,
-        /*bucket_moves=*/bucketed ? 54630u : 0u, /*stream_tuples=*/3186,
-        /*postprocess_sets=*/671};
+        /*candidates=*/11123, /*iub_filtered=*/10452,
+        /*bucket_moves=*/bucketed ? 54615u : 0u, /*stream_tuples=*/3186,
+        /*postprocess_sets=*/671, /*postings_visited=*/78028};
     ExpectCounters(got, want, label);
     // Production is pulled 16 tuples at a time and sealed where the
     // consumer stopped, the same either way.
@@ -284,7 +289,7 @@ TEST(SearcherTest, PartitionedCountersArePinned) {
       Accumulate(r.stats, r.topk, k == 1 ? &verified_k1 : &verified_k10);
     }
   }
-  ExpectCounters(got, {11860, 10425, 57906, 15717, 1435}, "4 partitions");
+  ExpectCounters(got, {9549, 8114, 57903, 15717, 1435, 88909}, "4 partitions");
   ExpectProduction(produced, {4817, 4584800343389235688ull}, "4 partitions");
   // The merged top-k equals the unpartitioned search's bit for bit.
   ExpectVerification(verified_k1, {20, 12, 70, 20, 4914962997095115013ull},

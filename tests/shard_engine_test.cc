@@ -334,10 +334,10 @@ uint64_t Bits(Score s) {
 }
 
 // Sequential scatter is deterministic, so what each shard does is pinned:
-// its work and EM counters, the bits of its stop similarity, and its
-// inverted-index and candidate-table bytes, folded shard by shard and
-// query by query into one FNV-1a digest, next to the Σ of tuples the
-// shards produced. The merged answers (set, score bits, exact) hash to one
+// its work and EM counters (postings visited included), the bits of its
+// stop similarity, and its inverted-index and candidate-table bytes,
+// folded shard by shard and query by query into one FNV-1a digest, next to
+// the Σ of tuples the shards produced. The merged answers (set, score bits, exact) hash to one
 // checksum per workload at every shard count, exchange on or off.
 TEST(ShardCoordinatorTest, SequentialScatterIsPinned) {
   struct Pin {
@@ -354,24 +354,24 @@ TEST(ShardCoordinatorTest, SequentialScatterIsPinned) {
   const Case cases[] = {
       {testing::MakeRandomWorkload(150, 600, 5, 25, 12006),
        6040647239028213570ull,
-       {{1, true, 1661, 3866113986806906077ull},
-        {1, false, 1661, 3866113986806906077ull},
-        {2, true, 3652, 8812379389393452113ull},
-        {2, false, 3894, 10420118066191975838ull},
-        {4, true, 7420, 10589111140626618551ull},
-        {4, false, 8222, 4527646781156382288ull},
-        {8, true, 14359, 10097436176087797520ull},
-        {8, false, 16651, 18445296178802546106ull}}},
+       {{1, true, 1661, 16028909599814858923ull},
+        {1, false, 1661, 16028909599814858923ull},
+        {2, true, 3652, 18244816938404760808ull},
+        {2, false, 3894, 15987303474005034675ull},
+        {4, true, 7420, 6746964118554500399ull},
+        {4, false, 8222, 5231990662977606118ull},
+        {8, true, 14359, 6831814070369510685ull},
+        {8, false, 16651, 5688163434929158288ull}}},
       {testing::MakeRandomWorkload(600, 1500, 4, 40, 712),
        5028581123481827329ull,
-       {{1, true, 3571, 482945020427239696ull},
-        {1, false, 3571, 482945020427239696ull},
-        {2, true, 7128, 6170461178078536891ull},
-        {2, false, 8703, 3925454171031172242ull},
-        {4, true, 14877, 5056786667129591614ull},
-        {4, false, 18820, 1644869960832078841ull},
-        {8, true, 30120, 16993355750133389447ull},
-        {8, false, 38664, 6935072537725128439ull}}},
+       {{1, true, 3571, 4365487325679937679ull},
+        {1, false, 3571, 4365487325679937679ull},
+        {2, true, 7128, 8377674375895283842ull},
+        {2, false, 8703, 549687135393732382ull},
+        {4, true, 14877, 16789634186302742604ull},
+        {4, false, 18820, 6833733635468097375ull},
+        {8, true, 30120, 13253867807924671011ull},
+        {8, false, 38664, 7102507794530135443ull}}},
   };
 
   for (const Case& c : cases) {
@@ -398,7 +398,8 @@ TEST(ShardCoordinatorTest, SequentialScatterIsPinned) {
           produced += st.stream_tuples_produced;
           for (const uint64_t x :
                {st.stream_tuples, st.stream_tuples_produced, st.candidates,
-                st.iub_filtered, st.bucket_moves, st.postprocess_sets,
+                st.iub_filtered, st.bucket_moves, st.postings_visited,
+                st.postprocess_sets,
                 st.no_em_skipped, st.em_early_terminated, st.em_computed,
                 st.result_verification_ems, Bits(st.stream_stop_sim),
                 uint64_t{st.memory.Get("index.inverted")},
@@ -428,6 +429,8 @@ TEST(SearchStatsTest, MergeAggregatesEveryField) {
   a.candidates = 7;
   a.iub_filtered = 11;
   a.bucket_moves = 13;
+  a.postings_visited = 101;
+  a.size_cut = 4;
   a.postprocess_sets = 17;
   a.no_em_skipped = 19;
   a.em_early_terminated = 23;
@@ -448,6 +451,8 @@ TEST(SearchStatsTest, MergeAggregatesEveryField) {
   b.candidates = 53;
   b.iub_filtered = 59;
   b.bucket_moves = 61;
+  b.postings_visited = 103;
+  b.size_cut = 3;
   b.postprocess_sets = 67;
   b.no_em_skipped = 71;
   b.em_early_terminated = 73;
@@ -468,6 +473,7 @@ TEST(SearchStatsTest, MergeAggregatesEveryField) {
   EXPECT_EQ(a.candidates, 60u);
   EXPECT_EQ(a.iub_filtered, 70u);
   EXPECT_EQ(a.bucket_moves, 74u);
+  EXPECT_EQ(a.postings_visited, 204u);
   EXPECT_EQ(a.postprocess_sets, 84u);
   EXPECT_EQ(a.no_em_skipped, 90u);
   EXPECT_EQ(a.em_early_terminated, 96u);
@@ -476,9 +482,11 @@ TEST(SearchStatsTest, MergeAggregatesEveryField) {
   EXPECT_EQ(a.result_verification_ems, 126u);
   EXPECT_EQ(a.em_workspace_reuses, 138u);
   // Max semantics: a merged view reports the best stop similarity any
-  // consumer reached and the largest budget any consumer was granted.
+  // consumer reached, the largest budget any consumer was granted and the
+  // largest size cut.
   EXPECT_DOUBLE_EQ(a.stream_stop_sim, 0.9);
   EXPECT_EQ(a.stream_survivor_budget, 32u);
+  EXPECT_EQ(a.size_cut, 4u);  // the strongest cut any shard reached
   // Timers sum per phase, read by enum or by name.
   EXPECT_DOUBLE_EQ(a.timers.Get(core::Phase::kCursorBuild), 1.0);
   EXPECT_DOUBLE_EQ(a.timers.Get(core::Phase::kRefinement), 3.0);

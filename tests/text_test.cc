@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <type_traits>
+#include <utility>
+
 #include "koios/text/dictionary.h"
 #include "koios/text/qgram.h"
 #include "koios/text/tokenizer.h"
@@ -8,6 +11,24 @@ namespace koios::text {
 namespace {
 
 // -------------------------------------------------------------- Dictionary --
+
+// A copy's lookup index would view into the source's strings and dangle
+// once the source is gone, so a dictionary moves but never copies.
+static_assert(!std::is_copy_constructible_v<Dictionary>);
+static_assert(!std::is_copy_assignable_v<Dictionary>);
+static_assert(std::is_move_constructible_v<Dictionary>);
+
+TEST(DictionaryTest, MovedDictionaryKeepsItsLookups) {
+  Dictionary source;
+  source.Intern("alpha");
+  source.Intern("beta");
+  Dictionary moved = std::move(source);
+  EXPECT_EQ(moved.Lookup("beta"), 1u);
+  Dictionary assigned;
+  assigned = std::move(moved);
+  EXPECT_EQ(assigned.Lookup("alpha"), 0u);
+  EXPECT_EQ(assigned.TokenOf(1), "beta");
+}
 
 TEST(DictionaryTest, InternAssignsDenseIds) {
   Dictionary dict;

@@ -48,6 +48,8 @@ const char* SectionName(uint32_t kind) {
     case koios::io::kQuantScales: return "quant-scales";
     case koios::io::kQuantOffsets: return "quant-offsets";
     case koios::io::kQuantSums: return "quant-sums";
+    case koios::io::kPostingOffsets: return "posting-offsets";
+    case koios::io::kPostingRanks: return "posting-ranks";
     default: return "?";
   }
 }
@@ -96,7 +98,7 @@ int Inspect(const std::string& path) {
   }
   std::printf("  sections     %u\n", h.section_count);
   // Re-open is cheap; dump the section table via the public header only.
-  std::printf("  %-14s %12s %12s %10s\n", "kind", "offset", "length", "crc");
+  std::printf("  %-16s %12s %12s %10s\n", "kind", "offset", "length", "crc");
   // The view does not expose the table directly; recover it from the file.
   {
     std::FILE* f = std::fopen(path.c_str(), "rb");
@@ -105,7 +107,7 @@ int Inspect(const std::string& path) {
       for (uint32_t i = 0; i < h.section_count; ++i) {
         koios::io::SectionEntry e;
         if (std::fread(&e, sizeof(e), 1, f) != 1) break;
-        std::printf("  %-14s %12" PRIu64 " %12" PRIu64 " 0x%08x\n",
+        std::printf("  %-16s %12" PRIu64 " %12" PRIu64 " 0x%08x\n",
                     SectionName(e.kind), e.offset, e.length, e.crc);
       }
       std::fclose(f);
@@ -127,7 +129,8 @@ int Verify(const std::string& path) {
       return 2;
     }
     // Borrowing runs the remaining structural validation (offset spans,
-    // row-table bijection) that eager CRC alone does not cover.
+    // row-table bijection) that eager CRC alone does not cover; the
+    // postings' transpose check ran with the eager pass.
     auto dict = view.value()->BorrowDictionary();
     if (!dict.ok()) {
       std::fprintf(stderr, "FAIL: %s\n", dict.status().ToString().c_str());
@@ -142,6 +145,14 @@ int Verify(const std::string& path) {
       auto store = view.value()->BorrowEmbeddings();
       if (!store.ok()) {
         std::fprintf(stderr, "FAIL: %s\n", store.status().ToString().c_str());
+        return 2;
+      }
+    }
+    if (view.value()->has_postings()) {
+      auto postings = view.value()->BorrowPostings(sets.value());
+      if (!postings.ok()) {
+        std::fprintf(stderr, "FAIL: %s\n",
+                     postings.status().ToString().c_str());
         return 2;
       }
     }
