@@ -16,9 +16,7 @@ namespace {
 void Run() {
   PrintHeader("Figure 6: WDC — time, phase breakdown, memory by interval");
   BenchWorkload w = MakeBenchWorkload(Dataset::kWdc);
-  core::SearcherOptions options;
-  options.num_partitions = 10;
-  core::KoiosSearcher searcher(&w.corpus.sets, w.index.get(), options);
+  core::KoiosSearcher searcher(&w.corpus.sets, w.index.get());
   baselines::BruteForceBaseline baseline(&w.corpus.sets, w.index.get());
   core::SearchParams params;
   params.k = 10;
@@ -56,8 +54,8 @@ void Run() {
                 bq.intervals[iv].Label().c_str(), kt.Mean(), bt.Mean(),
                 refine_share.Mean(), post_share.Mean(), km.Mean(), bm.Mean());
   }
-  std::printf("\nPanels (a)-(d) of Fig. 6 as columns; k=10, alpha=0.8, 10"
-              " partitions.\n");
+  std::printf("\nPanels (a)-(d) of Fig. 6 as columns; k=10, alpha=0.8,"
+              " unpartitioned.\n");
 }
 
 }  // namespace

@@ -14,19 +14,24 @@
 // set against the direct semantic-overlap oracle (tied sets at θ*k may
 // swap identities between runs, as in the exactness test suite).
 //
-// Sections: unpartitioned, and 4 partitions searched one after another
-// through one on-demand edge cache.
+// Sections: unpartitioned, and the paper's 4 random partitions (§VI,
+// seed 7), each searched through a searcher of its own over an inverted
+// index of its sets, one after another under one shared θlb, and the
+// partition lists merged with core::MergeTopK.
 //
 // Emits a table and, with `--json <path>`, a JSON blob for CI. Exit 2 =
 // top-k mismatch between the modes OR tuple reduction below the 30%
 // acceptance bar (both deterministic); exit 3 = no end-to-end speedup
-// (timing noise, tolerated on shared runners).
+// (timing noise, tolerated on shared runners); exit 1 = a bad flag (an
+// unknown one, a missing value, or a --vocab the corpus spec rejects).
 // Usage: bench_micro_stream_feedback [--json out.json] [--vocab N]
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <iterator>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -35,6 +40,7 @@
 #include "koios/data/query_benchmark.h"
 #include "koios/matching/semantic_overlap.h"
 #include "koios/embedding/synthetic_model.h"
+#include "koios/index/inverted_index.h"
 #include "koios/sim/cosine_similarity.h"
 #include "koios/sim/exact_knn_index.h"
 #include "koios/util/rng.h"
@@ -61,7 +67,39 @@ struct Section {
   ModeOutcome drain;
 };
 
-ModeOutcome RunMode(core::KoiosSearcher* searcher,
+// The paper's random partitions (§VI: "we randomly partition the
+// repository"): each set drawn into one of `partitions`, ids ascending in
+// each.
+std::vector<std::vector<SetId>> RandomPartitions(
+    const index::SetCollection& sets, size_t partitions) {
+  std::vector<std::vector<SetId>> members(partitions);
+  util::Rng rng(7);
+  for (SetId id = 0; id < sets.size(); ++id) {
+    members[rng.NextBounded(partitions)].push_back(id);
+  }
+  return members;
+}
+
+// One query over the partitions' searchers, one after another under one
+// shared θlb; the partition lists merge by exact score (params verify).
+core::SearchResult SearchEachPartition(
+    const std::vector<core::KoiosSearcher>& searchers,
+    std::span<const TokenId> query, const core::SearchParams& params) {
+  core::GlobalThreshold theta;
+  core::SearchResult merged;
+  std::vector<core::ResultEntry> entries;
+  for (const core::KoiosSearcher& searcher : searchers) {
+    core::SearchContext ctx;
+    ctx.AttachSharedTheta(&theta);
+    core::SearchResult r = searcher.Search(query, params, &ctx);
+    entries.insert(entries.end(), r.topk.begin(), r.topk.end());
+    merged.stats.Merge(r.stats);
+  }
+  merged.topk = core::MergeTopK(std::move(entries), params.k);
+  return merged;
+}
+
+ModeOutcome RunMode(const std::vector<core::KoiosSearcher>& searchers,
                     const std::vector<data::BenchmarkQuery>& queries,
                     const core::SearchParams& params) {
   ModeOutcome out;
@@ -71,7 +109,8 @@ ModeOutcome RunMode(core::KoiosSearcher* searcher,
     double stop_sum = 0.0;
     std::vector<std::vector<core::ResultEntry>> topk;
     for (const auto& query : queries) {
-      core::SearchResult r = searcher->Search(query.tokens, params);
+      core::SearchResult r =
+          SearchEachPartition(searchers, query.tokens, params);
       produced += r.stats.stream_tuples_produced;
       consumed += r.stats.stream_tuples;
       stop_sum += r.stats.stream_stop_sim;
@@ -123,8 +162,9 @@ bool SameTopK(const ModeOutcome& a, const ModeOutcome& b,
   return true;
 }
 
-int Run(size_t vocab, const std::string& json_path) {
-  // The skewed base corpus: Zipf 1.0 element draws over a 10k vocabulary.
+// The skewed base corpus: Zipf element draws over a `vocab`-token
+// vocabulary (10k by default).
+data::CorpusSpec BaseSpec(size_t vocab) {
   data::CorpusSpec spec;
   spec.name = "skewed-10k-neardup";
   spec.num_sets = 4000;
@@ -136,6 +176,11 @@ int Run(size_t vocab, const std::string& json_path) {
   spec.avg_set_size = 30.0;
   spec.size_stddev = 12.0;
   spec.seed = 20260730;
+  return spec;
+}
+
+// `spec` must pass data::ValidateCorpusSpec.
+int Run(const data::CorpusSpec& spec, const std::string& json_path) {
   util::WallTimer setup_timer;
   data::Corpus base = data::GenerateCorpus(spec);
 
@@ -197,6 +242,7 @@ int Run(size_t vocab, const std::string& json_path) {
   core::SearchParams params_base;
   params_base.k = 5;
   params_base.alpha = 0.45;  // deep α-tail: the drain pays for it, feedback doesn't
+  params_base.verify_result_scores = true;  // partition lists merge exactly
 
   Section sections[] = {
       {"p=1 serial", 1, {}, {}},
@@ -213,14 +259,20 @@ int Run(size_t vocab, const std::string& json_path) {
   bool below_bar = false;
   bool no_speedup = false;
   for (Section& s : sections) {
-    core::SearcherOptions options;
-    options.num_partitions = s.partitions;
-    core::KoiosSearcher searcher(&corpus.sets, &index, options);
+    std::vector<index::InvertedIndex> indexes;
+    for (const std::vector<SetId>& members :
+         RandomPartitions(corpus.sets, s.partitions)) {
+      indexes.emplace_back(corpus.sets, members);
+    }
+    std::vector<core::KoiosSearcher> searchers;
+    for (const index::InvertedIndex& inverted : indexes) {
+      searchers.emplace_back(&corpus.sets, &index, &inverted);
+    }
     core::SearchParams params = params_base;
     params.use_stream_feedback = true;
-    s.feedback = RunMode(&searcher, queries, params);
+    s.feedback = RunMode(searchers, queries, params);
     params.use_stream_feedback = false;
-    s.drain = RunMode(&searcher, queries, params);
+    s.drain = RunMode(searchers, queries, params);
 
     if (!SameTopK(s.feedback, s.drain, queries, corpus.sets, cosine,
                   params_base.alpha)) {
@@ -244,7 +296,8 @@ int Run(size_t vocab, const std::string& json_path) {
   std::printf(
       "\nk=%zu alpha=%.2f, %zu queries (stored sets), best of %zu reps.\n"
       "reduct = tuples the feedback loop never materialized; stop_sim =\n"
-      "mean similarity at which the stream stopped (0 = drained to α).\n",
+      "mean of the highest similarity at which a partition's stream\n"
+      "stopped (0 = drained to α).\n",
       params_base.k, params_base.alpha, queries.size(), kReps);
 
   if (!json_path.empty()) {
@@ -306,11 +359,44 @@ int main(int argc, char** argv) {
   std::string json_path;
   size_t vocab = 10000;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--vocab") == 0 && i + 1 < argc) {
-      vocab = static_cast<size_t>(std::atol(argv[++i]));
+    const std::string flag = argv[i];
+    if (flag != "--json" && flag != "--vocab") {
+      std::fprintf(stderr,
+                   "bench_micro_stream_feedback: unknown flag %s\n"
+                   "usage: %s [--json out.json] [--vocab N]\n",
+                   flag.c_str(), argv[0]);
+      return 1;
+    }
+    if (i + 1 >= argc) {
+      std::fprintf(stderr,
+                   "bench_micro_stream_feedback: missing value for %s\n",
+                   flag.c_str());
+      return 1;
+    }
+    const char* value = argv[++i];
+    if (flag == "--json") {
+      json_path = value;
+      continue;
+    }
+    // The whole value, digits only (no sign, space or suffix), no overflow.
+    const char* end = value + std::strlen(value);
+    const auto [ptr, ec] = std::from_chars(value, end, vocab);
+    if (ec != std::errc() || ptr != end) {
+      std::fprintf(stderr,
+                   "bench_micro_stream_feedback: --vocab takes a decimal "
+                   "integer, got '%s'\n",
+                   value);
+      return 1;
     }
   }
-  return koios::Run(vocab, json_path);
+  const koios::data::CorpusSpec spec = koios::BaseSpec(vocab);
+  if (const koios::util::Status valid = koios::data::ValidateCorpusSpec(spec);
+      !valid.ok()) {
+    std::fprintf(stderr,
+                 "bench_micro_stream_feedback: cannot generate --vocab %zu: "
+                 "%s\n",
+                 vocab, valid.message().c_str());
+    return 1;
+  }
+  return koios::Run(spec, json_path);
 }

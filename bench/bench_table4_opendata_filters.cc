@@ -23,9 +23,7 @@ namespace {
 void Run(Dataset dataset, const char* title) {
   PrintHeader(title);
   BenchWorkload w = MakeBenchWorkload(dataset);
-  core::SearcherOptions options;
-  options.num_partitions = 10;
-  core::KoiosSearcher searcher(&w.corpus.sets, w.index.get(), options);
+  core::KoiosSearcher searcher(&w.corpus.sets, w.index.get());
   core::SearchParams params;
   params.k = 10;
   params.alpha = 0.8;
@@ -52,9 +50,9 @@ void Run(Dataset dataset, const char* title) {
                 bq.intervals[iv].Label().c_str(), cand.Mean(), iub.Mean(),
                 no_em.Mean(), em_et.Mean(), em.Mean());
   }
-  std::printf("\nAverage counts per query; k=10, alpha=0.8, 10 partitions."
-              " Intervals are the\npaper's, rescaled to the replica's maximum"
-              " set size.\n");
+  std::printf("\nAverage counts per query; k=10, alpha=0.8, unpartitioned;"
+              " No-EM admissions\nare not verified. Intervals are the"
+              " paper's, rescaled to the replica's\nmaximum set size.\n");
 }
 
 }  // namespace

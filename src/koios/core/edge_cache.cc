@@ -46,18 +46,19 @@ void EdgeCache::Produce(size_t until) {
 
 void EdgeCache::FinishProduction() {
   if (sealed_) return;
-  // The consumers stopped pulling: unproduced pairs are bounded by whatever
+  // The consumer stopped pulling: unproduced pairs are bounded by whatever
   // the stream would emit next (heap top) or, when the heap is empty, the
   // stream drained.
   const auto peek = stream_->PeekSim();
   Seal(!peek.has_value(), peek.value_or(0.0));
 }
 
-size_t EdgeCache::NextTuples(size_t from, std::span<sim::StreamTuple> buf) {
-  if (!sealed_) Produce(from + buf.size());
-  if (from >= tuples_.size()) return 0;
-  const size_t n = std::min(buf.size(), tuples_.size() - from);
-  std::copy_n(tuples_.begin() + static_cast<ptrdiff_t>(from), n, buf.begin());
+size_t EdgeCache::NextTuples(std::span<sim::StreamTuple> buf) {
+  if (!sealed_) Produce(handed_out_ + buf.size());
+  const size_t n = std::min(buf.size(), tuples_.size() - handed_out_);
+  std::copy_n(tuples_.begin() + static_cast<ptrdiff_t>(handed_out_), n,
+              buf.begin());
+  handed_out_ += n;
   return n;
 }
 
@@ -79,15 +80,11 @@ void EdgeCache::BuildMatrixInto(std::span<const TokenId> candidate_tokens,
                                 std::vector<uint32_t>* query_rows,
                                 std::vector<uint32_t>* set_cols,
                                 matching::WeightMatrix* m) const {
+  assert(sealed_);
   query_rows->clear();
   set_cols->clear();
 
-  // Sealed caches answer from their recorded stop state; an unsealed cache
-  // (a partition's post-processing while later partitions may still extend
-  // production) asks the stream directly.
-  const bool exhausted =
-      sealed_ ? exhausted_ : !stream_->PeekSim().has_value();
-  if (!exhausted) {
+  if (!exhausted_) {
     // The stream stopped above α: edges in [α, stop) may be missing from
     // the cache, and the exact matchings must see the full simα matrix.
     // One multi-query kernel call scores every (query element, candidate

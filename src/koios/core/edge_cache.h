@@ -1,22 +1,20 @@
 // Materialized token stream + similarity cache.
 //
-// Refinement consumes the stream Ie in non-increasing similarity order. We
-// materialize the consumed prefix once per query: (1) partitioned search
-// can replay the same global order in every partition, and (2) the
-// α-surviving edges double as the similarity cache the paper reuses when
+// Refinement consumes the stream Ie in non-increasing similarity order.
+// The cache keeps the consumed prefix for the rest of the query: its
+// α-surviving edges are the similarity cache the paper reuses when
 // initializing the matching matrices during post-processing (§VIII-A3).
 //
-// Production is on demand, on the consumer's thread: NextTuples orders
-// and caches tuples only when a consumer asks for a position not produced
-// yet, so the stream ends where the consumers stop pulling. With the θlb
-// feedback loop on (§IV–VI), a refinement consumer stops once no unseen
-// set can reach the top-k, and tuples below that point are never ordered,
-// scored or cached. FinishProduction then seals the cache with the
-// similarity of the next unproduced tuple as slack, so consumers keep it
-// in their upper bounds and BuildMatrix completes the missing below-stop
-// edges through the similarity's batch kernels, preserving exactness end
-// to end. Without feedback the consumers drain the stream to α as the
-// seed did.
+// Production is on demand, on the consumer's thread: NextTuples orders and
+// caches tuples only when its one consumer asks for more, so the stream
+// ends where that consumer stops pulling. With the θlb feedback loop on
+// (§IV–VI), refinement stops once no unseen set can reach the top-k, and
+// tuples below that point are never ordered, scored or cached.
+// FinishProduction then seals the cache with the similarity of the next
+// unproduced tuple as slack, so post-processing keeps it in its upper
+// bounds and BuildMatrix completes the missing below-stop edges through
+// the similarity's batch kernels, preserving exactness end to end.
+// Without feedback the consumer drains the stream to α as the seed did.
 //
 // The one-argument constructor is the same mode drained to the end.
 #ifndef KOIOS_CORE_EDGE_CACHE_H_
@@ -53,14 +51,15 @@ class EdgeCache {
   static constexpr size_t kPullChunk = 16;
 
   /// Drains `stream` to its end in the constructor (order preserved in
-  /// `tuples()`, per-token edge lists in `EdgesOf`).
+  /// `tuples()`, per-token edge lists in `EdgesOf`); NextTuples then hands
+  /// out the drained tuples.
   explicit EdgeCache(sim::TokenStream* stream);
 
-  /// On-demand production: nothing is produced until a consumer pulls
+  /// On-demand production: nothing is produced until the consumer pulls
   /// through NextTuples. A non-null `completer` (the index's
-  /// SimilarityFunction) turns the θlb feedback loop on: consumers may stop
-  /// pulling early (FeedbackEnabled), and BuildMatrix completes the
-  /// α-edges they left unproduced. `ctx` (nullable) lets production honor
+  /// SimilarityFunction) turns the θlb feedback loop on: the consumer may
+  /// stop pulling early (FeedbackEnabled), and BuildMatrix completes the
+  /// α-edges it left unproduced. `ctx` (nullable) lets production honor
   /// a per-query deadline: every pull that produces polls it and throws
   /// SearchAborted. Call FinishProduction once consumption is over.
   EdgeCache(sim::TokenStream* stream, const sim::SimilarityFunction* completer,
@@ -74,20 +73,19 @@ class EdgeCache {
   /// the stream drained. No-op when already sealed.
   void FinishProduction();
 
-  /// Copies up to `buf.size()` tuples starting at stream position `from`
-  /// into `buf` and returns how many were copied; 0 means the stream is
-  /// exhausted at `from` (the cache is then sealed). Positions not produced
-  /// yet are produced on the spot. Each consumer owns its own cursor
-  /// (`from`), so consumers run one after another over the same stream,
-  /// and a later one replays the prefix an earlier one produced.
-  size_t NextTuples(size_t from, std::span<sim::StreamTuple> buf);
+  /// Copies the next up to `buf.size()` tuples of the stream, those after
+  /// every tuple handed out before, into `buf` and returns how many were
+  /// copied; 0 means the stream is exhausted (the cache is then sealed).
+  /// Tuples not produced yet are produced on the spot. The cache has one
+  /// consumer: each tuple is handed out once.
+  size_t NextTuples(std::span<sim::StreamTuple> buf);
 
   /// True once production is over (the stream drained, or
   /// FinishProduction sealed it); tuples() is then immutable.
   bool Materialized() const { return sealed_; }
 
   /// True when the feedback loop is wired (a completer was supplied).
-  /// Refinement consumers use this to decide whether they may stop
+  /// The refinement consumer uses this to decide whether it may stop
   /// consuming early.
   bool FeedbackEnabled() const { return completer_ != nullptr; }
 
@@ -100,7 +98,7 @@ class EdgeCache {
   /// Number of tuples produced (stats: stream_tuples_produced).
   size_t produced() const { return tuples_.size(); }
 
-  /// True if the stream drained to α; false if the consumers stopped it
+  /// True if the stream drained to α; false if the consumer stopped it
   /// early, in which case stop_sim() is the slack.
   bool ExhaustedToAlpha() const {
     assert(sealed_);
@@ -120,21 +118,19 @@ class EdgeCache {
     return tuples_;
   }
 
-  /// Produced α-surviving edges of token `t` (empty if none). May be used
-  /// on an unsealed cache: BuildMatrix's completion overlay reads the
-  /// current prefix, which is exact because completion computes every
-  /// missing pair anyway. The returned span is invalidated by any further
-  /// production.
+  /// Produced α-surviving edges of token `t` (empty if none). The
+  /// returned span is invalidated by any further production.
   std::span<const CachedEdge> EdgesOf(TokenId t) const;
 
   /// Builds the bipartite weight matrix of the query vs the tokens of a
-  /// candidate set, restricted to nodes with at least one α-edge. Returns
-  /// the number of query rows/set columns used via the out vectors (row r
-  /// corresponds to query position query_rows[r], column c to
-  /// candidate_tokens[set_cols[c]]). When the stream stopped early, the
-  /// below-stop edges missing from the cache are completed with ONE
-  /// SimilarityBatchMulti kernel call (cached edges stay authoritative), so
-  /// exact matching always sees the full simα matrix of the paper.
+  /// candidate set, restricted to nodes with at least one α-edge, from a
+  /// sealed cache. Returns the number of query rows/set columns used via
+  /// the out vectors (row r corresponds to query position query_rows[r],
+  /// column c to candidate_tokens[set_cols[c]]). When the stream stopped
+  /// early, the below-stop edges missing from the cache are completed with
+  /// ONE SimilarityBatchMulti kernel call (cached edges stay
+  /// authoritative), so exact matching always sees the full simα matrix of
+  /// the paper.
   matching::WeightMatrix BuildMatrix(std::span<const TokenId> candidate_tokens,
                                      std::vector<uint32_t>* query_rows,
                                      std::vector<uint32_t>* set_cols) const;
@@ -160,6 +156,7 @@ class EdgeCache {
   std::vector<TokenId> query_;  // the stream's query (matrix completion)
   Score alpha_ = 0.0;
   std::vector<sim::StreamTuple> tuples_;
+  size_t handed_out_ = 0;  // tuples NextTuples has returned
   std::unordered_map<TokenId, std::vector<CachedEdge>> edges_;
   bool sealed_ = false;
   bool exhausted_ = true;  // valid once sealed_

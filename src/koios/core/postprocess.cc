@@ -209,9 +209,9 @@ std::vector<ResultEntry> PostProcessor::Run(RefinementOutput refinement,
   // by UPPER BOUNDS: a No-EM admission keeps its inflated refinement
   // bound while an EM'd set is repositioned to its exact score, so WHICH
   // of several sets tied at the k-th exact score made the window depends
-  // on processing history — and serial, partitioned and sharded runs have
-  // different histories. The bit-identity contract (the same top-k at
-  // every partition, shard and thread count) needs one canonical answer:
+  // on processing history — and serial and sharded runs have different
+  // histories. The bit-identity contract (the same top-k at every shard
+  // and thread count) needs one canonical answer:
   // smallest ids win. Sweep the remaining alive sets that could still
   // reach the k-th exact score (SO <= ub bounds the sweep; early
   // termination against θk keeps the non-tied ones cheap) and let the

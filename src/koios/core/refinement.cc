@@ -188,13 +188,10 @@ RefinementOutput RefinementPhase::Run(EdgeCache* cache, SearchStats* stats,
     ++stats->stream_tuples;
   };
 
-  // Pull the stream in chunks; a pull past the produced prefix produces
-  // it on the spot, and a later partition replays what an earlier one
-  // produced.
+  // Pull the stream in chunks; the cache produces each chunk on the spot.
   std::array<sim::StreamTuple, EdgeCache::kPullChunk> chunk;
-  size_t consumed = 0;
   while (!stopped_early) {
-    const size_t n = cache->NextTuples(consumed, chunk);
+    const size_t n = cache->NextTuples(chunk);
     if (n == 0) break;
     for (size_t i = 0; i < n; ++i) {
       if (should_stop(chunk[i].sim)) {
@@ -204,11 +201,9 @@ RefinementOutput RefinementPhase::Run(EdgeCache* cache, SearchStats* stats,
       }
       process_tuple(chunk[i]);
     }
-    consumed += n;
   }
   if (!stopped_early) {
-    // Consumed everything produced, so the cache is sealed: 0 when the
-    // stream drained to α, the sealed slack when it was stopped earlier.
+    // The stream ended, so the cache is sealed: 0 when it drained to α.
     out.ub_slack = cache->stop_sim();
   }
 

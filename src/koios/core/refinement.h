@@ -46,20 +46,20 @@ struct RefinementOutput {
 
 class RefinementPhase {
  public:
-  /// `inverted` indexes the sets of this partition only (or all sets when
-  /// unpartitioned); it also knows each set's size and id, so the phase
+  /// `inverted` indexes the searched sets (the whole collection, or one
+  /// partition of it); it also knows each set's size and id, so the phase
   /// reads nothing else of the collection. The run's candidate table spans
-  /// the partition's size ranks.
+  /// the index's size ranks.
   RefinementPhase(const index::InvertedIndex* inverted, size_t query_size,
                   const SearchParams& params);
 
-  /// Consumes the stream incrementally through `cache` (pulling production
-  /// along past the produced prefix, replaying the prefix before it) and
-  /// applies Algorithm 1 + the iUB filter of §V in this thread's candidate
-  /// table. Counters are accumulated into `stats`.
+  /// Consumes the stream incrementally through `cache`, its one consumer
+  /// (each pull produces the tuples it hands out), and applies Algorithm 1
+  /// + the iUB filter of §V in this thread's candidate table. Counters are
+  /// accumulated into `stats`.
   ///
   /// `ctx` (nullable) is the per-query SearchContext. Its GlobalThreshold
-  /// is the cross-partition θlb of §VI: any partition's k-th best lower
+  /// may be the cross-partition θlb of §VI: any partition's k-th best lower
   /// bound is a valid lower bound on the *merged* θ*k, so partitions can
   /// prune with the maximum across all of them without affecting the
   /// merged result's exactness. Every θlb improvement is published
@@ -81,7 +81,7 @@ class RefinementPhase {
   ///     post-processing; this work-balance condition only delays the
   ///     stop, so exactness is untouched).
   /// The declined similarity becomes the survivors' upper-bound slack
-  /// (ub_slack). Production ends with it: the cache produces nothing a
+  /// (ub_slack). Production ends with it: the cache produces nothing the
   /// consumer does not pull.
   RefinementOutput Run(EdgeCache* cache, SearchStats* stats,
                        SearchContext* ctx = nullptr);

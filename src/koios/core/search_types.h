@@ -14,8 +14,8 @@
 
 namespace koios::core {
 
-/// θlb shared across searched partitions and shards (paper §VI: "all
-/// partitions share a global θlb that is the maximum of the θlb").
+/// θlb shared across the shards of one query (paper §VI: "all partitions
+/// share a global θlb that is the maximum of the θlb").
 /// Monotone non-decreasing maximum of published values. Besides pruning, it
 /// drives the stream-feedback loop: refinement derives its stop similarity
 /// τ = (θlb − ε) / |Q| from it, so it is published from refinement (greedy
@@ -56,8 +56,8 @@ struct SearchAborted : public std::exception {
 /// exactly the state that must be PER QUERY for concurrent searches over
 /// one shared repository snapshot to be correct:
 ///
-///  * the cross-partition θlb (GlobalThreshold), which a caller (the shard
-///    coordinator) may point at one threshold shared by several searches;
+///  * the θlb (GlobalThreshold), which a caller (the shard coordinator)
+///    may point at one threshold shared by the searches of its shards;
 ///  * deadline / cancellation: phases poll Cancelled() at coarse cadences
 ///    (every few dozen stream tuples, every exact matching) and throw
 ///    SearchAborted.
@@ -151,8 +151,9 @@ struct SearchParams {
   bool use_stream_feedback = true;
 
   /// Compute the exact SO of every reported result set even when the
-  /// No-EM filter certified membership without verification. Needed for
-  /// exact cross-partition merging; counted separately in the stats.
+  /// No-EM filter certified membership without verification. Needed to
+  /// merge the answers of several shards (MergeTopK), so the shard
+  /// coordinator forces it there; counted separately in the stats.
   bool verify_result_scores = true;
 };
 

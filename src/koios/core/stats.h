@@ -50,7 +50,8 @@ struct SearchStats {
   // --- refinement --------------------------------------------------------
   /// Tuples consumed from the token stream Ie.
   size_t stream_tuples = 0;
-  /// Tuples the edge cache produced (once per query, not per partition).
+  /// Tuples the edge cache produced (a shard's own; summed over the shards
+  /// when merged).
   /// With θlb feedback this is the pruned count; the drain-to-α path
   /// produces every pair >= α.
   size_t stream_tuples_produced = 0;
@@ -75,7 +76,7 @@ struct SearchStats {
   size_t postings_visited = 0;
   /// The size cut refinement ended at, ⌈θlb − ε⌉: the walk skipped every
   /// set with min(|Q|, |C|) below it from some tuple on (0 = no cut; the
-  /// largest of a query's partitions).
+  /// largest of a query's shards when merged).
   size_t size_cut = 0;
 
   // --- post-processing ---------------------------------------------------

@@ -108,7 +108,7 @@ void QueryEngine::SwapSnapshot(std::shared_ptr<const Snapshot> snapshot) {
   // the borrowed-parts construction mode).
   assert(snapshot != nullptr);
   if (snapshot == nullptr) return;
-  // Build the replacement state (partition inverted indexes, cache budget)
+  // Build the replacement state (shard inverted indexes, cache budget)
   // BEFORE taking the lock: in-flight and newly admitted queries keep
   // serving against the current state while the expensive part runs; only
   // the pointer flip itself is serialized.

@@ -22,7 +22,7 @@
 //    SubmitCancellable); a batch is a loop of submissions, and queries
 //    that share tokens share the cursors the first of them builds.
 //  * Live snapshot hot-swap. Everything a query dereferences — snapshot,
-//    searcher (partition indexes), neighbor index — is bundled in one
+//    shard searchers and their indexes, neighbor index — is bundled in one
 //    immutable ServingState resolved at ADMISSION time and pinned by the
 //    query until it completes. SwapSnapshot builds a replacement state
 //    off the serving path and flips the shared pointer between queries:
@@ -31,8 +31,8 @@
 //    and the old snapshot is destroyed when its last in-flight query
 //    drops the reference — no drain, no lock held across a search.
 //  * Sharded scatter-gather (num_shards > 1). The set collection is
-//    partitioned into N contiguous id ranges, the partitions of one
-//    searcher (dict/embeddings/neighbor index replicated — shared pages
+//    partitioned into N contiguous id ranges, each searched by a searcher
+//    of its own (dict/embeddings/neighbor index replicated — shared pages
 //    under the v4 mmap format); every query fans out across all shards
 //    (shard 0 on the query's worker, the rest on a dedicated shard pool),
 //    exchanges θlb mid-flight so any shard's proven bound prunes the
@@ -83,12 +83,12 @@ struct EngineOptions {
 
   /// Corpus shards, the paper's §VI partitions searched concurrently: the
   /// set collection is partitioned into this many contiguous id ranges,
-  /// the partitions of one searcher, with one query fanned across all of
+  /// each with a searcher of its own, with one query fanned across all of
   /// them (shard 0 on the query's worker, the rest on a dedicated shard
   /// pool) and the per-shard top-k lists merged deterministically. The
   /// shards always exchange θlb mid-query, so a bound proven by any shard
   /// prunes the others. Dict, embeddings and the neighbor index stay
-  /// shared (replicated) across shards. 1 = one partition over the whole
+  /// shared (replicated) across shards. 1 = one searcher over the whole
   /// collection; results are bit-identical at every N (hard gate in
   /// bench_shard_scaling). Clamped to the set count. Fixed for the
   /// engine's lifetime — hot swaps
@@ -234,7 +234,7 @@ class QueryEngine {
 
   /// Atomically points the engine at a rebuilt repository between queries
   /// (reindex, corpus update) WITHOUT draining: the replacement serving
-  /// state — searcher with partition indexes, cursor-cache budget — is
+  /// state — shard searchers and indexes, cursor-cache budget — is
   /// built here off the serving path, then flipped. Queries admitted
   /// before the flip complete against the snapshot they were admitted
   /// under (bit-identical to an un-swapped engine); queries submitted
@@ -304,7 +304,7 @@ class QueryEngine {
 
   /// Everything a query dereferences while it runs, bundled immutably so
   /// a hot swap is one shared_ptr flip — INCLUDING every shard: the
-  /// coordinator (and the searcher with every shard's index inside it)
+  /// coordinator (with every shard's searcher and index inside it)
   /// lives here, so a swap replaces all N shards atomically; a query can
   /// never see shard 0 of one snapshot and shard 1 of another. A query
   /// pins the state it was ADMITTED under (captured into its task), which
@@ -320,11 +320,11 @@ class QueryEngine {
                       snapshot != nullptr ? snapshot->postings() : nullptr) {}
 
     std::shared_ptr<const Snapshot> snapshot;  // null for borrowed parts
-    ShardCoordinator coordinator;  // holds the searcher and shard indexes
+    ShardCoordinator coordinator;  // holds the shard searchers and indexes
   };
   using StatePtr = std::shared_ptr<const ServingState>;
 
-  /// Builds a serving state (partition indexes, cursor cache budget).
+  /// Builds a serving state (shard indexes, cursor cache budget).
   /// Runs off the serving path — existing queries keep executing against
   /// the current state meanwhile.
   StatePtr MakeState(std::shared_ptr<const Snapshot> snapshot,

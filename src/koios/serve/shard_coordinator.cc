@@ -1,10 +1,13 @@
 #include "koios/serve/shard_coordinator.h"
 
 #include <algorithm>
+#include <atomic>
 #include <exception>
 #include <future>
+#include <mutex>
 #include <numeric>
 #include <optional>
+#include <thread>
 #include <utility>
 
 #include "koios/util/timer.h"
@@ -25,25 +28,40 @@ std::vector<ShardRange> ShardRanges(size_t set_count, size_t num_shards) {
 
 namespace {
 
-/// Each shard's members: the ids of its range, ascending.
-std::vector<std::vector<SetId>> ShardMembers(size_t set_count,
-                                             size_t num_shards) {
-  std::vector<std::vector<SetId>> members;
-  for (const ShardRange& range : ShardRanges(set_count, num_shards)) {
-    std::vector<SetId>& ids = members.emplace_back(range.end - range.first);
-    std::iota(ids.begin(), ids.end(), range.first);
+/// Each shard's ranked index: shard 0 on the calling thread, the others on
+/// at most min(N − 1, hardware threads) short-lived threads that take the
+/// shards in turn. A build failure (bad_alloc) is rethrown here once every
+/// thread has joined.
+std::vector<index::InvertedIndex> BuildShardIndexes(
+    const index::SetCollection& sets, const std::vector<ShardRange>& ranges) {
+  std::vector<index::InvertedIndex> built(ranges.size());
+  std::atomic<size_t> next{1};
+  std::mutex error_mutex;
+  std::exception_ptr error;
+  auto build = [&](size_t i) {
+    try {
+      std::vector<SetId> members(ranges[i].end - ranges[i].first);
+      std::iota(members.begin(), members.end(), ranges[i].first);
+      built[i] = index::InvertedIndex(sets, members);
+    } catch (...) {
+      std::lock_guard<std::mutex> lock(error_mutex);
+      if (error == nullptr) error = std::current_exception();
+    }
+  };
+  const size_t helpers =
+      std::min<size_t>(ranges.size() - 1,
+                       std::max(1u, std::thread::hardware_concurrency()));
+  std::vector<std::thread> threads;
+  threads.reserve(helpers);
+  for (size_t t = 0; t < helpers; ++t) {
+    threads.emplace_back([&] {
+      for (size_t i; (i = next.fetch_add(1)) < ranges.size();) build(i);
+    });
   }
-  return members;
-}
-
-core::KoiosSearcher MakeSearcher(const index::SetCollection* sets,
-                                 const sim::SimilarityIndex* index,
-                                 size_t num_shards,
-                                 const index::InvertedIndex* postings) {
-  if (postings != nullptr && ShardRanges(sets->size(), num_shards).size() == 1) {
-    return core::KoiosSearcher(sets, index, postings);
-  }
-  return core::KoiosSearcher(sets, index, ShardMembers(sets->size(), num_shards));
+  build(0);
+  for (std::thread& thread : threads) thread.join();
+  if (error != nullptr) std::rethrow_exception(error);
+  return built;
 }
 
 }  // namespace
@@ -52,8 +70,19 @@ ShardCoordinator::ShardCoordinator(const index::SetCollection* sets,
                                    const sim::SimilarityIndex* index,
                                    const ShardOptions& options,
                                    const index::InvertedIndex* postings)
-    : options_(options),
-      searcher_(MakeSearcher(sets, index, options.num_shards, postings)) {}
+    : options_(options) {
+  const std::vector<ShardRange> ranges =
+      ShardRanges(sets->size(), options.num_shards);
+  if (ranges.size() == 1 && postings != nullptr) {
+    searchers_.emplace_back(sets, index, postings);
+    return;
+  }
+  indexes_ = BuildShardIndexes(*sets, ranges);
+  searchers_.reserve(indexes_.size());
+  for (const index::InvertedIndex& inverted : indexes_) {
+    searchers_.emplace_back(sets, index, &inverted);
+  }
+}
 
 core::SearchResult ShardCoordinator::Execute(std::span<const TokenId> query,
                                              const core::SearchParams& params,
@@ -68,6 +97,12 @@ core::SearchResult ShardCoordinator::Execute(std::span<const TokenId> query,
   // per query, so no reset ordering to get wrong.
   core::GlobalThreshold shared_theta;
   const bool exchange = options_.theta_exchange && n > 1;
+
+  // Shard lists merge by score (MergeTopK, below), which needs exact
+  // scores: a set reported with its No-EM lower bound could lose its place
+  // to a set from another shard whose exact score is below its own.
+  core::SearchParams shard_params = params;
+  if (n > 1) shard_params.verify_result_scores = true;
 
   // SearchContext holds atomics (non-movable) — heap-pin each one.
   std::vector<std::unique_ptr<core::SearchContext>> contexts;
@@ -87,8 +122,7 @@ core::SearchResult ShardCoordinator::Execute(std::span<const TokenId> query,
     std::optional<util::TraceSpan> span;
     if (n > 1) span.emplace("shard.execute", "shard", i);
     util::WallTimer timer;
-    partial[i] =
-        searcher_.SearchPartition(i, query, params, contexts[i].get());
+    partial[i] = searchers_[i].Search(query, shard_params, contexts[i].get());
     seconds[i] = timer.ElapsedSeconds();
   };
 
@@ -138,8 +172,7 @@ core::SearchResult ShardCoordinator::Execute(std::span<const TokenId> query,
 
   if (n == 1) return std::move(partial[0]);
 
-  // Gather: the searcher's own partition merge, which is what makes the
-  // result bit-identical to N=1.
+  // Gather: the exact shard lists merge into the N=1 answer bit for bit.
   KOIOS_TRACE_SPAN("shard.merge");
   core::SearchResult result;
   std::vector<core::ResultEntry> merged;

@@ -2,17 +2,17 @@
 // the paper's §VI partition pruning, with the partitions searched
 // concurrently behind the unchanged Submit interface.
 //
-// A shard is one partition of a single KoiosSearcher: shard i owns the
-// contiguous set ids [i·n/N, (i+1)·n/N) of the full collection
-// (ShardRanges). The sets and the postings derived from them are
-// partitioned — each shard has its own size-ranked inverted index, built
-// from the set arenas when the coordinator is made (shard 0 on the calling
-// thread, the others on short-lived build threads), and its candidate
-// table spans only its own sets — while the dictionary, embeddings and
-// neighbor index are replicated: every shard probes the same index (for a
-// v4 snapshot, shared mmap'd pages). At N = 1 a v4 snapshot's own ranked
-// lists are searched as they are, and nothing is built. Results carry the
-// collection's own set ids.
+// The coordinator owns the partitions: shard i is the contiguous set ids
+// [i·n/N, (i+1)·n/N) of the full collection (ShardRanges), with its own
+// size-ranked inverted index and its own core::KoiosSearcher over that
+// index. The sets and the postings derived from them are partitioned —
+// each shard's index is built from the set arenas when the coordinator is
+// made (shard 0 on the calling thread, the others on short-lived build
+// threads), and its candidate table spans only its own sets — while the
+// dictionary, embeddings and neighbor index are replicated: every shard
+// probes the same index (for a v4 snapshot, shared mmap'd pages). At
+// N = 1 a v4 snapshot's own ranked lists are searched as they are, and
+// nothing is built. Results carry the collection's own set ids.
 //
 // Per query the coordinator:
 //  1. creates ONE query-global θlb and N per-shard SearchContexts (each
@@ -21,28 +21,28 @@
 //     shard's refinement proves immediately tightens every other shard's
 //     pruning and stream-stop similarity — the cross-shard feedback that
 //     makes N shards cheaper than N independent searches;
-//  2. fans out KoiosSearcher::SearchPartition, one per shard, each through
-//     a token stream of its own: shards 1..N-1 run on the dedicated shard
-//     pool, shard 0 runs INLINE on the calling (query-worker) thread.
-//     Shard tasks are single-threaded searches that never wait on any
-//     pool, so a query worker blocking on shard futures can never
-//     deadlock — the shard pool only ever executes leaf work;
+//  2. fans out one KoiosSearcher::Search per shard, each through a token
+//     stream of its own: shards 1..N-1 run on the dedicated shard pool,
+//     shard 0 runs INLINE on the calling (query-worker) thread. Shard
+//     tasks are single-threaded searches that never wait on any pool, so
+//     a query worker blocking on shard futures can never deadlock — the
+//     shard pool only ever executes leaf work;
 //  3. gathers: joins every shard (even after a failure — the per-shard
 //     contexts live on this frame), then merges the per-shard top-k lists
-//     with core::MergeTopK, the searcher's own partition merge.
+//     with core::MergeTopK.
 //
-// Exactness of the merge: the searcher verifies result scores whenever it
-// has more than one partition, and any set in the global top-k is by
-// definition within the top-k OF ITS OWN SHARD, so the union of shard
-// top-k lists always contains the global top-k. θlb exchange is sound for
-// the same reason the in-process version is: a shard's k-th lower bound
-// never exceeds the global θk, and pruning comparisons keep their ε slack,
-// so ties survive. Results are therefore bit-identical to the N=1 engine —
-// the property bench_shard_scaling gates hard.
+// Exactness of the merge: at N > 1 the coordinator forces
+// verify_result_scores on every shard, so the lists carry exact scores,
+// and any set in the global top-k is by definition within the top-k OF
+// ITS OWN SHARD, so the union of shard top-k lists always contains the
+// global top-k. θlb exchange is sound for the same reason: a shard's k-th
+// lower bound never exceeds the global θk, and pruning comparisons keep
+// their ε slack, so ties survive. Results are therefore bit-identical to
+// the N=1 engine — the property bench_shard_scaling gates hard.
 //
-// N=1 is the same call: one partition over the whole collection, no
-// shared θlb, no shard spans, no pool hop, and the shard's answer is the
-// query's — exactly KoiosSearcher::Search over an unpartitioned searcher.
+// N=1 is the same call: one searcher over the whole collection, no shared
+// θlb, no forced verification, no shard spans, no pool hop, and the
+// shard's answer is the query's — exactly KoiosSearcher::Search.
 #ifndef KOIOS_SERVE_SHARD_COORDINATOR_H_
 #define KOIOS_SERVE_SHARD_COORDINATOR_H_
 
@@ -53,6 +53,7 @@
 
 #include "koios/core/search_types.h"
 #include "koios/core/searcher.h"
+#include "koios/index/inverted_index.h"
 #include "koios/index/set_collection.h"
 #include "koios/sim/similarity.h"
 #include "koios/util/thread_pool.h"
@@ -84,12 +85,12 @@ std::vector<ShardRange> ShardRanges(size_t set_count, size_t num_shards);
 
 class ShardCoordinator {
  public:
-  /// Builds one searcher over `sets` whose partitions are the
-  /// ShardRanges(sets->size(), options.num_shards), all probing the shared
-  /// `index`. `postings` (nullable) is a prebuilt index of the whole
-  /// collection — a v4 snapshot's borrowed lists — that a single shard
-  /// searches instead of building its own. All three must outlive the
-  /// coordinator.
+  /// Builds the inverted index of each of the
+  /// ShardRanges(sets->size(), options.num_shards) and one searcher over
+  /// each, all probing the shared `index`. `postings` (nullable) is a
+  /// prebuilt index of the whole collection — a v4 snapshot's borrowed
+  /// lists — that a single shard searches instead of building its own.
+  /// All three must outlive the coordinator.
   ShardCoordinator(const index::SetCollection* sets,
                    const sim::SimilarityIndex* index,
                    const ShardOptions& options,
@@ -98,7 +99,7 @@ class ShardCoordinator {
   ShardCoordinator(const ShardCoordinator&) = delete;
   ShardCoordinator& operator=(const ShardCoordinator&) = delete;
 
-  size_t num_shards() const { return searcher_.num_partitions(); }
+  size_t num_shards() const { return searchers_.size(); }
 
   /// Per-query inputs threaded from the engine's admission machinery into
   /// every shard's SearchContext.
@@ -134,7 +135,8 @@ class ShardCoordinator {
 
  private:
   ShardOptions options_;
-  core::KoiosSearcher searcher_;  // one partition per shard
+  std::vector<index::InvertedIndex> indexes_;  // per shard; none if borrowed
+  std::vector<core::KoiosSearcher> searchers_;  // per shard, over indexes_
 };
 
 }  // namespace koios::serve

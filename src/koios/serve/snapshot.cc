@@ -99,9 +99,4 @@ std::shared_ptr<const Snapshot> Snapshot::Build(text::Dictionary dict,
   return snapshot;
 }
 
-size_t Snapshot::MemoryUsageBytes() const {
-  return sets_.MemoryUsageBytes() + store_.MemoryUsageBytes() +
-         index_->MemoryUsageBytes();
-}
-
 }  // namespace koios::serve

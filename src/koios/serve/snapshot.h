@@ -77,8 +77,6 @@ class Snapshot {
   /// (dict/sets/store are in borrowed mode; the mapping is pinned here).
   bool mmap_backed() const { return view_ != nullptr; }
 
-  size_t MemoryUsageBytes() const;
-
  private:
   Snapshot() = default;
   void BuildServingStructures(std::vector<TokenId> vocabulary);

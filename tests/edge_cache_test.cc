@@ -124,11 +124,8 @@ TEST(EdgeCacheTest, ProducesOnDemandAndSeals) {
   EXPECT_FALSE(cache.Materialized());
   std::vector<sim::StreamTuple> seen;
   std::vector<sim::StreamTuple> buf(5);
-  size_t from = 0;
-  while (const size_t n =
-             cache.NextTuples(from, std::span<sim::StreamTuple>(buf))) {
+  while (const size_t n = cache.NextTuples(std::span<sim::StreamTuple>(buf))) {
     seen.insert(seen.end(), buf.begin(), buf.begin() + n);
-    from += n;
   }
   cache.FinishProduction();
   ASSERT_TRUE(cache.Materialized());
@@ -159,7 +156,7 @@ TEST(EdgeCacheTest, SealsEarlyWithSlack) {
   sim::TokenStream stream(q, *w.index, 0.7, [](TokenId) { return true; });
   EdgeCache cache(&stream, /*completer=*/nullptr);
   std::vector<sim::StreamTuple> buf(8);
-  ASSERT_EQ(cache.NextTuples(0, std::span<sim::StreamTuple>(buf)), 8u);
+  ASSERT_EQ(cache.NextTuples(std::span<sim::StreamTuple>(buf)), 8u);
   cache.FinishProduction();
   ASSERT_TRUE(cache.Materialized());
   EXPECT_FALSE(cache.ExhaustedToAlpha());

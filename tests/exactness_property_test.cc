@@ -1,5 +1,5 @@
 // The central correctness property of the repository: for any corpus,
-// query, k, α, partitioning, and filter configuration, Koios returns an
+// query, k, α, shard count, and filter configuration, Koios returns an
 // exact top-k result — the k-th score equals the brute-force oracle's θ*k,
 // and every reported set's score is its true semantic overlap.
 #include <gtest/gtest.h>
@@ -118,6 +118,15 @@ TEST(ExactnessTest, SelfQueryRanksItselfFirst) {
   EXPECT_TRUE(found);
 }
 
+// The shards of `coordinator` searched one after another (sequential
+// scatter) under their shared θlb, and their answers merged.
+SearchResult SearchShards(const serve::ShardCoordinator& coordinator,
+                          std::span<const TokenId> query,
+                          const SearchParams& params) {
+  return coordinator.Execute(query, params, {}, /*shard_pool=*/nullptr,
+                             /*report=*/nullptr);
+}
+
 // ----------------------------------------------- parameterized k x alpha --
 
 class ExactnessSweepTest
@@ -146,46 +155,46 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ------------------------------------------------------------ partitions --
 
+// The §VI partitions are the coordinator's contiguous shards.
 class PartitionExactnessTest : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(PartitionExactnessTest, PartitionedSearchIsExact) {
-  const size_t partitions = GetParam();
+  const size_t shards = GetParam();
   auto w = MakeRandomWorkload(130, 600, 5, 25, 3000);
-  SearcherOptions options;
-  options.num_partitions = partitions;
-  KoiosSearcher searcher(&w.corpus.sets, w.index.get(), options);
-  EXPECT_EQ(searcher.num_partitions(), partitions);
+  const serve::ShardCoordinator coordinator(&w.corpus.sets, w.index.get(),
+                                            {.num_shards = shards});
+  EXPECT_EQ(coordinator.num_shards(), shards);
   for (SetId qid : {SetId{2}, SetId{64}}) {
     const auto q = w.corpus.sets.Tokens(qid);
     SearchParams params;
     params.k = 8;
     params.alpha = 0.78;
-    const SearchResult result = searcher.Search(q, params);
+    const SearchResult result = SearchShards(coordinator, q, params);
     ExpectExactTopK(w.corpus.sets, q, *w.sim, params.alpha, result, params.k,
-                    "partitions=" + std::to_string(partitions));
+                    "shards=" + std::to_string(shards));
   }
 }
 
-// Verification off: the partition lists merge by score, and a No-EM lower
-// bound is not comparable across partitions, so with more than one
-// partition the searcher verifies the reported scores anyway. One
-// partition keeps the caller's setting: its lower bounds still name the
-// right sets. At 4 partitions, scores merged unverified put set 581
-// (SO 9.3295) in 5th place instead of set 138 (SO 9.3411).
+// Verification off: the shard lists merge by score, and a No-EM lower
+// bound is not comparable across shards, so with more than one shard the
+// coordinator verifies the reported scores anyway. One shard keeps the
+// caller's setting: its lower bounds still name the right sets. At every
+// shard count above one, scores merged unverified put set 581 (SO 9.3295,
+// reported at its lower bound 9.3265) in 5th place instead of set 138
+// (SO 9.3411).
 TEST_P(PartitionExactnessTest, VerifyOffStillReturnsTheExactTopK) {
-  const size_t partitions = GetParam();
+  const size_t shards = GetParam();
   auto w = MakeRandomWorkload(600, 1500, 4, 40, 712);
-  SearcherOptions options;
-  options.num_partitions = partitions;
-  KoiosSearcher searcher(&w.corpus.sets, w.index.get(), options);
+  const serve::ShardCoordinator coordinator(&w.corpus.sets, w.index.get(),
+                                            {.num_shards = shards});
   const auto q = w.corpus.sets.Tokens(56);
   SearchParams params;
   params.k = 5;
   params.alpha = 0.75;
   params.verify_result_scores = false;
-  const SearchResult result = searcher.Search(q, params);
-  const std::string label = "partitions=" + std::to_string(partitions);
-  if (partitions > 1) {
+  const SearchResult result = SearchShards(coordinator, q, params);
+  const std::string label = "shards=" + std::to_string(shards);
+  if (shards > 1) {
     ExpectExactTopK(w.corpus.sets, q, *w.sim, params.alpha, result, params.k,
                     label);
     return;
@@ -271,8 +280,8 @@ TEST(ExactnessTest, SizeCutSkipsOnlySetsBelowThetaStar) {
             params.k = k;
             params.alpha = alpha;
             params.use_stream_feedback = feedback;
-            const SearchResult result = coordinator->Execute(
-                q, params, {}, /*shard_pool=*/nullptr, nullptr);
+            const SearchResult result =
+                SearchShards(*coordinator, q, params);
             const std::string label =
                 "seed " + std::to_string(seed) + " shards " +
                 std::to_string(coordinator->num_shards()) +
@@ -308,15 +317,14 @@ TEST(ExactnessTest, RandomizedStress) {
   // surfaces as a θ*k mismatch here.
   for (uint64_t seed = 1; seed <= 12; ++seed) {
     auto w = MakeRandomWorkload(60 + seed * 5, 300 + seed * 20, 3, 18, seed * 7);
-    SearcherOptions options;
-    options.num_partitions = 1 + seed % 4;
-    KoiosSearcher searcher(&w.corpus.sets, w.index.get(), options);
+    const serve::ShardCoordinator coordinator(&w.corpus.sets, w.index.get(),
+                                              {.num_shards = 1 + seed % 4});
     const SetId qid = static_cast<SetId>(seed * 3 % w.corpus.sets.size());
     const auto q = w.corpus.sets.Tokens(qid);
     SearchParams params;
     params.k = 1 + seed % 9;
     params.alpha = 0.65 + 0.03 * (seed % 10);
-    const SearchResult result = searcher.Search(q, params);
+    const SearchResult result = SearchShards(coordinator, q, params);
     ExpectExactTopK(w.corpus.sets, q, *w.sim, params.alpha, result, params.k,
                     "stress seed=" + std::to_string(seed));
   }

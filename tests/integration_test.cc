@@ -142,15 +142,15 @@ TEST(IntegrationTest, LargeRandomWorkloadSmoke) {
   // A bigger end-to-end pass guarding against scaling bugs (hash
   // collisions, id overflow, accidental quadratic loops).
   auto w = testing::MakeRandomWorkload(600, 2000, 5, 40, 10003);
-  core::SearcherOptions options;
-  options.num_partitions = 4;
-  core::KoiosSearcher searcher(&w.corpus.sets, w.index.get(), options);
+  const serve::ShardCoordinator coordinator(&w.corpus.sets, w.index.get(),
+                                            {.num_shards = 4});
   core::SearchParams params;
   params.k = 20;
   params.alpha = 0.8;
   std::vector<TokenId> q(w.corpus.sets.Tokens(100).begin(),
                          w.corpus.sets.Tokens(100).end());
-  const auto result = searcher.Search(q, params);
+  const auto result =
+      coordinator.Execute(q, params, {}, /*shard_pool=*/nullptr, nullptr);
   ASSERT_FALSE(result.topk.empty());
   const auto oracle =
       testing::OracleRanking(w.corpus.sets, q, *w.sim, params.alpha);

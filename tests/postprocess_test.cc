@@ -15,12 +15,16 @@ struct PostHarness {
   PostHarness(testing::RandomWorkload* w, std::vector<TokenId> q, Score alpha)
       : workload(w),
         query(std::move(q)),
-        inverted(w->corpus.sets),
-        stream(query, *w->index, alpha,
-               [this](TokenId t) { return inverted.InVocabulary(t); }),
-        cache(&stream) {}
+        alpha(alpha),
+        inverted(w->corpus.sets) {}
 
+  // Each run consumes a drained stream of its own (a cache has one
+  // consumer).
   std::vector<ResultEntry> Run(const SearchParams& params, SearchStats* stats) {
+    sim::TokenStream stream(query, *workload->index, alpha, [this](TokenId t) {
+      return inverted.InVocabulary(t);
+    });
+    EdgeCache cache(&stream);
     RefinementPhase refinement(&inverted, query.size(), params);
     RefinementOutput refined = refinement.Run(&cache, stats);
     PostProcessor post(&workload->corpus.sets, &cache, params, nullptr);
@@ -29,9 +33,8 @@ struct PostHarness {
 
   testing::RandomWorkload* workload;
   std::vector<TokenId> query;
+  Score alpha;
   index::InvertedIndex inverted;
-  sim::TokenStream stream;
-  EdgeCache cache;
 };
 
 std::vector<TokenId> QueryOf(const testing::RandomWorkload& w, SetId id) {

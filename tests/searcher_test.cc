@@ -44,17 +44,6 @@ TEST(SearcherTest, RepeatedSearchesAreDeterministic) {
   }
 }
 
-TEST(SearcherTest, VocabularyPredicateSpansPartitions) {
-  auto w = testing::MakeRandomWorkload(60, 300, 5, 15, 703);
-  SearcherOptions options;
-  options.num_partitions = 4;
-  KoiosSearcher searcher(&w.corpus.sets, w.index.get(), options);
-  for (TokenId t : w.corpus.vocabulary) {
-    EXPECT_TRUE(searcher.InVocabulary(t));
-  }
-  EXPECT_FALSE(searcher.InVocabulary(static_cast<TokenId>(5'000'000)));
-}
-
 TEST(SearcherTest, StatsTimersPopulated) {
   auto w = testing::MakeRandomWorkload(80, 400, 5, 20, 704);
   KoiosSearcher searcher(&w.corpus.sets, w.index.get());
@@ -100,23 +89,6 @@ TEST(SearcherTest, AlphaOneKeepsOnlyIdenticalElements) {
               static_cast<Score>(
                   w.corpus.sets.VanillaOverlap(sorted_query, entry.set)));
   }
-}
-
-TEST(SearcherTest, PartitionSeedChangesAssignmentNotResult) {
-  auto w = testing::MakeRandomWorkload(90, 400, 5, 18, 708);
-  SearcherOptions o1, o2;
-  o1.num_partitions = o2.num_partitions = 5;
-  o1.partition_seed = 1;
-  o2.partition_seed = 999;
-  KoiosSearcher s1(&w.corpus.sets, w.index.get(), o1);
-  KoiosSearcher s2(&w.corpus.sets, w.index.get(), o2);
-  SearchParams params;
-  params.k = 6;
-  const auto query = QueryOf(w, 22);
-  const auto r1 = s1.Search(query, params);
-  const auto r2 = s2.Search(query, params);
-  ASSERT_EQ(r1.topk.size(), r2.topk.size());
-  EXPECT_NEAR(r1.KthScore(), r2.KthScore(), 1e-6);
 }
 
 // Refinement's work counters on a fixed corpus and query set. They are
@@ -263,40 +235,6 @@ TEST(SearcherTest, RefinementCountersArePinned) {
     ExpectVerification(verified_k10,
                        {94, 67, 494, 94, 2718616746841741523ull}, label);
   }
-}
-
-// The same queries over 4 random partitions, searched one after another
-// through one edge cache under the shared θlb (§VI): later partitions
-// replay the prefix earlier ones produced and pull further production
-// only past it.
-TEST(SearcherTest, PartitionedCountersArePinned) {
-  auto w = testing::MakeRandomWorkload(400, 1500, 4, 40, 709);
-  const auto queries = PinnedQueries(w);
-  SearcherOptions options;
-  options.num_partitions = 4;
-  KoiosSearcher searcher(&w.corpus.sets, w.index.get(), options);
-  RefinementCounters got;
-  ProductionCounters produced;
-  VerificationCounters verified_k1, verified_k10;
-  for (const size_t k : {1, 10}) {
-    SearchParams params;
-    params.k = k;
-    params.alpha = 0.75;
-    for (const auto& query : queries) {
-      const SearchResult r = searcher.Search(query, params);
-      Accumulate(r.stats, &got);
-      Accumulate(r.stats, &produced);
-      Accumulate(r.stats, r.topk, k == 1 ? &verified_k1 : &verified_k10);
-    }
-  }
-  ExpectCounters(got, {9549, 8114, 57903, 15717, 1435, 88909}, "4 partitions");
-  ExpectProduction(produced, {4817, 4584800343389235688ull}, "4 partitions");
-  // The merged top-k equals the unpartitioned search's bit for bit.
-  ExpectVerification(verified_k1, {20, 12, 70, 20, 4914962997095115013ull},
-                     "4 partitions k=1");
-  ExpectVerification(verified_k10,
-                     {389, 208, 734, 390, 2718616746841741523ull},
-                     "4 partitions k=10");
 }
 
 // One KoiosSearcher serves 4 threads at once. Every token stream opens its

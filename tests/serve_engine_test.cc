@@ -99,15 +99,12 @@ TEST(QueryEngineTest, ConcurrentSubmitsMatchSerialSearchBitForBit) {
   EXPECT_EQ(engine.latency().Count(), scenarios.size());
 }
 
-// Shards are contiguous partitions, the serial searcher's are random: the
-// answers are the same.
-TEST(QueryEngineTest, PartitionedEngineMatchesPartitionedSerial) {
+// A 4-shard engine answers as the unpartitioned serial searcher does.
+TEST(QueryEngineTest, PartitionedEngineMatchesSerial) {
   auto w = testing::MakeRandomWorkload(150, 600, 5, 25, 11002);
   const auto scenarios = MakeScenarios(w, 12);
 
-  core::SearcherOptions searcher_options;
-  searcher_options.num_partitions = 4;
-  KoiosSearcher serial(&w.corpus.sets, w.index.get(), searcher_options);
+  KoiosSearcher serial(&w.corpus.sets, w.index.get());
 
   EngineOptions options;
   options.num_threads = 3;

@@ -1,7 +1,7 @@
 // Sharded scatter-gather execution, where each shard is one contiguous
-// partition of a single KoiosSearcher: the shard count must clamp to the
-// set count, any shard count must answer bit-identically to the
-// single-shard engine (including under ties that straddle shard
+// partition of the collection with a searcher of its own: the shard count
+// must clamp to the set count, any shard count must answer bit-identically
+// to the single-shard engine (including under ties that straddle shard
 // boundaries — the property the TSan job hammers with threads), the
 // cross-shard θlb exchange must provably reduce producer work without
 // changing results, sequential scatter must do pinned work per shard,

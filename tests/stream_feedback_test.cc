@@ -15,6 +15,7 @@
 #include "koios/data/string_corpus.h"
 #include "koios/matching/hungarian.h"
 #include "koios/matching/semantic_overlap.h"
+#include "koios/serve/shard_coordinator.h"
 #include "koios/sim/exact_knn_index.h"
 #include "koios/sim/jaccard_qgram_similarity.h"
 #include "koios/sim/token_stream.h"
@@ -29,7 +30,8 @@ using testing::OracleRanking;
 
 constexpr double kTol = 1e-9;
 
-// Runs the same query with feedback on and off and checks:
+// Runs the same query with feedback on and off over `shards` contiguous
+// shards (one after another, under their shared θlb) and checks:
 //  * both results are identical entry by entry (set ids and exact scores),
 //  * both match the brute-force oracle (θ*k, the score at every rank and
 //    every reported SO),
@@ -39,11 +41,14 @@ SearchResult ExpectFeedbackExact(const index::SetCollection& sets,
                                  const sim::SimilarityIndex& index,
                                  const sim::SimilarityFunction& sim,
                                  std::span<const TokenId> q,
-                                 size_t partitions, size_t k, Score alpha,
+                                 size_t shards, size_t k, Score alpha,
                                  const std::string& label) {
-  SearcherOptions options;
-  options.num_partitions = partitions;
-  KoiosSearcher searcher(&sets, &index, options);
+  const serve::ShardCoordinator coordinator(&sets, &index,
+                                            {.num_shards = shards});
+  auto search = [&](const SearchParams& params) {
+    return coordinator.Execute(q, params, {}, /*shard_pool=*/nullptr,
+                               /*report=*/nullptr);
+  };
 
   SearchParams feedback;
   feedback.k = k;
@@ -52,8 +57,8 @@ SearchResult ExpectFeedbackExact(const index::SetCollection& sets,
   SearchParams drain = feedback;
   drain.use_stream_feedback = false;
 
-  const SearchResult rf = searcher.Search(q, feedback);
-  const SearchResult rd = searcher.Search(q, drain);
+  const SearchResult rf = search(feedback);
+  const SearchResult rd = search(drain);
 
   // Bit-identical top-k between the two modes.
   EXPECT_EQ(rf.topk.size(), rd.topk.size()) << label;
@@ -94,12 +99,12 @@ class FeedbackExactnessTest
     : public ::testing::TestWithParam<std::tuple<size_t, size_t>> {};
 
 TEST_P(FeedbackExactnessTest, MatchesDrainAndBruteForce) {
-  const auto [partitions, k] = GetParam();
-  auto w = MakeRandomWorkload(140, 650, 5, 25, 7000 + partitions * 17 + k);
+  const auto [shards, k] = GetParam();
+  auto w = MakeRandomWorkload(140, 650, 5, 25, 7000 + shards * 17 + k);
   for (SetId qid : {SetId{1}, SetId{57}}) {
     ExpectFeedbackExact(w.corpus.sets, *w.index, *w.sim,
-                        w.corpus.sets.Tokens(qid), partitions, k, 0.75,
-                        "p=" + std::to_string(partitions) +
+                        w.corpus.sets.Tokens(qid), shards, k, 0.75,
+                        "p=" + std::to_string(shards) +
                             " k=" + std::to_string(k) +
                             " q=" + std::to_string(qid));
   }
@@ -107,7 +112,7 @@ TEST_P(FeedbackExactnessTest, MatchesDrainAndBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(
     PartitionKGrid, FeedbackExactnessTest,
-    ::testing::Combine(::testing::Values<size_t>(1, 4),      // partitions
+    ::testing::Combine(::testing::Values<size_t>(1, 4),      // shards
                        ::testing::Values<size_t>(1, 5, 20)));  // k
 
 // ------------------------------------- q-gram Jaccard (koios_cli default) --
@@ -210,7 +215,7 @@ TEST(StreamFeedbackTest, AnswerNeedsAnEdgeBelowTheStop) {
 
   const std::vector<TokenId> q = {q1, q2, q3};
   const SearchResult rf =
-      ExpectFeedbackExact(sets, index, sim, q, /*partitions=*/1, /*k=*/2,
+      ExpectFeedbackExact(sets, index, sim, q, /*shards=*/1, /*k=*/2,
                           /*alpha=*/0.3, "below-stop edge");
   ASSERT_EQ(rf.topk.size(), 2u);
   EXPECT_EQ(rf.topk[0].set, 0u);
@@ -230,24 +235,25 @@ TEST(StreamFeedbackTest, AnswerNeedsAnEdgeBelowTheStop) {
 }
 
 TEST(StreamFeedbackTest, PartitionedSearchSharesGlobalTheta) {
-  // §VI: the stop machinery derives from the cross-partition
-  // GlobalThreshold. In a serial 4-partition search the partition holding
-  // the query set publishes θlb = |Q|, after which every later partition's
-  // consumer breaks almost immediately — aggregate consumption must drop
-  // well below the drain's, and production must never exceed it.
+  // §VI: the stop machinery derives from the GlobalThreshold the shards of
+  // a query share. In a sequential 4-shard search the shard holding the
+  // query set (shard 0) publishes θlb = |Q|, after which every later
+  // shard's consumer breaks almost immediately — aggregate consumption
+  // must drop well below the drain's, and production must never exceed it.
   auto w = MakeRandomWorkload(200, 800, 8, 30, 8102);
-  SearcherOptions options;
-  options.num_partitions = 4;
-  KoiosSearcher searcher(&w.corpus.sets, w.index.get(), options);
+  const serve::ShardCoordinator coordinator(&w.corpus.sets, w.index.get(),
+                                            {.num_shards = 4});
   const auto q = w.corpus.sets.Tokens(21);
   SearchParams params;
   params.k = 1;
   params.alpha = 0.55;
-  const SearchResult serial = searcher.Search(q, params);
+  const SearchResult serial =
+      coordinator.Execute(q, params, {}, /*shard_pool=*/nullptr, nullptr);
 
   SearchParams drain = params;
   drain.use_stream_feedback = false;
-  const SearchResult drained = searcher.Search(q, drain);
+  const SearchResult drained =
+      coordinator.Execute(q, drain, {}, /*shard_pool=*/nullptr, nullptr);
   EXPECT_LT(serial.stats.stream_tuples, drained.stats.stream_tuples);
   EXPECT_LE(serial.stats.stream_tuples_produced,
             drained.stats.stream_tuples_produced);
@@ -271,9 +277,7 @@ void ExpectCompletesBelowStopEdges(const index::SetCollection& sets,
   // at 1.0 are produced, the tail is not.
   EdgeCache cache(&stream, &sim);
   std::vector<sim::StreamTuple> buf(EdgeCache::kPullChunk);
-  size_t from = 0;
-  while (const size_t n = cache.NextTuples(from, buf)) {
-    from += n;
+  while (const size_t n = cache.NextTuples(buf)) {
     if (buf[n - 1].sim < 0.9) break;
   }
   cache.FinishProduction();
